@@ -87,11 +87,11 @@ pub struct SsdConfig {
     /// trims volatile indefinitely between barriers. `0` disables aging.
     pub tombstone_flush_deadline: Nanos,
     /// Partitions of the address-mapping table (and the IMT / map-cache
-    /// slices riding on it), keyed by `lpa % amt_shards`. Each shard carries
-    /// its own `RwLock`, so storage-state queries can fan across shards on
-    /// shared locks while the write path keeps exclusive access. Defaults to
-    /// the channel count; clamped to at least 1. Shard count never changes
-    /// host-visible state — only lock granularity and query parallelism.
+    /// slices riding on it), keyed by `lpa % amt_shards`. Storage-state
+    /// queries fan across shards, one worker per shard at most, through
+    /// `&self`; the write path keeps exclusive access through `&mut self`.
+    /// Defaults to the channel count; clamped to at least 1. Shard count
+    /// never changes host-visible state — only query parallelism.
     pub amt_shards: u32,
 }
 

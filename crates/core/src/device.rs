@@ -27,9 +27,8 @@ impl Completion {
 ///
 /// Splitting these off [`SsdDevice`] is what lets the storage-state query
 /// path run without exclusive access to the device — the NVMe front end can
-/// fan queries across mapping-table shards on shared locks while holding
-/// only `&self`, instead of funnelling every lookup through the `&mut`
-/// command path.
+/// fan queries across mapping-table shards while holding only `&self`,
+/// instead of funnelling every lookup through the `&mut` command path.
 pub trait SsdReadOps {
     /// Cumulative statistics.
     fn stats(&self) -> &DeviceStats;
@@ -43,8 +42,7 @@ pub trait SsdReadOps {
     /// Shared-access view of the device's retained history, if it keeps
     /// one. `None` for devices without time travel (the regular and
     /// FlashGuard baselines); `Some` for TimeSSD, whose view answers
-    /// `version_as_of` / `versions_in` / `version_chain` through per-shard
-    /// read locks.
+    /// `version_as_of` / `versions_in` / `version_chain` through `&self`.
     fn read_view(&self) -> Option<crate::timessd::query::SsdReadView<'_>> {
         None
     }

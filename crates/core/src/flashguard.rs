@@ -18,7 +18,7 @@ use crate::config::SsdConfig;
 use crate::device::{Completion, SsdDevice, SsdReadOps};
 use crate::error::{AlmanacError, Result};
 use crate::stats::DeviceStats;
-use crate::tables::{Amt, AmtEntry, BlockKind, Bst, Pvt};
+use crate::tables::{AmtEntry, BlockKind, Bst, Pvt, ShardedAmt};
 
 /// A retained suspected-victim page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,7 +47,7 @@ struct Retained {
 pub struct FlashGuardSsd {
     config: SsdConfig,
     flash: FlashArray,
-    amt: Amt,
+    amt: ShardedAmt,
     pvt: Pvt,
     bst: Bst,
     alloc: Allocator,
@@ -77,7 +77,7 @@ impl FlashGuardSsd {
         let geo = config.geometry;
         FlashGuardSsd {
             flash,
-            amt: Amt::new(config.exported_pages()),
+            amt: ShardedAmt::new(config.exported_pages(), 1),
             pvt: Pvt::new(geo.total_pages()),
             bst: Bst::new(geo.total_blocks()),
             alloc: Allocator::new(geo),
@@ -170,7 +170,12 @@ impl FlashGuardSsd {
         if let Some(b) = opened {
             self.bst.get_mut(b).kind = BlockKind::Data;
         }
-        let finish = self.flash.program(ppa, data, Oob::new(lpa, None, ts), at)?;
+        // On a failed program the chip never wrote the page: rewind the slot
+        // so the block's program sequence stays aligned and a retry succeeds.
+        let finish = self
+            .flash
+            .program(ppa, data, Oob::new(lpa, None, ts), at)
+            .inspect_err(|_| self.alloc.unreserve_page(ppa))?;
         let info = self.bst.get_mut(self.config.geometry.block_of(ppa));
         info.written += 1;
         info.valid += 1;
@@ -228,7 +233,10 @@ impl FlashGuardSsd {
             if let Some(b) = opened {
                 self.bst.get_mut(b).kind = BlockKind::Data;
             }
-            let wt = self.flash.program(new_ppa, data, oob, t)?;
+            let wt = self
+                .flash
+                .program(new_ppa, data, oob, t)
+                .inspect_err(|_| self.alloc.unreserve_page(new_ppa))?;
             self.stats.gc_programs += 1;
             t = wt;
             let info = self.bst.get_mut(geo.block_of(new_ppa));

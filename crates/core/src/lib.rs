@@ -30,6 +30,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod alloc;
 mod config;
@@ -51,10 +52,20 @@ pub use flashguard::FlashGuardSsd;
 pub use mapcache::{MapCache, ShardedMapCache};
 pub use regular::RegularSsd;
 pub use stats::{DeviceStats, LatencyAcc};
-pub use tables::{
-    Amt, AmtEntry, BlockInfo, BlockKind, Bst, Gmd, Imt, Prt, Pvt, ShardedAmt, ShardedImt,
-};
+pub use tables::{AmtEntry, BlockInfo, BlockKind, Bst, Gmd, Imt, Prt, Pvt, ShardedAmt, ShardedImt};
 pub use timessd::check::{ConsistencyReport, Violation};
 pub use timessd::query::{SsdReadView, VersionInfo, VersionLocation};
 pub use timessd::retention::PeriodCounters;
 pub use timessd::{TimeSsd, REF_ZEROS};
+
+// Query workers share `&TimeSsd` across scoped threads with no lock around
+// the mapping tables: readers-xor-writer comes from `&`/`&mut`, which is
+// sound only while the device and its tables are `Sync`. Checked here so a
+// stray `Cell`/`Rc` fails this crate's build instead of racing silently.
+const _: () = {
+    const fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<TimeSsd>();
+    assert_send_sync::<SsdReadView<'static>>();
+    assert_send_sync::<ShardedAmt>();
+    assert_send_sync::<ShardedImt>();
+};

@@ -13,7 +13,7 @@ use crate::config::SsdConfig;
 use crate::device::{Completion, SsdDevice, SsdReadOps};
 use crate::error::{AlmanacError, Result};
 use crate::stats::DeviceStats;
-use crate::tables::{Amt, AmtEntry, BlockKind, Bst, Gmd, Pvt};
+use crate::tables::{AmtEntry, BlockKind, Bst, Gmd, Pvt, ShardedAmt};
 
 /// A conventional SSD simulator.
 ///
@@ -32,7 +32,7 @@ use crate::tables::{Amt, AmtEntry, BlockKind, Bst, Gmd, Pvt};
 pub struct RegularSsd {
     config: SsdConfig,
     flash: FlashArray,
-    amt: Amt,
+    amt: ShardedAmt,
     gmd: Gmd,
     pvt: Pvt,
     bst: Bst,
@@ -61,7 +61,7 @@ impl RegularSsd {
         let mappings_per_page = (geo.page_size / 8) as u64;
         RegularSsd {
             flash,
-            amt: Amt::new(exported),
+            amt: ShardedAmt::new(exported, 1),
             gmd: Gmd::new(exported, mappings_per_page),
             pvt: Pvt::new(geo.total_pages()),
             bst: Bst::new(geo.total_blocks()),
@@ -129,9 +129,12 @@ impl RegularSsd {
         if let Some(b) = opened {
             self.bst.get_mut(b).kind = BlockKind::Data;
         }
+        // On a failed program the chip never wrote the page: rewind the slot
+        // so the block's program sequence stays aligned and a retry succeeds.
         let finish = self
             .flash
-            .program(ppa, data, Oob::new(lpa, back_ptr, ts), at)?;
+            .program(ppa, data, Oob::new(lpa, back_ptr, ts), at)
+            .inspect_err(|_| self.alloc.unreserve_page(ppa))?;
         let block = self.config.geometry.block_of(ppa);
         let info = self.bst.get_mut(block);
         info.written += 1;

@@ -8,26 +8,9 @@
 //! `timessd::deltas`).
 
 use std::collections::HashMap;
-use std::sync::{RwLock, RwLockReadGuard};
 
 use almanac_bloom::FilterId;
 use almanac_flash::{BlockId, Geometry, Lpa, Nanos, Ppa};
-
-/// Acquires a shard read lock, tolerating poison: a panicking reader cannot
-/// have left the table in a torn state (readers never mutate), and the write
-/// path goes through `get_mut`, which bypasses the lock entirely.
-fn read_shard<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
-    lock.read().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Mutable access to a shard through `&mut self` — no lock is taken, so the
-/// single-writer FTL path stays exactly as fast as the unsharded table.
-fn shard_mut<T>(lock: &mut RwLock<T>) -> &mut T {
-    match lock.get_mut() {
-        Ok(v) => v,
-        Err(e) => e.into_inner(),
-    }
-}
 
 /// One entry of the address mapping table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -70,60 +53,6 @@ impl AmtEntry {
             AmtEntry::Trimmed(_, at) => Some(*at),
             _ => None,
         }
-    }
-}
-
-/// Address mapping table ①: LPA → PPA for the latest valid version.
-#[derive(Debug, Clone)]
-pub struct Amt {
-    entries: Vec<AmtEntry>,
-}
-
-impl Amt {
-    /// Creates an all-unmapped table for `exported_pages` logical pages.
-    pub fn new(exported_pages: u64) -> Self {
-        Amt {
-            entries: vec![AmtEntry::Unmapped; exported_pages as usize],
-        }
-    }
-
-    /// Number of logical pages.
-    pub fn len(&self) -> u64 {
-        self.entries.len() as u64
-    }
-
-    /// True if the table covers zero pages.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Looks up an entry. Out-of-range addresses read as `Unmapped`: LPAs
-    /// recovered from flash OOB metadata may be corrupt (bit-rot, ECC
-    /// escapes), and the index must degrade to "no such page" rather than
-    /// panic.
-    pub fn get(&self, lpa: Lpa) -> AmtEntry {
-        self.entries
-            .get(lpa.0 as usize)
-            .copied()
-            .unwrap_or(AmtEntry::Unmapped)
-    }
-
-    /// Replaces an entry, returning the previous one. Out-of-range addresses
-    /// are ignored (and read back as `Unmapped`) for the same reason as
-    /// [`Amt::get`].
-    pub fn set(&mut self, lpa: Lpa, entry: AmtEntry) -> AmtEntry {
-        match self.entries.get_mut(lpa.0 as usize) {
-            Some(slot) => std::mem::replace(slot, entry),
-            None => AmtEntry::Unmapped,
-        }
-    }
-
-    /// Iterates over `(lpa, entry)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (Lpa, AmtEntry)> + '_ {
-        self.entries
-            .iter()
-            .enumerate()
-            .map(|(i, e)| (Lpa(i as u64), *e))
     }
 }
 
@@ -374,33 +303,21 @@ impl Imt {
     }
 }
 
-/// Address mapping table ① sharded by `lpa % shards`.
+/// Address mapping table ①: LPA → PPA for the latest valid version,
+/// sharded by `lpa % shards`.
 ///
 /// Shard `s` owns every exported LPA congruent to `s`, stored densely at
-/// local slot `lpa / shards`. Each shard sits behind its own `RwLock`:
-/// storage-state queries (`&self`) take shared locks per lookup, while the
-/// FTL write path reaches the shard through `&mut self` without locking at
-/// all (`RwLock::get_mut`). Host-visible behaviour is identical to [`Amt`]
-/// for every shard count; only lock granularity changes.
-#[derive(Debug)]
+/// local slot `lpa / shards`. Shards are plain vectors: a storage-state
+/// query holds `&self` (any number of readers, one per shard worker) while
+/// the FTL write path holds `&mut self`, so the borrow checker already
+/// guarantees readers-xor-writer and no lock is needed. Host-visible
+/// behaviour is identical for every shard count; a 1-shard table is the
+/// flat table the baseline FTLs use.
+#[derive(Debug, Clone)]
 pub struct ShardedAmt {
-    shards: Vec<RwLock<Vec<AmtEntry>>>,
+    shards: Vec<Vec<AmtEntry>>,
     nshards: u64,
     exported: u64,
-}
-
-impl Clone for ShardedAmt {
-    fn clone(&self) -> Self {
-        ShardedAmt {
-            shards: self
-                .shards
-                .iter()
-                .map(|s| RwLock::new(read_shard(s).clone()))
-                .collect(),
-            nshards: self.nshards,
-            exported: self.exported,
-        }
-    }
 }
 
 impl ShardedAmt {
@@ -412,7 +329,7 @@ impl ShardedAmt {
             .map(|s| {
                 // LPAs in [0, exported) congruent to s mod nshards.
                 let local = exported_pages.saturating_sub(s).div_ceil(nshards);
-                RwLock::new(vec![AmtEntry::Unmapped; local as usize])
+                vec![AmtEntry::Unmapped; local as usize]
             })
             .collect();
         ShardedAmt {
@@ -441,83 +358,56 @@ impl ShardedAmt {
     /// occupancy the [`ShardSkew`](crate::Violation) audit compares across
     /// shards. Out-of-range shards read as 0.
     pub fn shard_occupancy(&self, shard: u32) -> u64 {
-        self.shards
-            .get(shard as usize)
-            .map(|s| {
-                read_shard(s)
-                    .iter()
-                    .filter(|e| !matches!(e, AmtEntry::Unmapped))
-                    .count() as u64
-            })
-            .unwrap_or(0)
+        self.shards.get(shard as usize).map_or(0, |s| {
+            s.iter()
+                .filter(|e| !matches!(e, AmtEntry::Unmapped))
+                .count() as u64
+        })
     }
 
-    /// Looks up an entry through the owning shard's read lock. Out-of-range
-    /// addresses read as `Unmapped`, as in [`Amt::get`].
+    /// `(shard, local slot)` of an in-range LPA.
+    fn locate(&self, lpa: Lpa) -> (usize, usize) {
+        let (shard, slot) = (lpa.0 % self.nshards, lpa.0 / self.nshards);
+        (shard as usize, slot as usize)
+    }
+
+    /// Looks up an entry. Out-of-range addresses read as `Unmapped`: LPAs
+    /// recovered from flash OOB metadata may be corrupt (bit-rot, ECC
+    /// escapes), and the index must degrade to "no such page" rather than
+    /// panic.
     pub fn get(&self, lpa: Lpa) -> AmtEntry {
         if lpa.0 >= self.exported {
             return AmtEntry::Unmapped;
         }
-        let shard = read_shard(&self.shards[(lpa.0 % self.nshards) as usize]);
-        shard
-            .get((lpa.0 / self.nshards) as usize)
-            .copied()
-            .unwrap_or(AmtEntry::Unmapped)
+        let (shard, slot) = self.locate(lpa);
+        self.shards[shard][slot]
     }
 
-    /// Replaces an entry, returning the previous one. Reaches the shard via
-    /// `&mut` (no lock). Out-of-range addresses are ignored, as in
-    /// [`Amt::set`].
+    /// Replaces an entry, returning the previous one. Out-of-range addresses
+    /// are ignored (and read back as `Unmapped`) for the same reason as
+    /// [`ShardedAmt::get`].
     pub fn set(&mut self, lpa: Lpa, entry: AmtEntry) -> AmtEntry {
         if lpa.0 >= self.exported {
             return AmtEntry::Unmapped;
         }
-        let local = (lpa.0 / self.nshards) as usize;
-        let shard = shard_mut(&mut self.shards[(lpa.0 % self.nshards) as usize]);
-        match shard.get_mut(local) {
-            Some(slot) => std::mem::replace(slot, entry),
-            None => AmtEntry::Unmapped,
-        }
+        let (shard, slot) = self.locate(lpa);
+        std::mem::replace(&mut self.shards[shard][slot], entry)
     }
 
-    /// Iterates over `(lpa, entry)` pairs in global LPA order — the same
-    /// order [`Amt::iter`] yields, which GC's reverse lookup and the
-    /// consistency checker rely on for determinism. Holds every shard's read
-    /// lock for the iterator's lifetime, giving a coherent snapshot.
+    /// Iterates over `(lpa, entry)` pairs in global LPA order, which GC's
+    /// reverse lookup and the consistency checker rely on for determinism.
     pub fn iter(&self) -> impl Iterator<Item = (Lpa, AmtEntry)> + '_ {
-        let guards: Vec<RwLockReadGuard<'_, Vec<AmtEntry>>> =
-            self.shards.iter().map(read_shard).collect();
-        let nshards = self.nshards;
-        (0..self.exported).map(move |lpa| {
-            let entry = guards[(lpa % nshards) as usize]
-                .get((lpa / nshards) as usize)
-                .copied()
-                .unwrap_or(AmtEntry::Unmapped);
-            (Lpa(lpa), entry)
-        })
+        (0..self.exported).map(|lpa| (Lpa(lpa), self.get(Lpa(lpa))))
     }
 }
 
 /// Index mapping table ⑤ sharded by `lpa % shards`, mirroring
 /// [`ShardedAmt`]: delta-chain heads live with the shard that owns the LPA,
 /// so a ranged query touches only the shards its LPAs hash to.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone)]
 pub struct ShardedImt {
-    shards: Vec<RwLock<Imt>>,
+    shards: Vec<Imt>,
     nshards: u64,
-}
-
-impl Clone for ShardedImt {
-    fn clone(&self) -> Self {
-        ShardedImt {
-            shards: self
-                .shards
-                .iter()
-                .map(|s| RwLock::new(read_shard(s).clone()))
-                .collect(),
-            nshards: self.nshards,
-        }
-    }
 }
 
 impl ShardedImt {
@@ -525,47 +415,41 @@ impl ShardedImt {
     pub fn new(shards: u32) -> Self {
         let nshards = u64::from(shards.max(1));
         ShardedImt {
-            shards: (0..nshards).map(|_| RwLock::new(Imt::new())).collect(),
+            shards: vec![Imt::new(); nshards as usize],
             nshards,
         }
     }
 
-    /// Head of the delta chain for `lpa`, through the owning shard's read
-    /// lock.
+    /// Head of the delta chain for `lpa`.
     pub fn head(&self, lpa: Lpa) -> Option<(Ppa, Nanos)> {
-        read_shard(&self.shards[(lpa.0 % self.nshards) as usize]).head(lpa)
+        self.shards[(lpa.0 % self.nshards) as usize].head(lpa)
     }
 
-    /// Updates the chain head (lock-free via `&mut`).
+    /// Updates the chain head.
     pub fn set_head(&mut self, lpa: Lpa, page: Ppa, newest_ts: Nanos) {
-        shard_mut(&mut self.shards[(lpa.0 % self.nshards) as usize]).set_head(lpa, page, newest_ts)
+        self.shards[(lpa.0 % self.nshards) as usize].set_head(lpa, page, newest_ts)
     }
 
     /// Removes the chain head (when the whole delta chain expired).
     pub fn remove(&mut self, lpa: Lpa) -> Option<(Ppa, Nanos)> {
-        shard_mut(&mut self.shards[(lpa.0 % self.nshards) as usize]).remove(lpa)
+        self.shards[(lpa.0 % self.nshards) as usize].remove(lpa)
     }
 
     /// Iterates every `(lpa, (delta page, newest ts))` head, shard by shard.
     /// Order within a shard is hash order (as with [`Imt::iter`]); callers
     /// must already be order-independent.
     pub fn iter(&self) -> impl Iterator<Item = (Lpa, (Ppa, Nanos))> + '_ {
-        let guards: Vec<RwLockReadGuard<'_, Imt>> = self.shards.iter().map(read_shard).collect();
-        guards.into_iter().flat_map(|g| {
-            g.iter()
-                .collect::<Vec<_>>() // detach from the guard's lifetime
-                .into_iter()
-        })
+        self.shards.iter().flat_map(Imt::iter)
     }
 
     /// Number of LPAs with compressed versions (across all shards).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| read_shard(s).len()).sum()
+        self.shards.iter().map(Imt::len).sum()
     }
 
     /// True if no LPA has compressed versions.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| read_shard(s).is_empty())
+        self.shards.iter().all(Imt::is_empty)
     }
 }
 
@@ -575,7 +459,7 @@ mod tests {
 
     #[test]
     fn amt_transitions() {
-        let mut amt = Amt::new(4);
+        let mut amt = ShardedAmt::new(4, 1);
         assert_eq!(amt.get(Lpa(0)), AmtEntry::Unmapped);
         amt.set(Lpa(0), AmtEntry::Mapped(Ppa(5)));
         assert_eq!(amt.get(Lpa(0)).mapped(), Some(Ppa(5)));
@@ -647,8 +531,9 @@ mod tests {
         // Byte-identical behaviour regardless of shard count, including an
         // exported size that does not divide evenly.
         let exported = 37u64;
-        let mut flat = Amt::new(exported);
         for shards in [1u32, 2, 3, 4, 8, 64] {
+            // The reference model: one flat vector indexed by LPA.
+            let mut flat = vec![AmtEntry::Unmapped; exported as usize];
             let mut sharded = ShardedAmt::new(exported, shards);
             assert_eq!(sharded.len(), exported);
             assert_eq!(sharded.shard_count(), shards);
@@ -658,14 +543,15 @@ mod tests {
                     1 => AmtEntry::Trimmed(Ppa(i), i as Nanos),
                     _ => AmtEntry::Unmapped,
                 };
-                assert_eq!(flat.set(Lpa(i), entry), sharded.set(Lpa(i), entry));
+                let old = std::mem::replace(&mut flat[i as usize], entry);
+                assert_eq!(old, sharded.set(Lpa(i), entry));
             }
             for i in 0..exported + 4 {
-                assert_eq!(flat.get(Lpa(i)), sharded.get(Lpa(i)));
+                let want = flat.get(i as usize).copied().unwrap_or_default();
+                assert_eq!(want, sharded.get(Lpa(i)));
             }
-            assert!(flat.iter().eq(sharded.iter()), "iter order diverged");
-            // Reset the flat table for the next shard count.
-            flat = Amt::new(exported);
+            let flat_iter = flat.iter().enumerate().map(|(i, e)| (Lpa(i as u64), *e));
+            assert!(flat_iter.eq(sharded.iter()), "iter order diverged");
         }
     }
 

@@ -398,10 +398,11 @@ impl TimeSsd {
 
 /// A shared-access window onto a [`TimeSsd`]'s time-travel index.
 ///
-/// Every method works through `&self`: lookups take the owning AMT/IMT
-/// shard's read lock, so any number of views (one per query worker) can
-/// traverse version chains concurrently while the device is between `&mut`
-/// commands. The view is `Copy` — hand one to each scoped thread.
+/// Every method works through `&self` and takes no lock, so any number of
+/// views (one per query worker) can traverse version chains concurrently
+/// while the device is between `&mut` commands — the borrow checker keeps
+/// writers out for as long as a view lives. The view is `Copy` — hand one
+/// to each scoped thread.
 ///
 /// Obtained from [`TimeSsd::read_view`] or, device-generically, from
 /// [`SsdReadOps::read_view`](crate::SsdReadOps::read_view).

@@ -1,19 +1,18 @@
-//! The unified address-query builder and its shard-parallel engine.
+//! The unified address-query builder.
 //!
 //! `AddrQuery`, `AddrQueryRange`, and `AddrQueryAll` (Table 1) are the same
 //! traversal with three version filters; this module collapses them into one
 //! builder so there is a single dispatch point for the parallel read path.
-//! The engine fans the clamped LPA span across the device's AMT shards
-//! (`lpa % shards`) on scoped threads — each worker holds only an
-//! [`SsdReadView`], so lookups ride the per-shard read locks without `&mut`
-//! access to the device — and merges per-shard hits and [`QueryCost`]s
-//! deterministically: hits by a stable sort on LPA (reproducing the serial
-//! scan order exactly), costs in shard-index order.
+//! The traversal itself is a per-LPA closure over the crate's shard-aligned
+//! scan engine (`engine::scan`), which fans the clamped LPA span across the
+//! device's AMT shards on scoped threads and merges per-shard hits and
+//! [`QueryCost`]s deterministically.
 
 use almanac_core::{Result, SsdReadView, TimeSsd, VersionInfo};
 use almanac_flash::{Lpa, Nanos};
 
 use crate::cost::QueryCost;
+use crate::engine;
 use crate::kits::QueryHit;
 
 /// Which versions of each LPA the query returns.
@@ -72,9 +71,9 @@ pub struct AddrQueryOutcome {
 
 impl AddrQueryOutcome {
     /// Virtual completion time of this query under the *sharded* schedule:
-    /// shard `s` is handled by worker `s % threads` (a shard's lookups
-    /// serialize on its lock and its chain walks), each worker runs its
-    /// shards back to back, workers overlap. With one shard every thread
+    /// shard `s` is handled by worker `s % threads` (a shard is walked by
+    /// exactly one worker), each worker runs its shards back to back,
+    /// workers overlap. With one shard every thread
     /// count degenerates to the serial makespan — which is exactly the
     /// bottleneck the sharded AMT removes; the `shardscale` bench figure
     /// plots this.
@@ -88,8 +87,8 @@ impl AddrQueryOutcome {
     }
 }
 
-/// Builder for the Table-1 address queries, generalising `addr_query`,
-/// `addr_query_range`, and `addr_query_all` behind one dispatch point.
+/// Builder for the Table-1 address queries: `AddrQuery`, `AddrQueryRange`
+/// and `AddrQueryAll` behind one dispatch point.
 ///
 /// Defaults to all retained versions ([`Self::all_versions`]); narrow with
 /// [`Self::as_of`] or [`Self::range`], set the worker count with
@@ -121,9 +120,6 @@ pub struct AddrQuery<'v> {
     mode: Mode,
     threads: u32,
 }
-
-/// One shard's scan result: its hits plus the cost of retrieving them.
-type ShardScan = Result<(Vec<QueryHit>, QueryCost)>;
 
 impl<'v> AddrQuery<'v> {
     /// Starts a query over `cnt` LPAs from `addr` on the given read view.
@@ -157,116 +153,46 @@ impl<'v> AddrQuery<'v> {
     }
 
     /// Sets the host worker count (clamped to at least 1). Workers beyond
-    /// the device's shard count idle — a shard's lookups serialize on its
-    /// lock.
+    /// the device's shard count idle — a shard is walked by exactly one
+    /// worker.
     pub fn threads(mut self, threads: u32) -> Self {
         self.threads = threads.max(1);
         self
     }
 
-    /// The LPAs this query actually addresses. The span is clamped to the
-    /// exported address space *before* any shard assignment: `addr + cnt`
-    /// saturates instead of wrapping, so a request straddling `u64::MAX`
-    /// cannot smuggle wrapped LPAs into the wrong shard (`lpa % shards` is
-    /// only ever taken on in-range addresses) or scan past
-    /// `exported_pages()`.
-    fn span(&self) -> std::ops::Range<u64> {
-        let exported = self.view.exported_pages();
-        let start = self.addr.0.min(exported);
-        let end = self
-            .addr
-            .0
-            .checked_add(self.cnt)
-            .map_or(exported, |e| e.min(exported));
-        start..end
-    }
-
-    /// Scans the LPAs of one shard (in ascending order) into that shard's
-    /// own hit list and cost.
-    fn scan_shard(&self, shard: u64) -> ShardScan {
-        let ssd = self.view.device();
-        let nshards = u64::from(self.view.amt_shards());
-        let span = self.span();
-        let mut cost = QueryCost::new(ssd.geometry().total_chips() as u32);
-        let mut hits = Vec::new();
-        // First LPA >= span.start owned by this shard.
-        let offset = (shard + nshards - span.start % nshards) % nshards;
-        let Some(first) = span.start.checked_add(offset) else {
-            return Ok((hits, cost));
-        };
-        let mut lpa = first;
-        while lpa < span.end {
-            match self.mode {
-                Mode::AsOf(t) => {
-                    if let Some(v) = ssd.version_as_of(Lpa(lpa), t) {
-                        hits.push(fetch(ssd, &v, &mut cost)?);
-                    }
-                }
-                Mode::Range(t1, t2) => {
-                    for v in ssd.versions_in(Lpa(lpa), t1, t2) {
-                        hits.push(fetch(ssd, &v, &mut cost)?);
-                    }
-                }
-                Mode::All => {
-                    for v in ssd.version_chain(Lpa(lpa)) {
-                        hits.push(fetch(ssd, &v, &mut cost)?);
-                    }
-                }
-            }
-            lpa += nshards;
-        }
-        Ok((hits, cost))
-    }
-
-    /// Runs the query, fanning the shards across scoped worker threads.
-    ///
-    /// Determinism: shard `s` is scanned by worker `s % threads`; each
-    /// worker's shards come back in shard order, hits are stable-sorted by
-    /// LPA (restoring the exact serial scan order, since per-LPA version
-    /// order is already newest-first within a shard), and costs merge in
-    /// shard-index order. Errors are reported from the lowest failing shard.
+    /// Runs the query on the shard-aligned scan engine: hits come back in
+    /// serial scan order and the cost equals the serial scan's, at every
+    /// shard and thread count. Errors are reported from the lowest failing
+    /// shard.
     pub fn run(&self) -> Result<AddrQueryOutcome> {
-        let nshards = self.view.amt_shards().max(1);
-        let workers = self.threads.min(nshards).max(1);
-
-        let shard_results: Vec<ShardScan> = if workers <= 1 {
-            (0..u64::from(nshards))
-                .map(|s| self.scan_shard(s))
-                .collect()
-        } else {
-            // Worker w scans shards w, w+workers, w+2*workers, ...
-            let mut per_worker: Vec<Vec<(u64, ShardScan)>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        scope.spawn(move || {
-                            (u64::from(w)..u64::from(nshards))
-                                .step_by(workers as usize)
-                                .map(|s| (s, self.scan_shard(s)))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("query worker panicked"))
-                    .collect()
-            });
-            let mut flat: Vec<(u64, ShardScan)> = per_worker.drain(..).flatten().collect();
-            flat.sort_by_key(|(s, _)| *s);
-            flat.into_iter().map(|(_, r)| r).collect()
-        };
-
-        let chips = self.view.geometry().total_chips() as u32;
-        let mut cost = QueryCost::new(chips);
-        let mut shard_costs = Vec::with_capacity(nshards as usize);
-        let mut hits = Vec::new();
-        for result in shard_results {
-            let (h, c) = result?;
-            cost.merge(&c);
-            shard_costs.push(c);
-            hits.extend(h);
-        }
-        hits.sort_by_key(|h| h.lpa);
+        let ssd = self.view.device();
+        let span = engine::clamp_span(self.addr, self.cnt, self.view.exported_pages());
+        let (hits, cost, shard_costs) = engine::scan(
+            self.view,
+            span,
+            self.threads,
+            |h: &QueryHit| h.lpa,
+            |lpa, hits, cost| -> Result<()> {
+                match self.mode {
+                    Mode::AsOf(t) => {
+                        if let Some(v) = ssd.version_as_of(lpa, t) {
+                            hits.push(fetch(ssd, &v, cost)?);
+                        }
+                    }
+                    Mode::Range(t1, t2) => {
+                        for v in ssd.versions_in(lpa, t1, t2) {
+                            hits.push(fetch(ssd, &v, cost)?);
+                        }
+                    }
+                    Mode::All => {
+                        for v in ssd.version_chain(lpa) {
+                            hits.push(fetch(ssd, &v, cost)?);
+                        }
+                    }
+                }
+                Ok(())
+            },
+        )?;
         Ok(AddrQueryOutcome {
             hits,
             cost,

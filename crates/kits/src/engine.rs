@@ -1,0 +1,113 @@
+//! The one scan engine behind every Table-1 query: clamp the requested LPA
+//! span, split it along the device's AMT shards (`lpa % shards`), walk each
+//! shard's LPAs on a scoped worker, merge deterministically.
+//!
+//! Workers hold only an [`SsdReadView`] — a `&TimeSsd` — so any number of
+//! them can walk version chains at once while no `&mut` command can run;
+//! that exclusion comes from the borrow checker, not from a lock.
+
+use std::ops::Range;
+
+use almanac_core::SsdReadView;
+use almanac_flash::Lpa;
+
+use crate::cost::QueryCost;
+
+/// The LPAs an `(addr, cnt)` request actually addresses. The span is clamped
+/// to the exported address space *before* any shard assignment: `addr + cnt`
+/// saturates instead of wrapping, so a request straddling `u64::MAX` cannot
+/// smuggle wrapped LPAs into the wrong shard (`lpa % shards` is only ever
+/// taken on in-range addresses), panic in debug builds, or scan past
+/// `exported`.
+pub(crate) fn clamp_span(addr: Lpa, cnt: u64, exported: u64) -> Range<u64> {
+    let start = addr.0.min(exported);
+    let end = addr
+        .0
+        .checked_add(cnt)
+        .map_or(exported, |e| e.min(exported));
+    start..end
+}
+
+/// The LPAs of `span` owned by `shard`, ascending: the first LPA at or after
+/// `span.start` congruent to `shard`, then every `nshards`-th.
+fn shard_lpas(span: &Range<u64>, shard: u64, nshards: u64) -> impl Iterator<Item = Lpa> {
+    let offset = (shard + nshards - span.start % nshards) % nshards;
+    (span.start.saturating_add(offset)..span.end)
+        .step_by(nshards as usize)
+        .map(Lpa)
+}
+
+/// Hits sorted by LPA, their total cost, and the per-shard costs.
+pub(crate) type Scan<H> = (Vec<H>, QueryCost, Vec<QueryCost>);
+
+/// Calls `visit` on every LPA of `span`, shard by shard, letting it push
+/// hits and charge cost.
+///
+/// Determinism: shard `s` is walked (in ascending LPA order) by worker
+/// `s % workers`, where `workers = min(threads, shards)`; per-shard results
+/// are merged in shard-index order and hits are then stable-sorted by
+/// `lpa_of`, which restores the serial scan order exactly; costs add up
+/// commutatively. So hits and total cost are identical at every shard and
+/// thread count. An error is reported from the lowest failing shard.
+pub(crate) fn scan<H: Send, E: Send>(
+    view: SsdReadView<'_>,
+    span: Range<u64>,
+    threads: u32,
+    lpa_of: impl Fn(&H) -> Lpa,
+    visit: impl Fn(Lpa, &mut Vec<H>, &mut QueryCost) -> Result<(), E> + Sync,
+) -> Result<Scan<H>, E> {
+    let nshards = u64::from(view.amt_shards().max(1));
+    let chips = view.geometry().total_chips() as u32;
+    let scan_shard = |shard: u64| {
+        let mut hits = Vec::new();
+        let mut cost = QueryCost::new(chips);
+        for lpa in shard_lpas(&span, shard, nshards) {
+            visit(lpa, &mut hits, &mut cost)?;
+        }
+        Ok((hits, cost))
+    };
+
+    let workers = u64::from(threads).clamp(1, nshards);
+    let per_shard: Vec<Result<(Vec<H>, QueryCost), E>> = if workers == 1 {
+        (0..nshards).map(scan_shard).collect()
+    } else {
+        // Worker w walks shards w, w + workers, w + 2·workers, ...
+        let mut per_worker: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|w| {
+                    let scan_shard = &scan_shard;
+                    scope.spawn(move || {
+                        (w..nshards)
+                            .step_by(workers as usize)
+                            .map(scan_shard)
+                            .collect::<Vec<_>>()
+                            .into_iter()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
+        });
+        (0..nshards)
+            .map(|s| {
+                per_worker[(s % workers) as usize]
+                    .next()
+                    .expect("each worker returns one result per shard it owns")
+            })
+            .collect()
+    };
+
+    let mut hits = Vec::new();
+    let mut cost = QueryCost::new(chips);
+    let mut shard_costs = Vec::with_capacity(per_shard.len());
+    for result in per_shard {
+        let (h, c) = result?;
+        hits.extend(h);
+        cost.merge(&c);
+        shard_costs.push(c);
+    }
+    hits.sort_by_key(lpa_of);
+    Ok((hits, cost, shard_costs))
+}

@@ -1,10 +1,13 @@
 //! The Table-1 query and rollback API.
 
+use std::convert::Infallible;
+
 use almanac_core::{AlmanacError, Result, SsdDevice, SsdReadOps, TimeSsd};
 use almanac_flash::{Lpa, Nanos, PageData};
 
 use crate::addr_query::{fetch, AddrQuery};
 use crate::cost::QueryCost;
+use crate::engine;
 
 /// One version returned by an address-based query.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,20 +76,6 @@ impl<'a> TimeKits<'a> {
         QueryCost::new(self.ssd.geometry().total_chips() as u32)
     }
 
-    /// The LPAs actually addressed by an `(addr, cnt)` request: the span is
-    /// clamped to the exported address space, and `addr + cnt` saturates
-    /// instead of wrapping so requests near `u64::MAX` cannot overflow (or
-    /// panic in debug builds) and never scan past `exported_pages()`.
-    fn lpa_span(&self, addr: Lpa, cnt: u64) -> impl Iterator<Item = Lpa> {
-        let exported = self.ssd.exported_pages();
-        let start = addr.0.min(exported);
-        let end = addr
-            .0
-            .checked_add(cnt)
-            .map_or(exported, |e| e.min(exported));
-        (start..end).map(Lpa)
-    }
-
     /// Starts an address query over `cnt` LPAs from `addr` — the single
     /// entry point behind Table 1's `AddrQuery` / `AddrQueryRange` /
     /// `AddrQueryAll`. Inherits this toolkit's thread count; narrow with
@@ -96,60 +85,25 @@ impl<'a> TimeKits<'a> {
         AddrQuery::new(self.ssd.read_view(), addr, cnt).threads(self.threads)
     }
 
-    /// `AddrQuery(addr, cnt, t)`: the state of each LPA as of time `t` —
-    /// traversal walks newest-to-oldest and stops at the first version whose
-    /// writing time reaches the target (§3.9).
-    #[deprecated(note = "use the `AddrQuery` builder: `kits.query(addr, cnt).as_of(t).run()`")]
-    pub fn addr_query(&self, addr: Lpa, cnt: u64, t: Nanos) -> Result<(Vec<QueryHit>, QueryCost)> {
-        let out = self.query(addr, cnt).as_of(t).run()?;
-        Ok((out.hits, out.cost))
-    }
-
-    /// `AddrQueryRange(addr, cnt, t1, t2)`: every version written in
-    /// `[t1, t2]` for each LPA, newest first.
-    #[deprecated(note = "use the `AddrQuery` builder: `kits.query(addr, cnt).range(t1, t2).run()`")]
-    pub fn addr_query_range(
-        &self,
-        addr: Lpa,
-        cnt: u64,
-        t1: Nanos,
-        t2: Nanos,
-    ) -> Result<(Vec<QueryHit>, QueryCost)> {
-        let out = self.query(addr, cnt).range(t1, t2).run()?;
-        Ok((out.hits, out.cost))
-    }
-
-    /// `AddrQueryAll(addr, cnt)`: every retained version of each LPA.
-    #[deprecated(
-        note = "use the `AddrQuery` builder: `kits.query(addr, cnt).all_versions().run()`"
-    )]
-    pub fn addr_query_all(&self, addr: Lpa, cnt: u64) -> Result<(Vec<QueryHit>, QueryCost)> {
-        let out = self.query(addr, cnt).all_versions().run()?;
-        Ok((out.hits, out.cost))
-    }
-
-    /// Shared engine of the time-based queries: scans every LPA's chain (in
-    /// parallel across host threads) and returns those updated in
-    /// `[from, to]` with their write timestamps.
+    /// Shared body of the time-based queries: walks every LPA's chain on the
+    /// shard-aligned scan engine and returns those updated in `[from, to]`
+    /// with their write timestamps.
     fn time_scan(&self, from: Nanos, to: Nanos) -> (Vec<TimeQueryHit>, QueryCost) {
-        let exported = self.ssd.exported_pages();
-        let threads = self.threads.max(1) as u64;
         let ssd: &TimeSsd = self.ssd;
         let lat = ssd.config().latency;
-        let chips = ssd.geometry().total_chips() as u32;
-
-        let scan_shard = |shard: u64| -> (Vec<TimeQueryHit>, QueryCost) {
-            let mut cost = QueryCost::new(chips);
-            let mut hits = Vec::new();
-            let mut lpa = shard;
-            while lpa < exported {
-                let chain = ssd.version_chain(Lpa(lpa));
+        let Ok((hits, cost, _)) = engine::scan(
+            ssd.read_view(),
+            0..ssd.exported_pages(),
+            self.threads,
+            |h: &TimeQueryHit| h.lpa,
+            |lpa, hits, cost| -> std::result::Result<(), Infallible> {
+                let chain = ssd.version_chain(lpa);
                 if let Some(head) = chain.first() {
                     // Checking an LPA costs the head-page OOB read.
                     if let Some(chip) = head.chip {
                         cost.charge_read(chip, lat.read_ns);
                     }
-                    let stamps: Vec<Nanos> = chain
+                    let timestamps: Vec<Nanos> = chain
                         .iter()
                         .filter(|v| v.timestamp >= from && v.timestamp <= to)
                         .map(|v| {
@@ -162,39 +116,13 @@ impl<'a> TimeKits<'a> {
                             v.timestamp
                         })
                         .collect();
-                    if !stamps.is_empty() {
-                        hits.push(TimeQueryHit {
-                            lpa: Lpa(lpa),
-                            timestamps: stamps,
-                        });
+                    if !timestamps.is_empty() {
+                        hits.push(TimeQueryHit { lpa, timestamps });
                     }
                 }
-                lpa += threads;
-            }
-            (hits, cost)
-        };
-
-        let mut results: Vec<(Vec<TimeQueryHit>, QueryCost)> = if threads <= 1 {
-            vec![scan_shard(0)]
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|s| scope.spawn(move || scan_shard(s)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("query worker panicked"))
-                    .collect()
-            })
-        };
-
-        let mut cost = self.new_cost();
-        let mut hits = Vec::new();
-        for (h, c) in results.drain(..) {
-            hits.extend(h);
-            cost.merge(&c);
-        }
-        hits.sort_by_key(|h| h.lpa);
+                Ok(())
+            },
+        );
         (hits, cost)
     }
 
@@ -223,7 +151,8 @@ impl<'a> TimeKits<'a> {
         t: Nanos,
         now: Nanos,
     ) -> Result<RollbackOutcome> {
-        let lpas: Vec<Lpa> = self.lpa_span(addr, cnt).collect();
+        let span = engine::clamp_span(addr, cnt, self.ssd.exported_pages());
+        let lpas: Vec<Lpa> = span.map(Lpa).collect();
         self.roll_back_set(&lpas, t, now)
     }
 
@@ -384,32 +313,6 @@ mod tests {
             .run()
             .unwrap();
         assert_eq!(out.hits.len(), 2); // versions 2 and 3
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_delegate_to_the_builder() {
-        let mut ssd = device_with_history();
-        let kits = TimeKits::new(&mut ssd);
-        let t = 2 * SEC_NS + 500_000_000;
-        let (hits, cost) = kits.addr_query(Lpa(0), 4, t).unwrap();
-        let out = kits.query(Lpa(0), 4).as_of(t).run().unwrap();
-        assert_eq!(hits, out.hits);
-        assert_eq!(cost, out.cost);
-        let (hits, cost) = kits
-            .addr_query_range(Lpa(0), 4, SEC_NS, 2 * SEC_NS)
-            .unwrap();
-        let out = kits
-            .query(Lpa(0), 4)
-            .range(SEC_NS, 2 * SEC_NS)
-            .run()
-            .unwrap();
-        assert_eq!(hits, out.hits);
-        assert_eq!(cost, out.cost);
-        let (hits, cost) = kits.addr_query_all(Lpa(0), 4).unwrap();
-        let out = kits.query(Lpa(0), 4).all_versions().run().unwrap();
-        assert_eq!(hits, out.hits);
-        assert_eq!(cost, out.cost);
     }
 
     #[test]

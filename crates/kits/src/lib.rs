@@ -17,10 +17,10 @@
 //!
 //! The three address queries share one entry point, the [`AddrQuery`]
 //! builder, which runs against an [`SsdReadView`](almanac_core::SsdReadView)
-//! — the `&self` read path — and fans the scan across the device's AMT
-//! shards on scoped host threads. The legacy `addr_query` /
-//! `addr_query_range` / `addr_query_all` methods survive as deprecated
-//! shims over the builder.
+//! — the `&self` read path. Address and time queries alike are per-LPA
+//! closures over one private scan engine that fans the LPA span across the
+//! device's AMT shards on scoped host threads; workers share `&TimeSsd`, and
+//! the borrow checker (not a lock) keeps writers out while they run.
 //!
 //! Queries exploit the SSD's internal parallelism: retrieval work is
 //! scheduled across flash chips and the reported virtual latency is the
@@ -50,9 +50,11 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod addr_query;
 mod cost;
+mod engine;
 mod evidence;
 mod kits;
 mod recovery;

@@ -80,20 +80,24 @@ proptest! {
     #[test]
     fn time_scan_is_invariant_across_thread_counts(writes in proptest::collection::vec((any::<u8>(), any::<u8>()), 1..64)) {
         // The parallel shard scan must report exactly the same hits and —
-        // after merging — exactly the same QueryCost at every host thread
-        // count: the work is partitioned, never changed.
-        let (mut ssd, _) = build_history(&writes);
+        // after merging — exactly the same QueryCost at every AMT shard and
+        // host thread count: the work is partitioned, never changed. Shard
+        // counts include ones that do not divide the exported span (2, 8)
+        // and an odd one; thread counts include more workers than shards.
         let baseline = {
-            let kits = TimeKits::new(&mut ssd);
-            kits.time_query_all()
+            let (mut ssd, _) = build_history_sharded(&writes, 1);
+            TimeKits::new(&mut ssd).time_query_all()
         };
-        for threads in [2u32, 4, 8] {
-            let kits = TimeKits::new(&mut ssd).with_threads(threads);
-            let (hits, cost) = kits.time_query_all();
-            prop_assert_eq!(&hits, &baseline.0, "hits diverged at {} threads", threads);
-            prop_assert_eq!(&cost, &baseline.1, "merged cost diverged at {} threads", threads);
-            // And the merged cost yields the same single-thread makespan.
-            prop_assert_eq!(cost.makespan(1), baseline.1.makespan(1));
+        for shards in [1u32, 2, 3, 8] {
+            let (mut ssd, _) = build_history_sharded(&writes, shards);
+            for threads in [1u32, 2, 4, 8] {
+                let kits = TimeKits::new(&mut ssd).with_threads(threads);
+                let (hits, cost) = kits.time_query_all();
+                prop_assert_eq!(&hits, &baseline.0, "hits diverged: {} shards, {} threads", shards, threads);
+                prop_assert_eq!(&cost, &baseline.1, "merged cost diverged: {} shards, {} threads", shards, threads);
+                // And the merged cost yields the same single-thread makespan.
+                prop_assert_eq!(cost.makespan(1), baseline.1.makespan(1));
+            }
         }
     }
 

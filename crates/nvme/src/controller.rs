@@ -19,7 +19,7 @@ use std::collections::HashMap;
 
 use almanac_core::{AlmanacError, SsdDevice, TimeSsd};
 use almanac_flash::{Lpa, Nanos, PageData};
-use almanac_kits::{AddrQuery, AddrQueryOutcome, TimeKits};
+use almanac_kits::{AddrQuery, TimeKits};
 
 use crate::queue::{InFlight, QueuePair};
 use crate::sqe::{CompletionEntry, NvmeOpcode, SubmissionEntry};
@@ -287,36 +287,6 @@ impl NvmeController {
         }
     }
 
-    /// Materialises an address-query outcome into the host buffer and
-    /// builds its completion. The CQE posts at `now` plus the sharded
-    /// schedule's makespan over `threads` host workers, so multi-shard
-    /// devices answer parallel queries sooner.
-    fn finish_addr_query(
-        &mut self,
-        e: &SubmissionEntry,
-        result: Result<AddrQueryOutcome, AlmanacError>,
-        threads: u32,
-        now: Nanos,
-    ) -> (CompletionEntry, Nanos) {
-        let page_size = self.ssd.geometry().page_size as usize;
-        match result {
-            Ok(out) => {
-                let pages = out
-                    .hits
-                    .iter()
-                    .map(|h| h.data.materialize(page_size))
-                    .collect();
-                let n = out.hits.len() as u32;
-                self.buffers.insert(e.buffer, pages);
-                (
-                    Self::complete(e.cid, NvmeStatus::Success, n),
-                    now.saturating_add(out.makespan(threads)),
-                )
-            }
-            Err(err) => (Self::complete(e.cid, Self::status_of(&err), 0), now),
-        }
-    }
-
     /// Executes one command at virtual time `now`, returning its completion
     /// entry and the device-side finish instant its CQE may post at.
     /// Errors complete immediately (`now`).
@@ -395,40 +365,40 @@ impl NvmeController {
                     finish,
                 )
             }
-            NvmeOpcode::AddrQuery => {
-                let (lpa, cnt, t) = (e.get_u64(0), e.cdw[2] as u64, e.get_u64(4));
-                // CDW13 carries the host worker count (0 = one thread).
-                let threads = e.cdw[3].max(1);
-                let result = AddrQuery::new(self.ssd.read_view(), Lpa(lpa), cnt)
-                    .as_of(t)
-                    .threads(threads)
-                    .run();
-                self.finish_addr_query(&e, result, threads, now)
-            }
-            NvmeOpcode::AddrQueryRange => {
-                let lpa = e.get_u64(0);
-                let cnt = e.cdw[2] as u64;
-                // t1 in CDW13 (seconds), t2 in CDW14 (seconds) — range
-                // queries use second granularity on the wire; CDW15 carries
-                // the host worker count (0 = one thread).
-                let t1 = e.cdw[3] as u64 * 1_000_000_000;
-                let t2 = e.cdw[4] as u64 * 1_000_000_000;
-                let threads = e.cdw[5].max(1);
-                let result = AddrQuery::new(self.ssd.read_view(), Lpa(lpa), cnt)
-                    .range(t1, t2)
-                    .threads(threads)
-                    .run();
-                self.finish_addr_query(&e, result, threads, now)
-            }
-            NvmeOpcode::AddrQueryAll => {
-                let (lpa, cnt) = (e.get_u64(0), e.cdw[2] as u64);
-                // CDW13 carries the host worker count (0 = one thread).
-                let threads = e.cdw[3].max(1);
-                let result = AddrQuery::new(self.ssd.read_view(), Lpa(lpa), cnt)
-                    .all_versions()
-                    .threads(threads)
-                    .run();
-                self.finish_addr_query(&e, result, threads, now)
+            NvmeOpcode::AddrQuery | NvmeOpcode::AddrQueryRange | NvmeOpcode::AddrQueryAll => {
+                let query =
+                    AddrQuery::new(self.ssd.read_view(), Lpa(e.get_u64(0)), e.cdw[2] as u64);
+                // The opcodes differ only in which CDWs carry the version
+                // filter and the host worker count (0 = one thread); range
+                // bounds use second granularity on the wire.
+                let (query, threads) = match e.opcode {
+                    NvmeOpcode::AddrQuery => (query.as_of(e.get_u64(4)), e.cdw[3]),
+                    NvmeOpcode::AddrQueryRange => {
+                        let t1 = e.cdw[3] as u64 * 1_000_000_000;
+                        let t2 = e.cdw[4] as u64 * 1_000_000_000;
+                        (query.range(t1, t2), e.cdw[5])
+                    }
+                    _ => (query.all_versions(), e.cdw[3]),
+                };
+                let threads = threads.max(1);
+                match query.threads(threads).run() {
+                    // The CQE posts at `now` plus the sharded schedule's
+                    // makespan over `threads` host workers, so multi-shard
+                    // devices answer parallel queries sooner.
+                    Ok(out) => {
+                        let pages = out
+                            .hits
+                            .iter()
+                            .map(|h| h.data.materialize(page_size))
+                            .collect();
+                        self.buffers.insert(e.buffer, pages);
+                        (
+                            Self::complete(e.cid, NvmeStatus::Success, out.hits.len() as u32),
+                            now.saturating_add(out.makespan(threads)),
+                        )
+                    }
+                    Err(err) => (Self::complete(e.cid, Self::status_of(&err), 0), now),
+                }
             }
             NvmeOpcode::TimeQuery | NvmeOpcode::TimeQueryRange | NvmeOpcode::TimeQueryAll => {
                 let kits = TimeKits::new(&mut self.ssd).with_threads(4);

@@ -131,7 +131,7 @@ impl HostDriver {
 
     /// `&self` query path: a read view over the device's sharded AMT, for
     /// running [`almanac_kits::AddrQuery`] builders host-side without
-    /// exclusive driver access (lookups take the per-shard read locks).
+    /// exclusive driver access (lookups go through `&self`, no lock).
     pub fn read_view(&self) -> almanac_core::SsdReadView<'_> {
         self.controller.read_view()
     }

@@ -7,8 +7,8 @@
 //! the firmware to that claim: every host op (writes, reads, trims,
 //! flushes, as-of probes, TimeKits rollbacks, power cuts) must produce
 //! byte-identical results and *identical completion timings* on both
-//! devices, and every [`AddrQuery`] mode must return the same hits and the
-//! same merged retrieval cost at every worker count.
+//! devices, and every [`AddrQuery`] mode and every time query must return
+//! the same hits and the same merged retrieval cost at every worker count.
 //!
 //! Timing equality assumes the map cache is disabled (the default): cache
 //! slicing is a timing model, so per-shard slices legally change fault
@@ -16,7 +16,7 @@
 
 use almanac_core::{AlmanacError, SsdConfig, SsdDevice, SsdReadOps, TimeSsd};
 use almanac_flash::{Lpa, Nanos, PageData};
-use almanac_kits::{AddrQuery, TimeKits};
+use almanac_kits::{AddrQuery, QueryCost, TimeKits, TimeQueryHit};
 
 use crate::strategy::OracleOp;
 
@@ -32,7 +32,7 @@ pub struct ShardRunOutcome {
     pub applied: usize,
     /// Power cuts both devices survived.
     pub power_cuts: usize,
-    /// Address queries compared (across modes and worker counts).
+    /// Address and time queries compared (across modes and worker counts).
     pub queries_compared: u64,
 }
 
@@ -127,9 +127,9 @@ impl ShardLockstep {
         self.stalled = false;
     }
 
-    /// Compares every [`AddrQuery`] mode over the whole exported span, at
-    /// one worker and at the sharded device's full worker count: hits and
-    /// merged cost must match the flat device exactly.
+    /// Compares every [`AddrQuery`] mode over the whole exported span and
+    /// every time query, at one worker and at the sharded device's full
+    /// worker count: hits and merged cost must match the flat device exactly.
     fn compare_queries(&mut self, i: usize) {
         let exported = self.flat.exported_pages();
         let shard_workers = self.sharded.amt_shards();
@@ -171,6 +171,30 @@ impl ShardLockstep {
                         f.is_ok(),
                         s.is_ok()
                     )),
+                }
+            }
+        }
+        type TimeFn = fn(&TimeKits<'_>, Nanos) -> (Vec<TimeQueryHit>, QueryCost);
+        let time_modes: [(&str, TimeFn); 3] = [
+            ("since", |k, t| k.time_query(t / 2)),
+            ("window", |k, t| k.time_query_range(t / 2, t)),
+            ("all", |k, _| k.time_query_all()),
+        ];
+        for (name, query) in time_modes {
+            let (flat_hits, flat_cost) = query(&TimeKits::new(&mut self.flat), self.now);
+            for threads in [1u32, shard_workers] {
+                let kits = TimeKits::new(&mut self.sharded).with_threads(threads);
+                let (hits, cost) = query(&kits, self.now);
+                self.queries_compared += 1;
+                if flat_hits != hits {
+                    self.diverge(format!(
+                        "op {i}: time query ({name}) hits diverge at {threads} threads"
+                    ));
+                }
+                if flat_cost != cost {
+                    self.diverge(format!(
+                        "op {i}: time query ({name}) cost diverges at {threads} threads"
+                    ));
                 }
             }
         }

@@ -25,8 +25,11 @@
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 
-use almanac_core::{AlmanacError, SsdConfig, SsdDevice, SsdReadOps, TimeSsd, VersionLocation};
-use almanac_flash::{FaultPlan, FlashError, Geometry, Lpa, Nanos, PageData};
+use almanac_core::{
+    AlmanacError, FlashGuardSsd, RegularSsd, SsdConfig, SsdDevice, SsdReadOps, TimeSsd,
+    VersionLocation,
+};
+use almanac_flash::{FaultPlan, FlashError, Geometry, Lpa, Nanos, PageData, DAY_NS};
 use almanac_kits::TimeKits;
 
 const FAULT_SEED: u64 = 0x0fa1_7001;
@@ -621,6 +624,56 @@ fn injected_op_faults_propagate_through_the_ftl() {
     let c = ssd.write(Lpa(3), content(Lpa(3), 1), 2 * OP_GAP).unwrap();
     let (data, _) = ssd.read(Lpa(3), c.finish + 1).unwrap();
     assert_eq!(data, content(Lpa(3), 1));
+}
+
+/// A failed program must cost the host exactly the one write it hit, on
+/// every FTL. Regression: only TimeSSD rewound the allocator slot
+/// (`Allocator::unreserve_page`); on the baselines the allocator ran one
+/// page ahead of the chip's write pointer, so every later write into that
+/// block failed with `NonSequentialProgram` until the block was used up
+/// (7 errors instead of 1 for a fault on the fourth program).
+///
+/// The workload fills three quarters of the device, then rewrites the even
+/// LPAs six times: GC victims stay half valid, so the swept fault index
+/// lands on host programs and on each FTL's own migration programs (every
+/// FTL issues more than 520 programs here). Ops are three hours apart over
+/// 16-entry Bloom filters, so TimeSSD's retention window keeps moving and
+/// the tiny device never hits the §3.4 stall.
+fn program_fault_costs_exactly_one_write<D: SsdDevice>(make: impl Fn(SsdConfig) -> D) {
+    let mut cfg = SsdConfig::new(Geometry::small_test());
+    cfg.bloom.capacity = 16;
+    let set = cfg.exported_pages() * 3 / 4;
+    let lpas: Vec<u64> = (0..set)
+        .chain((0..6).flat_map(|_| (0..set).step_by(2)))
+        .collect();
+    for nth in (0..520).step_by(13) {
+        let plan = FaultPlan::new(1).with_program_fault(nth);
+        let mut ssd = make(cfg.clone().with_fault_plan(plan));
+        let mut acked = BTreeMap::new();
+        let mut errors = 0;
+        let mut now = 0;
+        for (version, &l) in (1u64..).zip(&lpas) {
+            now += DAY_NS / 8;
+            match ssd.write(Lpa(l), content(Lpa(l), version), now) {
+                Ok(_) => {
+                    acked.insert(l, version);
+                }
+                Err(_) => errors += 1,
+            }
+        }
+        assert_eq!(errors, 1, "{}: program fault {nth}", ssd.kind());
+        for (&l, &version) in &acked {
+            let (data, _) = ssd.read(Lpa(l), now + DAY_NS).unwrap();
+            assert_eq!(data, content(Lpa(l), version), "{}: {l}", ssd.kind());
+        }
+    }
+}
+
+#[test]
+fn program_fault_costs_exactly_one_write_on_every_ftl() {
+    program_fault_costs_exactly_one_write(RegularSsd::new);
+    program_fault_costs_exactly_one_write(FlashGuardSsd::new);
+    program_fault_costs_exactly_one_write(TimeSsd::new);
 }
 
 #[test]
