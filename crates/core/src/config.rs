@@ -3,13 +3,17 @@
 use almanac_bloom::ChainConfig;
 use almanac_flash::{FaultPlan, Geometry, LatencyConfig, Nanos, DAY_NS, MS_NS, US_NS};
 
+/// Over-provisioned fraction of raw capacity (not exported to the host).
+const OP_RATIO: f64 = 0.15;
+
 /// Configuration shared by every FTL in this crate.
 ///
-/// Defaults follow the paper: 15% over-provisioning, invalidation tracked at
-/// a group granularity of 16 pages, a 3-day retention lower bound, a GC
-/// overhead threshold of 20% of a page-write cost evaluated every 4096 user
-/// page writes, exponential idle-time smoothing with α = 0.5 and a 10 ms
-/// idle threshold, and a mean synthetic delta-compression ratio of 0.2.
+/// Defaults follow the paper: invalidation tracked at a group granularity of
+/// 16 pages, a 3-day retention lower bound, a GC overhead threshold of 20%
+/// of a page-write cost evaluated every 4096 user page writes, a 10 ms idle
+/// threshold, and a mean synthetic delta-compression ratio of 0.2. The
+/// paper's 15% over-provisioning and its idle-time smoothing factor α = 0.5
+/// are constants, not knobs: nothing ever set them.
 ///
 /// # Examples
 ///
@@ -25,10 +29,6 @@ pub struct SsdConfig {
     pub geometry: Geometry,
     /// Flash latency model.
     pub latency: LatencyConfig,
-    /// Over-provisioned fraction of raw capacity (not exported to the host).
-    pub op_ratio: f64,
-    /// GC triggers when the free-block count drops below this.
-    pub gc_low_watermark: u32,
     /// Invalidations are recorded in the Bloom filters at this group
     /// granularity (N consecutive pages of a block, §3.5).
     pub group_size: u32,
@@ -41,8 +41,6 @@ pub struct SsdConfig {
     pub gc_overhead_threshold: f64,
     /// `N_fixed` of Equation 1: user page writes per estimation period.
     pub n_fixed: u64,
-    /// Exponential smoothing factor for idle-time prediction (§3.6).
-    pub idle_alpha: f64,
     /// Predicted idle time must exceed this for background compression.
     pub idle_threshold: Nanos,
     /// Mean of the Gaussian compression-ratio model for synthetic content
@@ -101,14 +99,11 @@ impl SsdConfig {
         SsdConfig {
             geometry,
             latency: LatencyConfig::default(),
-            op_ratio: 0.15,
-            gc_low_watermark: (geometry.channels.max(2) + 2).max(4),
             group_size: 16,
             bloom: ChainConfig::default(),
             min_retention: 3 * DAY_NS,
             gc_overhead_threshold: 0.2,
             n_fixed: 4096,
-            idle_alpha: 0.5,
             idle_threshold: 10 * MS_NS,
             synthetic_delta_mean: 0.2,
             synthetic_delta_std: 0.05,
@@ -129,7 +124,7 @@ impl SsdConfig {
     /// Number of pages exported to the host (raw capacity minus
     /// over-provisioning).
     pub fn exported_pages(&self) -> u64 {
-        (self.geometry.total_pages() as f64 * (1.0 - self.op_ratio)) as u64
+        (self.geometry.total_pages() as f64 * (1.0 - OP_RATIO)) as u64
     }
 
     /// Exported capacity in bytes.
@@ -216,7 +211,6 @@ mod tests {
         assert_eq!(cfg.min_retention, 3 * DAY_NS);
         assert!((cfg.gc_overhead_threshold - 0.2).abs() < f64::EPSILON);
         assert_eq!(cfg.n_fixed, 4096);
-        assert!((cfg.idle_alpha - 0.5).abs() < f64::EPSILON);
         assert_eq!(cfg.idle_threshold, 10 * MS_NS);
         assert!((cfg.synthetic_delta_mean - 0.2).abs() < f64::EPSILON);
         assert_eq!(cfg.flush_page_cost, 10 * US_NS);

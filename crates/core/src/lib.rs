@@ -11,8 +11,9 @@
 //! - [`FlashGuardSsd`] — a reproduction of the FlashGuard comparator used in
 //!   Figure 10, which retains only pages suspected to be ransomware victims.
 //!
-//! All three implement the [`SsdDevice`] trait over the deterministic flash
-//! simulator in [`almanac_flash`].
+//! All three are the one FTL skeleton, [`Ftl`], with a different
+//! [`Retention`] policy for invalid pages; it implements the [`SsdDevice`]
+//! trait over the deterministic flash simulator in [`almanac_flash`].
 //!
 //! # Examples
 //!
@@ -38,6 +39,7 @@ pub mod crypt;
 mod device;
 mod error;
 mod flashguard;
+mod ftl;
 mod mapcache;
 mod regular;
 mod stats;
@@ -48,15 +50,16 @@ pub use alloc::{Allocator, OpenBlock};
 pub use config::SsdConfig;
 pub use device::{Completion, SsdDevice, SsdReadOps};
 pub use error::{AlmanacError, Result};
-pub use flashguard::FlashGuardSsd;
+pub use flashguard::{FlashGuardSsd, ReadGated};
+pub use ftl::{Ftl, HostOp, Retention};
 pub use mapcache::{MapCache, ShardedMapCache};
-pub use regular::RegularSsd;
+pub use regular::{Discard, RegularSsd};
 pub use stats::{DeviceStats, LatencyAcc};
-pub use tables::{AmtEntry, BlockInfo, BlockKind, Bst, Gmd, Imt, Prt, Pvt, ShardedAmt, ShardedImt};
+pub use tables::{AmtEntry, BlockInfo, BlockKind, Bst, Imt, Prt, Pvt, ShardedAmt, ShardedImt};
 pub use timessd::check::{ConsistencyReport, Violation};
 pub use timessd::query::{SsdReadView, VersionInfo, VersionLocation};
 pub use timessd::retention::PeriodCounters;
-pub use timessd::{TimeSsd, REF_ZEROS};
+pub use timessd::{TimeSsd, TimeTravel, REF_ZEROS};
 
 // Query workers share `&TimeSsd` across scoped threads with no lock around
 // the mapping tables: readers-xor-writer comes from `&`/`&mut`, which is

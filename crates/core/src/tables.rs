@@ -1,8 +1,10 @@
 //! FTL mapping and status tables.
 //!
 //! These mirror Figure 3 of the paper. Structures ①–④ exist in a regular
-//! SSD: the address mapping table (AMT), global mapping directory (GMD),
-//! block status table (BST), and page validity table (PVT). TimeSSD adds
+//! SSD: the address mapping table (AMT), global mapping directory (GMD —
+//! the demand-cached translation pages, modelled by
+//! [`ShardedMapCache`](crate::ShardedMapCache)), block status table (BST),
+//! and page validity table (PVT). TimeSSD adds
 //! ⑤–⑧: the index mapping table (IMT), page reclamation table (PRT), the
 //! Bloom filters (in `almanac-bloom`), and the delta buffers (in
 //! `timessd::deltas`).
@@ -53,59 +55,6 @@ impl AmtEntry {
             AmtEntry::Trimmed(_, at) => Some(*at),
             _ => None,
         }
-    }
-}
-
-/// Global mapping directory ②: tracks the translation pages that would hold
-/// the AMT in flash.
-///
-/// The simulator keeps the AMT RAM-resident (the paper's board demand-caches
-/// it); the GMD still tracks which translation pages are dirty so the
-/// metadata write traffic can be studied in ablations.
-#[derive(Debug, Clone)]
-pub struct Gmd {
-    mappings_per_page: u64,
-    dirty: Vec<bool>,
-    flushes: u64,
-}
-
-impl Gmd {
-    /// Creates a directory for `exported_pages` mappings stored
-    /// `mappings_per_page` to a translation page.
-    pub fn new(exported_pages: u64, mappings_per_page: u64) -> Self {
-        let pages = exported_pages.div_ceil(mappings_per_page.max(1));
-        Gmd {
-            mappings_per_page: mappings_per_page.max(1),
-            dirty: vec![false; pages as usize],
-            flushes: 0,
-        }
-    }
-
-    /// Marks the translation page covering `lpa` dirty.
-    pub fn note_update(&mut self, lpa: Lpa) {
-        let idx = (lpa.0 / self.mappings_per_page) as usize;
-        if let Some(d) = self.dirty.get_mut(idx) {
-            *d = true;
-        }
-    }
-
-    /// Flushes all dirty translation pages, returning how many would be
-    /// written to flash.
-    pub fn flush(&mut self) -> u64 {
-        let n = self.dirty.iter().filter(|d| **d).count() as u64;
-        self.dirty.iter_mut().for_each(|d| *d = false);
-        self.flushes += n;
-        n
-    }
-
-    /// Cumulative translation-page writes across all flushes.
-    pub fn total_flushed(&self) -> u64 {
-        self.flushes
-    }
-
-    /// Number of currently dirty translation pages.
-    pub fn dirty_pages(&self) -> u64 {
-        self.dirty.iter().filter(|d| **d).count() as u64
     }
 }
 
@@ -468,18 +417,6 @@ mod tests {
         assert_eq!(amt.get(Lpa(0)).chain_head(), Some(Ppa(5)));
         assert_eq!(amt.get(Lpa(0)).trimmed_at(), Some(42));
         assert_eq!(AmtEntry::Mapped(Ppa(5)).trimmed_at(), None);
-    }
-
-    #[test]
-    fn gmd_tracks_dirty_translation_pages() {
-        let mut gmd = Gmd::new(100, 10);
-        gmd.note_update(Lpa(0));
-        gmd.note_update(Lpa(5)); // same translation page
-        gmd.note_update(Lpa(95));
-        assert_eq!(gmd.dirty_pages(), 2);
-        assert_eq!(gmd.flush(), 2);
-        assert_eq!(gmd.dirty_pages(), 0);
-        assert_eq!(gmd.total_flushed(), 2);
     }
 
     #[test]

@@ -188,14 +188,14 @@ impl TimeSsd {
 
         // 2. BST valid counters match a PVT recount; free blocks are empty;
         //    reclaimable pages are never valid; delta blocks have live filters.
-        let live: HashSet<u64> = self.chain.infos().iter().map(|i| i.id).collect();
+        let live: HashSet<u64> = self.policy.chain.infos().iter().map(|i| i.id).collect();
         for (block, info) in self.bst.iter() {
             let mut recount = 0;
             for off in 0..geo.pages_per_block {
                 let ppa = geo.ppa(block.0, off);
                 if self.pvt.is_valid(ppa) {
                     recount += 1;
-                    if self.prt.is_reclaimable(ppa) {
+                    if self.policy.prt.is_reclaimable(ppa) {
                         report.violations.push(Violation::ReclaimableValidPage(ppa));
                     }
                 }
@@ -247,11 +247,12 @@ impl TimeSsd {
         //    `Trimmed` entries, so a `Mapped` head is always at least as
         //    new as the IMT's compressed versions.
         for (lpa, entry) in self.amt.iter() {
-            if matches!(entry, AmtEntry::Unmapped) && self.imt.head(lpa).is_none() {
+            if matches!(entry, AmtEntry::Unmapped) && self.policy.imt.head(lpa).is_none() {
                 continue;
             }
             let mut cross_order = false;
-            if let (AmtEntry::Mapped(head), Some((_, imt_ts))) = (entry, self.imt.head(lpa)) {
+            if let (AmtEntry::Mapped(head), Some((_, imt_ts))) = (entry, self.policy.imt.head(lpa))
+            {
                 if let Ok((_, oob)) = self.flash.peek(head) {
                     if imt_ts > oob.timestamp {
                         report.violations.push(Violation::ChainOrderViolation(lpa));
@@ -267,7 +268,7 @@ impl TimeSsd {
             // Every flushed delta version still in a live filter must be
             // reachable: if the IMT's newest record physically survives in
             // a live delta page, the walk must surface that timestamp.
-            if let Some((dpage, imt_ts)) = self.imt.head(lpa) {
+            if let Some((dpage, imt_ts)) = self.policy.imt.head(lpa) {
                 if self.delta_page_live(dpage) {
                     let present = self.delta_page_at(dpage).is_some_and(|dp| {
                         dp.deltas
@@ -291,7 +292,7 @@ impl TimeSsd {
         //    trim instant, so an in-window tombstone without a record means
         //    the journal write was skipped — the trim would not survive a
         //    power cut, violating the crash contract.
-        let window_start = self.chain.retention_start();
+        let window_start = self.policy.chain.retention_start();
         let mut tombstones: Vec<(Lpa, u64)> = Vec::new();
         for (lpa, entry) in self.amt.iter() {
             if let AmtEntry::Trimmed(_, ts) = entry {
@@ -320,7 +321,7 @@ impl TimeSsd {
                     }
                 }
             }
-            for dp in self.deltas.buffered_pages() {
+            for dp in self.policy.deltas.buffered_pages() {
                 note(dp);
             }
             for (lpa, ts) in tombstones {
@@ -337,7 +338,7 @@ impl TimeSsd {
         //    sequenced at or before the last completed barrier. (Sequence
         //    numbers, not timestamps — equal-ts bursts make wall-clock
         //    comparison ambiguous.)
-        for ppa in self.deltas.pre_barrier_buffers() {
+        for ppa in self.policy.deltas.pre_barrier_buffers() {
             report.violations.push(Violation::PreBarrierVolatile(ppa));
         }
 
@@ -347,8 +348,8 @@ impl TimeSsd {
         //    the maintenance path ran (queries do not advance the clock).
         let deadline = self.config.tombstone_flush_deadline;
         if deadline > 0 {
-            if let Some(now) = self.idle.last_arrival() {
-                if let Some(age) = self.deltas.oldest_pending_trim_age(now) {
+            if let Some(now) = self.policy.idle.last_arrival() {
+                if let Some(age) = self.policy.deltas.oldest_pending_trim_age(now) {
                     if age > deadline {
                         report
                             .violations
@@ -604,7 +605,7 @@ mod tests {
     fn detects_reclaimable_valid_page() {
         let mut ssd = built();
         let head = head_of(&ssd, Lpa(5));
-        ssd.prt.mark(head);
+        ssd.policy.prt.mark(head);
         let report = ssd.check_consistency();
         assert!(report
             .violations
@@ -635,7 +636,7 @@ mod tests {
         // cross-check can surface the disordered index.
         let head = head_of(&ssd, Lpa(1));
         let (_, oob) = ssd.flash.peek(head).unwrap();
-        ssd.imt.set_head(Lpa(1), head, oob.timestamp + 1);
+        ssd.policy.imt.set_head(Lpa(1), head, oob.timestamp + 1);
         let report = ssd.check_consistency();
         assert!(report
             .violations
@@ -649,7 +650,7 @@ mod tests {
         // must NOT fire (see the `<=` IMT jump in `version_chain`).
         let head = head_of(&ssd, Lpa(1));
         let (_, oob) = ssd.flash.peek(head).unwrap();
-        ssd.imt.set_head(Lpa(1), head, oob.timestamp);
+        ssd.policy.imt.set_head(Lpa(1), head, oob.timestamp);
         let report = ssd.check_consistency();
         assert!(!report
             .violations
@@ -710,7 +711,7 @@ mod tests {
         // flushed version is unreachable — the exact state a pre-promotion
         // rebuild used to produce after a trimmed head was reclaimed.
         let group = ssd.group_of(head);
-        let fid = ssd.chain.insert(group, ts);
+        let fid = ssd.policy.chain.insert(group, ts);
         let rec = DeltaRecord {
             lpa,
             back_ptr: Some(head),
@@ -720,13 +721,15 @@ mod tests {
             size: 8,
         };
         let out = ssd
+            .policy
             .deltas
             .append(fid, rec, &mut ssd.alloc, &mut ssd.bst, &mut ssd.flash, ts)
             .unwrap();
-        ssd.deltas
+        ssd.policy
+            .deltas
             .flush_filter(fid, &mut ssd.bst, &mut ssd.flash, out.finish)
             .unwrap();
-        ssd.imt.set_head(lpa, out.page, ts);
+        ssd.policy.imt.set_head(lpa, out.page, ts);
         let report = ssd.check_consistency();
         assert!(report
             .violations
@@ -743,7 +746,7 @@ mod tests {
         let head = head_of(&ssd, lpa);
         let (_, oob) = ssd.flash.peek(head).unwrap();
         let ts = oob.timestamp + 5;
-        let fid = ssd.chain.insert(ssd.group_of(head), ts);
+        let fid = ssd.policy.chain.insert(ssd.group_of(head), ts);
         let rec = DeltaRecord {
             lpa,
             back_ptr: Some(head),
@@ -753,10 +756,11 @@ mod tests {
             size: 8,
         };
         let out = ssd
+            .policy
             .deltas
             .append(fid, rec, &mut ssd.alloc, &mut ssd.bst, &mut ssd.flash, ts)
             .unwrap();
-        ssd.deltas.mark_barrier_unchecked();
+        ssd.policy.deltas.mark_barrier_unchecked();
         let report = ssd.check_consistency();
         assert!(report
             .violations
@@ -789,9 +793,10 @@ mod tests {
         ssd.trim(Lpa(4), t).unwrap();
         assert!(ssd.check_consistency().is_clean());
         let deadline = ssd.config.tombstone_flush_deadline;
-        let ids: Vec<_> = ssd.chain.infos().iter().map(|i| i.id).collect();
+        let ids: Vec<_> = ssd.policy.chain.infos().iter().map(|i| i.id).collect();
         for fid in ids {
-            ssd.deltas
+            ssd.policy
+                .deltas
                 .backdate_trim_stamp(fid, t.saturating_sub(2 * deadline));
         }
         let report = ssd.check_consistency();
@@ -819,7 +824,7 @@ mod tests {
         // the same idle window, so assert on pending *tombstones*, not on
         // buffered pages in general.
         assert_eq!(
-            ssd.deltas.oldest_pending_trim_age(late),
+            ssd.policy.deltas.oldest_pending_trim_age(late),
             None,
             "aged tombstone batch was flushed by the maintenance path"
         );

@@ -1,5 +1,7 @@
-//! Garbage collection (Algorithm 1, §3.8), delta compression of retained
-//! versions (§3.6–3.7), background idle-time compression, and wear leveling.
+//! TimeSSD's half of garbage collection (Algorithm 1, §3.8; the pass itself
+//! is the skeleton's): delta compression of retained versions (§3.6–3.7),
+//! expired delta blocks, window shrinking, background idle-time compression,
+//! and the wear-leveling swap.
 
 use std::collections::HashSet;
 
@@ -7,6 +9,7 @@ use almanac_bloom::FilterId;
 use almanac_flash::{BlockId, DeltaBody, DeltaRecord, Lpa, Nanos, Oob, PageData, Ppa};
 
 use crate::error::Result;
+use crate::ftl::Dest;
 use crate::tables::{AmtEntry, BlockKind};
 
 use super::{TimeSsd, REF_ZEROS};
@@ -66,7 +69,7 @@ impl Budget {
 
 impl TimeSsd {
     fn live_filters_set(&self) -> HashSet<FilterId> {
-        self.chain.infos().iter().map(|i| i.id).collect()
+        self.policy.chain.infos().iter().map(|i| i.id).collect()
     }
 
     /// Models the compressed size of one synthetic old version: a Gaussian
@@ -170,7 +173,7 @@ impl TimeSsd {
         };
         let mut cursor = walk_start;
         while let Some(ppa) = cursor {
-            if self.prt.is_reclaimable(ppa) {
+            if self.policy.prt.is_reclaimable(ppa) {
                 break; // already compressed from here down
             }
             if !budget.charge(lat.read_total()) {
@@ -186,7 +189,7 @@ impl TimeSsd {
                 break; // chain broken: page was reused for something else
             }
             let group = self.group_of(ppa);
-            if !self.chain.contains(group) {
+            if !self.policy.chain.contains(group) {
                 break; // expired tail: discarded lazily by GC
             }
             prev_ts = oob.timestamp;
@@ -200,14 +203,14 @@ impl TimeSsd {
         // The oldest new delta links to the existing delta chain if there is
         // one, otherwise to whatever the oldest data version pointed at.
         let oldest_back = versions.last().and_then(|(_, oob, _)| oob.back_ptr);
-        let mut next_older: Option<Ppa> = self.imt.head(lpa).map(|(p, _)| p).or(oldest_back);
+        let mut next_older: Option<Ppa> = self.policy.imt.head(lpa).map(|(p, _)| p).or(oldest_back);
 
         for (ppa, oob, data) in versions.iter().rev() {
             if budget.exhausted() {
                 break;
             }
             let group = self.group_of(*ppa);
-            let Some(fid) = self.chain.find(group) else {
+            let Some(fid) = self.policy.chain.find(group) else {
                 // Raced to expiry; safe to discard without a delta.
                 self.mark_reclaimable(*ppa);
                 continue;
@@ -225,7 +228,7 @@ impl TimeSsd {
                 body,
                 size,
             };
-            let out = self.deltas.append(
+            let out = self.policy.deltas.append(
                 fid,
                 record,
                 &mut self.alloc,
@@ -239,14 +242,14 @@ impl TimeSsd {
             budget.charge(out.programs * self.config.latency.program_total());
             next_older = Some(out.page);
             self.mark_reclaimable(*ppa);
-            self.imt.set_head(lpa, out.page, oob.timestamp);
+            self.policy.imt.set_head(lpa, out.page, oob.timestamp);
         }
         Ok(t)
     }
 
     fn mark_reclaimable(&mut self, ppa: Ppa) {
-        if !self.prt.is_reclaimable(ppa) {
-            self.prt.mark(ppa);
+        if !self.policy.prt.is_reclaimable(ppa) {
+            self.policy.prt.mark(ppa);
             self.bst
                 .get_mut(self.config.geometry.block_of(ppa))
                 .reclaimable += 1;
@@ -257,7 +260,7 @@ impl TimeSsd {
         match cause {
             Cause::Gc => {
                 self.stats.gc_reads += 1;
-                self.period.reads += 1;
+                self.policy.period.reads += 1;
             }
             Cause::Background => self.stats.bg_reads += 1,
         }
@@ -267,31 +270,16 @@ impl TimeSsd {
         match cause {
             Cause::Gc => {
                 self.stats.gc_compressions += 1;
-                self.period.compressions += 1;
-                self.period.programs += programs;
+                self.policy.period.compressions += 1;
+                self.policy.period.programs += programs;
             }
             Cause::Background => self.stats.bg_compressions += 1,
         }
     }
 
-    /// Picks the closed data block with the most invalid pages.
-    fn pick_victim(&self) -> Option<BlockId> {
-        let ppb = self.config.geometry.pages_per_block;
-        self.bst
-            .iter()
-            .filter(|(b, info)| {
-                info.kind == BlockKind::Data
-                    && info.written == ppb
-                    && info.invalid() > 0
-                    && !self.alloc.is_active(*b)
-            })
-            .max_by_key(|(_, info)| info.invalid())
-            .map(|(b, _)| b)
-    }
-
     /// Finds a delta block whose Bloom filter is gone: every delta in it is
     /// expired, so it can be erased with zero migration (Algorithm 1, line 2).
-    fn find_expired_delta_block(&self) -> Option<(BlockId, FilterId)> {
+    pub(crate) fn find_expired_delta_block(&self) -> Option<(BlockId, FilterId)> {
         let live = self.live_filters_set();
         self.bst.iter().find_map(|(b, info)| match info.kind {
             BlockKind::Delta(fid) if !live.contains(&fid) => Some((b, fid)),
@@ -299,75 +287,28 @@ impl TimeSsd {
         })
     }
 
-    fn erase_block(&mut self, block: BlockId, t: Nanos) -> Result<Nanos> {
-        let finish = self.flash.erase(block, t)?;
-        let geo = self.config.geometry;
-        self.pvt.clear_block(&geo, block);
-        self.prt.clear_block(&geo, block);
-        self.bst.reset(block);
-        self.alloc.release(block);
-        Ok(finish)
-    }
-
-    /// One pass of Algorithm 1. Returns false when no victim was available.
-    pub(crate) fn gc_once(&mut self, now: Nanos) -> Result<bool> {
-        // Line 2-3: expired delta blocks first — free space with no work.
-        if let Some((block, fid)) = self.find_expired_delta_block() {
-            let t = self.erase_block(block, now)?;
-            self.deltas.forget_block(fid, block);
-            self.stats.gc_erases += 1;
-            self.period.erases += 1;
-            self.stats.gc_time_ns += t.saturating_sub(now);
-            self.busy_until = self.busy_until.max(t);
-            return Ok(true);
+    /// GC's verdict on the invalid page `ppa` of a victim (Algorithm 1,
+    /// lines 10-25): reclaimable and expired pages go with the erase, a
+    /// retained page is compressed into deltas first.
+    pub(crate) fn compress_retained(&mut self, ppa: Ppa, mut t: Nanos) -> Result<Nanos> {
+        // Lines 10-13: reclaimable pages are discarded by the erase.
+        // Lines 15-17: pages missing every Bloom filter have expired.
+        if self.policy.prt.is_reclaimable(ppa) || !self.policy.chain.contains(self.group_of(ppa)) {
+            return Ok(t);
         }
-        // Line 5: victim data block with the most invalid pages.
-        let Some(victim) = self.pick_victim() else {
-            return Ok(false);
-        };
-        let geo = self.config.geometry;
-        let ppb = geo.pages_per_block;
-        let mut t = now;
-        let mut budget = Budget::unbounded();
-        for off in 0..ppb {
-            let ppa = geo.ppa(victim.0, off);
-            if self.pvt.is_valid(ppa) {
-                // Line 7-9: migrate valid pages. Baseline FTL work (a
-                // regular SSD pays it too), so it does not feed Equation 1 —
-                // only retention-caused operations drive the window.
-                t = self.migrate_valid(ppa, t)?;
-                self.stats.gc_reads += 1;
-                self.stats.gc_programs += 1;
-                continue;
-            }
-            // Lines 10-13: reclaimable pages are discarded by the erase.
-            if self.prt.is_reclaimable(ppa) {
-                continue;
-            }
-            // Lines 15-17: pages missing every Bloom filter have expired.
-            let group = self.group_of(ppa);
-            if !self.chain.contains(group) {
-                continue;
-            }
-            // Lines 19-25: retained page — compress its LPA's whole
-            // uncompressed tail (including this page) into deltas.
-            let (_, oob, rt) = self.flash.read(ppa, t)?;
-            t = rt;
-            self.note_read(Cause::Gc);
-            t = self.compress_versions_of(oob.lpa, t, &mut budget, Cause::Gc)?;
-            if !self.prt.is_reclaimable(ppa) {
-                // The page was unreachable from its chain head (e.g. the
-                // chain was truncated by expiry); compress it standalone so
-                // the history is still preserved.
-                t = self.compress_single(ppa, t)?;
-            }
+        // Lines 19-25: retained page — compress its LPA's whole
+        // uncompressed tail (including this page) into deltas.
+        let (_, oob, rt) = self.flash.read(ppa, t)?;
+        t = rt;
+        self.note_read(Cause::Gc);
+        t = self.compress_versions_of(oob.lpa, t, &mut Budget::unbounded(), Cause::Gc)?;
+        if !self.policy.prt.is_reclaimable(ppa) {
+            // The page was unreachable from its chain head (e.g. the
+            // chain was truncated by expiry); compress it standalone so
+            // the history is still preserved.
+            t = self.compress_single(ppa, t)?;
         }
-        // Line 26: erase the victim (baseline work: not in Equation 1).
-        let t = self.erase_block(victim, t)?;
-        self.stats.gc_erases += 1;
-        self.stats.gc_time_ns += t.saturating_sub(now);
-        self.busy_until = self.busy_until.max(t);
-        Ok(true)
+        Ok(t)
     }
 
     /// Fallback: compress one orphaned retained page as its own delta.
@@ -388,7 +329,7 @@ impl TimeSsd {
             self.mark_reclaimable(ppa);
             return Ok(t);
         }
-        let Some(fid) = self.chain.find(self.group_of(ppa)) else {
+        let Some(fid) = self.policy.chain.find(self.group_of(ppa)) else {
             self.mark_reclaimable(ppa);
             return Ok(t);
         };
@@ -403,6 +344,7 @@ impl TimeSsd {
         };
         let ref_ts = match self.amt.get(oob.lpa).mapped() {
             Some(_) => self
+                .policy
                 .imt
                 .head(oob.lpa)
                 .map(|(_, ts)| ts)
@@ -419,7 +361,7 @@ impl TimeSsd {
             body,
             size,
         };
-        let out = self.deltas.append(
+        let out = self.policy.deltas.append(
             fid,
             record,
             &mut self.alloc,
@@ -431,9 +373,9 @@ impl TimeSsd {
         self.stats.delta_programs += out.programs;
         self.note_compression(Cause::Gc, out.programs);
         // Only promote the IMT head if this version is newer than it.
-        match self.imt.head(oob.lpa) {
+        match self.policy.imt.head(oob.lpa) {
             Some((_, newest)) if newest >= oob.timestamp => {}
-            _ => self.imt.set_head(oob.lpa, out.page, oob.timestamp),
+            _ => self.policy.imt.set_head(oob.lpa, out.page, oob.timestamp),
         }
         self.mark_reclaimable(ppa);
         Ok(t)
@@ -444,13 +386,13 @@ impl TimeSsd {
     pub(crate) fn force_shrink(&mut self, now: Nanos) -> bool {
         if !super::retention::may_drop_oldest(
             now,
-            self.chain.retention_start_after_drop(),
+            self.policy.chain.retention_start_after_drop(),
             self.config.min_retention,
         ) {
             return false;
         }
-        if let Some(info) = self.chain.drop_oldest() {
-            self.deltas.drop_filter(info.id);
+        if let Some(info) = self.policy.chain.drop_oldest() {
+            self.policy.deltas.drop_filter(info.id);
             self.stats.filters_dropped += 1;
             true
         } else {
@@ -458,154 +400,58 @@ impl TimeSsd {
         }
     }
 
-    /// Runs GC until the free pool is above the watermark; shrinks the
-    /// retention window when GC alone cannot make progress.
-    pub(crate) fn maybe_gc(&mut self, now: Nanos) -> Result<()> {
-        let watermark = self.config.gc_low_watermark as u64;
-        let mut stuck = 0u32;
-        let guard_limit = self.config.geometry.total_blocks() as u32 * 2;
-        let mut guard = 0u32;
-        while self.alloc.free_blocks() < watermark {
-            guard += 1;
-            if guard > guard_limit {
-                break;
-            }
-            self.stats.gc_runs += 1;
-            let before = self.alloc.free_blocks();
-            let start = now.max(self.busy_until);
-            // A GC pass can itself run out of blocks (delta pages need
-            // space). That is the §3.4 pressure point: shrink the window and
-            // retry; only a window at its guaranteed minimum stalls the
-            // device.
-            let progressed = match self.gc_once(start) {
-                Ok(p) => p,
-                Err(crate::error::AlmanacError::DeviceStalled { .. }) => {
-                    if self.force_shrink(start) {
-                        continue;
-                    }
-                    return Err(crate::error::AlmanacError::DeviceStalled {
-                        now: start,
-                        retention_window: self.retention_window(start),
-                    });
-                }
-                Err(e) => return Err(e),
-            };
-            let _ = before;
-            // Only a genuine lack of victims forces the window shorter —
-            // a pass that erased something made progress even if the freed
-            // block was immediately re-opened for an active stream.
-            if !progressed {
-                stuck += 1;
-            } else {
-                stuck = 0;
-            }
-            if stuck >= 1 {
-                if !self.force_shrink(now.max(self.busy_until)) {
-                    break;
-                }
-                stuck = 0;
-            }
-        }
-        self.maybe_wear_level(now.max(self.busy_until))?;
-        Ok(())
-    }
-
-    /// Wear leveling (§3.8): when the erase-count spread grows too large,
-    /// force-clean the coldest closed data block — valid pages migrate,
-    /// retained pages are compressed exactly like a GC pass. Delta blocks
-    /// are never touched (their chains must not break; they are erased in
-    /// time order anyway).
-    fn maybe_wear_level(&mut self, now: Nanos) -> Result<()> {
-        if !self.config.wear_leveling || self.flash.wear_spread() <= self.config.wl_spread_threshold
-        {
-            return Ok(());
-        }
-        // Rate limit: at most one swap per 64 block erases, otherwise the
-        // leveler itself burns endurance faster than it spreads it.
-        let erases = self.flash.stats().erases;
-        if erases < self.wl_mark + 64 {
-            return Ok(());
-        }
-        self.wl_mark = erases;
-        let ppb = self.config.geometry.pages_per_block;
-        let coldest = self
-            .bst
-            .iter()
-            .filter(|(b, info)| {
-                info.kind == BlockKind::Data && info.written == ppb && !self.alloc.is_active(*b)
-            })
-            .min_by_key(|(b, _)| self.flash.erase_count(*b).unwrap_or(u32::MAX));
-        let Some((victim, _)) = coldest else {
+    /// Wear leveling (§3.8): force-cleans the coldest closed data block onto
+    /// the most-worn free block, retiring that block from the hot rotation
+    /// (the cold-to-old swap). Valid pages migrate, retained pages are
+    /// compressed exactly like a GC pass. Delta blocks are never touched
+    /// (their chains must not break; they are erased in time order anyway).
+    pub(crate) fn cold_to_old_swap(&mut self, now: Nanos) -> Result<()> {
+        let Some(victim) = self.wear_level_victim() else {
             return Ok(());
         };
-        // Park the cold data on the most-worn free block, retiring it from
-        // the hot rotation (the §3.8 cold-to-old swap).
-        let flash_counts = |b: almanac_flash::BlockId| self.flash.erase_count(b).unwrap_or(0);
-        let Some(dest) = self.alloc.take_block_by_max(flash_counts) else {
+        let worn = |b| self.flash.erase_count(b).unwrap_or(0);
+        let Some(parked) = self.alloc.take_block_by_max(worn) else {
             return Ok(());
         };
-        self.bst.get_mut(dest).kind = BlockKind::Data;
-        let geo = self.config.geometry;
-        let mut t = now;
-        let mut budget = Budget::unbounded();
-        let mut dest_off = 0u32;
-        for off in 0..ppb {
-            let ppa = geo.ppa(victim.0, off);
-            if self.pvt.is_valid(ppa) {
-                // Move the cold valid page straight onto the worn block.
-                let (data, oob, rt) = self.flash.read(ppa, t)?;
-                t = rt;
-                // Same OOB-owner cross-check as `migrate_valid`: corrupt
-                // metadata must not misdirect the remap.
-                let owner = if self.amt.get(oob.lpa).chain_head() == Some(ppa) {
-                    Some(oob.lpa)
-                } else {
-                    self.amt
-                        .iter()
-                        .find(|(_, e)| e.chain_head() == Some(ppa))
-                        .map(|(l, _)| l)
-                };
-                self.pvt.set(ppa, false);
-                self.bst.get_mut(geo.block_of(ppa)).valid -= 1;
-                let new_ppa = geo.ppa(dest.0, dest_off);
-                dest_off += 1;
-                let fixed_oob = Oob::new(owner.unwrap_or(oob.lpa), oob.back_ptr, oob.timestamp);
-                t = self.flash.program(new_ppa, data, fixed_oob, t)?;
-                let info = self.bst.get_mut(dest);
-                info.written += 1;
-                info.valid += 1;
-                self.pvt.set(new_ppa, true);
-                if let Some(owner) = owner {
-                    let entry = match self.amt.get(owner) {
-                        AmtEntry::Trimmed(_, at) => AmtEntry::Trimmed(new_ppa, at),
-                        _ => AmtEntry::Mapped(new_ppa),
-                    };
-                    self.amt.set(owner, entry);
-                    self.gmd.note_update(owner);
-                }
-                self.stats.wl_programs += 1;
-                continue;
-            }
-            if self.prt.is_reclaimable(ppa) || !self.chain.contains(self.group_of(ppa)) {
-                continue;
-            }
-            let (_, oob, rt) = self.flash.read(ppa, t)?;
-            t = rt;
-            t = self.compress_versions_of(oob.lpa, t, &mut budget, Cause::Gc)?;
-            if !self.prt.is_reclaimable(ppa) {
-                t = self.compress_single(ppa, t)?;
-            }
+        self.bst.get_mut(parked).kind = BlockKind::Data;
+        let moved = self.park_block(victim, parked, now);
+        if self.bst.get(parked).written == 0 {
+            // Nothing landed on it (no valid page, or the first program
+            // failed): an empty block belongs in the pool.
+            self.bst.reset(parked);
+            self.alloc.release(parked);
         }
-        let t = self.erase_block(victim, t)?;
+        let t = self.erase_block(victim, moved?)?;
         self.stats.wl_swaps += 1;
         self.busy_until = self.busy_until.max(t);
         Ok(())
     }
 
+    /// Moves everything worth keeping out of `victim`, valid pages onto
+    /// consecutive pages of `parked`. An error leaves both blocks closed
+    /// data blocks that GC can collect.
+    fn park_block(&mut self, victim: BlockId, parked: BlockId, mut t: Nanos) -> Result<Nanos> {
+        let geo = self.config.geometry;
+        for off in 0..geo.pages_per_block {
+            let ppa = geo.ppa(victim.0, off);
+            if self.pvt.is_valid(ppa) {
+                let slot = geo.ppa(parked.0, self.bst.get(parked).written);
+                t = self.migrate_valid(ppa, Dest::At(slot), t)?;
+                self.stats.wl_programs += 1;
+            } else {
+                t = self.compress_retained(ppa, t)?;
+            }
+        }
+        Ok(t)
+    }
+
     /// Spends a just-elapsed idle window on background compression when the
     /// predictor had cleared the threshold (§3.6).
     pub(crate) fn background_compress_window(&mut self, now: Nanos) -> Result<()> {
-        if now <= self.last_io_end || !self.idle.worth_compressing() || self.bg_scan_pointless {
+        if now <= self.last_io_end
+            || !self.policy.idle.worth_compressing()
+            || self.policy.bg_scan_pointless
+        {
             return Ok(());
         }
         let window = now - self.last_io_end;
@@ -618,49 +464,44 @@ impl TimeSsd {
         // block with the most retained (uncompressed) invalid pages.
         let ppb = self.config.geometry.pages_per_block;
         let floor = self.config.latency.program_total() + self.config.latency.read_total();
-        for _ in 0..1 {
-            if budget.below(floor) {
-                break;
-            }
-            let victim = self
-                .bst
-                .iter()
-                .filter(|(b, info)| {
-                    info.kind == BlockKind::Data
-                        && info.written == ppb
-                        && info.invalid() > info.reclaimable
-                        && !self.alloc.is_active(*b)
-                })
-                .max_by_key(|(_, info)| info.invalid() - info.reclaimable)
-                .map(|(b, _)| b);
-            let Some(victim) = victim else {
-                self.bg_scan_pointless = true;
-                break;
-            };
-            let geo = self.config.geometry;
-            let mut t = start;
-            for off in 0..ppb {
-                if budget.exhausted() {
-                    break;
-                }
-                let ppa = geo.ppa(victim.0, off);
-                if self.pvt.is_valid(ppa)
-                    || self.prt.is_reclaimable(ppa)
-                    || !self.chain.contains(self.group_of(ppa))
-                {
-                    continue;
-                }
-                if !budget.charge(self.config.latency.read_total()) {
-                    break;
-                }
-                let (_, oob, rt) = self.flash.read(ppa, t)?;
-                t = rt;
-                self.note_read(Cause::Background);
-                t = self.compress_versions_of(oob.lpa, t, &mut budget, Cause::Background)?;
-            }
+        if budget.below(floor) {
+            return Ok(());
+        }
+        let victim = self
+            .bst
+            .iter()
+            .filter(|(b, info)| {
+                info.kind == BlockKind::Data
+                    && info.written == ppb
+                    && info.invalid() > info.reclaimable
+                    && !self.alloc.is_active(*b)
+            })
+            .max_by_key(|(_, info)| info.invalid() - info.reclaimable)
+            .map(|(b, _)| b);
+        let Some(victim) = victim else {
+            self.policy.bg_scan_pointless = true;
+            return Ok(());
+        };
+        let geo = self.config.geometry;
+        let mut t = start;
+        for off in 0..ppb {
             if budget.exhausted() {
                 break;
             }
+            let ppa = geo.ppa(victim.0, off);
+            if self.pvt.is_valid(ppa)
+                || self.policy.prt.is_reclaimable(ppa)
+                || !self.policy.chain.contains(self.group_of(ppa))
+            {
+                continue;
+            }
+            if !budget.charge(self.config.latency.read_total()) {
+                break;
+            }
+            let (_, oob, rt) = self.flash.read(ppa, t)?;
+            t = rt;
+            self.note_read(Cause::Background);
+            t = self.compress_versions_of(oob.lpa, t, &mut budget, Cause::Background)?;
         }
         Ok(())
     }

@@ -27,25 +27,87 @@ pub mod retention;
 #[cfg(test)]
 mod tests;
 
-use almanac_bloom::BloomChain;
-use almanac_flash::{FlashArray, Lpa, Nanos, Oob, PageData, Ppa};
+use std::collections::HashMap;
 
-use crate::alloc::Allocator;
+use almanac_bloom::BloomChain;
+use almanac_flash::{BlockId, DeltaRecord, Lpa, Nanos, Ppa};
+
 use crate::config::SsdConfig;
-use crate::device::{Completion, SsdDevice, SsdReadOps};
-use crate::error::{AlmanacError, Result};
+use crate::error::Result;
+use crate::ftl::{sealed::Sealed, Ftl, HostOp, Retention};
 use crate::mapcache::ShardedMapCache;
-use crate::stats::DeviceStats;
-use crate::tables::{AmtEntry, BlockKind, Bst, Gmd, Prt, Pvt, ShardedAmt, ShardedImt};
+use crate::tables::{AmtEntry, BlockKind, Prt, ShardedImt};
 
 use deltas::DeltaManager;
 use idle::IdlePredictor;
+use query::SsdReadView;
 use retention::PeriodCounters;
 
 /// Sentinel `ref_timestamp` meaning "the reference is the all-zero page"
 /// (used when compressing versions of a trimmed LPA, which has no valid
 /// reference version).
 pub const REF_ZEROS: Nanos = Nanos::MAX;
+
+/// Exponential smoothing factor of the idle-time predictor (§3.6).
+const IDLE_ALPHA: f64 = 0.5;
+
+/// TimeSSD's retention policy: every invalid page is kept, indexed by time
+/// and delta-compressed, until its Bloom filter expires.
+#[derive(Clone)]
+pub struct TimeTravel {
+    pub(crate) prt: Prt,
+    pub(crate) imt: ShardedImt,
+    pub(crate) chain: BloomChain,
+    pub(crate) deltas: DeltaManager,
+    pub(crate) period: PeriodCounters,
+    pub(crate) idle: IdlePredictor,
+    /// Last timestamp assigned to a write; version timestamps must be
+    /// strictly increasing per device so chain verification (decreasing
+    /// timestamps, §3.7) stays sound even for back-to-back writes.
+    pub(crate) last_ts: Nanos,
+    /// Perf guard: set when the last background-compression scan found no
+    /// candidate block; cleared by the next invalidation.
+    pub(crate) bg_scan_pointless: bool,
+    /// DFTL-style demand cache of the AMT's translation pages, sliced per
+    /// shard alongside the AMT itself.
+    pub(crate) map_cache: ShardedMapCache,
+    /// Repair index built by the §3.7 rebuild scan: every on-flash delta
+    /// record per LPA, newest first. Delta records link through back-pointers
+    /// that may name a delta *buffer* page lost in a power cut; this index
+    /// lets the version chain reconnect across such torn links. Empty on a
+    /// normally-constructed device.
+    pub(crate) recovered_deltas: HashMap<Lpa, Vec<(Nanos, Ppa)>>,
+}
+
+impl TimeTravel {
+    /// Policy state around the given time index — empty for a fresh device,
+    /// rebuilt from flash after a power cut.
+    pub(crate) fn with_index(
+        config: &SsdConfig,
+        prt: Prt,
+        imt: ShardedImt,
+        chain: BloomChain,
+        deltas: DeltaManager,
+    ) -> Self {
+        let mappings_per_page = u64::from(config.geometry.page_size / 8);
+        TimeTravel {
+            prt,
+            imt,
+            chain,
+            deltas,
+            period: PeriodCounters::default(),
+            idle: IdlePredictor::new(IDLE_ALPHA, config.idle_threshold),
+            last_ts: 0,
+            bg_scan_pointless: false,
+            map_cache: ShardedMapCache::new(
+                mappings_per_page,
+                config.amt_cache_pages,
+                config.amt_shards,
+            ),
+            recovered_deltas: HashMap::new(),
+        }
+    }
+}
 
 /// The time-traveling SSD.
 ///
@@ -61,116 +123,165 @@ pub const REF_ZEROS: Nanos = Nanos::MAX;
 /// // Both versions are now reachable through the version chain.
 /// assert_eq!(ssd.version_chain(Lpa(0)).len(), 2);
 /// ```
-#[derive(Clone)]
-pub struct TimeSsd {
-    pub(crate) config: SsdConfig,
-    pub(crate) flash: FlashArray,
-    pub(crate) amt: ShardedAmt,
-    pub(crate) gmd: Gmd,
-    pub(crate) pvt: Pvt,
-    pub(crate) prt: Prt,
-    pub(crate) bst: Bst,
-    pub(crate) imt: ShardedImt,
-    pub(crate) alloc: Allocator,
-    pub(crate) chain: BloomChain,
-    pub(crate) deltas: DeltaManager,
-    pub(crate) stats: DeviceStats,
-    pub(crate) busy_until: Nanos,
-    pub(crate) period: PeriodCounters,
-    pub(crate) idle: IdlePredictor,
-    pub(crate) last_io_end: Nanos,
-    /// Last timestamp assigned to a write; version timestamps must be
-    /// strictly increasing per device so chain verification (decreasing
-    /// timestamps, §3.7) stays sound even for back-to-back writes.
-    pub(crate) last_ts: Nanos,
-    /// Perf guard: set when the last background-compression scan found no
-    /// candidate block; cleared by the next invalidation.
-    pub(crate) bg_scan_pointless: bool,
-    /// DFTL-style demand cache of the AMT's translation pages, sliced per
-    /// shard alongside the AMT itself.
-    pub(crate) map_cache: ShardedMapCache,
-    /// Erase count at the last wear-leveling attempt (rate limiter).
-    pub(crate) wl_mark: u64,
-    /// Repair index built by the §3.7 rebuild scan: every on-flash delta
-    /// record per LPA, newest first. Delta records link through back-pointers
-    /// that may name a delta *buffer* page lost in a power cut; this index
-    /// lets the version chain reconnect across such torn links. Empty on a
-    /// normally-constructed device.
-    pub(crate) recovered_deltas: std::collections::HashMap<Lpa, Vec<(Nanos, Ppa)>>,
+pub type TimeSsd = Ftl<TimeTravel>;
+
+impl Sealed for TimeTravel {}
+
+impl Retention for TimeTravel {
+    const KIND: &'static str = "timessd";
+
+    fn new(config: &SsdConfig) -> Self {
+        let geo = config.geometry;
+        TimeTravel::with_index(
+            config,
+            Prt::new(geo.total_pages()),
+            ShardedImt::new(config.amt_shards),
+            BloomChain::new(config.bloom),
+            DeltaManager::new(geo, config.trim_journal_watermark),
+        )
+    }
+
+    /// The page stays on flash; its invalidation time goes into the active
+    /// Bloom filter.
+    fn on_invalidate(ftl: &mut Ftl<Self>, old: Ppa, _lpa: Lpa, now: Nanos) {
+        let group = ftl.group_of(old);
+        ftl.policy.chain.insert(group, now);
+        ftl.policy.bg_scan_pointless = false;
+    }
+
+    /// Algorithm 1, lines 2-3: a delta block whose Bloom filter is gone
+    /// holds only expired deltas — free space with no work.
+    fn gc_prelude(ftl: &mut Ftl<Self>, now: Nanos) -> Result<Option<Nanos>> {
+        let Some((block, fid)) = ftl.find_expired_delta_block() else {
+            return Ok(None);
+        };
+        let t = ftl.erase_block(block, now)?;
+        ftl.policy.deltas.forget_block(fid, block);
+        ftl.policy.period.erases += 1;
+        Ok(Some(t))
+    }
+
+    fn reclaim(ftl: &mut Ftl<Self>, ppa: Ppa, t: Nanos) -> Result<Nanos> {
+        ftl.compress_retained(ppa, t)
+    }
+
+    fn on_erase(ftl: &mut Ftl<Self>, block: BlockId) {
+        ftl.policy.prt.clear_block(&ftl.config.geometry, block);
+    }
+
+    fn relieve(ftl: &mut Ftl<Self>, now: Nanos) -> bool {
+        ftl.force_shrink(now)
+    }
+
+    fn wear_level(ftl: &mut Ftl<Self>, now: Nanos) -> Result<()> {
+        ftl.cold_to_old_swap(now)
+    }
+
+    /// What runs at arrival differs per command: background compression
+    /// wants the idle window that a write or read just ended, every command
+    /// that can be followed by a long gap bounds tombstone age, and a trim —
+    /// which, unlike the baselines', programs a journal page — needs GC.
+    fn maintain(ftl: &mut Ftl<Self>, op: HostOp, now: Nanos) -> Result<()> {
+        match op {
+            HostOp::Write(_) | HostOp::Read(_) => {
+                ftl.background_compress_window(now)?;
+                ftl.flush_aged_tombstones(now)?;
+                ftl.policy.idle.on_arrival(now);
+            }
+            HostOp::Trim(_) => {
+                ftl.flush_aged_tombstones(now)?;
+                ftl.policy.idle.on_arrival(now);
+                ftl.maybe_gc(now)?;
+            }
+            HostOp::Flush => ftl.policy.idle.on_arrival(now),
+        }
+        Ok(())
+    }
+
+    fn stamp(ftl: &mut Ftl<Self>, op: HostOp, start: Nanos) -> Nanos {
+        let lat = &ftl.config.latency;
+        match op {
+            HostOp::Write(lpa) => {
+                let start =
+                    start.max(ftl.policy.last_ts + 1) + ftl.policy.map_cache.access(lpa, true, lat);
+                ftl.policy.last_ts = start;
+                start
+            }
+            HostOp::Read(lpa) => start + ftl.policy.map_cache.access(lpa, false, lat),
+            HostOp::Trim(_) | HostOp::Flush => start,
+        }
+    }
+
+    fn after_write(ftl: &mut Ftl<Self>, start: Nanos) {
+        ftl.policy.period.user_writes += 1;
+        ftl.maybe_evaluate_period(start);
+    }
+
+    /// The tombstone is journalled through the delta stream so the trim
+    /// survives a power cut.
+    fn trim(ftl: &mut Ftl<Self>, lpa: Lpa, start: Nanos) -> Result<Nanos> {
+        let mut finish = start + ftl.config.latency.transfer_ns;
+        if let AmtEntry::Mapped(old) = ftl.amt.get(lpa) {
+            // Invalidation times recorded in the Bloom chain must never
+            // regress: back-to-back writes push `last_ts` ahead of wall
+            // time, and a filter whose creation time exceeds an earlier
+            // filter's youngest entry would let `may_drop_oldest`
+            // overestimate those entries' ages and expire them early.
+            let inv_ts = start.max(ftl.policy.last_ts);
+            // Journal the tombstone into the filter segment that records
+            // this invalidation *before* any RAM state changes, so record
+            // and versions expire together with the filter. The journal
+            // batches tombstones (`trim_journal_watermark`) and flushes on
+            // watermark, capacity, or a host flush barrier — between
+            // flushes an acked trim is volatile like any buffered delta
+            // (fsync semantics, §3.7 crash contract). A failed journal
+            // append leaves the trim un-applied — only a spurious Bloom
+            // insert remains, a false positive the filters tolerate by
+            // design.
+            let group = ftl.group_of(old);
+            let fid = ftl.policy.chain.insert(group, inv_ts);
+            let out = ftl.policy.deltas.journal_trim(
+                fid,
+                DeltaRecord::trim(lpa, old, inv_ts),
+                &mut ftl.alloc,
+                &mut ftl.bst,
+                &mut ftl.flash,
+                start,
+            )?;
+            ftl.stats.delta_programs += out.programs;
+            finish = finish.max(out.finish);
+            // Remember the chain head (and when it stopped existing) so
+            // deleted data stays recoverable and as-of queries know the
+            // page read as zeros from here on.
+            ftl.amt.set(lpa, AmtEntry::Trimmed(old, inv_ts));
+            ftl.mark_invalid(old);
+            ftl.policy.bg_scan_pointless = false;
+            // Later writes must timestamp strictly after the trim, or the
+            // on-flash order (journal record vs. rewrite) is ambiguous at
+            // rebuild time.
+            ftl.policy.last_ts = inv_ts;
+        }
+        Ok(finish)
+    }
+
+    fn drain(ftl: &mut Ftl<Self>, start: Nanos) -> Result<Nanos> {
+        ftl.flush_buffers(start)
+    }
+
+    fn stall_window(ftl: &Ftl<Self>, now: Nanos) -> Nanos {
+        ftl.retention_window(now)
+    }
+
+    fn read_view(ftl: &Ftl<Self>) -> Option<SsdReadView<'_>> {
+        Some(ftl.read_view())
+    }
 }
 
 impl TimeSsd {
-    /// Creates a fully-erased TimeSSD.
-    pub fn new(config: SsdConfig) -> Self {
-        let mut flash = FlashArray::new(config.geometry, config.latency);
-        if let Some(e) = config.endurance {
-            flash = flash.with_endurance(e);
-        }
-        if let Some(plan) = config.fault_plan.clone() {
-            flash = flash.with_fault_plan(plan);
-        }
-        let geo = config.geometry;
-        let exported = config.exported_pages();
-        let mappings_per_page = (geo.page_size / 8) as u64;
-        TimeSsd {
-            flash,
-            amt: ShardedAmt::new(exported, config.amt_shards),
-            gmd: Gmd::new(exported, mappings_per_page),
-            pvt: Pvt::new(geo.total_pages()),
-            prt: Prt::new(geo.total_pages()),
-            bst: Bst::new(geo.total_blocks()),
-            imt: ShardedImt::new(config.amt_shards),
-            alloc: Allocator::new(geo),
-            chain: BloomChain::new(config.bloom),
-            deltas: DeltaManager::new(geo, config.trim_journal_watermark),
-            stats: DeviceStats::default(),
-            busy_until: 0,
-            period: PeriodCounters::default(),
-            idle: IdlePredictor::new(config.idle_alpha, config.idle_threshold),
-            last_io_end: 0,
-            last_ts: 0,
-            bg_scan_pointless: false,
-            map_cache: ShardedMapCache::new(
-                mappings_per_page,
-                config.amt_cache_pages,
-                config.amt_shards,
-            ),
-            wl_mark: 0,
-            recovered_deltas: std::collections::HashMap::new(),
-            config,
-        }
-    }
-
-    /// The device configuration.
-    pub fn config(&self) -> &SsdConfig {
-        &self.config
-    }
-
-    /// Direct access to the simulated flash (tests and tooling).
-    pub fn flash(&self) -> &FlashArray {
-        &self.flash
-    }
-
-    /// Consumes the device, surrendering the raw flash array.
-    ///
-    /// This is the §3.7 power-loss handoff: after a cut, everything volatile
-    /// (AMT, IMT, Bloom chain, delta buffers) is gone, and the only thing
-    /// that survives is the flash itself. Call
-    /// [`FlashArray::revive`] on the result, then
-    /// [`TimeSsd::recover_from_flash`] to bring the device back.
-    pub fn into_flash(self) -> FlashArray {
-        self.flash
-    }
-
-    /// Free blocks currently in the pool.
-    pub fn free_blocks(&self) -> u64 {
-        self.alloc.free_blocks()
-    }
-
     /// Current width of the retention window: from the creation of the
     /// oldest live Bloom filter to `now` (§3.5).
     pub fn retention_window(&self, now: Nanos) -> Nanos {
-        match self.chain.retention_start() {
+        match self.policy.chain.retention_start() {
             Some(start) => now.saturating_sub(start),
             None => 0,
         }
@@ -178,25 +289,25 @@ impl TimeSsd {
 
     /// Number of live Bloom filters (time segments).
     pub fn live_filters(&self) -> usize {
-        self.chain.len()
+        self.policy.chain.len()
     }
 
     /// Number of flash blocks currently dedicated to live delta segments.
     pub fn delta_block_count(&self) -> usize {
-        self.deltas.block_count()
+        self.policy.deltas.block_count()
     }
 
     /// Number of delta pages still sitting in volatile RAM buffers. Zero
-    /// immediately after an acknowledged [`flush`](SsdDevice::flush).
+    /// immediately after an acknowledged [`flush`](crate::SsdDevice::flush).
     pub fn buffered_delta_pages(&self) -> usize {
-        self.deltas.buffered_pages().count()
+        self.policy.deltas.buffered_pages().count()
     }
 
     /// Translation-page cache traffic: `(fault reads, dirty writebacks)`.
     pub fn map_cache_traffic(&self) -> (u64, u64) {
         (
-            self.map_cache.fault_reads(),
-            self.map_cache.writeback_writes(),
+            self.policy.map_cache.fault_reads(),
+            self.policy.map_cache.writeback_writes(),
         )
     }
 
@@ -206,12 +317,12 @@ impl TimeSsd {
     }
 
     /// Flushes all pending delta buffers to flash. This is the host
-    /// [`flush`](SsdDevice::flush) barrier's engine (also a shutdown hook):
-    /// on success every buffered delta and tombstone is durable and the
-    /// barrier point advances; on failure nothing is acked and a retry
+    /// [`flush`](crate::SsdDevice::flush) barrier's engine (also a shutdown
+    /// hook): on success every buffered delta and tombstone is durable and
+    /// the barrier point advances; on failure nothing is acked and a retry
     /// re-targets the surviving buffers.
     pub fn flush_buffers(&mut self, now: Nanos) -> Result<Nanos> {
-        let out = self.deltas.flush_all(
+        let out = self.policy.deltas.flush_all(
             &mut self.bst,
             &mut self.flash,
             now.max(self.busy_until),
@@ -239,9 +350,10 @@ impl TimeSsd {
     /// and the stats, but host traffic arriving mid-flush is not delayed.
     pub(crate) fn flush_aged_tombstones(&mut self, now: Nanos) -> Result<()> {
         let deadline = self.config.tombstone_flush_deadline;
-        for fid in self.deltas.aged_trim_filters(now, deadline) {
+        for fid in self.policy.deltas.aged_trim_filters(now, deadline) {
             let (_, programs) =
-                self.deltas
+                self.policy
+                    .deltas
                     .flush_filter(fid, &mut self.bst, &mut self.flash, now)?;
             self.stats.delta_programs += programs;
             self.stats.aging_flushes += programs;
@@ -253,137 +365,6 @@ impl TimeSsd {
     /// are tracked for N consecutive pages at once).
     pub(crate) fn group_of(&self, ppa: Ppa) -> u64 {
         ppa.0 / self.config.group_size as u64
-    }
-
-    fn check_lpa(&self, lpa: Lpa) -> Result<()> {
-        if lpa.0 < self.amt.len() {
-            Ok(())
-        } else {
-            Err(AlmanacError::LpaOutOfRange {
-                lpa,
-                exported: self.amt.len(),
-            })
-        }
-    }
-
-    /// Invalidates a page while *retaining* it: the page stays on flash and
-    /// its invalidation time is recorded in the active Bloom filter.
-    pub(crate) fn invalidate_retain(&mut self, old: Ppa, now: Nanos) {
-        self.pvt.set(old, false);
-        let block = self.config.geometry.block_of(old);
-        self.bst.get_mut(block).valid -= 1;
-        let group = self.group_of(old);
-        self.chain.insert(group, now);
-        self.bg_scan_pointless = false;
-    }
-
-    /// Writes one host page (internal; range checks done by callers).
-    pub(crate) fn write_page(
-        &mut self,
-        lpa: Lpa,
-        data: PageData,
-        back_ptr: Option<Ppa>,
-        ts: Nanos,
-        at: Nanos,
-    ) -> Result<Nanos> {
-        let (ppa, opened) = self
-            .alloc
-            .next_data_page()
-            .ok_or(AlmanacError::DeviceStalled {
-                now: at,
-                retention_window: self.retention_window(at),
-            })?;
-        if let Some(b) = opened {
-            self.bst.get_mut(b).kind = BlockKind::Data;
-        }
-        let finish = match self
-            .flash
-            .program(ppa, data, Oob::new(lpa, back_ptr, ts), at)
-        {
-            Ok(t) => t,
-            Err(e) => {
-                // The chip never wrote the page; return the offset so the
-                // block's program sequence stays aligned (a retry succeeds).
-                self.alloc.unreserve_page(ppa);
-                return Err(e.into());
-            }
-        };
-        let block = self.config.geometry.block_of(ppa);
-        let info = self.bst.get_mut(block);
-        info.written += 1;
-        info.valid += 1;
-        self.pvt.set(ppa, true);
-        if let AmtEntry::Mapped(old) = self.amt.set(lpa, AmtEntry::Mapped(ppa)) {
-            self.invalidate_retain(old, ts);
-        }
-        self.gmd.note_update(lpa);
-        Ok(finish)
-    }
-
-    /// Migrates a page during GC/wear leveling: the rewritten page keeps its
-    /// original OOB (timestamp and back-pointer), so the version chain is
-    /// unaffected.
-    pub(crate) fn migrate_valid(&mut self, old: Ppa, at: Nanos) -> Result<Nanos> {
-        let (data, oob, rt) = self.flash.read(old, at)?;
-        // §3.7 defence: trust the OOB owner only if the AMT agrees. Corrupt
-        // OOB metadata (bit-rot, ECC escapes) must not misdirect the remap —
-        // the RAM-resident AMT is authoritative, so on mismatch recover the
-        // true owner by reverse lookup and write the corrected OOB forward.
-        let owner = if self.amt.get(oob.lpa).chain_head() == Some(old) {
-            Some(oob.lpa)
-        } else {
-            self.amt
-                .iter()
-                .find(|(_, e)| e.chain_head() == Some(old))
-                .map(|(l, _)| l)
-        };
-        // Secure a destination page *before* touching the old copy's
-        // validity: when the allocator comes up empty the error below must
-        // leave the tables untouched, or a stalled device ends with the
-        // owner mapped to a page just marked invalid (found by the
-        // differential oracle under GC pressure).
-        let (ppa, opened) = self
-            .alloc
-            .next_gc_page()
-            .ok_or(AlmanacError::DeviceStalled {
-                now: at,
-                retention_window: self.retention_window(at),
-            })?;
-        if let Some(b) = opened {
-            self.bst.get_mut(b).kind = BlockKind::Data;
-        }
-        // Program the new copy while the old one is still valid and mapped:
-        // a failed program (injected fault, power loss) must leave the old
-        // copy untouched — invalidating first would strand the owner mapped
-        // to a page already marked invalid.
-        let fixed_oob = Oob::new(owner.unwrap_or(oob.lpa), oob.back_ptr, oob.timestamp);
-        let finish = match self.flash.program(ppa, data, fixed_oob, rt) {
-            Ok(t) => t,
-            Err(e) => {
-                self.alloc.unreserve_page(ppa);
-                return Err(e.into());
-            }
-        };
-        // The old physical copy ceases to exist; it is not an invalidation
-        // in the version-history sense, so it does not enter the Bloom
-        // filters.
-        self.pvt.set(old, false);
-        self.bst.get_mut(self.config.geometry.block_of(old)).valid -= 1;
-        let block = self.config.geometry.block_of(ppa);
-        let info = self.bst.get_mut(block);
-        info.written += 1;
-        info.valid += 1;
-        self.pvt.set(ppa, true);
-        if let Some(owner) = owner {
-            // A trimmed head stays trimmed: migration moves bytes, not state.
-            let entry = match self.amt.get(owner) {
-                AmtEntry::Trimmed(_, at) => AmtEntry::Trimmed(ppa, at),
-                _ => AmtEntry::Mapped(ppa),
-            };
-            self.amt.set(owner, entry);
-            self.gmd.note_update(owner);
-        }
-        Ok(finish)
     }
 
     /// Fraction of the physical pages holding live data: valid pages plus
@@ -405,168 +386,17 @@ impl TimeSsd {
     /// is too high (§3.4), or when retained data crowds the device past the
     /// space high-water mark.
     fn maybe_evaluate_period(&mut self, now: Nanos) {
-        if self.period.user_writes < self.config.n_fixed {
+        if self.policy.period.user_writes < self.config.n_fixed {
             return;
         }
-        let over = self.period.over_threshold(
+        let over = self.policy.period.over_threshold(
             &self.config.latency,
             self.config.n_fixed,
             self.config.gc_overhead_threshold,
         );
-        let crowded = self.space_utilization() > 0.90;
-        if (over || crowded)
-            && retention::may_drop_oldest(
-                now,
-                self.chain.retention_start_after_drop(),
-                self.config.min_retention,
-            )
-        {
-            if let Some(info) = self.chain.drop_oldest() {
-                self.deltas.drop_filter(info.id);
-                self.stats.filters_dropped += 1;
-            }
+        if over || self.space_utilization() > 0.90 {
+            self.force_shrink(now);
         }
-        self.period.reset();
-    }
-}
-
-impl SsdDevice for TimeSsd {
-    fn write(&mut self, lpa: Lpa, data: PageData, now: Nanos) -> Result<Completion> {
-        self.check_lpa(lpa)?;
-        self.background_compress_window(now)?;
-        self.flush_aged_tombstones(now)?;
-        self.idle.on_arrival(now);
-        self.maybe_gc(now)?;
-        let mut start = now.max(self.busy_until).max(self.last_ts + 1);
-        start += self.map_cache.access(lpa, true, &self.config.latency);
-        self.last_ts = start;
-        let back_ptr = self.amt.get(lpa).chain_head();
-        let finish = self.write_page(lpa, data, back_ptr, start, start)?;
-        self.stats.user_writes += 1;
-        self.stats.user_programs += 1;
-        self.period.user_writes += 1;
-        self.maybe_evaluate_period(start);
-        self.last_io_end = self.last_io_end.max(finish);
-        let completion = Completion { start, finish };
-        self.stats.write_lat.record(completion.response(now));
-        Ok(completion)
-    }
-
-    fn read(&mut self, lpa: Lpa, now: Nanos) -> Result<(PageData, Completion)> {
-        self.check_lpa(lpa)?;
-        self.background_compress_window(now)?;
-        self.flush_aged_tombstones(now)?;
-        self.idle.on_arrival(now);
-        let mut start = now.max(self.busy_until);
-        start += self.map_cache.access(lpa, false, &self.config.latency);
-        let completion;
-        let data = match self.amt.get(lpa) {
-            AmtEntry::Mapped(ppa) => {
-                let (data, _oob, finish) = self.flash.read(ppa, start)?;
-                completion = Completion { start, finish };
-                data
-            }
-            _ => {
-                let finish = start + self.config.latency.transfer_ns;
-                completion = Completion { start, finish };
-                PageData::Zeros
-            }
-        };
-        self.stats.user_reads += 1;
-        self.last_io_end = self.last_io_end.max(completion.finish);
-        self.stats.read_lat.record(completion.response(now));
-        Ok((data, completion))
-    }
-
-    fn trim(&mut self, lpa: Lpa, now: Nanos) -> Result<Completion> {
-        self.check_lpa(lpa)?;
-        self.flush_aged_tombstones(now)?;
-        self.idle.on_arrival(now);
-        self.maybe_gc(now)?;
-        let start = now.max(self.busy_until);
-        let mut finish = start + self.config.latency.transfer_ns;
-        if let AmtEntry::Mapped(old) = self.amt.get(lpa) {
-            // Invalidation times recorded in the Bloom chain must never
-            // regress: back-to-back writes push `last_ts` ahead of wall
-            // time, and a filter whose creation time exceeds an earlier
-            // filter's youngest entry would let `may_drop_oldest`
-            // overestimate those entries' ages and expire them early.
-            let inv_ts = start.max(self.last_ts);
-            // Journal the tombstone into the filter segment that records
-            // this invalidation *before* any RAM state changes, so record
-            // and versions expire together with the filter. The journal
-            // batches tombstones (`trim_journal_watermark`) and flushes on
-            // watermark, capacity, or a host flush barrier — between
-            // flushes an acked trim is volatile like any buffered delta
-            // (fsync semantics, §3.7 crash contract). A failed journal
-            // append leaves the trim un-applied — only a spurious Bloom
-            // insert remains, a false positive the filters tolerate by
-            // design.
-            let group = self.group_of(old);
-            let fid = self.chain.insert(group, inv_ts);
-            let out = self.deltas.journal_trim(
-                fid,
-                almanac_flash::DeltaRecord::trim(lpa, old, inv_ts),
-                &mut self.alloc,
-                &mut self.bst,
-                &mut self.flash,
-                start,
-            )?;
-            self.stats.delta_programs += out.programs;
-            finish = finish.max(out.finish);
-            // Remember the chain head (and when it stopped existing) so
-            // deleted data stays recoverable and as-of queries know the
-            // page read as zeros from here on.
-            self.amt.set(lpa, AmtEntry::Trimmed(old, inv_ts));
-            self.pvt.set(old, false);
-            let block = self.config.geometry.block_of(old);
-            self.bst.get_mut(block).valid -= 1;
-            self.bg_scan_pointless = false;
-            self.gmd.note_update(lpa);
-            // Later writes must timestamp strictly after the trim, or the
-            // on-flash order (journal record vs. rewrite) is ambiguous at
-            // rebuild time.
-            self.last_ts = inv_ts;
-        }
-        self.stats.user_trims += 1;
-        self.last_io_end = self.last_io_end.max(finish);
-        Ok(Completion { start, finish })
-    }
-
-    fn flush(&mut self, now: Nanos) -> Result<Completion> {
-        self.idle.on_arrival(now);
-        // A barrier fences every in-flight host op: it can start no earlier
-        // than the device frees up and finish no earlier than the last
-        // outstanding completion (`last_io_end`) — an fsync acked before the
-        // writes it fences would break the crash contract.
-        let start = now.max(self.busy_until);
-        let flushed = self.flush_buffers(start)?;
-        let finish = flushed
-            .max(self.last_io_end)
-            .saturating_add(self.config.flush_barrier_cost);
-        self.busy_until = self.busy_until.max(finish);
-        self.stats.host_flushes += 1;
-        self.last_io_end = self.last_io_end.max(finish);
-        let completion = Completion { start, finish };
-        self.stats.flush_lat.record(completion.response(now));
-        Ok(completion)
-    }
-}
-
-impl SsdReadOps for TimeSsd {
-    fn stats(&self) -> &DeviceStats {
-        &self.stats
-    }
-
-    fn exported_pages(&self) -> u64 {
-        self.amt.len()
-    }
-
-    fn kind(&self) -> &'static str {
-        "timessd"
-    }
-
-    fn read_view(&self) -> Option<query::SsdReadView<'_>> {
-        Some(TimeSsd::read_view(self))
+        self.policy.period.reset();
     }
 }

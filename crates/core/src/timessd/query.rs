@@ -65,7 +65,7 @@ const MAX_CHAIN: usize = 65_536;
 impl TimeSsd {
     /// Reads a delta page, transparently resolving unflushed buffers.
     pub(crate) fn delta_page_at(&self, ppa: Ppa) -> Option<DeltaPage> {
-        if let Some(page) = self.deltas.buffered_page(ppa) {
+        if let Some(page) = self.policy.deltas.buffered_page(ppa) {
             return Some(page.clone());
         }
         match self.flash.peek(ppa) {
@@ -75,11 +75,11 @@ impl TimeSsd {
     }
 
     pub(crate) fn delta_page_live(&self, ppa: Ppa) -> bool {
-        if self.deltas.buffered_page(ppa).is_some() {
+        if self.policy.deltas.buffered_page(ppa).is_some() {
             return true;
         }
         match self.bst.get(self.config.geometry.block_of(ppa)).kind {
-            BlockKind::Delta(fid) => self.chain.infos().iter().any(|i| i.id == fid),
+            BlockKind::Delta(fid) => self.policy.chain.infos().iter().any(|i| i.id == fid),
             _ => false,
         }
     }
@@ -131,7 +131,7 @@ impl TimeSsd {
                     // in-page record filter is strict, so equality never
                     // duplicates an entry — but skipping the jump would
                     // orphan the whole delta chain.
-                    cursor = match self.imt.head(lpa) {
+                    cursor = match self.policy.imt.head(lpa) {
                         Some((page, newest)) if newest <= min_ts => Some(page),
                         _ => None,
                     };
@@ -146,6 +146,7 @@ impl TimeSsd {
                 // the walk always terminates.
                 let bound = min_ts.min(repair_below);
                 let next = self
+                    .policy
                     .recovered_deltas
                     .get(&lpa)
                     .and_then(|list| list.iter().find(|(ts, _)| *ts < bound))
@@ -194,7 +195,7 @@ impl TimeSsd {
                     // and the walk falls back to the IMT head.
                     continue;
                 };
-                let buffered = self.deltas.buffered_page(ppa).is_some();
+                let buffered = self.policy.deltas.buffered_page(ppa).is_some();
                 out.push(VersionInfo {
                     lpa,
                     timestamp: rec.timestamp,
@@ -226,12 +227,12 @@ impl TimeSsd {
                         cursor = None;
                         continue; // broken link → try IMT
                     }
-                    if self.prt.is_reclaimable(ppa) {
+                    if self.policy.prt.is_reclaimable(ppa) {
                         // Compressed copy exists; the delta chain covers it.
                         cursor = None;
                         continue;
                     }
-                    if !self.chain.contains(self.group_of(ppa)) {
+                    if !self.policy.chain.contains(self.group_of(ppa)) {
                         break; // expired tail
                     }
                     out.push(VersionInfo {

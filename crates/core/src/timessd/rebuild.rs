@@ -29,12 +29,10 @@ use almanac_flash::{FlashArray, Lpa, Nanos, PageData, Ppa};
 use crate::alloc::Allocator;
 use crate::config::SsdConfig;
 use crate::stats::DeviceStats;
-use crate::tables::{AmtEntry, BlockKind, Bst, Gmd, Prt, Pvt, ShardedAmt, ShardedImt};
+use crate::tables::{AmtEntry, BlockKind, Bst, Prt, Pvt, ShardedAmt, ShardedImt};
 
 use super::deltas::DeltaManager;
-use super::idle::IdlePredictor;
-use super::retention::PeriodCounters;
-use super::TimeSsd;
+use super::{TimeSsd, TimeTravel};
 
 impl TimeSsd {
     /// Reconstructs a TimeSSD from a flash array (e.g. after power loss).
@@ -45,7 +43,6 @@ impl TimeSsd {
     pub fn recover_from_flash(flash: FlashArray, config: SsdConfig) -> Self {
         let geo = config.geometry;
         let exported = config.exported_pages();
-        let mappings_per_page = (geo.page_size / 8) as u64;
 
         let mut amt = ShardedAmt::new(exported, config.amt_shards);
         let mut pvt = Pvt::new(geo.total_pages());
@@ -248,31 +245,20 @@ impl TimeSsd {
             deltas.adopt_block(0, almanac_flash::BlockId(*block));
         }
 
+        let mut policy = TimeTravel::with_index(&config, prt, imt, chain, deltas);
+        policy.last_ts = last_ts;
+        policy.recovered_deltas = recovered_deltas;
         TimeSsd {
             flash,
             amt,
-            gmd: Gmd::new(exported, mappings_per_page),
             pvt,
-            prt,
             bst,
-            imt,
             alloc,
-            chain,
-            deltas,
             stats: DeviceStats::default(),
             busy_until: 0,
-            period: PeriodCounters::default(),
-            idle: IdlePredictor::new(config.idle_alpha, config.idle_threshold),
             last_io_end: 0,
-            last_ts,
-            bg_scan_pointless: false,
-            map_cache: crate::mapcache::ShardedMapCache::new(
-                mappings_per_page,
-                config.amt_cache_pages,
-                config.amt_shards,
-            ),
             wl_mark: 0,
-            recovered_deltas,
+            policy,
             config,
         }
     }

@@ -626,29 +626,35 @@ fn injected_op_faults_propagate_through_the_ftl() {
     assert_eq!(data, content(Lpa(3), 1));
 }
 
-/// A failed program must cost the host exactly the one write it hit, on
-/// every FTL. Regression: only TimeSSD rewound the allocator slot
-/// (`Allocator::unreserve_page`); on the baselines the allocator ran one
-/// page ahead of the chip's write pointer, so every later write into that
-/// block failed with `NonSequentialProgram` until the block was used up
-/// (7 errors instead of 1 for a fault on the fourth program).
+/// A failed program or erase must cost the host exactly the one write it
+/// hit, on every FTL, and leave the device usable. Regression: only TimeSSD
+/// rewound the allocator slot (`Allocator::unreserve_page`); on the
+/// baselines the allocator ran one page ahead of the chip's write pointer,
+/// so every later write into that block failed with `NonSequentialProgram`
+/// until the block was used up (7 errors instead of 1 for a fault on the
+/// fourth program).
 ///
 /// The workload fills three quarters of the device, then rewrites the even
-/// LPAs six times: GC victims stay half valid, so the swept fault index
+/// LPAs six times: GC victims stay half valid, so the swept program index
 /// lands on host programs and on each FTL's own migration programs (every
-/// FTL issues more than 520 programs here). Ops are three hours apart over
-/// 16-entry Bloom filters, so TimeSSD's retention window keeps moving and
-/// the tiny device never hits the §3.4 stall.
-fn program_fault_costs_exactly_one_write<D: SsdDevice>(make: impl Fn(SsdConfig) -> D) {
+/// FTL issues more than 520 programs here), and the swept erase index on GC
+/// erases of data and of delta blocks (every FTL erases at least 24
+/// blocks). Ops are three hours apart over 16-entry Bloom filters, so
+/// TimeSSD's retention window keeps moving and the tiny device never hits
+/// the §3.4 stall.
+fn flash_fault_costs_exactly_one_write<D: SsdDevice>(make: impl Fn(SsdConfig) -> D) {
     let mut cfg = SsdConfig::new(Geometry::small_test());
     cfg.bloom.capacity = 16;
     let set = cfg.exported_pages() * 3 / 4;
     let lpas: Vec<u64> = (0..set)
         .chain((0..6).flat_map(|_| (0..set).step_by(2)))
         .collect();
-    for nth in (0..520).step_by(13) {
-        let plan = FaultPlan::new(1).with_program_fault(nth);
-        let mut ssd = make(cfg.clone().with_fault_plan(plan));
+    let plans = (0..520)
+        .step_by(13)
+        .map(|nth| FaultPlan::new(1).with_program_fault(nth))
+        .chain((0..24).map(|nth| FaultPlan::new(1).with_erase_fault(nth)));
+    for plan in plans {
+        let mut ssd = make(cfg.clone().with_fault_plan(plan.clone()));
         let mut acked = BTreeMap::new();
         let mut errors = 0;
         let mut now = 0;
@@ -661,7 +667,7 @@ fn program_fault_costs_exactly_one_write<D: SsdDevice>(make: impl Fn(SsdConfig) 
                 Err(_) => errors += 1,
             }
         }
-        assert_eq!(errors, 1, "{}: program fault {nth}", ssd.kind());
+        assert_eq!(errors, 1, "{}: {plan:?}", ssd.kind());
         for (&l, &version) in &acked {
             let (data, _) = ssd.read(Lpa(l), now + DAY_NS).unwrap();
             assert_eq!(data, content(Lpa(l), version), "{}: {l}", ssd.kind());
@@ -671,9 +677,9 @@ fn program_fault_costs_exactly_one_write<D: SsdDevice>(make: impl Fn(SsdConfig) 
 
 #[test]
 fn program_fault_costs_exactly_one_write_on_every_ftl() {
-    program_fault_costs_exactly_one_write(RegularSsd::new);
-    program_fault_costs_exactly_one_write(FlashGuardSsd::new);
-    program_fault_costs_exactly_one_write(TimeSsd::new);
+    flash_fault_costs_exactly_one_write(RegularSsd::new);
+    flash_fault_costs_exactly_one_write(FlashGuardSsd::new);
+    flash_fault_costs_exactly_one_write(TimeSsd::new);
 }
 
 #[test]
