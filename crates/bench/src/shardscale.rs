@@ -1,8 +1,8 @@
-//! Shard scaling: ranged address queries through the sharded AMT at
+//! Shard scaling: ranged address queries partitioned `amt_shards` ways, at
 //! shards ∈ {1, 2, 4, 8} and host worker counts 1–8.
 //!
 //! The same mixed write/trim history is replayed onto one device per shard
-//! count (sharding must be invisible to content), then the full-span
+//! count (the tables are flat, so content cannot depend on it), then the full-span
 //! [`AddrQuery`] workload runs at each worker count. The figure reports the
 //! deterministic virtual makespan from
 //! [`AddrQueryOutcome::makespan`](almanac_kits::AddrQueryOutcome::makespan):
@@ -24,7 +24,7 @@ pub const THREADS: [u32; 5] = [1, 2, 4, 6, 8];
 /// One shard count's measurements for the shared query workload.
 #[derive(Debug, Clone)]
 pub struct Row {
-    /// AMT shard count.
+    /// Scan partition width (`amt_shards`).
     pub shards: u32,
     /// Versions returned by the query workload (shard-invariant).
     pub hits: u64,

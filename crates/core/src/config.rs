@@ -84,12 +84,13 @@ pub struct SsdConfig {
     /// than this long ago, so rarely-trimming workloads don't hold acked
     /// trims volatile indefinitely between barriers. `0` disables aging.
     pub tombstone_flush_deadline: Nanos,
-    /// Partitions of the address-mapping table (and the IMT / map-cache
-    /// slices riding on it), keyed by `lpa % amt_shards`. Storage-state
-    /// queries fan across shards, one worker per shard at most, through
-    /// `&self`; the write path keeps exclusive access through `&mut self`.
-    /// Defaults to the channel count; clamped to at least 1. Shard count
-    /// never changes host-visible state — only query parallelism.
+    /// Partition width of the scan schedule: a ranged storage-state query
+    /// splits its LPA span into `amt_shards` strided partitions and fans
+    /// them across at most that many workers through `&self`. Never a
+    /// storage property — the AMT, the IMT and the map cache are flat
+    /// tables nothing indexes with it — so it changes neither host-visible
+    /// state nor completion times, only query parallelism. Defaults to the
+    /// channel count; clamped to at least 1.
     pub amt_shards: u32,
 }
 
@@ -186,7 +187,7 @@ impl SsdConfig {
         self
     }
 
-    /// Sets the mapping-table shard count (clamped to at least 1).
+    /// Sets the scan partition width (clamped to at least 1).
     pub fn with_amt_shards(mut self, shards: u32) -> Self {
         self.amt_shards = shards.max(1);
         self

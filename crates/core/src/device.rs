@@ -27,7 +27,7 @@ impl Completion {
 ///
 /// Splitting these off [`SsdDevice`] is what lets the storage-state query
 /// path run without exclusive access to the device — the NVMe front end can
-/// fan queries across mapping-table shards while holding only `&self`,
+/// fan queries across LPA partitions while holding only `&self`,
 /// instead of funnelling every lookup through the `&mut` command path.
 pub trait SsdReadOps {
     /// Cumulative statistics.

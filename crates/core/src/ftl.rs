@@ -170,7 +170,7 @@ impl<R: Retention> Ftl<R> {
         let geo = config.geometry;
         Ftl {
             flash,
-            amt: ShardedAmt::new(config.exported_pages(), config.amt_shards),
+            amt: ShardedAmt::new(config.exported_pages(), 1),
             pvt: Pvt::new(geo.total_pages()),
             bst: Bst::new(geo.total_blocks()),
             alloc: Allocator::new(geo),

@@ -52,10 +52,10 @@ pub use device::{Completion, SsdDevice, SsdReadOps};
 pub use error::{AlmanacError, Result};
 pub use flashguard::{FlashGuardSsd, ReadGated};
 pub use ftl::{Ftl, HostOp, Retention};
-pub use mapcache::{MapCache, ShardedMapCache};
+pub use mapcache::MapCache;
 pub use regular::{Discard, RegularSsd};
 pub use stats::{DeviceStats, LatencyAcc};
-pub use tables::{AmtEntry, BlockInfo, BlockKind, Bst, Imt, Prt, Pvt, ShardedAmt, ShardedImt};
+pub use tables::{AmtEntry, BlockInfo, BlockKind, Bst, Imt, Prt, Pvt, ShardedAmt};
 pub use timessd::check::{ConsistencyReport, Violation};
 pub use timessd::query::{SsdReadView, VersionInfo, VersionLocation};
 pub use timessd::retention::PeriodCounters;
@@ -70,5 +70,4 @@ const _: () = {
     assert_send_sync::<TimeSsd>();
     assert_send_sync::<SsdReadView<'static>>();
     assert_send_sync::<ShardedAmt>();
-    assert_send_sync::<ShardedImt>();
 };

@@ -80,56 +80,6 @@ impl MapCache {
     }
 }
 
-/// Per-shard translation-page caches riding on the sharded AMT.
-///
-/// Shard `s` caches the translation pages of the LPAs it owns
-/// (`lpa % shards == s`), indexed by the shard-local address `lpa / shards`
-/// so each slice sees a dense key space. The configured capacity is divided
-/// across the shards (remainder pages to the lowest shards, every live
-/// slice at least one page). With one shard this is exactly [`MapCache`].
-///
-/// The cache is a *timing* model: shard count changes which accesses fault
-/// and when — it never changes host-visible data. Equivalence suites that
-/// compare shard counts therefore run with the cache disabled (the
-/// default), as DESIGN.md §5g spells out.
-#[derive(Debug, Clone)]
-pub struct ShardedMapCache {
-    shards: Vec<MapCache>,
-}
-
-impl ShardedMapCache {
-    /// Builds `shards` slices (clamped to at least 1) of `per_page`
-    /// mappings each, splitting `capacity` across them; `None` disables the
-    /// model everywhere.
-    pub fn new(per_page: u64, capacity: Option<usize>, shards: u32) -> Self {
-        let n = shards.max(1) as usize;
-        let slices = (0..n)
-            .map(|s| {
-                let slice = capacity.map(|c| (c / n + usize::from(s < c % n)).max(1));
-                MapCache::new(per_page, slice)
-            })
-            .collect();
-        ShardedMapCache { shards: slices }
-    }
-
-    /// Touches the translation page covering `lpa` in its owning shard;
-    /// returns the virtual-time cost of any fault and writeback.
-    pub fn access(&mut self, lpa: Lpa, dirty: bool, lat: &LatencyConfig) -> Nanos {
-        let n = self.shards.len() as u64;
-        self.shards[(lpa.0 % n) as usize].access(Lpa(lpa.0 / n), dirty, lat)
-    }
-
-    /// Translation-page reads (cache misses) across all shards.
-    pub fn fault_reads(&self) -> u64 {
-        self.shards.iter().map(|s| s.fault_reads).sum()
-    }
-
-    /// Translation-page writes (dirty evictions) across all shards.
-    pub fn writeback_writes(&self) -> u64 {
-        self.shards.iter().map(|s| s.writeback_writes).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,42 +137,6 @@ mod tests {
         c.access(Lpa(0), false, &l); // [1, 0] — 0 refreshed
         c.access(Lpa(2), false, &l); // evicts 1
         assert_eq!(c.access(Lpa(0), false, &l), 0, "hot page was evicted");
-    }
-
-    #[test]
-    fn single_shard_cache_is_exactly_the_flat_cache() {
-        let l = lat();
-        let mut flat = MapCache::new(64, Some(3));
-        let mut sharded = ShardedMapCache::new(64, Some(3), 1);
-        for i in [0u64, 63, 64, 500, 0, 129, 64] {
-            assert_eq!(
-                flat.access(Lpa(i), i % 2 == 0, &l),
-                sharded.access(Lpa(i), i % 2 == 0, &l)
-            );
-        }
-        assert_eq!(flat.fault_reads, sharded.fault_reads());
-        assert_eq!(flat.writeback_writes, sharded.writeback_writes());
-    }
-
-    #[test]
-    fn sharded_cache_routes_by_lpa_mod_shards() {
-        let l = lat();
-        let mut c = ShardedMapCache::new(1, Some(8), 4);
-        // Lpa 0 and 4 land in shard 0 at local pages 0 and 1: two faults.
-        c.access(Lpa(0), false, &l);
-        c.access(Lpa(4), false, &l);
-        assert_eq!(c.fault_reads(), 2);
-        // Lpa 1 is shard 1, a fresh slice: another fault; repeat hits.
-        assert_eq!(c.access(Lpa(1), false, &l), l.read_total());
-        assert_eq!(c.access(Lpa(1), false, &l), 0);
-    }
-
-    #[test]
-    fn disabled_sharded_cache_is_free() {
-        let mut c = ShardedMapCache::new(512, None, 8);
-        assert_eq!(c.access(Lpa(77), true, &lat()), 0);
-        assert_eq!(c.fault_reads(), 0);
-        assert_eq!(c.writeback_writes(), 0);
     }
 
     #[test]

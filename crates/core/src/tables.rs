@@ -3,7 +3,7 @@
 //! These mirror Figure 3 of the paper. Structures ①–④ exist in a regular
 //! SSD: the address mapping table (AMT), global mapping directory (GMD —
 //! the demand-cached translation pages, modelled by
-//! [`ShardedMapCache`](crate::ShardedMapCache)), block status table (BST),
+//! [`MapCache`](crate::MapCache)), block status table (BST),
 //! and page validity table (PVT). TimeSSD adds
 //! ⑤–⑧: the index mapping table (IMT), page reclamation table (PRT), the
 //! Bloom filters (in `almanac-bloom`), and the delta buffers (in
@@ -252,72 +252,37 @@ impl Imt {
     }
 }
 
-/// Address mapping table ①: LPA → PPA for the latest valid version,
-/// sharded by `lpa % shards`.
+/// Address mapping table ①: LPA → PPA for the latest valid version.
 ///
-/// Shard `s` owns every exported LPA congruent to `s`, stored densely at
-/// local slot `lpa / shards`. Shards are plain vectors: a storage-state
-/// query holds `&self` (any number of readers, one per shard worker) while
-/// the FTL write path holds `&mut self`, so the borrow checker already
-/// guarantees readers-xor-writer and no lock is needed. Host-visible
-/// behaviour is identical for every shard count; a 1-shard table is the
-/// flat table the baseline FTLs use.
+/// One dense vector indexed by LPA, as in the paper's firmware (§3.7). A
+/// storage-state query holds `&self` (any number of readers) while the FTL
+/// write path holds `&mut self`, so the borrow checker already guarantees
+/// readers-xor-writer and no lock is needed. How a ranged query partitions
+/// the LPA span across workers ([`SsdConfig::amt_shards`](crate::SsdConfig))
+/// is the query engine's business and never reaches this table.
 #[derive(Debug, Clone)]
 pub struct ShardedAmt {
-    shards: Vec<Vec<AmtEntry>>,
-    nshards: u64,
-    exported: u64,
+    entries: Vec<AmtEntry>,
 }
 
 impl ShardedAmt {
-    /// All-unmapped table over `exported_pages` LPAs split into `shards`
-    /// partitions (clamped to at least 1).
-    pub fn new(exported_pages: u64, shards: u32) -> Self {
-        let nshards = u64::from(shards.max(1));
-        let shards = (0..nshards)
-            .map(|s| {
-                // LPAs in [0, exported) congruent to s mod nshards.
-                let local = exported_pages.saturating_sub(s).div_ceil(nshards);
-                vec![AmtEntry::Unmapped; local as usize]
-            })
-            .collect();
+    /// All-unmapped table over `exported_pages` LPAs. The second argument
+    /// is ignored: it survives only because `benchmark/` compiles against
+    /// this signature, and goes with the rename to `Amt`.
+    pub fn new(exported_pages: u64, _shards: u32) -> Self {
         ShardedAmt {
-            shards,
-            nshards,
-            exported: exported_pages,
+            entries: vec![AmtEntry::Unmapped; exported_pages as usize],
         }
     }
 
-    /// Number of logical pages (across all shards).
+    /// Number of logical pages.
     pub fn len(&self) -> u64 {
-        self.exported
+        self.entries.len() as u64
     }
 
     /// True if the table covers zero pages.
     pub fn is_empty(&self) -> bool {
-        self.exported == 0
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> u32 {
-        self.nshards as u32
-    }
-
-    /// Entries currently held by shard `s` that are not `Unmapped` — the
-    /// occupancy the [`ShardSkew`](crate::Violation) audit compares across
-    /// shards. Out-of-range shards read as 0.
-    pub fn shard_occupancy(&self, shard: u32) -> u64 {
-        self.shards.get(shard as usize).map_or(0, |s| {
-            s.iter()
-                .filter(|e| !matches!(e, AmtEntry::Unmapped))
-                .count() as u64
-        })
-    }
-
-    /// `(shard, local slot)` of an in-range LPA.
-    fn locate(&self, lpa: Lpa) -> (usize, usize) {
-        let (shard, slot) = (lpa.0 % self.nshards, lpa.0 / self.nshards);
-        (shard as usize, slot as usize)
+        self.entries.is_empty()
     }
 
     /// Looks up an entry. Out-of-range addresses read as `Unmapped`: LPAs
@@ -325,80 +290,29 @@ impl ShardedAmt {
     /// escapes), and the index must degrade to "no such page" rather than
     /// panic.
     pub fn get(&self, lpa: Lpa) -> AmtEntry {
-        if lpa.0 >= self.exported {
-            return AmtEntry::Unmapped;
-        }
-        let (shard, slot) = self.locate(lpa);
-        self.shards[shard][slot]
+        self.entries
+            .get(lpa.0 as usize)
+            .copied()
+            .unwrap_or_default()
     }
 
     /// Replaces an entry, returning the previous one. Out-of-range addresses
     /// are ignored (and read back as `Unmapped`) for the same reason as
     /// [`ShardedAmt::get`].
     pub fn set(&mut self, lpa: Lpa, entry: AmtEntry) -> AmtEntry {
-        if lpa.0 >= self.exported {
-            return AmtEntry::Unmapped;
+        match self.entries.get_mut(lpa.0 as usize) {
+            Some(slot) => std::mem::replace(slot, entry),
+            None => AmtEntry::Unmapped,
         }
-        let (shard, slot) = self.locate(lpa);
-        std::mem::replace(&mut self.shards[shard][slot], entry)
     }
 
-    /// Iterates over `(lpa, entry)` pairs in global LPA order, which GC's
-    /// reverse lookup and the consistency checker rely on for determinism.
+    /// Iterates over `(lpa, entry)` pairs in LPA order, which GC's reverse
+    /// lookup and the consistency checker rely on for determinism.
     pub fn iter(&self) -> impl Iterator<Item = (Lpa, AmtEntry)> + '_ {
-        (0..self.exported).map(|lpa| (Lpa(lpa), self.get(Lpa(lpa))))
-    }
-}
-
-/// Index mapping table ⑤ sharded by `lpa % shards`, mirroring
-/// [`ShardedAmt`]: delta-chain heads live with the shard that owns the LPA,
-/// so a ranged query touches only the shards its LPAs hash to.
-#[derive(Debug, Clone)]
-pub struct ShardedImt {
-    shards: Vec<Imt>,
-    nshards: u64,
-}
-
-impl ShardedImt {
-    /// Empty table split into `shards` partitions (clamped to at least 1).
-    pub fn new(shards: u32) -> Self {
-        let nshards = u64::from(shards.max(1));
-        ShardedImt {
-            shards: vec![Imt::new(); nshards as usize],
-            nshards,
-        }
-    }
-
-    /// Head of the delta chain for `lpa`.
-    pub fn head(&self, lpa: Lpa) -> Option<(Ppa, Nanos)> {
-        self.shards[(lpa.0 % self.nshards) as usize].head(lpa)
-    }
-
-    /// Updates the chain head.
-    pub fn set_head(&mut self, lpa: Lpa, page: Ppa, newest_ts: Nanos) {
-        self.shards[(lpa.0 % self.nshards) as usize].set_head(lpa, page, newest_ts)
-    }
-
-    /// Removes the chain head (when the whole delta chain expired).
-    pub fn remove(&mut self, lpa: Lpa) -> Option<(Ppa, Nanos)> {
-        self.shards[(lpa.0 % self.nshards) as usize].remove(lpa)
-    }
-
-    /// Iterates every `(lpa, (delta page, newest ts))` head, shard by shard.
-    /// Order within a shard is hash order (as with [`Imt::iter`]); callers
-    /// must already be order-independent.
-    pub fn iter(&self) -> impl Iterator<Item = (Lpa, (Ppa, Nanos))> + '_ {
-        self.shards.iter().flat_map(Imt::iter)
-    }
-
-    /// Number of LPAs with compressed versions (across all shards).
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(Imt::len).sum()
-    }
-
-    /// True if no LPA has compressed versions.
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(Imt::is_empty)
+        self.entries
+            .iter()
+            .enumerate()
+            .map(|(i, e)| (Lpa(i as u64), *e))
     }
 }
 
@@ -465,15 +379,14 @@ mod tests {
 
     #[test]
     fn sharded_amt_matches_flat_amt_for_every_shard_count() {
-        // Byte-identical behaviour regardless of shard count, including an
-        // exported size that does not divide evenly.
+        // Byte-identical behaviour whatever shard count the caller still
+        // passes, including one that does not divide the exported size.
         let exported = 37u64;
         for shards in [1u32, 2, 3, 4, 8, 64] {
             // The reference model: one flat vector indexed by LPA.
             let mut flat = vec![AmtEntry::Unmapped; exported as usize];
             let mut sharded = ShardedAmt::new(exported, shards);
             assert_eq!(sharded.len(), exported);
-            assert_eq!(sharded.shard_count(), shards);
             for i in 0..exported {
                 let entry = match i % 3 {
                     0 => AmtEntry::Mapped(Ppa(i * 7)),
@@ -511,39 +424,5 @@ mod tests {
         let b = a.clone();
         a.set(Lpa(5), AmtEntry::Unmapped);
         assert_eq!(b.get(Lpa(5)), AmtEntry::Mapped(Ppa(50)));
-    }
-
-    #[test]
-    fn sharded_amt_occupancy_counts_mapped_and_trimmed() {
-        let mut amt = ShardedAmt::new(16, 4);
-        amt.set(Lpa(0), AmtEntry::Mapped(Ppa(1))); // shard 0
-        amt.set(Lpa(4), AmtEntry::Trimmed(Ppa(2), 9)); // shard 0
-        amt.set(Lpa(1), AmtEntry::Mapped(Ppa(3))); // shard 1
-        assert_eq!(amt.shard_occupancy(0), 2);
-        assert_eq!(amt.shard_occupancy(1), 1);
-        assert_eq!(amt.shard_occupancy(2), 0);
-        assert_eq!(amt.shard_occupancy(99), 0);
-    }
-
-    #[test]
-    fn sharded_imt_matches_flat_imt() {
-        let mut flat = Imt::new();
-        let mut sharded = ShardedImt::new(4);
-        for i in 0..20u64 {
-            flat.set_head(Lpa(i), Ppa(i * 3), i as Nanos);
-            sharded.set_head(Lpa(i), Ppa(i * 3), i as Nanos);
-        }
-        for i in 0..24u64 {
-            assert_eq!(flat.head(Lpa(i)), sharded.head(Lpa(i)));
-        }
-        assert_eq!(flat.len(), sharded.len());
-        let mut a: Vec<_> = flat.iter().collect();
-        let mut b: Vec<_> = sharded.iter().collect();
-        a.sort_by_key(|(l, _)| l.0);
-        b.sort_by_key(|(l, _)| l.0);
-        assert_eq!(a, b);
-        assert_eq!(sharded.remove(Lpa(3)), Some((Ppa(9), 3)));
-        assert!(sharded.head(Lpa(3)).is_none());
-        assert!(!sharded.is_empty());
     }
 }

@@ -59,19 +59,6 @@ pub enum Violation {
         /// The configured bound.
         deadline: u64,
     },
-    /// One AMT shard holds more than twice the mean occupancy — the
-    /// `lpa % shards` partition degenerated and parallel queries would
-    /// serialize on that shard. Reported only by the explicitly-invoked
-    /// [`TimeSsd::check_shard_skew`] audit (a small hot working set skews
-    /// trivially, so this is not part of `check_consistency`).
-    ShardSkew {
-        /// The overloaded shard.
-        shard: u32,
-        /// Non-unmapped entries it holds.
-        occupancy: u64,
-        /// Mean occupancy across all shards.
-        mean: u64,
-    },
 }
 
 impl fmt::Display for Violation {
@@ -117,16 +104,6 @@ impl fmt::Display for Violation {
                 write!(
                     f,
                     "pending tombstone volatile for {age}ns, past the {deadline}ns deadline"
-                )
-            }
-            Violation::ShardSkew {
-                shard,
-                occupancy,
-                mean,
-            } => {
-                write!(
-                    f,
-                    "AMT shard {shard} holds {occupancy} entries, >2x the mean {mean}"
                 )
             }
         }
@@ -360,34 +337,6 @@ impl TimeSsd {
         }
         report
     }
-
-    /// Audits the balance of the `lpa % shards` partition: flags any shard
-    /// holding more than twice the mean non-unmapped occupancy.
-    ///
-    /// Meaningful only when the working set is large relative to the shard
-    /// count (uniform load) — a handful of hot LPAs skews trivially, which
-    /// is why this audit is opt-in rather than part of
-    /// [`check_consistency`](Self::check_consistency). Returns an empty list
-    /// when the mean occupancy is below one entry per shard.
-    pub fn check_shard_skew(&self) -> Vec<Violation> {
-        let shards = self.amt.shard_count();
-        let occupancy: Vec<u64> = (0..shards).map(|s| self.amt.shard_occupancy(s)).collect();
-        let total: u64 = occupancy.iter().sum();
-        let mean = total / u64::from(shards.max(1));
-        if mean == 0 {
-            return Vec::new();
-        }
-        occupancy
-            .iter()
-            .enumerate()
-            .filter(|(_, &occ)| occ > 2 * mean)
-            .map(|(s, &occ)| Violation::ShardSkew {
-                shard: s as u32,
-                occupancy: occ,
-                mean,
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -402,67 +351,6 @@ mod tests {
         let ssd = TimeSsd::new(SsdConfig::new(Geometry::small_test()));
         let report = ssd.check_consistency();
         assert!(report.is_clean(), "{:?}", report.violations);
-    }
-
-    #[test]
-    fn uniform_load_passes_the_shard_skew_audit() {
-        let mut ssd = TimeSsd::new(SsdConfig::new(Geometry::medium_test()).with_amt_shards(4));
-        let mut now = SEC_NS;
-        for i in 0..64u64 {
-            let c = ssd
-                .write(
-                    Lpa(i),
-                    PageData::Synthetic {
-                        seed: i,
-                        version: 0,
-                    },
-                    now,
-                )
-                .unwrap();
-            now = c.finish + SEC_NS;
-        }
-        assert!(ssd.check_shard_skew().is_empty());
-    }
-
-    #[test]
-    fn degenerate_stride_trips_the_shard_skew_audit() {
-        // Writing only multiples of the shard count piles every entry onto
-        // shard 0.
-        let mut ssd = TimeSsd::new(SsdConfig::new(Geometry::medium_test()).with_amt_shards(4));
-        let mut now = SEC_NS;
-        for i in 0..16u64 {
-            let c = ssd
-                .write(
-                    Lpa(i * 4),
-                    PageData::Synthetic {
-                        seed: i,
-                        version: 0,
-                    },
-                    now,
-                )
-                .unwrap();
-            now = c.finish + SEC_NS;
-        }
-        let skew = ssd.check_shard_skew();
-        assert!(
-            skew.iter().any(|v| matches!(
-                v,
-                Violation::ShardSkew {
-                    shard: 0,
-                    occupancy: 16,
-                    mean: 4,
-                }
-            )),
-            "{skew:?}"
-        );
-        // But it never pollutes the default consistency report.
-        assert!(ssd.check_consistency().is_clean());
-    }
-
-    #[test]
-    fn empty_device_skips_the_skew_audit() {
-        let ssd = TimeSsd::new(SsdConfig::new(Geometry::small_test()).with_amt_shards(8));
-        assert!(ssd.check_shard_skew().is_empty());
     }
 
     #[test]

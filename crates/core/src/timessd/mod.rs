@@ -35,8 +35,8 @@ use almanac_flash::{BlockId, DeltaRecord, Lpa, Nanos, Ppa};
 use crate::config::SsdConfig;
 use crate::error::Result;
 use crate::ftl::{sealed::Sealed, Ftl, HostOp, Retention};
-use crate::mapcache::ShardedMapCache;
-use crate::tables::{AmtEntry, BlockKind, Prt, ShardedImt};
+use crate::mapcache::MapCache;
+use crate::tables::{AmtEntry, BlockKind, Imt, Prt};
 
 use deltas::DeltaManager;
 use idle::IdlePredictor;
@@ -56,7 +56,7 @@ const IDLE_ALPHA: f64 = 0.5;
 #[derive(Clone)]
 pub struct TimeTravel {
     pub(crate) prt: Prt,
-    pub(crate) imt: ShardedImt,
+    pub(crate) imt: Imt,
     pub(crate) chain: BloomChain,
     pub(crate) deltas: DeltaManager,
     pub(crate) period: PeriodCounters,
@@ -68,9 +68,9 @@ pub struct TimeTravel {
     /// Perf guard: set when the last background-compression scan found no
     /// candidate block; cleared by the next invalidation.
     pub(crate) bg_scan_pointless: bool,
-    /// DFTL-style demand cache of the AMT's translation pages, sliced per
-    /// shard alongside the AMT itself.
-    pub(crate) map_cache: ShardedMapCache,
+    /// DFTL-style demand cache of the AMT's translation pages: one LRU over
+    /// the whole table.
+    pub(crate) map_cache: MapCache,
     /// Repair index built by the §3.7 rebuild scan: every on-flash delta
     /// record per LPA, newest first. Delta records link through back-pointers
     /// that may name a delta *buffer* page lost in a power cut; this index
@@ -85,7 +85,7 @@ impl TimeTravel {
     pub(crate) fn with_index(
         config: &SsdConfig,
         prt: Prt,
-        imt: ShardedImt,
+        imt: Imt,
         chain: BloomChain,
         deltas: DeltaManager,
     ) -> Self {
@@ -99,11 +99,7 @@ impl TimeTravel {
             idle: IdlePredictor::new(IDLE_ALPHA, config.idle_threshold),
             last_ts: 0,
             bg_scan_pointless: false,
-            map_cache: ShardedMapCache::new(
-                mappings_per_page,
-                config.amt_cache_pages,
-                config.amt_shards,
-            ),
+            map_cache: MapCache::new(mappings_per_page, config.amt_cache_pages),
             recovered_deltas: HashMap::new(),
         }
     }
@@ -135,7 +131,7 @@ impl Retention for TimeTravel {
         TimeTravel::with_index(
             config,
             Prt::new(geo.total_pages()),
-            ShardedImt::new(config.amt_shards),
+            Imt::new(),
             BloomChain::new(config.bloom),
             DeltaManager::new(geo, config.trim_journal_watermark),
         )
@@ -306,14 +302,15 @@ impl TimeSsd {
     /// Translation-page cache traffic: `(fault reads, dirty writebacks)`.
     pub fn map_cache_traffic(&self) -> (u64, u64) {
         (
-            self.policy.map_cache.fault_reads(),
-            self.policy.map_cache.writeback_writes(),
+            self.policy.map_cache.fault_reads,
+            self.policy.map_cache.writeback_writes,
         )
     }
 
-    /// Number of mapping-table shards this device was built with.
+    /// Partition width a ranged query over this device strides by (see
+    /// [`SsdConfig::amt_shards`]); at least 1.
     pub fn amt_shards(&self) -> u32 {
-        self.amt.shard_count()
+        self.config.amt_shards.max(1)
     }
 
     /// Flushes all pending delta buffers to flash. This is the host

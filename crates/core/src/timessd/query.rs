@@ -389,7 +389,7 @@ impl TimeSsd {
     }
 
     /// Shared-access view over this device's retained history — the `&self`
-    /// query path the sharded AMT was built for. Equivalent to
+    /// query path parallel queries run on. Equivalent to
     /// [`SsdReadOps::read_view`](crate::SsdReadOps::read_view) without the
     /// trait-object indirection.
     pub fn read_view(&self) -> SsdReadView<'_> {
@@ -416,7 +416,7 @@ impl std::fmt::Debug for SsdReadView<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SsdReadView")
             .field("exported_pages", &self.ssd.amt.len())
-            .field("amt_shards", &self.ssd.amt.shard_count())
+            .field("amt_shards", &self.amt_shards())
             .finish()
     }
 }
@@ -425,46 +425,6 @@ impl<'a> SsdReadView<'a> {
     /// The underlying device (for cost models that need latency/config).
     pub fn device(&self) -> &'a TimeSsd {
         self.ssd
-    }
-
-    /// See [`TimeSsd::version_chain`].
-    pub fn version_chain(&self, lpa: Lpa) -> Vec<VersionInfo> {
-        self.ssd.version_chain(lpa)
-    }
-
-    /// See [`TimeSsd::version_as_of`].
-    pub fn version_as_of(&self, lpa: Lpa, at: Nanos) -> Option<VersionInfo> {
-        self.ssd.version_as_of(lpa, at)
-    }
-
-    /// See [`TimeSsd::versions_in`].
-    pub fn versions_in(&self, lpa: Lpa, from: Nanos, to: Nanos) -> Vec<VersionInfo> {
-        self.ssd.versions_in(lpa, from, to)
-    }
-
-    /// See [`TimeSsd::version_content`].
-    pub fn version_content(&self, lpa: Lpa, timestamp: Nanos) -> Result<PageData> {
-        self.ssd.version_content(lpa, timestamp)
-    }
-
-    /// See [`TimeSsd::version_content_with_key`].
-    pub fn version_content_with_key(
-        &self,
-        lpa: Lpa,
-        timestamp: Nanos,
-        key: Option<u64>,
-    ) -> Result<PageData> {
-        self.ssd.version_content_with_key(lpa, timestamp, key)
-    }
-
-    /// See [`TimeSsd::is_mapped`].
-    pub fn is_mapped(&self, lpa: Lpa) -> bool {
-        self.ssd.is_mapped(lpa)
-    }
-
-    /// See [`TimeSsd::trimmed_at`].
-    pub fn trimmed_at(&self, lpa: Lpa) -> Option<Nanos> {
-        self.ssd.trimmed_at(lpa)
     }
 
     /// See [`TimeSsd::geometry`].
@@ -477,9 +437,9 @@ impl<'a> SsdReadView<'a> {
         self.ssd.amt.len()
     }
 
-    /// Mapping-table shards behind this view — the natural fan-out width
-    /// for a parallel ranged query.
+    /// Partition width for a parallel ranged query over this view (see
+    /// [`SsdConfig::amt_shards`](crate::SsdConfig)).
     pub fn amt_shards(&self) -> u32 {
-        self.ssd.amt.shard_count()
+        self.ssd.amt_shards()
     }
 }

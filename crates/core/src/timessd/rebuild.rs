@@ -29,7 +29,7 @@ use almanac_flash::{FlashArray, Lpa, Nanos, PageData, Ppa};
 use crate::alloc::Allocator;
 use crate::config::SsdConfig;
 use crate::stats::DeviceStats;
-use crate::tables::{AmtEntry, BlockKind, Bst, Prt, Pvt, ShardedAmt, ShardedImt};
+use crate::tables::{AmtEntry, BlockKind, Bst, Imt, Prt, Pvt, ShardedAmt};
 
 use super::deltas::DeltaManager;
 use super::{TimeSsd, TimeTravel};
@@ -44,11 +44,11 @@ impl TimeSsd {
         let geo = config.geometry;
         let exported = config.exported_pages();
 
-        let mut amt = ShardedAmt::new(exported, config.amt_shards);
+        let mut amt = ShardedAmt::new(exported, 1);
         let mut pvt = Pvt::new(geo.total_pages());
         let mut prt = Prt::new(geo.total_pages());
         let mut bst = Bst::new(geo.total_blocks());
-        let mut imt = ShardedImt::new(config.amt_shards);
+        let mut imt = Imt::new();
         let mut chain = BloomChain::new(config.bloom);
         let mut alloc = Allocator::new(geo);
         let mut last_ts: Nanos = 0;

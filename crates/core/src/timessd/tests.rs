@@ -630,6 +630,55 @@ fn amt_demand_cache_charges_faults() {
     assert_eq!(ssd.map_cache_traffic().0, 0);
 }
 
+#[test]
+fn amt_cache_capacity_is_exact() {
+    // Three cached translation pages, four cycled: an LRU of exactly three
+    // faults on every access, even when the capacity is below `amt_shards`.
+    let mut cfg = medium_cfg().with_amt_shards(8);
+    cfg.amt_cache_pages = Some(3);
+    let mut ssd = TimeSsd::new(cfg);
+    let stride = (ssd.geometry().page_size / 8) as u64; // mappings/page
+    for i in 0..40u64 {
+        ssd.read(Lpa((i % 4) * stride), (i + 1) * SEC_NS).unwrap();
+        assert_eq!(ssd.map_cache_traffic().0, i + 1, "access {i} hit");
+    }
+}
+
+#[test]
+fn completions_and_cache_traffic_ignore_the_partition_width() {
+    // The map cache is one LRU over the whole table, so `amt_shards` — the
+    // query schedule's partition width — moves neither a completion time
+    // nor a fault, even with a cache small enough to thrash.
+    let run = |shards: u32| {
+        let mut cfg = medium_cfg().with_amt_shards(shards);
+        cfg.amt_cache_pages = Some(4);
+        let mut ssd = TimeSsd::new(cfg);
+        let exported = ssd.exported_pages();
+        let mut now = SEC_NS;
+        let mut completions = Vec::new();
+        for i in 0..600u64 {
+            // A stride coprime to the exported size walks every
+            // translation page; every third op re-reads a recent page.
+            let lpa = Lpa((i * 617) % exported);
+            let c = match i % 3 {
+                0 | 1 => ssd.write(lpa, synthetic(lpa.0, i), now).unwrap(),
+                _ => ssd.read(Lpa(((i - 1) * 617) % exported), now).unwrap().1,
+            };
+            if i % 50 == 49 {
+                completions.push(ssd.trim(lpa, c.finish).unwrap());
+            }
+            now = c.finish + MS_NS;
+            completions.push(c);
+        }
+        (completions, ssd.map_cache_traffic())
+    };
+    let base = run(1);
+    assert!(base.1 .0 > 100 && base.1 .1 > 0, "cache never thrashed");
+    for shards in [3, 8] {
+        assert_eq!(base, run(shards), "amt_shards = {shards}");
+    }
+}
+
 /// The hot/cold workload of the wear-leveling tests: write a cold region
 /// (the whole device) once, then hammer a tiny hot set of 64 LPAs. Calls `step(ssd, result, i)` after
 /// every write until it returns false.

@@ -5,8 +5,8 @@
 //! builder so there is a single dispatch point for the parallel read path.
 //! The traversal itself is a per-LPA closure over the crate's shard-aligned
 //! scan engine (`engine::scan`), which fans the clamped LPA span across the
-//! device's AMT shards on scoped threads and merges per-shard hits and
-//! [`QueryCost`]s deterministically.
+//! device's `amt_shards` partitions ("shards") on scoped threads and merges
+//! per-shard hits and [`QueryCost`]s deterministically.
 
 use almanac_core::{Result, SsdReadView, TimeSsd, VersionInfo};
 use almanac_flash::{Lpa, Nanos};
@@ -64,7 +64,7 @@ pub struct AddrQueryOutcome {
     /// Total retrieval cost, merged across shards in shard-index order;
     /// equal to the cost the serial scan would have accumulated.
     pub cost: QueryCost,
-    /// Per-shard retrieval costs (index = AMT shard), for the sharded
+    /// Per-shard retrieval costs (index = `lpa % amt_shards`), for the sharded
     /// scheduling model of [`AddrQueryOutcome::makespan`].
     pub shard_costs: Vec<QueryCost>,
 }
@@ -75,7 +75,7 @@ impl AddrQueryOutcome {
     /// exactly one worker), each worker runs its shards back to back,
     /// workers overlap. With one shard every thread
     /// count degenerates to the serial makespan — which is exactly the
-    /// bottleneck the sharded AMT removes; the `shardscale` bench figure
+    /// bottleneck partitioning the scan removes; the `shardscale` bench figure
     /// plots this.
     pub fn makespan(&self, threads: u32) -> Nanos {
         let threads = threads.max(1) as usize;

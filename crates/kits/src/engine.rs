@@ -1,6 +1,11 @@
 //! The one scan engine behind every Table-1 query: clamp the requested LPA
-//! span, split it along the device's AMT shards (`lpa % shards`), walk each
-//! shard's LPAs on a scoped worker, merge deterministically.
+//! span, split it into `amt_shards` strided partitions ("shards":
+//! `lpa % width`), walk each shard's LPAs on a scoped worker, merge
+//! deterministically.
+//!
+//! A shard is a unit of the query *schedule*, nothing more: the device's
+//! AMT, IMT and map cache are flat tables, and this file holds the only
+//! `lpa % width` in the workspace.
 //!
 //! Workers hold only an [`SsdReadView`] — a `&TimeSsd` — so any number of
 //! them can walk version chains at once while no `&mut` command can run;
@@ -16,7 +21,7 @@ use crate::cost::QueryCost;
 /// The LPAs an `(addr, cnt)` request actually addresses. The span is clamped
 /// to the exported address space *before* any shard assignment: `addr + cnt`
 /// saturates instead of wrapping, so a request straddling `u64::MAX` cannot
-/// smuggle wrapped LPAs into the wrong shard (`lpa % shards` is only ever
+/// smuggle wrapped LPAs into the wrong shard (`lpa % width` is only ever
 /// taken on in-range addresses), panic in debug builds, or scan past
 /// `exported`.
 pub(crate) fn clamp_span(addr: Lpa, cnt: u64, exported: u64) -> Range<u64> {
@@ -29,11 +34,11 @@ pub(crate) fn clamp_span(addr: Lpa, cnt: u64, exported: u64) -> Range<u64> {
 }
 
 /// The LPAs of `span` owned by `shard`, ascending: the first LPA at or after
-/// `span.start` congruent to `shard`, then every `nshards`-th.
-fn shard_lpas(span: &Range<u64>, shard: u64, nshards: u64) -> impl Iterator<Item = Lpa> {
-    let offset = (shard + nshards - span.start % nshards) % nshards;
+/// `span.start` congruent to `shard`, then every `width`-th.
+fn shard_lpas(span: &Range<u64>, shard: u64, width: u64) -> impl Iterator<Item = Lpa> {
+    let offset = (shard + width - span.start % width) % width;
     (span.start.saturating_add(offset)..span.end)
-        .step_by(nshards as usize)
+        .step_by(width as usize)
         .map(Lpa)
 }
 
@@ -56,20 +61,20 @@ pub(crate) fn scan<H: Send, E: Send>(
     lpa_of: impl Fn(&H) -> Lpa,
     visit: impl Fn(Lpa, &mut Vec<H>, &mut QueryCost) -> Result<(), E> + Sync,
 ) -> Result<Scan<H>, E> {
-    let nshards = u64::from(view.amt_shards().max(1));
+    let width = u64::from(view.amt_shards().max(1));
     let chips = view.geometry().total_chips() as u32;
     let scan_shard = |shard: u64| {
         let mut hits = Vec::new();
         let mut cost = QueryCost::new(chips);
-        for lpa in shard_lpas(&span, shard, nshards) {
+        for lpa in shard_lpas(&span, shard, width) {
             visit(lpa, &mut hits, &mut cost)?;
         }
         Ok((hits, cost))
     };
 
-    let workers = u64::from(threads).clamp(1, nshards);
+    let workers = u64::from(threads).clamp(1, width);
     let per_shard: Vec<Result<(Vec<H>, QueryCost), E>> = if workers == 1 {
-        (0..nshards).map(scan_shard).collect()
+        (0..width).map(scan_shard).collect()
     } else {
         // Worker w walks shards w, w + workers, w + 2·workers, ...
         let mut per_worker: Vec<_> = std::thread::scope(|scope| {
@@ -77,7 +82,7 @@ pub(crate) fn scan<H: Send, E: Send>(
                 .map(|w| {
                     let scan_shard = &scan_shard;
                     scope.spawn(move || {
-                        (w..nshards)
+                        (w..width)
                             .step_by(workers as usize)
                             .map(scan_shard)
                             .collect::<Vec<_>>()
@@ -90,7 +95,7 @@ pub(crate) fn scan<H: Send, E: Send>(
                 .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
                 .collect()
         });
-        (0..nshards)
+        (0..width)
             .map(|s| {
                 per_worker[(s % workers) as usize]
                     .next()

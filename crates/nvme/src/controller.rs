@@ -17,7 +17,7 @@
 
 use std::collections::HashMap;
 
-use almanac_core::{AlmanacError, SsdDevice, TimeSsd};
+use almanac_core::{AlmanacError, SsdDevice, SsdReadOps, TimeSsd};
 use almanac_flash::{Lpa, Nanos, PageData};
 use almanac_kits::{AddrQuery, TimeKits};
 
@@ -85,7 +85,7 @@ impl NvmeController {
     }
 
     /// `&self` query path into the firmware: an [`almanac_core::SsdReadView`]
-    /// over the sharded AMT, for hosts that want to run [`AddrQuery`]
+    /// over the mapping tables, for hosts that want to run [`AddrQuery`]
     /// builders directly instead of going through the wire opcodes.
     pub fn read_view(&self) -> almanac_core::SsdReadView<'_> {
         self.ssd.read_view()
@@ -292,6 +292,19 @@ impl NvmeController {
     /// Errors complete immediately (`now`).
     fn execute(&mut self, e: SubmissionEntry, now: Nanos) -> (CompletionEntry, Nanos) {
         let page_size = self.ssd.geometry().page_size as usize;
+        // The three I/O opcodes carry `(lpa, count)` straight off the wire.
+        // The whole range must lie inside the exported space before anything
+        // is allocated, written or trimmed, so a malformed SQE ends in a
+        // status and never in a half-applied range.
+        if matches!(
+            e.opcode,
+            NvmeOpcode::Write | NvmeOpcode::Read | NvmeOpcode::DatasetMgmt
+        ) {
+            let end = e.get_u64(0).checked_add(u64::from(e.cdw[2]));
+            if end.is_none_or(|end| end > self.ssd.exported_pages()) {
+                return (Self::complete(e.cid, NvmeStatus::LbaOutOfRange, 0), now);
+            }
+        }
         match e.opcode {
             NvmeOpcode::Flush => match self.ssd.flush(now) {
                 // The result carries the barrier's response time in
@@ -382,9 +395,9 @@ impl NvmeController {
                 };
                 let threads = threads.max(1);
                 match query.threads(threads).run() {
-                    // The CQE posts at `now` plus the sharded schedule's
-                    // makespan over `threads` host workers, so multi-shard
-                    // devices answer parallel queries sooner.
+                    // The CQE posts at `now` plus the partitioned schedule's
+                    // makespan over `threads` host workers, so a device
+                    // with more partitions answers parallel queries sooner.
                     Ok(out) => {
                         let pages = out
                             .hits
@@ -503,6 +516,57 @@ mod tests {
             c.pop_completion().unwrap().status,
             NvmeStatus::LbaOutOfRange as u16
         );
+    }
+
+    /// Submits one `(lpa, count)` I/O command and returns its status.
+    fn io_status(c: &mut NvmeController, opcode: NvmeOpcode, lpa: u64, count: u32) -> u16 {
+        let buffer = c.register_buffer(vec![vec![7u8; 8]; 4]);
+        let mut e = SubmissionEntry::new(opcode, 1);
+        e.set_u64(0, lpa);
+        e.cdw[2] = count;
+        e.buffer = buffer;
+        c.submit(e);
+        c.run_to_completion(SEC_NS);
+        c.pop_completion().unwrap().status
+    }
+
+    #[test]
+    fn huge_count_read_reports_lba_status_instead_of_allocating() {
+        // Nothing may be sized by a count off the wire before the range is
+        // checked: 4 Gi result entries is an allocation failure and SIGABRT.
+        let mut c = controller();
+        for lpa in [0, u64::MAX] {
+            assert_eq!(
+                io_status(&mut c, NvmeOpcode::Read, lpa, u32::MAX),
+                NvmeStatus::LbaOutOfRange as u16
+            );
+        }
+    }
+
+    #[test]
+    fn over_long_trim_leaves_every_page_mapped() {
+        let mut c = controller();
+        let exported = c.ssd().exported_pages();
+        assert_eq!(io_status(&mut c, NvmeOpcode::Write, exported - 4, 4), 0);
+        assert_eq!(
+            io_status(&mut c, NvmeOpcode::DatasetMgmt, exported - 4, 5),
+            NvmeStatus::LbaOutOfRange as u16
+        );
+        for lpa in exported - 4..exported {
+            assert!(c.ssd().is_mapped(Lpa(lpa)), "lpa {lpa} was trimmed");
+        }
+    }
+
+    #[test]
+    fn over_long_write_writes_nothing() {
+        let mut c = controller();
+        let exported = c.ssd().exported_pages();
+        // The buffer holds all four pages, so only the range is at fault.
+        assert_eq!(
+            io_status(&mut c, NvmeOpcode::Write, exported - 3, 4),
+            NvmeStatus::LbaOutOfRange as u16
+        );
+        assert_eq!(c.ssd().stats().user_writes, 0);
     }
 
     #[test]

@@ -129,7 +129,7 @@ impl HostDriver {
         &self.controller
     }
 
-    /// `&self` query path: a read view over the device's sharded AMT, for
+    /// `&self` query path: a read view over the device's mapping tables, for
     /// running [`almanac_kits::AddrQuery`] builders host-side without
     /// exclusive driver access (lookups go through `&self`, no lock).
     pub fn read_view(&self) -> almanac_core::SsdReadView<'_> {
@@ -375,8 +375,8 @@ impl HostDriver {
     }
 
     /// `AddrQuery` through the wire with `threads` host workers fanning the
-    /// scan across the device's AMT shards (CDW13 on the wire); the
-    /// completion posts at the sharded schedule's makespan.
+    /// scan across the device's `amt_shards` partitions (CDW13 on the wire);
+    /// the completion posts at the partitioned schedule's makespan.
     pub fn addr_query_parallel(
         &mut self,
         lpa: Lpa,

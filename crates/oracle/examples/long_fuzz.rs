@@ -16,8 +16,8 @@
 //! - `LONG_FUZZ_QUEUES` — `0` drops the multi-queue lockstep suite
 //!   (`queues`, in-order vs out-of-order completion schedules through the
 //!   NVMe controller); any other value (default) keeps it.
-//! - `LONG_FUZZ_SHARDS` — `0` drops the sharded-AMT lockstep suite
-//!   (`shards`, one-shard vs N-shard devices compared op for op, including
+//! - `LONG_FUZZ_SHARDS` — `0` drops the partition-width lockstep suite
+//!   (`shards`, width-1 vs width-N devices compared op for op, including
 //!   power-cut rebuilds and every `AddrQuery` mode); any other value
 //!   (default) keeps it.
 //! - `LONG_FUZZ_REPORT` — where to write the failure report consumed by the
@@ -197,11 +197,12 @@ fn main() {
                 );
             }
         }
-        // Sharded-AMT lockstep: the same host stream against a one-shard
-        // and an N-shard device; mapped state, tombstones, chains, rebuild
-        // results, and every AddrQuery mode (hits and costs, at several
-        // worker counts) must match exactly. The shard count and the
-        // traffic shape rotate with the case.
+        // Partition-width lockstep: the same host stream against a width-1
+        // and a width-N device, map cache on; completions, cache traffic,
+        // mapped state, tombstones, chains, rebuild results, and every
+        // AddrQuery mode (hits and costs, at several worker counts) must
+        // match exactly. The width and the traffic shape rotate with the
+        // case.
         if shards_suite {
             let shards = [2u32, 3, 4, 8][case as usize % 4];
             let ops = match case % 4 {
@@ -210,7 +211,8 @@ fn main() {
                 2 => strategy::power_cut_recovery(16, 300).generate(&mut rng),
                 _ => strategy::rollback_storm(12, 250).generate(&mut rng),
             };
-            let out = lockstep_shard_run(SsdConfig::new(Geometry::medium_test()), &ops, shards);
+            let cfg = cached(SsdConfig::new(Geometry::medium_test()));
+            let out = lockstep_shard_run(cfg, &ops, shards);
             total += 1;
             if !out.passed() {
                 fail(
@@ -219,7 +221,7 @@ fn main() {
                     "shards",
                     case,
                     &format!(
-                        "sharded-AMT lockstep diverged ({shards} shards):\n{}",
+                        "partition-width lockstep diverged (width {shards}):\n{}",
                         out.divergences.join("\n")
                     ),
                 );

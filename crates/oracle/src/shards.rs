@@ -1,18 +1,16 @@
-//! Sharded vs unsharded AMT lockstep: the same op stream applied to a
-//! one-shard device and an N-shard device, compared op for op.
+//! Partition-width lockstep: the same op stream applied to a device whose
+//! queries scan in one partition and a device whose queries scan in N,
+//! compared op for op.
 //!
-//! Sharding the address-mapping table is pure partitioning — `lpa % shards`
-//! routes each page to exactly one shard, and nothing about versioning,
-//! GC, rebuild, or retention may depend on the routing. This runner holds
-//! the firmware to that claim: every host op (writes, reads, trims,
-//! flushes, as-of probes, TimeKits rollbacks, power cuts) must produce
-//! byte-identical results and *identical completion timings* on both
-//! devices, and every [`AddrQuery`] mode and every time query must return
-//! the same hits and the same merged retrieval cost at every worker count.
-//!
-//! Timing equality assumes the map cache is disabled (the default): cache
-//! slicing is a timing model, so per-shard slices legally change fault
-//! patterns when `amt_cache_pages` is set.
+//! `amt_shards` is the width `lpa % width` splits a ranged query by; the
+//! AMT, the IMT and the map cache are flat tables it never reaches. So
+//! every host op (writes, reads, trims, flushes, as-of probes, TimeKits
+//! rollbacks, power cuts) must produce byte-identical results, *identical
+//! completion timings* and identical map-cache traffic on both devices —
+//! with the cache on or off — by construction. What this runner really
+//! holds the firmware to is that the merge rule is deterministic: every
+//! [`AddrQuery`] mode and every time query must return the same hits and
+//! the same merged retrieval cost at every width and worker count.
 
 use almanac_core::{AlmanacError, SsdConfig, SsdDevice, SsdReadOps, TimeSsd};
 use almanac_flash::{Lpa, Nanos, PageData};
@@ -255,11 +253,20 @@ impl ShardLockstep {
                 "op {i}: consistency reports diverge: flat={fv:?}, sharded={sv:?}"
             ));
         }
+        let (fc, sc) = (
+            self.flat.map_cache_traffic(),
+            self.sharded.map_cache_traffic(),
+        );
+        if fc != sc {
+            self.diverge(format!(
+                "op {i}: map-cache traffic diverges: flat={fc:?}, sharded={sc:?}"
+            ));
+        }
         self.compare_queries(i);
     }
 }
 
-/// Runs `ops` against a one-shard device and an `shards`-shard device in
+/// Runs `ops` against a width-1 device and a width-`shards` device in
 /// lockstep, comparing every op outcome, and sweeping the full host-visible
 /// state (plus all query modes at several worker counts) at every `Check`
 /// op and at the end. Power cuts hit both devices; both must rebuild to the

@@ -1,10 +1,11 @@
-//! Shard-count equivalence suites: every adversarial op stream applied to a
-//! one-shard device and an N-shard device must leave byte-identical
+//! Partition-width equivalence suites: every adversarial op stream applied
+//! to a width-1 device and a width-N device must leave byte-identical
 //! host-visible state — mapped set, tombstones, version chains, head bytes,
-//! consistency reports — and identical [`almanac_kits::AddrQuery`] results
-//! (hits *and* retrieval costs) at every worker count, including across
-//! power-cut rebuilds. Sharding the AMT is pure partitioning; any observable
-//! difference is a firmware bug.
+//! consistency reports, completion times, map-cache traffic — and identical
+//! [`almanac_kits::AddrQuery`] results (hits *and* retrieval costs) at every
+//! worker count, including across power-cut rebuilds. The tables are flat,
+//! so the device half holds by construction; the query half pins the scan
+//! engine's merge rule.
 //!
 //! The in-tree proptest runner is deterministic (seeded from the test
 //! path), so a CI failure here reproduces locally with no extra state.
@@ -20,6 +21,13 @@ fn small_cfg() -> SsdConfig {
 
 fn medium_cfg() -> SsdConfig {
     SsdConfig::new(Geometry::medium_test())
+}
+
+/// Turns the translation-page cache on: its faults are part of every
+/// completion time the lockstep compares.
+fn cached(mut cfg: SsdConfig) -> SsdConfig {
+    cfg.amt_cache_pages = Some(2);
+    cfg
 }
 
 /// The shard counts every suite sweeps: even splits, an odd count that
@@ -69,14 +77,14 @@ proptest! {
     ) {
         // Small device + short retention: GC and stalls land mid-stream;
         // both devices must reclaim and stall identically.
-        assert_invariant(small_cfg().with_min_retention(SEC_NS), &ops)?;
+        assert_invariant(cached(small_cfg().with_min_retention(SEC_NS)), &ops)?;
     }
 
     #[test]
     fn power_cut_recovery_is_shard_invariant(
         ops in strategy::power_cut_recovery(12, 150),
     ) {
-        assert_invariant(medium_cfg(), &ops)?;
+        assert_invariant(cached(medium_cfg()), &ops)?;
     }
 
     #[test]
