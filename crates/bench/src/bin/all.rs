@@ -1,144 +1,36 @@
-//! Regenerates every table and figure in one run (Figures 6-11, Table 3),
-//! running the replay grids of Figures 6/7/8 and Table 3 on the parallel
-//! experiment pool (`ALMANAC_JOBS` workers) and emitting the machine-
-//! readable wall-clock report `BENCH_all.json`.
+//! Regenerates every table and figure in one run — a loop over
+//! [`almanac_bench::FIGURES`] — and emits the machine-readable wall-clock
+//! report `BENCH_all.json`. `--only <name>[,<name>…]` runs just the named
+//! rows of the table, in table order, and names its report after them.
 
-use almanac_bench::engine::timed;
-use almanac_bench::report::{BenchReport, FigureRecord};
-use almanac_bench::{
-    barrierlat, fast_mode, fig10, fig11, fig6_7, fig8, fig9, qdscale, shardscale, table3, trimwa,
-};
-use almanac_workloads::{fiu_profiles, msr_profiles};
+use almanac_bench::report::BenchReport;
+use almanac_bench::{select, Figure, FIGURES};
 
 const SEED: u64 = 42;
 
+fn usage_exit(problem: &str) -> ! {
+    let names: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
+    eprintln!("{problem}\nusage: all [--only <name>[,<name>…]]");
+    eprintln!("figures: {}", names.join(" "));
+    std::process::exit(2);
+}
+
 fn main() {
-    let mut report = BenchReport::new("all", SEED);
-
-    let days = if fast_mode() { 2 } else { 7 };
-    for usage in [0.5, 0.8] {
-        let t = timed(|| fig6_7::run_with_timings(usage, days, SEED));
-        let (rows, cells) = t.value;
-        fig6_7::print_fig6(usage, &rows);
-        fig6_7::print_fig7(usage, &rows);
-        report.push_figure(FigureRecord {
-            name: format!("fig6_7@u{:.0}", usage * 100.0),
-            wall_ms: t.wall_ms,
-            cells,
-        });
-    }
-
-    let (msr_lengths, fiu_lengths): (Vec<u32>, Vec<u32>) = if fast_mode() {
-        (vec![7, 14], vec![5, 10])
-    } else {
-        (vec![28, 42, 56, 63], vec![20, 30, 40])
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (report_name, figures): (String, Vec<&Figure>) = match args.as_slice() {
+        [] => ("all".into(), FIGURES.iter().collect()),
+        [flag, only] if flag == "--only" => match select(only) {
+            Ok(figures) => (only.replace(',', "+"), figures),
+            Err(unknown) => usage_exit(&format!("unknown figure `{unknown}`")),
+        },
+        _ => usage_exit("unrecognised arguments"),
     };
-    for usage in [0.8, 0.5] {
-        let t = timed(|| {
-            let (_, msr_cells) =
-                fig8::run_and_print_timed("MSR", &msr_profiles(), usage, &msr_lengths, SEED);
-            let (_, fiu_cells) =
-                fig8::run_and_print_timed("FIU", &fiu_profiles(), usage, &fiu_lengths, SEED);
-            let mut cells = msr_cells;
-            cells.extend(fiu_cells);
-            cells
-        });
-        report.push_figure(FigureRecord {
-            name: format!("fig8@u{:.0}", usage * 100.0),
-            wall_ms: t.wall_ms,
-            cells: t.value,
-        });
+
+    let mut report = BenchReport::new(&report_name, SEED);
+    for figure in figures {
+        for section in (figure.run)(SEED) {
+            report.push_figure(section);
+        }
     }
-
-    let t = timed(|| {
-        let a = fig9::run_fig9a(SEED);
-        fig9::print_panel("Figure 9a: IOZone (normalized speedup over Ext4)", &a);
-        let b = fig9::run_fig9b(SEED);
-        fig9::print_panel(
-            "Figure 9b: PostMark and OLTP (normalized speedup over Ext4)",
-            &b,
-        );
-    });
-    report.push_figure(FigureRecord {
-        name: "fig9".into(),
-        wall_ms: t.wall_ms,
-        cells: Vec::new(),
-    });
-
-    let t = timed(|| {
-        let rows = fig10::run(SEED);
-        fig10::print(&rows);
-    });
-    report.push_figure(FigureRecord {
-        name: "fig10".into(),
-        wall_ms: t.wall_ms,
-        cells: Vec::new(),
-    });
-
-    let t = timed(|| {
-        let rows = fig11::run(SEED);
-        fig11::print(&rows);
-    });
-    report.push_figure(FigureRecord {
-        name: "fig11".into(),
-        wall_ms: t.wall_ms,
-        cells: Vec::new(),
-    });
-
-    let t = timed(|| {
-        let rows = trimwa::run(SEED);
-        trimwa::print(&rows);
-        trimwa::cells(&rows)
-    });
-    report.push_figure(FigureRecord {
-        name: "trim_wa".into(),
-        wall_ms: t.wall_ms,
-        cells: t.value,
-    });
-
-    let t = timed(|| {
-        let rows = barrierlat::run(SEED);
-        barrierlat::print(&rows);
-        barrierlat::cells(&rows)
-    });
-    report.push_figure(FigureRecord {
-        name: "barrierlat".into(),
-        wall_ms: t.wall_ms,
-        cells: t.value,
-    });
-
-    let t = timed(|| {
-        let rows = qdscale::run(SEED);
-        qdscale::print(&rows);
-        qdscale::cells(&rows)
-    });
-    report.push_figure(FigureRecord {
-        name: "qdscale".into(),
-        wall_ms: t.wall_ms,
-        cells: t.value,
-    });
-
-    let t = timed(|| {
-        let rows = shardscale::run(SEED);
-        shardscale::print(&rows);
-        shardscale::cells(&rows)
-    });
-    report.push_figure(FigureRecord {
-        name: "shardscale".into(),
-        wall_ms: t.wall_ms,
-        cells: t.value,
-    });
-
-    let t = timed(|| {
-        let (rows, cells) = table3::run_with_timings(SEED);
-        table3::print(&rows);
-        cells
-    });
-    report.push_figure(FigureRecord {
-        name: "table3".into(),
-        wall_ms: t.wall_ms,
-        cells: t.value,
-    });
-
     report.emit();
 }

@@ -69,12 +69,8 @@ fn cell_record(profile: &TraceProfile, usage: f64, t: &Timed<ReplayReport>) -> C
     }
 }
 
-/// Runs all 12 traces at the given usage for `days` simulated days.
-pub fn run(usage: f64, days: u32, seed: u64) -> Vec<Row> {
-    run_with_timings(usage, days, seed).0
-}
-
-/// Like [`run`], also returning per-cell wall-clock records for the
+/// Runs all 12 traces at the given usage for `days` simulated days,
+/// returning the rows and the per-cell wall-clock records for the
 /// `BENCH_*.json` report. Cells run on the experiment pool; rows are
 /// reassembled in trace order so output is independent of `ALMANAC_JOBS`.
 pub fn run_with_timings(usage: f64, days: u32, seed: u64) -> (Vec<Row>, Vec<CellRecord>) {

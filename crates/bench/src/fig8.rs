@@ -48,46 +48,17 @@ fn retention_cell(profile: TraceProfile, usage: f64, days: u32, seed: u64) -> Ti
     })
 }
 
-/// Measures the retention duration for one profile across trace lengths.
-pub fn run_profile_lengths(
-    profile: &TraceProfile,
-    usage: f64,
-    lengths: &[u32],
-    seed: u64,
-) -> Vec<Point> {
-    let p = *profile;
-    let tasks: Vec<_> = lengths
-        .iter()
-        .map(|&days| move || retention_cell(p, usage, days, seed))
-        .collect();
-    engine::run_pool(tasks)
-        .into_iter()
-        .map(|t| t.value)
-        .collect()
-}
-
-/// Runs a whole suite (`profiles`) and prints the Figure 8 panel.
+/// Runs a whole suite (`profiles`), prints its Figure 8 panel and returns
+/// the per-cell wall-clock records. The whole (profile × length) grid goes
+/// to the experiment pool at once; results are regrouped per profile in
+/// submission order, so the printed panel is independent of `ALMANAC_JOBS`.
 pub fn run_and_print(
     title: &str,
     profiles: &[TraceProfile],
     usage: f64,
     lengths: &[u32],
     seed: u64,
-) -> Vec<(String, Vec<Point>)> {
-    run_and_print_timed(title, profiles, usage, lengths, seed).0
-}
-
-/// Like [`run_and_print`], also returning per-cell wall-clock records. The
-/// whole (profile × length) grid goes to the experiment pool at once;
-/// results are regrouped per profile in submission order, so the printed
-/// panel is independent of `ALMANAC_JOBS`.
-pub fn run_and_print_timed(
-    title: &str,
-    profiles: &[TraceProfile],
-    usage: f64,
-    lengths: &[u32],
-    seed: u64,
-) -> (Vec<(String, Vec<Point>)>, Vec<CellRecord>) {
+) -> Vec<CellRecord> {
     let tasks: Vec<_> = profiles
         .iter()
         .flat_map(|profile| {
@@ -146,5 +117,5 @@ pub fn run_and_print_timed(
         &header_refs,
         &rows,
     );
-    (results, cells)
+    cells
 }

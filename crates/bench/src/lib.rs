@@ -1,11 +1,13 @@
 //! Shared harness for regenerating every table and figure of the paper's
 //! evaluation (§5).
 //!
-//! Each figure has a binary (`fig6` … `fig11`, `table3`) that prints the
-//! same rows/series the paper reports; `all` runs the full suite. The
-//! simulated device is a 512 MiB, 8-channel scale-down of the paper's 1 TB
-//! Cosmos+ board, and workload volumes are expressed as device fractions so
-//! the shapes (who wins, by how much, where crossovers fall) carry over.
+//! [`FIGURES`] is the harness: one row per figure, each printing the same
+//! rows/series the paper reports and returning its timed cells. The one
+//! binary, `all`, loops over the table (`--only <name>[,<name>…]` filters
+//! it). The simulated device is a 512 MiB, 8-channel scale-down of the
+//! paper's 1 TB Cosmos+ board, and workload volumes are expressed as device
+//! fractions so the shapes (who wins, by how much, where crossovers fall)
+//! carry over.
 //!
 //! Environment knobs:
 //!
@@ -13,8 +15,8 @@
 //! - `ALMANAC_JOBS=N` — worker count for the parallel experiment engine
 //!   ([`engine`]); `1` reproduces the serial harness byte-for-byte, unset
 //!   defaults to the machine's available parallelism.
-//! - `ALMANAC_BENCH_OUT=path` — override the `BENCH_<bin>.json` report path
-//!   ([`report`]).
+//! - `ALMANAC_BENCH_OUT=path` — override the `BENCH_<selection>.json`
+//!   report path ([`report`]).
 
 #![warn(missing_docs)]
 
@@ -22,8 +24,11 @@ use almanac_bloom::ChainConfig;
 use almanac_core::{RegularSsd, SsdConfig, SsdDevice, TimeSsd};
 use almanac_flash::{Geometry, Lpa, Nanos, PageData, DAY_NS, MS_NS, SEC_NS};
 use almanac_trace::{replay_with_sampler, ReplayReport, Trace};
-use almanac_workloads::TraceProfile;
+use almanac_workloads::{fiu_profiles, msr_profiles, TraceProfile};
 
+use report::{CellRecord, FigureRecord};
+
+pub mod ablate;
 pub mod barrierlat;
 pub mod engine;
 pub mod fig10;
@@ -31,11 +36,217 @@ pub mod fig11;
 pub mod fig6_7;
 pub mod fig8;
 pub mod fig9;
+pub mod lifetime;
 pub mod qdscale;
 pub mod report;
 pub mod shardscale;
 pub mod table3;
 pub mod trimwa;
+
+/// One row of the harness: a figure's name and the function that runs it.
+#[derive(Debug)]
+pub struct Figure {
+    /// The name `--only` selects it by.
+    pub name: &'static str,
+    /// Runs the figure at a seed: prints its tables to stdout and returns
+    /// its timed sections for the `BENCH_*.json` report.
+    pub run: fn(u64) -> Vec<FigureRecord>,
+}
+
+/// Every figure and table the harness regenerates, in the order `all`
+/// prints them: the paper's Figures 6–11, the four extension tables,
+/// Table 3, then the ablation and lifetime extensions.
+pub const FIGURES: &[Figure] = &[
+    Figure {
+        name: "fig6_7",
+        run: fig6_7,
+    },
+    Figure {
+        name: "fig8",
+        run: fig8,
+    },
+    Figure {
+        name: "fig9",
+        run: fig9,
+    },
+    Figure {
+        name: "fig10",
+        run: fig10,
+    },
+    Figure {
+        name: "fig11",
+        run: fig11,
+    },
+    Figure {
+        name: "trim_wa",
+        run: trim_wa,
+    },
+    Figure {
+        name: "barrierlat",
+        run: barrierlat,
+    },
+    Figure {
+        name: "qdscale",
+        run: qdscale,
+    },
+    Figure {
+        name: "shardscale",
+        run: shardscale,
+    },
+    Figure {
+        name: "table3",
+        run: table3,
+    },
+    Figure {
+        name: "ablate",
+        run: ablate,
+    },
+    Figure {
+        name: "lifetime",
+        run: lifetime,
+    },
+];
+
+/// The rows of [`FIGURES`] named in the comma-separated `only`, in table
+/// order; the first name that matches no row is the error.
+pub fn select(only: &str) -> Result<Vec<&'static Figure>, String> {
+    let names: Vec<&str> = only.split(',').collect();
+    match names.iter().find(|n| FIGURES.iter().all(|f| f.name != **n)) {
+        Some(unknown) => Err(unknown.to_string()),
+        None => Ok(FIGURES.iter().filter(|f| names.contains(&f.name)).collect()),
+    }
+}
+
+/// Runs one section of a figure, timing it into a one-element record list.
+fn section(name: impl Into<String>, run: impl FnOnce() -> Vec<CellRecord>) -> Vec<FigureRecord> {
+    let t = engine::timed(run);
+    vec![FigureRecord {
+        name: name.into(),
+        wall_ms: t.wall_ms,
+        cells: t.value,
+    }]
+}
+
+fn fig6_7(seed: u64) -> Vec<FigureRecord> {
+    let days = if fast_mode() { 2 } else { 7 };
+    [0.5, 0.8]
+        .into_iter()
+        .flat_map(|usage| {
+            section(format!("fig6_7@u{:.0}", usage * 100.0), || {
+                let (rows, cells) = fig6_7::run_with_timings(usage, days, seed);
+                fig6_7::print_fig6(usage, &rows);
+                fig6_7::print_fig7(usage, &rows);
+                cells
+            })
+        })
+        .collect()
+}
+
+fn fig8(seed: u64) -> Vec<FigureRecord> {
+    let (msr_lengths, fiu_lengths): (&[u32], &[u32]) = if fast_mode() {
+        (&[7, 14], &[5, 10])
+    } else {
+        (&[28, 42, 56, 63], &[20, 30, 40])
+    };
+    [0.8, 0.5]
+        .into_iter()
+        .flat_map(|usage| {
+            section(format!("fig8@u{:.0}", usage * 100.0), || {
+                let mut cells =
+                    fig8::run_and_print("MSR", &msr_profiles(), usage, msr_lengths, seed);
+                cells.extend(fig8::run_and_print(
+                    "FIU",
+                    &fiu_profiles(),
+                    usage,
+                    fiu_lengths,
+                    seed,
+                ));
+                cells
+            })
+        })
+        .collect()
+}
+
+fn fig9(seed: u64) -> Vec<FigureRecord> {
+    section("fig9", || {
+        let a = fig9::run_fig9a(seed);
+        fig9::print_panel("Figure 9a: IOZone (normalized speedup over Ext4)", &a);
+        let b = fig9::run_fig9b(seed);
+        fig9::print_panel(
+            "Figure 9b: PostMark and OLTP (normalized speedup over Ext4)",
+            &b,
+        );
+        Vec::new()
+    })
+}
+
+fn fig10(seed: u64) -> Vec<FigureRecord> {
+    section("fig10", || {
+        fig10::print(&fig10::run(seed));
+        Vec::new()
+    })
+}
+
+fn fig11(seed: u64) -> Vec<FigureRecord> {
+    section("fig11", || {
+        fig11::print(&fig11::run(seed));
+        Vec::new()
+    })
+}
+
+fn trim_wa(seed: u64) -> Vec<FigureRecord> {
+    section("trim_wa", || {
+        let rows = trimwa::run(seed);
+        trimwa::print(&rows);
+        trimwa::cells(&rows)
+    })
+}
+
+fn barrierlat(seed: u64) -> Vec<FigureRecord> {
+    section("barrierlat", || {
+        let rows = barrierlat::run(seed);
+        barrierlat::print(&rows);
+        barrierlat::cells(&rows)
+    })
+}
+
+fn qdscale(seed: u64) -> Vec<FigureRecord> {
+    section("qdscale", || {
+        let rows = qdscale::run(seed);
+        qdscale::print(&rows);
+        qdscale::cells(&rows)
+    })
+}
+
+fn shardscale(seed: u64) -> Vec<FigureRecord> {
+    section("shardscale", || {
+        let rows = shardscale::run(seed);
+        shardscale::print(&rows);
+        shardscale::cells(&rows)
+    })
+}
+
+fn table3(seed: u64) -> Vec<FigureRecord> {
+    section("table3", || {
+        let (rows, cells) = table3::run_with_timings(seed);
+        table3::print(&rows);
+        cells
+    })
+}
+
+fn ablate(seed: u64) -> Vec<FigureRecord> {
+    section("ablate", || ablate::run_and_print(seed))
+}
+
+/// The overwrite stream is a fixed round-robin; the seed has nothing to vary.
+fn lifetime(_seed: u64) -> Vec<FigureRecord> {
+    section("lifetime", || {
+        let writes = if fast_mode() { 30_000 } else { 120_000 };
+        let rows = lifetime::run(writes);
+        lifetime::print(writes, &rows);
+        lifetime::cells(&rows)
+    })
+}
 
 /// True when the fast (smoke-test) mode is requested.
 pub fn fast_mode() -> bool {
@@ -179,6 +390,31 @@ mod tests {
     use super::*;
     use almanac_core::SsdReadOps;
     use almanac_workloads::profiles;
+
+    #[test]
+    fn figure_names_are_unique_and_individually_selectable() {
+        for (i, figure) in FIGURES.iter().enumerate() {
+            assert!(!figure.name.is_empty());
+            assert!(FIGURES[..i].iter().all(|f| f.name != figure.name));
+            let alone: Vec<&str> = select(figure.name)
+                .unwrap()
+                .iter()
+                .map(|f| f.name)
+                .collect();
+            assert_eq!(alone, [figure.name]);
+        }
+        let every: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
+        assert_eq!(select(&every.join(",")).unwrap().len(), FIGURES.len());
+    }
+
+    #[test]
+    fn selection_keeps_table_order_and_rejects_unknown_names() {
+        let picked = select("lifetime,table3").unwrap();
+        let names: Vec<&str> = picked.iter().map(|f| f.name).collect();
+        assert_eq!(names, ["table3", "lifetime"]);
+        assert_eq!(select("fig9,nope").unwrap_err(), "nope");
+        assert_eq!(select("").unwrap_err(), "");
+    }
 
     #[test]
     fn warm_fill_reaches_usage() {

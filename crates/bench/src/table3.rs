@@ -66,14 +66,10 @@ fn query_cell(profile: TraceProfile, days: u32, usage: f64, seed: u64) -> Timed<
     })
 }
 
-/// Runs all 12 workloads and measures the three queries on each.
-pub fn run(seed: u64) -> Vec<Row> {
-    run_with_timings(seed).0
-}
-
-/// Like [`run`], also returning per-cell wall-clock records. Cells run on
-/// the experiment pool and come back in workload order, so the table is
-/// independent of `ALMANAC_JOBS`.
+/// Runs all 12 workloads and measures the three queries on each, returning
+/// the rows and the per-cell wall-clock records. Cells run on the experiment
+/// pool and come back in workload order, so the table is independent of
+/// `ALMANAC_JOBS`.
 pub fn run_with_timings(seed: u64) -> (Vec<Row>, Vec<CellRecord>) {
     let days = if fast_mode() { 1 } else { 3 };
     let usage = 0.5;
