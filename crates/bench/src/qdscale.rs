@@ -10,6 +10,8 @@
 use almanac_core::{SsdConfig, TimeSsd};
 use almanac_flash::Geometry;
 use almanac_trace::{replay_qd, Trace, TraceOp, TraceRecord};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use crate::print_table;
 use crate::report::CellRecord;
@@ -38,17 +40,10 @@ pub struct Row {
 /// completion-bound and queue depth decides how much parallelism the host
 /// can exploit. Identical records for every depth.
 fn workload(ops: u64, seed: u64) -> Trace {
-    let mut state = seed | 1;
-    let mut rng = move || {
-        // xorshift64: deterministic, dependency-free.
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
+    let mut rng = StdRng::seed_from_u64(seed);
     let records: Vec<TraceRecord> = (0..ops)
         .map(|i| {
-            let r = rng();
+            let r: u64 = rng.gen();
             if r % 10 < 7 {
                 TraceRecord::new(i * 1_000, TraceOp::Write, r % 2048, 1)
             } else {

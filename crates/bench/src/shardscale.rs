@@ -14,6 +14,8 @@
 use almanac_core::{SsdConfig, SsdDevice, SsdReadOps, TimeSsd};
 use almanac_flash::{Geometry, Lpa, PageData, SEC_NS};
 use almanac_kits::AddrQuery;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use crate::print_table;
 use crate::report::CellRecord;
@@ -44,17 +46,10 @@ fn build_device(shards: u32, ops: u64, seed: u64) -> TimeSsd {
         .with_min_retention(SEC_NS);
     let mut ssd = TimeSsd::new(cfg);
     let span = ssd.exported_pages().min(1024);
-    let mut state = seed | 1;
-    let mut rng = move || {
-        // xorshift64: deterministic, dependency-free.
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
+    let mut rng = StdRng::seed_from_u64(seed);
     let mut now = 0u64;
     for i in 0..ops {
-        let r = rng();
+        let r: u64 = rng.gen();
         let lpa = Lpa(r % span);
         now += 700_000;
         if r % 23 == 0 {

@@ -9,6 +9,8 @@
 
 use almanac_core::{SsdConfig, SsdDevice, SsdReadOps, TimeSsd};
 use almanac_flash::{Geometry, Lpa, PageData, MS_NS, SEC_NS};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use crate::print_table;
 use crate::report::CellRecord;
@@ -44,18 +46,11 @@ fn run_mode(watermark: u32, ops: u64, seed: u64) -> Row {
     let domain = exported / 2;
     let flush_every = 128;
 
-    let mut state = seed | 1;
-    let mut rng = move || {
-        // xorshift64: deterministic, dependency-free.
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
+    let mut rng = StdRng::seed_from_u64(seed);
 
     let mut now = MS_NS;
     for i in 0..ops {
-        let lpa = Lpa(rng() % domain);
+        let lpa = Lpa(rng.gen_range(0..domain));
         let c = if i % 3 == 2 && ssd.is_mapped(lpa) {
             // Every third op trims a mapped page: tombstone traffic.
             ssd.trim(lpa, now).expect("trim")
