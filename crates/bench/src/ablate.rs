@@ -24,7 +24,7 @@ struct Outcome {
 }
 
 fn measure(label: String, cfg: SsdConfig, seed: u64) -> Outcome {
-    let profile = profiles::profile_by_name("hm").unwrap();
+    let profile = profiles::profile_by_name("hm").expect("hm is a calibrated profile");
     let days = if fast_mode() { 2 } else { 14 };
     let mut ssd = TimeSsd::new(cfg);
     let mut window_samples: Vec<Nanos> = Vec::new();

@@ -52,7 +52,7 @@ fn build_device(shards: u32, ops: u64, seed: u64) -> TimeSsd {
         let r: u64 = rng.gen();
         let lpa = Lpa(r % span);
         now += 700_000;
-        if r % 23 == 0 {
+        if r.is_multiple_of(23) {
             ssd.trim(lpa, now).expect("trim");
         } else {
             let data = PageData::Synthetic {

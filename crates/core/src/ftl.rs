@@ -349,7 +349,7 @@ impl<R: Retention> Ftl<R> {
                 let mut t = now;
                 for off in 0..self.bst.get(victim).written {
                     let ppa = geo.ppa(victim.0, off);
-                    if self.pvt.is_valid(ppa) {
+                    if self.pvt.get(ppa) {
                         // Lines 7-9: migrate valid pages.
                         t = self.migrate_valid(ppa, Dest::Cold, t)?;
                         self.stats.gc_reads += 1;

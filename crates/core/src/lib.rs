@@ -55,7 +55,7 @@ pub use ftl::{Ftl, HostOp, Retention};
 pub use mapcache::MapCache;
 pub use regular::{Discard, RegularSsd};
 pub use stats::{DeviceStats, LatencyAcc};
-pub use tables::{AmtEntry, BlockInfo, BlockKind, Bst, Imt, Prt, Pvt, ShardedAmt};
+pub use tables::{AmtEntry, BlockInfo, BlockKind, Bst, Imt, PageBits, Prt, Pvt, ShardedAmt};
 pub use timessd::check::{ConsistencyReport, Violation};
 pub use timessd::query::{SsdReadView, VersionInfo, VersionLocation};
 pub use timessd::retention::PeriodCounters;

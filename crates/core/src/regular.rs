@@ -45,7 +45,7 @@ impl Retention for Discard {
         let mut t = now;
         for off in 0..geo.pages_per_block {
             let ppa = geo.ppa(victim.0, off);
-            if ftl.pvt.is_valid(ppa) {
+            if ftl.pvt.get(ppa) {
                 t = ftl.migrate_valid(ppa, Dest::Cold, t)?;
                 ftl.stats.wl_programs += 1;
             }

@@ -58,79 +58,46 @@ impl AmtEntry {
     }
 }
 
-/// Page validity table ④: one bit per physical page.
+/// One flag per physical page, the shape of both per-page tables.
+/// Out-of-range addresses (e.g. a corrupt OOB back-pointer) read as clear
+/// and ignore writes rather than panicking.
 #[derive(Debug, Clone)]
-pub struct Pvt {
-    valid: Vec<bool>,
+pub struct PageBits {
+    bits: Vec<bool>,
 }
 
-impl Pvt {
-    /// All-invalid table over the whole array.
-    pub fn new(total_pages: u64) -> Self {
-        Pvt {
-            valid: vec![false; total_pages as usize],
-        }
-    }
+/// Page validity table ④: set while the page is the latest version of its
+/// LPA.
+pub type Pvt = PageBits;
 
-    /// Is the page valid? Out-of-range addresses (e.g. a corrupt OOB
-    /// back-pointer) read as invalid rather than panicking.
-    pub fn is_valid(&self, ppa: Ppa) -> bool {
-        self.valid.get(ppa.0 as usize).copied().unwrap_or(false)
-    }
-
-    /// Sets validity; out-of-range addresses are ignored.
-    pub fn set(&mut self, ppa: Ppa, valid: bool) {
-        if let Some(v) = self.valid.get_mut(ppa.0 as usize) {
-            *v = valid;
-        }
-    }
-
-    /// Clears every page of a block (on erase).
-    pub fn clear_block(&mut self, geometry: &Geometry, block: BlockId) {
-        let start = block.0 * geometry.pages_per_block as u64;
-        for i in 0..geometry.pages_per_block as u64 {
-            self.valid[(start + i) as usize] = false;
-        }
-    }
-}
-
-/// Page reclamation table ⑥: marks invalid pages whose content has been
+/// Page reclamation table ⑥: set on invalid pages whose content has been
 /// delta-compressed (or found expired) and may be discarded by GC.
-#[derive(Debug, Clone)]
-pub struct Prt {
-    reclaimable: Vec<bool>,
-}
+pub type Prt = PageBits;
 
-impl Prt {
+impl PageBits {
     /// All-clear table over the whole array.
     pub fn new(total_pages: u64) -> Self {
-        Prt {
-            reclaimable: vec![false; total_pages as usize],
+        PageBits {
+            bits: vec![false; total_pages as usize],
         }
     }
 
-    /// Is the page reclaimable? Out-of-range addresses (e.g. a corrupt OOB
-    /// back-pointer) read as not-reclaimable rather than panicking.
-    pub fn is_reclaimable(&self, ppa: Ppa) -> bool {
-        self.reclaimable
-            .get(ppa.0 as usize)
-            .copied()
-            .unwrap_or(false)
+    /// Is the page's flag set?
+    pub fn get(&self, ppa: Ppa) -> bool {
+        self.bits.get(ppa.0 as usize).copied().unwrap_or(false)
     }
 
-    /// Marks a page reclaimable; out-of-range addresses are ignored.
-    pub fn mark(&mut self, ppa: Ppa) {
-        if let Some(r) = self.reclaimable.get_mut(ppa.0 as usize) {
-            *r = true;
+    /// Sets or clears the page's flag.
+    pub fn set(&mut self, ppa: Ppa, on: bool) {
+        if let Some(bit) = self.bits.get_mut(ppa.0 as usize) {
+            *bit = on;
         }
     }
 
     /// Clears every page of a block (on erase).
     pub fn clear_block(&mut self, geometry: &Geometry, block: BlockId) {
-        let start = block.0 * geometry.pages_per_block as u64;
-        for i in 0..geometry.pages_per_block as u64 {
-            self.reclaimable[(start + i) as usize] = false;
-        }
+        let start = (block.0 * geometry.pages_per_block as u64) as usize;
+        self.bits[start..start + geometry.pages_per_block as usize].fill(false);
     }
 }
 
@@ -334,25 +301,20 @@ mod tests {
     }
 
     #[test]
-    fn pvt_block_clear() {
+    fn page_bits_block_clear() {
         let geo = Geometry::small_test();
-        let mut pvt = Pvt::new(geo.total_pages());
-        let ppa = geo.ppa(1, 3);
-        pvt.set(ppa, true);
-        assert!(pvt.is_valid(ppa));
-        pvt.clear_block(&geo, BlockId(1));
-        assert!(!pvt.is_valid(ppa));
-    }
-
-    #[test]
-    fn prt_block_clear() {
-        let geo = Geometry::small_test();
-        let mut prt = Prt::new(geo.total_pages());
-        let ppa = geo.ppa(2, 0);
-        prt.mark(ppa);
-        assert!(prt.is_reclaimable(ppa));
-        prt.clear_block(&geo, BlockId(2));
-        assert!(!prt.is_reclaimable(ppa));
+        let mut bits = PageBits::new(geo.total_pages());
+        let (ppa, neighbour) = (geo.ppa(1, 3), geo.ppa(2, 0));
+        bits.set(ppa, true);
+        bits.set(neighbour, true);
+        assert!(bits.get(ppa));
+        bits.clear_block(&geo, BlockId(1));
+        assert!(!bits.get(ppa));
+        assert!(bits.get(neighbour), "erase must not reach the next block");
+        // A corrupt back-pointer past the array reads clear and writes nowhere.
+        let beyond = Ppa(geo.total_pages());
+        bits.set(beyond, true);
+        assert!(!bits.get(beyond));
     }
 
     #[test]

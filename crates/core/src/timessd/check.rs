@@ -139,7 +139,7 @@ impl TimeSsd {
         for (lpa, entry) in self.amt.iter() {
             if let AmtEntry::Mapped(ppa) = entry {
                 report.mapped_lpas += 1;
-                if !self.pvt.is_valid(ppa) {
+                if !self.pvt.get(ppa) {
                     report
                         .violations
                         .push(Violation::MappedPageNotValid(lpa, ppa));
@@ -170,9 +170,9 @@ impl TimeSsd {
             let mut recount = 0;
             for off in 0..geo.pages_per_block {
                 let ppa = geo.ppa(block.0, off);
-                if self.pvt.is_valid(ppa) {
+                if self.pvt.get(ppa) {
                     recount += 1;
-                    if self.policy.prt.is_reclaimable(ppa) {
+                    if self.policy.prt.get(ppa) {
                         report.violations.push(Violation::ReclaimableValidPage(ppa));
                     }
                 }
@@ -493,7 +493,7 @@ mod tests {
     fn detects_reclaimable_valid_page() {
         let mut ssd = built();
         let head = head_of(&ssd, Lpa(5));
-        ssd.policy.prt.mark(head);
+        ssd.policy.prt.set(head, true);
         let report = ssd.check_consistency();
         assert!(report
             .violations

@@ -173,7 +173,7 @@ impl TimeSsd {
         };
         let mut cursor = walk_start;
         while let Some(ppa) = cursor {
-            if self.policy.prt.is_reclaimable(ppa) {
+            if self.policy.prt.get(ppa) {
                 break; // already compressed from here down
             }
             if !budget.charge(lat.read_total()) {
@@ -248,8 +248,8 @@ impl TimeSsd {
     }
 
     fn mark_reclaimable(&mut self, ppa: Ppa) {
-        if !self.policy.prt.is_reclaimable(ppa) {
-            self.policy.prt.mark(ppa);
+        if !self.policy.prt.get(ppa) {
+            self.policy.prt.set(ppa, true);
             self.bst
                 .get_mut(self.config.geometry.block_of(ppa))
                 .reclaimable += 1;
@@ -293,7 +293,7 @@ impl TimeSsd {
     pub(crate) fn compress_retained(&mut self, ppa: Ppa, mut t: Nanos) -> Result<Nanos> {
         // Lines 10-13: reclaimable pages are discarded by the erase.
         // Lines 15-17: pages missing every Bloom filter have expired.
-        if self.policy.prt.is_reclaimable(ppa) || !self.policy.chain.contains(self.group_of(ppa)) {
+        if self.policy.prt.get(ppa) || !self.policy.chain.contains(self.group_of(ppa)) {
             return Ok(t);
         }
         // Lines 19-25: retained page — compress its LPA's whole
@@ -302,7 +302,7 @@ impl TimeSsd {
         t = rt;
         self.note_read(Cause::Gc);
         t = self.compress_versions_of(oob.lpa, t, &mut Budget::unbounded(), Cause::Gc)?;
-        if !self.policy.prt.is_reclaimable(ppa) {
+        if !self.policy.prt.get(ppa) {
             // The page was unreachable from its chain head (e.g. the
             // chain was truncated by expiry); compress it standalone so
             // the history is still preserved.
@@ -434,7 +434,7 @@ impl TimeSsd {
         let geo = self.config.geometry;
         for off in 0..geo.pages_per_block {
             let ppa = geo.ppa(victim.0, off);
-            if self.pvt.is_valid(ppa) {
+            if self.pvt.get(ppa) {
                 let slot = geo.ppa(parked.0, self.bst.get(parked).written);
                 t = self.migrate_valid(ppa, Dest::At(slot), t)?;
                 self.stats.wl_programs += 1;
@@ -489,8 +489,8 @@ impl TimeSsd {
                 break;
             }
             let ppa = geo.ppa(victim.0, off);
-            if self.pvt.is_valid(ppa)
-                || self.policy.prt.is_reclaimable(ppa)
+            if self.pvt.get(ppa)
+                || self.policy.prt.get(ppa)
                 || !self.policy.chain.contains(self.group_of(ppa))
             {
                 continue;

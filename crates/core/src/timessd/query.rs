@@ -64,12 +64,12 @@ const MAX_CHAIN: usize = 65_536;
 
 impl TimeSsd {
     /// Reads a delta page, transparently resolving unflushed buffers.
-    pub(crate) fn delta_page_at(&self, ppa: Ppa) -> Option<DeltaPage> {
+    pub(crate) fn delta_page_at(&self, ppa: Ppa) -> Option<&DeltaPage> {
         if let Some(page) = self.policy.deltas.buffered_page(ppa) {
-            return Some(page.clone());
+            return Some(page);
         }
         match self.flash.peek(ppa) {
-            Ok((PageData::DeltaPage(dp), _)) => Some(dp.as_ref().clone()),
+            Ok((PageData::DeltaPage(dp), _)) => Some(dp),
             _ => None,
         }
     }
@@ -227,7 +227,7 @@ impl TimeSsd {
                         cursor = None;
                         continue; // broken link → try IMT
                     }
-                    if self.policy.prt.is_reclaimable(ppa) {
+                    if self.policy.prt.get(ppa) {
                         // Compressed copy exists; the delta chain covers it.
                         cursor = None;
                         continue;

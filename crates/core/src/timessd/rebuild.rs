@@ -191,7 +191,7 @@ impl TimeSsd {
             };
             for off in 0..written {
                 let ppa = geo.ppa(block, off);
-                if pvt.is_valid(ppa) {
+                if pvt.get(ppa) {
                     bst.get_mut(almanac_flash::BlockId(block)).valid += 1;
                 } else if !is_delta {
                     if let Ok((_, oob)) = flash.peek(ppa) {
@@ -201,7 +201,7 @@ impl TimeSsd {
                             .map(|v| v.contains(&oob.timestamp))
                             .unwrap_or(false);
                         if done {
-                            prt.mark(ppa);
+                            prt.set(ppa, true);
                             bst.get_mut(almanac_flash::BlockId(block)).reclaimable += 1;
                         } else {
                             invalid_pages.push((oob.timestamp, ppa.0 / group_size));

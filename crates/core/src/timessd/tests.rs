@@ -849,10 +849,7 @@ fn failed_migration_program_leaves_old_copy_mapped() {
         }
         hit = true;
         assert_eq!(ssd.amt.get(Lpa(2)), AmtEntry::Mapped(old));
-        assert!(
-            ssd.pvt.is_valid(old),
-            "old copy invalidated by failed program"
-        );
+        assert!(ssd.pvt.get(old), "old copy invalidated by failed program");
         let audit = ssd.check_consistency();
         assert!(
             audit.is_clean(),
@@ -863,8 +860,8 @@ fn failed_migration_program_leaves_old_copy_mapped() {
         ssd.migrate_valid(old, Dest::Cold, 11 * SEC_NS).unwrap();
         let moved = ssd.amt.get(Lpa(2)).chain_head().unwrap();
         assert_ne!(moved, old);
-        assert!(!ssd.pvt.is_valid(old));
-        assert!(ssd.pvt.is_valid(moved));
+        assert!(!ssd.pvt.get(old));
+        assert!(ssd.pvt.get(moved));
         assert_eq!(ssd.version_chain(Lpa(2)).len(), 3);
         assert!(ssd.check_consistency().is_clean());
     }

@@ -297,26 +297,19 @@ impl HostDriver {
         self.submit_ticket(qid, e, 0, false)
     }
 
-    /// Synchronous issue on queue 0: submits, runs the device to
-    /// completion, and returns this command's completion. Completions for
+    /// Synchronous wait for a ticket submitted on queue 0: runs the device
+    /// to completion and returns this command's completion. Completions for
     /// other in-flight tickets are retained for a later [`HostDriver::poll`],
     /// never dropped.
-    fn issue(
-        &mut self,
-        entry: SubmissionEntry,
-        buffer: u32,
-        wants_data: bool,
-        now: Nanos,
-    ) -> DriverResult<CompletedIo> {
-        let opcode = entry.opcode;
-        let ticket = self.submit_ticket(0, entry, buffer, wants_data)?;
+    fn issue(&mut self, ticket: Ticket, now: Nanos) -> DriverResult<CompletedIo> {
         self.controller.run_to_completion(now);
         self.harvest();
         let pos = self
             .ready
             .iter()
             .position(|io| io.ticket == ticket)
-            .ok_or(DriverError::Lost(opcode))?;
+            // Never harvested, so the in-flight record still names it.
+            .ok_or_else(|| DriverError::Lost(self.inflight[&ticket].opcode))?;
         let io = self.ready.remove(pos).expect("position just found");
         if io.is_success() {
             Ok(io)
@@ -330,23 +323,15 @@ impl HostDriver {
 
     /// Writes one page of bytes.
     pub fn write(&mut self, lpa: Lpa, page: Vec<u8>, now: Nanos) -> DriverResult<()> {
-        let buffer = self.controller.register_buffer(vec![page]);
-        let mut e = SubmissionEntry::new(NvmeOpcode::Write, 0);
-        e.set_u64(0, lpa.0);
-        e.cdw[2] = 1;
-        e.buffer = buffer;
-        self.issue(e, buffer, false, now)?;
+        let ticket = self.submit_write(0, lpa, vec![page])?;
+        self.issue(ticket, now)?;
         Ok(())
     }
 
     /// Reads one page of bytes.
     pub fn read(&mut self, lpa: Lpa, now: Nanos) -> DriverResult<Vec<u8>> {
-        let buffer = self.controller.register_buffer(Vec::new());
-        let mut e = SubmissionEntry::new(NvmeOpcode::Read, 0);
-        e.set_u64(0, lpa.0);
-        e.cdw[2] = 1;
-        e.buffer = buffer;
-        let io = self.issue(e, buffer, true, now)?;
+        let ticket = self.submit_read(0, lpa, 1)?;
+        let io = self.issue(ticket, now)?;
         let mut pages = io.data.ok_or(DriverError::Lost(NvmeOpcode::Read))?;
         if pages.is_empty() {
             return Err(DriverError::Lost(NvmeOpcode::Read));
@@ -356,10 +341,8 @@ impl HostDriver {
 
     /// Trims a range of pages.
     pub fn trim(&mut self, lpa: Lpa, count: u32, now: Nanos) -> DriverResult<()> {
-        let mut e = SubmissionEntry::new(NvmeOpcode::DatasetMgmt, 0);
-        e.set_u64(0, lpa.0);
-        e.cdw[2] = count;
-        self.issue(e, 0, false, now)?;
+        let ticket = self.submit_trim(0, lpa, count)?;
+        self.issue(ticket, now)?;
         Ok(())
     }
 
@@ -392,7 +375,8 @@ impl HostDriver {
         e.cdw[3] = threads;
         e.set_u64(4, t);
         e.buffer = buffer;
-        let io = self.issue(e, buffer, true, now)?;
+        let ticket = self.submit_ticket(0, e, buffer, true)?;
+        let io = self.issue(ticket, now)?;
         io.data.ok_or(DriverError::Lost(NvmeOpcode::AddrQuery))
     }
 
@@ -401,7 +385,8 @@ impl HostDriver {
         let buffer = self.controller.register_buffer(Vec::new());
         let mut e = SubmissionEntry::new(NvmeOpcode::TimeQueryAll, 0);
         e.buffer = buffer;
-        let io = self.issue(e, buffer, true, now)?;
+        let ticket = self.submit_ticket(0, e, buffer, true)?;
+        let io = self.issue(ticket, now)?;
         let rows = io.data.ok_or(DriverError::Lost(NvmeOpcode::TimeQueryAll))?;
         Ok(rows
             .iter()
@@ -420,22 +405,24 @@ impl HostDriver {
         e.set_u64(0, lpa.0);
         e.cdw[2] = count;
         e.set_u64(4, t);
-        Ok(self.issue(e, 0, false, now)?.result)
+        let ticket = self.submit_ticket(0, e, 0, false)?;
+        Ok(self.issue(ticket, now)?.result)
     }
 
     /// `RollBackAll` through the wire; returns the number of pages restored.
     pub fn roll_back_all(&mut self, t: Nanos, now: Nanos) -> DriverResult<u32> {
         let mut e = SubmissionEntry::new(NvmeOpcode::RollBackAll, 0);
         e.set_u64(0, t);
-        Ok(self.issue(e, 0, false, now)?.result)
+        let ticket = self.submit_ticket(0, e, 0, false)?;
+        Ok(self.issue(ticket, now)?.result)
     }
 
     /// Flush (drains TimeSSD's delta buffers to flash). Returns the
     /// barrier's response time in microseconds, as reported by the
     /// controller in the completion result.
     pub fn flush(&mut self, now: Nanos) -> DriverResult<u32> {
-        let e = SubmissionEntry::new(NvmeOpcode::Flush, 0);
-        Ok(self.issue(e, 0, false, now)?.result)
+        let ticket = self.submit_flush(0)?;
+        Ok(self.issue(ticket, now)?.result)
     }
 }
 

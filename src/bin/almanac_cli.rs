@@ -41,7 +41,11 @@ fn main() -> ExitCode {
             let Some(name) = args.get(1) else {
                 return usage();
             };
-            let days = args.get(2).and_then(|d| d.parse().ok()).unwrap_or(2u32);
+            let days = match args.get(2).map(|d| d.parse()) {
+                None => 2u32,
+                Some(Ok(days)) if days > 0 => days,
+                Some(_) => return usage(),
+            };
             cmd_replay(name, days)
         }
         Some("families") => cmd_families(),

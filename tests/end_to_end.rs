@@ -152,3 +152,18 @@ fn device_timeline_is_tamper_evident() {
     assert_eq!(versions.hits.len(), 1);
     assert_eq!(versions.hits[0].data, PageData::bytes(b"evidence".to_vec()));
 }
+
+#[test]
+fn cli_replay_rejects_malformed_day_counts() {
+    // An unparsable or zero `[days]` must end in the usage text and a
+    // failure status, not a silent two-day replay.
+    for bad in ["abc", "0", "-3"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_almanac_cli"))
+            .args(["replay", "hm", bad])
+            .output()
+            .expect("spawn almanac_cli");
+        assert!(!out.status.success(), "`replay hm {bad}` must fail");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("usage: almanac"));
+        assert!(out.stdout.is_empty(), "`replay hm {bad}` replayed anyway");
+    }
+}
