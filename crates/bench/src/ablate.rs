@@ -7,11 +7,13 @@
 //! time, write amplification, and the achieved retention window.
 
 use almanac_core::{SsdConfig, SsdReadOps, TimeSsd};
-use almanac_flash::{Nanos, DAY_NS, MS_NS};
+use almanac_flash::{DAY_NS, MS_NS};
 use almanac_workloads::profiles;
 
 use crate::report::CellRecord;
-use crate::{bench_config, engine, fast_mode, fmt_days, fmt_ms, print_table, run_profile};
+use crate::{
+    bench_config, engine, fast_mode, fmt_days, fmt_ms, print_table, run_profile, WindowSampler,
+};
 
 /// One configuration's measurements on the shared `hm` replay.
 struct Outcome {
@@ -27,26 +29,15 @@ fn measure(label: String, cfg: SsdConfig, seed: u64) -> Outcome {
     let profile = profiles::profile_by_name("hm").expect("hm is a calibrated profile");
     let days = if fast_mode() { 2 } else { 14 };
     let mut ssd = TimeSsd::new(cfg);
-    let mut window_samples: Vec<Nanos> = Vec::new();
-    let mut n = 0u64;
+    let mut window = WindowSampler::default();
     let report = run_profile(&mut ssd, &profile, days, 0.8, seed, |d, now| {
-        n += 1;
-        if n.is_multiple_of(64) {
-            window_samples.push(d.retention_window(now));
-        }
+        window.sample(d, now)
     });
-    let half = window_samples.len() / 2;
-    let steady = &window_samples[half..];
-    let retention_ns = if steady.is_empty() {
-        0.0
-    } else {
-        steady.iter().sum::<Nanos>() as f64 / steady.len() as f64
-    };
     Outcome {
         label,
         avg_response_ns: report.avg_response_ns,
         wa: report.write_amplification,
-        retention_ns,
+        retention_ns: window.steady_mean_ns(),
         dropped: ssd.stats().filters_dropped,
     }
 }

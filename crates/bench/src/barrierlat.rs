@@ -11,10 +11,8 @@
 //! delta the cost knobs account for.
 
 use almanac_bloom::ChainConfig;
-use almanac_core::{SsdConfig, SsdDevice, SsdReadOps, TimeSsd};
-use almanac_flash::{Geometry, Lpa, PageData, MS_NS, SEC_NS, US_NS};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use almanac_core::{SsdConfig, SsdReadOps, TimeSsd};
+use almanac_flash::{Geometry, SEC_NS, US_NS};
 
 use crate::print_table;
 use crate::report::CellRecord;
@@ -38,11 +36,12 @@ pub struct Row {
     pub delta_us: f64,
 }
 
-/// Identical op stream for both cost modes: every third op trims a mapped
-/// page (tombstones into the deferred journal), the rest write; a flush
-/// barrier lands every `batch` ops. Gaps keep each op complete before the
-/// next arrival, so the barrier pays for drained pages, not the fence to
-/// in-flight writes.
+/// Identical op stream for both cost modes
+/// ([`trim_heavy_stream`](crate::trimwa::trim_heavy_stream)): every third op
+/// trims a mapped page (tombstones into the deferred journal), the rest
+/// write; a flush barrier lands every `batch` ops. Gaps keep each op
+/// complete before the next arrival, so the barrier pays for drained pages,
+/// not the fence to in-flight writes.
 fn run_mode(batch: u64, zero_cost: bool, ops: u64, seed: u64) -> (f64, u64, u64) {
     let mut cfg = SsdConfig::new(Geometry::medium_test())
         .with_min_retention(SEC_NS)
@@ -56,32 +55,7 @@ fn run_mode(batch: u64, zero_cost: bool, ops: u64, seed: u64) -> (f64, u64, u64)
         cfg = cfg.with_flush_costs(0, 0);
     }
     let mut ssd = TimeSsd::new(cfg);
-    let exported = ssd.exported_pages();
-    let domain = exported / 2;
-
-    let mut rng = StdRng::seed_from_u64(seed);
-
-    let mut now = MS_NS;
-    for i in 0..ops {
-        let lpa = Lpa(rng.gen_range(0..domain));
-        let c = if i % 3 == 2 && ssd.is_mapped(lpa) {
-            ssd.trim(lpa, now).expect("trim")
-        } else {
-            ssd.write(
-                lpa,
-                PageData::Synthetic {
-                    seed: lpa.0,
-                    version: i,
-                },
-                now,
-            )
-            .expect("write")
-        };
-        now = c.finish + MS_NS / 4;
-        if i % batch == batch - 1 {
-            now = ssd.flush(now).expect("flush").finish + MS_NS / 4;
-        }
-    }
+    crate::trimwa::trim_heavy_stream(&mut ssd, ops, batch, seed);
 
     let s = ssd.stats();
     (

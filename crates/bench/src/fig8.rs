@@ -1,12 +1,12 @@
 //! Figure 8: data retention duration of TimeSSD under different workloads,
 //! trace lengths, and capacity usages.
 
-use almanac_flash::{Nanos, DAY_NS};
+use almanac_flash::DAY_NS;
 use almanac_workloads::TraceProfile;
 
 use crate::engine::{self, timed, Timed};
 use crate::report::CellRecord;
-use crate::{print_table, run_profile_warm};
+use crate::{print_table, run_profile_warm, WindowSampler};
 
 /// Retention achieved by one trace at one length.
 #[derive(Debug, Clone)]
@@ -25,24 +25,13 @@ pub struct Point {
 fn retention_cell(profile: TraceProfile, usage: f64, days: u32, seed: u64) -> Timed<Point> {
     timed(|| {
         let (mut ssd, warm_end) = engine::warm_cache().timessd(usage);
-        let mut samples: Vec<Nanos> = Vec::new();
-        let mut counter = 0u64;
+        let mut window = WindowSampler::default();
         let report = run_profile_warm(&mut ssd, warm_end, &profile, days, usage, seed, |d, now| {
-            counter += 1;
-            if counter.is_multiple_of(64) {
-                samples.push(d.retention_window(now));
-            }
+            window.sample(d, now)
         });
-        let half = samples.len() / 2;
-        let steady = &samples[half.min(samples.len().saturating_sub(1))..];
-        let mean = if steady.is_empty() {
-            0.0
-        } else {
-            steady.iter().sum::<Nanos>() as f64 / steady.len() as f64
-        };
         Point {
             days,
-            retention_days: mean / DAY_NS as f64,
+            retention_days: window.steady_mean_ns() / DAY_NS as f64,
             stalled: report.stalled,
         }
     })

@@ -53,6 +53,23 @@ pub struct Figure {
     pub run: fn(u64) -> Vec<FigureRecord>,
 }
 
+/// The row of a module with the uniform table shape: `run(seed)` measures
+/// the rows, `print(&rows)` prints them, `cells(&rows)` reports them.
+macro_rules! tabulated {
+    ($name:literal, $module:ident) => {
+        Figure {
+            name: $name,
+            run: |seed| {
+                section($name, || {
+                    let rows = $module::run(seed);
+                    $module::print(&rows);
+                    $module::cells(&rows)
+                })
+            },
+        }
+    };
+}
+
 /// Every figure and table the harness regenerates, in the order `all`
 /// prints them: the paper's Figures 6–11, the four extension tables,
 /// Table 3, then the ablation and lifetime extensions.
@@ -77,34 +94,19 @@ pub const FIGURES: &[Figure] = &[
         name: "fig11",
         run: fig11,
     },
-    Figure {
-        name: "trim_wa",
-        run: trim_wa,
-    },
-    Figure {
-        name: "barrierlat",
-        run: barrierlat,
-    },
-    Figure {
-        name: "qdscale",
-        run: qdscale,
-    },
-    Figure {
-        name: "shardscale",
-        run: shardscale,
-    },
+    tabulated!("trim_wa", trimwa),
+    tabulated!("barrierlat", barrierlat),
+    tabulated!("qdscale", qdscale),
+    tabulated!("shardscale", shardscale),
     Figure {
         name: "table3",
         run: table3,
     },
     Figure {
         name: "ablate",
-        run: ablate,
+        run: |seed| section("ablate", || ablate::run_and_print(seed)),
     },
-    Figure {
-        name: "lifetime",
-        run: lifetime,
-    },
+    tabulated!("lifetime", lifetime),
 ];
 
 /// The rows of [`FIGURES`] named in the comma-separated `only`, in table
@@ -194,57 +196,11 @@ fn fig11(seed: u64) -> Vec<FigureRecord> {
     })
 }
 
-fn trim_wa(seed: u64) -> Vec<FigureRecord> {
-    section("trim_wa", || {
-        let rows = trimwa::run(seed);
-        trimwa::print(&rows);
-        trimwa::cells(&rows)
-    })
-}
-
-fn barrierlat(seed: u64) -> Vec<FigureRecord> {
-    section("barrierlat", || {
-        let rows = barrierlat::run(seed);
-        barrierlat::print(&rows);
-        barrierlat::cells(&rows)
-    })
-}
-
-fn qdscale(seed: u64) -> Vec<FigureRecord> {
-    section("qdscale", || {
-        let rows = qdscale::run(seed);
-        qdscale::print(&rows);
-        qdscale::cells(&rows)
-    })
-}
-
-fn shardscale(seed: u64) -> Vec<FigureRecord> {
-    section("shardscale", || {
-        let rows = shardscale::run(seed);
-        shardscale::print(&rows);
-        shardscale::cells(&rows)
-    })
-}
-
 fn table3(seed: u64) -> Vec<FigureRecord> {
     section("table3", || {
         let (rows, cells) = table3::run_with_timings(seed);
         table3::print(&rows);
         cells
-    })
-}
-
-fn ablate(seed: u64) -> Vec<FigureRecord> {
-    section("ablate", || ablate::run_and_print(seed))
-}
-
-/// The overwrite stream is a fixed round-robin; the seed has nothing to vary.
-fn lifetime(_seed: u64) -> Vec<FigureRecord> {
-    section("lifetime", || {
-        let writes = if fast_mode() { 30_000 } else { 120_000 };
-        let rows = lifetime::run(writes);
-        lifetime::print(writes, &rows);
-        lifetime::cells(&rows)
     })
 }
 
@@ -348,6 +304,35 @@ pub fn run_profile_warm<D: SsdDevice>(
         seed,
     );
     replay_with_sampler(&trace, dev, |d, now| sample(d, now)).expect("replay failed")
+}
+
+/// Retention-window sampler for the `run_profile*` callback: keeps every
+/// 64th request's window and condenses them to the steady-state mean (the
+/// second half of the run).
+#[derive(Debug, Default)]
+pub struct WindowSampler {
+    seen: u64,
+    samples: Vec<Nanos>,
+}
+
+impl WindowSampler {
+    /// The `run_profile*` sampling callback.
+    pub fn sample(&mut self, ssd: &TimeSsd, now: Nanos) {
+        self.seen += 1;
+        if self.seen.is_multiple_of(64) {
+            self.samples.push(ssd.retention_window(now));
+        }
+    }
+
+    /// Mean window over the second half of the samples, ns (0 with none).
+    pub fn steady_mean_ns(&self) -> f64 {
+        let steady = &self.samples[self.samples.len() / 2..];
+        if steady.is_empty() {
+            0.0
+        } else {
+            steady.iter().sum::<Nanos>() as f64 / steady.len() as f64
+        }
+    }
 }
 
 /// Formats nanoseconds as milliseconds with two decimals.

@@ -33,21 +33,12 @@ pub struct Row {
 }
 
 /// Deterministic trim-heavy workload: interleaved writes and trims over a
-/// hot set, with a flush barrier every `flush_every` host ops (an
-/// fsync-minded host). Identical op streams for every watermark.
-fn run_mode(watermark: u32, ops: u64, seed: u64) -> Row {
-    // A short retention window keeps sustained overwrites from pinning GC
-    // on the small test geometry; it does not affect journal accounting.
-    let cfg = SsdConfig::new(Geometry::medium_test())
-        .with_min_retention(SEC_NS)
-        .with_trim_journal_watermark(watermark);
-    let mut ssd = TimeSsd::new(cfg);
-    let exported = ssd.exported_pages();
-    let domain = exported / 2;
-    let flush_every = 128;
-
+/// hot set (half the exported space), with a flush barrier every
+/// `flush_every` host ops (an fsync-minded host). Gaps keep each op complete
+/// before the next arrives. Shared with [`crate::barrierlat`].
+pub(crate) fn trim_heavy_stream(ssd: &mut TimeSsd, ops: u64, flush_every: u64, seed: u64) {
+    let domain = ssd.exported_pages() / 2;
     let mut rng = StdRng::seed_from_u64(seed);
-
     let mut now = MS_NS;
     for i in 0..ops {
         let lpa = Lpa(rng.gen_range(0..domain));
@@ -55,21 +46,29 @@ fn run_mode(watermark: u32, ops: u64, seed: u64) -> Row {
             // Every third op trims a mapped page: tombstone traffic.
             ssd.trim(lpa, now).expect("trim")
         } else {
-            ssd.write(
-                Lpa(lpa.0),
-                PageData::Synthetic {
-                    seed: lpa.0,
-                    version: i,
-                },
-                now,
-            )
-            .expect("write")
+            let data = PageData::Synthetic {
+                seed: lpa.0,
+                version: i,
+            };
+            ssd.write(lpa, data, now).expect("write")
         };
         now = c.finish + MS_NS / 4;
         if i % flush_every == flush_every - 1 {
             now = ssd.flush(now).expect("flush").finish + MS_NS / 4;
         }
     }
+}
+
+/// Runs the shared stream (identical for every watermark) under one
+/// journalling mode.
+fn run_mode(watermark: u32, ops: u64, seed: u64) -> Row {
+    // A short retention window keeps sustained overwrites from pinning GC
+    // on the small test geometry; it does not affect journal accounting.
+    let cfg = SsdConfig::new(Geometry::medium_test())
+        .with_min_retention(SEC_NS)
+        .with_trim_journal_watermark(watermark);
+    let mut ssd = TimeSsd::new(cfg);
+    trim_heavy_stream(&mut ssd, ops, 128, seed);
 
     let s = ssd.stats();
     Row {
