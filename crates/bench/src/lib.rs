@@ -60,11 +60,11 @@ macro_rules! tabulated {
         Figure {
             name: $name,
             run: |seed| {
-                section($name, || {
+                vec![section($name, || {
                     let rows = $module::run(seed);
                     $module::print(&rows);
                     $module::cells(&rows)
-                })
+                })]
             },
         }
     };
@@ -104,7 +104,7 @@ pub const FIGURES: &[Figure] = &[
     },
     Figure {
         name: "ablate",
-        run: |seed| section("ablate", || ablate::run_and_print(seed)),
+        run: |seed| vec![section("ablate", || ablate::run_and_print(seed))],
     },
     tabulated!("lifetime", lifetime),
 ];
@@ -119,21 +119,21 @@ pub fn select(only: &str) -> Result<Vec<&'static Figure>, String> {
     }
 }
 
-/// Runs one section of a figure, timing it into a one-element record list.
-fn section(name: impl Into<String>, run: impl FnOnce() -> Vec<CellRecord>) -> Vec<FigureRecord> {
+/// Runs one section of a figure, timing it into its record.
+fn section(name: impl Into<String>, run: impl FnOnce() -> Vec<CellRecord>) -> FigureRecord {
     let t = engine::timed(run);
-    vec![FigureRecord {
+    FigureRecord {
         name: name.into(),
         wall_ms: t.wall_ms,
         cells: t.value,
-    }]
+    }
 }
 
 fn fig6_7(seed: u64) -> Vec<FigureRecord> {
     let days = if fast_mode() { 2 } else { 7 };
     [0.5, 0.8]
         .into_iter()
-        .flat_map(|usage| {
+        .map(|usage| {
             section(format!("fig6_7@u{:.0}", usage * 100.0), || {
                 let (rows, cells) = fig6_7::run_with_timings(usage, days, seed);
                 fig6_7::print_fig6(usage, &rows);
@@ -152,7 +152,7 @@ fn fig8(seed: u64) -> Vec<FigureRecord> {
     };
     [0.8, 0.5]
         .into_iter()
-        .flat_map(|usage| {
+        .map(|usage| {
             section(format!("fig8@u{:.0}", usage * 100.0), || {
                 let mut cells =
                     fig8::run_and_print("MSR", &msr_profiles(), usage, msr_lengths, seed);
@@ -170,7 +170,7 @@ fn fig8(seed: u64) -> Vec<FigureRecord> {
 }
 
 fn fig9(seed: u64) -> Vec<FigureRecord> {
-    section("fig9", || {
+    vec![section("fig9", || {
         let a = fig9::run_fig9a(seed);
         fig9::print_panel("Figure 9a: IOZone (normalized speedup over Ext4)", &a);
         let b = fig9::run_fig9b(seed);
@@ -179,29 +179,29 @@ fn fig9(seed: u64) -> Vec<FigureRecord> {
             &b,
         );
         Vec::new()
-    })
+    })]
 }
 
 fn fig10(seed: u64) -> Vec<FigureRecord> {
-    section("fig10", || {
+    vec![section("fig10", || {
         fig10::print(&fig10::run(seed));
         Vec::new()
-    })
+    })]
 }
 
 fn fig11(seed: u64) -> Vec<FigureRecord> {
-    section("fig11", || {
+    vec![section("fig11", || {
         fig11::print(&fig11::run(seed));
         Vec::new()
-    })
+    })]
 }
 
 fn table3(seed: u64) -> Vec<FigureRecord> {
-    section("table3", || {
+    vec![section("table3", || {
         let (rows, cells) = table3::run_with_timings(seed);
         table3::print(&rows);
         cells
-    })
+    })]
 }
 
 /// True when the fast (smoke-test) mode is requested.

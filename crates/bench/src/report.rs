@@ -1,6 +1,6 @@
 //! Machine-readable benchmark output: the `BENCH_*.json` perf trajectory.
 //!
-//! Every bench binary can emit a [`BenchReport`] recording, per replay
+//! Every run of `all` emits a [`BenchReport`] recording, per replay
 //! cell, the *wall-clock* time the cell took next to its *virtual-time*
 //! metrics, plus enough run metadata (worker count, fast mode, seed) to
 //! compare runs across commits. The JSON is produced by a tiny
@@ -174,10 +174,10 @@ pub struct FigureRecord {
     pub cells: Vec<CellRecord>,
 }
 
-/// The whole benchmark report, one per bench binary invocation.
+/// The whole benchmark report, one per `all` invocation.
 #[derive(Debug, Clone)]
 pub struct BenchReport {
-    /// Binary name (`"all"`, `"fig6"`, ...).
+    /// `"all"`, or the `--only` selection (`"table3+lifetime"`).
     pub bin: String,
     /// Seed the run used.
     pub seed: u64,
