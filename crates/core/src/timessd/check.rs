@@ -37,7 +37,8 @@ pub enum Violation {
     DoubleMapped(Ppa),
     /// A version chain has non-decreasing timestamps.
     ChainOrderViolation(Lpa),
-    /// A delta block's filter is neither live nor pending erase bookkeeping.
+    /// A block the BST labels a delta block holds a page that is not a
+    /// delta page.
     OrphanDeltaBlock(u64),
     /// An AMT tombstone inside the retention window has no TRIM record in
     /// the delta stream — the trim would silently un-happen at the next
@@ -84,7 +85,7 @@ impl fmt::Display for Violation {
             Violation::ChainOrderViolation(l) => {
                 write!(f, "{l} version chain timestamps not strictly decreasing")
             }
-            Violation::OrphanDeltaBlock(b) => write!(f, "delta block B{b} has no live filter"),
+            Violation::OrphanDeltaBlock(b) => write!(f, "delta block B{b} holds a non-delta page"),
             Violation::UnjournaledTombstone(l, ts) => {
                 write!(f, "{l} trimmed at {ts}ns with no journalled TRIM record")
             }
@@ -164,8 +165,7 @@ impl TimeSsd {
         }
 
         // 2. BST valid counters match a PVT recount; free blocks are empty;
-        //    reclaimable pages are never valid; delta blocks have live filters.
-        let live: HashSet<u64> = self.policy.chain.infos().iter().map(|i| i.id).collect();
+        //    reclaimable pages are never valid; delta blocks hold delta pages.
         for (block, info) in self.bst.iter() {
             let mut recount = 0;
             for off in 0..geo.pages_per_block {
@@ -192,13 +192,10 @@ impl TimeSsd {
                             .push(Violation::FreeBlockNotEmpty(block.0));
                     }
                 }
-                BlockKind::Delta(fid) => {
-                    // An expired filter's blocks are legal only until GC
-                    // erases them lazily; they must at least still hold
-                    // delta pages, not data.
-                    if !live.contains(&fid) {
-                        // Lazy-erase pending: acceptable, not a violation.
-                    }
+                BlockKind::Delta(_) => {
+                    // Whether or not its filter is still live (an expired
+                    // filter's blocks wait for GC to erase them lazily), a
+                    // delta block must hold delta pages, not data.
                     for off in 0..info.written.min(geo.pages_per_block) {
                         let ppa = geo.ppa(block.0, off);
                         if let Ok((data, _)) = self.flash.peek(ppa) {

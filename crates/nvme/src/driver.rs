@@ -254,6 +254,29 @@ impl HostDriver {
         self.ready.drain(..).collect()
     }
 
+    /// The wait of a host whose submit came back [`DriverError::QueueFull`]:
+    /// advances `now` to the next completion and harvests what has posted.
+    /// `None` when nothing is pending device-side, so no slot will free.
+    pub fn wait_for_slot(&mut self, now: &mut Nanos) -> Option<Vec<CompletedIo>> {
+        *now = (*now).max(self.next_completion_at()?);
+        Some(self.poll(*now))
+    }
+
+    /// Advances `now` until nothing is in flight, returning every completion
+    /// in posting order.
+    pub fn drain(&mut self, now: &mut Nanos) -> Vec<CompletedIo> {
+        let mut done = Vec::new();
+        while self.in_flight() > 0 {
+            // In flight but nothing pending device-side: commands are still
+            // queued behind a fence; nudge the arbitration loop.
+            *now = self
+                .next_completion_at()
+                .map_or(*now + 1, |at| at.max(*now));
+            done.extend(self.poll(*now));
+        }
+        done
+    }
+
     /// Submits a multi-page write on `qid`; completes with the number of
     /// pages written in `result`.
     pub fn submit_write(

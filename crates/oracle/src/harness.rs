@@ -1,12 +1,18 @@
-//! Lockstep differential execution: one real [`TimeSsd`], one
+//! Lockstep differential execution: one device under test, one
 //! [`ModelDevice`], every op applied to both and compared.
+//!
+//! This is the one place an [`OracleOp`] reaches a device. The harness is
+//! generic over the device: any [`SsdDevice`] gets the head and read checks
+//! (the model then runs on the mirror ordinal with nothing obligated — the
+//! `RegularSsd` / `FlashGuardSsd` baselines), and a [`TimeSsd`] additionally
+//! gets everything that needs its history — chains, obligations, as-of and
+//! rollback probes, the power-cut crash contract, `check_consistency`.
 //!
 //! The harness implements [`SsdDevice`], so anything that drives a device —
 //! `trace::replay` in particular — can drive the pair and get op-by-op
-//! read checking for free. Richer probes (`as-of` queries, TimeKits
-//! rollbacks, power cuts, full deep checks) are available through
+//! read checking for free. Richer probes are available through
 //! [`DifferentialHarness::apply`] on [`OracleOp`] sequences, which is what
-//! the proptest strategies feed it.
+//! the proptest strategies and the `shards` / `queues` runners feed it.
 //!
 //! ## Comparison rules
 //!
@@ -28,41 +34,63 @@
 //! [`minimal_failing_prefix`] re-runs an op sequence with a deep check
 //! after every op to pin the shortest reproducing prefix.
 
+use std::any::Any;
 use std::collections::BTreeMap;
 
 use almanac_core::{
     AlmanacError, Completion, DeviceStats, Result, SsdConfig, SsdDevice, SsdReadOps, TimeSsd,
     VersionLocation,
 };
-use almanac_flash::{FlashError, Geometry, Lpa, Nanos, PageData};
-use almanac_kits::TimeKits;
+use almanac_flash::{FlashError, Lpa, Nanos, PageData};
+use almanac_kits::{RollbackOutcome, TimeKits};
 
 use crate::model::ModelDevice;
 use crate::report::{Divergence, DivergenceReport};
-use crate::strategy::OracleOp;
+use crate::strategy::{Action, Decoder, OracleOp};
 
 /// Per-LPA cap on full content decodes in one deep check; timestamps and
 /// ordering are still verified for the whole chain beyond it.
 const CONTENT_CHECK_CAP: usize = 32;
 
 /// Stop recording after this many divergences (the first is what matters).
-const MAX_DIVERGENCES: usize = 16;
+pub(crate) const MAX_DIVERGENCES: usize = 16;
 
-/// A [`TimeSsd`] and its reference model, driven in lockstep.
-pub struct DifferentialHarness {
-    ssd: TimeSsd,
+/// What the device answered to one applied op: what a runner that pairs two
+/// harnesses compares across them.
+#[derive(Debug, PartialEq)]
+pub(crate) enum Answer {
+    /// Write, trim or flush timing.
+    Io(Completion),
+    /// Page read, and the timing.
+    Read(PageData, Completion),
+    /// Timestamp `version_as_of` served.
+    AsOf(Option<Nanos>),
+    /// What a rollback restored, erased and cost.
+    RolledBack(RollbackOutcome),
+    /// A deep check ran; true when it found nothing new.
+    Checked(bool),
+    /// A power cycle, or a history probe on a device that keeps none.
+    Nothing,
+}
+
+/// A device under test (a [`TimeSsd`] unless named otherwise) and its
+/// reference model, driven in lockstep.
+pub struct DifferentialHarness<D = TimeSsd> {
+    /// `None` only while `power_cycle` holds the flash array.
+    ssd: Option<D>,
     model: ModelDevice,
     config: SsdConfig,
     divergences: Vec<Divergence>,
     ops: Vec<OracleOp>,
     first_divergence_op: Option<usize>,
-    /// Virtual arrival clock for `apply`-driven runs.
-    now: Nanos,
+    /// Arrival clock, pages and payloads of `apply`-driven runs.
+    decoder: Decoder,
     /// Max arrival/completion time observed — the instant obligations are
     /// evaluated at. Never behind any expiry decision the device has made.
     clock: Nanos,
-    /// Monotonic counter making every synthetic write distinct.
-    seq: u64,
+    /// Writes and trims mirrored so far: the model's clock for a device
+    /// that stamps nothing.
+    mirrored: u64,
     stalled: bool,
     power_cuts: usize,
     /// Deep-check cadence in ops (0 = only explicit `Check` ops + final).
@@ -75,23 +103,33 @@ pub struct DifferentialHarness {
 }
 
 impl DifferentialHarness {
-    /// A fresh device/model pair for `config`.
+    /// A fresh [`TimeSsd`]/model pair for `config`.
     pub fn new(config: SsdConfig) -> Self {
-        let model = ModelDevice::new(
-            config.exported_pages(),
-            config.geometry.page_size as usize,
-            config.min_retention,
-        );
+        Self::over(TimeSsd::new(config.clone()), config)
+    }
+}
+
+impl<D: SsdDevice + 'static> DifferentialHarness<D> {
+    /// Pairs `ssd`, a fresh device built from `config`, with an empty model.
+    /// Anything but a [`TimeSsd`] promises no history, so its model keeps
+    /// none obligated (retention zero) and only heads and reads are held.
+    pub fn over(ssd: D, config: SsdConfig) -> Self {
+        let page_size = config.geometry.page_size as usize;
+        let retention = if (&ssd as &dyn Any).is::<TimeSsd>() {
+            config.min_retention
+        } else {
+            0
+        };
         DifferentialHarness {
-            ssd: TimeSsd::new(config.clone()),
-            model,
+            model: ModelDevice::new(ssd.exported_pages(), page_size, retention),
+            decoder: Decoder::new(ssd.exported_pages(), page_size),
+            ssd: Some(ssd),
             config,
             divergences: Vec::new(),
             ops: Vec::new(),
             first_divergence_op: None,
-            now: 0,
             clock: 0,
-            seq: 0,
+            mirrored: 0,
             stalled: false,
             power_cuts: 0,
             check_every: 0,
@@ -107,8 +145,8 @@ impl DifferentialHarness {
     }
 
     /// Read access to the device under test.
-    pub fn ssd(&self) -> &TimeSsd {
-        &self.ssd
+    pub fn ssd(&self) -> &D {
+        self.ssd.as_ref().expect("device present between ops")
     }
 
     /// Read access to the reference model.
@@ -121,8 +159,12 @@ impl DifferentialHarness {
     /// Exists so tests can seed device-side state the model does not know
     /// about and prove the oracle flags it; using it in a differential run
     /// for anything else desynchronises the pair by construction.
-    pub fn ssd_mut_bypassing_model(&mut self) -> &mut TimeSsd {
-        &mut self.ssd
+    pub fn ssd_mut_bypassing_model(&mut self) -> &mut D {
+        self.dev()
+    }
+
+    fn dev(&mut self) -> &mut D {
+        self.ssd.as_mut().expect("device present between ops")
     }
 
     /// Divergences recorded so far.
@@ -140,18 +182,159 @@ impl DifferentialHarness {
         self.stalled
     }
 
+    /// Arrival time of the last applied op.
+    pub(crate) fn now(&self) -> Nanos {
+        self.decoder.now()
+    }
+
     fn page_size(&self) -> usize {
         self.config.geometry.page_size as usize
     }
 
+    fn full(&self) -> bool {
+        self.divergences.len() >= MAX_DIVERGENCES
+    }
+
+    /// `self` as the harness of a [`TimeSsd`], when that is the device under
+    /// test: the way in to every check that needs the device's history.
+    fn timed(&mut self) -> Option<&mut DifferentialHarness<TimeSsd>> {
+        (self as &mut dyn Any).downcast_mut()
+    }
+
     fn diverge(&mut self, d: Divergence) {
-        if self.divergences.len() >= MAX_DIVERGENCES {
+        if self.full() {
             return;
         }
         if self.first_divergence_op.is_none() && !self.ops.is_empty() {
             self.first_divergence_op = Some(self.ops.len() - 1);
         }
         self.divergences.push(d);
+    }
+
+    // ---- op application ------------------------------------------------
+
+    /// Applies one generated op to both sides. Stalls and power cuts are
+    /// handled internally: a stall (retention pinned GC) ends the run, and
+    /// an injected single-op flash fault is a *failed host op* — the device
+    /// reported the error, applied nothing, and must still satisfy every
+    /// invariant afterwards (the model is deliberately not updated).
+    /// Unexpected device errors panic (the oracle runs inside tests).
+    pub fn apply(&mut self, op: &OracleOp) {
+        if self.stalled || self.full() {
+            return;
+        }
+        match self.step(op) {
+            Ok(_)
+            | Err(AlmanacError::DeviceStalled { .. })
+            | Err(AlmanacError::Flash(FlashError::Injected { .. })) => {}
+            Err(e) => panic!("unexpected device error in differential run: {e}"),
+        }
+    }
+
+    /// [`apply`](Self::apply), handing back what the device answered.
+    pub(crate) fn step(&mut self, op: &OracleOp) -> Result<Answer> {
+        self.ops.push(op.clone());
+        let (now, action) = self.decoder.decode(op);
+        let answer = match action {
+            Action::Write(lpa, data) => self.write(lpa, data, now).map(Answer::Io),
+            Action::Read(lpa) => self.read(lpa, now).map(|(data, c)| Answer::Read(data, c)),
+            Action::Trim(lpa) => self.trim(lpa, now).map(Answer::Io),
+            Action::Flush => self.flush(now).map(Answer::Io),
+            Action::Check => Ok(Answer::Checked(self.check_now())),
+            probe => match self.timed() {
+                Some(h) => h.probe(probe, now),
+                None => Ok(Answer::Nothing),
+            },
+        };
+        if self.check_every > 0 && !matches!(answer, Ok(Answer::Checked(_))) {
+            self.since_check += 1;
+            if self.since_check >= self.check_every {
+                self.since_check = 0;
+                self.check_now();
+            }
+        }
+        answer
+    }
+
+    /// Applies a whole sequence, finishing with a deep check.
+    pub fn run(&mut self, ops: &[OracleOp]) -> DivergenceReport {
+        ops.iter().for_each(|op| self.apply(op));
+        self.check_now();
+        self.report()
+    }
+
+    /// The current outcome snapshot.
+    pub fn report(&self) -> DivergenceReport {
+        DivergenceReport {
+            divergences: self.divergences.clone(),
+            ops: self.ops.clone(),
+            first_divergence_op: self.first_divergence_op,
+            stalled: self.stalled,
+            applied: self.ops.len(),
+        }
+    }
+
+    /// Compares device against model as deeply as the device allows — full
+    /// structure for a [`TimeSsd`], otherwise what the host reads now over
+    /// the whole exported space. Returns true when no new divergence was
+    /// found.
+    pub fn check_now(&mut self) -> bool {
+        let before = self.divergences.len();
+        if let Some(h) = self.timed() {
+            h.deep_check();
+        } else {
+            let at = self.clock;
+            for lpa in (0..self.model.exported_pages()).map(Lpa) {
+                if self.read(lpa, at).is_err() {
+                    self.diverge(Divergence::ReadMismatch { lpa, at });
+                }
+            }
+        }
+        self.divergences.len() == before
+    }
+
+    /// Issues `op` at `now`. A scheduled power cut firing inside it (the
+    /// fault layer's, not a strategy op) lands before the op is
+    /// acknowledged, so nothing was promised for it: the device is
+    /// recovered and the "host" reissues the op once.
+    fn issue<T>(&mut self, now: Nanos, op: impl Fn(&mut D, Nanos) -> Result<T>) -> Result<T> {
+        self.clock = self.clock.max(now);
+        let mut out = op(self.dev(), now);
+        if matches!(out, Err(AlmanacError::Flash(FlashError::PowerLoss))) {
+            if let Some(h) = self.timed() {
+                h.power_cycle();
+                let again = self.now().max(now);
+                out = op(self.dev(), again);
+            }
+        }
+        self.stalled |= matches!(out, Err(AlmanacError::DeviceStalled { .. }));
+        out
+    }
+
+    /// The model's clock for a write or trim mirrored from a device that
+    /// stamps nothing: the next ordinal. `None` for a [`TimeSsd`], whose own
+    /// timestamps are mirrored instead (they must strictly increase per
+    /// page — the model rejects a repeat).
+    fn ordinal(&mut self) -> Option<Nanos> {
+        self.mirrored += 1;
+        self.timed().is_none().then_some(self.mirrored)
+    }
+}
+
+// ---- what only a TimeSsd can be asked -----------------------------------
+
+impl DifferentialHarness<TimeSsd> {
+    /// The ops with no [`SsdDevice`] surface: history probes and power cuts.
+    fn probe(&mut self, probe: Action, now: Nanos) -> Result<Answer> {
+        match probe {
+            Action::AsOf(lpa, at) => Ok(Answer::AsOf(self.as_of_check(lpa, at))),
+            Action::RollBack(addr, cnt, t) => self.roll_back(addr, cnt, t, now),
+            // `step` serves host I/O and checks itself: a power cut is left.
+            _ => {
+                self.power_cycle();
+                Ok(Answer::Nothing)
+            }
+        }
     }
 
     /// The device answers `version_as_of(lpa, at)` may legally give:
@@ -178,127 +361,10 @@ impl DifferentialHarness {
         (acceptable, true)
     }
 
-    // ---- op application ------------------------------------------------
-
-    /// Applies one generated op to both sides. Stalls and power cuts are
-    /// handled internally; unexpected device errors panic (the oracle runs
-    /// inside tests).
-    pub fn apply(&mut self, op: &OracleOp) {
-        if self.stalled || self.divergences.len() >= MAX_DIVERGENCES {
-            return;
-        }
-        self.ops.push(op.clone());
-        let exported = self.model.exported_pages();
-        match *op {
-            OracleOp::Write { lpa, gap } => {
-                self.now = self.now.saturating_add(gap);
-                self.seq += 1;
-                let lpa = Lpa(lpa % exported);
-                let data = PageData::Synthetic {
-                    seed: lpa.0 ^ 0x5eed_0000,
-                    version: self.seq,
-                };
-                self.checked_op(|h, now| h.write(lpa, data.clone(), now).map(|_| ()));
-            }
-            OracleOp::WriteBytes { lpa, tag, gap } => {
-                self.now = self.now.saturating_add(gap);
-                self.seq += 1;
-                let lpa = Lpa(lpa % exported);
-                let mut bytes = vec![tag; self.page_size()];
-                bytes[..8].copy_from_slice(&lpa.0.to_le_bytes());
-                bytes[8..16].copy_from_slice(&self.seq.to_le_bytes());
-                let data = PageData::Bytes(std::sync::Arc::new(bytes));
-                self.checked_op(|h, now| h.write(lpa, data.clone(), now).map(|_| ()));
-            }
-            OracleOp::Read { lpa, gap } => {
-                self.now = self.now.saturating_add(gap);
-                let lpa = Lpa(lpa % exported);
-                self.checked_op(|h, now| h.read(lpa, now).map(|_| ()));
-            }
-            OracleOp::Trim { lpa, gap } => {
-                self.now = self.now.saturating_add(gap);
-                let lpa = Lpa(lpa % exported);
-                self.checked_op(|h, now| h.trim(lpa, now).map(|_| ()));
-            }
-            OracleOp::AsOf { lpa, back, gap } => {
-                self.now = self.now.saturating_add(gap);
-                let lpa = Lpa(lpa % exported);
-                let at = self.now.saturating_sub(back);
-                self.as_of_check(lpa, at);
-            }
-            OracleOp::RollBack {
-                lpa,
-                cnt,
-                back,
-                gap,
-            } => {
-                self.now = self.now.saturating_add(gap);
-                let start = lpa % exported;
-                let cnt = cnt.clamp(1, exported - start);
-                let t = self.now.saturating_sub(back);
-                self.roll_back(Lpa(start), cnt, t);
-            }
-            OracleOp::Flush { gap } => {
-                self.now = self.now.saturating_add(gap);
-                self.checked_op(|h, now| h.flush(now).map(|_| ()));
-            }
-            OracleOp::PowerCut => self.power_cycle(),
-            OracleOp::Check => {
-                self.check_now();
-            }
-        }
-        if self.check_every > 0 && !matches!(op, OracleOp::Check) {
-            self.since_check += 1;
-            if self.since_check >= self.check_every {
-                self.since_check = 0;
-                self.check_now();
-            }
-        }
-    }
-
-    /// Runs `f` as a device op at the current virtual time, absorbing the
-    /// outcomes the oracle treats as measured rather than fatal: a stall
-    /// (retention pinned GC) ends the run, and an injected single-op flash
-    /// fault is a *failed host op* — the device reported the error, applied
-    /// nothing, and must still satisfy every invariant afterwards (the
-    /// model is deliberately not updated).
-    fn checked_op(&mut self, f: impl Fn(&mut Self, Nanos) -> Result<()>) {
-        match f(self, self.now) {
-            Ok(()) => {}
-            Err(AlmanacError::DeviceStalled { .. }) => self.stalled = true,
-            Err(AlmanacError::Flash(FlashError::Injected { .. })) => {}
-            Err(e) => panic!("unexpected device error in differential run: {e}"),
-        }
-    }
-
-    /// Applies a whole sequence, finishing with a deep check.
-    pub fn run(&mut self, ops: &[OracleOp]) -> DivergenceReport {
-        for op in ops {
-            if self.stalled || self.divergences.len() >= MAX_DIVERGENCES {
-                break;
-            }
-            self.apply(op);
-        }
-        self.check_now();
-        self.report()
-    }
-
-    /// The current outcome snapshot.
-    pub fn report(&self) -> DivergenceReport {
-        DivergenceReport {
-            divergences: self.divergences.clone(),
-            ops: self.ops.clone(),
-            first_divergence_op: self.first_divergence_op,
-            stalled: self.stalled,
-            applied: self.ops.len(),
-        }
-    }
-
-    // ---- probes beyond the SsdDevice surface ---------------------------
-
-    /// Compares `version_as_of` against the model's acceptable answers.
-    pub fn as_of_check(&mut self, lpa: Lpa, at: Nanos) {
-        let device = self.ssd.version_as_of(lpa, at).map(|v| v.timestamp);
+    /// Compares `version_as_of` against the model's acceptable answers;
+    /// returns the device's.
+    fn as_of_check(&mut self, lpa: Lpa, at: Nanos) -> Option<Nanos> {
+        let device = self.ssd().version_as_of(lpa, at).map(|v| v.timestamp);
         let (acceptable, none_ok) = self.acceptable_as_of(lpa, at);
         let legal = match device {
             Some(ts) => acceptable.contains(&ts),
@@ -316,6 +382,7 @@ impl DifferentialHarness {
             // The served version must also decode to the written bytes.
             self.verify_content(lpa, ts);
         }
+        device
     }
 
     fn verify_content(&mut self, lpa: Lpa, ts: Nanos) {
@@ -324,7 +391,7 @@ impl DifferentialHarness {
             return;
         };
         let expect = mv.data.materialize(self.page_size());
-        match self.ssd.version_content(lpa, ts) {
+        match self.ssd().version_content(lpa, ts) {
             Ok(c) if c.materialize(self.page_size()) == expect => {}
             Ok(_) => self.diverge(Divergence::ContentMismatch {
                 lpa,
@@ -341,27 +408,28 @@ impl DifferentialHarness {
 
     /// TimeKits rollback of `[addr, addr+cnt)` to instant `t`, verified
     /// page-by-page: each page must end at an acceptable as-of state.
-    pub fn roll_back(&mut self, addr: Lpa, cnt: u64, t: Nanos) {
+    fn roll_back(&mut self, addr: Lpa, cnt: u64, t: Nanos, now: Nanos) -> Result<Answer> {
         self.in_rollback = true;
-        let outcome = TimeKits::new(&mut self.ssd).roll_back(addr, cnt, t, self.now);
-        self.in_rollback = false;
-        match outcome {
+        let outcome = TimeKits::new(self.dev()).roll_back(addr, cnt, t, now);
+        let answer = match outcome {
             Ok(out) => {
                 self.clock = self.clock.max(out.finish);
                 for i in 0..cnt {
                     self.sync_rolled_page(Lpa(addr.0 + i), t);
                 }
+                Ok(Answer::RolledBack(out))
             }
-            Err(AlmanacError::DeviceStalled { .. }) => self.stalled = true,
             Err(AlmanacError::Flash(FlashError::PowerLoss)) => {
                 // Mid-rollback cut: some pages are already rewritten on
                 // flash. `power_cycle` adopts them from the scan.
-                self.in_rollback = true;
                 self.power_cycle();
-                self.in_rollback = false;
+                Ok(Answer::Nothing)
             }
-            Err(e) => panic!("unexpected rollback error in differential run: {e}"),
-        }
+            Err(e) => Err(e),
+        };
+        self.in_rollback = false;
+        self.stalled |= matches!(answer, Err(AlmanacError::DeviceStalled { .. }));
+        answer
     }
 
     /// After a rollback, reconciles one page: the device must have landed
@@ -369,93 +437,74 @@ impl DifferentialHarness {
     /// a trim (page absent at `t`), or nothing (no history at all).
     fn sync_rolled_page(&mut self, lpa: Lpa, t: Nanos) {
         let (acceptable, none_ok) = self.acceptable_as_of(lpa, t);
-        let chain = self.ssd.version_chain(lpa);
-        let head = chain.first().filter(|v| v.is_head).map(|v| v.timestamp);
-        match head {
-            Some(hts) => {
-                let ps = self.page_size();
-                let head_bytes = match self.ssd.version_content(lpa, hts) {
-                    Ok(c) => c.materialize(ps),
-                    Err(e) => {
-                        self.diverge(Divergence::RollbackMismatch {
-                            lpa,
-                            target: t,
-                            detail: format!("post-rollback head unreadable: {e}"),
-                        });
-                        return;
-                    }
-                };
-                if self.model.version_at(lpa, hts).is_none() {
-                    // A fresh rollback write. Its content must equal one of
-                    // the acceptable as-of versions; mirror it in the model.
-                    let matched = acceptable.iter().copied().find(|&ts| {
-                        self.model
-                            .version_at(lpa, ts)
-                            .map(|mv| mv.data.materialize(ps) == head_bytes)
-                            .unwrap_or(false)
-                    });
-                    match matched {
-                        Some(src_ts) => {
-                            let data = self
-                                .model
-                                .version_at(lpa, src_ts)
-                                .map(|mv| mv.data.clone())
-                                .expect("matched version exists");
-                            if self.model.record_write(lpa, data, hts).is_err() {
-                                self.diverge(Divergence::ChainOrder {
-                                    lpa,
-                                    chain: chain.iter().map(|v| v.timestamp).collect(),
-                                });
-                            }
-                        }
-                        None => self.diverge(Divergence::RollbackMismatch {
-                            lpa,
-                            target: t,
-                            detail: "rewritten content matches no version live at t".into(),
-                        }),
-                    }
-                } else if !acceptable.contains(&hts) {
-                    // "Already matches" skip — only legal if the surviving
-                    // head is itself an acceptable as-of answer.
-                    self.diverge(Divergence::RollbackMismatch {
+        let chain = self.ssd().version_chain(lpa);
+        let mismatch = |detail: String| Divergence::RollbackMismatch {
+            lpa,
+            target: t,
+            detail,
+        };
+        let Some(hts) = chain.first().filter(|v| v.is_head).map(|v| v.timestamp) else {
+            if let Some(at) = self.ssd().trimmed_at(lpa) {
+                // Erased because the page did not exist at `t`.
+                if !none_ok {
+                    let detail = "page erased though an obligated version was live at t";
+                    self.diverge(mismatch(detail.into()));
+                }
+                self.model.record_trim(lpa, at);
+            } else if self.model.current(lpa).is_some() && !none_ok {
+                self.diverge(mismatch("page vanished without a tombstone".into()));
+            }
+            return;
+        };
+        let ps = self.page_size();
+        let head_bytes = match self.ssd().version_content(lpa, hts) {
+            Ok(c) => c.materialize(ps),
+            Err(e) => {
+                self.diverge(mismatch(format!("post-rollback head unreadable: {e}")));
+                return;
+            }
+        };
+        if self.model.version_at(lpa, hts).is_some() {
+            // "Already matches" skip — only legal if the surviving head is
+            // itself an acceptable as-of answer.
+            if !acceptable.contains(&hts) {
+                let detail = format!("head left at @{hts}, not an as-of answer for t");
+                self.diverge(mismatch(detail));
+            }
+            return;
+        }
+        // A fresh rollback write. Its content must equal one of the
+        // acceptable as-of versions; mirror it in the model.
+        let source = acceptable
+            .iter()
+            .filter_map(|&ts| self.model.version_at(lpa, ts))
+            .find(|mv| mv.data.materialize(ps) == head_bytes)
+            .map(|mv| mv.data.clone());
+        match source {
+            Some(data) => {
+                if self.model.record_write(lpa, data, hts).is_err() {
+                    self.diverge(Divergence::ChainOrder {
                         lpa,
-                        target: t,
-                        detail: format!("head left at @{hts}, not an as-of answer for t"),
+                        chain: chain.iter().map(|v| v.timestamp).collect(),
                     });
                 }
             }
             None => {
-                if let Some(at) = self.ssd.trimmed_at(lpa) {
-                    // Erased because the page did not exist at `t`.
-                    if !none_ok {
-                        self.diverge(Divergence::RollbackMismatch {
-                            lpa,
-                            target: t,
-                            detail: "page erased though an obligated version was live at t".into(),
-                        });
-                    }
-                    self.model.record_trim(lpa, at);
-                } else if self.model.current(lpa).is_some() && !none_ok {
-                    self.diverge(Divergence::RollbackMismatch {
-                        lpa,
-                        target: t,
-                        detail: "page vanished without a tombstone".into(),
-                    });
-                }
+                let detail = "rewritten content matches no version live at t";
+                self.diverge(mismatch(detail.into()));
             }
         }
     }
 
     /// Cuts power (losing all RAM state), revives the flash, rebuilds the
     /// device, and applies the documented crash contract to the model.
-    pub fn power_cycle(&mut self) {
+    fn power_cycle(&mut self) {
         self.power_cuts += 1;
 
         // Versions living only in volatile delta buffers are legally lost.
         let mut buffered: Vec<(Lpa, Nanos)> = Vec::new();
-        let lpas: Vec<Lpa> = self.model.lpas().collect();
-        for &lpa in &lpas {
-            for v in self.ssd.version_chain(lpa) {
+        for lpa in self.model.lpas() {
+            for v in self.ssd().version_chain(lpa) {
                 if matches!(v.location, VersionLocation::BufferedDelta(_)) {
                     buffered.push((lpa, v.timestamp));
                 }
@@ -463,8 +512,7 @@ impl DifferentialHarness {
         }
 
         // Power off; recover the array (clears the scheduled cut).
-        let placeholder = TimeSsd::new(SsdConfig::new(Geometry::small_test()));
-        let old = std::mem::replace(&mut self.ssd, placeholder);
+        let old = self.ssd.take().expect("device present between ops");
         let mut flash = old.into_flash();
         flash.revive();
 
@@ -482,26 +530,17 @@ impl DifferentialHarness {
                     break; // sequential programming: first free page ends it
                 };
                 if let PageData::DeltaPage(dp) = &data {
-                    for d in &dp.deltas {
-                        if d.is_trim() {
-                            match trims.get(&d.lpa) {
-                                Some(&ts) if ts >= d.timestamp => {}
-                                _ => {
-                                    trims.insert(d.lpa, d.timestamp);
-                                }
-                            }
+                    for d in dp.deltas.iter().filter(|d| d.is_trim()) {
+                        if trims.get(&d.lpa).is_none_or(|&ts| ts < d.timestamp) {
+                            trims.insert(d.lpa, d.timestamp);
                         }
                     }
-                    continue;
-                }
-                if oob.lpa.0 >= exported {
-                    continue;
-                }
-                match heads.get(&oob.lpa) {
-                    Some((ts, _)) if *ts >= oob.timestamp => {}
-                    _ => {
-                        heads.insert(oob.lpa, (oob.timestamp, data.clone()));
-                    }
+                } else if oob.lpa.0 < exported
+                    && heads
+                        .get(&oob.lpa)
+                        .is_none_or(|(ts, _)| *ts < oob.timestamp)
+                {
+                    heads.insert(oob.lpa, (oob.timestamp, data.clone()));
                 }
             }
         }
@@ -531,23 +570,19 @@ impl DifferentialHarness {
                 self.diverge(Divergence::LostDurableTrim { lpa, ts });
             }
         }
-        self.ssd = TimeSsd::recover_from_flash(flash, self.config.clone());
+        self.ssd = Some(TimeSsd::recover_from_flash(flash, self.config.clone()));
         self.stalled = false;
     }
 
-    // ---- the deep check ------------------------------------------------
-
-    /// Full structural comparison of device against model; returns true
-    /// when no new divergence was found.
-    pub fn check_now(&mut self) -> bool {
-        let before = self.divergences.len();
+    /// Full structural comparison of device against model.
+    fn deep_check(&mut self) {
         let now = self.clock;
         let lpas: Vec<Lpa> = self.model.lpas().collect();
         for lpa in lpas {
-            if self.divergences.len() >= MAX_DIVERGENCES {
+            if self.full() {
                 break;
             }
-            let chain = self.ssd.version_chain(lpa);
+            let chain = self.ssd().version_chain(lpa);
 
             // 1. Strictly decreasing timestamps.
             if !chain.windows(2).all(|w| w[0].timestamp > w[1].timestamp) {
@@ -601,7 +636,7 @@ impl DifferentialHarness {
         }
 
         // 5. The device's own invariants.
-        let report = self.ssd.check_consistency();
+        let report = self.ssd().check_consistency();
         if !report.is_clean() {
             self.diverge(Divergence::ConsistencyViolations {
                 count: report.violations.len(),
@@ -613,151 +648,78 @@ impl DifferentialHarness {
                     .collect(),
             });
         }
-        self.divergences.len() == before
     }
 }
 
 // ---- SsdDevice: anything that drives a device can drive the pair --------
 
-impl SsdDevice for DifferentialHarness {
+impl<D: SsdDevice + 'static> SsdDevice for DifferentialHarness<D> {
     fn write(&mut self, lpa: Lpa, data: PageData, now: Nanos) -> Result<Completion> {
-        self.clock = self.clock.max(now);
-        match self.ssd.write(lpa, data.clone(), now) {
-            Ok(c) => {
-                self.clock = self.clock.max(c.finish);
-                if let Err((prev, ts)) = self.model.record_write(lpa, data, c.start) {
-                    self.diverge(Divergence::ChainOrder {
-                        lpa,
-                        chain: vec![ts, prev],
-                    });
-                }
-                Ok(c)
-            }
-            Err(AlmanacError::Flash(FlashError::PowerLoss)) => {
-                // The cut fires before the write lands; recover and let the
-                // "host" reissue it once.
-                self.power_cycle();
-                let c = self.ssd.write(lpa, data.clone(), self.now.max(now))?;
-                self.clock = self.clock.max(c.finish);
-                if let Err((prev, ts)) = self.model.record_write(lpa, data, c.start) {
-                    self.diverge(Divergence::ChainOrder {
-                        lpa,
-                        chain: vec![ts, prev],
-                    });
-                }
-                Ok(c)
-            }
-            Err(e) => {
-                if matches!(e, AlmanacError::DeviceStalled { .. }) {
-                    self.stalled = true;
-                }
-                Err(e)
-            }
+        let c = self.issue(now, |d, t| d.write(lpa, data.clone(), t))?;
+        self.clock = self.clock.max(c.finish);
+        let ts = self.ordinal().unwrap_or(c.start);
+        if let Err((prev, ts)) = self.model.record_write(lpa, data, ts) {
+            self.diverge(Divergence::ChainOrder {
+                lpa,
+                chain: vec![ts, prev],
+            });
         }
+        Ok(c)
     }
 
     fn read(&mut self, lpa: Lpa, now: Nanos) -> Result<(PageData, Completion)> {
-        self.clock = self.clock.max(now);
-        match self.ssd.read(lpa, now) {
-            Ok((data, c)) => {
-                self.clock = self.clock.max(c.finish);
-                if data.materialize(self.page_size()) != self.model.read_bytes(lpa) {
-                    self.diverge(Divergence::ReadMismatch { lpa, at: now });
-                }
-                Ok((data, c))
-            }
-            Err(AlmanacError::Flash(FlashError::PowerLoss)) => {
-                self.power_cycle();
-                let (data, c) = self.ssd.read(lpa, self.now.max(now))?;
-                self.clock = self.clock.max(c.finish);
-                if data.materialize(self.page_size()) != self.model.read_bytes(lpa) {
-                    self.diverge(Divergence::ReadMismatch { lpa, at: now });
-                }
-                Ok((data, c))
-            }
-            Err(e) => Err(e),
+        let (data, c) = self.issue(now, |d, t| d.read(lpa, t))?;
+        self.clock = self.clock.max(c.finish);
+        if data.materialize(self.page_size()) != self.model.read_bytes(lpa) {
+            self.diverge(Divergence::ReadMismatch { lpa, at: now });
         }
+        Ok((data, c))
     }
 
     fn trim(&mut self, lpa: Lpa, now: Nanos) -> Result<Completion> {
-        self.clock = self.clock.max(now);
-        let model_had_data = self.model.current(lpa).is_some();
-        match self.ssd.trim(lpa, now) {
-            Ok(c) => {
-                self.clock = self.clock.max(c.finish);
-                match self.ssd.trimmed_at(lpa) {
-                    Some(at) => self.model.record_trim(lpa, at),
-                    None => {
-                        // Device saw nothing to trim; the model must agree.
-                        if model_had_data {
-                            let model = self.model.current(lpa).map(|v| v.timestamp);
-                            self.diverge(Divergence::HeadMismatch {
-                                lpa,
-                                device: None,
-                                model,
-                            });
-                        }
-                    }
+        // A cut inside the trim fires before the ack, so the host never saw
+        // it land (and no barrier covered it — the tombstone may or may not
+        // have reached flash); `issue` reissues it after recovery.
+        let c = self.issue(now, |d, t| d.trim(lpa, t))?;
+        self.clock = self.clock.max(c.finish);
+        let tombstone = self
+            .ordinal()
+            .or_else(|| self.timed().and_then(|h| h.ssd().trimmed_at(lpa)));
+        match tombstone {
+            Some(at) => self.model.record_trim(lpa, at),
+            // The device saw nothing to trim; the model must agree.
+            None => {
+                if let Some(model) = self.model.current(lpa).map(|v| v.timestamp) {
+                    self.diverge(Divergence::HeadMismatch {
+                        lpa,
+                        device: None,
+                        model: Some(model),
+                    });
                 }
-                Ok(c)
             }
-            Err(AlmanacError::Flash(FlashError::PowerLoss)) => {
-                self.power_cycle();
-                // The cut fired before the trim was acknowledged, so the
-                // host never saw it land (and no barrier covered it — the
-                // tombstone may or may not have reached flash); the host
-                // reissues the trim after recovery.
-                let c = self.ssd.trim(lpa, self.now.max(now))?;
-                if let Some(at) = self.ssd.trimmed_at(lpa) {
-                    self.model.record_trim(lpa, at);
-                }
-                Ok(c)
-            }
-            Err(e) => Err(e),
         }
+        Ok(c)
     }
 
     fn flush(&mut self, now: Nanos) -> Result<Completion> {
-        self.clock = self.clock.max(now);
-        match self.ssd.flush(now) {
-            Ok(c) => {
-                self.clock = self.clock.max(c.finish);
-                self.model.record_flush();
-                // The ack promises an empty volatile set: every buffered
-                // delta page must be on flash the instant flush returns.
-                let buffered = self.ssd.buffered_delta_pages();
-                if buffered != 0 {
-                    self.diverge(Divergence::BarrierLeftVolatile { buffered });
-                }
-                Ok(c)
-            }
-            Err(AlmanacError::Flash(FlashError::PowerLoss)) => {
-                // The cut fired mid-barrier, before the ack: no durability
-                // was promised, so the model records no barrier for the
-                // failed attempt. The host reissues the flush once.
-                self.power_cycle();
-                let c = self.ssd.flush(self.now.max(now))?;
-                self.clock = self.clock.max(c.finish);
-                self.model.record_flush();
-                let buffered = self.ssd.buffered_delta_pages();
-                if buffered != 0 {
-                    self.diverge(Divergence::BarrierLeftVolatile { buffered });
-                }
-                Ok(c)
-            }
-            Err(e) => {
-                if matches!(e, AlmanacError::DeviceStalled { .. }) {
-                    self.stalled = true;
-                }
-                Err(e)
-            }
+        // A cut mid-barrier fires before the ack: no durability was
+        // promised, so the model records no barrier for the failed attempt.
+        let c = self.issue(now, |d, t| d.flush(t))?;
+        self.clock = self.clock.max(c.finish);
+        self.model.record_flush();
+        // The ack promises an empty volatile set: every buffered delta page
+        // must be on flash the instant flush returns.
+        let buffered = self.timed().map_or(0, |h| h.ssd().buffered_delta_pages());
+        if buffered != 0 {
+            self.diverge(Divergence::BarrierLeftVolatile { buffered });
         }
+        Ok(c)
     }
 }
 
-impl SsdReadOps for DifferentialHarness {
+impl<D: SsdDevice + 'static> SsdReadOps for DifferentialHarness<D> {
     fn stats(&self) -> &DeviceStats {
-        self.ssd.stats()
+        self.ssd().stats()
     }
 
     fn exported_pages(&self) -> u64 {
@@ -765,14 +727,14 @@ impl SsdReadOps for DifferentialHarness {
     }
 
     fn kind(&self) -> &'static str {
-        "timessd-differential"
+        "differential"
     }
 
     // The harness's read view is the device-under-test's: oracle suites use
     // it to run AddrQuery builders against the real TimeSsd while the model
     // stays the arbiter of correctness.
     fn read_view(&self) -> Option<almanac_core::SsdReadView<'_>> {
-        Some(self.ssd.read_view())
+        self.ssd().read_view()
     }
 }
 

@@ -20,17 +20,26 @@
 //! reachable from the rebuilt chains — only versions that lived purely in
 //! volatile delta buffers are waived.
 //!
-//! Three ways in:
+//! One harness, three clients. [`DifferentialHarness`] is the only code
+//! that applies an [`OracleOp`] to a device, mirrors it into the model and
+//! power-cycles; its arrival times, pages and payloads come from the one
+//! decoder next to the enum in [`strategy`]. It is generic over the device:
+//! a [`TimeSsd`](almanac_core::TimeSsd) gets every check above, any other
+//! [`SsdDevice`](almanac_core::SsdDevice) — the `RegularSsd` and
+//! `FlashGuardSsd` baselines — the head and read checks at retention zero.
 //!
-//! 1. [`DifferentialHarness`] implements
-//!    [`SsdDevice`](almanac_core::SsdDevice), so `trace::replay` can drive
-//!    it directly — every replayed read is checked byte-for-byte.
-//! 2. The [`strategy`] module generates adversarial [`OracleOp`] sequences
-//!    (hot/cold skew, equal-timestamp bursts, trims, GC pressure, power
-//!    cuts, rollback storms, single-op injected faults) for the
-//!    deterministic proptest runner.
-//! 3. [`DifferentialHarness::apply`] accepts hand-written op sequences for
-//!    regression tests of specific divergences.
+//! 1. Tests drive it directly: [`DifferentialHarness::run`] on the
+//!    adversarial sequences the [`strategy`] module generates (hot/cold
+//!    skew, equal-timestamp bursts, trims, GC pressure, power cuts,
+//!    rollback storms, single-op injected faults),
+//!    [`DifferentialHarness::apply`] on hand-written regressions — and,
+//!    since it implements `SsdDevice` itself, `trace::replay` with every
+//!    replayed read checked byte-for-byte.
+//! 2. [`lockstep_shard_run`] feeds the same ops to two harnesses, a width-1
+//!    and a width-N device, and adds what only it can compare: the two
+//!    devices with each other, op for op.
+//! 3. [`lockstep_queue_run`] takes a harness run as its serial reference
+//!    and compares it with the NVMe multi-queue schedule of the same ops.
 
 #![warn(missing_docs)]
 

@@ -3,22 +3,26 @@
 //! and through the NVMe multi-queue controller (commands sharded across
 //! queues, completions posting in device finish order).
 //!
-//! Sharding is by logical page, so per-page command order — the order that
-//! defines host-visible state — is preserved on every queue while
-//! cross-page completions reorder freely. Any legal completion schedule
-//! must therefore leave the two devices with identical host-visible state:
-//! the same head bytes, the same mapped set, the same tombstones. The run
-//! also audits the per-queue Flush fence from the completion log: every
-//! command submitted before a flush on its queue must post before the
-//! flush's completion, and every later one after.
+//! The serial reference is a [`DifferentialHarness`] run, so it is held to
+//! the model like any other; the multi-queue side draws the same arrival
+//! times, pages and payloads from its own `Decoder`. What only this
+//! runner compares is the two *schedules*. Sharding is by logical page, so
+//! per-page command order — the order that defines host-visible state — is
+//! preserved on every queue while cross-page completions reorder freely.
+//! Any legal completion schedule must therefore leave the two devices with
+//! identical host-visible state: the same head bytes, the same mapped set,
+//! the same tombstones. The run also audits the per-queue Flush fence from
+//! the completion log: every command submitted before a flush on its queue
+//! must post before the flush's completion, and every later one after.
 
 use std::collections::HashMap;
 
-use almanac_core::{SsdConfig, SsdDevice, SsdReadOps, TimeSsd};
-use almanac_flash::{Lpa, Nanos, PageData, MS_NS};
+use almanac_core::{SsdConfig, SsdDevice, TimeSsd};
+use almanac_flash::{Lpa, MS_NS};
 use almanac_nvme::{CompletedIo, DriverError, HostDriver, NvmeController, Ticket};
 
-use crate::strategy::OracleOp;
+use crate::harness::DifferentialHarness;
+use crate::strategy::{Action, Decoder, OracleOp};
 
 /// Outcome of one in-order vs out-of-order lockstep run.
 #[derive(Debug)]
@@ -41,15 +45,6 @@ impl QueueRunOutcome {
     }
 }
 
-/// Deterministic page contents for the `i`-th op of the stream: both runs
-/// write the same bytes for the same op, so head bytes are comparable
-/// however completions interleave.
-fn page_bytes(lpa: u64, i: usize) -> Vec<u8> {
-    let mut v = lpa.to_le_bytes().to_vec();
-    v.extend_from_slice(&(i as u64).to_le_bytes());
-    v
-}
-
 /// Per-queue submission/completion log for the fence audit.
 #[derive(Default)]
 struct QueueLog {
@@ -57,6 +52,35 @@ struct QueueLog {
     submitted: Vec<(usize, bool)>,
     /// Global op indices in completion-posting order.
     completed: Vec<usize>,
+}
+
+/// What the multi-queue side has submitted and seen posted.
+struct MultiQueueLog {
+    /// `(global op index, queue slot)` of every command in flight.
+    tickets: HashMap<Ticket, (usize, usize)>,
+    logs: Vec<QueueLog>,
+    completed: u64,
+    divergences: Vec<String>,
+}
+
+impl MultiQueueLog {
+    fn harvest(&mut self, done: Vec<CompletedIo>) {
+        for io in done {
+            self.completed += 1;
+            let Some((op_idx, slot)) = self.tickets.remove(&io.ticket) else {
+                let unknown = format!("unknown ticket {:?} completed", io.ticket);
+                self.divergences.push(unknown);
+                continue;
+            };
+            if !io.is_success() {
+                self.divergences.push(format!(
+                    "mq op {op_idx} ({:?}) failed with status {:#06x}",
+                    io.opcode, io.status
+                ));
+            }
+            self.logs[slot].completed.push(op_idx);
+        }
+    }
 }
 
 /// Runs `ops` against a serial reference device and against the NVMe
@@ -72,171 +96,90 @@ pub fn lockstep_queue_run(
     depth: usize,
 ) -> QueueRunOutcome {
     let nqueues = nqueues.max(1);
-    let mut divergences = Vec::new();
+    let ops: Vec<OracleOp> = ops.iter().filter(|op| op.is_host_io()).cloned().collect();
 
     // --- Serial reference: submission order IS completion order. ---
-    let mut serial = TimeSsd::new(cfg.clone());
-    let exported = serial.exported_pages();
-    let mut now: Nanos = MS_NS;
-    let mut touched: Vec<u64> = Vec::new();
-    for (i, op) in ops.iter().enumerate() {
-        match op {
-            OracleOp::Write { lpa, gap } | OracleOp::WriteBytes { lpa, gap, .. } => {
-                now += gap;
-                let lpa = lpa % exported;
-                touched.push(lpa);
-                let data = PageData::bytes(page_bytes(lpa, i));
-                match serial.write(Lpa(lpa), data, now) {
-                    Ok(c) => now = now.max(c.start),
-                    Err(e) => divergences.push(format!("serial write {i} failed: {e:?}")),
-                }
-            }
-            OracleOp::Read { lpa, gap } => {
-                now += gap;
-                if serial.read(Lpa(lpa % exported), now).is_err() {
-                    divergences.push(format!("serial read {i} failed"));
-                }
-            }
-            OracleOp::Trim { lpa, gap } => {
-                now += gap;
-                let lpa = lpa % exported;
-                touched.push(lpa);
-                // Trimming an unmapped page is a host no-op on the NVMe
-                // side too; ignore its error.
-                let _ = serial.trim(Lpa(lpa), now);
-            }
-            OracleOp::Flush { gap } => {
-                now += gap;
-                if let Ok(c) = serial.flush(now) {
-                    now = now.max(c.finish);
-                }
-            }
-            _ => {}
-        }
+    let mut serial = DifferentialHarness::new(cfg.clone());
+    let report = serial.run(&ops);
+    let vs_model = report.divergences.iter();
+    let mut divergences: Vec<String> = vs_model
+        .map(|d| format!("serial reference vs model: {d:?}"))
+        .collect();
+    if report.stalled {
+        divergences.push(format!("serial reference stalled: {report}"));
     }
-    touched.sort_unstable();
-    touched.dedup();
 
     // --- Multi-queue run: sharded by page, completions out of order. ---
-    let mq = TimeSsd::new(cfg);
-    let mut driver = HostDriver::new(NvmeController::new(mq));
+    let page_size = cfg.geometry.page_size as usize;
+    let mut decoder = Decoder::new(cfg.exported_pages(), page_size);
+    let mut driver = HostDriver::new(NvmeController::new(TimeSsd::new(cfg)));
     let qids: Vec<u16> = (0..nqueues).map(|_| driver.create_queue(depth)).collect();
-    let mut logs: Vec<QueueLog> = (0..nqueues).map(|_| QueueLog::default()).collect();
-    let mut tickets: HashMap<Ticket, usize> = HashMap::new();
-    let mut completed = 0u64;
-    let mut flushes = 0u64;
-    let mut mq_now: Nanos = MS_NS;
-
-    let handle = |io: CompletedIo,
-                  tickets: &mut HashMap<Ticket, usize>,
-                  logs: &mut Vec<QueueLog>,
-                  divergences: &mut Vec<String>| {
-        let Some(op_idx) = tickets.remove(&io.ticket) else {
-            divergences.push(format!("unknown ticket {:?} completed", io.ticket));
-            return;
-        };
-        if !io.is_success() {
-            divergences.push(format!(
-                "mq op {op_idx} ({:?}) failed with status {:#06x}",
-                io.opcode, io.status
-            ));
-        }
-        for (slot, qid) in qids.iter().enumerate() {
-            if *qid == io.ticket.qid {
-                logs[slot].completed.push(op_idx);
-            }
-        }
+    let mut mq = MultiQueueLog {
+        tickets: HashMap::new(),
+        logs: (0..nqueues).map(|_| QueueLog::default()).collect(),
+        completed: 0,
+        divergences,
     };
-
+    let mut touched: Vec<Lpa> = Vec::new();
+    let mut flushes = 0u64;
+    let mut now = 0;
     for (i, op) in ops.iter().enumerate() {
-        let (slot, submission): (usize, _) = match op {
-            OracleOp::Write { lpa, gap } | OracleOp::WriteBytes { lpa, gap, .. } => {
-                mq_now += gap;
-                let lpa = lpa % exported;
-                ((lpa % nqueues as u64) as usize, Some((lpa, false, i, true)))
+        let (at, action) = decoder.decode(op);
+        now = at.max(now);
+        let slot = match &action {
+            Action::Write(lpa, _) | Action::Trim(lpa) => {
+                touched.push(*lpa);
+                lpa.0 % nqueues as u64
             }
-            OracleOp::Read { lpa, gap } => {
-                mq_now += gap;
-                let lpa = lpa % exported;
-                (
-                    (lpa % nqueues as u64) as usize,
-                    Some((lpa, false, i, false)),
-                )
-            }
-            OracleOp::Trim { lpa, gap } => {
-                mq_now += gap;
-                let lpa = lpa % exported;
-                ((lpa % nqueues as u64) as usize, Some((lpa, true, i, false)))
-            }
-            OracleOp::Flush { gap } => {
-                mq_now += gap;
-                let slot = (flushes % nqueues as u64) as usize;
+            Action::Read(lpa) => lpa.0 % nqueues as u64,
+            Action::Flush => {
                 flushes += 1;
-                (slot, None)
+                (flushes - 1) % nqueues as u64
             }
-            _ => continue,
-        };
+            _ => continue, // filtered out above: no command encoding
+        } as usize;
         let qid = qids[slot];
         loop {
-            let attempt = match (&submission, op) {
-                (None, _) => driver.submit_flush(qid),
-                (Some((lpa, true, _, _)), _) => driver.submit_trim(qid, Lpa(*lpa), 1),
-                (Some((lpa, false, idx, true)), _) => {
-                    driver.submit_write(qid, Lpa(*lpa), vec![page_bytes(*lpa, *idx)])
+            let attempt = match &action {
+                Action::Write(lpa, data) => {
+                    driver.submit_write(qid, *lpa, vec![data.materialize(page_size)])
                 }
-                (Some((lpa, false, _, false)), _) => driver.submit_read(qid, Lpa(*lpa), 1),
+                Action::Read(lpa) => driver.submit_read(qid, *lpa, 1),
+                Action::Trim(lpa) => driver.submit_trim(qid, *lpa, 1),
+                _ => driver.submit_flush(qid),
             };
             match attempt {
                 Ok(ticket) => {
-                    tickets.insert(ticket, i);
-                    logs[slot].submitted.push((i, submission.is_none()));
-                    for io in driver.poll(mq_now) {
-                        completed += 1;
-                        handle(io, &mut tickets, &mut logs, &mut divergences);
-                    }
+                    mq.tickets.insert(ticket, (i, slot));
+                    let is_flush = matches!(action, Action::Flush);
+                    mq.logs[slot].submitted.push((i, is_flush));
+                    mq.harvest(driver.poll(now));
                     break;
                 }
-                Err(DriverError::QueueFull(_)) => {
-                    let Some(at) = driver.next_completion_at() else {
-                        divergences.push(format!("queue {qid} wedged at op {i}"));
+                Err(DriverError::QueueFull(_)) => match driver.wait_for_slot(&mut now) {
+                    Some(done) => mq.harvest(done),
+                    None => {
+                        mq.divergences.push(format!("queue {qid} wedged at op {i}"));
                         return QueueRunOutcome {
-                            divergences,
+                            divergences: mq.divergences,
                             ooo_completions: driver.controller().ooo_completions(),
-                            completed,
+                            completed: mq.completed,
                             flushes,
                         };
-                    };
-                    mq_now = mq_now.max(at);
-                    for io in driver.poll(mq_now) {
-                        completed += 1;
-                        handle(io, &mut tickets, &mut logs, &mut divergences);
                     }
-                }
+                },
                 Err(e) => {
-                    divergences.push(format!("mq submit {i} failed: {e:?}"));
+                    mq.divergences.push(format!("mq submit {i} failed: {e:?}"));
                     break;
                 }
             }
         }
     }
-    // Drain everything still outstanding.
-    while driver.in_flight() > 0 {
-        let Some(at) = driver.next_completion_at() else {
-            mq_now += 1;
-            for io in driver.poll(mq_now) {
-                completed += 1;
-                handle(io, &mut tickets, &mut logs, &mut divergences);
-            }
-            continue;
-        };
-        mq_now = mq_now.max(at);
-        for io in driver.poll(mq_now) {
-            completed += 1;
-            handle(io, &mut tickets, &mut logs, &mut divergences);
-        }
-    }
+    mq.harvest(driver.drain(&mut now));
+    let mut divergences = std::mem::take(&mut mq.divergences);
+
     // --- Flush-fence audit from the per-queue logs. ---
-    for (slot, log) in logs.iter().enumerate() {
+    for (slot, log) in mq.logs.iter().enumerate() {
         let post_order: HashMap<usize, usize> = log
             .completed
             .iter()
@@ -272,38 +215,39 @@ pub fn lockstep_queue_run(
     }
 
     // --- Host-visible state must be identical. ---
-    let t_end = now.max(mq_now) + MS_NS;
-    let page_size = serial.geometry().page_size as usize;
-    for &lpa in &touched {
-        let s_mapped = serial.is_mapped(Lpa(lpa));
-        let m_mapped = driver.controller().ssd().is_mapped(Lpa(lpa));
+    touched.sort_unstable();
+    touched.dedup();
+    let t_end = now + MS_NS;
+    for lpa in touched {
+        let s_mapped = serial.ssd().is_mapped(lpa);
+        let m_mapped = driver.controller().ssd().is_mapped(lpa);
         if s_mapped != m_mapped {
             divergences.push(format!(
-                "lpa {lpa}: serial mapped={s_mapped}, mq mapped={m_mapped}"
+                "{lpa:?}: serial mapped={s_mapped}, mq mapped={m_mapped}"
             ));
             continue;
         }
-        let s_trimmed = serial.trimmed_at(Lpa(lpa)).is_some();
-        let m_trimmed = driver.controller().ssd().trimmed_at(Lpa(lpa)).is_some();
+        let s_trimmed = serial.ssd().trimmed_at(lpa).is_some();
+        let m_trimmed = driver.controller().ssd().trimmed_at(lpa).is_some();
         if s_trimmed != m_trimmed {
             divergences.push(format!(
-                "lpa {lpa}: serial trimmed={s_trimmed}, mq trimmed={m_trimmed}"
+                "{lpa:?}: serial trimmed={s_trimmed}, mq trimmed={m_trimmed}"
             ));
         }
         if !s_mapped {
             continue;
         }
         let s_bytes = serial
-            .read(Lpa(lpa), t_end)
+            .read(lpa, t_end)
             .map(|(d, _)| d.materialize(page_size));
-        match (s_bytes, driver.read(Lpa(lpa), t_end + MS_NS)) {
+        match (s_bytes, driver.read(lpa, t_end + MS_NS)) {
             (Ok(s), Ok(m)) => {
                 if s != m {
-                    divergences.push(format!("lpa {lpa}: head bytes differ"));
+                    divergences.push(format!("{lpa:?}: head bytes differ"));
                 }
             }
             (s, m) => divergences.push(format!(
-                "lpa {lpa}: read outcomes differ (serial ok={}, mq ok={})",
+                "{lpa:?}: read outcomes differ (serial ok={}, mq ok={})",
                 s.is_ok(),
                 m.is_ok()
             )),
@@ -313,7 +257,7 @@ pub fn lockstep_queue_run(
     QueueRunOutcome {
         divergences,
         ooo_completions: driver.controller().ooo_completions(),
-        completed,
+        completed: mq.completed,
         flushes,
     }
 }

@@ -2,24 +2,27 @@
 //! queries scan in one partition and a device whose queries scan in N,
 //! compared op for op.
 //!
-//! `amt_shards` is the width `lpa % width` splits a ranged query by; the
-//! AMT, the IMT and the map cache are flat tables it never reaches. So
-//! every host op (writes, reads, trims, flushes, as-of probes, TimeKits
-//! rollbacks, power cuts) must produce byte-identical results, *identical
-//! completion timings* and identical map-cache traffic on both devices —
-//! with the cache on or off — by construction. What this runner really
-//! holds the firmware to is that the merge rule is deterministic: every
-//! [`AddrQuery`] mode and every time query must return the same hits and
-//! the same merged retrieval cost at every width and worker count.
+//! Each device sits behind its own [`DifferentialHarness`], which applies
+//! the ops, power-cycles, and holds the device to the model. What only this
+//! runner can compare is the two devices *with each other*: `amt_shards` is
+//! the width `lpa % width` splits a ranged query by, and the AMT, the IMT
+//! and the map cache are flat tables it never reaches, so every op must
+//! produce byte-identical answers, *identical completion timings*,
+//! identical statistics and identical map-cache traffic on both — with the
+//! cache on or off — by construction. What the comparison really holds the
+//! firmware to is that the merge rule is deterministic: every [`AddrQuery`]
+//! mode and every time query must return the same hits and the same merged
+//! retrieval cost at every width and worker count.
 
-use almanac_core::{AlmanacError, SsdConfig, SsdDevice, SsdReadOps, TimeSsd};
-use almanac_flash::{Lpa, Nanos, PageData};
+use std::fmt::{Arguments, Debug};
+use std::mem::discriminant;
+
+use almanac_core::{Result, SsdConfig, SsdReadOps, TimeSsd};
+use almanac_flash::{Lpa, Nanos};
 use almanac_kits::{AddrQuery, QueryCost, TimeKits, TimeQueryHit};
 
+use crate::harness::{Answer, DifferentialHarness, MAX_DIVERGENCES};
 use crate::strategy::OracleOp;
-
-/// Stop recording after this many divergences (the first is what matters).
-const MAX_DIVERGENCES: usize = 16;
 
 /// Outcome of one sharded-vs-unsharded lockstep run.
 #[derive(Debug)]
@@ -41,96 +44,69 @@ impl ShardRunOutcome {
     }
 }
 
-/// The pair of devices under lockstep, plus the run's bookkeeping.
+/// Records a divergence unless the two devices agree on `what`.
+fn same<T: PartialEq + Debug>(
+    log: &mut Vec<String>,
+    what: Arguments<'_>,
+    flat: T,
+    wide: T,
+) -> bool {
+    let same = flat == wide;
+    if !same && log.len() < MAX_DIVERGENCES {
+        log.push(format!("{what}: flat={flat:?}, sharded={wide:?}"));
+    }
+    same
+}
+
+/// The pair of harnessed devices under lockstep, plus the run's bookkeeping.
 struct ShardLockstep {
-    flat: TimeSsd,
-    sharded: TimeSsd,
-    flat_cfg: SsdConfig,
-    shard_cfg: SsdConfig,
+    flat: DifferentialHarness,
+    sharded: DifferentialHarness,
     divergences: Vec<String>,
-    now: Nanos,
-    seq: u64,
-    stalled: bool,
-    power_cuts: usize,
     queries_compared: u64,
 }
 
 impl ShardLockstep {
-    fn diverge(&mut self, msg: String) {
-        if self.divergences.len() < MAX_DIVERGENCES {
-            self.divergences.push(msg);
+    fn new(cfg: SsdConfig, shards: u32) -> Self {
+        ShardLockstep {
+            flat: DifferentialHarness::new(cfg.clone().with_amt_shards(1)),
+            sharded: DifferentialHarness::new(cfg.with_amt_shards(shards)),
+            divergences: Vec::new(),
+            queries_compared: 0,
         }
     }
 
+    /// Further ops are meaningless once either device stops.
     fn done(&self) -> bool {
-        self.stalled || self.divergences.len() >= MAX_DIVERGENCES
+        self.flat.is_stalled()
+            || self.sharded.is_stalled()
+            || self.divergences.len() >= MAX_DIVERGENCES
     }
 
-    /// Applies the same fallible device op to both sides and compares the
-    /// outcome: identical completions on success, same error shape on
-    /// failure. A stall on either side must be a stall on both.
-    fn paired_op<T: PartialEq + std::fmt::Debug>(
-        &mut self,
-        what: &str,
-        f: impl Fn(&mut TimeSsd, Nanos) -> Result<T, AlmanacError>,
-    ) {
-        let a = f(&mut self.flat, self.now);
-        let b = f(&mut self.sharded, self.now);
-        match (a, b) {
-            (Ok(x), Ok(y)) => {
-                if x != y {
-                    self.diverge(format!("{what}: flat={x:?}, sharded={y:?}"));
-                }
-            }
-            (Err(ea), Err(eb)) => {
-                if std::mem::discriminant(&ea) != std::mem::discriminant(&eb) {
-                    self.diverge(format!("{what}: flat err={ea:?}, sharded err={eb:?}"));
-                }
-                if matches!(ea, AlmanacError::DeviceStalled { .. })
-                    || matches!(eb, AlmanacError::DeviceStalled { .. })
-                {
-                    self.stalled = true;
-                }
-            }
-            (a, b) => {
-                // A stall on one side only is itself a divergence, and
-                // further ops are meaningless once either device stops.
-                if matches!(&a, Err(AlmanacError::DeviceStalled { .. }))
-                    || matches!(&b, Err(AlmanacError::DeviceStalled { .. }))
-                {
-                    self.stalled = true;
-                }
-                self.diverge(format!(
-                    "{what}: outcomes differ (flat ok={}, sharded ok={})",
-                    a.is_ok(),
-                    b.is_ok()
-                ));
-            }
+    /// Applies op `i` to both sides and compares what they answered:
+    /// identical values (completions included) on success, the same error
+    /// shape on failure — so a stall on one side only is a divergence. A
+    /// `Check` also sweeps the whole host-visible state.
+    fn step(&mut self, i: usize, op: &OracleOp) {
+        let flat = self.flat.step(op);
+        let sharded = self.sharded.step(op);
+        let swept = matches!(flat, Ok(Answer::Checked(_)));
+        let what = format_args!("op {i}: {op:?}");
+        let shape = |answer: Result<Answer>| answer.map_err(|e| discriminant(&e));
+        same(&mut self.divergences, what, shape(flat), shape(sharded));
+        if swept {
+            self.compare_state(i);
         }
-    }
-
-    /// Cuts power on both devices and recovers each from its flash.
-    fn power_cycle(&mut self) {
-        self.power_cuts += 1;
-        for (dev, cfg) in [
-            (&mut self.flat, &self.flat_cfg),
-            (&mut self.sharded, &self.shard_cfg),
-        ] {
-            let placeholder = TimeSsd::new(cfg.clone());
-            let old = std::mem::replace(dev, placeholder);
-            let mut flash = old.into_flash();
-            flash.revive();
-            *dev = TimeSsd::recover_from_flash(flash, cfg.clone());
-        }
-        self.stalled = false;
     }
 
     /// Compares every [`AddrQuery`] mode over the whole exported span and
     /// every time query, at one worker and at the sharded device's full
     /// worker count: hits and merged cost must match the flat device exactly.
     fn compare_queries(&mut self, i: usize) {
-        let exported = self.flat.exported_pages();
-        let shard_workers = self.sharded.amt_shards();
+        let now = self.flat.now();
+        let (flat, sharded) = (self.flat.ssd(), self.sharded.ssd());
+        let exported = flat.exported_pages();
+        let workers = [1, sharded.amt_shards()];
         type ModeFn = fn(AddrQuery<'_>, Nanos) -> AddrQuery<'_>;
         let modes: [(&str, ModeFn); 3] = [
             ("as_of", |q, t| q.as_of(t)),
@@ -138,38 +114,16 @@ impl ShardLockstep {
             ("all", |q, _| q.all_versions()),
         ];
         for (name, mode) in modes {
-            let flat_out = mode(
-                AddrQuery::new(self.flat.read_view(), Lpa(0), exported),
-                self.now,
-            )
-            .run();
-            for threads in [1u32, shard_workers] {
-                let sharded_out = mode(
-                    AddrQuery::new(self.sharded.read_view(), Lpa(0), exported).threads(threads),
-                    self.now,
-                )
-                .run();
+            let run = |ssd: &TimeSsd, threads| {
+                let query = AddrQuery::new(ssd.read_view(), Lpa(0), exported).threads(threads);
+                mode(query, now).run().ok().map(|out| (out.hits, out.cost))
+            };
+            let flat_out = run(flat, 1);
+            for threads in workers {
                 self.queries_compared += 1;
-                match (&flat_out, &sharded_out) {
-                    (Ok(f), Ok(s)) => {
-                        if f.hits != s.hits {
-                            self.diverge(format!(
-                                "op {i}: {name} query hits diverge at {threads} threads"
-                            ));
-                        }
-                        if f.cost != s.cost {
-                            self.diverge(format!(
-                                "op {i}: {name} query cost diverges at {threads} threads"
-                            ));
-                        }
-                    }
-                    (Err(_), Err(_)) => {}
-                    (f, s) => self.diverge(format!(
-                        "op {i}: {name} query outcomes differ (flat ok={}, sharded ok={})",
-                        f.is_ok(),
-                        s.is_ok()
-                    )),
-                }
+                let out = run(sharded, threads);
+                let what = format_args!("op {i}: {name} query at {threads} threads");
+                same(&mut self.divergences, what, &flat_out, &out);
             }
         }
         type TimeFn = fn(&TimeKits<'_>, Nanos) -> (Vec<TimeQueryHit>, QueryCost);
@@ -179,89 +133,45 @@ impl ShardLockstep {
             ("all", |k, _| k.time_query_all()),
         ];
         for (name, query) in time_modes {
-            let (flat_hits, flat_cost) = query(&TimeKits::new(&mut self.flat), self.now);
-            for threads in [1u32, shard_workers] {
-                let kits = TimeKits::new(&mut self.sharded).with_threads(threads);
-                let (hits, cost) = query(&kits, self.now);
+            let flat_out = query(&TimeKits::new(self.flat.ssd_mut_bypassing_model()), now);
+            for threads in workers {
+                let kits = TimeKits::new(self.sharded.ssd_mut_bypassing_model());
+                let out = query(&kits.with_threads(threads), now);
                 self.queries_compared += 1;
-                if flat_hits != hits {
-                    self.diverge(format!(
-                        "op {i}: time query ({name}) hits diverge at {threads} threads"
-                    ));
-                }
-                if flat_cost != cost {
-                    self.diverge(format!(
-                        "op {i}: time query ({name}) cost diverges at {threads} threads"
-                    ));
-                }
+                let what = format_args!("op {i}: time query ({name}) at {threads} threads");
+                same(&mut self.divergences, what, &flat_out, &out);
             }
         }
     }
 
-    /// Full host-visible state sweep: mapped set, tombstones, head bytes,
-    /// whole version chains, and the devices' own consistency reports.
+    /// Full host-visible state sweep: per page the mapped flag, tombstone,
+    /// whole version chain and head bytes; per device the consistency
+    /// report, the statistics and the map-cache traffic; then the queries.
     fn compare_state(&mut self, i: usize) {
-        let exported = self.flat.exported_pages();
-        let page_size = self.flat.geometry().page_size as usize;
-        for lpa in (0..exported).map(Lpa) {
-            if self.divergences.len() >= MAX_DIVERGENCES {
+        let (flat, sharded) = (self.flat.ssd(), self.sharded.ssd());
+        let log = &mut self.divergences;
+        let page_size = flat.geometry().page_size as usize;
+        for lpa in (0..flat.exported_pages()).map(Lpa) {
+            if log.len() >= MAX_DIVERGENCES {
                 return;
             }
-            let (fm, sm) = (self.flat.is_mapped(lpa), self.sharded.is_mapped(lpa));
-            if fm != sm {
-                self.diverge(format!(
-                    "op {i}: lpa {lpa:?} mapped flat={fm}, sharded={sm}"
-                ));
-                continue;
-            }
-            let (ft, st) = (self.flat.trimmed_at(lpa), self.sharded.trimmed_at(lpa));
-            if ft != st {
-                self.diverge(format!(
-                    "op {i}: lpa {lpa:?} trimmed_at flat={ft:?}, sharded={st:?}"
-                ));
-            }
-            let fc = self.flat.version_chain(lpa);
-            let sc = self.sharded.version_chain(lpa);
-            let fts: Vec<Nanos> = fc.iter().map(|v| v.timestamp).collect();
-            let sts: Vec<Nanos> = sc.iter().map(|v| v.timestamp).collect();
-            if fts != sts {
-                self.diverge(format!(
-                    "op {i}: lpa {lpa:?} chains diverge: flat={fts:?}, sharded={sts:?}"
-                ));
-                continue;
-            }
-            if let Some(head) = fc.first().filter(|v| v.is_head) {
-                let fb = self
-                    .flat
-                    .version_content(lpa, head.timestamp)
-                    .map(|d| d.materialize(page_size));
-                let sb = self
-                    .sharded
-                    .version_content(lpa, head.timestamp)
-                    .map(|d| d.materialize(page_size));
-                if fb.ok() != sb.ok() {
-                    self.diverge(format!("op {i}: lpa {lpa:?} head bytes diverge"));
-                }
-            }
+            let page = |ssd: &TimeSsd| {
+                let chain = ssd.version_chain(lpa);
+                let stamps: Vec<Nanos> = chain.iter().map(|v| v.timestamp).collect();
+                let head = chain.first().filter(|v| v.is_head);
+                let head = head.and_then(|v| ssd.version_content(lpa, v.timestamp).ok());
+                let bytes = head.map(|data| data.materialize(page_size));
+                (ssd.is_mapped(lpa), ssd.trimmed_at(lpa), stamps, bytes)
+            };
+            let what = format_args!("op {i}: {lpa:?} (mapped, trimmed_at, chain, head bytes)");
+            same(log, what, page(flat), page(sharded));
         }
-        let fr = self.flat.check_consistency();
-        let sr = self.sharded.check_consistency();
-        let fv: Vec<String> = fr.violations.iter().map(|v| format!("{v:?}")).collect();
-        let sv: Vec<String> = sr.violations.iter().map(|v| format!("{v:?}")).collect();
-        if fv != sv {
-            self.diverge(format!(
-                "op {i}: consistency reports diverge: flat={fv:?}, sharded={sv:?}"
-            ));
-        }
-        let (fc, sc) = (
-            self.flat.map_cache_traffic(),
-            self.sharded.map_cache_traffic(),
-        );
-        if fc != sc {
-            self.diverge(format!(
-                "op {i}: map-cache traffic diverges: flat={fc:?}, sharded={sc:?}"
-            ));
-        }
+        let device = |ssd: &TimeSsd| {
+            let report = ssd.check_consistency();
+            (report.violations, *ssd.stats(), ssd.map_cache_traffic())
+        };
+        let what = format_args!("op {i}: (consistency report, statistics, map-cache traffic)");
+        same(log, what, device(flat), device(sharded));
         self.compare_queries(i);
     }
 }
@@ -270,109 +180,29 @@ impl ShardLockstep {
 /// lockstep, comparing every op outcome, and sweeping the full host-visible
 /// state (plus all query modes at several worker counts) at every `Check`
 /// op and at the end. Power cuts hit both devices; both must rebuild to the
-/// same state.
+/// same state. Each device is also held to the reference model throughout.
 pub fn lockstep_shard_run(cfg: SsdConfig, ops: &[OracleOp], shards: u32) -> ShardRunOutcome {
-    let flat_cfg = cfg.clone().with_amt_shards(1);
-    let shard_cfg = cfg.with_amt_shards(shards);
-    let mut run = ShardLockstep {
-        flat: TimeSsd::new(flat_cfg.clone()),
-        sharded: TimeSsd::new(shard_cfg.clone()),
-        flat_cfg,
-        shard_cfg,
-        divergences: Vec::new(),
-        now: 0,
-        seq: 0,
-        stalled: false,
-        power_cuts: 0,
-        queries_compared: 0,
-    };
-    let exported = run.flat.exported_pages();
+    let mut run = ShardLockstep::new(cfg, shards);
     let mut applied = 0usize;
-
     for (i, op) in ops.iter().enumerate() {
         if run.done() {
             break;
         }
         applied += 1;
-        match *op {
-            OracleOp::Write { lpa, gap } => {
-                run.now = run.now.saturating_add(gap);
-                run.seq += 1;
-                let lpa = Lpa(lpa % exported);
-                let data = PageData::Synthetic {
-                    seed: lpa.0 ^ 0x5eed_0000,
-                    version: run.seq,
-                };
-                run.paired_op(&format!("op {i}: write {lpa:?}"), |d, now| {
-                    d.write(lpa, data.clone(), now)
-                });
-            }
-            OracleOp::WriteBytes { lpa, tag, gap } => {
-                run.now = run.now.saturating_add(gap);
-                run.seq += 1;
-                let lpa = Lpa(lpa % exported);
-                let page_size = run.flat.geometry().page_size as usize;
-                let mut bytes = vec![tag; page_size];
-                bytes[..8].copy_from_slice(&lpa.0.to_le_bytes());
-                let data = PageData::bytes(bytes);
-                run.paired_op(&format!("op {i}: write-bytes {lpa:?}"), |d, now| {
-                    d.write(lpa, data.clone(), now)
-                });
-            }
-            OracleOp::Read { lpa, gap } => {
-                run.now = run.now.saturating_add(gap);
-                let lpa = Lpa(lpa % exported);
-                let page_size = run.flat.geometry().page_size as usize;
-                run.paired_op(&format!("op {i}: read {lpa:?}"), |d, now| {
-                    d.read(lpa, now)
-                        .map(|(data, c)| (data.materialize(page_size), c))
-                });
-            }
-            OracleOp::Trim { lpa, gap } => {
-                run.now = run.now.saturating_add(gap);
-                let lpa = Lpa(lpa % exported);
-                run.paired_op(&format!("op {i}: trim {lpa:?}"), |d, now| d.trim(lpa, now));
-            }
-            OracleOp::AsOf { lpa, back, gap } => {
-                run.now = run.now.saturating_add(gap);
-                let lpa = Lpa(lpa % exported);
-                let at = run.now.saturating_sub(back);
-                let f = run.flat.version_as_of(lpa, at).map(|v| v.timestamp);
-                let s = run.sharded.version_as_of(lpa, at).map(|v| v.timestamp);
-                if f != s {
-                    run.diverge(format!(
-                        "op {i}: as_of({lpa:?}, {at}) flat={f:?}, sharded={s:?}"
-                    ));
-                }
-            }
-            OracleOp::RollBack {
-                lpa,
-                cnt,
-                back,
-                gap,
-            } => {
-                run.now = run.now.saturating_add(gap);
-                let start = lpa % exported;
-                let cnt = cnt.clamp(1, exported - start);
-                let t = run.now.saturating_sub(back);
-                run.paired_op(&format!("op {i}: rollback {start}+{cnt}"), |d, now| {
-                    TimeKits::new(d).roll_back(Lpa(start), cnt, t, now)
-                });
-            }
-            OracleOp::Flush { gap } => {
-                run.now = run.now.saturating_add(gap);
-                run.paired_op(&format!("op {i}: flush"), |d, now| d.flush(now));
-            }
-            OracleOp::PowerCut => run.power_cycle(),
-            OracleOp::Check => run.compare_state(i),
-        }
+        run.step(i, op);
     }
     run.compare_state(ops.len());
 
+    let mut divergences = run.divergences;
+    for (side, h) in [("flat", &mut run.flat), ("sharded", &mut run.sharded)] {
+        h.check_now();
+        let vs_model = h.divergences().iter();
+        divergences.extend(vs_model.map(|d| format!("{side} device vs model: {d:?}")));
+    }
     ShardRunOutcome {
-        divergences: run.divergences,
+        divergences,
         applied,
-        power_cuts: run.power_cuts,
+        power_cuts: run.flat.power_cuts(),
         queries_compared: run.queries_compared,
     }
 }
@@ -380,7 +210,8 @@ pub fn lockstep_shard_run(cfg: SsdConfig, ops: &[OracleOp], shards: u32) -> Shar
 #[cfg(test)]
 mod tests {
     use super::*;
-    use almanac_flash::{Geometry, SEC_NS};
+    use almanac_core::SsdDevice;
+    use almanac_flash::{Geometry, PageData, SEC_NS};
 
     fn cfg() -> SsdConfig {
         SsdConfig::new(Geometry::small_test())
@@ -441,38 +272,54 @@ mod tests {
         assert!(out.passed(), "divergences: {:?}", out.divergences);
     }
 
+    fn write(lpa: u64, gap: Nanos) -> OracleOp {
+        OracleOp::Write { lpa, gap }
+    }
+
     #[test]
     fn seeded_divergence_is_caught() {
         // Sanity: the runner is not vacuous. Write to the flat device only
         // and confirm the state sweep flags the mismatch.
-        let flat_cfg = cfg().with_amt_shards(1);
-        let shard_cfg = cfg().with_amt_shards(4);
-        let mut run = ShardLockstep {
-            flat: TimeSsd::new(flat_cfg.clone()),
-            sharded: TimeSsd::new(shard_cfg.clone()),
-            flat_cfg,
-            shard_cfg,
-            divergences: Vec::new(),
-            now: SEC_NS,
-            seq: 0,
-            stalled: false,
-            power_cuts: 0,
-            queries_compared: 0,
+        let mut run = ShardLockstep::new(cfg(), 4);
+        let rogue = PageData::Synthetic {
+            seed: 3,
+            version: 1,
         };
-        run.flat
-            .write(
-                Lpa(3),
-                PageData::Synthetic {
-                    seed: 3,
-                    version: 1,
-                },
-                SEC_NS,
-            )
-            .unwrap();
+        let flat = run.flat.ssd_mut_bypassing_model();
+        flat.write(Lpa(3), rogue, SEC_NS).unwrap();
         run.compare_state(0);
         assert!(
-            !run.divergences.is_empty(),
-            "a one-sided write must be detected"
+            run.divergences.iter().any(|d| d.contains("op 0: Lpa(3)")),
+            "a one-sided write must be detected, got {:?}",
+            run.divergences
+        );
+    }
+
+    #[test]
+    fn seeded_timing_divergence_is_caught() {
+        // Same data on both sides, but the flat device is held busy behind
+        // a barrier the sharded one never saw: the next paired write starts
+        // later on one side only. The per-op comparison must report the
+        // completions, and the state sweep the statistics.
+        let mut run = ShardLockstep::new(cfg(), 4);
+        for i in 0..4 {
+            run.step(i, &write(i as u64, 1_000));
+        }
+        assert!(run.divergences.is_empty(), "{:?}", run.divergences);
+        let flat = run.flat.ssd_mut_bypassing_model();
+        flat.flush(SEC_NS).unwrap();
+        run.step(4, &write(5, 1_000));
+        assert_eq!(run.divergences.len(), 1, "{:?}", run.divergences);
+        assert!(
+            run.divergences[0].starts_with("op 4: Write") && run.divergences[0].contains("Io("),
+            "a one-sided delay must show in the completions, got {:?}",
+            run.divergences
+        );
+        run.compare_state(5);
+        assert!(
+            run.divergences.iter().any(|d| d.contains("statistics")),
+            "a one-sided flush must show in the statistics, got {:?}",
+            run.divergences
         );
     }
 }

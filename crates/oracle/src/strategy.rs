@@ -11,13 +11,14 @@
 //! All strategies are deterministic under the in-tree proptest stub — a CI
 //! failure reproduces locally with the same seed.
 
-use almanac_flash::{FaultPlan, Nanos, MS_NS, SEC_NS, US_NS};
+use almanac_flash::{FaultPlan, Lpa, Nanos, PageData, MS_NS, SEC_NS, US_NS};
 use proptest::{collection, prop_oneof, BoxedStrategy, Just, Strategy};
 
 /// One step of a differential run (see `DifferentialHarness::apply`).
 ///
 /// Page numbers are taken modulo the device's exported page count at apply
-/// time, so one generated sequence is valid for any geometry.
+/// time (by `Decoder::decode`, the one interpreter of these), so one
+/// generated sequence is valid for any geometry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OracleOp {
     /// Advance virtual time, then write a fresh synthetic version.
@@ -81,6 +82,131 @@ pub enum OracleOp {
     PowerCut,
     /// Run the full deep check (chains, obligations, consistency).
     Check,
+}
+
+impl OracleOp {
+    /// True for the ops an NVMe queue can carry (the `queues` runner skips
+    /// the rest: probes, power cuts and checks have no command encoding).
+    pub(crate) fn is_host_io(&self) -> bool {
+        use OracleOp::*;
+        matches!(
+            self,
+            Write { .. } | WriteBytes { .. } | Read { .. } | Trim { .. } | Flush { .. }
+        )
+    }
+}
+
+/// An [`OracleOp`] resolved against one device: pages reduced into the
+/// exported space, `back` offsets turned into instants, payloads built.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Action {
+    /// Host write of the payload.
+    Write(Lpa, PageData),
+    /// Host read.
+    Read(Lpa),
+    /// TRIM.
+    Trim(Lpa),
+    /// `version_as_of` probe at the instant.
+    AsOf(Lpa, Nanos),
+    /// TimeKits rollback of `(first page, pages, target instant)`.
+    RollBack(Lpa, u64, Nanos),
+    /// Flush barrier.
+    Flush,
+    /// Power cut and recovery.
+    PowerCut,
+    /// Deep check.
+    Check,
+}
+
+/// The one interpreter of [`OracleOp`] streams. Every runner takes its
+/// arrival times, page numbers and payloads from here, so two devices fed
+/// the same ops see byte-identical host traffic.
+#[derive(Debug, Clone)]
+pub(crate) struct Decoder {
+    exported: u64,
+    page_size: usize,
+    /// Virtual arrival clock: the sum of the gaps so far, saturating.
+    now: Nanos,
+    /// Writes decoded so far; makes every payload distinct.
+    seq: u64,
+}
+
+impl Decoder {
+    /// A decoder at time zero for a device exporting `exported` pages.
+    pub(crate) fn new(exported: u64, page_size: usize) -> Self {
+        Decoder {
+            exported,
+            page_size,
+            now: 0,
+            seq: 0,
+        }
+    }
+
+    /// Arrival time of the last decoded op.
+    pub(crate) fn now(&self) -> Nanos {
+        self.now
+    }
+
+    fn arrive(&mut self, gap: Nanos, lpa: u64) -> (Nanos, Lpa) {
+        self.now = self.now.saturating_add(gap);
+        (self.now, Lpa(lpa % self.exported))
+    }
+
+    /// A payload no other write of the stream carries: synthetic, or real
+    /// bytes filled with `tag` (the byte-diff delta path).
+    fn payload(&mut self, lpa: Lpa, tag: Option<u8>) -> PageData {
+        self.seq += 1;
+        let Some(tag) = tag else {
+            return PageData::Synthetic {
+                seed: lpa.0 ^ 0x5eed_0000,
+                version: self.seq,
+            };
+        };
+        let mut bytes = vec![tag; self.page_size];
+        bytes[..8].copy_from_slice(&lpa.0.to_le_bytes());
+        bytes[8..16].copy_from_slice(&self.seq.to_le_bytes());
+        PageData::bytes(bytes)
+    }
+
+    /// Advances the clock by the op's gap and resolves the op at the new
+    /// instant. A rollback span is clamped to end inside the device.
+    pub(crate) fn decode(&mut self, op: &OracleOp) -> (Nanos, Action) {
+        match *op {
+            OracleOp::Write { lpa, gap } => {
+                let (now, lpa) = self.arrive(gap, lpa);
+                (now, Action::Write(lpa, self.payload(lpa, None)))
+            }
+            OracleOp::WriteBytes { lpa, tag, gap } => {
+                let (now, lpa) = self.arrive(gap, lpa);
+                (now, Action::Write(lpa, self.payload(lpa, Some(tag))))
+            }
+            OracleOp::Read { lpa, gap } => {
+                let (now, lpa) = self.arrive(gap, lpa);
+                (now, Action::Read(lpa))
+            }
+            OracleOp::Trim { lpa, gap } => {
+                let (now, lpa) = self.arrive(gap, lpa);
+                (now, Action::Trim(lpa))
+            }
+            OracleOp::AsOf { lpa, back, gap } => {
+                let (now, lpa) = self.arrive(gap, lpa);
+                (now, Action::AsOf(lpa, now.saturating_sub(back)))
+            }
+            OracleOp::RollBack {
+                lpa,
+                cnt,
+                back,
+                gap,
+            } => {
+                let (now, lpa) = self.arrive(gap, lpa);
+                let cnt = cnt.clamp(1, self.exported - lpa.0);
+                (now, Action::RollBack(lpa, cnt, now.saturating_sub(back)))
+            }
+            OracleOp::Flush { gap } => (self.arrive(gap, 0).0, Action::Flush),
+            OracleOp::PowerCut => (self.now, Action::PowerCut),
+            OracleOp::Check => (self.now, Action::Check),
+        }
+    }
 }
 
 fn hot_cold_lpa(domain: u64) -> BoxedStrategy<u64> {
@@ -301,4 +427,55 @@ pub fn rollback_storm(domain: u64, ops: usize) -> BoxedStrategy<Vec<OracleOp>> {
         1 => Just(OracleOp::Check),
     ];
     collection::vec(op, ops).boxed()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn decoder_reduces_pages_clamps_spans_and_saturates_the_clock() {
+        let mut d = Decoder::new(10, 32);
+        let read = OracleOp::Read { lpa: 23, gap: 5 };
+        assert_eq!(d.decode(&read), (5, Action::Read(Lpa(3))), "lpa % exported");
+
+        // `cnt.clamp(1, exported - start)`: the span ends inside the device
+        // and is never empty; `back` saturates at time zero.
+        let roll = |lpa, cnt, back, gap| OracleOp::RollBack {
+            lpa,
+            cnt,
+            back,
+            gap,
+        };
+        let long = d.decode(&roll(17, 99, 2, 1));
+        assert_eq!(long, (6, Action::RollBack(Lpa(7), 3, 4)));
+        let empty = d.decode(&roll(0, 0, 100, 0));
+        assert_eq!(empty, (6, Action::RollBack(Lpa(0), 1, 0)));
+
+        // Every write carries a payload of its own, full-page when real.
+        let (_, first) = d.decode(&OracleOp::Write { lpa: 1, gap: 0 });
+        let (_, second) = d.decode(&OracleOp::Write { lpa: 1, gap: 0 });
+        assert_ne!(first, second);
+        let bytes = OracleOp::WriteBytes {
+            lpa: 1,
+            tag: 0xAB,
+            gap: 0,
+        };
+        let (_, Action::Write(_, data)) = d.decode(&bytes) else {
+            panic!("WriteBytes decodes to a write");
+        };
+        assert_eq!(data.materialize(32)[16..], [0xAB; 16]);
+
+        // A gap that would overflow the clock saturates it, and ops with no
+        // gap leave it alone.
+        let far = OracleOp::Trim {
+            lpa: 4,
+            gap: u64::MAX,
+        };
+        assert_eq!(d.decode(&far), (u64::MAX, Action::Trim(Lpa(4))));
+        assert_eq!(d.decode(&OracleOp::Flush { gap: 7 }).0, u64::MAX);
+        assert_eq!(d.decode(&OracleOp::PowerCut), (u64::MAX, Action::PowerCut));
+        assert_eq!(d.decode(&OracleOp::Check), (u64::MAX, Action::Check));
+        assert_eq!(d.now(), u64::MAX);
+    }
 }

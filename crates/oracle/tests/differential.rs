@@ -6,13 +6,9 @@
 //! The in-tree proptest runner is deterministic (seeded from the test
 //! path), so a CI failure here reproduces locally with no extra state.
 
-use almanac_core::{
-    AlmanacError, FlashGuardSsd, RegularSsd, SsdConfig, SsdDevice, SsdReadOps, TimeSsd,
-};
+use almanac_core::{FlashGuardSsd, RegularSsd, SsdConfig, SsdDevice, SsdReadOps, TimeSsd};
 use almanac_flash::{FaultPlan, Geometry, Lpa, Nanos, PageData, MS_NS, SEC_NS};
-use almanac_oracle::{
-    minimal_failing_prefix, DifferentialHarness, Divergence, ModelDevice, OracleOp,
-};
+use almanac_oracle::{minimal_failing_prefix, DifferentialHarness, Divergence, OracleOp};
 use almanac_trace::{replay, Trace, TraceOp, TraceRecord};
 use almanac_workloads::msr_profiles;
 use proptest::{proptest, ProptestConfig};
@@ -43,79 +39,32 @@ fn almanac_bloom_cfg() -> almanac_bloom::ChainConfig {
     }
 }
 
-/// Replays `ops` on `ssd` and on the reference model and compares what the
-/// host sees *now*: every host read, then a sweep of the whole exported
-/// space. Heads only — retention zero, read-gated and full differ in the
-/// history they keep, never in the head — so history probes, power cuts and
-/// deep checks in the stream are skipped, and the model's clock is the op
-/// ordinal (the baselines do not hand out strictly increasing timestamps).
-/// A stall ends the run, as in the harness.
-fn heads_match_model<D: SsdDevice>(
-    make: impl Fn(SsdConfig) -> D,
+/// Runs `ops` through the harness over `ssd`. For the baselines that holds
+/// what the host sees *now* — every host read, then a sweep of the whole
+/// exported space at every check: retention zero, read-gated and full
+/// differ in the history they keep, never in the head, so the model keeps
+/// nothing obligated and its clock is the op ordinal (the baselines do not
+/// hand out strictly increasing timestamps). A stall ends the run.
+fn heads_match_model<D: SsdDevice + 'static>(
+    ssd: D,
     cfg: &SsdConfig,
     ops: &[OracleOp],
 ) -> Result<(), String> {
-    let mut ssd = make(cfg.clone());
     let kind = ssd.kind();
-    let exported = ssd.exported_pages();
-    let page_size = cfg.geometry.page_size as usize;
-    let mut model = ModelDevice::new(exported, page_size, 0);
-    let mut now: Nanos = 0;
-    let expect_head = |ssd: &mut D, model: &ModelDevice, lpa: Lpa, now: Nanos| {
-        let (data, _) = ssd
-            .read(lpa, now)
-            .map_err(|e| format!("{kind}: read {lpa}: {e}"))?;
-        if data.materialize(page_size) == model.read_bytes(lpa) {
-            Ok(())
-        } else {
-            Err(format!("{kind}: {lpa} read back {data:?} at t={now}"))
-        }
-    };
-    for (ordinal, op) in (1u64..).zip(ops) {
-        let outcome = match *op {
-            OracleOp::Write { lpa, gap } | OracleOp::WriteBytes { lpa, gap, .. } => {
-                now += gap;
-                let lpa = Lpa(lpa % exported);
-                let data = match *op {
-                    OracleOp::WriteBytes { tag, .. } => PageData::bytes(vec![tag; page_size]),
-                    _ => PageData::Synthetic {
-                        seed: lpa.0,
-                        version: ordinal,
-                    },
-                };
-                ssd.write(lpa, data.clone(), now).map(|_| {
-                    model
-                        .record_write(lpa, data, ordinal)
-                        .expect("ordinals increase");
-                })
-            }
-            OracleOp::Trim { lpa, gap } => {
-                now += gap;
-                let lpa = Lpa(lpa % exported);
-                ssd.trim(lpa, now).map(|_| model.record_trim(lpa, ordinal))
-            }
-            OracleOp::Read { lpa, gap } => {
-                now += gap;
-                expect_head(&mut ssd, &model, Lpa(lpa % exported), now)?;
-                Ok(())
-            }
-            _ => Ok(()),
-        };
-        match outcome {
-            Ok(()) => {}
-            Err(AlmanacError::DeviceStalled { .. }) => break,
-            Err(e) => return Err(format!("{kind}: op {ordinal} {op:?}: {e}")),
-        }
+    let report = DifferentialHarness::over(ssd, cfg.clone()).run(ops);
+    if report.is_clean() {
+        Ok(())
+    } else {
+        Err(format!("{kind}: {report}"))
     }
-    (0..exported).try_for_each(|l| expect_head(&mut ssd, &model, Lpa(l), now + SEC_NS))
 }
 
-/// The oracle's model against all three FTLs — the first time the
-/// comparators of Figures 6–10 are checked against it at all.
+/// The oracle's model against all three FTLs — the comparators of Figures
+/// 6–10 are held to the same heads as the TimeSSD.
 fn heads_match_model_on_every_ftl(cfg: SsdConfig, ops: &[OracleOp]) -> Result<(), String> {
-    heads_match_model(RegularSsd::new, &cfg, ops)?;
-    heads_match_model(FlashGuardSsd::new, &cfg, ops)?;
-    heads_match_model(TimeSsd::new, &cfg, ops)
+    heads_match_model(RegularSsd::new(cfg.clone()), &cfg, ops)?;
+    heads_match_model(FlashGuardSsd::new(cfg.clone()), &cfg, ops)?;
+    heads_match_model(TimeSsd::new(cfg.clone()), &cfg, ops)
 }
 
 proptest! {
@@ -372,6 +321,36 @@ fn oracle_flags_device_only_write() {
         "expected a phantom-version divergence, got {:?}",
         h.divergences()
     );
+}
+
+/// The same sanity check for the generic harness: behind a baseline there
+/// is no chain to inspect, so a device-only write must surface in what the
+/// host reads — the head sweep of `check_now`.
+#[test]
+fn oracle_flags_device_only_write_on_the_baselines() {
+    fn flagged<D: SsdDevice + 'static>(ssd: D) -> bool {
+        let mut h = DifferentialHarness::over(ssd, pressure_cfg());
+        for i in 0..10u64 {
+            h.apply(&OracleOp::Write {
+                lpa: i % 3,
+                gap: MS_NS,
+            });
+        }
+        assert!(h.check_now(), "clean before the seeded desync");
+        let rogue = PageData::Synthetic {
+            seed: 999,
+            version: 999,
+        };
+        h.ssd_mut_bypassing_model()
+            .write(Lpa(1), rogue, 10 * SEC_NS)
+            .unwrap();
+        !h.check_now()
+            && h.divergences()
+                .iter()
+                .all(|d| matches!(d, Divergence::ReadMismatch { lpa, .. } if lpa.0 == 1))
+    }
+    assert!(flagged(RegularSsd::new(pressure_cfg())), "RegularSsd");
+    assert!(flagged(FlashGuardSsd::new(pressure_cfg())), "FlashGuardSsd");
 }
 
 /// A trim applied behind the model's back must surface as a head mismatch

@@ -439,8 +439,8 @@ pub mod sample {
 /// The `proptest::prelude` shape: everything tests import.
 pub mod prelude {
     pub use crate::{
-        any, prop_assert, prop_assert_eq, prop_assert_ne, prop_oneof, proptest, Arbitrary,
-        BoxedStrategy, Just, ProptestConfig, Strategy, TestCaseError, TestRng,
+        any, prop_assert, prop_assert_eq, prop_oneof, proptest, Arbitrary, BoxedStrategy, Just,
+        ProptestConfig, Strategy, TestCaseError, TestRng,
     };
 
     /// The `prop` module alias (`prop::sample`, `prop::collection`).
@@ -480,13 +480,6 @@ macro_rules! prop_assert {
 macro_rules! prop_assert_eq {
     ($a:expr, $b:expr) => { assert_eq!($a, $b) };
     ($a:expr, $b:expr, $($fmt:tt)*) => { assert_eq!($a, $b, $($fmt)*) };
-}
-
-/// Asserts inequality inside a property test.
-#[macro_export]
-macro_rules! prop_assert_ne {
-    ($a:expr, $b:expr) => { assert_ne!($a, $b) };
-    ($a:expr, $b:expr, $($fmt:tt)*) => { assert_ne!($a, $b, $($fmt)*) };
 }
 
 /// Declares deterministic property tests.

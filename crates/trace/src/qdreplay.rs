@@ -87,22 +87,18 @@ pub fn replay_qd(trace: &Trace, ssd: TimeSsd, qd: usize) -> Result<QdReplayRepor
     let mut submitted = 0usize;
     let mut now: Nanos = 0;
 
-    let mut handle = |io: CompletedIo,
-                      pending: &mut HashMap<Ticket, Nanos>,
-                      makespan: &mut Nanos,
-                      stalled: &mut bool| {
-        let at = pending.remove(&io.ticket).unwrap_or(io.finish);
-        responses.push(io.finish.saturating_sub(at));
-        *makespan = (*makespan).max(io.finish);
-        if io.is_success() {
-            // counted from responses.len() - errors at the end
-        } else {
-            errors += 1;
-            if io.status == NvmeStatus::RetentionStall as u16 {
-                *stalled = true;
+    let mut harvest =
+        |done: Vec<CompletedIo>, pending: &mut HashMap<Ticket, Nanos>, stalled: &mut bool| {
+            for io in done {
+                let at = pending.remove(&io.ticket).unwrap_or(io.finish);
+                responses.push(io.finish.saturating_sub(at));
+                makespan = makespan.max(io.finish);
+                if !io.is_success() {
+                    errors += 1;
+                    *stalled |= io.status == NvmeStatus::RetentionStall as u16;
+                }
             }
-        }
-    };
+        };
 
     'records: for record in &trace.records {
         if stalled {
@@ -134,22 +130,16 @@ pub fn replay_qd(trace: &Trace, ssd: TimeSsd, qd: usize) -> Result<QdReplayRepor
                     peak = peak.max(driver.in_flight());
                     // Let the controller start what arbitration allows at
                     // the submission instant and harvest anything due.
-                    for io in driver.poll(now) {
-                        handle(io, &mut pending, &mut makespan, &mut stalled);
-                    }
+                    harvest(driver.poll(now), &mut pending, &mut stalled);
                     break;
                 }
                 Err(DriverError::QueueFull(_)) => {
-                    // Wait for a slot: advance to the next completion.
-                    let Some(at) = driver.next_completion_at() else {
-                        // Queue full with nothing in flight cannot happen
-                        // at depth ≥ 1; bail rather than spin.
+                    // Queue full with nothing in flight cannot happen at
+                    // depth ≥ 1; bail rather than spin.
+                    let Some(done) = driver.wait_for_slot(&mut now) else {
                         break 'records;
                     };
-                    now = now.max(at);
-                    for io in driver.poll(now) {
-                        handle(io, &mut pending, &mut makespan, &mut stalled);
-                    }
+                    harvest(done, &mut pending, &mut stalled);
                     if stalled {
                         break 'records;
                     }
@@ -158,23 +148,8 @@ pub fn replay_qd(trace: &Trace, ssd: TimeSsd, qd: usize) -> Result<QdReplayRepor
             }
         }
     }
+    harvest(driver.drain(&mut now), &mut pending, &mut stalled);
 
-    // Drain everything still outstanding.
-    while driver.in_flight() > 0 {
-        let Some(at) = driver.next_completion_at() else {
-            // In-flight but nothing pending device-side: commands are
-            // still queued behind a fence; nudge the arbitration loop.
-            now += 1;
-            for io in driver.poll(now) {
-                handle(io, &mut pending, &mut makespan, &mut stalled);
-            }
-            continue;
-        };
-        now = now.max(at);
-        for io in driver.poll(now) {
-            handle(io, &mut pending, &mut makespan, &mut stalled);
-        }
-    }
     let completed = responses.len() as u64;
     let avg = if responses.is_empty() {
         0.0

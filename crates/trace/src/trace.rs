@@ -16,12 +16,15 @@ pub enum TraceError {
         /// What was wrong.
         what: &'static str,
     },
+    /// [`Trace::prolong`] was asked to wrap addresses into an empty space.
+    EmptyLpaSpace,
 }
 
 impl fmt::Display for TraceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TraceError::BadLine { line, what } => write!(f, "trace line {line}: {what}"),
+            TraceError::EmptyLpaSpace => write!(f, "cannot prolong into an LPA space of 0 pages"),
         }
     }
 }
@@ -88,8 +91,13 @@ impl Trace {
     /// Prolongs the trace `times`-fold exactly as §5.2 of the paper: each
     /// duplicate is appended in time and its logical addresses are shifted
     /// by a pseudo-random offset (derived from `seed`), modulo `lpa_space`.
-    pub fn prolong(&self, times: u32, lpa_space: u64, seed: u64) -> Trace {
-        let base = self.duration() + 1;
+    /// Records come from outside (`from_csv` accepts any `u64`): addresses
+    /// are reduced before they are shifted, and arrival times saturate.
+    pub fn prolong(&self, times: u32, lpa_space: u64, seed: u64) -> Result<Trace, TraceError> {
+        if lpa_space == 0 {
+            return Err(TraceError::EmptyLpaSpace);
+        }
+        let base = self.duration().saturating_add(1);
         let mut out = Vec::with_capacity(self.records.len() * times as usize);
         let mut state = seed | 1;
         for rep in 0..times {
@@ -98,16 +106,20 @@ impl Trace {
             state ^= state >> 7;
             state ^= state << 17;
             let shift = if rep == 0 { 0 } else { state % lpa_space };
+            // `shift < lpa_space`, so this is how far below the wrap point
+            // a reduced address may sit and still not wrap.
+            let room = lpa_space - shift;
             for r in &self.records {
+                let lpa = r.lpa % lpa_space;
                 out.push(TraceRecord {
-                    at: r.at + rep as u64 * base,
+                    at: r.at.saturating_add((rep as u64).saturating_mul(base)),
                     op: r.op,
-                    lpa: (r.lpa + shift) % lpa_space,
+                    lpa: if lpa < room { lpa + shift } else { lpa - room },
                     pages: r.pages,
                 });
             }
         }
-        Trace::new(format!("{}x{}", self.name, times), out)
+        Ok(Trace::new(format!("{}x{}", self.name, times), out))
     }
 
     /// Returns a copy with every arrival time shifted by `offset` (used to
@@ -119,7 +131,7 @@ impl Trace {
                 .records
                 .iter()
                 .map(|r| TraceRecord {
-                    at: r.at + offset,
+                    at: r.at.saturating_add(offset),
                     ..*r
                 })
                 .collect(),
@@ -162,6 +174,9 @@ impl Trace {
                 .next()
                 .and_then(|f| f.trim().parse().ok())
                 .ok_or(bad("bad page count"))?;
+            if fields.next().is_some() {
+                return Err(bad("more than four fields"));
+            }
             records.push(TraceRecord { at, op, lpa, pages });
         }
         Ok(Trace::new(name, records))
@@ -209,6 +224,13 @@ mod tests {
     fn csv_rejects_garbage() {
         assert!(Trace::from_csv("x", "1,W\n").is_err());
         assert!(Trace::from_csv("x", "a,W,1,1\n").is_err());
+        assert_eq!(
+            Trace::from_csv("x", "5,W,1,1\n6,W,1,1,9\n"),
+            Err(TraceError::BadLine {
+                line: 2,
+                what: "more than four fields"
+            })
+        );
     }
 
     #[test]
@@ -220,7 +242,7 @@ mod tests {
     #[test]
     fn prolong_multiplies_and_shifts() {
         let t = sample();
-        let p = t.prolong(3, 1000, 42);
+        let p = t.prolong(3, 1000, 42).unwrap();
         assert_eq!(p.records.len(), 9);
         assert!(p.duration() > t.duration());
         // First repetition is unshifted.
@@ -233,6 +255,55 @@ mod tests {
     fn prolong_is_deterministic() {
         let t = sample();
         assert_eq!(t.prolong(5, 100, 7), t.prolong(5, 100, 7));
-        assert_ne!(t.prolong(5, 100, 7).records, t.prolong(5, 100, 8).records);
+        assert_ne!(
+            t.prolong(5, 100, 7).unwrap().records,
+            t.prolong(5, 100, 8).unwrap().records
+        );
+    }
+
+    /// What `from_csv` lets in: any `u64` address and arrival time.
+    fn extreme() -> Trace {
+        let csv = format!("0,W,{max},1\n{max},R,7,1\n", max = u64::MAX);
+        Trace::from_csv("extreme", &csv).unwrap()
+    }
+
+    #[test]
+    fn prolong_reduces_huge_addresses_and_saturates_arrivals() {
+        let t = extreme();
+        let space = 1000;
+        let p = t.prolong(3, space, 42).unwrap();
+        assert_eq!(p.records.len(), 6);
+        assert!(p.records.iter().all(|r| r.lpa < space));
+        assert_eq!(p.records.last().unwrap().at, u64::MAX, "saturated");
+        // The first repetition is unshifted, so only the reduction applies;
+        // a later one shifts both of its records by the same amount, which
+        // keeps them the same distance apart modulo the space.
+        let lpas = |op| {
+            let of_op = p.records.iter().filter(move |r| r.op == op);
+            of_op.map(|r| r.lpa).collect::<Vec<u64>>()
+        };
+        let (w, r) = (lpas(TraceOp::Write), lpas(TraceOp::Read));
+        assert_eq!((w[0], r[0]), (u64::MAX % space, 7));
+        for rep in 1..3 {
+            assert_eq!(
+                (w[rep] + space - r[rep]) % space,
+                (w[0] + space - 7) % space
+            );
+        }
+        // A space past 2^63 leaves no headroom for `lpa + shift` either.
+        let wide = t.prolong(4, u64::MAX, 9).unwrap();
+        assert!(wide.records.iter().all(|r| r.lpa < u64::MAX));
+    }
+
+    #[test]
+    fn prolong_rejects_an_empty_lpa_space() {
+        assert_eq!(sample().prolong(2, 0, 1), Err(TraceError::EmptyLpaSpace));
+    }
+
+    #[test]
+    fn shifted_saturates_arrival_times() {
+        let s = extreme().shifted(5);
+        assert_eq!(s.records[0].at, 5);
+        assert_eq!(s.records[1].at, u64::MAX);
     }
 }

@@ -33,7 +33,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let trace = Trace::new("base", records);
-        let long = trace.prolong(times, lpa_space, seed);
+        let long = trace.prolong(times, lpa_space, seed).unwrap();
         prop_assert_eq!(long.records.len(), trace.records.len() * times as usize);
         // Address space respected, write volume multiplied exactly.
         prop_assert!(long.records.iter().all(|r| r.lpa < lpa_space));
