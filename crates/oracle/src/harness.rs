@@ -2,11 +2,12 @@
 //! [`ModelDevice`], every op applied to both and compared.
 //!
 //! This is the one place an [`OracleOp`] reaches a device. The harness is
-//! generic over the device: any [`SsdDevice`] gets the head and read checks
-//! (the model then runs on the mirror ordinal with nothing obligated — the
-//! `RegularSsd` / `FlashGuardSsd` baselines), and a [`TimeSsd`] additionally
-//! gets everything that needs its history — chains, obligations, as-of and
-//! rollback probes, the power-cut crash contract, `check_consistency`.
+//! generic over the device's retention policy ([`Guarantee`]): each `Ftl`
+//! gets the head and read checks (for the `RegularSsd` / `FlashGuardSsd`
+//! baselines the model runs on the mirror ordinal with nothing obligated),
+//! and a [`TimeSsd`] additionally gets everything that needs its history —
+//! chains, obligations, as-of and rollback probes, the power-cut crash
+//! contract, `check_consistency`.
 //!
 //! The harness implements [`SsdDevice`], so anything that drives a device —
 //! `trace::replay` in particular — can drive the pair and get op-by-op
@@ -34,12 +35,11 @@
 //! [`minimal_failing_prefix`] re-runs an op sequence with a deep check
 //! after every op to pin the shortest reproducing prefix.
 
-use std::any::Any;
 use std::collections::BTreeMap;
 
 use almanac_core::{
-    AlmanacError, Completion, DeviceStats, Result, SsdConfig, SsdDevice, SsdReadOps, TimeSsd,
-    VersionLocation,
+    AlmanacError, Completion, DeviceStats, Discard, Ftl, ReadGated, Result, Retention, SsdConfig,
+    SsdDevice, SsdReadOps, TimeSsd, TimeTravel, VersionLocation,
 };
 use almanac_flash::{FlashError, Lpa, Nanos, PageData};
 use almanac_kits::{RollbackOutcome, TimeKits};
@@ -102,26 +102,52 @@ pub struct DifferentialHarness<D = TimeSsd> {
     in_rollback: bool,
 }
 
-impl DifferentialHarness {
-    /// A fresh [`TimeSsd`]/model pair for `config`.
-    pub fn new(config: SsdConfig) -> Self {
-        Self::over(TimeSsd::new(config.clone()), config)
+/// What the oracle holds each [`Retention`] policy to. The only place the
+/// harness asks which device it has; the defaults are the baselines, which
+/// guarantee no history. Sealed, as `Retention` is.
+pub trait Guarantee: Retention {
+    /// The retention window the device guarantees: what the model obligates.
+    fn window(_config: &SsdConfig) -> Nanos {
+        0
+    }
+
+    /// The harness as that of a [`TimeSsd`], when it is one: the way in to
+    /// every check that needs the device's history.
+    fn history(_h: &mut DifferentialHarness<Ftl<Self>>) -> Option<&mut DifferentialHarness> {
+        None
     }
 }
 
-impl<D: SsdDevice + 'static> DifferentialHarness<D> {
-    /// Pairs `ssd`, a fresh device built from `config`, with an empty model.
-    /// Anything but a [`TimeSsd`] promises no history, so its model keeps
-    /// none obligated (retention zero) and only heads and reads are held.
-    pub fn over(ssd: D, config: SsdConfig) -> Self {
+impl Guarantee for Discard {}
+
+impl Guarantee for ReadGated {}
+
+impl Guarantee for TimeTravel {
+    fn window(config: &SsdConfig) -> Nanos {
+        config.min_retention
+    }
+
+    fn history(h: &mut DifferentialHarness) -> Option<&mut DifferentialHarness> {
+        Some(h)
+    }
+}
+
+impl DifferentialHarness {
+    /// A fresh [`TimeSsd`]/model pair for `config`.
+    pub fn new(config: SsdConfig) -> Self {
+        Self::over(config)
+    }
+}
+
+impl<R: Guarantee> DifferentialHarness<Ftl<R>> {
+    /// A fresh `Ftl<R>`/model pair for `config`. A baseline guarantees no
+    /// history, so its model keeps none obligated (retention zero) and only
+    /// heads and reads are held.
+    pub fn over(config: SsdConfig) -> Self {
+        let ssd = Ftl::new(config.clone());
         let page_size = config.geometry.page_size as usize;
-        let retention = if (&ssd as &dyn Any).is::<TimeSsd>() {
-            config.min_retention
-        } else {
-            0
-        };
         DifferentialHarness {
-            model: ModelDevice::new(ssd.exported_pages(), page_size, retention),
+            model: ModelDevice::new(ssd.exported_pages(), page_size, R::window(&config)),
             decoder: Decoder::new(ssd.exported_pages(), page_size),
             ssd: Some(ssd),
             config,
@@ -145,7 +171,7 @@ impl<D: SsdDevice + 'static> DifferentialHarness<D> {
     }
 
     /// Read access to the device under test.
-    pub fn ssd(&self) -> &D {
+    pub fn ssd(&self) -> &Ftl<R> {
         self.ssd.as_ref().expect("device present between ops")
     }
 
@@ -159,11 +185,11 @@ impl<D: SsdDevice + 'static> DifferentialHarness<D> {
     /// Exists so tests can seed device-side state the model does not know
     /// about and prove the oracle flags it; using it in a differential run
     /// for anything else desynchronises the pair by construction.
-    pub fn ssd_mut_bypassing_model(&mut self) -> &mut D {
+    pub fn ssd_mut_bypassing_model(&mut self) -> &mut Ftl<R> {
         self.dev()
     }
 
-    fn dev(&mut self) -> &mut D {
+    fn dev(&mut self) -> &mut Ftl<R> {
         self.ssd.as_mut().expect("device present between ops")
     }
 
@@ -195,10 +221,8 @@ impl<D: SsdDevice + 'static> DifferentialHarness<D> {
         self.divergences.len() >= MAX_DIVERGENCES
     }
 
-    /// `self` as the harness of a [`TimeSsd`], when that is the device under
-    /// test: the way in to every check that needs the device's history.
-    fn timed(&mut self) -> Option<&mut DifferentialHarness<TimeSsd>> {
-        (self as &mut dyn Any).downcast_mut()
+    fn timed(&mut self) -> Option<&mut DifferentialHarness> {
+        R::history(self)
     }
 
     fn diverge(&mut self, d: Divergence) {
@@ -241,10 +265,9 @@ impl<D: SsdDevice + 'static> DifferentialHarness<D> {
             Action::Trim(lpa) => self.trim(lpa, now).map(Answer::Io),
             Action::Flush => self.flush(now).map(Answer::Io),
             Action::Check => Ok(Answer::Checked(self.check_now())),
-            probe => match self.timed() {
-                Some(h) => h.probe(probe, now),
-                None => Ok(Answer::Nothing),
-            },
+            probe => self
+                .timed()
+                .map_or(Ok(Answer::Nothing), |h| h.probe(probe, now)),
         };
         if self.check_every > 0 && !matches!(answer, Ok(Answer::Checked(_))) {
             self.since_check += 1;
@@ -256,7 +279,7 @@ impl<D: SsdDevice + 'static> DifferentialHarness<D> {
         answer
     }
 
-    /// Applies a whole sequence, finishing with a deep check.
+    /// Applies a whole sequence, finishing with [`check_now`](Self::check_now).
     pub fn run(&mut self, ops: &[OracleOp]) -> DivergenceReport {
         ops.iter().for_each(|op| self.apply(op));
         self.check_now();
@@ -274,20 +297,28 @@ impl<D: SsdDevice + 'static> DifferentialHarness<D> {
         }
     }
 
-    /// Compares device against model as deeply as the device allows — full
-    /// structure for a [`TimeSsd`], otherwise what the host reads now over
-    /// the whole exported space. Returns true when no new divergence was
-    /// found.
+    /// Structural comparison of device against model — chains, heads,
+    /// obligations, the device's own invariants — issuing no host command.
+    /// A baseline has no such structure: its whole-space check is
+    /// [`read_sweep`](Self::read_sweep). True when nothing new was found.
     pub fn check_now(&mut self) -> bool {
         let before = self.divergences.len();
         if let Some(h) = self.timed() {
             h.deep_check();
-        } else {
-            let at = self.clock;
-            for lpa in (0..self.model.exported_pages()).map(Lpa) {
-                if self.read(lpa, at).is_err() {
-                    self.diverge(Divergence::ReadMismatch { lpa, at });
-                }
+        }
+        self.divergences.len() == before
+    }
+
+    /// Host-reads the whole exported space, never-written pages included,
+    /// against the model. Never implicit: a host read is an input to the
+    /// device (it sets FlashGuard's read bit), so the caller decides when
+    /// the stream can bear one. True when nothing new was found.
+    pub fn read_sweep(&mut self) -> bool {
+        let before = self.divergences.len();
+        let at = self.clock;
+        for lpa in (0..self.model.exported_pages()).map(Lpa) {
+            if self.read(lpa, at).is_err() {
+                self.diverge(Divergence::ReadMismatch { lpa, at });
             }
         }
         self.divergences.len() == before
@@ -297,7 +328,7 @@ impl<D: SsdDevice + 'static> DifferentialHarness<D> {
     /// fault layer's, not a strategy op) lands before the op is
     /// acknowledged, so nothing was promised for it: the device is
     /// recovered and the "host" reissues the op once.
-    fn issue<T>(&mut self, now: Nanos, op: impl Fn(&mut D, Nanos) -> Result<T>) -> Result<T> {
+    fn issue<T>(&mut self, now: Nanos, op: impl Fn(&mut Ftl<R>, Nanos) -> Result<T>) -> Result<T> {
         self.clock = self.clock.max(now);
         let mut out = op(self.dev(), now);
         if matches!(out, Err(AlmanacError::Flash(FlashError::PowerLoss))) {
@@ -425,10 +456,15 @@ impl DifferentialHarness<TimeSsd> {
                 self.power_cycle();
                 Ok(Answer::Nothing)
             }
-            Err(e) => Err(e),
+            Err(e @ AlmanacError::DeviceStalled { .. }) => {
+                self.stalled = true;
+                Err(e)
+            }
+            // Anything else stopped part-way with pages already rewritten
+            // that nothing mirrors: every later divergence would mislead.
+            Err(e) => panic!("unexpected rollback error in differential run: {e}"),
         };
         self.in_rollback = false;
-        self.stalled |= matches!(answer, Err(AlmanacError::DeviceStalled { .. }));
         answer
     }
 
@@ -653,7 +689,7 @@ impl DifferentialHarness<TimeSsd> {
 
 // ---- SsdDevice: anything that drives a device can drive the pair --------
 
-impl<D: SsdDevice + 'static> SsdDevice for DifferentialHarness<D> {
+impl<R: Guarantee> SsdDevice for DifferentialHarness<Ftl<R>> {
     fn write(&mut self, lpa: Lpa, data: PageData, now: Nanos) -> Result<Completion> {
         let c = self.issue(now, |d, t| d.write(lpa, data.clone(), t))?;
         self.clock = self.clock.max(c.finish);
@@ -717,7 +753,7 @@ impl<D: SsdDevice + 'static> SsdDevice for DifferentialHarness<D> {
     }
 }
 
-impl<D: SsdDevice + 'static> SsdReadOps for DifferentialHarness<D> {
+impl<R: Guarantee> SsdReadOps for DifferentialHarness<Ftl<R>> {
     fn stats(&self) -> &DeviceStats {
         self.ssd().stats()
     }

@@ -23,10 +23,10 @@
 //! One harness, three clients. [`DifferentialHarness`] is the only code
 //! that applies an [`OracleOp`] to a device, mirrors it into the model and
 //! power-cycles; its arrival times, pages and payloads come from the one
-//! decoder next to the enum in [`strategy`]. It is generic over the device:
-//! a [`TimeSsd`](almanac_core::TimeSsd) gets every check above, any other
-//! [`SsdDevice`](almanac_core::SsdDevice) — the `RegularSsd` and
-//! `FlashGuardSsd` baselines — the head and read checks at retention zero.
+//! decoder next to the enum in [`strategy`]. It is generic over the device's
+//! retention policy ([`Guarantee`]): a [`TimeSsd`](almanac_core::TimeSsd) gets every check
+//! above, the `RegularSsd` and `FlashGuardSsd` baselines the head and read
+//! checks at retention zero.
 //!
 //! 1. Tests drive it directly: [`DifferentialHarness::run`] on the
 //!    adversarial sequences the [`strategy`] module generates (hot/cold
@@ -50,7 +50,7 @@ pub mod report;
 pub mod shards;
 pub mod strategy;
 
-pub use harness::{minimal_failing_prefix, DifferentialHarness};
+pub use harness::{minimal_failing_prefix, DifferentialHarness, Guarantee};
 pub use model::{ModelDevice, ModelVersion};
 pub use queues::{lockstep_queue_run, QueueRunOutcome};
 pub use report::{Divergence, DivergenceReport};

@@ -101,10 +101,7 @@ pub fn lockstep_queue_run(
     // --- Serial reference: submission order IS completion order. ---
     let mut serial = DifferentialHarness::new(cfg.clone());
     let report = serial.run(&ops);
-    let vs_model = report.divergences.iter();
-    let mut divergences: Vec<String> = vs_model
-        .map(|d| format!("serial reference vs model: {d:?}"))
-        .collect();
+    let mut divergences = Vec::new();
     if report.stalled {
         divergences.push(format!("serial reference stalled: {report}"));
     }
@@ -253,6 +250,9 @@ pub fn lockstep_queue_run(
             )),
         }
     }
+    // The reference against the model, the final reads above included.
+    let vs_model = serial.divergences().iter();
+    divergences.extend(vs_model.map(|d| format!("serial reference vs model: {d:?}")));
 
     QueueRunOutcome {
         divergences,

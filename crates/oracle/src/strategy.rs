@@ -147,11 +147,6 @@ impl Decoder {
         self.now
     }
 
-    fn arrive(&mut self, gap: Nanos, lpa: u64) -> (Nanos, Lpa) {
-        self.now = self.now.saturating_add(gap);
-        (self.now, Lpa(lpa % self.exported))
-    }
-
     /// A payload no other write of the stream carries: synthetic, or real
     /// bytes filled with `tag` (the byte-diff delta path).
     fn payload(&mut self, lpa: Lpa, tag: Option<u8>) -> PageData {
@@ -168,44 +163,38 @@ impl Decoder {
         PageData::bytes(bytes)
     }
 
-    /// Advances the clock by the op's gap and resolves the op at the new
-    /// instant. A rollback span is clamped to end inside the device.
+    /// Advances the clock by the op's gap (saturating) and resolves the op
+    /// at the new instant. A rollback span is clamped to end inside the
+    /// device.
     pub(crate) fn decode(&mut self, op: &OracleOp) -> (Nanos, Action) {
-        match *op {
-            OracleOp::Write { lpa, gap } => {
-                let (now, lpa) = self.arrive(gap, lpa);
-                (now, Action::Write(lpa, self.payload(lpa, None)))
-            }
-            OracleOp::WriteBytes { lpa, tag, gap } => {
-                let (now, lpa) = self.arrive(gap, lpa);
-                (now, Action::Write(lpa, self.payload(lpa, Some(tag))))
-            }
-            OracleOp::Read { lpa, gap } => {
-                let (now, lpa) = self.arrive(gap, lpa);
-                (now, Action::Read(lpa))
-            }
-            OracleOp::Trim { lpa, gap } => {
-                let (now, lpa) = self.arrive(gap, lpa);
-                (now, Action::Trim(lpa))
-            }
-            OracleOp::AsOf { lpa, back, gap } => {
-                let (now, lpa) = self.arrive(gap, lpa);
-                (now, Action::AsOf(lpa, now.saturating_sub(back)))
-            }
-            OracleOp::RollBack {
-                lpa,
-                cnt,
-                back,
-                gap,
-            } => {
-                let (now, lpa) = self.arrive(gap, lpa);
+        use OracleOp::*;
+        let (lpa, gap) = match *op {
+            Write { lpa, gap }
+            | WriteBytes { lpa, gap, .. }
+            | Read { lpa, gap }
+            | Trim { lpa, gap }
+            | AsOf { lpa, gap, .. }
+            | RollBack { lpa, gap, .. } => (lpa, gap),
+            Flush { gap } => (0, gap),
+            PowerCut | Check => (0, 0),
+        };
+        self.now = self.now.saturating_add(gap);
+        let (now, lpa) = (self.now, Lpa(lpa % self.exported));
+        let action = match *op {
+            Write { .. } => Action::Write(lpa, self.payload(lpa, None)),
+            WriteBytes { tag, .. } => Action::Write(lpa, self.payload(lpa, Some(tag))),
+            Read { .. } => Action::Read(lpa),
+            Trim { .. } => Action::Trim(lpa),
+            AsOf { back, .. } => Action::AsOf(lpa, now.saturating_sub(back)),
+            RollBack { cnt, back, .. } => {
                 let cnt = cnt.clamp(1, self.exported - lpa.0);
-                (now, Action::RollBack(lpa, cnt, now.saturating_sub(back)))
+                Action::RollBack(lpa, cnt, now.saturating_sub(back))
             }
-            OracleOp::Flush { gap } => (self.arrive(gap, 0).0, Action::Flush),
-            OracleOp::PowerCut => (self.now, Action::PowerCut),
-            OracleOp::Check => (self.now, Action::Check),
-        }
+            Flush { .. } => Action::Flush,
+            PowerCut => Action::PowerCut,
+            Check => Action::Check,
+        };
+        (now, action)
     }
 }
 

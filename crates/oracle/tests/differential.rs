@@ -6,9 +6,11 @@
 //! The in-tree proptest runner is deterministic (seeded from the test
 //! path), so a CI failure here reproduces locally with no extra state.
 
-use almanac_core::{FlashGuardSsd, RegularSsd, SsdConfig, SsdDevice, SsdReadOps, TimeSsd};
+use almanac_core::{Discard, Ftl, ReadGated, SsdConfig, SsdDevice, SsdReadOps, TimeTravel};
 use almanac_flash::{FaultPlan, Geometry, Lpa, Nanos, PageData, MS_NS, SEC_NS};
-use almanac_oracle::{minimal_failing_prefix, DifferentialHarness, Divergence, OracleOp};
+use almanac_oracle::{
+    minimal_failing_prefix, DifferentialHarness, Divergence, Guarantee, OracleOp,
+};
 use almanac_trace::{replay, Trace, TraceOp, TraceRecord};
 use almanac_workloads::msr_profiles;
 use proptest::{proptest, ProptestConfig};
@@ -39,32 +41,31 @@ fn almanac_bloom_cfg() -> almanac_bloom::ChainConfig {
     }
 }
 
-/// Runs `ops` through the harness over `ssd`. For the baselines that holds
-/// what the host sees *now* — every host read, then a sweep of the whole
-/// exported space at every check: retention zero, read-gated and full
-/// differ in the history they keep, never in the head, so the model keeps
-/// nothing obligated and its clock is the op ordinal (the baselines do not
-/// hand out strictly increasing timestamps). A stall ends the run.
-fn heads_match_model<D: SsdDevice + 'static>(
-    ssd: D,
-    cfg: &SsdConfig,
-    ops: &[OracleOp],
-) -> Result<(), String> {
-    let kind = ssd.kind();
-    let report = DifferentialHarness::over(ssd, cfg.clone()).run(ops);
+/// Runs `ops` through a harness over a fresh `Ftl<R>`, then host-reads the whole
+/// exported space. For the baselines that holds what the host sees *now* —
+/// every host read in the stream, then the sweep: retention zero, read-gated
+/// and full differ in the history they keep, never in the head, so the model
+/// keeps nothing obligated and its clock is the op ordinal (the baselines do
+/// not hand out strictly increasing timestamps). The TimeSSD is held to its
+/// history as well. A stall ends the run.
+fn heads_match_model<R: Guarantee>(cfg: &SsdConfig, ops: &[OracleOp]) -> Result<(), String> {
+    let mut h = DifferentialHarness::<Ftl<R>>::over(cfg.clone());
+    h.run(ops);
+    h.read_sweep();
+    let report = h.report();
     if report.is_clean() {
         Ok(())
     } else {
-        Err(format!("{kind}: {report}"))
+        Err(format!("{}: {report}", h.ssd().kind()))
     }
 }
 
 /// The oracle's model against all three FTLs — the comparators of Figures
 /// 6–10 are held to the same heads as the TimeSSD.
 fn heads_match_model_on_every_ftl(cfg: SsdConfig, ops: &[OracleOp]) -> Result<(), String> {
-    heads_match_model(RegularSsd::new(cfg.clone()), &cfg, ops)?;
-    heads_match_model(FlashGuardSsd::new(cfg.clone()), &cfg, ops)?;
-    heads_match_model(TimeSsd::new(cfg.clone()), &cfg, ops)
+    heads_match_model::<Discard>(&cfg, ops)?;
+    heads_match_model::<ReadGated>(&cfg, ops)?;
+    heads_match_model::<TimeTravel>(&cfg, ops)
 }
 
 proptest! {
@@ -292,26 +293,34 @@ fn fault_plan_power_cut_mid_stream_stays_clean() {
     assert!(report.is_clean(), "{report}");
 }
 
+/// A clean harness ten writes in, for the tests that then desynchronise it.
+fn ten_writes_in<R: Guarantee>(cfg: SsdConfig) -> DifferentialHarness<Ftl<R>> {
+    let mut h = DifferentialHarness::over(cfg);
+    (0..10).for_each(|i| {
+        h.apply(&OracleOp::Write {
+            lpa: i % 3,
+            gap: MS_NS,
+        })
+    });
+    h
+}
+
+/// A payload no oracle write carries.
+const ROGUE: PageData = PageData::Synthetic {
+    seed: 999,
+    version: 999,
+};
+
 /// Sanity in the other direction: the oracle must actually catch a device
 /// whose history disagrees with what the host wrote. A write applied to
 /// the device behind the model's back is a phantom version and a head
 /// mismatch.
 #[test]
 fn oracle_flags_device_only_write() {
-    let mut h = DifferentialHarness::new(medium_cfg());
-    for i in 0..10u64 {
-        h.apply(&OracleOp::Write {
-            lpa: i % 3,
-            gap: MS_NS,
-        });
-    }
+    let mut h = ten_writes_in::<TimeTravel>(medium_cfg());
     assert!(h.check_now(), "clean before the seeded desync");
-    let rogue = PageData::Synthetic {
-        seed: 999,
-        version: 999,
-    };
     h.ssd_mut_bypassing_model()
-        .write(Lpa(1), rogue, 10 * SEC_NS)
+        .write(Lpa(1), ROGUE, 10 * SEC_NS)
         .unwrap();
     assert!(!h.check_now(), "device-only write went unnoticed");
     assert!(
@@ -325,45 +334,30 @@ fn oracle_flags_device_only_write() {
 
 /// The same sanity check for the generic harness: behind a baseline there
 /// is no chain to inspect, so a device-only write must surface in what the
-/// host reads — the head sweep of `check_now`.
+/// host reads — `read_sweep`, which sees it on a TimeSSD as well.
 #[test]
 fn oracle_flags_device_only_write_on_the_baselines() {
-    fn flagged<D: SsdDevice + 'static>(ssd: D) -> bool {
-        let mut h = DifferentialHarness::over(ssd, pressure_cfg());
-        for i in 0..10u64 {
-            h.apply(&OracleOp::Write {
-                lpa: i % 3,
-                gap: MS_NS,
-            });
-        }
-        assert!(h.check_now(), "clean before the seeded desync");
-        let rogue = PageData::Synthetic {
-            seed: 999,
-            version: 999,
-        };
+    fn flagged<R: Guarantee>() -> bool {
+        let mut h = ten_writes_in::<R>(pressure_cfg());
+        assert!(h.read_sweep(), "clean before the seeded desync");
         h.ssd_mut_bypassing_model()
-            .write(Lpa(1), rogue, 10 * SEC_NS)
+            .write(Lpa(1), ROGUE, 10 * SEC_NS)
             .unwrap();
-        !h.check_now()
+        !h.read_sweep()
             && h.divergences()
                 .iter()
                 .all(|d| matches!(d, Divergence::ReadMismatch { lpa, .. } if lpa.0 == 1))
     }
-    assert!(flagged(RegularSsd::new(pressure_cfg())), "RegularSsd");
-    assert!(flagged(FlashGuardSsd::new(pressure_cfg())), "FlashGuardSsd");
+    assert!(flagged::<Discard>(), "RegularSsd");
+    assert!(flagged::<ReadGated>(), "FlashGuardSsd");
+    assert!(flagged::<TimeTravel>(), "TimeSsd");
 }
 
 /// A trim applied behind the model's back must surface as a head mismatch
 /// (device lost data the model still holds live).
 #[test]
 fn oracle_flags_device_only_trim() {
-    let mut h = DifferentialHarness::new(medium_cfg());
-    for i in 0..10u64 {
-        h.apply(&OracleOp::Write {
-            lpa: i % 3,
-            gap: MS_NS,
-        });
-    }
+    let mut h = ten_writes_in::<TimeTravel>(medium_cfg());
     h.ssd_mut_bypassing_model()
         .trim(Lpa(2), 10 * SEC_NS)
         .unwrap();
