@@ -10,7 +10,7 @@ use almanac_flash::{BlockId, Geometry, Ppa};
 
 /// A block currently open for sequential page programming.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OpenBlock {
+pub(crate) struct OpenBlock {
     /// The open block.
     pub block: BlockId,
     /// Next page offset to program.
@@ -24,7 +24,7 @@ pub struct OpenBlock {
 /// them with hot user writes would leave every block partially valid,
 /// inflating migration cost at high utilization.
 #[derive(Debug, Clone)]
-pub struct Allocator {
+pub(crate) struct Allocator {
     geometry: Geometry,
     free: Vec<VecDeque<BlockId>>,
     active: Vec<Option<OpenBlock>>,
@@ -240,11 +240,6 @@ impl Allocator {
             .chain(self.active_gc.iter())
             .flatten()
             .any(|open| open.block == block)
-    }
-
-    /// Number of channels.
-    pub fn channels(&self) -> u32 {
-        self.geometry.channels
     }
 }
 

@@ -46,19 +46,16 @@ mod stats;
 mod tables;
 mod timessd;
 
-pub use alloc::{Allocator, OpenBlock};
 pub use config::SsdConfig;
 pub use device::{Completion, SsdDevice, SsdReadOps};
 pub use error::{AlmanacError, Result};
 pub use flashguard::{FlashGuardSsd, ReadGated};
 pub use ftl::{Ftl, HostOp, Retention};
-pub use mapcache::MapCache;
 pub use regular::{Discard, RegularSsd};
 pub use stats::{DeviceStats, LatencyAcc};
-pub use tables::{AmtEntry, BlockInfo, BlockKind, Bst, Imt, PageBits, Prt, Pvt, ShardedAmt};
+pub use tables::{AmtEntry, ShardedAmt};
 pub use timessd::check::{ConsistencyReport, Violation};
 pub use timessd::query::{SsdReadView, VersionInfo, VersionLocation};
-pub use timessd::retention::PeriodCounters;
 pub use timessd::{TimeSsd, TimeTravel, REF_ZEROS};
 
 // Query workers share `&TimeSsd` across scoped threads with no lock around

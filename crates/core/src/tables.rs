@@ -62,17 +62,17 @@ impl AmtEntry {
 /// Out-of-range addresses (e.g. a corrupt OOB back-pointer) read as clear
 /// and ignore writes rather than panicking.
 #[derive(Debug, Clone)]
-pub struct PageBits {
+pub(crate) struct PageBits {
     bits: Vec<bool>,
 }
 
 /// Page validity table ④: set while the page is the latest version of its
 /// LPA.
-pub type Pvt = PageBits;
+pub(crate) type Pvt = PageBits;
 
 /// Page reclamation table ⑥: set on invalid pages whose content has been
 /// delta-compressed (or found expired) and may be discarded by GC.
-pub type Prt = PageBits;
+pub(crate) type Prt = PageBits;
 
 impl PageBits {
     /// All-clear table over the whole array.
@@ -103,7 +103,7 @@ impl PageBits {
 
 /// What a block currently stores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BlockKind {
+pub(crate) enum BlockKind {
     /// In the free pool.
     #[default]
     Free,
@@ -116,7 +116,7 @@ pub enum BlockKind {
 
 /// Per-block status ③.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct BlockInfo {
+pub(crate) struct BlockInfo {
     /// Block role.
     pub kind: BlockKind,
     /// Pages programmed so far.
@@ -137,7 +137,7 @@ impl BlockInfo {
 
 /// Block status table ③ plus the delta-block extension.
 #[derive(Debug, Clone)]
-pub struct Bst {
+pub(crate) struct Bst {
     blocks: Vec<BlockInfo>,
 }
 
@@ -176,7 +176,7 @@ impl Bst {
 /// Index mapping table ⑤: LPA → PPA of the delta page holding the newest
 /// compressed version of that LPA.
 #[derive(Debug, Clone, Default)]
-pub struct Imt {
+pub(crate) struct Imt {
     heads: HashMap<Lpa, (Ppa, Nanos)>,
 }
 
@@ -197,25 +197,10 @@ impl Imt {
         self.heads.insert(lpa, (page, newest_ts));
     }
 
-    /// Removes the chain head (when the whole delta chain expired).
-    pub fn remove(&mut self, lpa: Lpa) -> Option<(Ppa, Nanos)> {
-        self.heads.remove(&lpa)
-    }
-
     /// Iterates every `(lpa, (delta page, newest ts))` head — used by the
     /// consistency checker's reachability audit.
     pub fn iter(&self) -> impl Iterator<Item = (Lpa, (Ppa, Nanos))> + '_ {
         self.heads.iter().map(|(l, h)| (*l, *h))
-    }
-
-    /// Number of LPAs with compressed versions.
-    pub fn len(&self) -> usize {
-        self.heads.len()
-    }
-
-    /// True if no LPA has compressed versions.
-    pub fn is_empty(&self) -> bool {
-        self.heads.is_empty()
     }
 }
 
@@ -335,8 +320,7 @@ mod tests {
         assert!(imt.head(Lpa(1)).is_none());
         imt.set_head(Lpa(1), Ppa(9), 77);
         assert_eq!(imt.head(Lpa(1)), Some((Ppa(9), 77)));
-        assert_eq!(imt.remove(Lpa(1)), Some((Ppa(9), 77)));
-        assert!(imt.is_empty());
+        assert_eq!(imt.iter().collect::<Vec<_>>(), [(Lpa(1), (Ppa(9), 77))]);
     }
 
     #[test]

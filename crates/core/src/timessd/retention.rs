@@ -18,7 +18,7 @@ use almanac_flash::{LatencyConfig, Nanos};
 
 /// GC operation counts within the current estimation period.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PeriodCounters {
+pub(crate) struct PeriodCounters {
     /// User page writes observed this period.
     pub user_writes: u64,
     /// Flash page reads by GC/compression (`N_read`).

@@ -38,7 +38,7 @@ pub enum FsError {
     NoSuchFile(FileId),
     /// Out of data pages.
     NoSpace,
-    /// Read past end of file.
+    /// Byte range past the end of the file (a read), or past `u64::MAX`.
     BadRange {
         /// Requested offset.
         offset: u64,
@@ -252,9 +252,12 @@ impl<D: SsdDevice> AlmanacFs<D> {
         if data.is_empty() {
             return Ok(now);
         }
-        self.inode(fid)?;
+        let size = self.inode(fid)?.size;
         let page_size = self.page_size as u64;
-        let end = offset + data.len() as u64;
+        let len = data.len() as u64;
+        let end = offset
+            .checked_add(len)
+            .ok_or(FsError::BadRange { offset, len, size })?;
         let first_page = (offset / page_size) as usize;
         let last_page = ((end - 1) / page_size) as usize;
         let mut t = now;
@@ -290,10 +293,6 @@ impl<D: SsdDevice> AlmanacFs<D> {
                     if let Some(old_lpa) = old {
                         let c = self.dev.trim(old_lpa, t)?;
                         t = c.finish;
-                        if old_lpa.0 >= self.data_start {
-                            // Home-allocated pages return to the pool only in
-                            // non-log modes; the log sweeps circularly.
-                        }
                     }
                     fresh
                 }
@@ -374,26 +373,24 @@ impl<D: SsdDevice> AlmanacFs<D> {
         now: Nanos,
     ) -> FsResult<(Vec<u8>, Nanos)> {
         let inode = self.inode(fid)?;
-        if offset + len > inode.size {
-            return Err(FsError::BadRange {
-                offset,
-                len,
-                size: inode.size,
-            });
-        }
+        let size = inode.size;
+        let end = offset
+            .checked_add(len)
+            .filter(|&end| end <= size)
+            .ok_or(FsError::BadRange { offset, len, size })?;
         let page_size = self.page_size as u64;
         let pages: Vec<Lpa> = inode.pages.clone();
         let mut out = Vec::with_capacity(len as usize);
         let mut t = now;
         let mut pos = offset;
-        while pos < offset + len {
+        while pos < end {
             let page_idx = (pos / page_size) as usize;
             let lpa = pages[page_idx];
             let (data, c) = self.dev.read(lpa, t)?;
             t = c.finish;
             let bytes = data.materialize(self.page_size);
             let in_page = (pos % page_size) as usize;
-            let take = ((offset + len - pos) as usize).min(self.page_size - in_page);
+            let take = ((end - pos) as usize).min(self.page_size - in_page);
             out.extend_from_slice(&bytes[in_page..in_page + take]);
             pos += take as u64;
         }
@@ -572,10 +569,28 @@ mod tests {
         let mut fs = regular_fs(FsMode::Ext4NoJournal);
         let (fid, t) = fs.create("s", 0).unwrap();
         let t = fs.write(fid, 0, b"abc", t).unwrap();
+        // The last two wrap `offset + len` to a small in-file value.
+        for (offset, len) in [(0, 10), (4, 0), (u64::MAX, 2), (2, u64::MAX)] {
+            assert!(
+                matches!(fs.read(fid, offset, len, t), Err(FsError::BadRange { .. })),
+                "read({offset}, {len}) of a 3-byte file"
+            );
+        }
+        assert_eq!(fs.read(fid, 3, 0, t).unwrap().0, b"");
+    }
+
+    #[test]
+    fn write_wrapping_past_u64_max_rejected() {
+        let mut fs = regular_fs(FsMode::Ext4NoJournal);
+        let (fid, t) = fs.create("s", 0).unwrap();
+        let t = fs.write(fid, 0, b"abc", t).unwrap();
+        let writes = fs.device().stats().user_writes;
         assert!(matches!(
-            fs.read(fid, 0, 10, t),
-            Err(FsError::BadRange { .. })
+            fs.write(fid, u64::MAX - 1, b"xyz", t),
+            Err(FsError::BadRange { size: 3, .. })
         ));
+        assert_eq!(fs.device().stats().user_writes, writes, "nothing written");
+        assert_eq!(fs.read(fid, 0, 3, t).unwrap().0, b"abc");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! per-shard hits and [`QueryCost`]s deterministically.
 
 use almanac_core::{Result, SsdReadView, TimeSsd, VersionInfo};
-use almanac_flash::{Lpa, Nanos};
+use almanac_flash::{Lpa, LpaSpan, Nanos};
 
 use crate::cost::QueryCost;
 use crate::engine;
@@ -166,7 +166,7 @@ impl<'v> AddrQuery<'v> {
     /// shard.
     pub fn run(&self) -> Result<AddrQueryOutcome> {
         let ssd = self.view.device();
-        let span = engine::clamp_span(self.addr, self.cnt, self.view.exported_pages());
+        let span = LpaSpan::clamped(self.addr, self.cnt, self.view.exported_pages());
         let (hits, cost, shard_costs) = engine::scan(
             self.view,
             span,

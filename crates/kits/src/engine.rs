@@ -1,7 +1,7 @@
-//! The one scan engine behind every Table-1 query: clamp the requested LPA
-//! span, split it into `amt_shards` strided partitions ("shards":
-//! `lpa % width`), walk each shard's LPAs on a scoped worker, merge
-//! deterministically.
+//! The one scan engine behind every Table-1 query: split the requested LPA
+//! span (an [`LpaSpan`], clamped to the exported space where the query is
+//! built) into `amt_shards` strided partitions ("shards": `lpa % width`),
+//! walk each shard's LPAs on a scoped worker, merge deterministically.
 //!
 //! A shard is a unit of the query *schedule*, nothing more: the device's
 //! AMT, IMT and map cache are flat tables, and this file holds the only
@@ -11,31 +11,17 @@
 //! them can walk version chains at once while no `&mut` command can run;
 //! that exclusion comes from the borrow checker, not from a lock.
 
-use std::ops::Range;
-
 use almanac_core::SsdReadView;
-use almanac_flash::Lpa;
+use almanac_flash::{Lpa, LpaSpan};
 
 use crate::cost::QueryCost;
 
-/// The LPAs an `(addr, cnt)` request actually addresses. The span is clamped
-/// to the exported address space *before* any shard assignment: `addr + cnt`
-/// saturates instead of wrapping, so a request straddling `u64::MAX` cannot
-/// smuggle wrapped LPAs into the wrong shard (`lpa % width` is only ever
-/// taken on in-range addresses), panic in debug builds, or scan past
-/// `exported`.
-pub(crate) fn clamp_span(addr: Lpa, cnt: u64, exported: u64) -> Range<u64> {
-    let start = addr.0.min(exported);
-    let end = addr
-        .0
-        .checked_add(cnt)
-        .map_or(exported, |e| e.min(exported));
-    start..end
-}
-
 /// The LPAs of `span` owned by `shard`, ascending: the first LPA at or after
-/// `span.start` congruent to `shard`, then every `width`-th.
-fn shard_lpas(span: &Range<u64>, shard: u64, width: u64) -> impl Iterator<Item = Lpa> {
+/// the span's start congruent to `shard`, then every `width`-th. The span is
+/// already clamped to the exported space ([`LpaSpan::clamped`]), so
+/// `lpa % width` is only ever taken on in-range addresses.
+fn shard_lpas(span: LpaSpan, shard: u64, width: u64) -> impl Iterator<Item = Lpa> {
+    let span = span.range();
     let offset = (shard + width - span.start % width) % width;
     (span.start.saturating_add(offset)..span.end)
         .step_by(width as usize)
@@ -56,7 +42,7 @@ pub(crate) type Scan<H> = (Vec<H>, QueryCost, Vec<QueryCost>);
 /// thread count. An error is reported from the lowest failing shard.
 pub(crate) fn scan<H: Send, E: Send>(
     view: SsdReadView<'_>,
-    span: Range<u64>,
+    span: LpaSpan,
     threads: u32,
     lpa_of: impl Fn(&H) -> Lpa,
     visit: impl Fn(Lpa, &mut Vec<H>, &mut QueryCost) -> Result<(), E> + Sync,
@@ -66,7 +52,7 @@ pub(crate) fn scan<H: Send, E: Send>(
     let scan_shard = |shard: u64| {
         let mut hits = Vec::new();
         let mut cost = QueryCost::new(chips);
-        for lpa in shard_lpas(&span, shard, width) {
+        for lpa in shard_lpas(span, shard, width) {
             visit(lpa, &mut hits, &mut cost)?;
         }
         Ok((hits, cost))

@@ -3,7 +3,7 @@
 use std::convert::Infallible;
 
 use almanac_core::{AlmanacError, Result, SsdDevice, SsdReadOps, TimeSsd};
-use almanac_flash::{Lpa, Nanos, PageData};
+use almanac_flash::{Lpa, LpaSpan, Nanos, PageData};
 
 use crate::addr_query::{fetch, AddrQuery};
 use crate::cost::QueryCost;
@@ -93,7 +93,7 @@ impl<'a> TimeKits<'a> {
         let lat = ssd.config().latency;
         let Ok((hits, cost, _)) = engine::scan(
             ssd.read_view(),
-            0..ssd.exported_pages(),
+            LpaSpan::clamped(Lpa(0), u64::MAX, ssd.exported_pages()),
             self.threads,
             |h: &TimeQueryHit| h.lpa,
             |lpa, hits, cost| -> std::result::Result<(), Infallible> {
@@ -151,8 +151,8 @@ impl<'a> TimeKits<'a> {
         t: Nanos,
         now: Nanos,
     ) -> Result<RollbackOutcome> {
-        let span = engine::clamp_span(addr, cnt, self.ssd.exported_pages());
-        let lpas: Vec<Lpa> = span.map(Lpa).collect();
+        let span = LpaSpan::clamped(addr, cnt, self.ssd.exported_pages());
+        let lpas: Vec<Lpa> = span.iter().collect();
         self.roll_back_set(&lpas, t, now)
     }
 

@@ -14,14 +14,17 @@
 //! A Flush is a per-queue fence: it is not started until every earlier
 //! command on its queue has completed, and no later command on that queue
 //! starts until the Flush's completion posts.
-
-use std::collections::HashMap;
+//!
+//! A command owns its data. The pages a Write carries are submitted beside
+//! its 64-byte entry and moved into the device; the pages a read or query
+//! returns ride in its [`PostedCompletion`]. There is no host-buffer table to
+//! register with, look up, or leak.
 
 use almanac_core::{AlmanacError, SsdDevice, SsdReadOps, TimeSsd};
-use almanac_flash::{Lpa, Nanos, PageData};
+use almanac_flash::{Lpa, LpaSpan, Nanos, PageData};
 use almanac_kits::{AddrQuery, TimeKits};
 
-use crate::queue::{InFlight, QueuePair};
+use crate::queue::{PostedCompletion, QueuePair};
 use crate::sqe::{CompletionEntry, NvmeOpcode, SubmissionEntry};
 
 /// Depth of the I/O queue pair the controller creates at construction.
@@ -47,13 +50,14 @@ pub enum NvmeStatus {
     NoSuchVersion = 0x01C1,
 }
 
-/// The controller: N submission/completion queue pairs and a host buffer
-/// table standing in for PRP lists.
+/// What executing a command yields: status, result dword, device-side
+/// finish instant, and the pages a successful read or query returns.
+type Executed = (NvmeStatus, u32, Nanos, Option<Vec<Vec<u8>>>);
+
+/// The controller: N submission/completion queue pairs over one TimeSSD.
 pub struct NvmeController {
     ssd: TimeSsd,
     queues: Vec<QueuePair>,
-    buffers: HashMap<u32, Vec<Vec<u8>>>,
-    next_buffer: u32,
     /// Round-robin arbitration cursor.
     rr_next: usize,
     /// Global start-order counter.
@@ -70,8 +74,6 @@ impl NvmeController {
         NvmeController {
             ssd,
             queues: vec![QueuePair::new(DEFAULT_QUEUE_DEPTH)],
-            buffers: HashMap::new(),
-            next_buffer: 1,
             rr_next: 0,
             start_seq: 0,
             ooo_completions: 0,
@@ -120,65 +122,23 @@ impl NvmeController {
         self.queues.get(qid as usize).map_or(0, |q| q.outstanding())
     }
 
-    /// Registers a host data buffer (one `Vec<u8>` per page), returning its
-    /// handle for an SQE.
-    pub fn register_buffer(&mut self, pages: Vec<Vec<u8>>) -> u32 {
-        let id = self.next_buffer;
-        self.next_buffer += 1;
-        self.buffers.insert(id, pages);
-        id
-    }
-
-    /// Takes back a buffer after completion (e.g. filled by a read).
-    pub fn take_buffer(&mut self, id: u32) -> Option<Vec<Vec<u8>>> {
-        self.buffers.remove(&id)
-    }
-
-    /// Host buffers currently registered (leak diagnostics).
-    pub fn registered_buffers(&self) -> usize {
-        self.buffers.len()
-    }
-
-    /// Rings the doorbell on queue 0: queues one submission entry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if queue 0 is full; depth-aware hosts use
-    /// [`NvmeController::submit_to`].
-    pub fn submit(&mut self, entry: SubmissionEntry) {
-        assert!(
-            self.submit_to(0, entry),
-            "queue 0 full at depth {}",
-            self.queues[0].depth
-        );
-    }
-
-    /// Rings the doorbell on queue `qid`. Returns `false` (rejecting the
-    /// entry) when the queue does not exist or is at its depth.
-    pub fn submit_to(&mut self, qid: u16, entry: SubmissionEntry) -> bool {
+    /// Rings the doorbell on queue `qid`: queues `entry` with the pages it
+    /// writes (`payload` is one `Vec<u8>` per page for a Write, empty for
+    /// every other opcode). Returns `false` (rejecting the command and
+    /// dropping its payload) when the queue does not exist or is at its depth.
+    pub fn submit_to(&mut self, qid: u16, entry: SubmissionEntry, payload: Vec<Vec<u8>>) -> bool {
         let Some(q) = self.queues.get_mut(qid as usize) else {
             return false;
         };
         if !q.has_slot() {
             return false;
         }
-        q.sq.push_back(entry);
+        q.sq.push_back((entry, payload));
         true
     }
 
-    /// Pops the next completion from queue 0, if any.
-    pub fn pop_completion(&mut self) -> Option<CompletionEntry> {
-        self.pop_completion_from(0)
-    }
-
-    /// Pops the next completion from queue `qid`, if any.
-    pub fn pop_completion_from(&mut self, qid: u16) -> Option<CompletionEntry> {
-        self.pop_completion_timed(qid).map(|(cqe, _)| cqe)
-    }
-
-    /// Pops the next completion from queue `qid` along with the device
-    /// finish time it was posted at (the 16-byte wire CQE cannot carry it).
-    pub fn pop_completion_timed(&mut self, qid: u16) -> Option<(CompletionEntry, Nanos)> {
+    /// Pops the next posted completion from queue `qid`, if any.
+    pub fn pop_completion(&mut self, qid: u16) -> Option<PostedCompletion> {
         self.queues.get_mut(qid as usize)?.cq.pop_front()
     }
 
@@ -245,7 +205,7 @@ impl NvmeController {
     /// a Flush at the head waits for the queue's in-flight set to drain.
     fn try_start(&mut self, qid: usize, now: Nanos) -> bool {
         let q = &self.queues[qid];
-        let Some(head) = q.sq.front() else {
+        let Some((head, _)) = q.sq.front() else {
             return false;
         };
         // A started Flush fences everything submitted behind it.
@@ -257,15 +217,19 @@ impl NvmeController {
         if head.opcode == NvmeOpcode::Flush && !q.inflight.is_empty() {
             return false;
         }
-        let entry = self.queues[qid].sq.pop_front().expect("head checked");
-        let opcode = entry.opcode;
-        let (cqe, finish) = self.execute(entry, now);
+        let (entry, payload) = self.queues[qid].sq.pop_front().expect("head checked");
+        let (status, result, finish, data) = self.execute(entry, payload, now);
         self.start_seq += 1;
-        self.queues[qid].inflight.push(InFlight {
+        self.queues[qid].inflight.push(PostedCompletion {
+            cqe: CompletionEntry {
+                cid: entry.cid,
+                status: status as u16,
+                result,
+            },
+            opcode: entry.opcode,
             finish,
+            data,
             seq: self.start_seq,
-            opcode,
-            cqe,
         });
         true
     }
@@ -279,32 +243,16 @@ impl NvmeController {
         }
     }
 
-    fn complete(cid: u16, status: NvmeStatus, result: u32) -> CompletionEntry {
-        CompletionEntry {
-            cid,
-            status: status as u16,
-            result,
-        }
+    /// A command that failed at `at` with nothing done.
+    fn failed(err: &AlmanacError, at: Nanos) -> Executed {
+        (Self::status_of(err), 0, at, None)
     }
 
-    /// Executes one command at virtual time `now`, returning its completion
-    /// entry and the device-side finish instant its CQE may post at.
-    /// Errors complete immediately (`now`).
-    fn execute(&mut self, e: SubmissionEntry, now: Nanos) -> (CompletionEntry, Nanos) {
+    /// Executes one command at virtual time `now`. Errors complete
+    /// immediately (`now`) unless part of the range was already applied.
+    fn execute(&mut self, e: SubmissionEntry, payload: Vec<Vec<u8>>, now: Nanos) -> Executed {
+        use NvmeStatus::Success;
         let page_size = self.ssd.geometry().page_size as usize;
-        // The three I/O opcodes carry `(lpa, count)` straight off the wire.
-        // The whole range must lie inside the exported space before anything
-        // is allocated, written or trimmed, so a malformed SQE ends in a
-        // status and never in a half-applied range.
-        if matches!(
-            e.opcode,
-            NvmeOpcode::Write | NvmeOpcode::Read | NvmeOpcode::DatasetMgmt
-        ) {
-            let end = e.get_u64(0).checked_add(u64::from(e.cdw[2]));
-            if end.is_none_or(|end| end > self.ssd.exported_pages()) {
-                return (Self::complete(e.cid, NvmeStatus::LbaOutOfRange, 0), now);
-            }
-        }
         match e.opcode {
             NvmeOpcode::Flush => match self.ssd.flush(now) {
                 // The result carries the barrier's response time in
@@ -312,71 +260,12 @@ impl NvmeController {
                 // fence actually cost.
                 Ok(c) => {
                     let lat_us = (c.response(now) / 1_000).min(u32::MAX as u64) as u32;
-                    (Self::complete(e.cid, NvmeStatus::Success, lat_us), c.finish)
+                    (Success, lat_us, c.finish, None)
                 }
-                Err(err) => (Self::complete(e.cid, Self::status_of(&err), 0), now),
+                Err(err) => Self::failed(&err, now),
             },
-            NvmeOpcode::Write => {
-                let lpa = e.get_u64(0);
-                let count = e.cdw[2] as u64;
-                let Some(pages) = self.buffers.get(&e.buffer).cloned() else {
-                    return (Self::complete(e.cid, NvmeStatus::InvalidField, 0), now);
-                };
-                if pages.len() < count as usize {
-                    return (Self::complete(e.cid, NvmeStatus::InvalidField, 0), now);
-                }
-                let mut done = 0u32;
-                let mut finish = now;
-                for i in 0..count {
-                    let data = PageData::bytes(pages[i as usize].clone());
-                    match self.ssd.write(Lpa(lpa + i), data, now) {
-                        Ok(c) => {
-                            done += 1;
-                            finish = finish.max(c.finish);
-                        }
-                        Err(err) => {
-                            return (Self::complete(e.cid, Self::status_of(&err), done), finish)
-                        }
-                    }
-                }
-                (Self::complete(e.cid, NvmeStatus::Success, done), finish)
-            }
-            NvmeOpcode::Read => {
-                let lpa = e.get_u64(0);
-                let count = e.cdw[2] as u64;
-                let mut pages = Vec::with_capacity(count as usize);
-                let mut finish = now;
-                for i in 0..count {
-                    match self.ssd.read(Lpa(lpa + i), now) {
-                        Ok((data, c)) => {
-                            pages.push(data.materialize(page_size));
-                            finish = finish.max(c.finish);
-                        }
-                        Err(err) => return (Self::complete(e.cid, Self::status_of(&err), 0), now),
-                    }
-                }
-                self.buffers.insert(e.buffer, pages);
-                (
-                    Self::complete(e.cid, NvmeStatus::Success, count as u32),
-                    finish,
-                )
-            }
-            NvmeOpcode::DatasetMgmt => {
-                let lpa = e.get_u64(0);
-                let count = e.cdw[2] as u64;
-                let mut finish = now;
-                for i in 0..count {
-                    match self.ssd.trim(Lpa(lpa + i), now) {
-                        Ok(c) => finish = finish.max(c.finish),
-                        Err(err) => {
-                            return (Self::complete(e.cid, Self::status_of(&err), 0), finish)
-                        }
-                    }
-                }
-                (
-                    Self::complete(e.cid, NvmeStatus::Success, count as u32),
-                    finish,
-                )
+            NvmeOpcode::Write | NvmeOpcode::Read | NvmeOpcode::DatasetMgmt => {
+                self.execute_io(e, payload, now)
             }
             NvmeOpcode::AddrQuery | NvmeOpcode::AddrQueryRange | NvmeOpcode::AddrQueryAll => {
                 let query =
@@ -399,18 +288,15 @@ impl NvmeController {
                     // makespan over `threads` host workers, so a device
                     // with more partitions answers parallel queries sooner.
                     Ok(out) => {
-                        let pages = out
-                            .hits
-                            .iter()
-                            .map(|h| h.data.materialize(page_size))
-                            .collect();
-                        self.buffers.insert(e.buffer, pages);
+                        let pages = out.hits.iter().map(|h| h.data.materialize(page_size));
                         (
-                            Self::complete(e.cid, NvmeStatus::Success, out.hits.len() as u32),
+                            Success,
+                            out.hits.len() as u32,
                             now.saturating_add(out.makespan(threads)),
+                            Some(pages.collect()),
                         )
                     }
-                    Err(err) => (Self::complete(e.cid, Self::status_of(&err), 0), now),
+                    Err(err) => Self::failed(&err, now),
                 }
             }
             NvmeOpcode::TimeQuery | NvmeOpcode::TimeQueryRange | NvmeOpcode::TimeQueryAll => {
@@ -421,8 +307,8 @@ impl NvmeController {
                     NvmeOpcode::TimeQueryRange => kits.time_query_range(e.get_u64(0), e.get_u64(2)),
                     _ => kits.time_query_all(),
                 };
-                // The result buffer carries `(lpa, n_timestamps)` pairs as
-                // 16-byte rows.
+                // The result carries `(lpa, n_timestamps)` pairs as 16-byte
+                // rows.
                 let rows: Vec<Vec<u8>> = hits
                     .iter()
                     .map(|h| {
@@ -432,34 +318,74 @@ impl NvmeController {
                         row
                     })
                     .collect();
-                let n = hits.len() as u32;
-                self.buffers.insert(e.buffer, rows);
-                (
-                    Self::complete(e.cid, NvmeStatus::Success, n),
-                    now.saturating_add(cost.makespan(threads)),
-                )
+                let finish = now.saturating_add(cost.makespan(threads));
+                (Success, hits.len() as u32, finish, Some(rows))
             }
-            NvmeOpcode::RollBack => {
-                let (lpa, cnt, t) = (e.get_u64(0), e.cdw[2] as u64, e.get_u64(4));
+            NvmeOpcode::RollBack | NvmeOpcode::RollBackAll => {
                 let mut kits = TimeKits::new(&mut self.ssd);
-                match kits.roll_back(Lpa(lpa), cnt, t, now) {
-                    Ok(out) => (
-                        Self::complete(e.cid, NvmeStatus::Success, out.restored.len() as u32),
-                        out.finish,
-                    ),
-                    Err(err) => (Self::complete(e.cid, Self::status_of(&err), 0), now),
+                let outcome = if e.opcode == NvmeOpcode::RollBack {
+                    kits.roll_back(Lpa(e.get_u64(0)), e.cdw[2] as u64, e.get_u64(4), now)
+                } else {
+                    kits.roll_back_all(e.get_u64(0), now)
+                };
+                match outcome {
+                    Ok(out) => (Success, out.restored.len() as u32, out.finish, None),
+                    Err(err) => Self::failed(&err, now),
                 }
             }
-            NvmeOpcode::RollBackAll => {
-                let t = e.get_u64(0);
-                let mut kits = TimeKits::new(&mut self.ssd);
-                match kits.roll_back_all(t, now) {
-                    Ok(out) => (
-                        Self::complete(e.cid, NvmeStatus::Success, out.restored.len() as u32),
-                        out.finish,
-                    ),
-                    Err(err) => (Self::complete(e.cid, Self::status_of(&err), 0), now),
+        }
+    }
+
+    /// Write, Read and DatasetMgmt carry `(lpa, count)` straight off the
+    /// wire. The whole range must lie inside the exported space before
+    /// anything is allocated, written or trimmed, so a malformed SQE ends in
+    /// a status and never in a half-applied range.
+    fn execute_io(&mut self, e: SubmissionEntry, payload: Vec<Vec<u8>>, now: Nanos) -> Executed {
+        use NvmeStatus::{InvalidField, LbaOutOfRange, Success};
+        let (start, count) = (Lpa(e.get_u64(0)), e.cdw[2]);
+        let Some(span) = LpaSpan::whole(start, u64::from(count), self.ssd.exported_pages()) else {
+            return (LbaOutOfRange, 0, now, None);
+        };
+        let mut finish = now;
+        match e.opcode {
+            NvmeOpcode::Write => {
+                if payload.len() < count as usize {
+                    return (InvalidField, 0, now, None);
                 }
+                let mut done = 0u32;
+                for (lpa, page) in span.iter().zip(payload) {
+                    match self.ssd.write(lpa, PageData::bytes(page), now) {
+                        Ok(c) => {
+                            done += 1;
+                            finish = finish.max(c.finish);
+                        }
+                        Err(err) => return (Self::status_of(&err), done, finish, None),
+                    }
+                }
+                (Success, done, finish, None)
+            }
+            NvmeOpcode::Read => {
+                let page_size = self.ssd.geometry().page_size as usize;
+                let mut pages = Vec::with_capacity(count as usize);
+                for lpa in span.iter() {
+                    match self.ssd.read(lpa, now) {
+                        Ok((data, c)) => {
+                            pages.push(data.materialize(page_size));
+                            finish = finish.max(c.finish);
+                        }
+                        Err(err) => return Self::failed(&err, now),
+                    }
+                }
+                (Success, count, finish, Some(pages))
+            }
+            _ => {
+                for lpa in span.iter() {
+                    match self.ssd.trim(lpa, now) {
+                        Ok(c) => finish = finish.max(c.finish),
+                        Err(err) => return (Self::status_of(&err), 0, finish, None),
+                    }
+                }
+                (Success, count, finish, None)
             }
         }
     }
@@ -475,29 +401,47 @@ mod tests {
         NvmeController::new(TimeSsd::new(SsdConfig::new(Geometry::small_test())))
     }
 
+    /// An `(lpa, count)` command.
+    fn io(opcode: NvmeOpcode, cid: u16, lpa: u64, count: u32) -> SubmissionEntry {
+        let mut e = SubmissionEntry::new(opcode, cid);
+        e.set_u64(0, lpa);
+        e.cdw[2] = count;
+        e
+    }
+
+    /// Submits one command on queue 0, runs the device dry from `now` and
+    /// returns the command's completion.
+    fn run(
+        c: &mut NvmeController,
+        e: SubmissionEntry,
+        payload: Vec<Vec<u8>>,
+        now: Nanos,
+    ) -> PostedCompletion {
+        assert!(c.submit_to(0, e, payload), "queue 0 full");
+        c.run_to_completion(now);
+        c.pop_completion(0).expect("command completed")
+    }
+
+    /// Writes one page of `text` at `lpa` at `t` seconds.
+    fn write_text(c: &mut NvmeController, lpa: u64, t: u64, text: &str) {
+        let w = io(NvmeOpcode::Write, t as u16, lpa, 1);
+        let done = run(c, w, vec![text.as_bytes().to_vec()], t * SEC_NS);
+        assert_eq!(done.cqe.status, 0);
+    }
+
     #[test]
     fn write_read_through_the_wire() {
         let mut c = controller();
-        let buf = c.register_buffer(vec![b"page zero".to_vec(), b"page one".to_vec()]);
-        let mut w = SubmissionEntry::new(NvmeOpcode::Write, 1);
-        w.set_u64(0, 10);
-        w.cdw[2] = 2;
-        w.buffer = buf;
-        c.submit(w);
-        c.run_to_completion(SEC_NS);
-        let cqe = c.pop_completion().unwrap();
-        assert_eq!(cqe.status, NvmeStatus::Success as u16);
-        assert_eq!(cqe.result, 2);
+        let pages = vec![b"page zero".to_vec(), b"page one".to_vec()];
+        let done = run(&mut c, io(NvmeOpcode::Write, 1, 10, 2), pages, SEC_NS);
+        assert_eq!(done.cqe.status, NvmeStatus::Success as u16);
+        assert_eq!(done.cqe.result, 2);
+        assert!(done.data.is_none());
 
-        let rbuf = c.register_buffer(Vec::new());
-        let mut r = SubmissionEntry::new(NvmeOpcode::Read, 2);
-        r.set_u64(0, 10);
-        r.cdw[2] = 2;
-        r.buffer = rbuf;
-        c.submit(r);
-        c.run_to_completion(2 * SEC_NS);
-        assert_eq!(c.pop_completion().unwrap().status, 0);
-        let pages = c.take_buffer(rbuf).unwrap();
+        let r = io(NvmeOpcode::Read, 2, 10, 2);
+        let done = run(&mut c, r, Vec::new(), 2 * SEC_NS);
+        assert_eq!(done.cqe.status, 0);
+        let pages = done.data.unwrap();
         assert!(pages[0].starts_with(b"page zero"));
         assert!(pages[1].starts_with(b"page one"));
     }
@@ -505,29 +449,18 @@ mod tests {
     #[test]
     fn out_of_range_reports_lba_status() {
         let mut c = controller();
-        let buf = c.register_buffer(vec![vec![0u8; 8]]);
-        let mut w = SubmissionEntry::new(NvmeOpcode::Write, 9);
-        w.set_u64(0, u64::MAX / 2);
-        w.cdw[2] = 1;
-        w.buffer = buf;
-        c.submit(w);
-        c.run_to_completion(0);
+        let w = io(NvmeOpcode::Write, 9, u64::MAX / 2, 1);
         assert_eq!(
-            c.pop_completion().unwrap().status,
+            run(&mut c, w, vec![vec![0u8; 8]], 0).cqe.status,
             NvmeStatus::LbaOutOfRange as u16
         );
     }
 
-    /// Submits one `(lpa, count)` I/O command and returns its status.
+    /// Submits one `(lpa, count)` I/O command carrying four pages and
+    /// returns its status.
     fn io_status(c: &mut NvmeController, opcode: NvmeOpcode, lpa: u64, count: u32) -> u16 {
-        let buffer = c.register_buffer(vec![vec![7u8; 8]; 4]);
-        let mut e = SubmissionEntry::new(opcode, 1);
-        e.set_u64(0, lpa);
-        e.cdw[2] = count;
-        e.buffer = buffer;
-        c.submit(e);
-        c.run_to_completion(SEC_NS);
-        c.pop_completion().unwrap().status
+        let e = io(opcode, 1, lpa, count);
+        run(c, e, vec![vec![7u8; 8]; 4], SEC_NS).cqe.status
     }
 
     #[test]
@@ -561,7 +494,7 @@ mod tests {
     fn over_long_write_writes_nothing() {
         let mut c = controller();
         let exported = c.ssd().exported_pages();
-        // The buffer holds all four pages, so only the range is at fault.
+        // The payload holds all four pages, so only the range is at fault.
         assert_eq!(
             io_status(&mut c, NvmeOpcode::Write, exported - 3, 4),
             NvmeStatus::LbaOutOfRange as u16
@@ -570,85 +503,54 @@ mod tests {
     }
 
     #[test]
+    fn short_payload_write_is_an_invalid_field_and_writes_nothing() {
+        let mut c = controller();
+        // CDW12 promises three pages; the payload carries two, or none.
+        for payload in [vec![vec![1u8; 8]; 2], Vec::new()] {
+            let done = run(&mut c, io(NvmeOpcode::Write, 1, 0, 3), payload, SEC_NS);
+            assert_eq!(done.cqe.status, NvmeStatus::InvalidField as u16);
+            assert_eq!(done.cqe.result, 0);
+            assert_eq!(done.finish, SEC_NS, "an error completes at once");
+        }
+        assert_eq!(c.ssd().stats().user_writes, 0);
+        assert!(!c.ssd().is_mapped(Lpa(0)));
+    }
+
+    #[test]
     fn vendor_addr_query_returns_old_version() {
         let mut c = controller();
-        for (t, text) in [(1u64, "old"), (5, "new")] {
-            let buf = c.register_buffer(vec![text.as_bytes().to_vec()]);
-            let mut w = SubmissionEntry::new(NvmeOpcode::Write, t as u16);
-            w.set_u64(0, 0);
-            w.cdw[2] = 1;
-            w.buffer = buf;
-            c.submit(w);
-            c.run_to_completion(t * SEC_NS);
-            c.pop_completion().unwrap();
-        }
-        let qbuf = c.register_buffer(Vec::new());
-        let mut q = SubmissionEntry::new(NvmeOpcode::AddrQuery, 50);
-        q.set_u64(0, 0);
-        q.cdw[2] = 1;
+        write_text(&mut c, 0, 1, "old");
+        write_text(&mut c, 0, 5, "new");
+        let mut q = io(NvmeOpcode::AddrQuery, 50, 0, 1);
         q.set_u64(4, 2 * SEC_NS);
-        q.buffer = qbuf;
-        c.submit(q);
-        c.run_to_completion(10 * SEC_NS);
-        let cqe = c.pop_completion().unwrap();
-        assert_eq!(cqe.status, 0);
-        assert_eq!(cqe.result, 1);
-        let pages = c.take_buffer(qbuf).unwrap();
-        assert!(pages[0].starts_with(b"old"));
+        let done = run(&mut c, q, Vec::new(), 10 * SEC_NS);
+        assert_eq!(done.cqe.status, 0);
+        assert_eq!(done.cqe.result, 1);
+        assert!(done.data.unwrap()[0].starts_with(b"old"));
     }
 
     #[test]
     fn vendor_rollback_restores_state() {
         let mut c = controller();
-        for (t, text) in [(1u64, "good"), (5, "bad!")] {
-            let buf = c.register_buffer(vec![text.as_bytes().to_vec()]);
-            let mut w = SubmissionEntry::new(NvmeOpcode::Write, t as u16);
-            w.set_u64(0, 4);
-            w.cdw[2] = 1;
-            w.buffer = buf;
-            c.submit(w);
-            c.run_to_completion(t * SEC_NS);
-            c.pop_completion().unwrap();
-        }
-        let mut rb = SubmissionEntry::new(NvmeOpcode::RollBack, 60);
-        rb.set_u64(0, 4);
-        rb.cdw[2] = 1;
+        write_text(&mut c, 4, 1, "good");
+        write_text(&mut c, 4, 5, "bad!");
+        let mut rb = io(NvmeOpcode::RollBack, 60, 4, 1);
         rb.set_u64(4, 2 * SEC_NS);
-        c.submit(rb);
-        c.run_to_completion(10 * SEC_NS);
-        assert_eq!(c.pop_completion().unwrap().result, 1);
+        assert_eq!(run(&mut c, rb, Vec::new(), 10 * SEC_NS).cqe.result, 1);
 
-        let rbuf = c.register_buffer(Vec::new());
-        let mut r = SubmissionEntry::new(NvmeOpcode::Read, 61);
-        r.set_u64(0, 4);
-        r.cdw[2] = 1;
-        r.buffer = rbuf;
-        c.submit(r);
-        c.run_to_completion(20 * SEC_NS);
-        c.pop_completion().unwrap();
-        assert!(c.take_buffer(rbuf).unwrap()[0].starts_with(b"good"));
+        let r = io(NvmeOpcode::Read, 61, 4, 1);
+        let done = run(&mut c, r, Vec::new(), 20 * SEC_NS);
+        assert!(done.data.unwrap()[0].starts_with(b"good"));
     }
 
     #[test]
     fn time_query_rows_encode_lpa_and_count() {
         let mut c = controller();
-        let buf = c.register_buffer(vec![b"x".to_vec()]);
-        let mut w = SubmissionEntry::new(NvmeOpcode::Write, 1);
-        w.set_u64(0, 7);
-        w.cdw[2] = 1;
-        w.buffer = buf;
-        c.submit(w);
-        c.run_to_completion(SEC_NS);
-        c.pop_completion().unwrap();
-
-        let qbuf = c.register_buffer(Vec::new());
-        let mut q = SubmissionEntry::new(NvmeOpcode::TimeQueryAll, 2);
-        q.buffer = qbuf;
-        c.submit(q);
-        c.run_to_completion(2 * SEC_NS);
-        let cqe = c.pop_completion().unwrap();
-        assert_eq!(cqe.result, 1);
-        let rows = c.take_buffer(qbuf).unwrap();
+        write_text(&mut c, 7, 1, "x");
+        let q = SubmissionEntry::new(NvmeOpcode::TimeQueryAll, 2);
+        let done = run(&mut c, q, Vec::new(), 2 * SEC_NS);
+        assert_eq!(done.cqe.result, 1);
+        let rows = done.data.unwrap();
         let lpa = u64::from_le_bytes(rows[0][0..8].try_into().unwrap());
         let n = u64::from_le_bytes(rows[0][8..16].try_into().unwrap());
         assert_eq!((lpa, n), (7, 1));
@@ -657,20 +559,17 @@ mod tests {
     #[test]
     fn completions_post_only_when_finish_passes() {
         let mut c = controller();
-        let buf = c.register_buffer(vec![b"late".to_vec()]);
-        let mut w = SubmissionEntry::new(NvmeOpcode::Write, 3);
-        w.set_u64(0, 1);
-        w.cdw[2] = 1;
-        w.buffer = buf;
-        c.submit(w);
+        let w = io(NvmeOpcode::Write, 3, 1, 1);
+        assert!(c.submit_to(0, w, vec![b"late".to_vec()]));
         // The write starts at SEC_NS but its program finishes later; the
         // CQE must not be visible until that instant passes.
         c.process(SEC_NS);
-        assert!(c.pop_completion().is_none(), "CQE posted before finish");
+        assert!(c.pop_completion(0).is_none(), "CQE posted before finish");
         let finish = c.next_completion_at().expect("command in flight");
         assert!(finish > SEC_NS);
         c.process(finish);
-        assert_eq!(c.pop_completion().unwrap().cid, 3);
+        let done = c.pop_completion(0).unwrap();
+        assert_eq!((done.cqe.cid, done.finish), (3, finish));
     }
 
     #[test]
@@ -680,16 +579,15 @@ mod tests {
         assert_eq!(q, 1);
         assert_eq!(c.queue_count(), 2);
         assert_eq!(c.queue_depth(q), Some(2));
-        let e = SubmissionEntry::new(NvmeOpcode::Flush, 1);
-        assert!(c.submit_to(q, e));
-        let mut e2 = SubmissionEntry::new(NvmeOpcode::Flush, 2);
-        e2.cid = 2;
-        assert!(c.submit_to(q, e2));
+        let flush = |cid| SubmissionEntry::new(NvmeOpcode::Flush, cid);
+        assert!(c.submit_to(q, flush(1), Vec::new()));
+        assert!(c.submit_to(q, flush(2), Vec::new()));
         // Depth 2 reached: the third submission bounces.
-        let mut e3 = SubmissionEntry::new(NvmeOpcode::Flush, 3);
-        e3.cid = 3;
-        assert!(!c.submit_to(q, e3));
-        assert!(!c.submit_to(99, e3), "unknown queue must reject");
+        assert!(!c.submit_to(q, flush(3), Vec::new()));
+        assert!(
+            !c.submit_to(99, flush(3), Vec::new()),
+            "unknown queue must reject"
+        );
     }
 
     #[test]
@@ -697,24 +595,17 @@ mod tests {
         let mut c = controller();
         let q = c.create_io_queue(8);
         for cid in 1..=3u16 {
-            let buf = c.register_buffer(vec![vec![cid as u8; 8]]);
-            let mut w = SubmissionEntry::new(NvmeOpcode::Write, cid);
-            w.set_u64(0, cid as u64);
-            w.cdw[2] = 1;
-            w.buffer = buf;
-            assert!(c.submit_to(q, w));
+            let w = io(NvmeOpcode::Write, cid, cid as u64, 1);
+            assert!(c.submit_to(q, w, vec![vec![cid as u8; 8]]));
         }
-        assert!(c.submit_to(q, SubmissionEntry::new(NvmeOpcode::Flush, 10)));
-        let buf = c.register_buffer(vec![vec![9u8; 8]]);
-        let mut after = SubmissionEntry::new(NvmeOpcode::Write, 11);
-        after.set_u64(0, 9);
-        after.cdw[2] = 1;
-        after.buffer = buf;
-        assert!(c.submit_to(q, after));
+        let flush = SubmissionEntry::new(NvmeOpcode::Flush, 10);
+        assert!(c.submit_to(q, flush, Vec::new()));
+        let after = io(NvmeOpcode::Write, 11, 9, 1);
+        assert!(c.submit_to(q, after, vec![vec![9u8; 8]]));
 
         c.run_to_completion(SEC_NS);
-        let order: Vec<u16> = std::iter::from_fn(|| c.pop_completion_from(q))
-            .map(|cqe| cqe.cid)
+        let order: Vec<u16> = std::iter::from_fn(|| c.pop_completion(q))
+            .map(|done| done.cqe.cid)
             .collect();
         assert_eq!(order.len(), 5);
         let flush_pos = order.iter().position(|&cid| cid == 10).unwrap();
@@ -737,26 +628,16 @@ mod tests {
         let q1 = c.create_io_queue(4);
         let q2 = c.create_io_queue(4);
         let pages: Vec<Vec<u8>> = (0..6).map(|i| vec![i as u8; 64]).collect();
-        let buf = c.register_buffer(pages);
-        let mut w = SubmissionEntry::new(NvmeOpcode::Write, 1);
-        w.set_u64(0, 0);
-        w.cdw[2] = 6;
-        w.buffer = buf;
-        assert!(c.submit_to(q1, w));
-        let rbuf = c.register_buffer(Vec::new());
-        let mut r = SubmissionEntry::new(NvmeOpcode::Read, 2);
-        r.set_u64(0, 30);
-        r.cdw[2] = 1;
-        r.buffer = rbuf;
-        assert!(c.submit_to(q2, r));
+        assert!(c.submit_to(q1, io(NvmeOpcode::Write, 1, 0, 6), pages));
+        assert!(c.submit_to(q2, io(NvmeOpcode::Read, 2, 30, 1), Vec::new()));
         c.process(SEC_NS);
         let read_done = c.next_completion_at().unwrap();
         c.process(read_done);
         // The read posts first even though both started at SEC_NS.
-        assert!(c.pop_completion_from(q2).is_some());
-        let write_pending = c.pop_completion_from(q1).is_none();
+        assert!(c.pop_completion(q2).is_some());
+        let write_pending = c.pop_completion(q1).is_none();
         c.run_to_completion(read_done);
-        assert!(c.pop_completion_from(q1).is_some());
+        assert!(c.pop_completion(q1).is_some());
         assert!(
             write_pending,
             "slow write completed no later than the cheap read"

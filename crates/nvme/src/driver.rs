@@ -12,8 +12,9 @@
 //!   Tickets are `(qid, cid)` pairs; the allocator never hands out a cid
 //!   that is still in flight on its queue, so tickets never collide.
 //!
-//! Host buffers are reclaimed on *every* completion path — success or
-//! error — so a failed command cannot leak its buffer registration.
+//! Data travels with its command: a write's pages are handed to the
+//! controller at submission, a read's or query's pages come back in its
+//! [`CompletedIo`]. Nothing is registered, so nothing can leak.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -93,22 +94,13 @@ impl CompletedIo {
     }
 }
 
-/// Driver-side record of one in-flight command.
-struct InflightCmd {
-    opcode: NvmeOpcode,
-    /// Registered host buffer handle (0 = none).
-    buffer: u32,
-    /// Whether a successful completion returns the buffer contents as data.
-    wants_data: bool,
-}
-
 /// The host driver.
 pub struct HostDriver {
     controller: NvmeController,
     /// Next cid to try, per queue.
     next_cid: HashMap<u16, u16>,
     /// Commands submitted whose completion has not been harvested.
-    inflight: HashMap<Ticket, InflightCmd>,
+    inflight: HashMap<Ticket, NvmeOpcode>,
     /// Harvested completions not yet returned by `poll`.
     ready: VecDeque<CompletedIo>,
 }
@@ -165,62 +157,44 @@ impl HostDriver {
         cid
     }
 
-    /// Submits `entry` on `qid`, tracking its buffer for reclamation.
-    /// Rejected submissions (unknown/full queue) release the buffer
-    /// immediately.
+    /// Submits `entry` with the pages it writes on `qid`.
     fn submit_ticket(
         &mut self,
         qid: u16,
         mut entry: SubmissionEntry,
-        buffer: u32,
-        wants_data: bool,
+        payload: Vec<Vec<u8>>,
     ) -> DriverResult<Ticket> {
         let opcode = entry.opcode;
         if !self.controller.has_slot(qid) {
-            if buffer != 0 {
-                self.controller.take_buffer(buffer);
-            }
             return Err(DriverError::QueueFull(opcode));
         }
         let cid = self.alloc_cid(qid);
         entry.cid = cid;
         let ticket = Ticket { qid, cid };
-        let accepted = self.controller.submit_to(qid, entry);
+        let accepted = self.controller.submit_to(qid, entry, payload);
         debug_assert!(accepted, "slot was checked");
-        self.inflight.insert(
-            ticket,
-            InflightCmd {
-                opcode,
-                buffer,
-                wants_data,
-            },
-        );
+        self.inflight.insert(ticket, opcode);
         Ok(ticket)
     }
 
-    /// Moves every posted completion into the ready list, reclaiming each
-    /// command's buffer whether it succeeded or failed.
+    /// Moves every posted completion into the ready list.
     fn harvest(&mut self) {
         for qid in 0..self.controller.queue_count() as u16 {
-            while let Some((cqe, finish)) = self.controller.pop_completion_timed(qid) {
-                let ticket = Ticket { qid, cid: cqe.cid };
-                let Some(cmd) = self.inflight.remove(&ticket) else {
-                    continue;
+            while let Some(done) = self.controller.pop_completion(qid) {
+                let ticket = Ticket {
+                    qid,
+                    cid: done.cqe.cid,
                 };
-                let mut data = None;
-                if cmd.buffer != 0 {
-                    let pages = self.controller.take_buffer(cmd.buffer);
-                    if cmd.wants_data && cqe.status == NvmeStatus::Success as u16 {
-                        data = pages;
-                    }
+                if self.inflight.remove(&ticket).is_none() {
+                    continue;
                 }
                 self.ready.push_back(CompletedIo {
                     ticket,
-                    opcode: cmd.opcode,
-                    status: cqe.status,
-                    result: cqe.result,
-                    data,
-                    finish,
+                    opcode: done.opcode,
+                    status: done.cqe.status,
+                    result: done.cqe.result,
+                    data: done.data,
+                    finish: done.finish,
                 });
             }
         }
@@ -285,24 +259,19 @@ impl HostDriver {
         lpa: Lpa,
         pages: Vec<Vec<u8>>,
     ) -> DriverResult<Ticket> {
-        let count = pages.len() as u32;
-        let buffer = self.controller.register_buffer(pages);
         let mut e = SubmissionEntry::new(NvmeOpcode::Write, 0);
         e.set_u64(0, lpa.0);
-        e.cdw[2] = count;
-        e.buffer = buffer;
-        self.submit_ticket(qid, e, buffer, false)
+        e.cdw[2] = pages.len() as u32;
+        self.submit_ticket(qid, e, pages)
     }
 
     /// Submits a multi-page read on `qid`; completes with the pages in
     /// `data`.
     pub fn submit_read(&mut self, qid: u16, lpa: Lpa, count: u32) -> DriverResult<Ticket> {
-        let buffer = self.controller.register_buffer(Vec::new());
         let mut e = SubmissionEntry::new(NvmeOpcode::Read, 0);
         e.set_u64(0, lpa.0);
         e.cdw[2] = count;
-        e.buffer = buffer;
-        self.submit_ticket(qid, e, buffer, true)
+        self.submit_ticket(qid, e, Vec::new())
     }
 
     /// Submits a trim (dataset management deallocate) on `qid`.
@@ -310,14 +279,14 @@ impl HostDriver {
         let mut e = SubmissionEntry::new(NvmeOpcode::DatasetMgmt, 0);
         e.set_u64(0, lpa.0);
         e.cdw[2] = count;
-        self.submit_ticket(qid, e, 0, false)
+        self.submit_ticket(qid, e, Vec::new())
     }
 
     /// Submits a flush on `qid`: a fence that completes only after every
     /// earlier command on the queue, and holds back every later one.
     pub fn submit_flush(&mut self, qid: u16) -> DriverResult<Ticket> {
         let e = SubmissionEntry::new(NvmeOpcode::Flush, 0);
-        self.submit_ticket(qid, e, 0, false)
+        self.submit_ticket(qid, e, Vec::new())
     }
 
     /// Synchronous wait for a ticket submitted on queue 0: runs the device
@@ -332,7 +301,7 @@ impl HostDriver {
             .iter()
             .position(|io| io.ticket == ticket)
             // Never harvested, so the in-flight record still names it.
-            .ok_or_else(|| DriverError::Lost(self.inflight[&ticket].opcode))?;
+            .ok_or_else(|| DriverError::Lost(self.inflight[&ticket]))?;
         let io = self.ready.remove(pos).expect("position just found");
         if io.is_success() {
             Ok(io)
@@ -391,24 +360,20 @@ impl HostDriver {
         threads: u32,
         now: Nanos,
     ) -> DriverResult<Vec<Vec<u8>>> {
-        let buffer = self.controller.register_buffer(Vec::new());
         let mut e = SubmissionEntry::new(NvmeOpcode::AddrQuery, 0);
         e.set_u64(0, lpa.0);
         e.cdw[2] = count;
         e.cdw[3] = threads;
         e.set_u64(4, t);
-        e.buffer = buffer;
-        let ticket = self.submit_ticket(0, e, buffer, true)?;
+        let ticket = self.submit_ticket(0, e, Vec::new())?;
         let io = self.issue(ticket, now)?;
         io.data.ok_or(DriverError::Lost(NvmeOpcode::AddrQuery))
     }
 
     /// `TimeQueryAll` through the wire: `(lpa, version count)` rows.
     pub fn time_query_all(&mut self, now: Nanos) -> DriverResult<Vec<(u64, u64)>> {
-        let buffer = self.controller.register_buffer(Vec::new());
-        let mut e = SubmissionEntry::new(NvmeOpcode::TimeQueryAll, 0);
-        e.buffer = buffer;
-        let ticket = self.submit_ticket(0, e, buffer, true)?;
+        let e = SubmissionEntry::new(NvmeOpcode::TimeQueryAll, 0);
+        let ticket = self.submit_ticket(0, e, Vec::new())?;
         let io = self.issue(ticket, now)?;
         let rows = io.data.ok_or(DriverError::Lost(NvmeOpcode::TimeQueryAll))?;
         Ok(rows
@@ -428,7 +393,7 @@ impl HostDriver {
         e.set_u64(0, lpa.0);
         e.cdw[2] = count;
         e.set_u64(4, t);
-        let ticket = self.submit_ticket(0, e, 0, false)?;
+        let ticket = self.submit_ticket(0, e, Vec::new())?;
         Ok(self.issue(ticket, now)?.result)
     }
 
@@ -436,7 +401,7 @@ impl HostDriver {
     pub fn roll_back_all(&mut self, t: Nanos, now: Nanos) -> DriverResult<u32> {
         let mut e = SubmissionEntry::new(NvmeOpcode::RollBackAll, 0);
         e.set_u64(0, t);
-        let ticket = self.submit_ticket(0, e, 0, false)?;
+        let ticket = self.submit_ticket(0, e, Vec::new())?;
         Ok(self.issue(ticket, now)?.result)
     }
 
@@ -569,37 +534,63 @@ mod tests {
     }
 
     #[test]
-    fn failed_commands_reclaim_their_buffers() {
+    fn completed_io_carries_data_exactly_for_successful_reads_and_queries() {
+        use NvmeOpcode::*;
         let mut d = driver();
-        assert!(d.write(Lpa(u64::MAX / 4), vec![0u8; 4], SEC_NS).is_err());
-        assert_eq!(
-            d.controller().registered_buffers(),
-            0,
-            "error write leaked its buffer"
-        );
-        assert!(d.read(Lpa(u64::MAX / 4), SEC_NS).is_err());
-        assert_eq!(
-            d.controller().registered_buffers(),
-            0,
-            "error read leaked its buffer"
-        );
-        // Success paths reclaim too.
-        d.write(Lpa(1), b"ok".to_vec(), 2 * SEC_NS).unwrap();
-        d.read(Lpa(1), 3 * SEC_NS).unwrap();
-        d.addr_query(Lpa(1), 1, 2 * SEC_NS, 4 * SEC_NS).unwrap();
-        d.time_query_all(5 * SEC_NS).unwrap();
-        assert_eq!(d.controller().registered_buffers(), 0);
+        d.write(Lpa(1), b"v1".to_vec(), SEC_NS).unwrap();
+        let cmd = |opcode, lpa: u64, count: u32, t: Nanos| {
+            let mut e = SubmissionEntry::new(opcode, 0);
+            e.set_u64(0, lpa);
+            e.cdw[2] = count;
+            e.set_u64(4, t);
+            e
+        };
+        let far = u64::MAX / 4;
+        // (command, pages it carries, succeeds, pages of data it returns)
+        let table = [
+            (cmd(Write, 2, 2, 0), 2, true, None),
+            (cmd(Write, far, 1, 0), 1, false, None),
+            (cmd(DatasetMgmt, 2, 1, 0), 0, true, None),
+            (cmd(Flush, 0, 0, 0), 0, true, None),
+            (cmd(Read, 1, 2, 0), 0, true, Some(2)),
+            (cmd(Read, far, 1, 0), 0, false, None),
+            (cmd(AddrQuery, 1, 1, 2 * SEC_NS), 0, true, Some(1)),
+            // No version that early: success with nothing to return.
+            (cmd(AddrQuery, 1, 1, 0), 0, true, Some(0)),
+            // LPAs 1, 2 and 3 have history (the trim keeps it).
+            (cmd(TimeQueryAll, 0, 0, 0), 0, true, Some(3)),
+            (cmd(RollBack, 1, 1, 2 * SEC_NS), 0, true, None),
+        ];
+        let mut now = 2 * SEC_NS;
+        for (entry, carried, succeeds, data_pages) in table {
+            let what = entry.opcode;
+            now += SEC_NS;
+            let ticket = d
+                .submit_ticket(0, entry, vec![b"w".to_vec(); carried])
+                .unwrap();
+            let done = d.drain(&mut now);
+            assert_eq!(done.len(), 1, "{what:?}");
+            assert_eq!(done[0].ticket, ticket, "{what:?}");
+            assert_eq!(done[0].is_success(), succeeds, "{what:?}");
+            let returned = done[0].data.as_ref().map(Vec::len);
+            assert_eq!(returned, data_pages, "{what:?}: data");
+        }
     }
 
     #[test]
-    fn rejected_submission_reclaims_its_buffer() {
+    fn full_queue_bounces_the_submission_until_a_slot_frees() {
         let mut d = driver();
         let q = d.create_queue(1);
         d.submit_trim(q, Lpa(0), 1).unwrap();
-        // The queue is at depth; this write must bounce without leaking.
+        // The queue is at depth: the write bounces with a typed error and
+        // leaves nothing behind.
         let err = d.submit_write(q, Lpa(1), vec![vec![0u8; 4]]).unwrap_err();
         assert!(matches!(err, DriverError::QueueFull(NvmeOpcode::Write)));
-        assert_eq!(d.controller().registered_buffers(), 0);
+        assert_eq!(d.in_flight(), 1);
+        let mut now = SEC_NS;
+        d.poll(now);
+        assert_eq!(d.wait_for_slot(&mut now).map(|done| done.len()), Some(1));
+        d.submit_write(q, Lpa(1), vec![vec![0u8; 4]]).unwrap();
     }
 
     #[test]
@@ -665,7 +656,6 @@ mod tests {
             }
         }
         assert_eq!(d.in_flight(), 1, "only the held program remains");
-        assert_eq!(d.controller().registered_buffers(), 1);
 
         // Release the held program and confirm it completes exactly once.
         let at = d.next_completion_at().expect("held program in flight");
@@ -674,7 +664,6 @@ mod tests {
         assert_eq!(done[0].ticket, held);
         assert!(done[0].is_success());
         assert_eq!(done[0].result, 16);
-        assert_eq!(d.controller().registered_buffers(), 0);
     }
 
     #[test]

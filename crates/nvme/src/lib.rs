@@ -13,7 +13,10 @@
 //!   Table-1 TimeKits commands.
 //! - [`controller`] — a controller wrapping a [`TimeSsd`](almanac_core::TimeSsd):
 //!   commands are queued, fetched, interpreted, executed against the FTL,
-//!   and completed with NVMe status codes.
+//!   and completed with NVMe status codes. A command owns its data: a
+//!   Write's pages ride beside its 64-byte entry into the queue and a read's
+//!   or query's pages ride back in its [`PostedCompletion`] (PRP lists are not
+//!   modelled).
 //! - [`driver`] — the host-side driver exposing a typed API that goes
 //!   through the wire format, exactly like TimeKits does in the paper.
 //!
@@ -40,4 +43,5 @@ mod sqe;
 
 pub use controller::{NvmeController, NvmeStatus, DEFAULT_QUEUE_DEPTH};
 pub use driver::{CompletedIo, DriverError, HostDriver, Ticket};
+pub use queue::PostedCompletion;
 pub use sqe::{CompletionEntry, NvmeOpcode, SubmissionEntry};

@@ -14,19 +14,22 @@ use almanac_flash::Nanos;
 
 use crate::sqe::{CompletionEntry, NvmeOpcode, SubmissionEntry};
 
-/// A command the controller has started (executed against the firmware)
-/// whose completion entry is withheld until `finish` passes.
+/// One command's completion as the host pops it: the wire CQE plus what its
+/// 16 bytes cannot carry. The controller builds the record when it starts
+/// the command and withholds it until `finish` passes.
 #[derive(Debug, Clone)]
-pub(crate) struct InFlight {
-    /// Device-side completion instant; the CQE posts when `now >= finish`.
-    pub finish: Nanos,
-    /// Global start order, for deterministic tie-breaks and out-of-order
-    /// accounting.
-    pub seq: u64,
+pub struct PostedCompletion {
+    /// The completion entry.
+    pub cqe: CompletionEntry,
     /// The command's opcode (flush fencing needs it).
     pub opcode: NvmeOpcode,
-    /// The completion entry to post.
-    pub cqe: CompletionEntry,
+    /// Device-side completion instant; the CQE posts when `now >= finish`.
+    pub finish: Nanos,
+    /// Returned pages: `Some` exactly when a read or query succeeded.
+    pub data: Option<Vec<Vec<u8>>>,
+    /// Global start order, for deterministic tie-breaks and out-of-order
+    /// accounting.
+    pub(crate) seq: u64,
 }
 
 /// One submission/completion queue pair with its own depth and in-flight
@@ -35,14 +38,13 @@ pub(crate) struct InFlight {
 pub(crate) struct QueuePair {
     /// Maximum outstanding commands (queued + in flight).
     pub depth: usize,
-    /// Host-submitted entries not yet fetched by arbitration.
-    pub sq: VecDeque<SubmissionEntry>,
+    /// Host-submitted entries not yet fetched by arbitration, each with the
+    /// pages it writes (empty for every opcode but Write).
+    pub sq: VecDeque<(SubmissionEntry, Vec<Vec<u8>>)>,
     /// Started commands whose CQE has not been posted yet.
-    pub inflight: Vec<InFlight>,
-    /// Posted completion entries, with the device finish time each was
-    /// posted at (the wire CQE does not carry it; hosts that want response
-    /// times read the timed variant).
-    pub cq: VecDeque<(CompletionEntry, Nanos)>,
+    pub inflight: Vec<PostedCompletion>,
+    /// Posted completions.
+    pub cq: VecDeque<PostedCompletion>,
 }
 
 impl QueuePair {
@@ -86,7 +88,7 @@ impl QueuePair {
             if self.inflight.iter().any(|f| f.seq < done.seq) {
                 overtakes += 1;
             }
-            self.cq.push_back((done.cqe, done.finish));
+            self.cq.push_back(done);
         }
         overtakes
     }
@@ -101,36 +103,32 @@ impl QueuePair {
 mod tests {
     use super::*;
 
-    fn cqe(cid: u16) -> CompletionEntry {
-        CompletionEntry {
-            cid,
-            status: 0,
-            result: 0,
+    fn started(cid: u16, opcode: NvmeOpcode, finish: Nanos) -> PostedCompletion {
+        PostedCompletion {
+            cqe: CompletionEntry {
+                cid,
+                status: 0,
+                result: 0,
+            },
+            opcode,
+            finish,
+            data: None,
+            seq: u64::from(cid),
         }
     }
 
     #[test]
     fn post_due_orders_by_finish_and_counts_overtakes() {
         let mut q = QueuePair::new(4);
-        q.inflight.push(InFlight {
-            finish: 300,
-            seq: 1,
-            opcode: NvmeOpcode::Write,
-            cqe: cqe(1),
-        });
-        q.inflight.push(InFlight {
-            finish: 100,
-            seq: 2,
-            opcode: NvmeOpcode::Read,
-            cqe: cqe(2),
-        });
+        q.inflight.push(started(1, NvmeOpcode::Write, 300));
+        q.inflight.push(started(2, NvmeOpcode::Read, 100));
         // Only the read is due; it overtakes the in-flight write.
         assert_eq!(q.post_due(150), 1);
-        assert_eq!(q.cq.pop_front().unwrap().0.cid, 2);
+        assert_eq!(q.cq.pop_front().unwrap().cqe.cid, 2);
         assert_eq!(q.next_finish(), Some(300));
         // The write posts later with nothing left to overtake.
         assert_eq!(q.post_due(400), 0);
-        assert_eq!(q.cq.pop_front().unwrap().0.cid, 1);
+        assert_eq!(q.cq.pop_front().unwrap().cqe.cid, 1);
         assert!(q.next_finish().is_none());
     }
 
@@ -138,8 +136,8 @@ mod tests {
     fn depth_bounds_outstanding() {
         let mut q = QueuePair::new(2);
         assert!(q.has_slot());
-        q.sq.push_back(SubmissionEntry::new(NvmeOpcode::Read, 1));
-        q.sq.push_back(SubmissionEntry::new(NvmeOpcode::Read, 2));
+        q.sq.push_back((SubmissionEntry::new(NvmeOpcode::Read, 1), Vec::new()));
+        q.sq.push_back((SubmissionEntry::new(NvmeOpcode::Read, 2), Vec::new()));
         assert!(!q.has_slot());
     }
 }

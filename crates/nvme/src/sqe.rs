@@ -2,7 +2,10 @@
 //!
 //! Layout follows the NVMe 1.3 SQE shape (simplified): byte 0 opcode, bytes
 //! 2–3 command identifier, bytes 4–7 namespace id, bytes 40–63 the six
-//! command dwords CDW10–CDW15. Vendor-specific opcodes (0xC0 and up) carry
+//! command dwords CDW10–CDW15. The data pointer (bytes 24–39, a PRP list on
+//! real hardware) is not modelled and stays zero: a command's pages ride
+//! beside its entry, into the queue with a Write and back out with the
+//! completion of a read or query. Vendor-specific opcodes (0xC0 and up) carry
 //! the TimeKits commands; their parameters ride in the command dwords:
 //!
 //! | opcode | command | CDW10/11 | CDW12/13 | CDW14/15 |
@@ -85,8 +88,6 @@ pub struct SubmissionEntry {
     pub nsid: u32,
     /// Command dwords 10–15.
     pub cdw: [u32; 6],
-    /// Host data buffer handle (stand-in for the PRP list).
-    pub buffer: u32,
 }
 
 impl SubmissionEntry {
@@ -97,7 +98,6 @@ impl SubmissionEntry {
             cid,
             nsid: 1,
             cdw: [0; 6],
-            buffer: 0,
         }
     }
 
@@ -118,7 +118,6 @@ impl SubmissionEntry {
         out[0] = self.opcode as u8;
         out[2..4].copy_from_slice(&self.cid.to_le_bytes());
         out[4..8].copy_from_slice(&self.nsid.to_le_bytes());
-        out[24..28].copy_from_slice(&self.buffer.to_le_bytes());
         for (i, dw) in self.cdw.iter().enumerate() {
             let base = 40 + i * 4;
             out[base..base + 4].copy_from_slice(&dw.to_le_bytes());
@@ -131,7 +130,6 @@ impl SubmissionEntry {
         let opcode = NvmeOpcode::from_u8(bytes[0])?;
         let cid = u16::from_le_bytes([bytes[2], bytes[3]]);
         let nsid = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
-        let buffer = u32::from_le_bytes([bytes[24], bytes[25], bytes[26], bytes[27]]);
         let mut cdw = [0u32; 6];
         for (i, dw) in cdw.iter_mut().enumerate() {
             let base = 40 + i * 4;
@@ -147,7 +145,6 @@ impl SubmissionEntry {
             cid,
             nsid,
             cdw,
-            buffer,
         })
     }
 }
@@ -193,8 +190,9 @@ mod tests {
         e.set_u64(0, 0x1234_5678_9abc_def0);
         e.cdw[2] = 42;
         e.set_u64(4, u64::MAX - 5);
-        e.buffer = 9;
-        let parsed = SubmissionEntry::from_bytes(&e.to_bytes()).unwrap();
+        let wire = e.to_bytes();
+        assert_eq!(wire[8..40], [0; 32], "no data pointer on the wire");
+        let parsed = SubmissionEntry::from_bytes(&wire).unwrap();
         assert_eq!(parsed, e);
         assert_eq!(parsed.get_u64(0), 0x1234_5678_9abc_def0);
         assert_eq!(parsed.get_u64(4), u64::MAX - 5);

@@ -31,9 +31,8 @@ proptest! {
         cid in any::<u16>(),
         nsid in any::<u32>(),
         cdw in any::<[u32; 6]>(),
-        buffer in any::<u32>(),
     ) {
-        let entry = SubmissionEntry { opcode, cid, nsid, cdw, buffer };
+        let entry = SubmissionEntry { opcode, cid, nsid, cdw };
         let parsed = SubmissionEntry::from_bytes(&entry.to_bytes()).unwrap();
         prop_assert_eq!(parsed, entry);
     }

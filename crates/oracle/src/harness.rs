@@ -41,7 +41,7 @@ use almanac_core::{
     AlmanacError, Completion, DeviceStats, Discard, Ftl, ReadGated, Result, Retention, SsdConfig,
     SsdDevice, SsdReadOps, TimeSsd, TimeTravel, VersionLocation,
 };
-use almanac_flash::{FlashError, Lpa, Nanos, PageData};
+use almanac_flash::{FlashError, Lpa, LpaSpan, Nanos, PageData};
 use almanac_kits::{RollbackOutcome, TimeKits};
 
 use crate::model::ModelDevice;
@@ -445,8 +445,8 @@ impl DifferentialHarness<TimeSsd> {
         let answer = match outcome {
             Ok(out) => {
                 self.clock = self.clock.max(out.finish);
-                for i in 0..cnt {
-                    self.sync_rolled_page(Lpa(addr.0 + i), t);
+                for lpa in LpaSpan::clamped(addr, cnt, self.model.exported_pages()).iter() {
+                    self.sync_rolled_page(lpa, t);
                 }
                 Ok(Answer::RolledBack(out))
             }

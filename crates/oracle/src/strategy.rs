@@ -11,7 +11,7 @@
 //! All strategies are deterministic under the in-tree proptest stub — a CI
 //! failure reproduces locally with the same seed.
 
-use almanac_flash::{FaultPlan, Lpa, Nanos, PageData, MS_NS, SEC_NS, US_NS};
+use almanac_flash::{FaultPlan, Lpa, LpaSpan, Nanos, PageData, MS_NS, SEC_NS, US_NS};
 use proptest::{collection, prop_oneof, BoxedStrategy, Just, Strategy};
 
 /// One step of a differential run (see `DifferentialHarness::apply`).
@@ -168,28 +168,26 @@ impl Decoder {
     /// device.
     pub(crate) fn decode(&mut self, op: &OracleOp) -> (Nanos, Action) {
         use OracleOp::*;
-        let (lpa, gap) = match *op {
+        let (lpa, cnt, gap) = match *op {
             Write { lpa, gap }
             | WriteBytes { lpa, gap, .. }
             | Read { lpa, gap }
             | Trim { lpa, gap }
-            | AsOf { lpa, gap, .. }
-            | RollBack { lpa, gap, .. } => (lpa, gap),
-            Flush { gap } => (0, gap),
-            PowerCut | Check => (0, 0),
+            | AsOf { lpa, gap, .. } => (lpa, 1, gap),
+            RollBack { lpa, cnt, gap, .. } => (lpa, cnt, gap),
+            Flush { gap } => (0, 1, gap),
+            PowerCut | Check => (0, 1, 0),
         };
         self.now = self.now.saturating_add(gap);
-        let (now, lpa) = (self.now, Lpa(lpa % self.exported));
+        let span = LpaSpan::reduced(lpa, cnt, self.exported);
+        let (now, lpa) = (self.now, span.start());
         let action = match *op {
             Write { .. } => Action::Write(lpa, self.payload(lpa, None)),
             WriteBytes { tag, .. } => Action::Write(lpa, self.payload(lpa, Some(tag))),
             Read { .. } => Action::Read(lpa),
             Trim { .. } => Action::Trim(lpa),
             AsOf { back, .. } => Action::AsOf(lpa, now.saturating_sub(back)),
-            RollBack { cnt, back, .. } => {
-                let cnt = cnt.clamp(1, self.exported - lpa.0);
-                Action::RollBack(lpa, cnt, now.saturating_sub(back))
-            }
+            RollBack { back, .. } => Action::RollBack(lpa, span.len(), now.saturating_sub(back)),
             Flush { .. } => Action::Flush,
             PowerCut => Action::PowerCut,
             Check => Action::Check,

@@ -12,7 +12,7 @@
 use std::collections::HashMap;
 
 use almanac_core::{SsdReadOps, TimeSsd};
-use almanac_flash::Nanos;
+use almanac_flash::{LpaSpan, Nanos};
 use almanac_nvme::{CompletedIo, DriverError, HostDriver, NvmeController, NvmeStatus, Ticket};
 
 use crate::record::TraceOp;
@@ -108,19 +108,16 @@ pub fn replay_qd(trace: &Trace, ssd: TimeSsd, qd: usize) -> Result<QdReplayRepor
         // Reduce the address into the exported space and clamp the span so
         // the whole command stays in range (NVMe commands are contiguous,
         // unlike the per-page wrap of the synchronous replayer).
-        let lpa = almanac_flash::Lpa(record.lpa % exported);
-        let span = (record.pages.max(1) as u64).min(exported - lpa.0) as u32;
+        let span = LpaSpan::reduced(record.lpa, u64::from(record.pages), exported);
+        let (lpa, count) = (span.start(), span.len() as u32);
         loop {
             let attempt = match record.op {
                 TraceOp::Write => {
-                    let page_seed = lpa.0;
-                    let pages: Vec<Vec<u8>> = (0..span)
-                        .map(|i| (page_seed + i as u64).to_le_bytes().to_vec())
-                        .collect();
-                    driver.submit_write(qid, lpa, pages)
+                    let pages = span.iter().map(|p| p.0.to_le_bytes().to_vec());
+                    driver.submit_write(qid, lpa, pages.collect())
                 }
-                TraceOp::Read => driver.submit_read(qid, lpa, span),
-                TraceOp::Trim => driver.submit_trim(qid, lpa, span),
+                TraceOp::Read => driver.submit_read(qid, lpa, count),
+                TraceOp::Trim => driver.submit_trim(qid, lpa, count),
                 TraceOp::Flush => driver.submit_flush(qid),
             };
             match attempt {
