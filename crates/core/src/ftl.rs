@@ -172,7 +172,7 @@ impl<R: Retention> Ftl<R> {
             flash,
             amt: ShardedAmt::new(config.exported_pages(), 1),
             pvt: Pvt::new(geo.total_pages()),
-            bst: Bst::new(geo.total_blocks()),
+            bst: Bst::new(&geo),
             alloc: Allocator::new(geo),
             stats: DeviceStats::default(),
             busy_until: 0,
@@ -230,7 +230,8 @@ impl<R: Retention> Ftl<R> {
     /// The page stops being valid; what it becomes is the caller's business.
     pub(crate) fn mark_invalid(&mut self, ppa: Ppa) {
         self.pvt.set(ppa, false);
-        self.bst.get_mut(self.config.geometry.block_of(ppa)).valid -= 1;
+        self.bst
+            .update(self.config.geometry.block_of(ppa), |info| info.valid -= 1);
     }
 
     fn invalidate(&mut self, old: Ppa, lpa: Lpa, now: Nanos) {
@@ -255,7 +256,7 @@ impl<R: Retention> Ftl<R> {
         };
         let (ppa, opened) = slot.ok_or_else(|| self.stalled(at))?;
         if let Some(b) = opened {
-            self.bst.get_mut(b).kind = BlockKind::Data;
+            self.bst.update(b, |info| info.kind = BlockKind::Data);
         }
         // On a failed program the chip never wrote the page: rewind the
         // allocator slot so the block's program sequence stays aligned and a
@@ -265,10 +266,11 @@ impl<R: Retention> Ftl<R> {
                 self.alloc.unreserve_page(ppa);
             }
         })?;
-        let info = self.bst.get_mut(self.config.geometry.block_of(ppa));
-        info.written += 1;
+        self.bst.update(self.config.geometry.block_of(ppa), |info| {
+            info.written += 1;
+            info.valid += u32::from(live);
+        });
         if live {
-            info.valid += 1;
             self.pvt.set(ppa, true);
         }
         Ok((ppa, finish))
@@ -323,17 +325,12 @@ impl<R: Retention> Ftl<R> {
     }
 
     /// Greedy victim: the data block with the most invalid pages that no
-    /// allocation stream has open. A block that is not open is closed
-    /// whatever its write pointer says — blocks parked by wear levelling or
-    /// adopted by a rebuild can be partly programmed.
+    /// allocation stream has open (the highest-numbered of equals). A block
+    /// that is not open is closed whatever its write pointer says — blocks
+    /// parked by wear levelling or adopted by a rebuild can be partly
+    /// programmed.
     fn pick_victim(&self) -> Option<BlockId> {
-        self.bst
-            .iter()
-            .filter(|(b, info)| {
-                info.kind == BlockKind::Data && info.invalid() > 0 && !self.alloc.is_active(*b)
-            })
-            .max_by_key(|(_, info)| info.invalid())
-            .map(|(b, _)| b)
+        self.bst.gc_victim(|b, _| !self.alloc.is_active(b))
     }
 
     /// One GC pass (Algorithm 1). Returns false when there was nothing to
@@ -575,6 +572,79 @@ mod tests {
         }
         assert!(ssd.check_consistency().is_clean());
         assert_eq!(ssd.version_chain(Lpa(0)).len(), 5);
+    }
+
+    /// What the sweeps that `pick_victim` and the idle-time compressor ran
+    /// before the BST kept its victim indices would answer.
+    fn swept_victims(ssd: &TimeSsd) -> (Option<BlockId>, Option<BlockId>) {
+        let ppb = ssd.config.geometry.pages_per_block;
+        ssd.bst.swept_victims(ppb, |b| ssd.alloc.is_active(b))
+    }
+
+    fn indexed_victims(ssd: &TimeSsd) -> (Option<BlockId>, Option<BlockId>) {
+        let ppb = ssd.config.geometry.pages_per_block;
+        let background = ssd
+            .bst
+            .background_victim(|b, info| info.written == ppb && !ssd.alloc.is_active(b));
+        (ssd.pick_victim(), background)
+    }
+
+    #[test]
+    fn maintained_lookups_survive_churn_clone_and_power_cycle() {
+        let mut cfg = SsdConfig::new(Geometry::small_test()).with_min_retention(0);
+        cfg.bloom.capacity = 16;
+        let mut ssd = TimeSsd::new(cfg.clone());
+        // Arrivals 30 ms apart keep the idle predictor above its threshold,
+        // so background compression runs between GC passes.
+        let gap = 30_000_000;
+        let mut now = gap;
+        for i in 0..600u64 {
+            let lpa = Lpa(i * 7 % 12);
+            let data = PageData::Synthetic {
+                seed: lpa.0,
+                version: i,
+            };
+            let done = match i % 50 {
+                47 => ssd.trim(lpa, now),
+                _ => ssd.write(lpa, data, now),
+            };
+            now = done.unwrap().finish + gap;
+            assert_eq!(indexed_victims(&ssd), swept_victims(&ssd), "after op {i}");
+        }
+        assert!(ssd.stats.gc_erases > 0 && ssd.stats.bg_compressions > 0);
+        assert!(
+            ssd.stats.filters_dropped > 0,
+            "expired delta blocks were queued"
+        );
+        assert!(ssd.flash.wear_spread() > 0);
+        let audit = ssd.check_consistency();
+        assert!(audit.is_clean(), "{:?}", audit.violations);
+
+        // A clone carries the indices, the histogram and the expired queue.
+        let copy = ssd.clone();
+        assert_eq!(indexed_victims(&copy), indexed_victims(&ssd));
+        assert_eq!(copy.flash.wear_spread(), ssd.flash.wear_spread());
+        assert!(copy.check_consistency().is_clean());
+
+        // A power cycle keeps the histogram (erase counts live in the array)
+        // and rebuilds the indices from the scanned BST.
+        let spread = ssd.flash.wear_spread();
+        let mut flash = ssd.into_flash();
+        flash.revive();
+        let mut rebuilt = TimeSsd::recover_from_flash(flash, cfg);
+        assert_eq!(rebuilt.flash.wear_spread(), spread);
+        assert_eq!(indexed_victims(&rebuilt), swept_victims(&rebuilt));
+        let audit = rebuilt.check_consistency();
+        assert!(audit.is_clean(), "{:?}", audit.violations);
+        for i in 0..100u64 {
+            let data = PageData::Synthetic {
+                seed: 1,
+                version: i,
+            };
+            now = rebuilt.write(Lpa(i % 12), data, now).unwrap().finish + gap;
+            assert_eq!(indexed_victims(&rebuilt), swept_victims(&rebuilt));
+        }
+        assert!(rebuilt.check_consistency().is_clean());
     }
 
     #[test]

@@ -60,6 +60,37 @@ pub enum Violation {
         /// The configured bound.
         deadline: u64,
     },
+    /// A victim index ("gc" or "background") files a block under a score
+    /// its BST entry does not earn — victim selection would no longer pick
+    /// what a sweep of the table picks.
+    VictimIndexStale {
+        /// Which index.
+        index: &'static str,
+        /// The block.
+        block: u64,
+        /// The score it is filed under (0 = not filed).
+        filed: u32,
+        /// The score a recount gives it (0 = must not be filed).
+        recount: u32,
+    },
+    /// The flash array's erase-count histogram — what the wear-leveling
+    /// trigger reads — disagrees with a recount of the blocks.
+    WearIndexStale {
+        /// `(min, max)` erase count per the histogram.
+        index: (u32, u32),
+        /// `(min, max)` erase count per the blocks.
+        recount: (u32, u32),
+    },
+    /// The delta manager's queue of expired delta blocks disagrees with the
+    /// BST and the Bloom chain: `queued` without being a delta block of a
+    /// dropped filter, or such a block and not queued (GC would never erase
+    /// it).
+    ExpiredDeltaSetStale {
+        /// The block.
+        block: u64,
+        /// Whether the queue lists it.
+        queued: bool,
+    },
 }
 
 impl fmt::Display for Violation {
@@ -106,6 +137,27 @@ impl fmt::Display for Violation {
                     f,
                     "pending tombstone volatile for {age}ns, past the {deadline}ns deadline"
                 )
+            }
+            Violation::VictimIndexStale {
+                index,
+                block,
+                filed,
+                recount,
+            } => {
+                write!(
+                    f,
+                    "{index} victim index files B{block} under {filed}, recount says {recount}"
+                )
+            }
+            Violation::WearIndexStale { index, recount } => {
+                write!(
+                    f,
+                    "erase-count histogram spans {index:?}, the blocks span {recount:?}"
+                )
+            }
+            Violation::ExpiredDeltaSetStale { block, queued } => {
+                let state = if *queued { "queued" } else { "not queued" };
+                write!(f, "B{block} {state} for expired-delta erase, wrongly")
             }
         }
     }
@@ -332,6 +384,37 @@ impl TimeSsd {
                 }
             }
         }
+
+        // 7. Maintained lookups: victim selection, the wear trigger and the
+        //    expired-delta prelude answer from state kept up to date where
+        //    it changes instead of sweeping. Recompute each from the raw
+        //    tables; a disagreement means some host op would take a
+        //    different block than the sweep it replaced.
+        for drift in self.bst.index_drift() {
+            report.violations.push(Violation::VictimIndexStale {
+                index: drift.index,
+                block: drift.block.0,
+                filed: drift.filed,
+                recount: drift.score,
+            });
+        }
+        if let Some(drift) = self.flash.wear_index_drift() {
+            report.violations.push(Violation::WearIndexStale {
+                index: drift.index,
+                recount: drift.recount,
+            });
+        }
+        let live: HashSet<_> = self.policy.chain.infos().iter().map(|i| i.id).collect();
+        let queued: HashSet<_> = self.policy.deltas.expired_blocks().collect();
+        for (block, info) in self.bst.iter() {
+            let expired = matches!(info.kind, BlockKind::Delta(fid) if !live.contains(&fid));
+            if expired != queued.contains(&block) {
+                report.violations.push(Violation::ExpiredDeltaSetStale {
+                    block: block.0,
+                    queued: !expired,
+                });
+            }
+        }
         report
     }
 }
@@ -478,7 +561,7 @@ mod tests {
     fn detects_bst_valid_miscount() {
         let mut ssd = built();
         let block = ssd.config.geometry.block_of(head_of(&ssd, Lpa(0)));
-        ssd.bst.get_mut(block).valid += 1;
+        ssd.bst.update(block, |info| info.valid += 1);
         let report = ssd.check_consistency();
         assert!(report
             .violations
@@ -506,7 +589,7 @@ mod tests {
             .find(|(_, info)| info.kind == BlockKind::Free && info.written == 0)
             .map(|(b, _)| b)
             .expect("a free block exists");
-        ssd.bst.get_mut(free).written = 1;
+        ssd.bst.update(free, |info| info.written = 1);
         let report = ssd.check_consistency();
         assert!(report
             .violations
@@ -548,7 +631,8 @@ mod tests {
         // Relabel a populated data block as a delta block: its pages do not
         // hold delta records, so the block is an orphan.
         let block = ssd.config.geometry.block_of(head_of(&ssd, Lpa(0)));
-        ssd.bst.get_mut(block).kind = BlockKind::Delta(0);
+        ssd.bst
+            .update(block, |info| info.kind = BlockKind::Delta(0));
         let report = ssd.check_consistency();
         assert!(report
             .violations
@@ -565,12 +649,129 @@ mod tests {
         let ts = oob.timestamp + 1;
         ssd.pvt.set(head, false);
         let block = ssd.config.geometry.block_of(head);
-        ssd.bst.get_mut(block).valid -= 1;
+        ssd.bst.update(block, |info| info.valid -= 1);
         ssd.amt.set(Lpa(4), AmtEntry::Trimmed(head, ts));
         let report = ssd.check_consistency();
         assert!(report
             .violations
             .contains(&Violation::UnjournaledTombstone(Lpa(4), ts)));
+    }
+
+    /// A block with both valid and invalid pages: the one under LPA 0's head
+    /// (`built()` never fills a block, so older versions share it).
+    fn collectable_block(ssd: &TimeSsd) -> almanac_flash::BlockId {
+        let block = ssd.config.geometry.block_of(head_of(ssd, Lpa(0)));
+        assert!(ssd.bst.get(block).invalid() > 0);
+        block
+    }
+
+    #[test]
+    fn detects_stale_victim_index() {
+        let mut ssd = built();
+        let block = collectable_block(&ssd);
+        let before = *ssd.bst.get(block);
+        // An invalidation that skipped the re-filing: the GC index (and,
+        // nothing being compressed yet, the idle-time index) still holds the
+        // block under its old score.
+        ssd.pvt.set(head_of(&ssd, Lpa(0)), false);
+        ssd.bst.raw_mut(block).valid -= 1;
+        let report = ssd.check_consistency();
+        for index in ["gc", "background"] {
+            assert!(
+                report.violations.contains(&Violation::VictimIndexStale {
+                    index,
+                    block: block.0,
+                    filed: before.invalid(),
+                    recount: before.invalid() + 1,
+                }),
+                "{index}: {:?}",
+                report.violations
+            );
+        }
+        // A compression that skipped it leaves only the idle-time index out.
+        let mut ssd = built();
+        ssd.bst.raw_mut(block).reclaimable += 1;
+        let stale: Vec<_> = ssd
+            .check_consistency()
+            .violations
+            .into_iter()
+            .filter(|v| matches!(v, Violation::VictimIndexStale { .. }))
+            .collect();
+        assert_eq!(
+            stale,
+            [Violation::VictimIndexStale {
+                index: "background",
+                block: block.0,
+                filed: before.invalid(),
+                recount: before.invalid() - 1,
+            }]
+        );
+    }
+
+    #[test]
+    fn detects_block_left_filed_after_erase() {
+        let mut ssd = built();
+        let block = collectable_block(&ssd);
+        let filed = ssd.bst.get(block).invalid();
+        // The erase path forgot the BST: the block is free and empty, yet GC
+        // would still be offered it.
+        *ssd.bst.raw_mut(block) = Default::default();
+        let report = ssd.check_consistency();
+        assert!(report.violations.contains(&Violation::VictimIndexStale {
+            index: "gc",
+            block: block.0,
+            filed,
+            recount: 0,
+        }));
+    }
+
+    #[test]
+    fn detects_stale_expired_delta_queue() {
+        let mut ssd = built();
+        let t = 10_000 * SEC_NS;
+        ssd.trim(Lpa(4), t).unwrap();
+        ssd.flush(t + SEC_NS).unwrap();
+        let (delta_block, fid) = ssd
+            .bst
+            .iter()
+            .find_map(|(b, info)| match info.kind {
+                BlockKind::Delta(fid) => Some((b, fid)),
+                _ => None,
+            })
+            .expect("the journalled trim opened a delta block");
+        assert!(ssd.check_consistency().is_clean());
+        // A live filter's block in the queue: GC would erase unexpired deltas.
+        let mut early = ssd.clone();
+        early.policy.deltas.drop_filter(fid);
+        assert!(early
+            .check_consistency()
+            .violations
+            .contains(&Violation::ExpiredDeltaSetStale {
+                block: delta_block.0,
+                queued: true,
+            }));
+        // The filter dropped without its blocks being queued (what
+        // `force_shrink` did with `drop_filter`'s return value before the
+        // queue existed): the space would never come back.
+        while ssd.policy.chain.drop_oldest().is_some() {}
+        assert!(ssd
+            .check_consistency()
+            .violations
+            .contains(&Violation::ExpiredDeltaSetStale {
+                block: delta_block.0,
+                queued: false,
+            }));
+        // Queued as `force_shrink` does it, the audit is clean again.
+        ssd.policy.deltas.drop_filter(fid);
+        let report = ssd.check_consistency();
+        assert!(
+            !report
+                .violations
+                .iter()
+                .any(|v| matches!(v, Violation::ExpiredDeltaSetStale { .. })),
+            "{:?}",
+            report.violations
+        );
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! [`DeltaManager::buffered_page`], modelling the firmware reading its own
 //! RAM.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 use almanac_bloom::FilterId;
 use almanac_flash::{BlockId, DeltaPage, DeltaRecord, FlashArray, Geometry, Lpa, Nanos, Oob, Ppa};
@@ -87,6 +87,14 @@ pub struct DeltaManager {
     buffers: HashMap<FilterId, Buffer>,
     active_blocks: HashMap<FilterId, OpenBlock>,
     blocks: HashMap<FilterId, Vec<BlockId>>,
+    /// Delta blocks of dropped filters, waiting for GC to erase them: every
+    /// delta in them is expired, so they are free space with no migration
+    /// (Algorithm 1, line 2). Ordered, because GC takes the lowest first.
+    expired: BTreeSet<BlockId>,
+    /// Buffers holding at least one pending tombstone
+    /// (`oldest_trim_at.is_some()`), so the per-host-op aging check is one
+    /// compare while no trim is buffered.
+    trim_buffers: usize,
     /// Monotonic counter, bumped once per appended record.
     seq: u64,
     /// Value of `seq` when the last *complete* barrier ([`Self::flush_all`])
@@ -109,6 +117,8 @@ impl DeltaManager {
             buffers: HashMap::new(),
             active_blocks: HashMap::new(),
             blocks: HashMap::new(),
+            expired: BTreeSet::new(),
+            trim_buffers: 0,
             seq: 0,
             barrier_seq: 0,
             trim_watermark,
@@ -145,7 +155,7 @@ impl DeltaManager {
                 now,
                 retention_window: 0,
             })?;
-            bst.get_mut(block).kind = BlockKind::Delta(filter);
+            bst.update(block, |info| info.kind = BlockKind::Delta(filter));
             self.blocks.entry(filter).or_default().push(block);
             self.active_blocks
                 .insert(filter, OpenBlock { block, next_off: 0 });
@@ -238,8 +248,8 @@ impl DeltaManager {
             now,
         )?;
         let block = self.geometry.block_of(buf.reserved);
-        self.buffers.remove(&filter);
-        bst.get_mut(block).written += 1;
+        self.discard_buffer(filter);
+        bst.update(block, |info| info.written += 1);
         Ok((finish, 1))
     }
 
@@ -265,7 +275,10 @@ impl DeltaManager {
             .get_mut(&filter)
             .ok_or(AlmanacError::Internal("delta buffer vanished"))?;
         buf.pending_trims += 1;
-        buf.oldest_trim_at.get_or_insert(now);
+        if buf.oldest_trim_at.is_none() {
+            buf.oldest_trim_at = Some(now);
+            self.trim_buffers += 1;
+        }
         if self.trim_watermark != 0 && buf.pending_trims >= self.trim_watermark {
             let (finish, programs) = self.flush_filter(filter, bst, flash, out.finish)?;
             return Ok(AppendOutcome {
@@ -323,7 +336,7 @@ impl DeltaManager {
     /// `deadline` ago — the batches the age-based group-flush scheduler owes
     /// a flush. Empty when `deadline` is 0 (aging disabled).
     pub fn aged_trim_filters(&self, now: Nanos, deadline: Nanos) -> Vec<FilterId> {
-        if deadline == 0 {
+        if deadline == 0 || self.trim_buffers == 0 {
             return Vec::new();
         }
         let mut aged: Vec<FilterId> = self
@@ -356,7 +369,9 @@ impl DeltaManager {
     pub(crate) fn backdate_trim_stamp(&mut self, filter: FilterId, at: Nanos) {
         if let Some(buf) = self.buffers.get_mut(&filter) {
             buf.pending_trims = buf.pending_trims.max(1);
-            buf.oldest_trim_at = Some(at);
+            if buf.oldest_trim_at.replace(at).is_none() {
+                self.trim_buffers += 1;
+            }
         }
     }
 
@@ -394,30 +409,36 @@ impl DeltaManager {
         self.buffers.values().map(|b| &b.page)
     }
 
-    /// Forgets a filter: discards its buffer and active block and returns the
-    /// delta blocks that are now fully expired.
-    pub fn drop_filter(&mut self, filter: FilterId) -> Vec<BlockId> {
-        self.buffers.remove(&filter);
+    /// Removes `filter`'s buffer, keeping the pending-tombstone count in step.
+    fn discard_buffer(&mut self, filter: FilterId) {
+        if let Some(buf) = self.buffers.remove(&filter) {
+            self.trim_buffers -= usize::from(buf.oldest_trim_at.is_some());
+        }
+    }
+
+    /// Forgets a filter: discards its buffer and active block; its delta
+    /// blocks are now fully expired and queue for GC to erase.
+    pub fn drop_filter(&mut self, filter: FilterId) {
+        self.discard_buffer(filter);
         self.active_blocks.remove(&filter);
-        self.blocks.remove(&filter).unwrap_or_default()
+        self.expired
+            .extend(self.blocks.remove(&filter).unwrap_or_default());
+    }
+
+    /// The expired delta blocks not yet erased, lowest block first.
+    pub fn expired_blocks(&self) -> impl Iterator<Item = BlockId> + '_ {
+        self.expired.iter().copied()
+    }
+
+    /// An expired delta block was erased.
+    pub fn forget_expired(&mut self, block: BlockId) {
+        self.expired.remove(&block);
     }
 
     /// Adopts an existing on-flash delta block into a filter's set (used by
     /// power-cycle rebuild).
     pub fn adopt_block(&mut self, filter: FilterId, block: BlockId) {
         self.blocks.entry(filter).or_default().push(block);
-    }
-
-    /// Removes one erased block from a filter's set (lazy GC path).
-    pub fn forget_block(&mut self, filter: FilterId, block: BlockId) {
-        if let Some(list) = self.blocks.get_mut(&filter) {
-            list.retain(|b| *b != block);
-            if list.is_empty() {
-                self.blocks.remove(&filter);
-                self.buffers.remove(&filter);
-                self.active_blocks.remove(&filter);
-            }
-        }
     }
 
     /// Total delta blocks currently dedicated to live filters.
@@ -436,7 +457,7 @@ mod tests {
         (
             DeltaManager::new(geo, 8),
             Allocator::new(geo),
-            Bst::new(geo.total_blocks()),
+            Bst::new(&geo),
             FlashArray::new(geo, LatencyConfig::default()),
         )
     }
@@ -522,14 +543,38 @@ mod tests {
     }
 
     #[test]
-    fn drop_filter_returns_blocks() {
+    fn dropped_filters_blocks_queue_for_gc_in_block_order() {
         let (mut mgr, mut alloc, mut bst, mut flash) = fixture();
-        mgr.append(3, record(1, 1, 10), &mut alloc, &mut bst, &mut flash, 0)
-            .unwrap();
-        let blocks = mgr.drop_filter(3);
-        assert_eq!(blocks.len(), 1);
-        assert_eq!(mgr.block_count(), 0);
-        assert!(mgr.buffered_page(Ppa(0)).is_none());
+        let geo = Geometry::small_test();
+        let mut block_of = |mgr: &mut DeltaManager, filter| {
+            let out = mgr
+                .append(
+                    filter,
+                    record(1, 1, 10),
+                    &mut alloc,
+                    &mut bst,
+                    &mut flash,
+                    0,
+                )
+                .unwrap();
+            geo.block_of(out.page)
+        };
+        let (b3, b5, b4) = (
+            block_of(&mut mgr, 3),
+            block_of(&mut mgr, 5),
+            block_of(&mut mgr, 4),
+        );
+        mgr.drop_filter(4);
+        mgr.drop_filter(3);
+        assert_eq!(mgr.block_count(), 1, "filter 5 is still live");
+        assert!(mgr.buffered_page(geo.ppa(b3.0, 0)).is_none());
+        assert!(mgr.buffered_page(geo.ppa(b5.0, 0)).is_some());
+        // GC is offered the expired blocks lowest first, whatever order
+        // their filters went in, until it reports each one erased.
+        let (low, high) = (b3.min(b4), b3.max(b4));
+        assert_eq!(mgr.expired_blocks().collect::<Vec<_>>(), [low, high]);
+        mgr.forget_expired(low);
+        assert_eq!(mgr.expired_blocks().collect::<Vec<_>>(), [high]);
     }
 
     #[test]
@@ -551,7 +596,7 @@ mod tests {
         let geo = Geometry::small_test();
         let mut mgr = DeltaManager::new(geo, 3);
         let mut alloc = Allocator::new(geo);
-        let mut bst = Bst::new(geo.total_blocks());
+        let mut bst = Bst::new(&geo);
         let mut flash = FlashArray::new(geo, LatencyConfig::default());
         let mut programs = 0;
         for i in 0..2 {
@@ -575,7 +620,7 @@ mod tests {
         let geo = Geometry::small_test();
         let mut mgr = DeltaManager::new(geo, 1);
         let mut alloc = Allocator::new(geo);
-        let mut bst = Bst::new(geo.total_blocks());
+        let mut bst = Bst::new(&geo);
         let mut flash = FlashArray::new(geo, LatencyConfig::default());
         for i in 0..3 {
             let out = mgr
@@ -621,7 +666,7 @@ mod tests {
         let geo = Geometry::small_test();
         let mut mgr = DeltaManager::new(geo, 8);
         let mut alloc = Allocator::new(geo);
-        let mut bst = Bst::new(geo.total_blocks());
+        let mut bst = Bst::new(&geo);
         let mut flash = FlashArray::new(geo, LatencyConfig::default())
             .with_fault_plan(almanac_flash::FaultPlan::new(1).with_program_fault(0));
         let out = mgr
@@ -643,7 +688,7 @@ mod tests {
         let geo = Geometry::small_test();
         let mut mgr = DeltaManager::new(geo, 8);
         let mut alloc = Allocator::new(geo);
-        let mut bst = Bst::new(geo.total_blocks());
+        let mut bst = Bst::new(&geo);
         let mut flash = FlashArray::new(geo, LatencyConfig::default())
             .with_fault_plan(almanac_flash::FaultPlan::new(1).with_program_fault(0));
         mgr.append(0, record(1, 10, 8), &mut alloc, &mut bst, &mut flash, 0)
@@ -669,7 +714,7 @@ mod tests {
         let geo = Geometry::small_test();
         let mut mgr = DeltaManager::new(geo, 8);
         let mut alloc = Allocator::new(geo);
-        let mut bst = Bst::new(geo.total_blocks());
+        let mut bst = Bst::new(&geo);
         let mut flash = FlashArray::new(geo, LatencyConfig::default())
             .with_fault_plan(almanac_flash::FaultPlan::new(1).with_program_fault(1));
         mgr.append(0, record(1, 10, 8), &mut alloc, &mut bst, &mut flash, 0)

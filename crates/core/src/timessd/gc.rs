@@ -3,8 +3,6 @@
 //! expired delta blocks, window shrinking, background idle-time compression,
 //! and the wear-leveling swap.
 
-use std::collections::HashSet;
-
 use almanac_bloom::FilterId;
 use almanac_flash::{BlockId, DeltaBody, DeltaRecord, Lpa, Nanos, Oob, PageData, Ppa};
 
@@ -68,10 +66,6 @@ impl Budget {
 }
 
 impl TimeSsd {
-    fn live_filters_set(&self) -> HashSet<FilterId> {
-        self.policy.chain.infos().iter().map(|i| i.id).collect()
-    }
-
     /// Models the compressed size of one synthetic old version: a Gaussian
     /// compression ratio (mean/std from the config, as in §5.2 of the paper)
     /// drawn deterministically from the page identity.
@@ -165,7 +159,7 @@ impl TimeSsd {
 
         // Walk the data-page chain collecting retained uncompressed versions
         // (newest first), verifying LPA and decreasing timestamps as §3.7.
-        let mut versions: Vec<(Ppa, Oob, PageData)> = Vec::new();
+        let mut versions: Vec<(Ppa, Oob, PageData, FilterId)> = Vec::new();
         let mut prev_ts = if ref_ts == REF_ZEROS {
             Nanos::MAX
         } else {
@@ -188,13 +182,15 @@ impl TimeSsd {
             if oob.lpa != lpa || oob.timestamp >= prev_ts {
                 break; // chain broken: page was reused for something else
             }
-            let group = self.group_of(ppa);
-            if !self.policy.chain.contains(group) {
+            // One probe answers both "still retained?" and "which segment's
+            // delta block?" — nothing inserts into or drops from the chain
+            // before the deltas below are appended.
+            let Some(fid) = self.policy.chain.find(self.group_of(ppa)) else {
                 break; // expired tail: discarded lazily by GC
-            }
+            };
             prev_ts = oob.timestamp;
             cursor = oob.back_ptr;
-            versions.push((ppa, oob, data));
+            versions.push((ppa, oob, data, fid));
         }
         if versions.is_empty() {
             return Ok(t);
@@ -202,19 +198,13 @@ impl TimeSsd {
 
         // The oldest new delta links to the existing delta chain if there is
         // one, otherwise to whatever the oldest data version pointed at.
-        let oldest_back = versions.last().and_then(|(_, oob, _)| oob.back_ptr);
+        let oldest_back = versions.last().and_then(|(_, oob, ..)| oob.back_ptr);
         let mut next_older: Option<Ppa> = self.policy.imt.head(lpa).map(|(p, _)| p).or(oldest_back);
 
-        for (ppa, oob, data) in versions.iter().rev() {
+        for (ppa, oob, data, fid) in versions.iter().rev() {
             if budget.exhausted() {
                 break;
             }
-            let group = self.group_of(*ppa);
-            let Some(fid) = self.policy.chain.find(group) else {
-                // Raced to expiry; safe to discard without a delta.
-                self.mark_reclaimable(*ppa);
-                continue;
-            };
             if !budget.charge(lat.compress_ns) {
                 break;
             }
@@ -229,7 +219,7 @@ impl TimeSsd {
                 size,
             };
             let out = self.policy.deltas.append(
-                fid,
+                *fid,
                 record,
                 &mut self.alloc,
                 &mut self.bst,
@@ -250,9 +240,9 @@ impl TimeSsd {
     fn mark_reclaimable(&mut self, ppa: Ppa) {
         if !self.policy.prt.get(ppa) {
             self.policy.prt.set(ppa, true);
-            self.bst
-                .get_mut(self.config.geometry.block_of(ppa))
-                .reclaimable += 1;
+            self.bst.update(self.config.geometry.block_of(ppa), |info| {
+                info.reclaimable += 1
+            });
         }
     }
 
@@ -275,16 +265,6 @@ impl TimeSsd {
             }
             Cause::Background => self.stats.bg_compressions += 1,
         }
-    }
-
-    /// Finds a delta block whose Bloom filter is gone: every delta in it is
-    /// expired, so it can be erased with zero migration (Algorithm 1, line 2).
-    pub(crate) fn find_expired_delta_block(&self) -> Option<(BlockId, FilterId)> {
-        let live = self.live_filters_set();
-        self.bst.iter().find_map(|(b, info)| match info.kind {
-            BlockKind::Delta(fid) if !live.contains(&fid) => Some((b, fid)),
-            _ => None,
-        })
     }
 
     /// GC's verdict on the invalid page `ppa` of a victim (Algorithm 1,
@@ -392,6 +372,8 @@ impl TimeSsd {
             return false;
         }
         if let Some(info) = self.policy.chain.drop_oldest() {
+            // Its delta blocks now hold only expired versions: GC erases
+            // them, lowest block first, before it looks for a victim.
             self.policy.deltas.drop_filter(info.id);
             self.stats.filters_dropped += 1;
             true
@@ -413,7 +395,7 @@ impl TimeSsd {
         let Some(parked) = self.alloc.take_block_by_max(worn) else {
             return Ok(());
         };
-        self.bst.get_mut(parked).kind = BlockKind::Data;
+        self.bst.update(parked, |info| info.kind = BlockKind::Data);
         let moved = self.park_block(victim, parked, now);
         if self.bst.get(parked).written == 0 {
             // Nothing landed on it (no valid page, or the first program
@@ -448,10 +430,7 @@ impl TimeSsd {
     /// Spends a just-elapsed idle window on background compression when the
     /// predictor had cleared the threshold (§3.6).
     pub(crate) fn background_compress_window(&mut self, now: Nanos) -> Result<()> {
-        if now <= self.last_io_end
-            || !self.policy.idle.worth_compressing()
-            || self.policy.bg_scan_pointless
-        {
+        if now <= self.last_io_end || !self.policy.idle.worth_compressing() {
             return Ok(());
         }
         let window = now - self.last_io_end;
@@ -461,7 +440,8 @@ impl TimeSsd {
         let start = self.last_io_end;
         let mut budget = Budget::bounded(window);
         // §3.6: each idle period compresses ONE victim flash block — the
-        // block with the most retained (uncompressed) invalid pages.
+        // full, closed block with the most retained (uncompressed) invalid
+        // pages, the highest-numbered of equals.
         let ppb = self.config.geometry.pages_per_block;
         let floor = self.config.latency.program_total() + self.config.latency.read_total();
         if budget.below(floor) {
@@ -469,30 +449,30 @@ impl TimeSsd {
         }
         let victim = self
             .bst
-            .iter()
-            .filter(|(b, info)| {
-                info.kind == BlockKind::Data
-                    && info.written == ppb
-                    && info.invalid() > info.reclaimable
-                    && !self.alloc.is_active(*b)
-            })
-            .max_by_key(|(_, info)| info.invalid() - info.reclaimable)
-            .map(|(b, _)| b);
+            .background_victim(|b, info| info.written == ppb && !self.alloc.is_active(b));
         let Some(victim) = victim else {
-            self.policy.bg_scan_pointless = true;
             return Ok(());
         };
         let geo = self.config.geometry;
         let mut t = start;
+        // Consecutive pages share a Bloom group and nothing inserts into or
+        // drops from the chain inside a window: one probe per group.
+        let mut probed: Option<(u64, bool)> = None;
         for off in 0..ppb {
             if budget.exhausted() {
                 break;
             }
             let ppa = geo.ppa(victim.0, off);
-            if self.pvt.get(ppa)
-                || self.policy.prt.get(ppa)
-                || !self.policy.chain.contains(self.group_of(ppa))
-            {
+            if self.pvt.get(ppa) || self.policy.prt.get(ppa) {
+                continue;
+            }
+            let group = self.group_of(ppa);
+            let retained = match probed {
+                Some((g, hit)) if g == group => hit,
+                _ => self.policy.chain.contains(group),
+            };
+            probed = Some((group, retained));
+            if !retained {
                 continue;
             }
             if !budget.charge(self.config.latency.read_total()) {

@@ -65,9 +65,6 @@ pub struct TimeTravel {
     /// strictly increasing per device so chain verification (decreasing
     /// timestamps, §3.7) stays sound even for back-to-back writes.
     pub(crate) last_ts: Nanos,
-    /// Perf guard: set when the last background-compression scan found no
-    /// candidate block; cleared by the next invalidation.
-    pub(crate) bg_scan_pointless: bool,
     /// DFTL-style demand cache of the AMT's translation pages: one LRU over
     /// the whole table.
     pub(crate) map_cache: MapCache,
@@ -98,7 +95,6 @@ impl TimeTravel {
             period: PeriodCounters::default(),
             idle: IdlePredictor::new(IDLE_ALPHA, config.idle_threshold),
             last_ts: 0,
-            bg_scan_pointless: false,
             map_cache: MapCache::new(mappings_per_page, config.amt_cache_pages),
             recovered_deltas: HashMap::new(),
         }
@@ -142,17 +138,16 @@ impl Retention for TimeTravel {
     fn on_invalidate(ftl: &mut Ftl<Self>, old: Ppa, _lpa: Lpa, now: Nanos) {
         let group = ftl.group_of(old);
         ftl.policy.chain.insert(group, now);
-        ftl.policy.bg_scan_pointless = false;
     }
 
     /// Algorithm 1, lines 2-3: a delta block whose Bloom filter is gone
     /// holds only expired deltas — free space with no work.
     fn gc_prelude(ftl: &mut Ftl<Self>, now: Nanos) -> Result<Option<Nanos>> {
-        let Some((block, fid)) = ftl.find_expired_delta_block() else {
+        let Some(block) = ftl.policy.deltas.expired_blocks().next() else {
             return Ok(None);
         };
         let t = ftl.erase_block(block, now)?;
-        ftl.policy.deltas.forget_block(fid, block);
+        ftl.policy.deltas.forget_expired(block);
         ftl.policy.period.erases += 1;
         Ok(Some(t))
     }
@@ -251,7 +246,6 @@ impl Retention for TimeTravel {
             // page read as zeros from here on.
             ftl.amt.set(lpa, AmtEntry::Trimmed(old, inv_ts));
             ftl.mark_invalid(old);
-            ftl.policy.bg_scan_pointless = false;
             // Later writes must timestamp strictly after the trim, or the
             // on-flash order (journal record vs. rewrite) is ambiguous at
             // rebuild time.

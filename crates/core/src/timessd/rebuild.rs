@@ -29,7 +29,7 @@ use almanac_flash::{FlashArray, Lpa, Nanos, PageData, Ppa};
 use crate::alloc::Allocator;
 use crate::config::SsdConfig;
 use crate::stats::DeviceStats;
-use crate::tables::{AmtEntry, BlockKind, Bst, Imt, Prt, Pvt, ShardedAmt};
+use crate::tables::{AmtEntry, BlockInfo, BlockKind, Bst, Imt, Prt, Pvt, ShardedAmt};
 
 use super::deltas::DeltaManager;
 use super::{TimeSsd, TimeTravel};
@@ -47,7 +47,7 @@ impl TimeSsd {
         let mut amt = ShardedAmt::new(exported, 1);
         let mut pvt = Pvt::new(geo.total_pages());
         let mut prt = Prt::new(geo.total_pages());
-        let mut bst = Bst::new(geo.total_blocks());
+        let mut bst = Bst::new(&geo);
         let mut imt = Imt::new();
         let mut chain = BloomChain::new(config.bloom);
         let mut alloc = Allocator::new(geo);
@@ -175,24 +175,26 @@ impl TimeSsd {
         let mut invalid_pages: Vec<(Nanos, u64)> = Vec::new();
         for block in 0..geo.total_blocks() {
             let written = written_per_block[block as usize];
-            let info = bst.get_mut(almanac_flash::BlockId(block));
-            info.written = written;
             if written == 0 {
                 continue;
             }
             let first = geo.ppa(block, 0);
             let is_delta = matches!(flash.peek(first), Ok((PageData::DeltaPage(_), _)));
-            info.kind = if is_delta {
+            let mut info = BlockInfo {
                 // Rebuilt delta blocks are assigned to filter id 0 (the
                 // rebuild segment created below).
-                BlockKind::Delta(0)
-            } else {
-                BlockKind::Data
+                kind: if is_delta {
+                    BlockKind::Delta(0)
+                } else {
+                    BlockKind::Data
+                },
+                written,
+                ..BlockInfo::default()
             };
             for off in 0..written {
                 let ppa = geo.ppa(block, off);
                 if pvt.get(ppa) {
-                    bst.get_mut(almanac_flash::BlockId(block)).valid += 1;
+                    info.valid += 1;
                 } else if !is_delta {
                     if let Ok((_, oob)) = flash.peek(ppa) {
                         // Compressed already? Then it is reclaimable.
@@ -202,13 +204,15 @@ impl TimeSsd {
                             .unwrap_or(false);
                         if done {
                             prt.set(ppa, true);
-                            bst.get_mut(almanac_flash::BlockId(block)).reclaimable += 1;
+                            info.reclaimable += 1;
                         } else {
                             invalid_pages.push((oob.timestamp, ppa.0 / group_size));
                         }
                     }
                 }
             }
+            // Filing the finished entry is what rebuilds the victim indices.
+            bst.update(almanac_flash::BlockId(block), |slot| *slot = info);
         }
         invalid_pages.sort_unstable();
         for (ts, group) in invalid_pages {

@@ -1,5 +1,7 @@
 //! The flash array: blocks, pages, and the per-chip timing model.
 
+use std::collections::VecDeque;
+
 use crate::addr::{BlockId, Nanos, Ppa};
 use crate::error::{FlashError, FlashResult};
 use crate::fault::{FaultPlan, FlashOp};
@@ -117,6 +119,23 @@ pub struct FlashArray {
     class_issued: [u64; 3],
     /// Set once a scheduled power cut fires; cleared by [`Self::revive`].
     powered_off: bool,
+    /// Erase-count histogram over the window `wear_min ..= max`: slot `i`
+    /// counts the blocks erased `wear_min + i` times. Both ends are occupied,
+    /// so the spread is `len - 1`. Maintained by [`Self::erase`], the only
+    /// place an erase count changes.
+    wear_hist: VecDeque<u32>,
+    /// Erase count of the least-worn block.
+    wear_min: u32,
+}
+
+/// The maintained erase-count bounds disagree with a recount of the blocks
+/// (see [`FlashArray::wear_index_drift`]); each side is `(min, max)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WearIndexDrift {
+    /// What the histogram says.
+    pub index: (u32, u32),
+    /// What the blocks say.
+    pub recount: (u32, u32),
 }
 
 impl FlashArray {
@@ -136,6 +155,8 @@ impl FlashArray {
             ops_issued: 0,
             class_issued: [0; 3],
             powered_off: false,
+            wear_hist: VecDeque::from([geometry.total_blocks() as u32]),
+            wear_min: 0,
         }
     }
 
@@ -350,7 +371,17 @@ impl FlashArray {
             *page = Page::free();
         }
         block.write_ptr = 0;
+        let slot = (block.erase_count - self.wear_min) as usize;
         block.erase_count += 1;
+        if slot + 1 == self.wear_hist.len() {
+            self.wear_hist.push_back(0);
+        }
+        self.wear_hist[slot] -= 1;
+        self.wear_hist[slot + 1] += 1;
+        while self.wear_hist.front() == Some(&0) {
+            self.wear_hist.pop_front();
+            self.wear_min += 1;
+        }
         let chip = self.geometry.chip_of_block(block_id);
         let finish = self.occupy_chip(chip, now, self.latency.erase_ns);
         self.stats.erases += 1;
@@ -417,11 +448,20 @@ impl FlashArray {
     }
 
     /// Spread (max - min) of erase counts across all blocks — the wear
-    /// imbalance metric used by wear-leveling tests.
+    /// imbalance metric the wear-leveling trigger reads on every host write,
+    /// so it is answered from the histogram, not by sweeping the blocks.
     pub fn wear_spread(&self) -> u32 {
-        let min = self.blocks.iter().map(|b| b.erase_count).min().unwrap_or(0);
-        let max = self.blocks.iter().map(|b| b.erase_count).max().unwrap_or(0);
-        max - min
+        self.wear_hist.len() as u32 - 1
+    }
+
+    /// Audit for an embedding FTL's consistency check: recounts the erase
+    /// bounds from the blocks and reports a disagreement with the histogram
+    /// behind [`Self::wear_spread`]. `None` on a sound array.
+    pub fn wear_index_drift(&self) -> Option<WearIndexDrift> {
+        let counts = || self.blocks.iter().map(|b| b.erase_count);
+        let recount = (counts().min().unwrap_or(0), counts().max().unwrap_or(0));
+        let index = (self.wear_min, self.wear_min + self.wear_spread());
+        (index != recount).then_some(WearIndexDrift { index, recount })
     }
 }
 
@@ -661,5 +701,70 @@ mod tests {
         f.erase(BlockId(0), 0).unwrap();
         f.erase(BlockId(1), 0).unwrap();
         assert_eq!(f.wear_spread(), 2);
+    }
+
+    /// The deleted two-pass sweep, kept as the reference.
+    fn swept_spread(f: &FlashArray) -> u32 {
+        let counts = || f.blocks.iter().map(|b| b.erase_count);
+        counts().max().unwrap() - counts().min().unwrap()
+    }
+
+    #[test]
+    fn wear_spread_follows_an_advancing_minimum() {
+        let mut f = fixture();
+        let blocks = f.geometry().total_blocks();
+        // Round 1 erases every block once (the minimum moves 0 -> 1 only on
+        // the last erase), round 2 all but the last block, and so on: the
+        // minimum advances while the spread both grows and shrinks.
+        for round in 0..4 {
+            for b in 0..blocks - round {
+                f.erase(BlockId(b), 0).unwrap();
+                assert_eq!(f.wear_spread(), swept_spread(&f), "round {round} block {b}");
+                assert_eq!(f.wear_index_drift(), None);
+            }
+        }
+        assert_eq!((f.wear_min, f.wear_spread()), (1, 3));
+        // Catching the laggards up closes the window from below.
+        for b in blocks - 3..blocks {
+            while f.erase_count(BlockId(b)).unwrap() < 4 {
+                f.erase(BlockId(b), 0).unwrap();
+                assert_eq!(f.wear_spread(), swept_spread(&f));
+            }
+        }
+        assert_eq!((f.wear_min, f.wear_spread()), (4, 0));
+    }
+
+    #[test]
+    fn wear_histogram_survives_clone_and_power_cycle() {
+        let mut f = FlashArray::new(Geometry::small_test(), LatencyConfig::default())
+            .with_fault_plan(FaultPlan::new(1).with_power_cut_at(3));
+        f.erase(BlockId(2), 0).unwrap();
+        f.erase(BlockId(2), 0).unwrap();
+        f.erase(BlockId(5), 0).unwrap();
+        // The cut aborts the erase: neither the block nor the histogram moves.
+        assert_eq!(f.erase(BlockId(2), 0), Err(FlashError::PowerLoss));
+        assert_eq!(f.wear_spread(), 2);
+        let mut copy = f.clone();
+        copy.revive();
+        copy.erase(BlockId(2), 0).unwrap();
+        assert_eq!((copy.wear_spread(), f.wear_spread()), (3, 2));
+        assert_eq!(copy.wear_index_drift(), None);
+        assert_eq!(f.wear_index_drift(), None);
+    }
+
+    #[test]
+    fn stale_wear_histogram_is_reported() {
+        let mut f = fixture();
+        f.erase(BlockId(0), 0).unwrap();
+        assert_eq!(f.wear_index_drift(), None);
+        // An erase that skipped the histogram.
+        f.blocks[3].erase_count += 2;
+        assert_eq!(
+            f.wear_index_drift(),
+            Some(WearIndexDrift {
+                index: (0, 1),
+                recount: (0, 2)
+            })
+        );
     }
 }
