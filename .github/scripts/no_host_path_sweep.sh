@@ -7,12 +7,16 @@
 # histogram, `DeltaManager`'s expired queue); a sweep here is paid by every
 # host op. The functions in `allowed` are rate-limited and may stay sweeps:
 # the cold-block pick runs after the spread and 64-erase checks, the
-# utilisation count once per `n_fixed` writes. Everything from a file's
-# `#[cfg(test)]` line down is test code and is not scanned.
+# utilisation count once per `n_fixed` writes. A `#[cfg(test)]` that opens
+# an inline `mod … {` starts a file's test code, which is not scanned; any
+# other `#[cfg(test)]` (an out-of-line `mod tests;`, one test-only item)
+# does not end the scan.
 status=0
 for f in crates/core/src/ftl.rs crates/core/src/timessd/gc.rs crates/core/src/timessd/mod.rs; do
     awk -v file="$f" -v allowed="wear_level_victim space_utilization" '
-        /^[ \t]*#\[cfg\(test\)\]/ { exit }
+        /^[ \t]*#\[cfg\(test\)\]/ { cfg_test = 1; next }
+        cfg_test && /^[ \t]*mod [a-z_0-9]+ \{/ { exit }
+        { cfg_test = 0 }
         /^[ \t]*\/\// { next }
         match($0, /fn [a-z_0-9]+/) { current = substr($0, RSTART + 3, RLENGTH - 3) }
         {

@@ -97,11 +97,6 @@ impl BloomChain {
         self.segments.back().map(|s| s.info.id)
     }
 
-    /// Identity of the oldest live filter, if any.
-    pub fn oldest_id(&self) -> Option<FilterId> {
-        self.segments.front().map(|s| s.info.id)
-    }
-
     /// Creation time of the oldest live filter — the start of the retention
     /// window.
     pub fn retention_start(&self) -> Option<u64> {

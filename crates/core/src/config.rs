@@ -48,8 +48,6 @@ pub struct SsdConfig {
     pub synthetic_delta_mean: f64,
     /// Standard deviation of the synthetic compression-ratio model.
     pub synthetic_delta_std: f64,
-    /// Enable wear leveling.
-    pub wear_leveling: bool,
     /// Erase-count spread (max − min) that triggers a wear-leveling swap.
     pub wl_spread_threshold: u32,
     /// Optional per-block erase endurance.
@@ -108,7 +106,6 @@ impl SsdConfig {
             idle_threshold: 10 * MS_NS,
             synthetic_delta_mean: 0.2,
             synthetic_delta_std: 0.05,
-            wear_leveling: true,
             wl_spread_threshold: 32,
             endurance: None,
             retention_key: None,
@@ -126,11 +123,6 @@ impl SsdConfig {
     /// over-provisioning).
     pub fn exported_pages(&self) -> u64 {
         (self.geometry.total_pages() as f64 * (1.0 - OP_RATIO)) as u64
-    }
-
-    /// Exported capacity in bytes.
-    pub fn exported_bytes(&self) -> u64 {
-        self.exported_pages() * self.geometry.page_size as u64
     }
 
     /// Sets the minimum retention window.

@@ -401,8 +401,7 @@ impl<R: Retention> Ftl<R> {
     /// (otherwise the leveler itself burns endurance faster than it spreads
     /// it), names the coldest closed data block.
     pub(crate) fn wear_level_victim(&mut self) -> Option<BlockId> {
-        if !self.config.wear_leveling || self.flash.wear_spread() <= self.config.wl_spread_threshold
-        {
+        if self.flash.wear_spread() <= self.config.wl_spread_threshold {
             return None;
         }
         let erases = self.flash.stats().erases;

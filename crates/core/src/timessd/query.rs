@@ -36,11 +36,6 @@ impl VersionLocation {
             | VersionLocation::BufferedDelta(p) => *p,
         }
     }
-
-    /// True when retrieving this version costs a flash read.
-    pub fn needs_flash_read(&self) -> bool {
-        !matches!(self, VersionLocation::BufferedDelta(_))
-    }
 }
 
 /// One version of a logical page found in the time-travel index.

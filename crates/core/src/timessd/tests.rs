@@ -648,11 +648,13 @@ fn amt_cache_capacity_is_exact() {
 fn completions_and_cache_traffic_ignore_the_partition_width() {
     // The map cache is one LRU over the whole table, so `amt_shards` — the
     // query schedule's partition width — moves neither a completion time
-    // nor a fault, even with a cache small enough to thrash.
+    // nor a fault, even with a cache small enough to thrash; and a power
+    // cycle is one more input: the rebuild, and the traffic after it, are
+    // the same at every width down to the last version chain.
     let run = |shards: u32| {
         let mut cfg = medium_cfg().with_amt_shards(shards);
         cfg.amt_cache_pages = Some(4);
-        let mut ssd = TimeSsd::new(cfg);
+        let mut ssd = TimeSsd::new(cfg.clone());
         let exported = ssd.exported_pages();
         let mut now = SEC_NS;
         let mut completions = Vec::new();
@@ -670,10 +672,25 @@ fn completions_and_cache_traffic_ignore_the_partition_width() {
             now = c.finish + MS_NS;
             completions.push(c);
         }
-        (completions, ssd.map_cache_traffic())
+        let before_cut = ssd.map_cache_traffic();
+        let mut flash = ssd.into_flash();
+        flash.revive();
+        let mut ssd = TimeSsd::recover_from_flash(flash, cfg);
+        for i in 0..60u64 {
+            let lpa = Lpa((i * 617) % exported);
+            let c = match i % 2 {
+                0 => ssd.write(lpa, synthetic(lpa.0, 600 + i), now).unwrap(),
+                _ => ssd.read(lpa, now).unwrap().1,
+            };
+            now = c.finish + MS_NS;
+            completions.push(c);
+        }
+        let chains: Vec<_> = (0..exported).map(|l| ssd.version_chain(Lpa(l))).collect();
+        (completions, before_cut, ssd.map_cache_traffic(), chains)
     };
     let base = run(1);
     assert!(base.1 .0 > 100 && base.1 .1 > 0, "cache never thrashed");
+    assert!(base.2 .0 > 0, "no fault after the rebuild");
     for shards in [3, 8] {
         assert_eq!(base, run(shards), "amt_shards = {shards}");
     }
@@ -721,24 +738,6 @@ fn wear_leveling_bounds_erase_spread() {
         total_erases,
         ssd.stats().user_writes
     );
-}
-
-#[test]
-fn disabled_wear_leveling_lets_spread_grow() {
-    let mut with_wl = medium_cfg().with_min_retention(0);
-    with_wl.wl_spread_threshold = 8;
-    with_wl.n_fixed = 256;
-    let mut without_wl = with_wl.clone();
-    without_wl.wear_leveling = false;
-    let run = |cfg: crate::config::SsdConfig| {
-        let mut ssd = TimeSsd::new(cfg);
-        wear_level_workload(&mut ssd, |_, _, _, result| {
-            result.unwrap();
-            true
-        });
-        ssd.flash().wear_spread()
-    };
-    assert!(run(without_wl) >= run(with_wl));
 }
 
 #[test]

@@ -409,11 +409,6 @@ impl FlashArray {
         self.chip_busy[chip as usize]
     }
 
-    /// The maximum busy horizon over all chips.
-    pub fn max_busy_until(&self) -> Nanos {
-        self.chip_busy.iter().copied().max().unwrap_or(0)
-    }
-
     /// A 64-bit FNV-1a digest of the persistent device state: every block's
     /// write pointer, erase count, and the contents + OOB of every written
     /// page.

@@ -50,11 +50,6 @@ impl PageData {
         matches!(self, PageData::Synthetic { .. })
     }
 
-    /// True if this page holds packed deltas.
-    pub fn is_delta_page(&self) -> bool {
-        matches!(self, PageData::DeltaPage(_))
-    }
-
     /// Materialises page content as bytes of length `page_size`.
     ///
     /// Synthetic pages expand to a deterministic pattern derived from

@@ -1,6 +1,10 @@
-//! Longer-horizon differential fuzz sweep: all strategies at several times
-//! seed scale, mixed configs (AMT cache on and off), plus single-op fault
-//! injection. Run locally or by the scheduled `long-fuzz` CI job.
+//! Longer-horizon differential fuzz sweep: every strategy at several times
+//! seed scale, mixed configs (AMT cache on and off), the flush-barrier,
+//! tombstone-aging and multi-queue suites, plus single-op fault injection.
+//! Every harness run ends with the whole-space query check; the cache-on
+//! `trim` and `cut` suites rotate the partition width over 2, 3, 4 and 8
+//! with the case, so ragged widths stay under the model. Run locally or by
+//! the scheduled `long-fuzz` CI job.
 //!
 //! Environment:
 //!
@@ -8,18 +12,6 @@
 //!   nightly job explores a different deterministic slice each day (CI
 //!   derives it from the date). Default 0 reproduces the classic sweep.
 //! - `LONG_FUZZ_CASES` — cases per suite (default 32).
-//! - `LONG_FUZZ_BARRIERS` — `0` drops the flush-barrier suites (`barrier`,
-//!   `barcut`) from the sweep; any other value (default) keeps them.
-//! - `LONG_FUZZ_AGING` — `0` drops the tombstone-aging suite (`aging`,
-//!   rarely-trimming traffic under a short `tombstone_flush_deadline`);
-//!   any other value (default) keeps it.
-//! - `LONG_FUZZ_QUEUES` — `0` drops the multi-queue lockstep suite
-//!   (`queues`, in-order vs out-of-order completion schedules through the
-//!   NVMe controller); any other value (default) keeps it.
-//! - `LONG_FUZZ_SHARDS` — `0` drops the partition-width lockstep suite
-//!   (`shards`, width-1 vs width-N devices compared op for op, including
-//!   power-cut rebuilds and every `AddrQuery` mode); any other value
-//!   (default) keeps it.
 //! - `LONG_FUZZ_REPORT` — where to write the failure report consumed by the
 //!   CI artifact upload (default `long_fuzz_failure.txt`).
 //!
@@ -29,7 +21,7 @@
 
 use almanac_core::SsdConfig;
 use almanac_flash::{Geometry, MS_NS, SEC_NS};
-use almanac_oracle::{lockstep_queue_run, lockstep_shard_run, strategy, DifferentialHarness};
+use almanac_oracle::{lockstep_queue_run, strategy, DifferentialHarness};
 use proptest::{Strategy, TestRng};
 
 fn cached(mut cfg: SsdConfig) -> SsdConfig {
@@ -70,10 +62,6 @@ fn main() {
         .unwrap_or(32);
     let report_path =
         std::env::var("LONG_FUZZ_REPORT").unwrap_or_else(|_| "long_fuzz_failure.txt".into());
-    let barriers = std::env::var("LONG_FUZZ_BARRIERS").map_or(true, |v| v != "0");
-    let aging = std::env::var("LONG_FUZZ_AGING").map_or(true, |v| v != "0");
-    let queues = std::env::var("LONG_FUZZ_QUEUES").map_or(true, |v| v != "0");
-    let shards_suite = std::env::var("LONG_FUZZ_SHARDS").map_or(true, |v| v != "0");
     // The seed rotates the RNG stream by salting the case path, so every
     // nightly run walks a fresh deterministic slice of the input space.
     let salt = format!("long_fuzz/{seed}");
@@ -82,6 +70,7 @@ fn main() {
     let mut stalls = 0usize;
     for case in 0..cases {
         let mut rng = TestRng::for_case(&salt, case);
+        let width = [2, 3, 4, 8][case as usize % 4];
         let suites: Vec<(
             &str,
             proptest::BoxedStrategy<Vec<strategy::OracleOp>>,
@@ -95,7 +84,7 @@ fn main() {
             (
                 "trim",
                 strategy::trim_heavy(16, 400),
-                cached(SsdConfig::new(Geometry::medium_test())),
+                cached(SsdConfig::new(Geometry::medium_test()).with_amt_shards(width)),
             ),
             (
                 "eqts",
@@ -110,40 +99,35 @@ fn main() {
             (
                 "cut",
                 strategy::power_cut_recovery(16, 400),
-                cached(SsdConfig::new(Geometry::medium_test())),
+                cached(SsdConfig::new(Geometry::medium_test()).with_amt_shards(width)),
             ),
             (
                 "roll",
                 strategy::rollback_storm(12, 300),
                 SsdConfig::new(Geometry::medium_test()),
             ),
-        ];
-        let mut suites = suites;
-        if barriers {
             // Flush barriers under power cuts: mixed-in barriers hold the
             // fsync contract, and barrier-before-every-cut runs must come
             // back with zero crash waivers.
-            suites.push((
+            (
                 "barrier",
                 strategy::barrier_mix(16, 400),
                 cached(SsdConfig::new(Geometry::medium_test())),
-            ));
-            suites.push((
+            ),
+            (
                 "barcut",
                 strategy::barrier_before_cut(16, 400),
                 SsdConfig::new(Geometry::medium_test()),
-            ));
-        }
-        if aging {
+            ),
             // Rarely-trimming traffic with no barriers under a short
             // deadline: only the age-based group flush closes tombstone
             // windows, and every Check audits the pending-age bound.
-            suites.push((
+            (
                 "aging",
                 strategy::rare_trim_aging(16, 400),
                 SsdConfig::new(Geometry::medium_test()).with_tombstone_flush_deadline(2 * MS_NS),
-            ));
-        }
+            ),
+        ];
         for (name, strat, cfg) in suites {
             let ops = strat.generate(&mut rng);
             let mut h = DifferentialHarness::new(cfg);
@@ -173,59 +157,27 @@ fn main() {
         // state must match and every flush must fence its queue. Queue
         // count and depth rotate with the case so the sweep covers
         // everything from near-serial to deep reordering.
-        if queues {
-            let ops = strategy::queued_ops(24, 350).generate(&mut rng);
-            let nqueues = 1 + (case as usize % 4);
-            let depth = [1, 4, 16, 32][(case as usize / 4) % 4];
-            let out = lockstep_queue_run(
-                SsdConfig::new(Geometry::medium_test()),
-                &ops,
-                nqueues,
-                depth,
+        let ops = strategy::queued_ops(24, 350).generate(&mut rng);
+        let nqueues = 1 + (case as usize % 4);
+        let depth = [1, 4, 16, 32][(case as usize / 4) % 4];
+        let out = lockstep_queue_run(
+            SsdConfig::new(Geometry::medium_test()),
+            &ops,
+            nqueues,
+            depth,
+        );
+        total += 1;
+        if !out.passed() {
+            fail(
+                &report_path,
+                seed,
+                "queues",
+                case,
+                &format!(
+                    "multi-queue lockstep diverged (nqueues {nqueues}, depth {depth}):\n{}",
+                    out.divergences.join("\n")
+                ),
             );
-            total += 1;
-            if !out.passed() {
-                fail(
-                    &report_path,
-                    seed,
-                    "queues",
-                    case,
-                    &format!(
-                        "multi-queue lockstep diverged (nqueues {nqueues}, depth {depth}):\n{}",
-                        out.divergences.join("\n")
-                    ),
-                );
-            }
-        }
-        // Partition-width lockstep: the same host stream against a width-1
-        // and a width-N device, map cache on; completions, cache traffic,
-        // mapped state, tombstones, chains, rebuild results, and every
-        // AddrQuery mode (hits and costs, at several worker counts) must
-        // match exactly. The width and the traffic shape rotate with the
-        // case.
-        if shards_suite {
-            let shards = [2u32, 3, 4, 8][case as usize % 4];
-            let ops = match case % 4 {
-                0 => strategy::skewed_writes(20, 300).generate(&mut rng),
-                1 => strategy::trim_heavy(16, 300).generate(&mut rng),
-                2 => strategy::power_cut_recovery(16, 300).generate(&mut rng),
-                _ => strategy::rollback_storm(12, 250).generate(&mut rng),
-            };
-            let cfg = cached(SsdConfig::new(Geometry::medium_test()));
-            let out = lockstep_shard_run(cfg, &ops, shards);
-            total += 1;
-            if !out.passed() {
-                fail(
-                    &report_path,
-                    seed,
-                    "shards",
-                    case,
-                    &format!(
-                        "partition-width lockstep diverged (width {shards}):\n{}",
-                        out.divergences.join("\n")
-                    ),
-                );
-            }
         }
         // Single-op injected faults under GC pressure (read, program, and
         // erase failures landing inside internal traffic).

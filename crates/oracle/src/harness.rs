@@ -7,13 +7,14 @@
 //! baselines the model runs on the mirror ordinal with nothing obligated),
 //! and a [`TimeSsd`] additionally gets everything that needs its history —
 //! chains, obligations, as-of and rollback probes, the power-cut crash
-//! contract, `check_consistency`.
+//! contract, `check_consistency`, and the whole-space query check a run
+//! ends with.
 //!
 //! The harness implements [`SsdDevice`], so anything that drives a device —
 //! `trace::replay` in particular — can drive the pair and get op-by-op
 //! read checking for free. Richer probes are available through
 //! [`DifferentialHarness::apply`] on [`OracleOp`] sequences, which is what
-//! the proptest strategies and the `shards` / `queues` runners feed it.
+//! the proptest strategies and the `queues` runner feed it.
 //!
 //! ## Comparison rules
 //!
@@ -30,19 +31,24 @@
 //!   are no longer obligated (expired or waived), but must stop at the
 //!   first obligated one; see [`ModelDevice`] for the waiver rules after a
 //!   power cut.
+//! - **Queries** over the whole exported span, run serially, must list
+//!   exactly the `(lpa, timestamp)` pairs of the per-page chains held
+//!   above, in LPA order; fanned out to the device's partition width they
+//!   must return the serial hits and [`QueryCost`] unchanged.
 //!
 //! A [`Divergence`] is recorded for each disagreement;
 //! [`minimal_failing_prefix`] re-runs an op sequence with a deep check
 //! after every op to pin the shortest reproducing prefix.
 
 use std::collections::BTreeMap;
+use std::fmt::Debug;
 
 use almanac_core::{
     AlmanacError, Completion, DeviceStats, Discard, Ftl, ReadGated, Result, Retention, SsdConfig,
     SsdDevice, SsdReadOps, TimeSsd, TimeTravel, VersionLocation,
 };
 use almanac_flash::{FlashError, Lpa, LpaSpan, Nanos, PageData};
-use almanac_kits::{RollbackOutcome, TimeKits};
+use almanac_kits::{AddrQuery, QueryCost, QueryHit, TimeKits, TimeQueryHit};
 
 use crate::model::ModelDevice;
 use crate::report::{Divergence, DivergenceReport};
@@ -53,25 +59,7 @@ use crate::strategy::{Action, Decoder, OracleOp};
 const CONTENT_CHECK_CAP: usize = 32;
 
 /// Stop recording after this many divergences (the first is what matters).
-pub(crate) const MAX_DIVERGENCES: usize = 16;
-
-/// What the device answered to one applied op: what a runner that pairs two
-/// harnesses compares across them.
-#[derive(Debug, PartialEq)]
-pub(crate) enum Answer {
-    /// Write, trim or flush timing.
-    Io(Completion),
-    /// Page read, and the timing.
-    Read(PageData, Completion),
-    /// Timestamp `version_as_of` served.
-    AsOf(Option<Nanos>),
-    /// What a rollback restored, erased and cost.
-    RolledBack(RollbackOutcome),
-    /// A deep check ran; true when it found nothing new.
-    Checked(bool),
-    /// A power cycle, or a history probe on a device that keeps none.
-    Nothing,
-}
+const MAX_DIVERGENCES: usize = 16;
 
 /// A device under test (a [`TimeSsd`] unless named otherwise) and its
 /// reference model, driven in lockstep.
@@ -209,7 +197,7 @@ impl<R: Guarantee> DifferentialHarness<Ftl<R>> {
     }
 
     /// Arrival time of the last applied op.
-    pub(crate) fn now(&self) -> Nanos {
+    fn now(&self) -> Nanos {
         self.decoder.now()
     }
 
@@ -247,42 +235,44 @@ impl<R: Guarantee> DifferentialHarness<Ftl<R>> {
         if self.stalled || self.full() {
             return;
         }
-        match self.step(op) {
-            Ok(_)
-            | Err(AlmanacError::DeviceStalled { .. })
-            | Err(AlmanacError::Flash(FlashError::Injected { .. })) => {}
-            Err(e) => panic!("unexpected device error in differential run: {e}"),
-        }
-    }
-
-    /// [`apply`](Self::apply), handing back what the device answered.
-    pub(crate) fn step(&mut self, op: &OracleOp) -> Result<Answer> {
         self.ops.push(op.clone());
         let (now, action) = self.decoder.decode(op);
-        let answer = match action {
-            Action::Write(lpa, data) => self.write(lpa, data, now).map(Answer::Io),
-            Action::Read(lpa) => self.read(lpa, now).map(|(data, c)| Answer::Read(data, c)),
-            Action::Trim(lpa) => self.trim(lpa, now).map(Answer::Io),
-            Action::Flush => self.flush(now).map(Answer::Io),
-            Action::Check => Ok(Answer::Checked(self.check_now())),
-            probe => self
-                .timed()
-                .map_or(Ok(Answer::Nothing), |h| h.probe(probe, now)),
+        let checked = matches!(action, Action::Check);
+        let outcome = match action {
+            Action::Write(lpa, data) => self.write(lpa, data, now).map(|_| ()),
+            Action::Read(lpa) => self.read(lpa, now).map(|_| ()),
+            Action::Trim(lpa) => self.trim(lpa, now).map(|_| ()),
+            Action::Flush => self.flush(now).map(|_| ()),
+            Action::Check => {
+                self.check_now();
+                Ok(())
+            }
+            probe => self.timed().map_or(Ok(()), |h| h.probe(probe, now)),
         };
-        if self.check_every > 0 && !matches!(answer, Ok(Answer::Checked(_))) {
+        if self.check_every > 0 && !checked {
             self.since_check += 1;
             if self.since_check >= self.check_every {
                 self.since_check = 0;
                 self.check_now();
             }
         }
-        answer
+        match outcome {
+            Ok(())
+            | Err(AlmanacError::DeviceStalled { .. })
+            | Err(AlmanacError::Flash(FlashError::Injected { .. })) => {}
+            Err(e) => panic!("unexpected device error in differential run: {e}"),
+        }
     }
 
-    /// Applies a whole sequence, finishing with [`check_now`](Self::check_now).
+    /// Applies a whole sequence, finishing with [`check_now`](Self::check_now)
+    /// and, on a [`TimeSsd`], the whole-space query check — once per run: at
+    /// every `Check` op it would cost more than the rest of the run.
     pub fn run(&mut self, ops: &[OracleOp]) -> DivergenceReport {
         ops.iter().for_each(|op| self.apply(op));
         self.check_now();
+        if let Some(h) = self.timed() {
+            h.query_check();
+        }
         self.report()
     }
 
@@ -356,16 +346,14 @@ impl<R: Guarantee> DifferentialHarness<Ftl<R>> {
 
 impl DifferentialHarness<TimeSsd> {
     /// The ops with no [`SsdDevice`] surface: history probes and power cuts.
-    fn probe(&mut self, probe: Action, now: Nanos) -> Result<Answer> {
+    fn probe(&mut self, probe: Action, now: Nanos) -> Result<()> {
         match probe {
-            Action::AsOf(lpa, at) => Ok(Answer::AsOf(self.as_of_check(lpa, at))),
-            Action::RollBack(addr, cnt, t) => self.roll_back(addr, cnt, t, now),
-            // `step` serves host I/O and checks itself: a power cut is left.
-            _ => {
-                self.power_cycle();
-                Ok(Answer::Nothing)
-            }
+            Action::AsOf(lpa, at) => self.as_of_check(lpa, at),
+            Action::RollBack(addr, cnt, t) => return self.roll_back(addr, cnt, t, now),
+            // `apply` serves host I/O and checks itself: a power cut is left.
+            _ => self.power_cycle(),
         }
+        Ok(())
     }
 
     /// The device answers `version_as_of(lpa, at)` may legally give:
@@ -392,9 +380,8 @@ impl DifferentialHarness<TimeSsd> {
         (acceptable, true)
     }
 
-    /// Compares `version_as_of` against the model's acceptable answers;
-    /// returns the device's.
-    fn as_of_check(&mut self, lpa: Lpa, at: Nanos) -> Option<Nanos> {
+    /// Compares `version_as_of` against the model's acceptable answers.
+    fn as_of_check(&mut self, lpa: Lpa, at: Nanos) {
         let device = self.ssd().version_as_of(lpa, at).map(|v| v.timestamp);
         let (acceptable, none_ok) = self.acceptable_as_of(lpa, at);
         let legal = match device {
@@ -413,7 +400,6 @@ impl DifferentialHarness<TimeSsd> {
             // The served version must also decode to the written bytes.
             self.verify_content(lpa, ts);
         }
-        device
     }
 
     fn verify_content(&mut self, lpa: Lpa, ts: Nanos) {
@@ -439,7 +425,7 @@ impl DifferentialHarness<TimeSsd> {
 
     /// TimeKits rollback of `[addr, addr+cnt)` to instant `t`, verified
     /// page-by-page: each page must end at an acceptable as-of state.
-    fn roll_back(&mut self, addr: Lpa, cnt: u64, t: Nanos, now: Nanos) -> Result<Answer> {
+    fn roll_back(&mut self, addr: Lpa, cnt: u64, t: Nanos, now: Nanos) -> Result<()> {
         self.in_rollback = true;
         let outcome = TimeKits::new(self.dev()).roll_back(addr, cnt, t, now);
         let answer = match outcome {
@@ -448,13 +434,13 @@ impl DifferentialHarness<TimeSsd> {
                 for lpa in LpaSpan::clamped(addr, cnt, self.model.exported_pages()).iter() {
                     self.sync_rolled_page(lpa, t);
                 }
-                Ok(Answer::RolledBack(out))
+                Ok(())
             }
             Err(AlmanacError::Flash(FlashError::PowerLoss)) => {
                 // Mid-rollback cut: some pages are already rewritten on
                 // flash. `power_cycle` adopts them from the scan.
                 self.power_cycle();
-                Ok(Answer::Nothing)
+                Ok(())
             }
             Err(e @ AlmanacError::DeviceStalled { .. }) => {
                 self.stalled = true;
@@ -685,6 +671,118 @@ impl DifferentialHarness<TimeSsd> {
             });
         }
     }
+
+    /// Runs every Table-1 query over the whole exported span — the three
+    /// [`AddrQuery`] modes and `time_query` / `time_query_range` /
+    /// `time_query_all` — at one worker and at the device's partition width,
+    /// and holds each to the chains of the pages [`deep_check`](Self::deep_check)
+    /// walks. `t` is the run's clock: as-of asks for `t`, the ranges for
+    /// `[t/2, t]`, `time_query` for `[t/2, ∞)`.
+    fn query_check(&mut self) {
+        let (t, span) = (self.clock, self.model.exported_pages());
+        let ssd = self.ssd();
+        let width = ssd.amt_shards();
+        let pages: Vec<(Lpa, Option<Nanos>, Vec<Nanos>)> = self
+            .model
+            .lpas()
+            .map(|lpa| {
+                let chain = ssd.version_chain(lpa).iter().map(|v| v.timestamp).collect();
+                (lpa, ssd.trimmed_at(lpa), chain)
+            })
+            .collect();
+        // The chains' pairs inside `[from, to]`, in LPA order; as-of keeps
+        // each page's newest, and none once the page was trimmed by `to`.
+        let listed = |from: Nanos, to: Nanos, as_of: bool| {
+            let mut pairs = Vec::new();
+            for (lpa, trimmed, chain) in &pages {
+                if as_of && trimmed.is_some_and(|at| at <= to) {
+                    continue;
+                }
+                let inside = chain.iter().filter(|&&ts| from <= ts && ts <= to);
+                let inside = inside.take(if as_of { 1 } else { usize::MAX });
+                pairs.extend(inside.map(|&ts| (*lpa, ts)));
+            }
+            pairs
+        };
+        let mut answer = |threads| {
+            let kits = TimeKits::new(self.dev()).with_threads(threads);
+            let whole = || kits.query(Lpa(0), span);
+            let addr = [
+                whole().as_of(t),
+                whole().range(t / 2, t),
+                whole().all_versions(),
+            ];
+            let time = [
+                kits.time_query(t / 2),
+                kits.time_query_range(t / 2, t),
+                kits.time_query_all(),
+            ];
+            let run = |q: AddrQuery<'_>| q.run().map(|out| (out.hits, out.cost));
+            (addr.map(run), time.map(Ok))
+        };
+        let (serial, fanned) = (answer(1), answer(width));
+        let addr = [
+            ("as_of", listed(0, t, true)),
+            ("range", listed(t / 2, t, false)),
+            ("all_versions", listed(0, Nanos::MAX, false)),
+        ];
+        for (((query, expected), s), f) in addr.into_iter().zip(serial.0).zip(fanned.0) {
+            let pairs = |h: &QueryHit| vec![(h.lpa, h.timestamp)];
+            self.compare_query(query, &expected, pairs, [s, f], width);
+        }
+        let time = [
+            ("time_query", listed(t / 2, Nanos::MAX, false)),
+            ("time_query_range", listed(t / 2, t, false)),
+            ("time_query_all", listed(0, Nanos::MAX, false)),
+        ];
+        for (((query, expected), s), f) in time.into_iter().zip(serial.1).zip(fanned.1) {
+            let pairs = |h: &TimeQueryHit| h.timestamps.iter().map(|&ts| (h.lpa, ts)).collect();
+            self.compare_query(query, &expected, pairs, [s, f], width);
+        }
+    }
+
+    /// Holds one query's `[serial, fan-out at width]` answers to the rule:
+    /// the serial hits list exactly `expected` (`pairs` flattens a hit), and
+    /// the fan-out returns the serial hits and cost unchanged. The first
+    /// broken rule is a [`Divergence::QueryMismatch`].
+    fn compare_query<H: PartialEq + Debug>(
+        &mut self,
+        query: &'static str,
+        expected: &[(Lpa, Nanos)],
+        pairs: impl Fn(&H) -> Vec<(Lpa, Nanos)>,
+        [serial, fanned]: [Result<(Vec<H>, QueryCost)>; 2],
+        width: u32,
+    ) {
+        let verdict = match (serial, fanned) {
+            (Err(e), _) => Some((1, format!("failed: {e}"))),
+            (_, Err(e)) => Some((width, format!("failed: {e}"))),
+            (Ok(serial), Ok(fanned)) => {
+                let listed: Vec<(Lpa, Nanos)> = serial.0.iter().flat_map(pairs).collect();
+                if let Some(d) = first_difference(&listed, expected) {
+                    Some((1, format!("(lpa, timestamp) vs the chains: {d}")))
+                } else if let Some(d) = first_difference(&fanned.0, &serial.0) {
+                    Some((width, format!("hits vs serial: {d}")))
+                } else {
+                    let (f, s) = (&fanned.1, &serial.1);
+                    (f != s).then(|| (width, format!("cost vs serial: {f:?} vs {s:?}")))
+                }
+            }
+        };
+        if let Some((workers, detail)) = verdict {
+            self.diverge(Divergence::QueryMismatch {
+                query,
+                workers,
+                detail,
+            });
+        }
+    }
+}
+
+/// Where two lists first part: the index, both lengths and both entries.
+fn first_difference<T: PartialEq + Debug>(a: &[T], b: &[T]) -> Option<String> {
+    let i = (0..a.len().max(b.len())).find(|&i| a.get(i) != b.get(i))?;
+    let (x, y, m, n) = (a.get(i), b.get(i), a.len(), b.len());
+    Some(format!("entry {i} of {m} vs {n}: {x:?} vs {y:?}"))
 }
 
 // ---- SsdDevice: anything that drives a device can drive the pair --------
@@ -780,4 +878,51 @@ impl<R: Guarantee> SsdReadOps for DifferentialHarness<Ftl<R>> {
 pub fn minimal_failing_prefix(config: &SsdConfig, ops: &[OracleOp]) -> DivergenceReport {
     let mut h = DifferentialHarness::new(config.clone()).with_check_every(1);
     h.run(ops)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use almanac_flash::Geometry;
+
+    #[test]
+    fn seeded_query_divergence_is_caught() {
+        // The query check is not vacuous: each broken answer is reported,
+        // against the run (serial or fan-out) that broke the rule.
+        let mut h = DifferentialHarness::new(SsdConfig::new(Geometry::small_test()));
+        let chains = [(Lpa(1), 30), (Lpa(1), 10), (Lpa(4), 20)];
+        let answer = |hits: &[(Lpa, Nanos)]| Ok((hits.to_vec(), QueryCost::new(2)));
+        let pairs = |&hit: &(Lpa, Nanos)| vec![hit];
+        let faithful = || answer(&chains);
+        h.compare_query("all_versions", &chains, pairs, [faithful(), faithful()], 4);
+        assert!(h.divergences().is_empty(), "{:?}", h.divergences());
+
+        let dropped = || answer(&chains[..2]);
+        h.compare_query("all_versions", &chains, pairs, [dropped(), dropped()], 4);
+        h.compare_query("all_versions", &chains, pairs, [faithful(), dropped()], 4);
+        let swapped = || answer(&[chains[1], chains[0], chains[2]]);
+        h.compare_query("range", &chains, pairs, [swapped(), faithful()], 4);
+        h.compare_query("range", &chains, pairs, [faithful(), swapped()], 4);
+        let mut costly = (chains.to_vec(), QueryCost::new(2));
+        costly.1.charge_read(1, 50);
+        h.compare_query("time_query", &chains, pairs, [faithful(), Ok(costly)], 4);
+
+        let caught: Vec<(&str, u32)> = h
+            .divergences()
+            .iter()
+            .map(|d| match d {
+                Divergence::QueryMismatch { query, workers, .. } => (*query, *workers),
+                other => panic!("not a query mismatch: {other}"),
+            })
+            .collect();
+        let expect = [
+            ("all_versions", 1),
+            ("all_versions", 4),
+            ("range", 1),
+            ("range", 4),
+            ("time_query", 4),
+        ];
+        assert_eq!(caught, expect);
+        assert!(h.divergences()[4].to_string().contains("cost"));
+    }
 }

@@ -20,25 +20,25 @@
 //! reachable from the rebuilt chains — only versions that lived purely in
 //! volatile delta buffers are waived.
 //!
-//! One harness, three clients. [`DifferentialHarness`] is the only code
+//! One harness, two clients. [`DifferentialHarness`] is the only code
 //! that applies an [`OracleOp`] to a device, mirrors it into the model and
 //! power-cycles; its arrival times, pages and payloads come from the one
 //! decoder next to the enum in [`strategy`]. It is generic over the device's
 //! retention policy ([`Guarantee`]): a [`TimeSsd`](almanac_core::TimeSsd) gets every check
-//! above, the `RegularSsd` and `FlashGuardSsd` baselines the head and read
-//! checks at retention zero.
+//! above, and [`DifferentialHarness::run`] ends with every Table-1 query
+//! over the whole span, serially and at the device's partition width, held
+//! to the per-page chains; the `RegularSsd` and `FlashGuardSsd` baselines
+//! get the head and read checks at retention zero.
 //!
 //! 1. Tests drive it directly: [`DifferentialHarness::run`] on the
 //!    adversarial sequences the [`strategy`] module generates (hot/cold
 //!    skew, equal-timestamp bursts, trims, GC pressure, power cuts,
-//!    rollback storms, single-op injected faults),
+//!    rollback storms, single-op injected faults) under configurations
+//!    that vary the partition width and turn the map cache on,
 //!    [`DifferentialHarness::apply`] on hand-written regressions — and,
 //!    since it implements `SsdDevice` itself, `trace::replay` with every
 //!    replayed read checked byte-for-byte.
-//! 2. [`lockstep_shard_run`] feeds the same ops to two harnesses, a width-1
-//!    and a width-N device, and adds what only it can compare: the two
-//!    devices with each other, op for op.
-//! 3. [`lockstep_queue_run`] takes a harness run as its serial reference
+//! 2. [`lockstep_queue_run`] takes a harness run as its serial reference
 //!    and compares it with the NVMe multi-queue schedule of the same ops.
 
 #![warn(missing_docs)]
@@ -47,12 +47,10 @@ pub mod harness;
 pub mod model;
 pub mod queues;
 pub mod report;
-pub mod shards;
 pub mod strategy;
 
 pub use harness::{minimal_failing_prefix, DifferentialHarness, Guarantee};
 pub use model::{ModelDevice, ModelVersion};
 pub use queues::{lockstep_queue_run, QueueRunOutcome};
 pub use report::{Divergence, DivergenceReport};
-pub use shards::{lockstep_shard_run, ShardRunOutcome};
 pub use strategy::OracleOp;

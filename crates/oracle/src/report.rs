@@ -100,6 +100,16 @@ pub enum Divergence {
         /// Buffered delta pages remaining after the ack.
         buffered: usize,
     },
+    /// A whole-space query's serial answer is not the per-page chains, or
+    /// its fan-out differs from the serial answer in hits or cost.
+    QueryMismatch {
+        /// The TimeKits call, e.g. `"range"` or `"time_query_all"`.
+        query: &'static str,
+        /// Workers of the run that broke the rule (1: the serial run).
+        workers: u32,
+        /// What differed.
+        detail: String,
+    },
 }
 
 impl fmt::Display for Divergence {
@@ -166,6 +176,11 @@ impl fmt::Display for Divergence {
                 f,
                 "flush acked with {buffered} delta buffer(s) still volatile"
             ),
+            Divergence::QueryMismatch {
+                query,
+                workers,
+                detail,
+            } => write!(f, "{query} at {workers} worker(s): {detail}"),
         }
     }
 }

@@ -3,6 +3,12 @@
 //! lockstep. Any divergence fails the test with the shortest reproducing
 //! op prefix in the panic message.
 //!
+//! Every `run` ends with the whole-space query check, so the partition
+//! width is a configuration value here, not a second device: the GC-pressure
+//! suite runs at a ragged width of 3, the power-cut suite at 8, both with
+//! the map cache on, and the rollback storms at 64, where most partitions
+//! are empty.
+//!
 //! The in-tree proptest runner is deterministic (seeded from the test
 //! path), so a CI failure here reproduces locally with no extra state.
 
@@ -31,6 +37,13 @@ fn pressure_cfg() -> SsdConfig {
 /// few milliseconds of virtual time instead of the 500 ms default.
 fn aging_cfg() -> SsdConfig {
     medium_cfg().with_tombstone_flush_deadline(2 * MS_NS)
+}
+
+/// Turns the translation-page cache on: its faults land in every
+/// completion time the stream sees.
+fn cached(mut cfg: SsdConfig) -> SsdConfig {
+    cfg.amt_cache_pages = Some(2);
+    cfg
 }
 
 fn almanac_bloom_cfg() -> almanac_bloom::ChainConfig {
@@ -116,7 +129,7 @@ proptest! {
 
     #[test]
     fn rollback_storms_match_model(ops in almanac_oracle::strategy::rollback_storm(12, 120)) {
-        let mut h = DifferentialHarness::new(medium_cfg());
+        let mut h = DifferentialHarness::new(medium_cfg().with_amt_shards(64));
         let report = h.run(&ops);
         proptest::prop_assert!(report.is_clean(), "{report}");
     }
@@ -129,14 +142,14 @@ proptest! {
     fn gc_pressure_matches_model(ops in almanac_oracle::strategy::gc_pressure(40, 260)) {
         // Stalls (retention pinning GC on a tiny device) are a measured
         // outcome; divergence is not.
-        let mut h = DifferentialHarness::new(pressure_cfg());
+        let mut h = DifferentialHarness::new(cached(pressure_cfg().with_amt_shards(3)));
         let report = h.run(&ops);
         proptest::prop_assert!(report.is_clean(), "{report}");
     }
 
     #[test]
     fn power_cuts_match_model(ops in almanac_oracle::strategy::power_cut_recovery(16, 140)) {
-        let mut h = DifferentialHarness::new(medium_cfg());
+        let mut h = DifferentialHarness::new(cached(medium_cfg().with_amt_shards(8)));
         let report = h.run(&ops);
         proptest::prop_assert!(report.is_clean(), "{report}");
     }

@@ -21,14 +21,11 @@
 //!   optional delete) matching Figure 10's families.
 //! - [`commits`] — a synthetic kernel source tree plus a patch stream that
 //!   mimics replaying kernel commits (Figure 11).
-//! - [`kvstore`] — a bitcask-style KV store with YCSB-like mixes (an
-//!   extension: the paper's introduction motivates KV/database history).
 
 #![warn(missing_docs)]
 
 pub mod commits;
 pub mod iozone;
-pub mod kvstore;
 pub mod oltp;
 pub mod postmark;
 pub mod profiles;

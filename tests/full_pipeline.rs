@@ -1,21 +1,25 @@
-//! Whole-stack pipelines: KV store → evidence export → consistency audit,
-//! and the NVMe wire path over a device shared with file-system traffic.
+//! Whole-stack pipelines: PostMark file traffic → evidence export →
+//! consistency audit, and the NVMe wire path.
 
 use almanac::core::{SsdConfig, SsdDevice, TimeSsd};
 use almanac::flash::{Geometry, Lpa, SEC_NS};
 use almanac::fs::{AlmanacFs, FsMode};
 use almanac::kits::{EvidenceArchive, TimeKits};
 use almanac::nvme::{HostDriver, NvmeController};
-use almanac::workloads::kvstore::{KvStore, YcsbMix};
+use almanac::workloads::postmark::{self, PostmarkConfig};
 
 #[test]
-fn kv_store_history_evidence_and_audit() {
+fn postmark_history_evidence_and_audit() {
     let ssd = TimeSsd::new(SsdConfig::new(Geometry::medium_test()));
     let mut fs = AlmanacFs::new(ssd, FsMode::Ext4NoJournal).unwrap();
-    let (mut kv, t) = KvStore::open(&mut fs, 11, 0).unwrap();
-    let report = kv.run_ycsb(YcsbMix::A, 60, 200, t).unwrap();
-    assert!(report.ops_per_sec() > 0.0);
-    assert_eq!(kv.len(), 60);
+    let cfg = PostmarkConfig {
+        initial_files: 20,
+        transactions: 200,
+        ..Default::default()
+    };
+    let report = postmark::run(&mut fs, cfg, 11, 0).unwrap();
+    assert!(report.tps() > 0.0);
+    assert_eq!(report.transactions, 200);
 
     // Export the full evidence archive and verify its integrity trailer.
     let kits = TimeKits::new(fs.device_mut());
