@@ -12,7 +12,9 @@
 # other `#[cfg(test)]` (an out-of-line `mod tests;`, one test-only item)
 # does not end the scan.
 status=0
-for f in crates/core/src/ftl.rs crates/core/src/timessd/gc.rs crates/core/src/timessd/mod.rs; do
+# Every file that holds the skeleton or a `Retention` impl is scanned.
+for f in crates/core/src/ftl.rs crates/core/src/regular.rs crates/core/src/flashguard.rs \
+    crates/core/src/timessd/gc.rs crates/core/src/timessd/mod.rs; do
     awk -v file="$f" -v allowed="wear_level_victim space_utilization" '
         /^[ \t]*#\[cfg\(test\)\]/ { cfg_test = 1; next }
         cfg_test && /^[ \t]*mod [a-z_0-9]+ \{/ { exit }

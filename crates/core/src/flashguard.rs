@@ -4,12 +4,13 @@
 //! retains only invalid pages *suspected to be ransomware victims*: pages
 //! that were read by the host and later overwritten (the read-encrypt-write
 //! signature). As a policy of the [`Ftl`] skeleton that is a read bit set by
-//! host reads and consumed by the next invalidation, and a GC that migrates
-//! retained pages raw until a fixed retention period passes. Unlike TimeSSD
-//! it keeps no version lineage, no Bloom-filter time index, no delta
-//! compression and no wear levelling; recovery reads raw retained pages,
-//! which is why the paper measures TimeSSD at ~14% slower recovery
-//! (decompression) in Figure 10.
+//! host reads and consumed by the next invalidation, and a `reclaim` that
+//! migrates retained pages raw until a fixed retention period passes —
+//! whether GC or the skeleton's wear-levelling swap is cleaning the block.
+//! Unlike TimeSSD it keeps no version lineage, no Bloom-filter time index and
+//! no delta compression; recovery reads raw retained pages, which is why the
+//! paper measures TimeSSD at ~14% slower recovery (decompression) in
+//! Figure 10.
 
 use std::collections::HashMap;
 

@@ -6,10 +6,10 @@
 //! ([`FlashGuardSsd`](crate::FlashGuardSsd)), or keep and delta-compress it
 //! ([`TimeSsd`](crate::TimeSsd)). [`Ftl<R>`] is that FTL written once — the
 //! flash array, AMT/PVT/BST, the allocator, the device clocks, the host
-//! command paths, page migration, the GC pass and its watermark loop, block
-//! erasure and the wear-levelling trigger — and [`Retention`] is the rule for
-//! invalid pages, dispatched statically: the three devices are type aliases,
-//! not wrappers.
+//! command paths, page migration, the one loop that cleans a block, the GC
+//! pass and its watermark loop, block erasure and wear levelling (the
+//! cold-to-old swap) — and [`Retention`] is the rule for invalid pages,
+//! dispatched statically: the three devices are type aliases, not wrappers.
 
 use almanac_flash::{BlockId, FlashArray, Lpa, Nanos, Oob, PageData, Ppa};
 
@@ -47,14 +47,16 @@ pub(crate) enum Dest {
     Hot,
     /// Next page of the GC / wear-levelling stream.
     Cold,
-    /// A page of a block the caller took out of the free pool itself.
-    At(Ppa),
+    /// Next page of a block the caller took out of the free pool itself.
+    Into(BlockId),
 }
 
 /// What an FTL does with invalid pages — the one thing the three devices
 /// disagree on. Every hook is an associated function over the whole device
 /// and has exactly one call site in this module; the defaults are the
-/// regular SSD, which retains nothing.
+/// regular SSD, which retains nothing. How a block is cleaned, by GC or by
+/// wear levelling, is not a hook: both run `Ftl::clean`, which hands each
+/// invalid page to [`reclaim`](Retention::reclaim).
 pub trait Retention: sealed::Sealed + Sized {
     /// The device's [`SsdReadOps::kind`].
     const KIND: &'static str;
@@ -76,8 +78,9 @@ pub trait Retention: sealed::Sealed + Sized {
         Ok(None)
     }
 
-    /// Decides the fate of the invalid page `ppa` of a GC victim before the
-    /// block is erased; returns the time after any flash work it did.
+    /// Decides the fate of the invalid page `ppa` of a block being cleaned
+    /// (a GC victim or a wear-levelling swap's cold block) before the block
+    /// is erased; returns the time after any flash work it did.
     fn reclaim(_ftl: &mut Ftl<Self>, _ppa: Ppa, t: Nanos) -> Result<Nanos> {
         Ok(t)
     }
@@ -89,13 +92,6 @@ pub trait Retention: sealed::Sealed + Sized {
     /// the policy gave up retained data so that another pass can succeed.
     fn relieve(_ftl: &mut Ftl<Self>, _now: Nanos) -> bool {
         false
-    }
-
-    /// Wear levelling, run after the GC loop. The trigger and the choice of
-    /// the cold block are shared (`Ftl::wear_level_victim`); where the cold
-    /// data goes is not.
-    fn wear_level(_ftl: &mut Ftl<Self>, _now: Nanos) -> Result<()> {
-        Ok(())
     }
 
     /// Housekeeping at the arrival of a host command, before it is admitted.
@@ -252,7 +248,7 @@ impl<R: Retention> Ftl<R> {
         let slot = match dest {
             Dest::Hot => self.alloc.next_data_page(),
             Dest::Cold => self.alloc.next_gc_page(),
-            Dest::At(ppa) => Some((ppa, None)),
+            Dest::Into(b) => Some((self.config.geometry.ppa(b.0, self.bst.get(b).written), None)),
         };
         let (ppa, opened) = slot.ok_or_else(|| self.stalled(at))?;
         if let Some(b) = opened {
@@ -262,7 +258,7 @@ impl<R: Retention> Ftl<R> {
         // allocator slot so the block's program sequence stays aligned and a
         // retry succeeds.
         let finish = self.flash.program(ppa, data, oob, at).inspect_err(|_| {
-            if !matches!(dest, Dest::At(_)) {
+            if !matches!(dest, Dest::Into(_)) {
                 self.alloc.unreserve_page(ppa);
             }
         })?;
@@ -333,6 +329,30 @@ impl<R: Retention> Ftl<R> {
         self.bst.gc_victim(|b, _| !self.alloc.is_active(b))
     }
 
+    /// Empties `victim` for an erase (Algorithm 1, lines 5-25): a valid page
+    /// migrates to `dest` and `moved` books it, an invalid page goes to the
+    /// policy's `reclaim`. Booking is per page, so a faulted pass has booked
+    /// what it moved.
+    fn clean(
+        &mut self,
+        victim: BlockId,
+        dest: Dest,
+        mut t: Nanos,
+        moved: fn(&mut DeviceStats),
+    ) -> Result<Nanos> {
+        let geo = self.config.geometry;
+        for off in 0..self.bst.get(victim).written {
+            let ppa = geo.ppa(victim.0, off);
+            if self.pvt.get(ppa) {
+                t = self.migrate_valid(ppa, dest, t)?;
+                moved(&mut self.stats);
+            } else {
+                t = R::reclaim(self, ppa, t)?;
+            }
+        }
+        Ok(t)
+    }
+
     /// One GC pass (Algorithm 1). Returns false when there was nothing to
     /// collect.
     fn gc_once(&mut self, now: Nanos) -> Result<bool> {
@@ -342,19 +362,10 @@ impl<R: Retention> Ftl<R> {
                 let Some(victim) = self.pick_victim() else {
                     return Ok(false);
                 };
-                let geo = self.config.geometry;
-                let mut t = now;
-                for off in 0..self.bst.get(victim).written {
-                    let ppa = geo.ppa(victim.0, off);
-                    if self.pvt.get(ppa) {
-                        // Lines 7-9: migrate valid pages.
-                        t = self.migrate_valid(ppa, Dest::Cold, t)?;
-                        self.stats.gc_reads += 1;
-                        self.stats.gc_programs += 1;
-                    } else {
-                        t = R::reclaim(self, ppa, t)?;
-                    }
-                }
+                let t = self.clean(victim, Dest::Cold, now, |s| {
+                    s.gc_reads += 1;
+                    s.gc_programs += 1;
+                })?;
                 // Line 26: erase the victim.
                 self.erase_block(victim, t)?
             }
@@ -393,14 +404,44 @@ impl<R: Retention> Ftl<R> {
                 None => return Err(self.stalled(start)),
             }
         }
-        R::wear_level(self, now.max(self.busy_until))
+        self.wear_level(now.max(self.busy_until))
     }
 
-    /// The shared half of wear levelling: when the erase-count spread
-    /// exceeds the threshold, and at most once per 64 block erases
-    /// (otherwise the leveler itself burns endurance faster than it spreads
-    /// it), names the coldest closed data block.
-    pub(crate) fn wear_level_victim(&mut self) -> Option<BlockId> {
+    /// Wear levelling (§3.8), the cold-to-old swap: cleans the coldest
+    /// closed data block onto the most-worn free block, retiring that block
+    /// from the hot rotation. Valid pages go through `migrate_valid` onto
+    /// the parked block's next page, so a failed program leaves the old copy
+    /// mapped and both blocks closed data blocks that GC can collect;
+    /// invalid pages meet the policy's `reclaim`, as in a GC pass. Delta
+    /// blocks are never touched (their chains must not break; they are
+    /// erased in time order anyway).
+    fn wear_level(&mut self, now: Nanos) -> Result<()> {
+        let Some(victim) = self.wear_level_victim() else {
+            return Ok(());
+        };
+        let worn = |b| self.flash.erase_count(b).unwrap_or(0);
+        let Some(parked) = self.alloc.take_block_by_max(worn) else {
+            return Ok(());
+        };
+        self.bst.update(parked, |info| info.kind = BlockKind::Data);
+        let moved = self.clean(victim, Dest::Into(parked), now, |s| s.wl_programs += 1);
+        if self.bst.get(parked).written == 0 {
+            // Nothing landed on it (no valid page, or the first program
+            // failed): an empty block belongs in the pool.
+            self.bst.reset(parked);
+            self.alloc.release(parked);
+        }
+        let t = self.erase_block(victim, moved?)?;
+        self.stats.wl_swaps += 1;
+        self.busy_until = self.busy_until.max(t);
+        Ok(())
+    }
+
+    /// The swap's trigger: when the erase-count spread exceeds the
+    /// threshold, and at most once per 64 block erases (otherwise the
+    /// leveler itself burns endurance faster than it spreads it), names the
+    /// coldest closed data block.
+    fn wear_level_victim(&mut self) -> Option<BlockId> {
         if self.flash.wear_spread() <= self.config.wl_spread_threshold {
             return None;
         }
@@ -516,8 +557,8 @@ impl<R: Retention> SsdReadOps for Ftl<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FlashGuardSsd, RegularSsd, TimeSsd};
-    use almanac_flash::Geometry;
+    use crate::{Discard, FlashGuardSsd, ReadGated, RegularSsd, TimeSsd, TimeTravel};
+    use almanac_flash::{FlashError, Geometry};
 
     /// Regression: the old trait default returned `finish: now`, letting an
     /// fsync issued at a write's arrival instant complete *before* the write
@@ -652,5 +693,137 @@ mod tests {
         flush_fences_in_flight_io(RegularSsd::new(cfg()));
         flush_fences_in_flight_io(FlashGuardSsd::new(cfg()));
         flush_fences_in_flight_io(TimeSsd::new(cfg()));
+    }
+
+    /// What the workloads below write to `lpa` as its `version`.
+    fn page(lpa: u64, version: u64) -> PageData {
+        PageData::Synthetic { seed: lpa, version }
+    }
+
+    /// Asserts that every LPA with an acked write reads its last one.
+    fn reads_last_acked<R: Retention>(ssd: &mut Ftl<R>, last: &[Option<u64>], now: Nanos) {
+        let kind = ssd.kind();
+        for (l, version) in last.iter().enumerate() {
+            let want = version.map_or(PageData::Zeros, |v| page(l as u64, v));
+            let (data, _) = ssd.read(Lpa(l as u64), now).unwrap();
+            assert_eq!(data, want, "{kind}: LPA {l}");
+        }
+    }
+
+    /// A cold fill, then an 8-LPA hot set under `wl_spread_threshold = 4`:
+    /// the skeleton's cold-to-old swap must run, book every program it
+    /// makes, and leave every LPA reading its last bytes.
+    fn wear_levels<R: Retention>(ssd: &mut Ftl<R>) {
+        let kind = ssd.kind();
+        let exported = ssd.exported_pages();
+        let mut last = vec![None; exported as usize];
+        let mut now = 0;
+        let writes = (0..exported).chain((0..exported * 30).map(|i| i % 8));
+        for (version, l) in writes.enumerate() {
+            let version = version as u64;
+            now = ssd.write(Lpa(l), page(l, version), now).unwrap().finish;
+            last[l as usize] = Some(version);
+        }
+        let s = *ssd.stats();
+        assert!(s.wl_swaps > 0, "{kind}: wear leveling never ran");
+        assert_eq!(
+            s.user_programs + s.gc_programs + s.wl_programs,
+            ssd.flash.stats().programs,
+            "{kind}: a program went unbooked"
+        );
+        reads_last_acked(ssd, &last, now);
+    }
+
+    /// TimeSSD's leg is `timessd::tests::wear_leveling_bounds_erase_spread`:
+    /// a full TimeSSD on `small_test` stalls under this workload.
+    #[test]
+    fn wear_leveling_on_every_ftl() {
+        let mut cfg = SsdConfig::new(Geometry::small_test());
+        cfg.wl_spread_threshold = 4;
+        wear_levels(&mut RegularSsd::new(cfg.clone()));
+
+        // A read-then-overwritten page sits in the first block the cold fill
+        // programs; whichever pass cleans that block must carry it along.
+        let mut ssd = FlashGuardSsd::new(cfg);
+        let victim = Lpa(ssd.exported_pages() - 1);
+        let original = PageData::bytes(vec![0xAA; 8]);
+        ssd.write(victim, original.clone(), 0).unwrap();
+        ssd.read(victim, 0).unwrap();
+        wear_levels(&mut ssd);
+        let retained = ssd.retained_versions(victim);
+        assert_eq!(retained.len(), 1, "the retained victim was lost");
+        assert_eq!(ssd.retained_content(retained[0].1).unwrap(), original);
+    }
+
+    /// Round-robin overwrites until the first failure, which must be a worn
+    /// block's erase. The first eight LPAs are read before each overwrite,
+    /// so FlashGuard retains their old copies. Every later write fails
+    /// typed as well — greedy GC re-picks the block whose erase failed — and
+    /// reads keep serving the last acked bytes. Returns the device, the last
+    /// acked version of each LPA and the clock.
+    fn wear_out<R: Retention>(cfg: SsdConfig) -> (Ftl<R>, Vec<Option<u64>>, Nanos) {
+        let mut ssd = Ftl::<R>::new(cfg);
+        let kind = ssd.kind();
+        let exported = ssd.exported_pages();
+        let mut last = vec![None; exported as usize];
+        let mut now = 0;
+        let mut failed = None;
+        for version in 0..1_000_000u64 {
+            let l = version % exported;
+            if l < 8 {
+                now = ssd.read(Lpa(l), now).unwrap().1.finish;
+            }
+            match ssd.write(Lpa(l), page(l, version), now) {
+                Ok(c) => {
+                    now = c.finish;
+                    last[l as usize] = Some(version);
+                }
+                Err(e) => {
+                    failed = Some(e);
+                    break;
+                }
+            }
+        }
+        let worn_out = |e: &AlmanacError| matches!(e, AlmanacError::Flash(FlashError::WornOut(_)));
+        let first = failed.unwrap_or_else(|| panic!("{kind}: never wore out"));
+        assert!(worn_out(&first), "{kind}: first failure {first:?}");
+        for l in 0..exported.min(32) {
+            let e = ssd.write(Lpa(l), page(l, u64::MAX), now).unwrap_err();
+            assert!(worn_out(&e), "{kind}: LPA {l} after wear-out: {e:?}");
+        }
+        reads_last_acked(&mut ssd, &last, now);
+        (ssd, last, now)
+    }
+
+    #[test]
+    fn end_of_life_is_a_typed_error_on_every_ftl() {
+        for endurance in [2, 5] {
+            let mut cfg = SsdConfig::new(Geometry::small_test());
+            cfg.endurance = Some(endurance);
+            wear_out::<Discard>(cfg.clone());
+            // Retained victims stay readable on a device that takes no writes.
+            let (ssd, ..) = wear_out::<ReadGated>(cfg);
+            let retained = ssd.retained_versions(Lpa(0));
+            assert!(!retained.is_empty(), "nothing retained");
+            for (_, ppa) in retained {
+                let data = ssd.retained_content(ppa).unwrap();
+                assert!(
+                    matches!(data, PageData::Synthetic { seed: 0, .. }),
+                    "{data:?}"
+                );
+            }
+
+            let mut cfg = SsdConfig::new(Geometry::medium_test()).with_min_retention(0);
+            cfg.endurance = Some(endurance);
+            let (ssd, last, now) = wear_out::<TimeTravel>(cfg.clone());
+            let audit = ssd.check_consistency();
+            assert!(audit.is_clean(), "{:?}", audit.violations);
+            let mut flash = ssd.into_flash();
+            flash.revive();
+            let mut ssd = TimeSsd::recover_from_flash(flash, cfg);
+            let audit = ssd.check_consistency();
+            assert!(audit.is_clean(), "{:?}", audit.violations);
+            reads_last_acked(&mut ssd, &last, now);
+        }
     }
 }

@@ -1,13 +1,9 @@
 //! The regular (baseline) SSD of Figures 6 and 7: the [`Ftl`] skeleton with
 //! nothing retained. An invalid page is simply dropped by the erase of its
-//! block; wear levelling force-cleans the coldest block through the cold
-//! allocation stream.
-
-use almanac_flash::Nanos;
+//! block, whether GC or the skeleton's wear-levelling swap cleaned it.
 
 use crate::config::SsdConfig;
-use crate::error::Result;
-use crate::ftl::{sealed::Sealed, Dest, Ftl, Retention};
+use crate::ftl::{sealed::Sealed, Ftl, Retention};
 
 /// The retention policy of a conventional SSD: invalid pages are discarded.
 #[derive(Debug, Clone, Copy, Default)]
@@ -35,25 +31,6 @@ impl Retention for Discard {
 
     fn new(_config: &SsdConfig) -> Self {
         Discard
-    }
-
-    fn wear_level(ftl: &mut Ftl<Self>, now: Nanos) -> Result<()> {
-        let Some(victim) = ftl.wear_level_victim() else {
-            return Ok(());
-        };
-        let geo = ftl.config.geometry;
-        let mut t = now;
-        for off in 0..geo.pages_per_block {
-            let ppa = geo.ppa(victim.0, off);
-            if ftl.pvt.get(ppa) {
-                t = ftl.migrate_valid(ppa, Dest::Cold, t)?;
-                ftl.stats.wl_programs += 1;
-            }
-        }
-        let t = ftl.erase_block(victim, t)?;
-        ftl.stats.wl_swaps += 1;
-        ftl.busy_until = ftl.busy_until.max(t);
-        Ok(())
     }
 }
 
@@ -158,22 +135,6 @@ mod tests {
                 .unwrap();
         }
         assert!(ssd.free_blocks() > 0);
-    }
-
-    #[test]
-    fn wear_leveling_bounds_spread() {
-        let mut cfg = SsdConfig::new(Geometry::small_test());
-        cfg.wl_spread_threshold = 4;
-        let mut ssd = RegularSsd::new(cfg);
-        let exported = ssd.exported_pages();
-        // Hammer a small hot set; cold data written once.
-        for l in 0..exported {
-            ssd.write(Lpa(l), PageData::Zeros, 0).unwrap();
-        }
-        for i in 0..(exported * 30) {
-            ssd.write(Lpa(i % 8), PageData::Zeros, i * 1000).unwrap();
-        }
-        assert!(ssd.stats().wl_swaps > 0, "wear leveling never triggered");
     }
 
     #[test]

@@ -1,14 +1,14 @@
-//! TimeSSD's half of garbage collection (Algorithm 1, §3.8; the pass itself
-//! is the skeleton's): delta compression of retained versions (§3.6–3.7),
-//! expired delta blocks, window shrinking, background idle-time compression,
-//! and the wear-leveling swap.
+//! TimeSSD's half of garbage collection (Algorithm 1, §3.8; the pass, the
+//! page loop and the wear-levelling swap are the skeleton's): delta
+//! compression of retained versions (§3.6–3.7), which every cleaned block's
+//! retained pages meet through `reclaim`, expired delta blocks, window
+//! shrinking and background idle-time compression.
 
 use almanac_bloom::FilterId;
-use almanac_flash::{BlockId, DeltaBody, DeltaRecord, Lpa, Nanos, Oob, PageData, Ppa};
+use almanac_flash::{DeltaBody, DeltaRecord, Lpa, Nanos, Oob, PageData, Ppa};
 
 use crate::error::Result;
-use crate::ftl::Dest;
-use crate::tables::{AmtEntry, BlockKind};
+use crate::tables::AmtEntry;
 
 use super::{TimeSsd, REF_ZEROS};
 
@@ -380,51 +380,6 @@ impl TimeSsd {
         } else {
             false
         }
-    }
-
-    /// Wear leveling (§3.8): force-cleans the coldest closed data block onto
-    /// the most-worn free block, retiring that block from the hot rotation
-    /// (the cold-to-old swap). Valid pages migrate, retained pages are
-    /// compressed exactly like a GC pass. Delta blocks are never touched
-    /// (their chains must not break; they are erased in time order anyway).
-    pub(crate) fn cold_to_old_swap(&mut self, now: Nanos) -> Result<()> {
-        let Some(victim) = self.wear_level_victim() else {
-            return Ok(());
-        };
-        let worn = |b| self.flash.erase_count(b).unwrap_or(0);
-        let Some(parked) = self.alloc.take_block_by_max(worn) else {
-            return Ok(());
-        };
-        self.bst.update(parked, |info| info.kind = BlockKind::Data);
-        let moved = self.park_block(victim, parked, now);
-        if self.bst.get(parked).written == 0 {
-            // Nothing landed on it (no valid page, or the first program
-            // failed): an empty block belongs in the pool.
-            self.bst.reset(parked);
-            self.alloc.release(parked);
-        }
-        let t = self.erase_block(victim, moved?)?;
-        self.stats.wl_swaps += 1;
-        self.busy_until = self.busy_until.max(t);
-        Ok(())
-    }
-
-    /// Moves everything worth keeping out of `victim`, valid pages onto
-    /// consecutive pages of `parked`. An error leaves both blocks closed
-    /// data blocks that GC can collect.
-    fn park_block(&mut self, victim: BlockId, parked: BlockId, mut t: Nanos) -> Result<Nanos> {
-        let geo = self.config.geometry;
-        for off in 0..geo.pages_per_block {
-            let ppa = geo.ppa(victim.0, off);
-            if self.pvt.get(ppa) {
-                let slot = geo.ppa(parked.0, self.bst.get(parked).written);
-                t = self.migrate_valid(ppa, Dest::At(slot), t)?;
-                self.stats.wl_programs += 1;
-            } else {
-                t = self.compress_retained(ppa, t)?;
-            }
-        }
-        Ok(t)
     }
 
     /// Spends a just-elapsed idle window on background compression when the

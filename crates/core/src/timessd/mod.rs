@@ -164,10 +164,6 @@ impl Retention for TimeTravel {
         ftl.force_shrink(now)
     }
 
-    fn wear_level(ftl: &mut Ftl<Self>, now: Nanos) -> Result<()> {
-        ftl.cold_to_old_swap(now)
-    }
-
     /// What runs at arrival differs per command: background compression
     /// wants the idle window that a write or read just ended, every command
     /// that can be followed by a long gap bounds tombstone age, and a trim —

@@ -7,12 +7,16 @@
 //! width is a configuration value here, not a second device: the GC-pressure
 //! suite runs at a ragged width of 3, the power-cut suite at 8, both with
 //! the map cache on, and the rollback storms at 64, where most partitions
-//! are empty.
+//! are empty. Wear levelling is a configuration value too: the wearing
+//! suite lowers `wl_spread_threshold` so the cold-to-old swap runs under the
+//! model on all three FTLs.
 //!
 //! The in-tree proptest runner is deterministic (seeded from the test
 //! path), so a CI failure here reproduces locally with no extra state.
 
-use almanac_core::{Discard, Ftl, ReadGated, SsdConfig, SsdDevice, SsdReadOps, TimeTravel};
+use almanac_core::{
+    DeviceStats, Discard, Ftl, ReadGated, SsdConfig, SsdDevice, SsdReadOps, TimeTravel,
+};
 use almanac_flash::{FaultPlan, Geometry, Lpa, Nanos, PageData, MS_NS, SEC_NS};
 use almanac_oracle::{
     minimal_failing_prefix, DifferentialHarness, Divergence, Guarantee, OracleOp,
@@ -31,6 +35,15 @@ fn pressure_cfg() -> SsdConfig {
     SsdConfig::new(Geometry::small_test())
         .with_min_retention(SEC_NS)
         .with_bloom(almanac_bloom_cfg())
+}
+
+/// `pressure_cfg` with the wear-levelling trigger at a spread of 1: once 64
+/// blocks have been erased, the skeleton's cold-to-old swap runs mid-stream
+/// on every device.
+fn wearing_cfg() -> SsdConfig {
+    let mut cfg = pressure_cfg();
+    cfg.wl_spread_threshold = 1;
+    cfg
 }
 
 /// Short tombstone deadline so the age-based group flush fires within a
@@ -60,25 +73,34 @@ fn almanac_bloom_cfg() -> almanac_bloom::ChainConfig {
 /// and full differ in the history they keep, never in the head, so the model
 /// keeps nothing obligated and its clock is the op ordinal (the baselines do
 /// not hand out strictly increasing timestamps). The TimeSSD is held to its
-/// history as well. A stall ends the run.
-fn heads_match_model<R: Guarantee>(cfg: &SsdConfig, ops: &[OracleOp]) -> Result<(), String> {
+/// history as well. A stall ends the run. Returns the device's counters.
+fn heads_match_model<R: Guarantee>(
+    cfg: &SsdConfig,
+    ops: &[OracleOp],
+) -> Result<DeviceStats, String> {
     let mut h = DifferentialHarness::<Ftl<R>>::over(cfg.clone());
     h.run(ops);
     h.read_sweep();
     let report = h.report();
     if report.is_clean() {
-        Ok(())
+        Ok(*h.ssd().stats())
     } else {
         Err(format!("{}: {report}", h.ssd().kind()))
     }
 }
 
 /// The oracle's model against all three FTLs — the comparators of Figures
-/// 6–10 are held to the same heads as the TimeSSD.
-fn heads_match_model_on_every_ftl(cfg: SsdConfig, ops: &[OracleOp]) -> Result<(), String> {
-    heads_match_model::<Discard>(&cfg, ops)?;
-    heads_match_model::<ReadGated>(&cfg, ops)?;
-    heads_match_model::<TimeTravel>(&cfg, ops)
+/// 6–10 are held to the same heads as the TimeSSD. Returns the counters of
+/// the regular, FlashGuard and TimeSSD runs.
+fn heads_match_model_on_every_ftl(
+    cfg: SsdConfig,
+    ops: &[OracleOp],
+) -> Result<[DeviceStats; 3], String> {
+    Ok([
+        heads_match_model::<Discard>(&cfg, ops)?,
+        heads_match_model::<ReadGated>(&cfg, ops)?,
+        heads_match_model::<TimeTravel>(&cfg, ops)?,
+    ])
 }
 
 proptest! {
@@ -100,6 +122,40 @@ proptest! {
     fn heads_match_model_on_every_ftl_gc_pressure(ops in almanac_oracle::strategy::gc_pressure(40, 260)) {
         let verdict = heads_match_model_on_every_ftl(pressure_cfg(), &ops);
         proptest::prop_assert!(verdict.is_ok(), "{verdict:?}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    /// Long enough for 64 erases, so the swap runs under the model.
+    #[test]
+    fn heads_match_model_on_every_ftl_wearing(ops in almanac_oracle::strategy::gc_pressure(40, 1000)) {
+        let verdict = heads_match_model_on_every_ftl(wearing_cfg(), &ops);
+        proptest::prop_assert!(verdict.is_ok(), "{verdict:?}");
+    }
+}
+
+/// Deterministic witness that the wearing config forces the cold-to-old
+/// swap on every device, so its suite cannot pass vacuously: round-robin
+/// overwrites of 40 pages, every eighth one read first so that FlashGuard
+/// has retained victims for the swap to carry (it stalls once they fill the
+/// device, which ends its run).
+#[test]
+fn wear_leveling_swaps_under_the_model_on_every_ftl() {
+    let ops: Vec<OracleOp> = (0..1000u64)
+        .flat_map(|i| {
+            let lpa = i % 40;
+            let read = (i % 8 == 0).then_some(OracleOp::Read { lpa, gap: 0 });
+            read.into_iter().chain([OracleOp::Write {
+                lpa,
+                gap: 25 * MS_NS,
+            }])
+        })
+        .collect();
+    let stats = heads_match_model_on_every_ftl(wearing_cfg(), &ops).unwrap();
+    for (kind, s) in ["regular", "flashguard", "timessd"].iter().zip(stats) {
+        assert!(s.wl_swaps > 0, "{kind}: no wear-leveling swap");
     }
 }
 

@@ -8,9 +8,10 @@
 //! - **No shrinking.** A failing case reports the test name, case index, and
 //!   per-case seed; re-running is fully deterministic, so the failing input
 //!   is reproducible by construction.
-//! - **Deterministic seeds.** Case `i` of test `t` draws from a generator
-//!   seeded by `fnv(module_path, t) + i`; there is no OS entropy anywhere,
-//!   matching the repo-wide "pure function of its seeds" rule.
+//! - **Deterministic seeds.** Case `i` of test `t` draws from the workspace's
+//!   `StdRng` (the in-tree `rand` stand-in) seeded by `fnv(module_path, t) +
+//!   i`; there is no OS entropy anywhere, matching the repo-wide "pure
+//!   function of its seeds" rule.
 //! - The [`Strategy`] trait is generation-only (`Value` + `generate`), with
 //!   the combinators the tests use: `prop_map`, ranges, tuples, [`Just`],
 //!   [`collection::vec`], [`collection::hash_set`], [`sample::select`],
@@ -21,19 +22,12 @@ use std::hash::Hash;
 use std::ops::{Range, RangeInclusive};
 use std::rc::Rc;
 
-/// Deterministic generator driving a single property-test case.
-#[derive(Debug, Clone)]
-pub struct TestRng {
-    s: [u64; 4],
-}
+use rand::{rngs::StdRng, Rng, SeedableRng};
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+/// Deterministic generator driving a single property-test case: the
+/// workspace's one PRNG, seeded per case.
+#[derive(Debug, Clone)]
+pub struct TestRng(StdRng);
 
 /// FNV-1a over a string, for deriving per-test seeds.
 pub fn fnv1a(s: &str) -> u64 {
@@ -48,28 +42,14 @@ pub fn fnv1a(s: &str) -> u64 {
 impl TestRng {
     /// Builds the generator for one case of one test.
     pub fn for_case(test_path: &str, case: u32) -> Self {
-        let mut sm = fnv1a(test_path).wrapping_add(case as u64);
-        let mut s = [0u64; 4];
-        for w in &mut s {
-            *w = splitmix64(&mut sm);
-        }
-        if s == [0; 4] {
-            s[0] = 1;
-        }
-        TestRng { s }
+        TestRng(StdRng::seed_from_u64(
+            fnv1a(test_path).wrapping_add(case as u64),
+        ))
     }
 
-    /// Next raw 64 bits (xoshiro256**).
+    /// Next raw 64 bits.
     pub fn next_u64(&mut self) -> u64 {
-        let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
-        let t = self.s[1] << 17;
-        self.s[2] ^= self.s[0];
-        self.s[3] ^= self.s[1];
-        self.s[1] ^= self.s[2];
-        self.s[0] ^= self.s[3];
-        self.s[2] ^= t;
-        self.s[3] = self.s[3].rotate_left(45);
-        result
+        self.0.next_raw()
     }
 
     /// Uniform value below `n` (n > 0).
@@ -534,6 +514,24 @@ macro_rules! proptest {
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
+
+    /// Which cases every property test in the workspace runs is a function
+    /// of this stream: pinned, so that a change to the seeding or the
+    /// generator cannot silently swap them.
+    #[test]
+    fn case_streams_are_pinned() {
+        let mut rng = TestRng::for_case("almanac::pinned", 7);
+        let draws: Vec<u64> = (0..4).map(|_| rng.next_u64()).collect();
+        assert_eq!(
+            draws,
+            [
+                0x693c_5e8a_d9b3_8219,
+                0xbc5b_60d9_aaf4_54b4,
+                0xd566_429c_14b5_9411,
+                0xaa41_3b9d_e708_1bbc,
+            ]
+        );
+    }
 
     #[test]
     fn deterministic_generation() {
