@@ -157,6 +157,15 @@ impl BloomChain {
         self.segments.pop_front().map(|s| s.info)
     }
 
+    /// True if filter `id` is still live. Ids are issued in order and
+    /// dropped oldest first, so the live ids are one contiguous range.
+    pub fn is_live(&self, id: FilterId) -> bool {
+        match (self.segments.front(), self.segments.back()) {
+            (Some(oldest), Some(newest)) => (oldest.info.id..=newest.info.id).contains(&id),
+            _ => false,
+        }
+    }
+
     /// Metadata of every live filter, oldest first.
     pub fn infos(&self) -> Vec<SealedInfo> {
         self.segments.iter().map(|s| s.info).collect()

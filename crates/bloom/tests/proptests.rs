@@ -76,4 +76,30 @@ proptest! {
             prop_assert!(after >= before);
         }
     }
+
+    #[test]
+    fn is_live_matches_the_live_filter_list(
+        steps in proptest::collection::vec(0u8..8, 1..300),
+        capacity in 1u64..8,
+    ) {
+        // Step 0 drops the oldest filter, any other step inserts a key.
+        let mut chain = BloomChain::new(ChainConfig {
+            bits_per_filter: 256,
+            hashes: 2,
+            capacity,
+        });
+        let mut issued = 0;
+        for (i, step) in steps.iter().enumerate() {
+            if *step == 0 {
+                chain.drop_oldest();
+            } else {
+                issued = issued.max(chain.insert(i as u64, i as u64) + 1);
+            }
+            let infos = chain.infos();
+            // Every id issued so far, plus the next one.
+            for id in 0..=issued {
+                prop_assert_eq!(chain.is_live(id), infos.iter().any(|i| i.id == id));
+            }
+        }
+    }
 }

@@ -295,17 +295,15 @@ impl TimeSsd {
             // reachable: if the IMT's newest record physically survives in
             // a live delta page, the walk must surface that timestamp.
             if let Some((dpage, imt_ts)) = self.policy.imt.head(lpa) {
-                if self.delta_page_live(dpage) {
-                    let present = self.delta_page_at(dpage).is_some_and(|dp| {
-                        dp.deltas
-                            .iter()
-                            .any(|d| d.lpa == lpa && d.timestamp == imt_ts && !d.is_trim())
-                    });
-                    if present && !chain.iter().any(|v| v.timestamp == imt_ts) {
-                        report
-                            .violations
-                            .push(Violation::UnreachableFlushedDelta(lpa, imt_ts));
-                    }
+                let present = self.live_delta_page(dpage).is_some_and(|dp| {
+                    dp.deltas
+                        .iter()
+                        .any(|d| d.lpa == lpa && d.timestamp == imt_ts && !d.is_trim())
+                });
+                if present && !chain.iter().any(|v| v.timestamp == imt_ts) {
+                    report
+                        .violations
+                        .push(Violation::UnreachableFlushedDelta(lpa, imt_ts));
                 }
             }
         }

@@ -302,8 +302,8 @@ impl TimeSsd {
         // would plant a duplicate delta whose timestamp collides with the
         // live copy; the bytes are already safe, so just reclaim the page.
         if self
-            .version_chain(oob.lpa)
-            .iter()
+            .versions(oob.lpa)
+            .take_while(|v| v.timestamp >= oob.timestamp)
             .any(|v| v.timestamp == oob.timestamp && v.location.ppa() != ppa)
         {
             self.mark_reclaimable(ppa);

@@ -33,7 +33,7 @@ use almanac_bloom::BloomChain;
 use almanac_flash::{BlockId, DeltaRecord, Lpa, Nanos, Ppa};
 
 use crate::config::SsdConfig;
-use crate::error::Result;
+use crate::error::{AlmanacError, Result};
 use crate::ftl::{sealed::Sealed, Ftl, HostOp, Retention};
 use crate::mapcache::MapCache;
 use crate::tables::{AmtEntry, BlockKind, Imt, Prt};
@@ -170,8 +170,19 @@ impl Retention for TimeTravel {
     /// which, unlike the baselines', programs a journal page — needs GC.
     fn maintain(ftl: &mut Ftl<Self>, op: HostOp, now: Nanos) -> Result<()> {
         match op {
-            HostOp::Write(_) | HostOp::Read(_) => {
+            HostOp::Write(_) => {
                 ftl.background_compress_window(now)?;
+                ftl.flush_aged_tombstones(now)?;
+                ftl.policy.idle.on_arrival(now);
+            }
+            HostOp::Read(_) => {
+                // Idle compression is optional work: on a read, a window
+                // that cannot get a delta block just ends, and the read
+                // still serves its bytes. A write keeps its typed stall.
+                match ftl.background_compress_window(now) {
+                    Ok(()) | Err(AlmanacError::DeviceStalled { .. }) => {}
+                    Err(e) => return Err(e),
+                }
                 ftl.flush_aged_tombstones(now)?;
                 ftl.policy.idle.on_arrival(now);
             }

@@ -8,8 +8,16 @@
 //! exactly as the paper prescribes: each hop verifies the owning LPA and a
 //! strictly decreasing timestamp, so chains broken by GC or expiry terminate
 //! cleanly instead of returning wrong data.
+//!
+//! The walk is lazy. [`TimeSsd::versions`] yields one version per hop and
+//! keeps its cursor in between, so each query is a fold that stops as soon
+//! as its answer is complete: as-of at the first version at or before `t`, a
+//! window at its lower edge. Stopping early is exact because timestamps
+//! strictly decrease along a chain. [`TimeSsd::decode`] materialises a
+//! version from its location alone, re-checking that one hop instead of
+//! re-walking, so a query walks each chain once.
 
-use almanac_flash::{DeltaBody, DeltaPage, Lpa, Nanos, PageData, Ppa};
+use almanac_flash::{DeltaBody, DeltaPage, Lpa, Nanos, Oob, PageData, Ppa};
 
 use crate::error::{AlmanacError, Result};
 use crate::tables::{AmtEntry, BlockKind};
@@ -57,68 +65,52 @@ pub struct VersionInfo {
 /// Hard bound on chain length walked per LPA, against pathological loops.
 const MAX_CHAIN: usize = 65_536;
 
-impl TimeSsd {
-    /// Reads a delta page, transparently resolving unflushed buffers.
-    pub(crate) fn delta_page_at(&self, ppa: Ppa) -> Option<&DeltaPage> {
-        if let Some(page) = self.policy.deltas.buffered_page(ppa) {
-            return Some(page);
-        }
-        match self.flash.peek(ppa) {
-            Ok((PageData::DeltaPage(dp), _)) => Some(dp),
-            _ => None,
-        }
-    }
+/// What one hop of the walk landed on.
+enum Hop<'a> {
+    /// A delta page, and whether it still sits in a RAM buffer.
+    Delta(&'a DeltaPage, bool),
+    /// A data page, by its OOB.
+    Data(Oob),
+    /// A free or erased page.
+    Gone,
+}
 
-    pub(crate) fn delta_page_live(&self, ppa: Ppa) -> bool {
-        if self.policy.deltas.buffered_page(ppa).is_some() {
-            return true;
-        }
-        match self.bst.get(self.config.geometry.block_of(ppa)).kind {
-            BlockKind::Delta(fid) => self.policy.chain.infos().iter().any(|i| i.id == fid),
-            _ => false,
-        }
-    }
+/// The lazy walk behind [`TimeSsd::versions`]: the §3.7 traversal with its
+/// cursor kept between versions.
+struct Walk<'a> {
+    ssd: &'a TimeSsd,
+    lpa: Lpa,
+    /// The valid head, yielded first.
+    head: Option<VersionInfo>,
+    cursor: Option<Ppa>,
+    /// Timestamp of the last version yielded (`Nanos::MAX` before the
+    /// first): every later one is strictly older.
+    min_ts: Nanos,
+    tried_imt: bool,
+    repair_below: Nanos,
+    steps: usize,
+    /// The walk ended; `next` keeps returning `None`.
+    done: bool,
+}
 
-    /// Returns the full retrievable version chain of `lpa`, newest first.
-    ///
-    /// The valid head (if any) is first with `is_head = true`; retained
-    /// versions follow in strictly decreasing timestamp order. Expired
-    /// versions are excluded.
-    pub fn version_chain(&self, lpa: Lpa) -> Vec<VersionInfo> {
-        let geo = self.config.geometry;
-        let mut out = Vec::new();
-        let mut min_ts = Nanos::MAX;
-        let mut cursor: Option<Ppa> = None;
-        match self.amt.get(lpa) {
-            AmtEntry::Mapped(head) => {
-                if let Ok((_, oob)) = self.flash.peek(head) {
-                    out.push(VersionInfo {
-                        lpa,
-                        timestamp: oob.timestamp,
-                        location: VersionLocation::DataPage(head),
-                        is_head: true,
-                        chip: Some(geo.chip_of_ppa(head)),
-                    });
-                    min_ts = oob.timestamp;
-                    cursor = oob.back_ptr;
-                }
-            }
-            AmtEntry::Trimmed(head, _) => cursor = Some(head),
-            AmtEntry::Unmapped => {}
-        }
+impl Iterator for Walk<'_> {
+    type Item = VersionInfo;
 
-        let mut tried_imt = false;
-        let mut repair_below = Nanos::MAX;
-        let mut steps = 0usize;
-        loop {
-            steps += 1;
-            if steps > MAX_CHAIN {
+    fn next(&mut self) -> Option<VersionInfo> {
+        if let Some(head) = self.head.take() {
+            return Some(head);
+        }
+        let ssd = self.ssd;
+        let lpa = self.lpa;
+        while !self.done {
+            self.steps += 1;
+            if self.steps > MAX_CHAIN {
                 break;
             }
-            let Some(ppa) = cursor else {
+            let Some(ppa) = self.cursor else {
                 // Data chain ended; continue into the delta chain once.
-                if !tried_imt {
-                    tried_imt = true;
+                if !self.tried_imt {
+                    self.tried_imt = true;
                     // `<=`, not `<`: the newest compressed version can share
                     // its timestamp with a still-present data-page head (GC
                     // compresses the head before the old page is erased; a
@@ -126,11 +118,11 @@ impl TimeSsd {
                     // in-page record filter is strict, so equality never
                     // duplicates an entry — but skipping the jump would
                     // orphan the whole delta chain.
-                    cursor = match self.policy.imt.head(lpa) {
-                        Some((page, newest)) if newest <= min_ts => Some(page),
+                    self.cursor = match ssd.policy.imt.head(lpa) {
+                        Some((page, newest)) if newest <= self.min_ts => Some(page),
                         _ => None,
                     };
-                    if cursor.is_some() {
+                    if self.cursor.is_some() {
                         continue;
                     }
                 }
@@ -139,8 +131,8 @@ impl TimeSsd {
                 // power cut, orphaning older on-flash records. Reconnect via
                 // the rebuild scan's index, strictly downward in timestamp so
                 // the walk always terminates.
-                let bound = min_ts.min(repair_below);
-                let next = self
+                let bound = self.min_ts.min(self.repair_below);
+                let next = ssd
                     .policy
                     .recovered_deltas
                     .get(&lpa)
@@ -148,110 +140,196 @@ impl TimeSsd {
                     .copied();
                 match next {
                     Some((ts, page)) => {
-                        repair_below = ts;
-                        cursor = Some(page);
+                        self.repair_below = ts;
+                        self.cursor = Some(page);
                         continue;
                     }
                     None => break,
                 }
             };
 
-            // Delta page (flushed or buffered)?
-            if let Some(dp) = self.delta_page_at(ppa) {
-                if !self.delta_page_live(ppa) {
-                    break; // expired segment
-                }
-                let best = dp
-                    .deltas
-                    .iter()
-                    .filter(|d| d.lpa == lpa && d.timestamp < min_ts && !d.is_trim())
-                    .max_by_key(|d| d.timestamp);
-                let Some(rec) = best else {
-                    // No unseen version here, but the hop may still carry
-                    // the chain onward: the newest record for this LPA at or
-                    // before `min_ts` — a duplicate of a version already
-                    // emitted from a data page (GC compressed a stale copy
-                    // left by an aborted pass), or a trim journal record
-                    // (whose back-pointer names the pre-trim head) — links
-                    // to the older records. Bailing instead would orphan
-                    // every flushed delta behind it.
-                    let carrier = dp
+            match ssd.hop(ppa) {
+                Hop::Delta(dp, buffered) => {
+                    if !buffered && !ssd.delta_block_live(ppa) {
+                        break; // expired segment
+                    }
+                    let best = dp
                         .deltas
                         .iter()
-                        .filter(|d| d.lpa == lpa && d.timestamp <= min_ts)
+                        .filter(|d| d.lpa == lpa && d.timestamp < self.min_ts && !d.is_trim())
                         .max_by_key(|d| d.timestamp);
-                    cursor = carrier.and_then(|c| c.back_ptr);
-                    if carrier.is_some() && cursor.is_none() {
-                        tried_imt = true; // the chain genuinely ends here
+                    let Some(rec) = best else {
+                        // No unseen version here, but the hop may still carry
+                        // the chain onward: the newest record for this LPA at
+                        // or before `min_ts` — a duplicate of a version
+                        // already emitted from a data page (GC compressed a
+                        // stale copy left by an aborted pass), or a trim
+                        // journal record (whose back-pointer names the
+                        // pre-trim head) — links to the older records.
+                        // Bailing instead would orphan every flushed delta
+                        // behind it.
+                        let carrier = dp
+                            .deltas
+                            .iter()
+                            .filter(|d| d.lpa == lpa && d.timestamp <= self.min_ts)
+                            .max_by_key(|d| d.timestamp);
+                        self.cursor = carrier.and_then(|c| c.back_ptr);
+                        if carrier.is_some() && self.cursor.is_none() {
+                            self.tried_imt = true; // the chain genuinely ends here
+                        }
+                        // A page with no record for this LPA at all is a
+                        // stale pointer (delta GC re-homed it, or — after a
+                        // rebuild — it predates a lost delta buffer): cursor
+                        // stays None and the walk falls back to the IMT head.
+                        continue;
+                    };
+                    self.min_ts = rec.timestamp;
+                    self.cursor = rec.back_ptr;
+                    if self.cursor.is_none() {
+                        // The delta chain itself ended.
+                        self.tried_imt = true;
                     }
-                    // A page with no record for this LPA at all is a stale
-                    // pointer (delta GC re-homed it, or — after a rebuild —
-                    // it predates a lost delta buffer): cursor stays None
-                    // and the walk falls back to the IMT head.
-                    continue;
-                };
-                let buffered = self.policy.deltas.buffered_page(ppa).is_some();
-                out.push(VersionInfo {
-                    lpa,
-                    timestamp: rec.timestamp,
-                    location: if buffered {
-                        VersionLocation::BufferedDelta(ppa)
-                    } else {
-                        VersionLocation::DeltaPage(ppa)
-                    },
-                    is_head: false,
-                    chip: if buffered {
-                        None
-                    } else {
-                        Some(geo.chip_of_ppa(ppa))
-                    },
-                });
-                min_ts = rec.timestamp;
-                cursor = rec.back_ptr;
-                if cursor.is_none() {
-                    // The delta chain itself ended.
-                    tried_imt = true;
+                    return Some(VersionInfo {
+                        lpa,
+                        timestamp: rec.timestamp,
+                        location: if buffered {
+                            VersionLocation::BufferedDelta(ppa)
+                        } else {
+                            VersionLocation::DeltaPage(ppa)
+                        },
+                        is_head: false,
+                        chip: (!buffered).then(|| ssd.config.geometry.chip_of_ppa(ppa)),
+                    });
                 }
-                continue;
-            }
-
-            // Data page: verify ownership and ordering (§3.7).
-            match self.flash.peek(ppa) {
-                Ok((_, oob)) => {
-                    if oob.lpa != lpa || oob.timestamp >= min_ts {
-                        cursor = None;
+                // Data page: verify ownership and ordering (§3.7).
+                Hop::Data(oob) => {
+                    if oob.lpa != lpa || oob.timestamp >= self.min_ts {
+                        self.cursor = None;
                         continue; // broken link → try IMT
                     }
-                    if self.policy.prt.get(ppa) {
+                    if ssd.policy.prt.get(ppa) {
                         // Compressed copy exists; the delta chain covers it.
-                        cursor = None;
+                        self.cursor = None;
                         continue;
                     }
-                    if !self.policy.chain.contains(self.group_of(ppa)) {
+                    if !ssd.policy.chain.contains(ssd.group_of(ppa)) {
                         break; // expired tail
                     }
-                    out.push(VersionInfo {
+                    self.min_ts = oob.timestamp;
+                    self.cursor = oob.back_ptr;
+                    return Some(VersionInfo {
                         lpa,
                         timestamp: oob.timestamp,
                         location: VersionLocation::DataPage(ppa),
                         is_head: false,
-                        chip: Some(geo.chip_of_ppa(ppa)),
+                        chip: Some(ssd.config.geometry.chip_of_ppa(ppa)),
                     });
-                    min_ts = oob.timestamp;
-                    cursor = oob.back_ptr;
                 }
-                Err(_) => {
-                    cursor = None; // erased/free → try IMT
-                }
+                Hop::Gone => self.cursor = None, // erased/free → try IMT
             }
         }
-        out
+        self.done = true;
+        None
+    }
+}
+
+impl TimeSsd {
+    /// Resolves the page one hop lands on: flash, or a reserved delta buffer
+    /// (firmware RAM) where flash has nothing.
+    fn hop(&self, ppa: Ppa) -> Hop<'_> {
+        match self.flash.peek(ppa) {
+            Ok((PageData::DeltaPage(dp), _)) => Hop::Delta(dp, false),
+            Ok((_, oob)) => Hop::Data(oob),
+            // A buffer's reserved page stays free until the flush that
+            // programs it also drops the buffer, so only a free page can be
+            // buffered: a hop that lands on flash searches no buffer.
+            Err(_) => match self.policy.deltas.buffered_page(ppa) {
+                Some(page) => Hop::Delta(page, true),
+                None => Hop::Gone,
+            },
+        }
+    }
+
+    /// True when the flushed delta page at `ppa` sits in a block of a live
+    /// filter.
+    fn delta_block_live(&self, ppa: Ppa) -> bool {
+        match self.bst.get(self.config.geometry.block_of(ppa)).kind {
+            BlockKind::Delta(fid) => self.policy.chain.is_live(fid),
+            _ => false,
+        }
+    }
+
+    /// The delta page at `ppa` — buffered, or flushed under a live filter —
+    /// or `None` when it is gone or expired.
+    pub(crate) fn live_delta_page(&self, ppa: Ppa) -> Option<&DeltaPage> {
+        match self.hop(ppa) {
+            Hop::Delta(dp, buffered) if buffered || self.delta_block_live(ppa) => Some(dp),
+            _ => None,
+        }
+    }
+
+    /// Walks the retrievable version chain of `lpa` lazily, newest first.
+    ///
+    /// The valid head (if any) comes first with `is_head = true`; retained
+    /// versions follow in strictly decreasing timestamp order. Expired
+    /// versions are excluded. Each `next` takes the walk one version further
+    /// and no further, so stopping early costs only the hops taken.
+    pub fn versions(&self, lpa: Lpa) -> impl Iterator<Item = VersionInfo> + '_ {
+        let mut walk = Walk {
+            ssd: self,
+            lpa,
+            head: None,
+            cursor: None,
+            min_ts: Nanos::MAX,
+            tried_imt: false,
+            repair_below: Nanos::MAX,
+            steps: 0,
+            done: false,
+        };
+        match self.amt.get(lpa) {
+            AmtEntry::Mapped(head) => {
+                if let Ok((_, oob)) = self.flash.peek(head) {
+                    walk.head = Some(VersionInfo {
+                        lpa,
+                        timestamp: oob.timestamp,
+                        location: VersionLocation::DataPage(head),
+                        is_head: true,
+                        chip: Some(self.config.geometry.chip_of_ppa(head)),
+                    });
+                    walk.min_ts = oob.timestamp;
+                    walk.cursor = oob.back_ptr;
+                }
+            }
+            AmtEntry::Trimmed(head, _) => walk.cursor = Some(head),
+            AmtEntry::Unmapped => {}
+        }
+        walk
+    }
+
+    /// Returns the full retrievable version chain of `lpa`, newest first:
+    /// [`Self::versions`], collected.
+    pub fn version_chain(&self, lpa: Lpa) -> Vec<VersionInfo> {
+        self.versions(lpa).collect()
+    }
+
+    /// Materialises one version the walk yielded, from its location alone,
+    /// decompressing a delta (and resolving its reference version) as
+    /// needed. Uses the device's configured retention key, i.e. the
+    /// authorized-owner path.
+    ///
+    /// The hop is re-checked instead of re-walked. A data page must still
+    /// carry `v`'s timestamp and, unless the AMT maps it as the current
+    /// head, `v`'s LPA in its OOB and a Bloom hit for its group; a delta
+    /// page must still be live and hold `v`'s record. So a `VersionInfo`
+    /// kept across later writes, GC or a filter drop decodes to its own
+    /// bytes or to [`AlmanacError::NoSuchVersion`], never to another
+    /// version's bytes.
+    pub fn decode(&self, v: &VersionInfo) -> Result<PageData> {
+        self.decode_keyed(v, self.config.retention_key, 0)
     }
 
     /// Materialises the content of the version of `lpa` written at exactly
-    /// `timestamp`, decompressing deltas (recursively resolving reference
-    /// versions) as needed. Uses the device's configured retention key, i.e.
-    /// the authorized-owner path.
+    /// `timestamp`: the walk down to that timestamp, then [`Self::decode`].
     pub fn version_content(&self, lpa: Lpa, timestamp: Nanos) -> Result<PageData> {
         self.version_content_keyed(lpa, timestamp, self.config.retention_key, 0)
     }
@@ -279,63 +357,77 @@ impl TimeSsd {
         if depth > 64 {
             return Err(AlmanacError::DecodeFailed("reference chain too deep"));
         }
-        let chain = self.version_chain(lpa);
-        let Some(v) = chain.iter().find(|v| v.timestamp == timestamp) else {
-            return Err(AlmanacError::NoSuchVersion { lpa, at: timestamp });
+        let v = self
+            .versions(lpa)
+            .take_while(|v| v.timestamp >= timestamp)
+            .find(|v| v.timestamp == timestamp)
+            .ok_or(AlmanacError::NoSuchVersion { lpa, at: timestamp })?;
+        self.decode_keyed(&v, key, depth)
+    }
+
+    fn decode_keyed(&self, v: &VersionInfo, key: Option<u64>, depth: u32) -> Result<PageData> {
+        let lpa = v.lpa;
+        let gone = AlmanacError::NoSuchVersion {
+            lpa,
+            at: v.timestamp,
         };
-        match v.location {
-            VersionLocation::DataPage(ppa) => {
-                let (data, _) = self.flash.peek(ppa)?;
+        if let VersionLocation::DataPage(ppa) = v.location {
+            let Ok((data, oob)) = self.flash.peek(ppa) else {
+                return Err(gone);
+            };
+            // The AMT vouches for the current head, as it does in the walk.
+            let head = self.amt.get(lpa).mapped() == Some(ppa);
+            let retained =
+                head || (oob.lpa == lpa && self.policy.chain.contains(self.group_of(ppa)));
+            return if retained && oob.timestamp == v.timestamp {
                 Ok(data.clone())
-            }
-            VersionLocation::DeltaPage(ppa) | VersionLocation::BufferedDelta(ppa) => {
-                let dp = self
-                    .delta_page_at(ppa)
-                    .ok_or(AlmanacError::DecodeFailed("delta page vanished"))?;
-                let rec = dp
-                    .find(lpa, timestamp)
-                    .ok_or(AlmanacError::DecodeFailed("delta record vanished"))?;
-                match &rec.body {
-                    DeltaBody::Synthetic { seed, version } => Ok(PageData::Synthetic {
-                        seed: *seed,
-                        version: *version,
-                    }),
-                    DeltaBody::Zeros => Ok(PageData::Zeros),
-                    // Unreachable: `find` skips journal records.
-                    DeltaBody::Trim => Err(AlmanacError::DecodeFailed(
-                        "trim journal record is not a version",
-                    )),
-                    DeltaBody::Bytes(encoded) => {
-                        let page_size = self.config.geometry.page_size as usize;
-                        let ref_bytes = if rec.ref_timestamp == REF_ZEROS {
-                            vec![0u8; page_size]
-                        } else {
-                            self.version_content_keyed(lpa, rec.ref_timestamp, key, depth + 1)?
-                                .materialize(page_size)
-                        };
-                        let mut payload = encoded.clone();
-                        if self.config.retention_key.is_some() {
-                            // Decrypt with whatever key the caller supplied;
-                            // a wrong key yields garbage that fails to decode
-                            // (or decodes to ciphertext-like noise).
-                            crate::crypt::apply_keystream(
-                                key.unwrap_or(0),
-                                lpa,
-                                rec.timestamp,
-                                &mut payload,
-                            );
-                        }
-                        let old = almanac_compress::delta::decode(&ref_bytes, &payload)
-                            .map_err(|_| AlmanacError::DecodeFailed("delta payload corrupt"))?;
-                        Ok(PageData::bytes(old))
-                    }
+            } else {
+                Err(gone)
+            };
+        }
+        let rec = self
+            .live_delta_page(v.location.ppa())
+            .and_then(|dp| dp.find(lpa, v.timestamp))
+            .ok_or(gone)?;
+        match &rec.body {
+            DeltaBody::Synthetic { seed, version } => Ok(PageData::Synthetic {
+                seed: *seed,
+                version: *version,
+            }),
+            DeltaBody::Zeros => Ok(PageData::Zeros),
+            // Unreachable: `find` skips journal records.
+            DeltaBody::Trim => Err(AlmanacError::DecodeFailed(
+                "trim journal record is not a version",
+            )),
+            DeltaBody::Bytes(encoded) => {
+                let page_size = self.config.geometry.page_size as usize;
+                let ref_bytes = if rec.ref_timestamp == REF_ZEROS {
+                    vec![0u8; page_size]
+                } else {
+                    self.version_content_keyed(lpa, rec.ref_timestamp, key, depth + 1)?
+                        .materialize(page_size)
+                };
+                let mut payload = encoded.clone();
+                if self.config.retention_key.is_some() {
+                    // Decrypt with whatever key the caller supplied; a wrong
+                    // key yields garbage that fails to decode (or decodes to
+                    // ciphertext-like noise).
+                    crate::crypt::apply_keystream(
+                        key.unwrap_or(0),
+                        lpa,
+                        rec.timestamp,
+                        &mut payload,
+                    );
                 }
+                let old = almanac_compress::delta::decode(&ref_bytes, &payload)
+                    .map_err(|_| AlmanacError::DecodeFailed("delta payload corrupt"))?;
+                Ok(PageData::bytes(old))
             }
         }
     }
 
     /// The newest version of `lpa` written at or before `at` — the state of
-    /// the page "as of" that time.
+    /// the page "as of" that time. The walk stops at that version.
     ///
     /// Trim-aware: if the page is currently trimmed and the trim happened at
     /// or before `at`, the page did not exist at that instant and `None` is
@@ -350,17 +442,20 @@ impl TimeSsd {
                 return None;
             }
         }
-        self.version_chain(lpa)
-            .into_iter()
-            .find(|v| v.timestamp <= at)
+        self.versions(lpa).find(|v| v.timestamp <= at)
     }
 
-    /// All versions written inside `[from, to]`, newest first.
-    pub fn versions_in(&self, lpa: Lpa, from: Nanos, to: Nanos) -> Vec<VersionInfo> {
-        self.version_chain(lpa)
-            .into_iter()
-            .filter(|v| v.timestamp >= from && v.timestamp <= to)
-            .collect()
+    /// All versions written inside `[from, to]`, newest first. The walk
+    /// stops at the window's lower edge.
+    pub fn versions_in(
+        &self,
+        lpa: Lpa,
+        from: Nanos,
+        to: Nanos,
+    ) -> impl Iterator<Item = VersionInfo> + '_ {
+        self.versions(lpa)
+            .skip_while(move |v| v.timestamp > to)
+            .take_while(move |v| v.timestamp >= from)
     }
 
     /// True when the LPA currently maps to valid data.

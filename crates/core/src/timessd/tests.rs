@@ -97,7 +97,7 @@ fn version_as_of_respects_trim_tombstone() {
     assert!(ssd.version_as_of(Lpa(6), trim.start).is_none());
     assert!(ssd.version_as_of(Lpa(6), 30 * SEC_NS).is_none());
     // The explicitly-historical query still surfaces the write event.
-    assert_eq!(ssd.versions_in(Lpa(6), 0, u64::MAX).len(), 1);
+    assert_eq!(ssd.versions_in(Lpa(6), 0, u64::MAX).count(), 1);
     // A rewrite supersedes the tombstone: the trim becomes an interior gap
     // the chain does not record (only the newest surviving trim per LPA is
     // replayed at rebuild, and a strictly newer write wins).
@@ -106,6 +106,45 @@ fn version_as_of_respects_trim_tombstone() {
         ssd.version_as_of(Lpa(6), 25 * SEC_NS).map(|v| v.timestamp),
         Some(c1.start)
     );
+}
+
+/// `decode` re-checks the hop it is handed: once the filter that retained an
+/// old data page drops, a `VersionInfo` kept from before refuses to decode,
+/// although the page itself is still on flash.
+#[test]
+fn decode_refuses_a_kept_version_once_its_filter_drops() {
+    let cfg = medium_cfg().with_min_retention(0).with_bloom(ChainConfig {
+        bits_per_filter: 1 << 13,
+        hashes: 4,
+        capacity: 2,
+    });
+    let mut ssd = TimeSsd::new(cfg);
+    let mut now = SEC_NS;
+    for v in 1..=3u64 {
+        now = ssd.write(Lpa(5), synthetic(5, v), now).unwrap().finish + SEC_NS;
+    }
+    // The two invalidations above fill the first filter.
+    let oldest = *ssd.version_chain(Lpa(5)).last().unwrap();
+    assert_eq!(ssd.decode(&oldest).unwrap(), synthetic(5, 1));
+    // Open newer filters with invalidations outside the oldest page's group.
+    let group = ssd.group_of(oldest.location.ppa());
+    let mut lpa = 100;
+    while ssd.live_filters() < 3 {
+        now = ssd.write(Lpa(lpa), synthetic(lpa, 1), now).unwrap().finish;
+        let head = ssd.amt.get(Lpa(lpa)).mapped().unwrap();
+        if ssd.group_of(head) != group {
+            now = ssd.write(Lpa(lpa), synthetic(lpa, 2), now).unwrap().finish;
+        }
+        lpa += 1;
+    }
+    assert!(ssd.force_shrink(now));
+    assert!(ssd.flash.peek(oldest.location.ppa()).is_ok());
+    let gone = Err(AlmanacError::NoSuchVersion {
+        lpa: Lpa(5),
+        at: oldest.timestamp,
+    });
+    assert_eq!(ssd.decode(&oldest), gone);
+    assert_eq!(ssd.version_content(Lpa(5), oldest.timestamp), gone);
 }
 
 /// Regression for the §3.7 equal-timestamp boundary between the data-page
@@ -812,6 +851,57 @@ fn stall_leaves_tables_consistent() {
     let chain = ssd.version_chain(Lpa(0));
     assert!(!chain.is_empty());
     assert!(chain[0].is_head);
+}
+
+#[test]
+fn a_stalled_device_still_serves_reads() {
+    // A 108-page fill, then round-robin overwrites of 16 pages, all at
+    // 30 ms gaps. Idle compression runs at every arrival after such a gap
+    // and needs a delta block. On a stalled device there is none: a read must
+    // end that optional work and serve its bytes, while a write keeps its
+    // typed stall.
+    let cfg = small_cfg()
+        .with_min_retention(SEC_NS)
+        .with_bloom(ChainConfig {
+            bits_per_filter: 1 << 12,
+            hashes: 4,
+            capacity: 64,
+        });
+    let mut ssd = TimeSsd::new(cfg);
+    let mut acked: Vec<PageData> = (0..108).map(|lpa| synthetic(lpa, 0)).collect();
+    let mut now = SEC_NS;
+    for (lpa, data) in acked.iter().enumerate() {
+        now += 30 * MS_NS;
+        ssd.write(Lpa(lpa as u64), data.clone(), now).unwrap();
+    }
+    let mut stalled = false;
+    for i in 0..10_000u64 {
+        now += 30 * MS_NS;
+        let lpa = i % 16;
+        let data = synthetic(lpa, i + 1);
+        match ssd.write(Lpa(lpa), data.clone(), now) {
+            Ok(_) => acked[lpa as usize] = data,
+            Err(AlmanacError::DeviceStalled { .. }) => {
+                stalled = true;
+                break;
+            }
+            Err(e) => panic!("unexpected error: {e}"),
+        }
+    }
+    assert!(stalled, "device never stalled; test premise broken");
+    assert!(matches!(
+        ssd.write(Lpa(0), synthetic(0, 0), now),
+        Err(AlmanacError::DeviceStalled { .. })
+    ));
+    for (lpa, want) in acked.iter().enumerate() {
+        now += 30 * MS_NS;
+        let (got, _) = ssd
+            .read(Lpa(lpa as u64), now)
+            .unwrap_or_else(|e| panic!("L{lpa}: the stalled device refused a read: {e}"));
+        assert_eq!(&got, want, "L{lpa}");
+    }
+    let audit = ssd.check_consistency();
+    assert!(audit.is_clean(), "{:?}", audit.violations);
 }
 
 #[test]

@@ -38,7 +38,7 @@ pub fn files_at(ssd: &TimeSsd, t: Nanos) -> Vec<ForensicFile> {
         let Some(version) = ssd.version_as_of(lpa, t) else {
             continue;
         };
-        let Ok(content) = ssd.version_content(lpa, version.timestamp) else {
+        let Ok(content) = ssd.decode(&version) else {
             continue;
         };
         let bytes = content.materialize(page_size);
@@ -60,7 +60,7 @@ pub fn read_file_at(ssd: &TimeSsd, file: &ForensicFile, t: Nanos) -> Option<Vec<
     let mut out = Vec::with_capacity(file.inode.pages.len() * page_size);
     for &lpa in &file.inode.pages {
         let version = ssd.version_as_of(lpa, t)?;
-        let content = ssd.version_content(lpa, version.timestamp).ok()?;
+        let content = ssd.decode(&version).ok()?;
         out.extend_from_slice(&content.materialize(page_size));
     }
     out.truncate(file.inode.size as usize);

@@ -7,6 +7,11 @@
 //! scan engine (`engine::scan`), which fans the clamped LPA span across the
 //! device's `amt_shards` partitions ("shards") on scoped threads and merges
 //! per-shard hits and [`QueryCost`]s deterministically.
+//!
+//! Each LPA's chain is walked once: the closure folds over the device's lazy
+//! walk (`versions`, `version_as_of`, `versions_in`), which stops where the
+//! mode's answer is complete, and `fetch` materialises each yielded version
+//! with `TimeSsd::decode` from its location, never by walking again.
 
 use almanac_core::{Result, SsdReadView, TimeSsd, VersionInfo};
 use almanac_flash::{Lpa, LpaSpan, Nanos};
@@ -43,10 +48,11 @@ pub(crate) fn charge_version(ssd: &TimeSsd, v: &VersionInfo, cost: &mut QueryCos
     }
 }
 
-/// Charges and materialises one version.
+/// Charges and materialises one version the walk yielded, without walking
+/// again.
 pub(crate) fn fetch(ssd: &TimeSsd, v: &VersionInfo, cost: &mut QueryCost) -> Result<QueryHit> {
     charge_version(ssd, v, cost);
-    let data = ssd.version_content(v.lpa, v.timestamp)?;
+    let data = ssd.decode(v)?;
     Ok(QueryHit {
         lpa: v.lpa,
         timestamp: v.timestamp,
@@ -185,7 +191,7 @@ impl<'v> AddrQuery<'v> {
                         }
                     }
                     Mode::All => {
-                        for v in ssd.version_chain(lpa) {
+                        for v in ssd.versions(lpa) {
                             hits.push(fetch(ssd, &v, cost)?);
                         }
                     }

@@ -9,8 +9,8 @@
 
 use std::fmt::Write as _;
 
-use almanac_core::Result;
-use almanac_flash::{Lpa, Nanos};
+use almanac_core::{Result, SsdReadOps};
+use almanac_flash::{Lpa, LpaSpan, Nanos};
 
 use crate::kits::TimeKits;
 
@@ -90,16 +90,15 @@ impl TimeKits<'_> {
     /// Exports every retrievable version written in `[from, to]` across the
     /// whole device as an evidence archive.
     pub fn export_evidence(&self, from: Nanos, to: Nanos) -> Result<EvidenceArchive> {
-        let page_size = self.ssd().geometry().page_size as usize;
-        let (hits, _) = self.time_query_range(from, to);
+        let ssd = self.ssd();
+        let page_size = ssd.geometry().page_size as usize;
         let mut records = Vec::new();
-        for hit in hits {
-            for ts in hit.timestamps {
-                let content = self.ssd().version_content(hit.lpa, ts)?;
-                let bytes = content.materialize(page_size);
+        for lpa in LpaSpan::clamped(Lpa(0), u64::MAX, ssd.exported_pages()).iter() {
+            for v in ssd.versions_in(lpa, from, to) {
+                let bytes = ssd.decode(&v)?.materialize(page_size);
                 records.push(EvidenceRecord {
-                    lpa: hit.lpa,
-                    timestamp: ts,
+                    lpa,
+                    timestamp: v.timestamp,
                     digest: fnv1a(&bytes),
                     len: bytes.len(),
                 });

@@ -87,7 +87,8 @@ impl<'a> TimeKits<'a> {
 
     /// Shared body of the time-based queries: walks every LPA's chain on the
     /// shard-aligned scan engine and returns those updated in `[from, to]`
-    /// with their write timestamps.
+    /// with their write timestamps. Each walk stops at the window's lower
+    /// edge.
     fn time_scan(&self, from: Nanos, to: Nanos) -> (Vec<TimeQueryHit>, QueryCost) {
         let ssd: &TimeSsd = self.ssd;
         let lat = ssd.config().latency;
@@ -97,28 +98,31 @@ impl<'a> TimeKits<'a> {
             self.threads,
             |h: &TimeQueryHit| h.lpa,
             |lpa, hits, cost| -> std::result::Result<(), Infallible> {
-                let chain = ssd.version_chain(lpa);
-                if let Some(head) = chain.first() {
-                    // Checking an LPA costs the head-page OOB read.
-                    if let Some(chip) = head.chip {
-                        cost.charge_read(chip, lat.read_ns);
-                    }
-                    let timestamps: Vec<Nanos> = chain
-                        .iter()
-                        .filter(|v| v.timestamp >= from && v.timestamp <= to)
-                        .map(|v| {
-                            // Versions beyond the head cost chain reads.
-                            if !v.is_head {
-                                if let Some(chip) = v.chip {
-                                    cost.charge_read(chip, lat.read_ns);
-                                }
+                let mut chain = ssd.versions(lpa);
+                let Some(first) = chain.next() else {
+                    return Ok(());
+                };
+                // Checking an LPA costs the head-page OOB read.
+                if let Some(chip) = first.chip {
+                    cost.charge_read(chip, lat.read_ns);
+                }
+                // Timestamps strictly decrease along the chain.
+                let timestamps: Vec<Nanos> = std::iter::once(first)
+                    .chain(chain)
+                    .skip_while(|v| v.timestamp > to)
+                    .take_while(|v| v.timestamp >= from)
+                    .map(|v| {
+                        // Versions beyond the head cost chain reads.
+                        if !v.is_head {
+                            if let Some(chip) = v.chip {
+                                cost.charge_read(chip, lat.read_ns);
                             }
-                            v.timestamp
-                        })
-                        .collect();
-                    if !timestamps.is_empty() {
-                        hits.push(TimeQueryHit { lpa, timestamps });
-                    }
+                        }
+                        v.timestamp
+                    })
+                    .collect();
+                if !timestamps.is_empty() {
+                    hits.push(TimeQueryHit { lpa, timestamps });
                 }
                 Ok(())
             },
@@ -174,14 +178,9 @@ impl<'a> TimeKits<'a> {
             match self.ssd.version_as_of(lpa, t) {
                 Some(v) => {
                     let hit = fetch(self.ssd, &v, &mut cost)?;
-                    // Skip the write when the current state already matches.
-                    let already = self
-                        .ssd
-                        .version_chain(lpa)
-                        .first()
-                        .map(|h| h.is_head && h.timestamp == v.timestamp)
-                        .unwrap_or(false);
-                    if already {
+                    // Skip the write when the current state already matches:
+                    // only the chain's first version can be the head.
+                    if v.is_head {
                         restored.push((lpa, v.timestamp));
                         continue;
                     }
