@@ -13,7 +13,7 @@
 
 use almanac_flash::{BlockId, FlashArray, Lpa, Nanos, Oob, PageData, Ppa};
 
-use crate::alloc::Allocator;
+use crate::alloc::{Allocator, Stream};
 use crate::config::SsdConfig;
 use crate::device::{Completion, SsdDevice, SsdReadOps};
 use crate::error::{AlmanacError, Result};
@@ -164,12 +164,13 @@ impl<R: Retention> Ftl<R> {
             flash = flash.with_fault_plan(plan);
         }
         let geo = config.geometry;
+        let bst = Bst::new(&geo);
         Ftl {
             flash,
             amt: ShardedAmt::new(config.exported_pages(), 1),
             pvt: Pvt::new(geo.total_pages()),
-            bst: Bst::new(&geo),
-            alloc: Allocator::new(geo),
+            alloc: Allocator::new(geo, &bst),
+            bst,
             stats: DeviceStats::default(),
             busy_until: 0,
             last_io_end: 0,
@@ -246,22 +247,17 @@ impl<R: Retention> Ftl<R> {
         live: bool,
     ) -> Result<(Ppa, Nanos)> {
         let slot = match dest {
-            Dest::Hot => self.alloc.next_data_page(),
-            Dest::Cold => self.alloc.next_gc_page(),
+            Dest::Hot => self.alloc.next_page(Stream::Hot, &self.bst),
+            Dest::Cold => self.alloc.next_page(Stream::Cold, &self.bst),
             Dest::Into(b) => Some((self.config.geometry.ppa(b.0, self.bst.get(b).written), None)),
         };
         let (ppa, opened) = slot.ok_or_else(|| self.stalled(at))?;
         if let Some(b) = opened {
             self.bst.update(b, |info| info.kind = BlockKind::Data);
         }
-        // On a failed program the chip never wrote the page: rewind the
-        // allocator slot so the block's program sequence stays aligned and a
-        // retry succeeds.
-        let finish = self.flash.program(ppa, data, oob, at).inspect_err(|_| {
-            if !matches!(dest, Dest::Into(_)) {
-                self.alloc.unreserve_page(ppa);
-            }
-        })?;
+        // `written` is the block's write pointer: a failed program leaves it,
+        // and so the page, where they were.
+        let finish = self.flash.program(ppa, data, oob, at)?;
         self.bst.update(self.config.geometry.block_of(ppa), |info| {
             info.written += 1;
             info.valid += u32::from(live);
@@ -558,7 +554,7 @@ impl<R: Retention> SsdReadOps for Ftl<R> {
 mod tests {
     use super::*;
     use crate::{Discard, FlashGuardSsd, ReadGated, RegularSsd, TimeSsd, TimeTravel};
-    use almanac_flash::{FlashError, Geometry};
+    use almanac_flash::{FaultPlan, FlashError, Geometry, SEC_NS};
 
     /// Regression: the old trait default returned `finish: now`, letting an
     /// fsync issued at a write's arrival instant complete *before* the write
@@ -612,6 +608,59 @@ mod tests {
         }
         assert!(ssd.check_consistency().is_clean());
         assert_eq!(ssd.version_chain(Lpa(0)).len(), 5);
+    }
+
+    /// Program 14 of a fresh `small_test` device is the last page of
+    /// channel 0's first block (host writes alternate between the two
+    /// channels' slots). It fails: the host sees one error, the slot has
+    /// already let the block go, and `written` stayed at `ppb - 1`. The block
+    /// is a closed, partly programmed data block; once its pages are
+    /// overwritten, GC collects it.
+    fn failed_last_page_program_leaves_a_closed_block<R: Retention>() {
+        let cfg = SsdConfig::new(Geometry::small_test())
+            .with_fault_plan(FaultPlan::new(1).with_program_fault(14));
+        let ppb = cfg.geometry.pages_per_block;
+        let mut ssd = Ftl::<R>::new(cfg);
+        let kind = ssd.kind();
+        let mut last = vec![None; ssd.exported_pages() as usize];
+        let mut errors = 0;
+        let mut now = 0;
+        let mut closed = None;
+        for version in 0..30u64 {
+            let l = version % 15;
+            now += SEC_NS;
+            match ssd.write(Lpa(l), page(l, version), now) {
+                Ok(_) => last[l as usize] = Some(version),
+                Err(_) => errors += 1,
+            }
+            if version == 14 {
+                assert_eq!(errors, 1, "{kind}: the faulted program fails its write");
+                let (block, info) = ssd
+                    .bst
+                    .iter()
+                    .find(|(b, info)| info.written == ppb - 1 && !ssd.alloc.is_active(*b))
+                    .unwrap_or_else(|| panic!("{kind}: no closed block short of its end"));
+                assert_eq!(info.kind, BlockKind::Data, "{kind}");
+                assert_eq!(ssd.flash.block(block).unwrap().write_ptr, ppb - 1);
+                closed = Some(block);
+            }
+        }
+        assert_eq!(errors, 1, "{kind}: a later write failed");
+        while ssd.gc_once(now).unwrap() {}
+        let block = closed.unwrap();
+        assert_eq!(
+            ssd.flash.erase_count(block),
+            Ok(1),
+            "{kind}: never collected"
+        );
+        reads_last_acked(&mut ssd, &last, now);
+    }
+
+    #[test]
+    fn failed_last_page_program_leaves_a_closed_block_on_every_ftl() {
+        failed_last_page_program_leaves_a_closed_block::<Discard>();
+        failed_last_page_program_leaves_a_closed_block::<ReadGated>();
+        failed_last_page_program_leaves_a_closed_block::<TimeTravel>();
     }
 
     /// What the sweeps that `pick_victim` and the idle-time compressor ran

@@ -7,7 +7,7 @@
 use std::collections::HashSet;
 use std::fmt;
 
-use almanac_flash::{Lpa, PageData, Ppa};
+use almanac_flash::{DeltaPage, Lpa, PageData, Ppa};
 
 use crate::tables::{AmtEntry, BlockKind};
 
@@ -33,6 +33,17 @@ pub enum Violation {
     ReclaimableValidPage(Ppa),
     /// A free-pool block still holds programmed pages in the BST.
     FreeBlockNotEmpty(u64),
+    /// A block's BST `written` — the FTL's only write pointer — disagrees
+    /// with the chip's: the next program there would be refused as
+    /// non-sequential, or would overwrite nothing the tables know of.
+    WritePointerDrift {
+        /// The block.
+        block: u64,
+        /// What the BST says.
+        bst: u32,
+        /// The flash block's write pointer.
+        flash: u32,
+    },
     /// Two LPAs map to the same physical page.
     DoubleMapped(Ppa),
     /// A version chain has non-decreasing timestamps.
@@ -112,6 +123,12 @@ impl fmt::Display for Violation {
             }
             Violation::ReclaimableValidPage(p) => write!(f, "valid page {p} marked reclaimable"),
             Violation::FreeBlockNotEmpty(b) => write!(f, "free block B{b} has written pages"),
+            Violation::WritePointerDrift { block, bst, flash } => {
+                write!(
+                    f,
+                    "block B{block}: BST written={bst} but flash write_ptr={flash}"
+                )
+            }
             Violation::DoubleMapped(p) => write!(f, "{p} mapped by two LPAs"),
             Violation::ChainOrderViolation(l) => {
                 write!(f, "{l} version chain timestamps not strictly decreasing")
@@ -216,8 +233,12 @@ impl TimeSsd {
             }
         }
 
-        // 2. BST valid counters match a PVT recount; free blocks are empty;
-        //    reclaimable pages are never valid; delta blocks hold delta pages.
+        // 2. BST valid counters match a PVT recount; `written` is the chip's
+        //    write pointer; free blocks are empty; reclaimable pages are
+        //    never valid; delta blocks hold delta pages. The walk over the
+        //    delta pages also collects the journalled TRIM records step 4
+        //    audits.
+        let mut journalled: HashSet<(Lpa, u64)> = HashSet::new();
         for (block, info) in self.bst.iter() {
             let mut recount = 0;
             for off in 0..geo.pages_per_block {
@@ -236,6 +257,15 @@ impl TimeSsd {
                     recount,
                 });
             }
+            if let Ok(flash) = self.flash.block(block) {
+                if flash.write_ptr != info.written {
+                    report.violations.push(Violation::WritePointerDrift {
+                        block: block.0,
+                        bst: info.written,
+                        flash: flash.write_ptr,
+                    });
+                }
+            }
             match info.kind {
                 BlockKind::Free => {
                     if info.written != 0 || recount != 0 {
@@ -248,14 +278,16 @@ impl TimeSsd {
                     // Whether or not its filter is still live (an expired
                     // filter's blocks wait for GC to erase them lazily), a
                     // delta block must hold delta pages, not data.
+                    let mut orphan = false;
                     for off in 0..info.written.min(geo.pages_per_block) {
-                        let ppa = geo.ppa(block.0, off);
-                        if let Ok((data, _)) = self.flash.peek(ppa) {
-                            if !matches!(data, PageData::DeltaPage(_)) {
-                                report.violations.push(Violation::OrphanDeltaBlock(block.0));
-                                break;
-                            }
+                        match self.flash.peek(geo.ppa(block.0, off)) {
+                            Ok((PageData::DeltaPage(dp), _)) => note_trims(&mut journalled, dp),
+                            Ok(_) => orphan = true,
+                            Err(_) => {}
                         }
+                    }
+                    if orphan {
+                        report.violations.push(Violation::OrphanDeltaBlock(block.0));
                     }
                 }
                 BlockKind::Data => {}
@@ -310,46 +342,20 @@ impl TimeSsd {
 
         // 4. Durable-trim audit: every tombstone whose trim instant is still
         //    inside the retention window must have a matching TRIM record in
-        //    the delta stream (flushed pages or the unflushed buffers).
-        //    Records expire with their filter, but a record's filter is
-        //    always dropped only once the window start has moved past the
-        //    trim instant, so an in-window tombstone without a record means
-        //    the journal write was skipped — the trim would not survive a
-        //    power cut, violating the crash contract.
+        //    the delta stream (the flushed pages step 2 walked, or the
+        //    unflushed buffers). Records expire with their filter, but a
+        //    record's filter is always dropped only once the window start
+        //    has moved past the trim instant, so an in-window tombstone
+        //    without a record means the journal write was skipped — the trim
+        //    would not survive a power cut, violating the crash contract.
+        for dp in self.policy.deltas.buffered_pages() {
+            note_trims(&mut journalled, dp);
+        }
         let window_start = self.policy.chain.retention_start();
-        let mut tombstones: Vec<(Lpa, u64)> = Vec::new();
         for (lpa, entry) in self.amt.iter() {
             if let AmtEntry::Trimmed(_, ts) = entry {
-                if window_start.is_some_and(|start| ts >= start) {
-                    tombstones.push((lpa, ts));
-                }
-            }
-        }
-        if !tombstones.is_empty() {
-            let mut journalled: HashSet<(Lpa, u64)> = HashSet::new();
-            let mut note = |dp: &almanac_flash::DeltaPage| {
-                for d in &dp.deltas {
-                    if d.is_trim() {
-                        journalled.insert((d.lpa, d.timestamp));
-                    }
-                }
-            };
-            for (block, info) in self.bst.iter() {
-                if !matches!(info.kind, BlockKind::Delta(_)) {
-                    continue;
-                }
-                for off in 0..info.written.min(geo.pages_per_block) {
-                    if let Ok((PageData::DeltaPage(dp), _)) = self.flash.peek(geo.ppa(block.0, off))
-                    {
-                        note(dp);
-                    }
-                }
-            }
-            for dp in self.policy.deltas.buffered_pages() {
-                note(dp);
-            }
-            for (lpa, ts) in tombstones {
-                if !journalled.contains(&(lpa, ts)) {
+                if window_start.is_some_and(|start| ts >= start) && !journalled.contains(&(lpa, ts))
+                {
                     report
                         .violations
                         .push(Violation::UnjournaledTombstone(lpa, ts));
@@ -414,6 +420,13 @@ impl TimeSsd {
             }
         }
         report
+    }
+}
+
+/// Files the TRIM records of a delta page under `(lpa, trim instant)`.
+fn note_trims(journalled: &mut HashSet<(Lpa, u64)>, dp: &DeltaPage) {
+    for d in dp.deltas.iter().filter(|d| d.is_trim()) {
+        journalled.insert((d.lpa, d.timestamp));
     }
 }
 
@@ -592,6 +605,26 @@ mod tests {
         assert!(report
             .violations
             .contains(&Violation::FreeBlockNotEmpty(free.0)));
+    }
+
+    #[test]
+    fn detects_write_pointer_drift() {
+        let mut ssd = built();
+        // The open block under LPA 0's head: a `written` one page ahead of
+        // the chip would make the next program non-sequential.
+        let block = ssd.config.geometry.block_of(head_of(&ssd, Lpa(0)));
+        let flash = ssd.flash.block(block).unwrap().write_ptr;
+        ssd.bst.raw_mut(block).written += 1;
+        let report = ssd.check_consistency();
+        assert!(
+            report.violations.contains(&Violation::WritePointerDrift {
+                block: block.0,
+                bst: flash + 1,
+                flash,
+            }),
+            "{:?}",
+            report.violations
+        );
     }
 
     #[test]

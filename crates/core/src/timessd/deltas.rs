@@ -11,14 +11,15 @@
 //! what lets back-pointers into not-yet-flushed delta pages be chained
 //! safely. A reserved-but-unflushed page is readable through
 //! [`DeltaManager::buffered_page`], modelling the firmware reading its own
-//! RAM.
+//! RAM. The reservation is no cursor of its own: it is the page at the
+//! delta block's BST `written`, which only the buffer's flush advances.
 
 use std::collections::{BTreeSet, HashMap};
 
 use almanac_bloom::FilterId;
 use almanac_flash::{BlockId, DeltaPage, DeltaRecord, FlashArray, Geometry, Lpa, Nanos, Oob, Ppa};
 
-use crate::alloc::{Allocator, OpenBlock};
+use crate::alloc::Allocator;
 use crate::error::{AlmanacError, Result};
 use crate::tables::{BlockKind, Bst};
 
@@ -85,7 +86,8 @@ pub struct AppendOutcome {
 pub struct DeltaManager {
     geometry: Geometry,
     buffers: HashMap<FilterId, Buffer>,
-    active_blocks: HashMap<FilterId, OpenBlock>,
+    /// The delta block each filter is filling.
+    active_blocks: HashMap<FilterId, BlockId>,
     blocks: HashMap<FilterId, Vec<BlockId>>,
     /// Delta blocks of dropped filters, waiting for GC to erase them: every
     /// delta in them is expired, so they are free space with no migration
@@ -138,7 +140,9 @@ impl DeltaManager {
     }
 
     /// Reserves the next page of `filter`'s active delta block, opening a new
-    /// block from the free pool when needed.
+    /// block from the free pool when needed. The page is the block's
+    /// `written`: a filter holds at most one unflushed reservation, and its
+    /// flush is what advances `written`.
     fn reserve_page(
         &mut self,
         filter: FilterId,
@@ -146,27 +150,21 @@ impl DeltaManager {
         bst: &mut Bst,
         now: Nanos,
     ) -> Result<Ppa> {
-        let need_new = match self.active_blocks.get(&filter) {
-            None => true,
-            Some(open) => open.next_off >= self.geometry.pages_per_block,
+        let open = self.active_blocks.get(&filter).copied();
+        let block = match open.filter(|&b| bst.get(b).written < self.geometry.pages_per_block) {
+            Some(block) => block,
+            None => {
+                let block = alloc.alloc_block(None).ok_or(AlmanacError::DeviceStalled {
+                    now,
+                    retention_window: 0,
+                })?;
+                bst.update(block, |info| info.kind = BlockKind::Delta(filter));
+                self.blocks.entry(filter).or_default().push(block);
+                self.active_blocks.insert(filter, block);
+                block
+            }
         };
-        if need_new {
-            let block = alloc.alloc_block(None).ok_or(AlmanacError::DeviceStalled {
-                now,
-                retention_window: 0,
-            })?;
-            bst.update(block, |info| info.kind = BlockKind::Delta(filter));
-            self.blocks.entry(filter).or_default().push(block);
-            self.active_blocks
-                .insert(filter, OpenBlock { block, next_off: 0 });
-        }
-        let open = self
-            .active_blocks
-            .get_mut(&filter)
-            .ok_or(AlmanacError::Internal("delta block reservation vanished"))?;
-        let ppa = self.geometry.ppa(open.block.0, open.next_off);
-        open.next_off += 1;
-        Ok(ppa)
+        Ok(self.geometry.ppa(block.0, bst.get(block).written))
     }
 
     /// Appends a record to `filter`'s buffer, flushing the buffer to flash
@@ -456,7 +454,7 @@ mod tests {
         let geo = Geometry::small_test();
         (
             DeltaManager::new(geo, 8),
-            Allocator::new(geo),
+            Allocator::new(geo, &Bst::new(&geo)),
             Bst::new(&geo),
             FlashArray::new(geo, LatencyConfig::default()),
         )
@@ -595,8 +593,8 @@ mod tests {
     fn journal_trim_batches_until_watermark() {
         let geo = Geometry::small_test();
         let mut mgr = DeltaManager::new(geo, 3);
-        let mut alloc = Allocator::new(geo);
         let mut bst = Bst::new(&geo);
+        let mut alloc = Allocator::new(geo, &bst);
         let mut flash = FlashArray::new(geo, LatencyConfig::default());
         let mut programs = 0;
         for i in 0..2 {
@@ -619,8 +617,8 @@ mod tests {
     fn watermark_one_reproduces_flush_per_trim() {
         let geo = Geometry::small_test();
         let mut mgr = DeltaManager::new(geo, 1);
-        let mut alloc = Allocator::new(geo);
         let mut bst = Bst::new(&geo);
+        let mut alloc = Allocator::new(geo, &bst);
         let mut flash = FlashArray::new(geo, LatencyConfig::default());
         for i in 0..3 {
             let out = mgr
@@ -665,8 +663,8 @@ mod tests {
     fn program_fault_mid_flush_keeps_buffer_retryable() {
         let geo = Geometry::small_test();
         let mut mgr = DeltaManager::new(geo, 8);
-        let mut alloc = Allocator::new(geo);
         let mut bst = Bst::new(&geo);
+        let mut alloc = Allocator::new(geo, &bst);
         let mut flash = FlashArray::new(geo, LatencyConfig::default())
             .with_fault_plan(almanac_flash::FaultPlan::new(1).with_program_fault(0));
         let out = mgr
@@ -687,8 +685,8 @@ mod tests {
     fn failed_barrier_does_not_advance_barrier_point() {
         let geo = Geometry::small_test();
         let mut mgr = DeltaManager::new(geo, 8);
-        let mut alloc = Allocator::new(geo);
         let mut bst = Bst::new(&geo);
+        let mut alloc = Allocator::new(geo, &bst);
         let mut flash = FlashArray::new(geo, LatencyConfig::default())
             .with_fault_plan(almanac_flash::FaultPlan::new(1).with_program_fault(0));
         mgr.append(0, record(1, 10, 8), &mut alloc, &mut bst, &mut flash, 0)
@@ -713,8 +711,8 @@ mod tests {
         // really reached flash — alongside the error.
         let geo = Geometry::small_test();
         let mut mgr = DeltaManager::new(geo, 8);
-        let mut alloc = Allocator::new(geo);
         let mut bst = Bst::new(&geo);
+        let mut alloc = Allocator::new(geo, &bst);
         let mut flash = FlashArray::new(geo, LatencyConfig::default())
             .with_fault_plan(almanac_flash::FaultPlan::new(1).with_program_fault(1));
         mgr.append(0, record(1, 10, 8), &mut alloc, &mut bst, &mut flash, 0)

@@ -50,7 +50,6 @@ impl TimeSsd {
         let mut bst = Bst::new(&geo);
         let mut imt = Imt::new();
         let mut chain = BloomChain::new(config.bloom);
-        let mut alloc = Allocator::new(geo);
         let mut last_ts: Nanos = 0;
 
         // Pass 1: scan every written page; find the newest version per LPA
@@ -225,16 +224,6 @@ impl TimeSsd {
             chain.insert(0, last_ts);
         }
 
-        // Pass 3: hand non-written blocks back to the allocator. The
-        // allocator starts full; claim every written block out of it.
-        for block in 0..geo.total_blocks() {
-            if written_per_block[block as usize] > 0 {
-                // Remove it from the free pool by matching identity.
-                let target = almanac_flash::BlockId(block);
-                let _ = alloc.take_block_by_max(|b| u32::from(b == target));
-            }
-        }
-
         // Newest first, so torn-chain repair during traversal can scan for
         // the next record strictly older than the break point.
         for list in recovered_deltas.values_mut() {
@@ -256,8 +245,9 @@ impl TimeSsd {
             flash,
             amt,
             pvt,
+            // The allocator pools the blocks the scan found empty.
+            alloc: Allocator::new(geo, &bst),
             bst,
-            alloc,
             stats: DeviceStats::default(),
             busy_until: 0,
             last_io_end: 0,
