@@ -11,6 +11,11 @@
 # an inline `mod … {` starts a file's test code, which is not scanned; any
 # other `#[cfg(test)]` (an out-of-line `mod tests;`, one test-only item)
 # does not end the scan.
+#
+# A per-page probe fails too: a `for … in 0..` loop bounded by the
+# block's size (`ppb`, `pages_per_block`) visits every page of a block.
+# Idle-time compression finds its pages by the PVT|PRT word scan, and
+# `Ftl::clean` is bounded by the block's `written`.
 status=0
 # Every file that holds the skeleton or a `Retention` impl is scanned.
 for f in crates/core/src/ftl.rs crates/core/src/regular.rs crates/core/src/flashguard.rs \
@@ -28,9 +33,13 @@ for f in crates/core/src/ftl.rs crates/core/src/regular.rs crates/core/src/flash
                 printf "%s:%d: in `%s`: %s\n", file, FNR, current, $0
                 bad = 1
             }
+            if (/for .* in 0\.\.[^{]*(ppb|pages_per_block)/) {
+                printf "%s:%d: in `%s`: %s\n", file, FNR, current, $0
+                bad = 1
+            }
         }
         END { exit bad }
     ' "$f" || status=1
 done
-[ "$status" -eq 0 ] || echo "ask Bst / FlashArray / DeltaManager for the maintained answer, or rate-limit the sweep and allowlist it here" >&2
+[ "$status" -eq 0 ] || echo "ask Bst / FlashArray / DeltaManager / PageBits for the maintained answer, or rate-limit the sweep and allowlist it here" >&2
 exit "$status"

@@ -8,8 +8,14 @@
 //! ⑤–⑧: the index mapping table (IMT), page reclamation table (PRT), the
 //! Bloom filters (in `almanac-bloom`), and the delta buffers (in
 //! `timessd::deltas`).
+//!
+//! Each table is laid out for the question the host path asks of it. The
+//! AMT and IMT are dense vectors indexed by LPA. The PVT and PRT pack one
+//! bit per page, so idle-time compression finds a block's pages that are
+//! clear in both by word scan. The BST files every data block in two victim
+//! indices, so GC and the idle-time compressor look their victim up.
 
-use std::collections::HashMap;
+use std::ops::Range;
 
 use almanac_bloom::FilterId;
 use almanac_flash::{BlockId, Geometry, Lpa, Nanos, Ppa};
@@ -58,12 +64,15 @@ impl AmtEntry {
     }
 }
 
-/// One flag per physical page, the shape of both per-page tables.
+/// One flag per physical page, the shape of both per-page tables, packed
+/// 64 pages to a word so that a block's clear pages are found by word scan
+/// ([`PageBits::next_clear_in_both`]) rather than page by page.
 /// Out-of-range addresses (e.g. a corrupt OOB back-pointer) read as clear
 /// and ignore writes rather than panicking.
 #[derive(Debug, Clone)]
 pub(crate) struct PageBits {
-    bits: Vec<bool>,
+    words: Vec<u64>,
+    pages: u64,
 }
 
 /// Page validity table ④: set while the page is the latest version of its
@@ -78,26 +87,55 @@ impl PageBits {
     /// All-clear table over the whole array.
     pub fn new(total_pages: u64) -> Self {
         PageBits {
-            bits: vec![false; total_pages as usize],
+            words: vec![0; total_pages.div_ceil(64) as usize],
+            pages: total_pages,
         }
     }
 
     /// Is the page's flag set?
     pub fn get(&self, ppa: Ppa) -> bool {
-        self.bits.get(ppa.0 as usize).copied().unwrap_or(false)
+        ppa.0 < self.pages && self.words[(ppa.0 / 64) as usize] & (1 << (ppa.0 % 64)) != 0
     }
 
     /// Sets or clears the page's flag.
     pub fn set(&mut self, ppa: Ppa, on: bool) {
-        if let Some(bit) = self.bits.get_mut(ppa.0 as usize) {
-            *bit = on;
+        if ppa.0 < self.pages {
+            let word = &mut self.words[(ppa.0 / 64) as usize];
+            if on {
+                *word |= 1 << (ppa.0 % 64);
+            } else {
+                *word &= !(1 << (ppa.0 % 64));
+            }
         }
     }
 
     /// Clears every page of a block (on erase).
     pub fn clear_block(&mut self, geometry: &Geometry, block: BlockId) {
-        let start = (block.0 * geometry.pages_per_block as u64) as usize;
-        self.bits[start..start + geometry.pages_per_block as usize].fill(false);
+        let start = block.0 * geometry.pages_per_block as u64;
+        for page in start..start + geometry.pages_per_block as u64 {
+            self.set(Ppa(page), false);
+        }
+    }
+
+    /// The first page in `pages` whose flag is clear both here and in
+    /// `other` (a table over the same array), one word at a time.
+    pub fn next_clear_in_both(&self, other: &PageBits, pages: Range<u64>) -> Option<Ppa> {
+        let end = pages.end.min(self.pages).min(other.pages);
+        let mut from = pages.start;
+        while from < end {
+            let w = (from / 64) as usize;
+            // Clear in both, at or after `from`, before `end`.
+            let mut free = !(self.words[w] | other.words[w]) & (!0 << (from % 64));
+            let word_end = (w as u64 + 1) * 64;
+            if end < word_end {
+                free &= (1 << (end % 64)) - 1;
+            }
+            if free != 0 {
+                return Some(Ppa(w as u64 * 64 + u64::from(free.trailing_zeros())));
+            }
+            from = word_end;
+        }
+        None
     }
 }
 
@@ -328,32 +366,50 @@ impl Bst {
 
 /// Index mapping table ⑤: LPA → PPA of the delta page holding the newest
 /// compressed version of that LPA.
-#[derive(Debug, Clone, Default)]
+///
+/// Dense and indexed by LPA, like the AMT. Each entry is `[page + 1, ts]`;
+/// all-zero means no head. The table is allocated by the first
+/// [`Imt::set_head`], so a device that never compresses never pays for it.
+#[derive(Debug, Clone)]
 pub(crate) struct Imt {
-    heads: HashMap<Lpa, (Ppa, Nanos)>,
+    heads: Vec<[u64; 2]>,
+    exported: u64,
 }
 
 impl Imt {
-    /// Empty table.
-    pub fn new() -> Self {
-        Imt::default()
+    /// Empty table over `exported_pages` LPAs.
+    pub fn new(exported_pages: u64) -> Self {
+        Imt {
+            heads: Vec::new(),
+            exported: exported_pages,
+        }
     }
 
     /// Head of the delta chain for `lpa`: the delta page and the timestamp of
     /// the newest compressed version.
     pub fn head(&self, lpa: Lpa) -> Option<(Ppa, Nanos)> {
-        self.heads.get(&lpa).copied()
+        match self.heads.get(lpa.0 as usize) {
+            Some(&[page, ts]) if page != 0 => Some((Ppa(page - 1), ts)),
+            _ => None,
+        }
     }
 
-    /// Updates the chain head.
+    /// Updates the chain head. An LPA at or beyond the exported size (a
+    /// rotted OOB field) is ignored and reads back `None`, as in the AMT.
     pub fn set_head(&mut self, lpa: Lpa, page: Ppa, newest_ts: Nanos) {
-        self.heads.insert(lpa, (page, newest_ts));
+        if lpa.0 >= self.exported {
+            return;
+        }
+        if self.heads.is_empty() {
+            self.heads = vec![[0; 2]; self.exported as usize];
+        }
+        self.heads[lpa.0 as usize] = [page.0 + 1, newest_ts];
     }
 
-    /// Iterates every `(lpa, (delta page, newest ts))` head — used by the
-    /// consistency checker's reachability audit.
+    /// Iterates every `(lpa, (delta page, newest ts))` head in LPA order —
+    /// used by rebuild and the consistency checker's reachability audit.
     pub fn iter(&self) -> impl Iterator<Item = (Lpa, (Ppa, Nanos))> + '_ {
-        self.heads.iter().map(|(l, h)| (*l, *h))
+        (0..self.heads.len() as u64).filter_map(|l| Some((Lpa(l), self.head(Lpa(l))?)))
     }
 }
 
@@ -461,6 +517,7 @@ impl Bst {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::HashMap;
 
     #[test]
     fn amt_transitions() {
@@ -490,6 +547,63 @@ mod tests {
         let beyond = Ppa(geo.total_pages());
         bits.set(beyond, true);
         assert!(!bits.get(beyond));
+    }
+
+    /// Random tables over `geo`, each page's flag set with probability
+    /// `1 / (1 << sparse)`, so blocks range from all-set to mostly clear.
+    fn random_bits(geo: &Geometry, seed: u64, sparse: u32) -> PageBits {
+        let mut bits = PageBits::new(geo.total_pages());
+        for page in 0..geo.total_pages() {
+            let z = (seed ^ page).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            bits.set(Ppa(page), !(z ^ (z >> 29)).is_multiple_of(1 << sparse));
+        }
+        bits
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// 8 pages per block (eight blocks share a word), 32 and 64: the
+        /// scan from every offset of every block, the first and last
+        /// included, answers what the per-page filter answered.
+        #[test]
+        fn next_clear_scan_matches_the_page_filter(
+            seed in any::<u64>(),
+            sparse in 0u32..4,
+        ) {
+            for geo in [Geometry::small_test(), Geometry::medium_test(), Geometry::bench()] {
+                let ppb = u64::from(geo.pages_per_block);
+                let (pvt, prt) = (random_bits(&geo, seed, sparse), random_bits(&geo, !seed, sparse));
+                for block in 0..geo.total_blocks() {
+                    let (first, end) = (block * ppb, (block + 1) * ppb);
+                    let from = first + seed % ppb;
+                    for start in [first, from] {
+                        let naive = (start..end)
+                            .map(Ppa)
+                            .find(|&p| !pvt.get(p) && !prt.get(p));
+                        prop_assert_eq!(pvt.next_clear_in_both(&prt, start..end), naive);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn next_clear_scan_sees_a_bit_set_between_calls() {
+        let geo = Geometry::medium_test();
+        let mut pvt = PageBits::new(geo.total_pages());
+        let mut prt = pvt.clone();
+        let scan = |pvt: &PageBits, prt: &PageBits| {
+            pvt.next_clear_in_both(prt, geo.ppa(3, 0).0..geo.ppa(4, 0).0)
+        };
+        assert_eq!(scan(&pvt, &prt), Some(geo.ppa(3, 0)));
+        prt.set(geo.ppa(3, 0), true);
+        pvt.set(geo.ppa(3, 1), true);
+        assert_eq!(scan(&pvt, &prt), Some(geo.ppa(3, 2)));
+        for off in 2..geo.pages_per_block {
+            prt.set(geo.ppa(3, off), true);
+        }
+        assert_eq!(scan(&pvt, &prt), None, "the next block is not scanned");
     }
 
     #[test]
@@ -646,11 +760,53 @@ mod tests {
 
     #[test]
     fn imt_head_roundtrip() {
-        let mut imt = Imt::new();
+        let mut imt = Imt::new(4);
         assert!(imt.head(Lpa(1)).is_none());
         imt.set_head(Lpa(1), Ppa(9), 77);
         assert_eq!(imt.head(Lpa(1)), Some((Ppa(9), 77)));
         assert_eq!(imt.iter().collect::<Vec<_>>(), [(Lpa(1), (Ppa(9), 77))]);
+    }
+
+    #[test]
+    fn imt_ignores_lpas_beyond_the_exported_size() {
+        let mut imt = Imt::new(4);
+        // A rotted OOB LPA plants nothing, not even the table itself.
+        for lpa in [4, 5, u64::MAX] {
+            imt.set_head(Lpa(lpa), Ppa(1), 10);
+            assert_eq!(imt.head(Lpa(lpa)), None);
+        }
+        assert_eq!(imt.iter().count(), 0);
+        // Page 0 at time 0 is a head, not the all-zero "no head".
+        imt.set_head(Lpa(3), Ppa(0), 0);
+        assert_eq!(imt.head(Lpa(3)), Some((Ppa(0), 0)));
+        assert_eq!(imt.head(Lpa(4)), None);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random `set_head`s over 24 LPAs, a few of them beyond the 20
+        /// exported: every head reads back what a map keeping only the
+        /// in-range ones holds, and `iter` walks them in ascending LPA order.
+        #[test]
+        fn imt_matches_a_map_model(
+            sets in proptest::collection::vec((0u64..24, 0u64..1000, any::<u64>()), 0..120),
+        ) {
+            let mut imt = Imt::new(20);
+            let mut model = HashMap::new();
+            for (lpa, page, ts) in sets {
+                imt.set_head(Lpa(lpa), Ppa(page), ts);
+                if lpa < 20 {
+                    model.insert(Lpa(lpa), (Ppa(page), ts));
+                }
+                for l in 0..24 {
+                    prop_assert_eq!(imt.head(Lpa(l)), model.get(&Lpa(l)).copied());
+                }
+            }
+            let mut want: Vec<_> = model.into_iter().collect();
+            want.sort_unstable();
+            prop_assert_eq!(imt.iter().collect::<Vec<_>>(), want);
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! RAM. The reservation is no cursor of its own: it is the page at the
 //! delta block's BST `written`, which only the buffer's flush advances.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 use almanac_bloom::FilterId;
 use almanac_flash::{BlockId, DeltaPage, DeltaRecord, FlashArray, Geometry, Lpa, Nanos, Oob, Ppa};
@@ -85,10 +85,13 @@ pub struct AppendOutcome {
 #[derive(Clone)]
 pub struct DeltaManager {
     geometry: Geometry,
-    buffers: HashMap<FilterId, Buffer>,
+    /// Live buffers, oldest filter first: a barrier programs them in this
+    /// order, and each delta page's OOB timestamp is its program time, so
+    /// the order must not depend on a hasher's seed.
+    buffers: BTreeMap<FilterId, Buffer>,
     /// The delta block each filter is filling.
-    active_blocks: HashMap<FilterId, BlockId>,
-    blocks: HashMap<FilterId, Vec<BlockId>>,
+    active_blocks: BTreeMap<FilterId, BlockId>,
+    blocks: BTreeMap<FilterId, Vec<BlockId>>,
     /// Delta blocks of dropped filters, waiting for GC to erase them: every
     /// delta in them is expired, so they are free space with no migration
     /// (Algorithm 1, line 2). Ordered, because GC takes the lowest first.
@@ -116,9 +119,9 @@ impl DeltaManager {
     pub fn new(geometry: Geometry, trim_watermark: u32) -> Self {
         DeltaManager {
             geometry,
-            buffers: HashMap::new(),
-            active_blocks: HashMap::new(),
-            blocks: HashMap::new(),
+            buffers: BTreeMap::new(),
+            active_blocks: BTreeMap::new(),
+            blocks: BTreeMap::new(),
             expired: BTreeSet::new(),
             trim_buffers: 0,
             seq: 0,
@@ -288,8 +291,9 @@ impl DeltaManager {
         Ok(out)
     }
 
-    /// Flushes every buffer (host barrier / shutdown), charging `page_cost`
-    /// of controller-side work on top of each flash program. Only when
+    /// Flushes every buffer (host barrier / shutdown), oldest filter first,
+    /// charging `page_cost` of controller-side work on top of each flash
+    /// program. Only when
     /// *every* buffer reaches flash does the barrier point advance: a
     /// mid-loop program fault leaves `barrier_seq` untouched (and the failed
     /// buffer intact), so the caller can refuse to ack and retry.
@@ -337,17 +341,14 @@ impl DeltaManager {
         if deadline == 0 || self.trim_buffers == 0 {
             return Vec::new();
         }
-        let mut aged: Vec<FilterId> = self
-            .buffers
+        self.buffers
             .iter()
             .filter(|(_, b)| {
                 b.oldest_trim_at
                     .is_some_and(|at| now.saturating_sub(at) > deadline)
             })
             .map(|(f, _)| *f)
-            .collect();
-        aged.sort_unstable();
-        aged
+            .collect()
     }
 
     /// Age of the oldest pending (volatile) tombstone across every buffer,

@@ -408,19 +408,20 @@ impl TimeSsd {
         let Some(victim) = victim else {
             return Ok(());
         };
-        let geo = self.config.geometry;
         let mut t = start;
         // Consecutive pages share a Bloom group and nothing inserts into or
         // drops from the chain inside a window: one probe per group.
         let mut probed: Option<(u64, bool)> = None;
-        for off in 0..ppb {
+        // Only invalid, not yet reclaimable pages can need work: the word
+        // scan of PVT|PRT finds them. It is asked again after every
+        // compression, which can mark later pages of this victim reclaimable.
+        let mut from = victim.0 * u64::from(ppb);
+        let end = from + u64::from(ppb);
+        while let Some(ppa) = self.pvt.next_clear_in_both(&self.policy.prt, from..end) {
             if budget.exhausted() {
                 break;
             }
-            let ppa = geo.ppa(victim.0, off);
-            if self.pvt.get(ppa) || self.policy.prt.get(ppa) {
-                continue;
-            }
+            from = ppa.0 + 1;
             let group = self.group_of(ppa);
             let retained = match probed {
                 Some((g, hit)) if g == group => hit,

@@ -127,7 +127,7 @@ impl Retention for TimeTravel {
         TimeTravel::with_index(
             config,
             Prt::new(geo.total_pages()),
-            Imt::new(),
+            Imt::new(config.exported_pages()),
             BloomChain::new(config.bloom),
             DeltaManager::new(geo, config.trim_journal_watermark),
         )

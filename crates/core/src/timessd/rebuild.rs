@@ -48,7 +48,7 @@ impl TimeSsd {
         let mut pvt = Pvt::new(geo.total_pages());
         let mut prt = Prt::new(geo.total_pages());
         let mut bst = Bst::new(&geo);
-        let mut imt = Imt::new();
+        let mut imt = Imt::new(exported);
         let mut chain = BloomChain::new(config.bloom);
         let mut last_ts: Nanos = 0;
 
