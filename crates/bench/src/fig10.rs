@@ -13,7 +13,7 @@ use almanac_fs::{AlmanacFs, FsMode};
 use almanac_kits::TimeKits;
 use almanac_workloads::ransomware::{attack, families, Family};
 
-use crate::{bench_config, engine, print_table};
+use crate::{engine, print_table};
 
 /// Device fill level before the attack (the paper warms its SSD until GC
 /// triggers before every experiment, §5.1).
@@ -95,8 +95,8 @@ pub fn flashguard_recovery(family: Family, seed: u64) -> Nanos {
     let mut fam = family;
     fam.victim_mib *= victim_scale();
     let report = attack(&mut fs, fam, seed, warm_end + SEC_NS).unwrap();
-    let lat = bench_config().latency;
     let ssd = fs.device_mut();
+    let lat = *ssd.flash().latency();
     settle(ssd, report.attack_end);
     // Locate each victim page's retained pre-attack version.
     let mut work = Vec::new();

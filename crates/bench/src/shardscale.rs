@@ -74,12 +74,12 @@ fn run_shards(shards: u32, ops: u64, seed: u64) -> Row {
     for (i, &t) in THREADS.iter().enumerate() {
         // The ranged workload: every retained version over the span, plus a
         // mid-history time window — the paper's audit-style sweeps.
-        let all = AddrQuery::new(ssd.read_view(), Lpa(0), span)
+        let all = AddrQuery::new(&ssd, Lpa(0), span)
             .all_versions()
             .threads(t)
             .run()
             .expect("all-versions query");
-        let windowed = AddrQuery::new(ssd.read_view(), Lpa(0), span)
+        let windowed = AddrQuery::new(&ssd, Lpa(0), span)
             .range(end / 4, 3 * end / 4)
             .threads(t)
             .run()
@@ -190,13 +190,13 @@ mod tests {
     fn concurrent_query_results_are_stable_under_stress() {
         let ssd = build_device(8, 4_000, 7);
         let span = ssd.exported_pages().min(1024);
-        let serial = AddrQuery::new(ssd.read_view(), Lpa(0), span)
+        let serial = AddrQuery::new(&ssd, Lpa(0), span)
             .all_versions()
             .run()
             .expect("serial query");
         for round in 0..25u32 {
             for t in [1, 2, 4, 8] {
-                let par = AddrQuery::new(ssd.read_view(), Lpa(0), span)
+                let par = AddrQuery::new(&ssd, Lpa(0), span)
                     .all_versions()
                     .threads(t)
                     .run()

@@ -52,7 +52,7 @@ fn query_cell(profile: TraceProfile, days: u32, usage: f64, seed: u64) -> Timed<
         let addr_query_all_ns = aq.cost.makespan(1);
 
         let mut kits = almanac_kits::TimeKits::new(&mut ssd);
-        let before = kits.ssd().config().latency;
+        let before = *kits.ssd().flash().latency();
         let out = kits.roll_back(lpa, 1, one_day_ago, last_at).unwrap();
         // Rollback latency: retrieval makespan plus the write-back.
         let rollback_ns = out.cost.makespan(1) + before.program_total();

@@ -1,7 +1,7 @@
 //! FTL configuration.
 
 use almanac_bloom::ChainConfig;
-use almanac_flash::{FaultPlan, Geometry, LatencyConfig, Nanos, DAY_NS, MS_NS, US_NS};
+use almanac_flash::{FaultPlan, Geometry, Nanos, DAY_NS, MS_NS, US_NS};
 
 /// Over-provisioned fraction of raw capacity (not exported to the host).
 const OP_RATIO: f64 = 0.15;
@@ -27,8 +27,6 @@ const OP_RATIO: f64 = 0.15;
 pub struct SsdConfig {
     /// Flash array shape.
     pub geometry: Geometry,
-    /// Flash latency model.
-    pub latency: LatencyConfig,
     /// Invalidations are recorded in the Bloom filters at this group
     /// granularity (N consecutive pages of a block, §3.5).
     pub group_size: u32,
@@ -49,8 +47,11 @@ pub struct SsdConfig {
     /// Standard deviation of the synthetic compression-ratio model.
     pub synthetic_delta_std: f64,
     /// Erase-count spread (max − min) that triggers a wear-leveling swap.
+    /// Test-facing: no figure varies it; the oracle's wearing suite lowers
+    /// it so swaps run under the model.
     pub wl_spread_threshold: u32,
-    /// Optional per-block erase endurance.
+    /// Optional per-block erase endurance. Test-facing: the end-of-life
+    /// tests set it; no figure wears a block out.
     pub endurance: Option<u32>,
     /// Optional user-supplied key encrypting retained (compressed) versions,
     /// the §3.10 defense against secure-deletion leaks: history stays
@@ -97,7 +98,6 @@ impl SsdConfig {
     pub fn new(geometry: Geometry) -> Self {
         SsdConfig {
             geometry,
-            latency: LatencyConfig::default(),
             group_size: 16,
             bloom: ChainConfig::default(),
             min_retention: 3 * DAY_NS,

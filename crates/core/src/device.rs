@@ -39,21 +39,27 @@ pub trait SsdReadOps {
     /// Human-readable device kind (e.g. `"regular"`, `"timessd"`).
     fn kind(&self) -> &'static str;
 
-    /// Shared-access view of the device's retained history, if it keeps
-    /// one. `None` for devices without time travel (the regular and
-    /// FlashGuard baselines); `Some` for TimeSSD, whose view answers
-    /// `version_as_of` / `versions_in` / `version_chain` through `&self`.
-    fn read_view(&self) -> Option<crate::timessd::query::SsdReadView<'_>> {
+    /// The device's retained history, if it keeps one. `None` for devices
+    /// without time travel (the regular and FlashGuard baselines); `Some`
+    /// for TimeSSD, which answers `version_as_of` / `versions_in` /
+    /// `version_chain` through `&self`.
+    fn read_view(&self) -> Option<&crate::TimeSsd> {
         None
     }
 }
 
+/// The latest arrival time a host command may carry, 2^63 ns (about 292
+/// years). The device clock adds service times to arrival times; this
+/// leaves it as much headroom again before `u64` overflows.
+pub const MAX_ARRIVAL: Nanos = 1 << 63;
+
 /// A simulated SSD exposed as a page-granular block device.
 ///
-/// All methods take the virtual arrival time `now`; implementations account
-/// internal work (garbage collection, compression) into the returned
-/// [`Completion`]. The `&self` introspection methods live on the
-/// [`SsdReadOps`] supertrait.
+/// All methods take the virtual arrival time `now` (one past
+/// [`MAX_ARRIVAL`] is refused with `AlmanacError::ArrivalTooLate`);
+/// implementations account internal work (garbage collection, compression)
+/// into the returned [`Completion`]. The `&self` introspection methods live
+/// on the [`SsdReadOps`] supertrait.
 pub trait SsdDevice: SsdReadOps {
     /// Writes one page of data to `lpa`.
     fn write(&mut self, lpa: Lpa, data: PageData, now: Nanos) -> Result<Completion>;

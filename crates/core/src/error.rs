@@ -34,6 +34,8 @@ pub enum AlmanacError {
     },
     /// A delta could not be decoded (reference expired or data corrupt).
     DecodeFailed(&'static str),
+    /// A host command arrived after [`crate::MAX_ARRIVAL`]; nothing was done.
+    ArrivalTooLate(Nanos),
     /// An internal bookkeeping invariant did not hold. Surfaced as an error
     /// rather than a panic so fault-injection runs (power cuts, injected op
     /// failures) degrade gracefully instead of aborting the process.
@@ -59,6 +61,9 @@ impl fmt::Display for AlmanacError {
                 write!(f, "no version of {lpa} found at or before t={at}ns")
             }
             AlmanacError::DecodeFailed(why) => write!(f, "version decode failed: {why}"),
+            AlmanacError::ArrivalTooLate(at) => {
+                write!(f, "arrival at t={at}ns is past the device clock's range")
+            }
             AlmanacError::Internal(why) => write!(f, "internal invariant violated: {why}"),
         }
     }

@@ -11,15 +11,15 @@
 //! cold-to-old swap) — and [`Retention`] is the rule for invalid pages,
 //! dispatched statically: the three devices are type aliases, not wrappers.
 
-use almanac_flash::{BlockId, FlashArray, Lpa, Nanos, Oob, PageData, Ppa};
+use almanac_flash::{BlockId, FlashArray, LatencyConfig, Lpa, Nanos, Oob, PageData, Ppa};
 
 use crate::alloc::{Allocator, Stream};
 use crate::config::SsdConfig;
-use crate::device::{Completion, SsdDevice, SsdReadOps};
+use crate::device::{Completion, SsdDevice, SsdReadOps, MAX_ARRIVAL};
 use crate::error::{AlmanacError, Result};
 use crate::stats::DeviceStats;
 use crate::tables::{AmtEntry, BlockKind, Bst, Pvt, ShardedAmt};
-use crate::timessd::query::SsdReadView;
+use crate::TimeSsd;
 
 pub(crate) mod sealed {
     /// Keeps [`Retention`](super::Retention) closed: its hooks see the whole
@@ -113,7 +113,7 @@ pub trait Retention: sealed::Sealed + Sized {
         if let AmtEntry::Mapped(old) = ftl.amt.set(lpa, AmtEntry::Unmapped) {
             ftl.invalidate(old, lpa, start);
         }
-        Ok(start + ftl.config.latency.transfer_ns)
+        Ok(start + ftl.flash.latency().transfer_ns)
     }
 
     /// Makes volatile policy state durable for a flush barrier that starts
@@ -128,7 +128,7 @@ pub trait Retention: sealed::Sealed + Sized {
     }
 
     /// The device's queryable history, if it keeps one.
-    fn read_view(_ftl: &Ftl<Self>) -> Option<SsdReadView<'_>> {
+    fn read_view(_ftl: &Ftl<Self>) -> Option<&TimeSsd> {
         None
     }
 }
@@ -156,7 +156,7 @@ pub struct Ftl<R: Retention> {
 impl<R: Retention> Ftl<R> {
     /// Creates a fully-erased device.
     pub fn new(config: SsdConfig) -> Self {
-        let mut flash = FlashArray::new(config.geometry, config.latency);
+        let mut flash = FlashArray::new(config.geometry, LatencyConfig::default());
         if let Some(e) = config.endurance {
             flash = flash.with_endurance(e);
         }
@@ -456,9 +456,13 @@ impl<R: Retention> Ftl<R> {
             .map(|(b, _)| b)
     }
 
-    /// The prologue of every host command: range check, policy housekeeping,
-    /// GC for the command that consumes a page, and the service start time.
+    /// The prologue of every host command: arrival and range checks, policy
+    /// housekeeping, GC for the command that consumes a page, and the
+    /// service start time.
     fn admit(&mut self, op: HostOp, now: Nanos) -> Result<Nanos> {
+        if now > MAX_ARRIVAL {
+            return Err(AlmanacError::ArrivalTooLate(now));
+        }
         if let HostOp::Write(lpa) | HostOp::Read(lpa) | HostOp::Trim(lpa) = op {
             self.check_lpa(lpa)?;
         }
@@ -500,7 +504,7 @@ impl<R: Retention> SsdDevice for Ftl<R> {
                 (data, finish)
             }
             // Resolved from the mapping table in firmware: no flash op.
-            _ => (PageData::Zeros, start + self.config.latency.transfer_ns),
+            _ => (PageData::Zeros, start + self.flash.latency().transfer_ns),
         };
         self.stats.user_reads += 1;
         let completion = self.ack(start, finish);
@@ -545,7 +549,7 @@ impl<R: Retention> SsdReadOps for Ftl<R> {
         R::KIND
     }
 
-    fn read_view(&self) -> Option<SsdReadView<'_>> {
+    fn read_view(&self) -> Option<&TimeSsd> {
         R::read_view(self)
     }
 }
@@ -742,6 +746,29 @@ mod tests {
         flush_fences_in_flight_io(RegularSsd::new(cfg()));
         flush_fences_in_flight_io(FlashGuardSsd::new(cfg()));
         flush_fences_in_flight_io(TimeSsd::new(cfg()));
+    }
+
+    /// Regression: a host command near `u64::MAX` overflowed the chip clock.
+    fn refuses_late_arrivals<D: SsdDevice>(mut ssd: D) {
+        let late = AlmanacError::ArrivalTooLate(MAX_ARRIVAL + 1);
+        let at = MAX_ARRIVAL + 1;
+        assert_eq!(ssd.write(Lpa(0), PageData::Zeros, at), Err(late.clone()));
+        assert_eq!(ssd.read(Lpa(0), at), Err(late.clone()));
+        assert_eq!(ssd.trim(Lpa(0), at), Err(late.clone()));
+        assert_eq!(ssd.flush(at), Err(late));
+        assert_eq!(*ssd.stats(), DeviceStats::default(), "{}", ssd.kind());
+        let w = ssd.write(Lpa(0), PageData::Zeros, MAX_ARRIVAL).unwrap();
+        assert!(w.finish > MAX_ARRIVAL);
+        ssd.read(Lpa(0), MAX_ARRIVAL).unwrap();
+        ssd.flush(MAX_ARRIVAL).unwrap();
+    }
+
+    #[test]
+    fn arrivals_past_the_clock_are_refused_on_every_ftl() {
+        let cfg = || SsdConfig::new(Geometry::small_test());
+        refuses_late_arrivals(RegularSsd::new(cfg()));
+        refuses_late_arrivals(FlashGuardSsd::new(cfg()));
+        refuses_late_arrivals(TimeSsd::new(cfg()));
     }
 
     /// What the workloads below write to `lpa` as its `version`.

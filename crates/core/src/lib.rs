@@ -47,7 +47,7 @@ mod tables;
 mod timessd;
 
 pub use config::SsdConfig;
-pub use device::{Completion, SsdDevice, SsdReadOps};
+pub use device::{Completion, SsdDevice, SsdReadOps, MAX_ARRIVAL};
 pub use error::{AlmanacError, Result};
 pub use flashguard::{FlashGuardSsd, ReadGated};
 pub use ftl::{Ftl, HostOp, Retention};
@@ -65,6 +65,5 @@ pub use timessd::{TimeSsd, TimeTravel, REF_ZEROS};
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<TimeSsd>();
-    assert_send_sync::<SsdReadView<'static>>();
     assert_send_sync::<ShardedAmt>();
 };

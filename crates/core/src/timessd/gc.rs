@@ -140,7 +140,7 @@ impl TimeSsd {
         budget: &mut Budget,
         cause: Cause,
     ) -> Result<Nanos> {
-        let lat = self.config.latency;
+        let lat = *self.flash.latency();
         // Resolve the reference (latest) version.
         let entry = self.amt.get(lpa);
         let (reference, ref_ts, walk_start) = match entry {
@@ -229,7 +229,7 @@ impl TimeSsd {
             t = out.finish;
             self.stats.delta_programs += out.programs;
             self.note_compression(cause, out.programs);
-            budget.charge(out.programs * self.config.latency.program_total());
+            budget.charge(out.programs * self.flash.latency().program_total());
             next_older = Some(out.page);
             self.mark_reclaimable(*ppa);
             self.policy.imt.set_head(lpa, out.page, oob.timestamp);
@@ -332,7 +332,7 @@ impl TimeSsd {
             None => REF_ZEROS,
         };
         let (body, size) = self.make_delta(&reference, &data, oob.lpa, oob.timestamp);
-        t += self.config.latency.compress_ns;
+        t += self.flash.latency().compress_ns;
         let record = DeltaRecord {
             lpa: oob.lpa,
             back_ptr: oob.back_ptr,
@@ -398,7 +398,8 @@ impl TimeSsd {
         // full, closed block with the most retained (uncompressed) invalid
         // pages, the highest-numbered of equals.
         let ppb = self.config.geometry.pages_per_block;
-        let floor = self.config.latency.program_total() + self.config.latency.read_total();
+        let lat = self.flash.latency();
+        let floor = lat.program_total() + lat.read_total();
         if budget.below(floor) {
             return Ok(());
         }
@@ -431,7 +432,7 @@ impl TimeSsd {
             if !retained {
                 continue;
             }
-            if !budget.charge(self.config.latency.read_total()) {
+            if !budget.charge(self.flash.latency().read_total()) {
                 break;
             }
             let (_, oob, rt) = self.flash.read(ppa, t)?;

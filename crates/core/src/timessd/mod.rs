@@ -40,7 +40,6 @@ use crate::tables::{AmtEntry, BlockKind, Imt, Prt};
 
 use deltas::DeltaManager;
 use idle::IdlePredictor;
-use query::SsdReadView;
 use retention::PeriodCounters;
 
 /// Sentinel `ref_timestamp` meaning "the reference is the all-zero page"
@@ -197,7 +196,7 @@ impl Retention for TimeTravel {
     }
 
     fn stamp(ftl: &mut Ftl<Self>, op: HostOp, start: Nanos) -> Nanos {
-        let lat = &ftl.config.latency;
+        let lat = ftl.flash.latency();
         match op {
             HostOp::Write(lpa) => {
                 let start =
@@ -218,7 +217,7 @@ impl Retention for TimeTravel {
     /// The tombstone is journalled through the delta stream so the trim
     /// survives a power cut.
     fn trim(ftl: &mut Ftl<Self>, lpa: Lpa, start: Nanos) -> Result<Nanos> {
-        let mut finish = start + ftl.config.latency.transfer_ns;
+        let mut finish = start + ftl.flash.latency().transfer_ns;
         if let AmtEntry::Mapped(old) = ftl.amt.get(lpa) {
             // Invalidation times recorded in the Bloom chain must never
             // regress: back-to-back writes push `last_ts` ahead of wall
@@ -269,8 +268,8 @@ impl Retention for TimeTravel {
         ftl.retention_window(now)
     }
 
-    fn read_view(ftl: &Ftl<Self>) -> Option<SsdReadView<'_>> {
-        Some(ftl.read_view())
+    fn read_view(ftl: &Ftl<Self>) -> Option<&TimeSsd> {
+        Some(ftl)
     }
 }
 
@@ -388,7 +387,7 @@ impl TimeSsd {
             return;
         }
         let over = self.policy.period.over_threshold(
-            &self.config.latency,
+            self.flash.latency(),
             self.config.n_fixed,
             self.config.gc_overhead_threshold,
         );

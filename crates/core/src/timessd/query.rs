@@ -477,59 +477,11 @@ impl TimeSsd {
     pub fn geometry(&self) -> &almanac_flash::Geometry {
         &self.config.geometry
     }
-
-    /// Shared-access view over this device's retained history — the `&self`
-    /// query path parallel queries run on. Equivalent to
-    /// [`SsdReadOps::read_view`](crate::SsdReadOps::read_view) without the
-    /// trait-object indirection.
-    pub fn read_view(&self) -> SsdReadView<'_> {
-        SsdReadView { ssd: self }
-    }
 }
 
-/// A shared-access window onto a [`TimeSsd`]'s time-travel index.
-///
-/// Every method works through `&self` and takes no lock, so any number of
-/// views (one per query worker) can traverse version chains concurrently
-/// while the device is between `&mut` commands — the borrow checker keeps
-/// writers out for as long as a view lives. The view is `Copy` — hand one
-/// to each scoped thread.
-///
-/// Obtained from [`TimeSsd::read_view`] or, device-generically, from
-/// [`SsdReadOps::read_view`](crate::SsdReadOps::read_view).
-#[derive(Clone, Copy)]
-pub struct SsdReadView<'a> {
-    ssd: &'a TimeSsd,
-}
-
-impl std::fmt::Debug for SsdReadView<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SsdReadView")
-            .field("exported_pages", &self.ssd.amt.len())
-            .field("amt_shards", &self.amt_shards())
-            .finish()
-    }
-}
-
-impl<'a> SsdReadView<'a> {
-    /// The underlying device (for cost models that need latency/config).
-    pub fn device(&self) -> &'a TimeSsd {
-        self.ssd
-    }
-
-    /// See [`TimeSsd::geometry`].
-    pub fn geometry(&self) -> &'a almanac_flash::Geometry {
-        self.ssd.geometry()
-    }
-
-    /// Number of host-visible pages.
-    pub fn exported_pages(&self) -> u64 {
-        self.ssd.amt.len()
-    }
-
-    /// Partition width for a parallel ranged query over this view (see
-    /// [`SsdConfig::amt_shards`](crate::SsdConfig)).
-    pub fn amt_shards(&self) -> u32 {
-        self.ssd.amt_shards()
-    }
-}
+/// The `&self` query path is a plain `&TimeSsd`: every query method takes
+/// `&self` and no lock, so any number of workers can walk version chains at
+/// once while the borrow checker keeps `&mut` commands out. The alias
+/// survives only because `benchmark/` compiles against this name, and goes
+/// with the next change to that crate.
+pub type SsdReadView<'a> = &'a TimeSsd;

@@ -13,7 +13,7 @@
 //! mode's answer is complete, and `fetch` materialises each yielded version
 //! with `TimeSsd::decode` from its location, never by walking again.
 
-use almanac_core::{Result, SsdReadView, TimeSsd, VersionInfo};
+use almanac_core::{Result, SsdReadOps, TimeSsd, VersionInfo};
 use almanac_flash::{Lpa, LpaSpan, Nanos};
 
 use crate::cost::QueryCost;
@@ -35,7 +35,7 @@ enum Mode {
 /// plus (for deltas) the reference read and the decompression CPU time —
 /// the overhead Figure 10 attributes to TimeSSD.
 pub(crate) fn charge_version(ssd: &TimeSsd, v: &VersionInfo, cost: &mut QueryCost) {
-    let lat = ssd.config().latency;
+    let lat = ssd.flash().latency();
     if let Some(chip) = v.chip {
         cost.charge_read(chip, lat.read_total());
     }
@@ -84,7 +84,9 @@ impl AddrQueryOutcome {
     /// bottleneck partitioning the scan removes; the `shardscale` bench figure
     /// plots this.
     pub fn makespan(&self, threads: u32) -> Nanos {
-        let threads = threads.max(1) as usize;
+        // Workers beyond the shard count would idle; the count can come off
+        // the wire, so it must not size the allocation.
+        let threads = (threads as usize).clamp(1, self.shard_costs.len().max(1));
         let mut workers = vec![0u64; threads];
         for (s, c) in self.shard_costs.iter().enumerate() {
             workers[s % threads] += c.makespan(1);
@@ -112,15 +114,15 @@ impl AddrQueryOutcome {
 /// ssd.write(Lpa(0), PageData::bytes(b"new".to_vec()), 5 * SEC_NS).unwrap();
 ///
 /// // The `&self` query path: no exclusive device access needed.
-/// let out = AddrQuery::new(ssd.read_view(), Lpa(0), 1)
+/// let out = AddrQuery::new(&ssd, Lpa(0), 1)
 ///     .as_of(3 * SEC_NS)
 ///     .run()
 ///     .unwrap();
 /// assert_eq!(out.hits[0].data, PageData::bytes(b"old".to_vec()));
 /// ```
-#[derive(Debug, Clone, Copy)]
+#[derive(Clone, Copy)]
 pub struct AddrQuery<'v> {
-    view: SsdReadView<'v>,
+    ssd: &'v TimeSsd,
     addr: Lpa,
     cnt: u64,
     mode: Mode,
@@ -128,10 +130,10 @@ pub struct AddrQuery<'v> {
 }
 
 impl<'v> AddrQuery<'v> {
-    /// Starts a query over `cnt` LPAs from `addr` on the given read view.
-    pub fn new(view: SsdReadView<'v>, addr: Lpa, cnt: u64) -> Self {
+    /// Starts a query over `cnt` LPAs from `addr` of `ssd`.
+    pub fn new(ssd: &'v TimeSsd, addr: Lpa, cnt: u64) -> Self {
         AddrQuery {
-            view,
+            ssd,
             addr,
             cnt,
             mode: Mode::All,
@@ -171,10 +173,10 @@ impl<'v> AddrQuery<'v> {
     /// shard and thread count. Errors are reported from the lowest failing
     /// shard.
     pub fn run(&self) -> Result<AddrQueryOutcome> {
-        let ssd = self.view.device();
-        let span = LpaSpan::clamped(self.addr, self.cnt, self.view.exported_pages());
+        let ssd = self.ssd;
+        let span = LpaSpan::clamped(self.addr, self.cnt, ssd.exported_pages());
         let (hits, cost, shard_costs) = engine::scan(
-            self.view,
+            ssd,
             span,
             self.threads,
             |h: &QueryHit| h.lpa,
@@ -236,13 +238,13 @@ mod tests {
     fn results_are_identical_across_shard_and_thread_counts() {
         let baseline = {
             let ssd = device(1);
-            AddrQuery::new(ssd.read_view(), Lpa(0), 10).run().unwrap()
+            AddrQuery::new(&ssd, Lpa(0), 10).run().unwrap()
         };
         assert_eq!(baseline.hits.len(), 30);
         for shards in [2u32, 4, 8] {
             let ssd = device(shards);
             for threads in [1u32, 2, 4, 8] {
-                let out = AddrQuery::new(ssd.read_view(), Lpa(0), 10)
+                let out = AddrQuery::new(&ssd, Lpa(0), 10)
                     .threads(threads)
                     .run()
                     .unwrap();
@@ -261,10 +263,7 @@ mod tests {
     #[test]
     fn hits_keep_the_serial_scan_order() {
         let ssd = device(4);
-        let out = AddrQuery::new(ssd.read_view(), Lpa(0), 10)
-            .threads(4)
-            .run()
-            .unwrap();
+        let out = AddrQuery::new(&ssd, Lpa(0), 10).threads(4).run().unwrap();
         // Ascending LPA, newest-first within each LPA.
         for w in out.hits.windows(2) {
             assert!(
@@ -276,7 +275,7 @@ mod tests {
     #[test]
     fn modes_filter_versions() {
         let ssd = device(4);
-        let view = ssd.read_view();
+        let view = &ssd;
         let as_of = AddrQuery::new(view, Lpa(0), 10)
             .as_of(2 * SEC_NS + SEC_NS / 2)
             .run()
@@ -302,7 +301,7 @@ mod tests {
         // index nor panics in debug builds — on any shard count.
         for shards in [1u32, 3, 4, 8] {
             let ssd = device(shards);
-            let view = ssd.read_view();
+            let view = &ssd;
             let out = AddrQuery::new(view, Lpa(u64::MAX - 1), 8).run().unwrap();
             assert!(out.hits.is_empty(), "{shards} shards");
             let out = AddrQuery::new(view, Lpa(u64::MAX - 1), 8)
@@ -322,14 +321,11 @@ mod tests {
     fn sharded_makespan_scales_with_shards_and_threads() {
         let serial = {
             let ssd = device(1);
-            AddrQuery::new(ssd.read_view(), Lpa(0), 10).run().unwrap()
+            AddrQuery::new(&ssd, Lpa(0), 10).run().unwrap()
         };
         let sharded = {
             let ssd = device(4);
-            AddrQuery::new(ssd.read_view(), Lpa(0), 10)
-                .threads(4)
-                .run()
-                .unwrap()
+            AddrQuery::new(&ssd, Lpa(0), 10).threads(4).run().unwrap()
         };
         // One shard: threads cannot help (the shard serializes).
         assert_eq!(serial.makespan(1), serial.makespan(4));
@@ -343,7 +339,7 @@ mod tests {
     #[test]
     fn empty_span_yields_empty_outcome() {
         let ssd = device(4);
-        let out = AddrQuery::new(ssd.read_view(), Lpa(5), 0).run().unwrap();
+        let out = AddrQuery::new(&ssd, Lpa(5), 0).run().unwrap();
         assert!(out.hits.is_empty());
         assert_eq!(out.cost.flash_reads, 0);
         assert_eq!(out.makespan(4), 0);

@@ -7,11 +7,11 @@
 //! AMT, IMT and map cache are flat tables, and this file holds the only
 //! `lpa % width` in the workspace.
 //!
-//! Workers hold only an [`SsdReadView`] — a `&TimeSsd` — so any number of
-//! them can walk version chains at once while no `&mut` command can run;
-//! that exclusion comes from the borrow checker, not from a lock.
+//! Workers hold only a `&TimeSsd`, so any number of them can walk version
+//! chains at once while no `&mut` command can run; that exclusion comes
+//! from the borrow checker, not from a lock.
 
-use almanac_core::SsdReadView;
+use almanac_core::TimeSsd;
 use almanac_flash::{Lpa, LpaSpan};
 
 use crate::cost::QueryCost;
@@ -41,14 +41,14 @@ pub(crate) type Scan<H> = (Vec<H>, QueryCost, Vec<QueryCost>);
 /// commutatively. So hits and total cost are identical at every shard and
 /// thread count. An error is reported from the lowest failing shard.
 pub(crate) fn scan<H: Send, E: Send>(
-    view: SsdReadView<'_>,
+    ssd: &TimeSsd,
     span: LpaSpan,
     threads: u32,
     lpa_of: impl Fn(&H) -> Lpa,
     visit: impl Fn(Lpa, &mut Vec<H>, &mut QueryCost) -> Result<(), E> + Sync,
 ) -> Result<Scan<H>, E> {
-    let width = u64::from(view.amt_shards().max(1));
-    let chips = view.geometry().total_chips() as u32;
+    let width = u64::from(ssd.amt_shards());
+    let chips = ssd.geometry().total_chips() as u32;
     let scan_shard = |shard: u64| {
         let mut hits = Vec::new();
         let mut cost = QueryCost::new(chips);

@@ -82,7 +82,7 @@ impl<'a> TimeKits<'a> {
     /// [`AddrQuery::as_of`] or [`AddrQuery::range`], then
     /// [`AddrQuery::run`].
     pub fn query(&self, addr: Lpa, cnt: u64) -> AddrQuery<'_> {
-        AddrQuery::new(self.ssd.read_view(), addr, cnt).threads(self.threads)
+        AddrQuery::new(self.ssd, addr, cnt).threads(self.threads)
     }
 
     /// Shared body of the time-based queries: walks every LPA's chain on the
@@ -91,9 +91,9 @@ impl<'a> TimeKits<'a> {
     /// edge.
     fn time_scan(&self, from: Nanos, to: Nanos) -> (Vec<TimeQueryHit>, QueryCost) {
         let ssd: &TimeSsd = self.ssd;
-        let lat = ssd.config().latency;
+        let lat = ssd.flash().latency();
         let Ok((hits, cost, _)) = engine::scan(
-            ssd.read_view(),
+            ssd,
             LpaSpan::clamped(Lpa(0), u64::MAX, ssd.exported_pages()),
             self.threads,
             |h: &TimeQueryHit| h.lpa,
@@ -214,7 +214,7 @@ impl<'a> TimeKits<'a> {
     /// host threads, each thread's chain of read → (decompress) → write-back
     /// runs serially, threads overlap (Figure 11's scaling model).
     pub fn restore_cost_estimate(&self, lpas: &[Lpa], t: Nanos, threads: u32) -> Nanos {
-        let lat = self.ssd.config().latency;
+        let lat = self.ssd.flash().latency();
         let threads = threads.max(1) as usize;
         let mut worker = vec![0u64; threads];
         for (i, &lpa) in lpas.iter().enumerate() {

@@ -16,11 +16,11 @@
 //! | `roll_back_all` | revert every valid LPA |
 //!
 //! The three address queries share one entry point, the [`AddrQuery`]
-//! builder, which runs against an [`SsdReadView`](almanac_core::SsdReadView)
-//! — the `&self` read path. Address and time queries alike are per-LPA
-//! closures over one private scan engine that fans the LPA span across the
-//! device's AMT shards on scoped host threads; workers share `&TimeSsd`, and
-//! the borrow checker (not a lock) keeps writers out while they run.
+//! builder, which runs against a `&TimeSsd` — the `&self` read path.
+//! Address and time queries alike are per-LPA closures over one private
+//! scan engine that fans the LPA span across the device's AMT shards on
+//! scoped host threads; workers share `&TimeSsd`, and the borrow checker
+//! (not a lock) keeps writers out while they run.
 //!
 //! Queries exploit the SSD's internal parallelism: retrieval work is
 //! scheduled across flash chips and the reported virtual latency is the

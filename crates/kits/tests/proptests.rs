@@ -136,14 +136,14 @@ proptest! {
         let baseline = build_history_sharded(&writes, 1).0;
         let (lo, hi) = (t1.min(t2), t1.max(t2));
         let reference: Vec<_> = [
-            AddrQuery::new(baseline.read_view(), Lpa(addr), cnt).as_of(lo).run().unwrap(),
-            AddrQuery::new(baseline.read_view(), Lpa(addr), cnt).range(lo, hi).run().unwrap(),
-            AddrQuery::new(baseline.read_view(), Lpa(addr), cnt).all_versions().run().unwrap(),
+            AddrQuery::new(&baseline, Lpa(addr), cnt).as_of(lo).run().unwrap(),
+            AddrQuery::new(&baseline, Lpa(addr), cnt).range(lo, hi).run().unwrap(),
+            AddrQuery::new(&baseline, Lpa(addr), cnt).all_versions().run().unwrap(),
         ].into_iter().collect();
         for shards in [2u32, 4, 8] {
             let ssd = build_history_sharded(&writes, shards).0;
             for threads in [1u32, 3, 8] {
-                let view = ssd.read_view();
+                let view = &ssd;
                 let outs = [
                     AddrQuery::new(view, Lpa(addr), cnt).threads(threads).as_of(lo).run().unwrap(),
                     AddrQuery::new(view, Lpa(addr), cnt).threads(threads).range(lo, hi).run().unwrap(),

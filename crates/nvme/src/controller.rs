@@ -86,13 +86,6 @@ impl NvmeController {
         &self.ssd
     }
 
-    /// `&self` query path into the firmware: an [`almanac_core::SsdReadView`]
-    /// over the mapping tables, for hosts that want to run [`AddrQuery`]
-    /// builders directly instead of going through the wire opcodes.
-    pub fn read_view(&self) -> almanac_core::SsdReadView<'_> {
-        self.ssd.read_view()
-    }
-
     /// Admin-style queue creation: a new submission/completion queue pair
     /// with its own `depth` (clamped to ≥ 1). Returns its queue id.
     pub fn create_io_queue(&mut self, depth: usize) -> u16 {
@@ -268,8 +261,7 @@ impl NvmeController {
                 self.execute_io(e, payload, now)
             }
             NvmeOpcode::AddrQuery | NvmeOpcode::AddrQueryRange | NvmeOpcode::AddrQueryAll => {
-                let query =
-                    AddrQuery::new(self.ssd.read_view(), Lpa(e.get_u64(0)), e.cdw[2] as u64);
+                let query = AddrQuery::new(&self.ssd, Lpa(e.get_u64(0)), e.cdw[2] as u64);
                 // The opcodes differ only in which CDWs carry the version
                 // filter and the host worker count (0 = one thread); range
                 // bounds use second granularity on the wire.
@@ -346,10 +338,13 @@ impl NvmeController {
         let Some(span) = LpaSpan::whole(start, u64::from(count), self.ssd.exported_pages()) else {
             return (LbaOutOfRange, 0, now, None);
         };
+        let page_size = self.ssd.geometry().page_size as usize;
         let mut finish = now;
         match e.opcode {
             NvmeOpcode::Write => {
-                if payload.len() < count as usize {
+                // One page per LPA, none longer than a flash page: anything
+                // else would be stored truncated or not at all.
+                if payload.len() != count as usize || payload.iter().any(|p| p.len() > page_size) {
                     return (InvalidField, 0, now, None);
                 }
                 let mut done = 0u32;
@@ -365,7 +360,6 @@ impl NvmeController {
                 (Success, done, finish, None)
             }
             NvmeOpcode::Read => {
-                let page_size = self.ssd.geometry().page_size as usize;
                 let mut pages = Vec::with_capacity(count as usize);
                 for lpa in span.iter() {
                     match self.ssd.read(lpa, now) {
@@ -511,6 +505,21 @@ mod tests {
             assert_eq!(done.cqe.status, NvmeStatus::InvalidField as u16);
             assert_eq!(done.cqe.result, 0);
             assert_eq!(done.finish, SEC_NS, "an error completes at once");
+        }
+        assert_eq!(c.ssd().stats().user_writes, 0);
+        assert!(!c.ssd().is_mapped(Lpa(0)));
+    }
+
+    #[test]
+    fn oversized_or_surplus_payload_write_is_an_invalid_field_and_writes_nothing() {
+        let mut c = controller();
+        let page_size = c.ssd().geometry().page_size as usize;
+        // One page longer than a flash page, or a second page CDW12 does
+        // not count: neither can be stored as sent.
+        for payload in [vec![vec![1u8; page_size + 1]], vec![vec![1u8; 8]; 2]] {
+            let done = run(&mut c, io(NvmeOpcode::Write, 1, 0, 1), payload, SEC_NS);
+            assert_eq!(done.cqe.status, NvmeStatus::InvalidField as u16);
+            assert_eq!(done.cqe.result, 0);
         }
         assert_eq!(c.ssd().stats().user_writes, 0);
         assert!(!c.ssd().is_mapped(Lpa(0)));

@@ -121,13 +121,6 @@ impl HostDriver {
         &self.controller
     }
 
-    /// `&self` query path: a read view over the device's mapping tables, for
-    /// running [`almanac_kits::AddrQuery`] builders host-side without
-    /// exclusive driver access (lookups go through `&self`, no lock).
-    pub fn read_view(&self) -> almanac_core::SsdReadView<'_> {
-        self.controller.read_view()
-    }
-
     /// Creates a new I/O queue pair with its own depth, returning its id.
     pub fn create_queue(&mut self, depth: usize) -> u16 {
         self.controller.create_io_queue(depth)
@@ -447,13 +440,13 @@ mod tests {
     }
 
     #[test]
-    fn read_view_queries_without_exclusive_access() {
+    fn queries_run_without_exclusive_access() {
         let mut d = driver();
         d.write(Lpa(0), b"v1".to_vec(), SEC_NS).unwrap();
         d.write(Lpa(0), b"v2".to_vec(), 3 * SEC_NS).unwrap();
-        // The &self path: an AddrQuery builder over the driver's read view,
+        // The &self path: an AddrQuery builder over the controller's device,
         // no &mut driver needed.
-        let view = d.read_view();
+        let view = d.controller().ssd();
         let out = almanac_kits::AddrQuery::new(view, Lpa(0), 1)
             .as_of(2 * SEC_NS)
             .run()
@@ -478,7 +471,7 @@ mod tests {
         assert_eq!(serial, parallel);
         // Completion timing: the sharded schedule with 4 workers is strictly
         // no slower than one worker on the same device state.
-        let one = almanac_kits::AddrQuery::new(d.read_view(), Lpa(0), 8)
+        let one = almanac_kits::AddrQuery::new(d.controller().ssd(), Lpa(0), 8)
             .as_of(10 * SEC_NS)
             .run()
             .unwrap();

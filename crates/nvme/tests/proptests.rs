@@ -5,6 +5,61 @@ use almanac_flash::{Geometry, Lpa, SEC_NS};
 use almanac_nvme::{HostDriver, NvmeController, NvmeOpcode, SubmissionEntry};
 use proptest::prelude::*;
 
+/// The opcode bytes the controller knows; a random byte rarely is one.
+const OPCODES: [u8; 12] = [
+    0x00, 0x01, 0x02, 0x09, 0xC0, 0xC1, 0xC2, 0xC3, 0xC4, 0xC5, 0xC6, 0xC7,
+];
+
+/// Any 64 bytes and 0–3 payload pages of any length. Most entries get a
+/// known opcode. Two in three keep every command dword below 64 (and the
+/// high halves of the LPA and timestamp zero), so ranges land inside the
+/// device often; half of those also count the payload's pages in CDW12, so
+/// writes can succeed.
+fn wire_command() -> impl Strategy<Value = ([u8; 64], Vec<Vec<u8>>)> {
+    (
+        any::<[u8; 64]>(),
+        prop_oneof![1 => any::<u8>(), 3 => prop::sample::select(OPCODES.to_vec())],
+        0u8..4,
+        prop::collection::vec(prop::collection::vec(any::<u8>(), 0..5000), 0..4),
+    )
+        .prop_map(|(mut bytes, opcode, shape, payload)| {
+            bytes[0] = opcode;
+            if shape >= 2 {
+                for (i, dw) in bytes[40..].chunks_mut(4).enumerate() {
+                    dw[0] = if i % 4 == 1 { 0 } else { dw[0] % 64 };
+                    dw[1..].fill(0);
+                }
+            }
+            if shape == 3 {
+                bytes[48..52].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+            }
+            (bytes, payload)
+        })
+}
+
+/// Submits every entry that decodes to one small controller, each run to
+/// completion in turn: each must post exactly its own completion and leave
+/// the device consistent.
+fn every_command_completes(commands: &[([u8; 64], Vec<Vec<u8>>)]) {
+    let ssd = TimeSsd::new(SsdConfig::new(Geometry::small_test()));
+    let mut c = NvmeController::new(ssd);
+    let mut now = SEC_NS;
+    for (bytes, payload) in commands {
+        let Some(entry) = SubmissionEntry::from_bytes(bytes) else {
+            continue;
+        };
+        assert!(c.submit_to(0, entry, payload.clone()), "queue 0 has room");
+        now = c.run_to_completion(now) + SEC_NS;
+        let done = c
+            .pop_completion(0)
+            .expect("every command posts a completion");
+        assert_eq!(done.cqe.cid, entry.cid);
+        assert!(c.pop_completion(0).is_none(), "one completion per command");
+        let report = c.ssd().check_consistency();
+        assert!(report.is_clean(), "{entry:?}: {report:?}");
+    }
+}
+
 fn opcode_strategy() -> impl Strategy<Value = NvmeOpcode> {
     prop::sample::select(vec![
         NvmeOpcode::Flush,
@@ -35,6 +90,13 @@ proptest! {
         let entry = SubmissionEntry { opcode, cid, nsid, cdw };
         let parsed = SubmissionEntry::from_bytes(&entry.to_bytes()).unwrap();
         prop_assert_eq!(parsed, entry);
+    }
+
+    #[test]
+    fn malformed_commands_each_complete_and_keep_the_device_consistent(
+        commands in prop::collection::vec(wire_command(), 1..8),
+    ) {
+        every_command_completes(&commands);
     }
 
     #[test]
@@ -77,4 +139,15 @@ proptest! {
         let page = driver.read(Lpa(0), t + SEC_NS).unwrap();
         prop_assert_eq!(&page[..versions[idx].len()], &versions[idx][..]);
     }
+}
+
+/// Inputs the malformed-command property found, kept as fixed cases.
+#[test]
+fn malformed_command_regressions() {
+    // AddrQuery asking for u32::MAX host workers (CDW13): the completion
+    // time's schedule was sized by the wire value.
+    let mut query = [0u8; 64];
+    query[0] = NvmeOpcode::AddrQuery as u8;
+    query[52..56].copy_from_slice(&u32::MAX.to_le_bytes());
+    every_command_completes(&[(query, Vec::new())]);
 }

@@ -867,7 +867,7 @@ impl<R: Guarantee> SsdReadOps for DifferentialHarness<Ftl<R>> {
     // The harness's read view is the device-under-test's: oracle suites use
     // it to run AddrQuery builders against the real TimeSsd while the model
     // stays the arbiter of correctness.
-    fn read_view(&self) -> Option<almanac_core::SsdReadView<'_>> {
+    fn read_view(&self) -> Option<&TimeSsd> {
         self.ssd().read_view()
     }
 }

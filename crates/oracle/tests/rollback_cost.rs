@@ -103,7 +103,7 @@ fn rollback_all_cost_matches_reference_schedule() {
     // Naive lockstep reference on an identical twin: the rollback loop
     // written out by hand, charging cost into plain per-chip counters.
     let mut twin = build_device();
-    let lat = twin.config().latency;
+    let lat = *twin.flash().latency();
     let chips = twin.geometry().total_chips() as usize;
     let mut per_chip = vec![0u64; chips];
     let mut cpu = 0u64;
