@@ -17,8 +17,9 @@
 //!
 //! A command owns its data. The pages a Write carries are submitted beside
 //! its 64-byte entry and moved into the device; the pages a read or query
-//! returns ride in its [`PostedCompletion`]. There is no host-buffer table to
-//! register with, look up, or leak.
+//! returns ride in its [`PostedCompletion`] as the device's immutable
+//! [`PageData`], which the host materialises. There is no host-buffer table
+//! to register with, look up, or leak.
 
 use almanac_core::{AlmanacError, SsdDevice, SsdReadOps, TimeSsd};
 use almanac_flash::{Lpa, LpaSpan, Nanos, PageData};
@@ -29,6 +30,10 @@ use crate::sqe::{CompletionEntry, NvmeOpcode, SubmissionEntry};
 
 /// Depth of the I/O queue pair the controller creates at construction.
 pub const DEFAULT_QUEUE_DEPTH: usize = 32;
+
+/// Bytes of one TimeQuery result row: the LPA and its version count, each a
+/// little-endian `u64`.
+pub(crate) const TIME_QUERY_ROW: usize = 16;
 
 /// NVMe status codes used by the controller (generic command status set,
 /// plus a vendor code for the §3.4 stall).
@@ -52,7 +57,7 @@ pub enum NvmeStatus {
 
 /// What executing a command yields: status, result dword, device-side
 /// finish instant, and the pages a successful read or query returns.
-type Executed = (NvmeStatus, u32, Nanos, Option<Vec<Vec<u8>>>);
+type Executed = (NvmeStatus, u32, Nanos, Option<Vec<PageData>>);
 
 /// The controller: N submission/completion queue pairs over one TimeSSD.
 pub struct NvmeController {
@@ -135,6 +140,17 @@ impl NvmeController {
         self.queues.get_mut(qid as usize)?.cq.pop_front()
     }
 
+    /// Pops the posted completion that finished first across every queue
+    /// (ties by start order) with its queue id: merging the queues' CQs so
+    /// the host sees device finish order, each queue's own order kept.
+    pub(crate) fn pop_earliest(&mut self) -> Option<(u16, PostedCompletion)> {
+        let (qid, _) = (self.queues.iter().enumerate())
+            .filter_map(|(qid, q)| Some((qid, q.cq.front()?.order())))
+            .min_by_key(|&(_, order)| order)?;
+        let done = self.queues[qid].cq.pop_front()?;
+        Some((qid as u16, done))
+    }
+
     /// Earliest pending completion instant across every queue — the next
     /// virtual time at which [`NvmeController::process`] will post a CQE.
     /// `None` when nothing is in flight.
@@ -207,13 +223,13 @@ impl NvmeController {
         }
         // A Flush fences everything submitted before it: all earlier
         // commands on this queue must have completed before it starts.
-        if head.opcode == NvmeOpcode::Flush && !q.inflight.is_empty() {
+        if head.opcode == NvmeOpcode::Flush && !q.idle() {
             return false;
         }
         let (entry, payload) = self.queues[qid].sq.pop_front().expect("head checked");
         let (status, result, finish, data) = self.execute(entry, payload, now);
         self.start_seq += 1;
-        self.queues[qid].inflight.push(PostedCompletion {
+        self.queues[qid].start(PostedCompletion {
             cqe: CompletionEntry {
                 cid: entry.cid,
                 status: status as u16,
@@ -245,7 +261,6 @@ impl NvmeController {
     /// immediately (`now`) unless part of the range was already applied.
     fn execute(&mut self, e: SubmissionEntry, payload: Vec<Vec<u8>>, now: Nanos) -> Executed {
         use NvmeStatus::Success;
-        let page_size = self.ssd.geometry().page_size as usize;
         match e.opcode {
             NvmeOpcode::Flush => match self.ssd.flush(now) {
                 // The result carries the barrier's response time in
@@ -280,13 +295,9 @@ impl NvmeController {
                     // makespan over `threads` host workers, so a device
                     // with more partitions answers parallel queries sooner.
                     Ok(out) => {
-                        let pages = out.hits.iter().map(|h| h.data.materialize(page_size));
-                        (
-                            Success,
-                            out.hits.len() as u32,
-                            now.saturating_add(out.makespan(threads)),
-                            Some(pages.collect()),
-                        )
+                        let finish = now.saturating_add(out.makespan(threads));
+                        let pages: Vec<PageData> = out.hits.into_iter().map(|h| h.data).collect();
+                        (Success, pages.len() as u32, finish, Some(pages))
                     }
                     Err(err) => Self::failed(&err, now),
                 }
@@ -301,13 +312,13 @@ impl NvmeController {
                 };
                 // The result carries `(lpa, n_timestamps)` pairs as 16-byte
                 // rows.
-                let rows: Vec<Vec<u8>> = hits
+                let rows: Vec<PageData> = hits
                     .iter()
                     .map(|h| {
-                        let mut row = Vec::with_capacity(16);
+                        let mut row = Vec::with_capacity(TIME_QUERY_ROW);
                         row.extend_from_slice(&h.lpa.0.to_le_bytes());
                         row.extend_from_slice(&(h.timestamps.len() as u64).to_le_bytes());
-                        row
+                        PageData::bytes(row)
                     })
                     .collect();
                 let finish = now.saturating_add(cost.makespan(threads));
@@ -338,10 +349,10 @@ impl NvmeController {
         let Some(span) = LpaSpan::whole(start, u64::from(count), self.ssd.exported_pages()) else {
             return (LbaOutOfRange, 0, now, None);
         };
-        let page_size = self.ssd.geometry().page_size as usize;
         let mut finish = now;
         match e.opcode {
             NvmeOpcode::Write => {
+                let page_size = self.ssd.geometry().page_size as usize;
                 // One page per LPA, none longer than a flash page: anything
                 // else would be stored truncated or not at all.
                 if payload.len() != count as usize || payload.iter().any(|p| p.len() > page_size) {
@@ -364,7 +375,7 @@ impl NvmeController {
                 for lpa in span.iter() {
                     match self.ssd.read(lpa, now) {
                         Ok((data, c)) => {
-                            pages.push(data.materialize(page_size));
+                            pages.push(data);
                             finish = finish.max(c.finish);
                         }
                         Err(err) => return Self::failed(&err, now),
@@ -416,6 +427,11 @@ mod tests {
         c.pop_completion(0).expect("command completed")
     }
 
+    /// The bytes the host sees of a returned page.
+    fn bytes(c: &NvmeController, page: &PageData) -> Vec<u8> {
+        page.materialize(c.ssd().geometry().page_size as usize)
+    }
+
     /// Writes one page of `text` at `lpa` at `t` seconds.
     fn write_text(c: &mut NvmeController, lpa: u64, t: u64, text: &str) {
         let w = io(NvmeOpcode::Write, t as u16, lpa, 1);
@@ -436,8 +452,8 @@ mod tests {
         let done = run(&mut c, r, Vec::new(), 2 * SEC_NS);
         assert_eq!(done.cqe.status, 0);
         let pages = done.data.unwrap();
-        assert!(pages[0].starts_with(b"page zero"));
-        assert!(pages[1].starts_with(b"page one"));
+        assert!(bytes(&c, &pages[0]).starts_with(b"page zero"));
+        assert!(bytes(&c, &pages[1]).starts_with(b"page one"));
     }
 
     #[test]
@@ -535,7 +551,7 @@ mod tests {
         let done = run(&mut c, q, Vec::new(), 10 * SEC_NS);
         assert_eq!(done.cqe.status, 0);
         assert_eq!(done.cqe.result, 1);
-        assert!(done.data.unwrap()[0].starts_with(b"old"));
+        assert!(bytes(&c, &done.data.unwrap()[0]).starts_with(b"old"));
     }
 
     #[test]
@@ -549,7 +565,7 @@ mod tests {
 
         let r = io(NvmeOpcode::Read, 61, 4, 1);
         let done = run(&mut c, r, Vec::new(), 20 * SEC_NS);
-        assert!(done.data.unwrap()[0].starts_with(b"good"));
+        assert!(bytes(&c, &done.data.unwrap()[0]).starts_with(b"good"));
     }
 
     #[test]
@@ -559,9 +575,9 @@ mod tests {
         let q = SubmissionEntry::new(NvmeOpcode::TimeQueryAll, 2);
         let done = run(&mut c, q, Vec::new(), 2 * SEC_NS);
         assert_eq!(done.cqe.result, 1);
-        let rows = done.data.unwrap();
-        let lpa = u64::from_le_bytes(rows[0][0..8].try_into().unwrap());
-        let n = u64::from_le_bytes(rows[0][8..16].try_into().unwrap());
+        let row = done.data.unwrap()[0].materialize(TIME_QUERY_ROW);
+        let lpa = u64::from_le_bytes(row[0..8].try_into().unwrap());
+        let n = u64::from_le_bytes(row[8..16].try_into().unwrap());
         assert_eq!((lpa, n), (7, 1));
     }
 

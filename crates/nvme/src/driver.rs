@@ -8,20 +8,22 @@
 //!   returning. The convenient path for tools and tests.
 //! - **Multi-slot** ([`HostDriver::submit_write`] and friends returning a
 //!   [`Ticket`], drained by [`HostDriver::poll`]): many commands in flight
-//!   across many queues, completions surfacing in device finish order.
-//!   Tickets are `(qid, cid)` pairs; the allocator never hands out a cid
-//!   that is still in flight on its queue, so tickets never collide.
+//!   across many queues, completions surfacing in device finish order —
+//!   across queues too, within one poll. Tickets are `(qid, cid)` pairs; the
+//!   allocator never hands out a cid that is still in flight on its queue,
+//!   so tickets never collide.
 //!
 //! Data travels with its command: a write's pages are handed to the
 //! controller at submission, a read's or query's pages come back in its
-//! [`CompletedIo`]. Nothing is registered, so nothing can leak.
+//! [`CompletedIo`] as the device's [`PageData`], materialised into bytes
+//! only where the host asks for them (the synchronous calls do). Nothing is
+//! registered, so nothing can leak.
 
-use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
-use almanac_flash::{Lpa, Nanos};
+use almanac_flash::{Lpa, Nanos, PageData};
 
-use crate::controller::{NvmeController, NvmeStatus};
+use crate::controller::{NvmeController, NvmeStatus, TIME_QUERY_ROW};
 use crate::sqe::{NvmeOpcode, SubmissionEntry};
 
 /// Errors surfaced by the driver.
@@ -80,8 +82,9 @@ pub struct CompletedIo {
     /// Command-specific result dword.
     pub result: u32,
     /// Returned pages for data-bearing commands (reads, queries) that
-    /// succeeded; `None` otherwise.
-    pub data: Option<Vec<Vec<u8>>>,
+    /// succeeded; `None` otherwise. `materialize(page_size)` gives a page's
+    /// bytes; a TimeQuery row is 16 bytes.
+    pub data: Option<Vec<PageData>>,
     /// Device-side finish time the completion entry posted at — response
     /// time is `finish - submit time`.
     pub finish: Nanos,
@@ -94,15 +97,70 @@ impl CompletedIo {
     }
 }
 
+/// Words of a [`CidMap`]: one bit per 16-bit command id.
+const CID_WORDS: usize = (u16::MAX as usize + 1) / 64;
+
+/// The command ids in flight on one queue, one bit each, and the round-robin
+/// cursor the next allocation starts from. Cid 0 is never handed out.
+struct CidMap {
+    used: Box<[u64]>,
+    next: u16,
+}
+
+impl CidMap {
+    fn new() -> Self {
+        let mut used = vec![0u64; CID_WORDS].into_boxed_slice();
+        used[0] = 1;
+        CidMap { used, next: 1 }
+    }
+
+    /// Takes the first free cid at or after the cursor, wrapping, and moves
+    /// the cursor past it. `None` when all 65 535 are in flight.
+    fn alloc(&mut self) -> Option<u16> {
+        let start = usize::from(self.next);
+        // One word more than the map: the cursor's word again after the
+        // wrap, for its bits below the cursor.
+        for k in 0..=CID_WORDS {
+            let w = (start / 64 + k) % CID_WORDS;
+            let below = if k == 0 {
+                (1u64 << (start % 64)) - 1
+            } else {
+                0
+            };
+            let taken = self.used[w] | below;
+            if taken != u64::MAX {
+                let bit = taken.trailing_ones() as usize;
+                self.used[w] |= 1 << bit;
+                let cid = (w * 64 + bit) as u16;
+                self.next = cid.wrapping_add(1).max(1);
+                return Some(cid);
+            }
+        }
+        None
+    }
+
+    /// Frees `cid`; false when it was not in flight.
+    fn release(&mut self, cid: u16) -> bool {
+        let (w, bit) = (usize::from(cid) / 64, 1u64 << (cid % 64));
+        let held = cid != 0 && self.used[w] & bit != 0;
+        if held {
+            self.used[w] &= !bit;
+        }
+        held
+    }
+}
+
 /// The host driver.
 pub struct HostDriver {
     controller: NvmeController,
-    /// Next cid to try, per queue.
-    next_cid: HashMap<u16, u16>,
-    /// Commands submitted whose completion has not been harvested.
-    inflight: HashMap<Ticket, NvmeOpcode>,
+    /// Per queue id: the cids of commands submitted whose completion has
+    /// not been harvested.
+    cids: Vec<CidMap>,
+    /// Commands submitted whose completion has not been harvested, across
+    /// all queues.
+    in_flight: usize,
     /// Harvested completions not yet returned by `poll`.
-    ready: VecDeque<CompletedIo>,
+    ready: Vec<CompletedIo>,
 }
 
 impl HostDriver {
@@ -110,10 +168,14 @@ impl HostDriver {
     pub fn new(controller: NvmeController) -> Self {
         HostDriver {
             controller,
-            next_cid: HashMap::new(),
-            inflight: HashMap::new(),
-            ready: VecDeque::new(),
+            cids: Vec::new(),
+            in_flight: 0,
+            ready: Vec::new(),
         }
+    }
+
+    fn page_size(&self) -> usize {
+        self.controller.ssd().geometry().page_size as usize
     }
 
     /// The attached controller (for inspection).
@@ -128,7 +190,7 @@ impl HostDriver {
 
     /// Commands submitted and not yet harvested, across all queues.
     pub fn in_flight(&self) -> usize {
-        self.inflight.len()
+        self.in_flight
     }
 
     /// Earliest instant at which the controller will post another
@@ -137,20 +199,9 @@ impl HostDriver {
         self.controller.next_completion_at()
     }
 
-    /// Allocates a cid on `qid` that no in-flight command holds. The
-    /// caller has already checked the queue has a free slot, and queue
+    /// Submits `entry` with the pages it writes on `qid`, under a cid that
+    /// no in-flight command on `qid` holds. The queue has a free slot and
     /// depths are clamped below the 16-bit cid space, so a free cid exists.
-    fn alloc_cid(&mut self, qid: u16) -> u16 {
-        let next = self.next_cid.entry(qid).or_insert(1);
-        let mut cid = *next;
-        while self.inflight.contains_key(&Ticket { qid, cid }) {
-            cid = cid.wrapping_add(1).max(1);
-        }
-        *next = cid.wrapping_add(1).max(1);
-        cid
-    }
-
-    /// Submits `entry` with the pages it writes on `qid`.
     fn submit_ticket(
         &mut self,
         qid: u16,
@@ -161,35 +212,38 @@ impl HostDriver {
         if !self.controller.has_slot(qid) {
             return Err(DriverError::QueueFull(opcode));
         }
-        let cid = self.alloc_cid(qid);
+        let slot = usize::from(qid);
+        if self.cids.len() <= slot {
+            self.cids.resize_with(slot + 1, CidMap::new);
+        }
+        let cid = self.cids[slot]
+            .alloc()
+            .ok_or(DriverError::QueueFull(opcode))?;
         entry.cid = cid;
-        let ticket = Ticket { qid, cid };
         let accepted = self.controller.submit_to(qid, entry, payload);
         debug_assert!(accepted, "slot was checked");
-        self.inflight.insert(ticket, opcode);
-        Ok(ticket)
+        self.in_flight += 1;
+        Ok(Ticket { qid, cid })
     }
 
-    /// Moves every posted completion into the ready list.
+    /// Moves every posted completion into the ready list, in device finish
+    /// order across queues.
     fn harvest(&mut self) {
-        for qid in 0..self.controller.queue_count() as u16 {
-            while let Some(done) = self.controller.pop_completion(qid) {
-                let ticket = Ticket {
-                    qid,
-                    cid: done.cqe.cid,
-                };
-                if self.inflight.remove(&ticket).is_none() {
-                    continue;
-                }
-                self.ready.push_back(CompletedIo {
-                    ticket,
-                    opcode: done.opcode,
-                    status: done.cqe.status,
-                    result: done.cqe.result,
-                    data: done.data,
-                    finish: done.finish,
-                });
+        while let Some((qid, done)) = self.controller.pop_earliest() {
+            let cid = done.cqe.cid;
+            let ours = self.cids.get_mut(usize::from(qid));
+            if !ours.is_some_and(|map| map.release(cid)) {
+                continue;
             }
+            self.in_flight -= 1;
+            self.ready.push(CompletedIo {
+                ticket: Ticket { qid, cid },
+                opcode: done.opcode,
+                status: done.cqe.status,
+                result: done.cqe.result,
+                data: done.data,
+                finish: done.finish,
+            });
         }
     }
 
@@ -218,7 +272,7 @@ impl HostDriver {
     pub fn poll(&mut self, now: Nanos) -> Vec<CompletedIo> {
         self.controller.process(now);
         self.harvest();
-        self.ready.drain(..).collect()
+        std::mem::take(&mut self.ready)
     }
 
     /// The wait of a host whose submit came back [`DriverError::QueueFull`]:
@@ -282,20 +336,24 @@ impl HostDriver {
         self.submit_ticket(qid, e, Vec::new())
     }
 
-    /// Synchronous wait for a ticket submitted on queue 0: runs the device
-    /// to completion and returns this command's completion. Completions for
-    /// other in-flight tickets are retained for a later [`HostDriver::poll`],
-    /// never dropped.
-    fn issue(&mut self, ticket: Ticket, now: Nanos) -> DriverResult<CompletedIo> {
+    /// Synchronous wait for a ticket submitted on queue 0 with `opcode`:
+    /// runs the device to completion and returns this command's completion.
+    /// Completions for other in-flight tickets are retained for a later
+    /// [`HostDriver::poll`], never dropped.
+    fn issue(
+        &mut self,
+        ticket: Ticket,
+        opcode: NvmeOpcode,
+        now: Nanos,
+    ) -> DriverResult<CompletedIo> {
         self.controller.run_to_completion(now);
         self.harvest();
         let pos = self
             .ready
             .iter()
             .position(|io| io.ticket == ticket)
-            // Never harvested, so the in-flight record still names it.
-            .ok_or_else(|| DriverError::Lost(self.inflight[&ticket]))?;
-        let io = self.ready.remove(pos).expect("position just found");
+            .ok_or(DriverError::Lost(opcode))?;
+        let io = self.ready.remove(pos);
         if io.is_success() {
             Ok(io)
         } else {
@@ -309,25 +367,23 @@ impl HostDriver {
     /// Writes one page of bytes.
     pub fn write(&mut self, lpa: Lpa, page: Vec<u8>, now: Nanos) -> DriverResult<()> {
         let ticket = self.submit_write(0, lpa, vec![page])?;
-        self.issue(ticket, now)?;
+        self.issue(ticket, NvmeOpcode::Write, now)?;
         Ok(())
     }
 
     /// Reads one page of bytes.
     pub fn read(&mut self, lpa: Lpa, now: Nanos) -> DriverResult<Vec<u8>> {
         let ticket = self.submit_read(0, lpa, 1)?;
-        let io = self.issue(ticket, now)?;
-        let mut pages = io.data.ok_or(DriverError::Lost(NvmeOpcode::Read))?;
-        if pages.is_empty() {
-            return Err(DriverError::Lost(NvmeOpcode::Read));
-        }
-        Ok(pages.remove(0))
+        let io = self.issue(ticket, NvmeOpcode::Read, now)?;
+        let page = io.data.as_deref().and_then(<[PageData]>::first);
+        let page = page.ok_or(DriverError::Lost(NvmeOpcode::Read))?;
+        Ok(page.materialize(self.page_size()))
     }
 
     /// Trims a range of pages.
     pub fn trim(&mut self, lpa: Lpa, count: u32, now: Nanos) -> DriverResult<()> {
         let ticket = self.submit_trim(0, lpa, count)?;
-        self.issue(ticket, now)?;
+        self.issue(ticket, NvmeOpcode::DatasetMgmt, now)?;
         Ok(())
     }
 
@@ -359,23 +415,26 @@ impl HostDriver {
         e.cdw[3] = threads;
         e.set_u64(4, t);
         let ticket = self.submit_ticket(0, e, Vec::new())?;
-        let io = self.issue(ticket, now)?;
-        io.data.ok_or(DriverError::Lost(NvmeOpcode::AddrQuery))
+        let io = self.issue(ticket, NvmeOpcode::AddrQuery, now)?;
+        let pages = io.data.ok_or(DriverError::Lost(NvmeOpcode::AddrQuery))?;
+        let page_size = self.page_size();
+        Ok(pages.iter().map(|p| p.materialize(page_size)).collect())
     }
 
     /// `TimeQueryAll` through the wire: `(lpa, version count)` rows.
     pub fn time_query_all(&mut self, now: Nanos) -> DriverResult<Vec<(u64, u64)>> {
-        let e = SubmissionEntry::new(NvmeOpcode::TimeQueryAll, 0);
-        let ticket = self.submit_ticket(0, e, Vec::new())?;
-        let io = self.issue(ticket, now)?;
-        let rows = io.data.ok_or(DriverError::Lost(NvmeOpcode::TimeQueryAll))?;
+        let opcode = NvmeOpcode::TimeQueryAll;
+        let ticket = self.submit_ticket(0, SubmissionEntry::new(opcode, 0), Vec::new())?;
+        let io = self.issue(ticket, opcode, now)?;
+        let rows = io.data.ok_or(DriverError::Lost(opcode))?;
+        // Little-endian words of a row materialised at exactly its width.
+        let word = |le: &[u8]| le.iter().rev().fold(0u64, |w, &b| w << 8 | u64::from(b));
         Ok(rows
             .iter()
             .map(|r| {
-                (
-                    u64::from_le_bytes(r[0..8].try_into().expect("row width")),
-                    u64::from_le_bytes(r[8..16].try_into().expect("row width")),
-                )
+                let row = r.materialize(TIME_QUERY_ROW);
+                let (lpa, versions) = row.split_at(8);
+                (word(lpa), word(versions))
             })
             .collect())
     }
@@ -387,7 +446,7 @@ impl HostDriver {
         e.cdw[2] = count;
         e.set_u64(4, t);
         let ticket = self.submit_ticket(0, e, Vec::new())?;
-        Ok(self.issue(ticket, now)?.result)
+        Ok(self.issue(ticket, NvmeOpcode::RollBack, now)?.result)
     }
 
     /// `RollBackAll` through the wire; returns the number of pages restored.
@@ -395,7 +454,7 @@ impl HostDriver {
         let mut e = SubmissionEntry::new(NvmeOpcode::RollBackAll, 0);
         e.set_u64(0, t);
         let ticket = self.submit_ticket(0, e, Vec::new())?;
-        Ok(self.issue(ticket, now)?.result)
+        Ok(self.issue(ticket, NvmeOpcode::RollBackAll, now)?.result)
     }
 
     /// Flush (drains TimeSSD's delta buffers to flash). Returns the
@@ -403,7 +462,7 @@ impl HostDriver {
     /// controller in the completion result.
     pub fn flush(&mut self, now: Nanos) -> DriverResult<u32> {
         let ticket = self.submit_flush(0)?;
-        Ok(self.issue(ticket, now)?.result)
+        Ok(self.issue(ticket, NvmeOpcode::Flush, now)?.result)
     }
 }
 
@@ -619,6 +678,36 @@ mod tests {
             seen.extend(d.poll(at).into_iter().map(|io| io.ticket));
         }
         assert_eq!(seen, vec![fast, slow]);
+    }
+
+    #[test]
+    fn one_poll_returns_completions_in_finish_order_across_queues() {
+        let mut d = driver();
+        let q1 = d.create_queue(4);
+        let q2 = d.create_queue(4);
+        // Both start at one second and post before one late poll; the read
+        // of an unmapped page finishes first although its queue comes second.
+        let pages: Vec<Vec<u8>> = (0..6).map(|i| vec![i as u8; 32]).collect();
+        let write = d.submit_write(q1, Lpa(0), pages).unwrap();
+        let read = d.submit_read(q2, Lpa(40), 1).unwrap();
+        assert!(d.poll(SEC_NS).is_empty());
+        let done = d.poll(100 * SEC_NS);
+        let order: Vec<(Ticket, Nanos)> = done.iter().map(|io| (io.ticket, io.finish)).collect();
+        assert_eq!(order.len(), 2);
+        assert!(order[0].1 < order[1].1, "{order:?}");
+        assert_eq!((order[0].0, order[1].0), (read, write));
+    }
+
+    #[test]
+    fn cid_map_hands_out_every_free_cid_then_reports_none() {
+        let mut map = CidMap::new();
+        let all: Vec<u16> = std::iter::from_fn(|| map.alloc()).collect();
+        assert_eq!(all, (1..=u16::MAX).collect::<Vec<_>>());
+        assert!(!map.release(0), "cid 0 is never in flight");
+        assert!(map.release(4_000) && !map.release(4_000));
+        // The cursor wrapped to 1; the walk finds the one hole.
+        assert_eq!(map.alloc(), Some(4_000));
+        assert_eq!(map.alloc(), None);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use std::collections::VecDeque;
 
-use almanac_flash::Nanos;
+use almanac_flash::{Nanos, PageData};
 
 use crate::sqe::{CompletionEntry, NvmeOpcode, SubmissionEntry};
 
@@ -25,11 +25,20 @@ pub struct PostedCompletion {
     pub opcode: NvmeOpcode,
     /// Device-side completion instant; the CQE posts when `now >= finish`.
     pub finish: Nanos,
-    /// Returned pages: `Some` exactly when a read or query succeeded.
-    pub data: Option<Vec<Vec<u8>>>,
+    /// Returned pages: `Some` exactly when a read or query succeeded. The
+    /// pages are immutable (`Bytes` shares its buffer), so they are the
+    /// device's content at the command's start; the host materialises them.
+    pub data: Option<Vec<PageData>>,
     /// Global start order, for deterministic tie-breaks and out-of-order
     /// accounting.
     pub(crate) seq: u64,
+}
+
+impl PostedCompletion {
+    /// The posting order: by finish, ties by start order.
+    pub(crate) fn order(&self) -> (Nanos, u64) {
+        (self.finish, self.seq)
+    }
 }
 
 /// One submission/completion queue pair with its own depth and in-flight
@@ -41,8 +50,11 @@ pub(crate) struct QueuePair {
     /// Host-submitted entries not yet fetched by arbitration, each with the
     /// pages it writes (empty for every opcode but Write).
     pub sq: VecDeque<(SubmissionEntry, Vec<Vec<u8>>)>,
-    /// Started commands whose CQE has not been posted yet.
-    pub inflight: Vec<PostedCompletion>,
+    /// Started commands whose CQE has not been posted yet, kept in posting
+    /// order, so the next to post is at the front.
+    inflight: VecDeque<PostedCompletion>,
+    /// Flushes among `inflight`.
+    flushes: usize,
     /// Posted completions.
     pub cq: VecDeque<PostedCompletion>,
 }
@@ -54,7 +66,8 @@ impl QueuePair {
             // exists for every slot.
             depth: depth.clamp(1, u16::MAX as usize),
             sq: VecDeque::new(),
-            inflight: Vec::new(),
+            inflight: VecDeque::new(),
+            flushes: 0,
             cq: VecDeque::new(),
         }
     }
@@ -70,21 +83,34 @@ impl QueuePair {
         self.outstanding() < self.depth
     }
 
+    /// True when no started command awaits its CQE.
+    pub(crate) fn idle(&self) -> bool {
+        self.inflight.is_empty()
+    }
+
     /// True while a started flush is fencing this queue: commands behind it
     /// must not start until its CQE posts.
     pub(crate) fn flush_in_flight(&self) -> bool {
-        self.inflight.iter().any(|f| f.opcode == NvmeOpcode::Flush)
+        self.flushes > 0
+    }
+
+    /// Records a started command; its CQE posts once `finish` passes.
+    pub(crate) fn start(&mut self, started: PostedCompletion) {
+        let at = self
+            .inflight
+            .partition_point(|f| f.order() < started.order());
+        self.flushes += usize::from(started.opcode == NvmeOpcode::Flush);
+        self.inflight.insert(at, started);
     }
 
     /// Posts every in-flight command whose finish time has passed, in
-    /// finish order (submission-order ties broken by start order). Returns
-    /// the number of completions that overtook an earlier-submitted command
-    /// still in flight — the out-of-order count.
+    /// finish order (ties broken by start order). Returns the number of
+    /// completions that overtook an earlier-submitted command still in
+    /// flight — the out-of-order count.
     pub(crate) fn post_due(&mut self, now: Nanos) -> u64 {
         let mut overtakes = 0;
-        self.inflight.sort_by_key(|f| (f.finish, f.seq));
-        while self.inflight.first().is_some_and(|f| f.finish <= now) {
-            let done = self.inflight.remove(0);
+        while let Some(done) = self.inflight.pop_front_if(|f| f.finish <= now) {
+            self.flushes -= usize::from(done.opcode == NvmeOpcode::Flush);
             if self.inflight.iter().any(|f| f.seq < done.seq) {
                 overtakes += 1;
             }
@@ -95,15 +121,16 @@ impl QueuePair {
 
     /// Earliest pending completion instant on this queue, if any.
     pub(crate) fn next_finish(&self) -> Option<Nanos> {
-        self.inflight.iter().map(|f| f.finish).min()
+        self.inflight.front().map(|f| f.finish)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    fn started(cid: u16, opcode: NvmeOpcode, finish: Nanos) -> PostedCompletion {
+    fn started(cid: u16, seq: u64, opcode: NvmeOpcode, finish: Nanos) -> PostedCompletion {
         PostedCompletion {
             cqe: CompletionEntry {
                 cid,
@@ -113,15 +140,15 @@ mod tests {
             opcode,
             finish,
             data: None,
-            seq: u64::from(cid),
+            seq,
         }
     }
 
     #[test]
     fn post_due_orders_by_finish_and_counts_overtakes() {
         let mut q = QueuePair::new(4);
-        q.inflight.push(started(1, NvmeOpcode::Write, 300));
-        q.inflight.push(started(2, NvmeOpcode::Read, 100));
+        q.start(started(1, 1, NvmeOpcode::Write, 300));
+        q.start(started(2, 2, NvmeOpcode::Read, 100));
         // Only the read is due; it overtakes the in-flight write.
         assert_eq!(q.post_due(150), 1);
         assert_eq!(q.cq.pop_front().unwrap().cqe.cid, 2);
@@ -139,5 +166,67 @@ mod tests {
         q.sq.push_back((SubmissionEntry::new(NvmeOpcode::Read, 1), Vec::new()));
         q.sq.push_back((SubmissionEntry::new(NvmeOpcode::Read, 2), Vec::new()));
         assert!(!q.has_slot());
+    }
+
+    /// The in-flight set as an unordered list, sorted on every post.
+    #[derive(Default)]
+    struct SortThenPost {
+        inflight: Vec<PostedCompletion>,
+        cq: Vec<u64>,
+    }
+
+    impl SortThenPost {
+        fn post_due(&mut self, now: Nanos) -> u64 {
+            let mut overtakes = 0;
+            self.inflight.sort_by_key(|f| (f.finish, f.seq));
+            while self.inflight.first().is_some_and(|f| f.finish <= now) {
+                let done = self.inflight.remove(0);
+                if self.inflight.iter().any(|f| f.seq < done.seq) {
+                    overtakes += 1;
+                }
+                self.cq.push(done.seq);
+            }
+            overtakes
+        }
+
+        fn next_finish(&self) -> Option<Nanos> {
+            self.inflight.iter().map(|f| f.finish).min()
+        }
+
+        fn flush_in_flight(&self) -> bool {
+            self.inflight.iter().any(|f| f.opcode == NvmeOpcode::Flush)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Starts finishing within a few ns of `now` (so finishes tie), some
+        /// of them flushes, under cids in no particular order (as after a
+        /// wrap), interleaved with posts at a nondecreasing `now`: the
+        /// ordered set posts exactly what sorting before every post does.
+        #[test]
+        fn ordered_in_flight_set_posts_as_sorting_does(
+            steps in prop::collection::vec((0u8..10, 0u64..4, any::<u16>()), 1..80),
+        ) {
+            let mut q = QueuePair::new(64);
+            let mut reference = SortThenPost::default();
+            let (mut now, mut seq) = (0, 0);
+            for (kind, d, cid) in steps {
+                if kind < 6 {
+                    seq += 1;
+                    let opcode = if kind == 0 { NvmeOpcode::Flush } else { NvmeOpcode::Read };
+                    q.start(started(cid, seq, opcode, now + d));
+                    reference.inflight.push(started(cid, seq, opcode, now + d));
+                } else {
+                    now += d;
+                    prop_assert_eq!(q.post_due(now), reference.post_due(now));
+                }
+                let posted: Vec<u64> = q.cq.iter().map(|f| f.seq).collect();
+                prop_assert_eq!(posted, reference.cq.clone());
+                prop_assert_eq!(q.next_finish(), reference.next_finish());
+                prop_assert_eq!(q.flush_in_flight(), reference.flush_in_flight());
+            }
+        }
     }
 }

@@ -18,8 +18,8 @@
 use std::collections::HashMap;
 
 use almanac_core::{SsdConfig, SsdDevice, TimeSsd};
-use almanac_flash::{Lpa, MS_NS};
-use almanac_nvme::{CompletedIo, DriverError, HostDriver, NvmeController, Ticket};
+use almanac_flash::{Lpa, Nanos, MS_NS};
+use almanac_nvme::{CompletedIo, DriverError, HostDriver, NvmeController, NvmeOpcode, Ticket};
 
 use crate::harness::DifferentialHarness;
 use crate::strategy::{Action, Decoder, OracleOp};
@@ -36,6 +36,9 @@ pub struct QueueRunOutcome {
     pub completed: u64,
     /// Flush commands submitted (each audited as a fence).
     pub flushes: u64,
+    /// Every completion the multi-queue side harvested, in the order its
+    /// polls returned them: `(ticket, opcode, status, finish)`.
+    pub stream: Vec<(Ticket, NvmeOpcode, u16, Nanos)>,
 }
 
 impl QueueRunOutcome {
@@ -59,14 +62,15 @@ struct MultiQueueLog {
     /// `(global op index, queue slot)` of every command in flight.
     tickets: HashMap<Ticket, (usize, usize)>,
     logs: Vec<QueueLog>,
-    completed: u64,
     divergences: Vec<String>,
+    stream: Vec<(Ticket, NvmeOpcode, u16, Nanos)>,
 }
 
 impl MultiQueueLog {
     fn harvest(&mut self, done: Vec<CompletedIo>) {
         for io in done {
-            self.completed += 1;
+            self.stream
+                .push((io.ticket, io.opcode, io.status, io.finish));
             let Some((op_idx, slot)) = self.tickets.remove(&io.ticket) else {
                 let unknown = format!("unknown ticket {:?} completed", io.ticket);
                 self.divergences.push(unknown);
@@ -114,8 +118,8 @@ pub fn lockstep_queue_run(
     let mut mq = MultiQueueLog {
         tickets: HashMap::new(),
         logs: (0..nqueues).map(|_| QueueLog::default()).collect(),
-        completed: 0,
         divergences,
+        stream: Vec::new(),
     };
     let mut touched: Vec<Lpa> = Vec::new();
     let mut flushes = 0u64;
@@ -160,8 +164,9 @@ pub fn lockstep_queue_run(
                         return QueueRunOutcome {
                             divergences: mq.divergences,
                             ooo_completions: driver.controller().ooo_completions(),
-                            completed: mq.completed,
+                            completed: mq.stream.len() as u64,
                             flushes,
+                            stream: mq.stream,
                         };
                     }
                 },
@@ -257,8 +262,9 @@ pub fn lockstep_queue_run(
     QueueRunOutcome {
         divergences,
         ooo_completions: driver.controller().ooo_completions(),
-        completed: mq.completed,
+        completed: mq.stream.len() as u64,
         flushes,
+        stream: mq.stream,
     }
 }
 

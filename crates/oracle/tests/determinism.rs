@@ -1,5 +1,6 @@
 //! Determinism under the oracle: every stock strategy's cases, run on two
-//! fresh devices, must program the same flash and count the same work.
+//! fresh devices, must program the same flash and count the same work, and
+//! the multi-queue NVMe path must post the same completion stream.
 //!
 //! Each `HashMap` in a process draws its own hash seed, so two devices side
 //! by side iterate their maps in different orders. A device whose flash
@@ -12,7 +13,7 @@
 
 use almanac_core::{DeviceStats, SsdConfig, SsdReadOps};
 use almanac_flash::{Geometry, MS_NS, SEC_NS};
-use almanac_oracle::{strategy, DifferentialHarness, OracleOp};
+use almanac_oracle::{lockstep_queue_run, strategy, DifferentialHarness, OracleOp};
 use proptest::prelude::*;
 
 /// Cases drawn per strategy.
@@ -69,6 +70,25 @@ fn every_stock_strategy_is_deterministic_across_devices() {
             assert_eq!(a, b, "{name} case {case}");
         }
     }
+}
+
+/// Every `queued_ops` case through three queues of depth 4, twice on fresh
+/// devices: the same tickets, opcodes, statuses and finish instants, in the
+/// same order, with completions genuinely reordered along the way. (On the
+/// pressure device some cases stall the queued side, which is a status in
+/// the stream like any other.)
+#[test]
+fn queued_ops_post_the_same_completion_stream_across_devices() {
+    let cases = strategy::queued_ops(16, 140);
+    let mut overtakes = 0;
+    for case in 0..CASES {
+        let ops = cases.generate(&mut TestRng::for_case("queued_ops", case));
+        let run = || lockstep_queue_run(pressure_cfg(), &ops, 3, 4);
+        let (a, b) = (run(), run());
+        assert_eq!(a.stream, b.stream, "queued_ops case {case}");
+        overtakes += a.ooo_completions;
+    }
+    assert!(overtakes > 0, "no case reordered a completion");
 }
 
 /// The comparison above is not vacuous: two same-instant writes to

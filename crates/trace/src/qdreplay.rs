@@ -9,11 +9,9 @@
 //! round-robin arbitration, and completions surface out of order as their
 //! device-side finish times pass.
 
-use std::collections::HashMap;
-
 use almanac_core::{SsdReadOps, TimeSsd};
 use almanac_flash::{LpaSpan, Nanos};
-use almanac_nvme::{CompletedIo, DriverError, HostDriver, NvmeController, NvmeStatus, Ticket};
+use almanac_nvme::{CompletedIo, DriverError, HostDriver, NvmeController, NvmeStatus};
 
 use crate::record::TraceOp;
 use crate::trace::Trace;
@@ -78,7 +76,9 @@ pub fn replay_qd(trace: &Trace, ssd: TimeSsd, qd: usize) -> Result<QdReplayRepor
     let mut driver = HostDriver::new(NvmeController::new(ssd));
     let qid = driver.create_queue(qd.max(1));
 
-    let mut pending: HashMap<Ticket, Nanos> = HashMap::new();
+    // Submit instants by cid: one queue, so a cid names one command in
+    // flight.
+    let mut submitted_at: Vec<Nanos> = vec![0; usize::from(u16::MAX) + 1];
     let mut responses: Vec<Nanos> = Vec::with_capacity(trace.records.len());
     let mut errors = 0u64;
     let mut makespan = 0;
@@ -87,18 +87,17 @@ pub fn replay_qd(trace: &Trace, ssd: TimeSsd, qd: usize) -> Result<QdReplayRepor
     let mut submitted = 0usize;
     let mut now: Nanos = 0;
 
-    let mut harvest =
-        |done: Vec<CompletedIo>, pending: &mut HashMap<Ticket, Nanos>, stalled: &mut bool| {
-            for io in done {
-                let at = pending.remove(&io.ticket).unwrap_or(io.finish);
-                responses.push(io.finish.saturating_sub(at));
-                makespan = makespan.max(io.finish);
-                if !io.is_success() {
-                    errors += 1;
-                    *stalled |= io.status == NvmeStatus::RetentionStall as u16;
-                }
+    let mut harvest = |done: Vec<CompletedIo>, submitted_at: &[Nanos], stalled: &mut bool| {
+        for io in done {
+            let at = submitted_at[usize::from(io.ticket.cid)];
+            responses.push(io.finish.saturating_sub(at));
+            makespan = makespan.max(io.finish);
+            if !io.is_success() {
+                errors += 1;
+                *stalled |= io.status == NvmeStatus::RetentionStall as u16;
             }
-        };
+        }
+    };
 
     'records: for record in &trace.records {
         if stalled {
@@ -122,12 +121,12 @@ pub fn replay_qd(trace: &Trace, ssd: TimeSsd, qd: usize) -> Result<QdReplayRepor
             };
             match attempt {
                 Ok(ticket) => {
-                    pending.insert(ticket, now);
+                    submitted_at[usize::from(ticket.cid)] = now;
                     submitted += 1;
                     peak = peak.max(driver.in_flight());
                     // Let the controller start what arbitration allows at
                     // the submission instant and harvest anything due.
-                    harvest(driver.poll(now), &mut pending, &mut stalled);
+                    harvest(driver.poll(now), &submitted_at, &mut stalled);
                     break;
                 }
                 Err(DriverError::QueueFull(_)) => {
@@ -136,7 +135,7 @@ pub fn replay_qd(trace: &Trace, ssd: TimeSsd, qd: usize) -> Result<QdReplayRepor
                     let Some(done) = driver.wait_for_slot(&mut now) else {
                         break 'records;
                     };
-                    harvest(done, &mut pending, &mut stalled);
+                    harvest(done, &submitted_at, &mut stalled);
                     if stalled {
                         break 'records;
                     }
@@ -145,7 +144,7 @@ pub fn replay_qd(trace: &Trace, ssd: TimeSsd, qd: usize) -> Result<QdReplayRepor
             }
         }
     }
-    harvest(driver.drain(&mut now), &mut pending, &mut stalled);
+    harvest(driver.drain(&mut now), &submitted_at, &mut stalled);
 
     let completed = responses.len() as u64;
     let avg = if responses.is_empty() {

@@ -126,6 +126,20 @@ const RULES: &[Rule] = &[
         ],
         design: "5g",
     },
+    // A command's bookkeeping is a cid bitmap, an ordered in-flight set and
+    // a table indexed by cid: nothing on the per-command path hashes.
+    Rule {
+        name: "no_hashed_command_path",
+        files: &[
+            "crates/nvme/src/controller.rs",
+            "crates/nvme/src/queue.rs",
+            "crates/nvme/src/driver.rs",
+            "crates/trace/src/qdreplay.rs",
+        ],
+        find: |src| offsets(src, &["HashMap"]).collect(),
+        allowed: &[],
+        design: "5f",
+    },
 ];
 
 fn is_ident(b: u8) -> bool {
@@ -481,6 +495,8 @@ const PLANTED: &[(&str, &str, &str)] = &[
     ("no_raw_lpa_sum", "crates/kits/src/kits.rs", "fn at(a: u64, i: u64) -> Lpa { Lpa(a + i) }"),
     ("one_walk_per_lpa", "crates/fs/src/forensic.rs", "fn walk(s: &TimeSsd) { s.version_chain(Lpa(0)); }"),
     ("width_is_a_query_schedule", "crates/nvme/src/controller.rs", "fn width(s: &TimeSsd) -> u32 { s.amt_shards() }"),
+    // The driver's in-flight record as it was: a map keyed by ticket.
+    ("no_hashed_command_path", "crates/nvme/src/driver.rs", "struct HostDriver { inflight: std::collections::HashMap<Ticket, NvmeOpcode> }"),
 ];
 
 const MOD: &str = "crates/core/src/timessd/mod.rs";
@@ -499,7 +515,7 @@ fn planted_violations_fail() {
 #[test]
 fn comments_literals_and_inline_test_modules_pass() {
     let all = "bst.iter() blocks().iter() for p in 0..ppb {} info.written = 0 next_off unreserve \
-               Lpa(a + 1) version_chain( version_content( amt_shards";
+               Lpa(a + 1) version_chain( version_content( amt_shards HashMap";
     let in_comments_and_literals = format!(
         "fn maintain() {{\n    // {all}\n    /* {all} /* nested */ {all} */\n    \
          let _ = (\"{all}\", r#\"{all}\"#, b\"\\\"{all}\");\n}}\n"
