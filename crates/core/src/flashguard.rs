@@ -16,9 +16,11 @@ use std::collections::HashMap;
 
 use almanac_flash::{Lpa, Nanos, PageData, Ppa, DAY_NS};
 
+use crate::check::{ConsistencyReport, Violation};
 use crate::config::SsdConfig;
 use crate::error::Result;
 use crate::ftl::{sealed::Sealed, Dest, Ftl, Retention};
+use crate::tables::BlockKind;
 
 /// A retained suspected-victim page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,6 +28,9 @@ struct Retained {
     lpa: Lpa,
     written_at: Nanos,
     invalidated_at: Nanos,
+    /// Retain order: of two versions written at one instant (the baselines
+    /// stamp a write with its start), the later retained is the newer.
+    seq: u64,
 }
 
 /// FlashGuard's retention policy: an invalid page is kept for a fixed window
@@ -37,6 +42,8 @@ pub struct ReadGated {
     read_bit: Vec<bool>,
     /// Retained suspected-victim pages, by physical address.
     retained: HashMap<Ppa, Retained>,
+    /// Victims retained so far: the next one's `seq`.
+    retains: u64,
     /// How long suspected victims are kept (FlashGuard's ~20 days).
     retention: Nanos,
 }
@@ -67,16 +74,17 @@ impl FlashGuardSsd {
 
     /// Retained (suspected-victim) old versions of `lpa`, newest first:
     /// `(written_at, ppa)` pairs whose raw content can be read back.
+    /// Versions written at one instant come in retain order, newest first.
     pub fn retained_versions(&self, lpa: Lpa) -> Vec<(Nanos, Ppa)> {
-        let mut v: Vec<(Nanos, Ppa)> = self
+        let mut v: Vec<(&Retained, Ppa)> = self
             .policy
             .retained
             .iter()
             .filter(|(_, r)| r.lpa == lpa)
-            .map(|(p, r)| (r.written_at, *p))
+            .map(|(p, r)| (r, *p))
             .collect();
-        v.sort_by_key(|(ts, _)| std::cmp::Reverse(*ts));
-        v
+        v.sort_unstable_by_key(|(r, _)| std::cmp::Reverse((r.written_at, r.seq)));
+        v.into_iter().map(|(r, p)| (r.written_at, p)).collect()
     }
 
     /// Raw content of a retained version (no decompression — FlashGuard
@@ -108,6 +116,7 @@ impl Retention for ReadGated {
         ReadGated {
             read_bit: vec![false; config.exported_pages() as usize],
             retained: HashMap::new(),
+            retains: 0,
             retention: 20 * DAY_NS,
         }
     }
@@ -122,10 +131,12 @@ impl Retention for ReadGated {
         if std::mem::take(&mut ftl.policy.read_bit[lpa.0 as usize]) {
             // Read-then-overwritten: suspected ransomware victim, retain it.
             let written_at = ftl.flash.peek(old).map_or(0, |(_, oob)| oob.timestamp);
+            ftl.policy.retains += 1;
             let victim = Retained {
                 lpa,
                 written_at,
                 invalidated_at: now,
+                seq: ftl.policy.retains,
             };
             ftl.policy.retained.insert(old, victim);
         }
@@ -148,6 +159,24 @@ impl Retention for ReadGated {
         ftl.policy.retained.remove(&ppa);
         ftl.policy.retained.insert(new_ppa, victim);
         Ok(t)
+    }
+
+    /// Every retained victim is a programmed page that is not valid and not
+    /// in a free block: what `retained_content` reads back is the victim's.
+    fn audit(ftl: &Ftl<Self>, report: &mut ConsistencyReport) {
+        let geo = ftl.config.geometry;
+        let retained = ftl.policy.retained.keys().copied();
+        let mut stray: Vec<Ppa> = retained
+            .filter(|&ppa| {
+                ftl.flash.peek(ppa).is_err()
+                    || ftl.pvt.get(ppa)
+                    || ftl.bst.get(geo.block_of(ppa)).kind == BlockKind::Free
+            })
+            .collect();
+        stray.sort_unstable();
+        report
+            .violations
+            .extend(stray.into_iter().map(Violation::StrayRetainedPage));
     }
 }
 
@@ -211,6 +240,49 @@ mod tests {
         assert_eq!(ssd.retained_count(), 1);
         ssd.expire_victims(10_000);
         assert_eq!(ssd.retained_count(), 0);
+    }
+
+    /// Regression: victims written at one instant came back in `HashMap`
+    /// order.
+    #[test]
+    fn versions_written_at_one_instant_come_newest_first() {
+        for _ in 0..8 {
+            let mut ssd = small();
+            for v in 0..=6u8 {
+                ssd.write(Lpa(0), PageData::bytes(vec![v]), 0).unwrap();
+                ssd.read(Lpa(0), 0).unwrap();
+            }
+            let retained = ssd.retained_versions(Lpa(0));
+            let contents: Vec<PageData> = retained
+                .into_iter()
+                .map(|(ts, ppa)| {
+                    assert_eq!(ts, 0);
+                    ssd.retained_content(ppa).unwrap()
+                })
+                .collect();
+            let newest_first: Vec<PageData> =
+                (0..6u8).rev().map(|v| PageData::bytes(vec![v])).collect();
+            assert_eq!(contents, newest_first);
+        }
+    }
+
+    #[test]
+    fn retained_victims_pass_the_audit_and_a_valid_one_is_reported() {
+        let mut ssd = small();
+        ssd.write(Lpa(0), PageData::bytes(vec![1]), 0).unwrap();
+        ssd.read(Lpa(0), 10).unwrap();
+        ssd.write(Lpa(0), PageData::bytes(vec![2]), 20).unwrap();
+        assert_eq!(ssd.retained_count(), 1);
+        let report = ssd.check_consistency();
+        assert!(report.is_clean(), "{:?}", report.violations);
+        // Plant: the live copy filed as a retained victim.
+        let live = ssd.amt.get(Lpa(0)).mapped().unwrap();
+        let victim = ssd.policy.retained.values().next().copied().unwrap();
+        ssd.policy.retained.insert(live, victim);
+        assert_eq!(
+            ssd.check_consistency().violations,
+            [Violation::StrayRetainedPage(live)]
+        );
     }
 
     #[test]

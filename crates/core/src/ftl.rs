@@ -14,6 +14,7 @@
 use almanac_flash::{BlockId, FlashArray, LatencyConfig, Lpa, Nanos, Oob, PageData, Ppa};
 
 use crate::alloc::{Allocator, Stream};
+use crate::check::ConsistencyReport;
 use crate::config::SsdConfig;
 use crate::device::{Completion, SsdDevice, SsdReadOps, MAX_ARRIVAL};
 use crate::error::{AlmanacError, Result};
@@ -53,7 +54,8 @@ pub(crate) enum Dest {
 
 /// What an FTL does with invalid pages — the one thing the three devices
 /// disagree on. Every hook is an associated function over the whole device
-/// and has exactly one call site in this module; the defaults are the
+/// and has exactly one call site in this module (`audit`'s is in
+/// `check.rs`, with the skeleton's audit); the defaults are the
 /// regular SSD, which retains nothing. How a block is cleaned, by GC or by
 /// wear levelling, is not a hook: both run `Ftl::clean`, which hands each
 /// invalid page to [`reclaim`](Retention::reclaim).
@@ -131,6 +133,10 @@ pub trait Retention: sealed::Sealed + Sized {
     fn read_view(_ftl: &Ftl<Self>) -> Option<&TimeSsd> {
         None
     }
+
+    /// Audits the policy's own state into `report`, after the skeleton's
+    /// rules ([`Ftl::check_consistency`]); read-only.
+    fn audit(_ftl: &Ftl<Self>, _report: &mut ConsistencyReport) {}
 }
 
 /// A page-mapping flash translation layer with retention policy `R`.
@@ -658,6 +664,7 @@ mod tests {
             "{kind}: never collected"
         );
         reads_last_acked(&mut ssd, &last, now);
+        audits_clean(&ssd);
     }
 
     #[test]
@@ -776,6 +783,11 @@ mod tests {
         PageData::Synthetic { seed: lpa, version }
     }
 
+    fn audits_clean<R: Retention>(ssd: &Ftl<R>) {
+        let audit = ssd.check_consistency();
+        assert!(audit.is_clean(), "{}: {:?}", ssd.kind(), audit.violations);
+    }
+
     /// Asserts that every LPA with an acked write reads its last one.
     fn reads_last_acked<R: Retention>(ssd: &mut Ftl<R>, last: &[Option<u64>], now: Nanos) {
         let kind = ssd.kind();
@@ -808,6 +820,7 @@ mod tests {
             "{kind}: a program went unbooked"
         );
         reads_last_acked(ssd, &last, now);
+        audits_clean(ssd);
     }
 
     /// TimeSSD's leg is `timessd::tests::wear_leveling_bounds_erase_spread`:
@@ -868,6 +881,7 @@ mod tests {
             assert!(worn_out(&e), "{kind}: LPA {l} after wear-out: {e:?}");
         }
         reads_last_acked(&mut ssd, &last, now);
+        audits_clean(&ssd);
         (ssd, last, now)
     }
 
@@ -892,13 +906,10 @@ mod tests {
             let mut cfg = SsdConfig::new(Geometry::medium_test()).with_min_retention(0);
             cfg.endurance = Some(endurance);
             let (ssd, last, now) = wear_out::<TimeTravel>(cfg.clone());
-            let audit = ssd.check_consistency();
-            assert!(audit.is_clean(), "{:?}", audit.violations);
             let mut flash = ssd.into_flash();
             flash.revive();
             let mut ssd = TimeSsd::recover_from_flash(flash, cfg);
-            let audit = ssd.check_consistency();
-            assert!(audit.is_clean(), "{:?}", audit.violations);
+            audits_clean(&ssd);
             reads_last_acked(&mut ssd, &last, now);
         }
     }

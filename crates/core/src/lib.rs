@@ -34,6 +34,7 @@
 #![forbid(unsafe_code)]
 
 mod alloc;
+mod check;
 mod config;
 pub mod crypt;
 mod device;
@@ -46,6 +47,7 @@ mod stats;
 mod tables;
 mod timessd;
 
+pub use check::{ConsistencyReport, Violation};
 pub use config::SsdConfig;
 pub use device::{Completion, SsdDevice, SsdReadOps, MAX_ARRIVAL};
 pub use error::{AlmanacError, Result};
@@ -54,7 +56,6 @@ pub use ftl::{Ftl, HostOp, Retention};
 pub use regular::{Discard, RegularSsd};
 pub use stats::{DeviceStats, LatencyAcc};
 pub use tables::{AmtEntry, ShardedAmt};
-pub use timessd::check::{ConsistencyReport, Violation};
 pub use timessd::query::{SsdReadView, VersionInfo, VersionLocation};
 pub use timessd::{TimeSsd, TimeTravel, REF_ZEROS};
 

@@ -273,19 +273,6 @@ pub(crate) struct Bst {
     background: VictimIndex,
 }
 
-/// One block whose filing in a victim index disagrees with its BST entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct IndexDrift {
-    /// Which index.
-    pub index: &'static str,
-    /// The block.
-    pub block: BlockId,
-    /// The score it is filed under (0 = not filed).
-    pub filed: u32,
-    /// The score its BST entry earns.
-    pub score: u32,
-}
-
 impl Bst {
     /// All-free table.
     pub fn new(geometry: &Geometry) -> Self {
@@ -340,27 +327,18 @@ impl Bst {
         self.background.best(|b| accept(b, self.get(b)))
     }
 
-    /// Recomputes both indices from the table and lists every block that is
-    /// not filed under exactly the score its entry earns (consistency
-    /// checking).
-    pub fn index_drift(&self) -> Vec<IndexDrift> {
-        let mut drift = Vec::new();
-        for (name, index) in [("gc", &self.gc), ("background", &self.background)] {
-            for (block, info) in self.iter() {
-                let score = index.score_of(info);
-                let mut scores = 1..index.filed.len() as u32;
-                if scores.clone().any(|s| index.has(block, s) != (s == score)) {
-                    let filed = scores.find(|&s| s != score && index.has(block, s));
-                    drift.push(IndexDrift {
-                        index: name,
-                        block,
-                        filed: filed.unwrap_or(0),
-                        score,
-                    });
-                }
-            }
-        }
-        drift
+    /// How each victim index files `block`, for the audit: `(index, filed,
+    /// earned)`. `earned` is the score its entry earns (0 = must not be
+    /// filed) and `filed` the score it is filed under (0 = nowhere); a
+    /// filing besides the earned one wins, so a block filed twice shows.
+    pub fn filing(&self, block: BlockId) -> [(&'static str, u32, u32); 2] {
+        let info = self.get(block);
+        [("gc", &self.gc), ("background", &self.background)].map(|(name, index)| {
+            let earned = index.score_of(info);
+            let mut filed = (1..index.filed.len() as u32).filter(|&s| index.has(block, s));
+            let other = filed.clone().find(|&s| s != earned);
+            (name, other.or_else(|| filed.next()).unwrap_or(0), earned)
+        })
     }
 }
 
@@ -653,8 +631,20 @@ mod tests {
         }
         assert_eq!(bst.gc_victim(all), None);
         assert_eq!(bst.background_victim(all), None);
-        assert!(bst.index_drift().is_empty());
-        assert!(bst.clone().index_drift().is_empty());
+        assert_eq!(misfiled(&bst), []);
+        assert_eq!(misfiled(&bst.clone()), []);
+    }
+
+    /// Every `(index, block, filed, earned)` filing that disagrees with the
+    /// score the block's entry earns.
+    fn misfiled(bst: &Bst) -> Vec<(&'static str, BlockId, u32, u32)> {
+        bst.iter()
+            .flat_map(|(b, _)| {
+                bst.filing(b)
+                    .map(|(index, filed, earned)| (index, b, filed, earned))
+            })
+            .filter(|&(_, _, filed, earned)| filed != earned)
+            .collect()
     }
 
     #[derive(Debug, Clone)]
@@ -754,7 +744,7 @@ mod tests {
                 );
                 prop_assert_eq!(indexed, bst.swept_victims(ppb, |b| active.contains(&b)));
             }
-            prop_assert!(bst.index_drift().is_empty(), "{:?}", bst.index_drift());
+            prop_assert_eq!(misfiled(&bst), []);
         }
     }
 

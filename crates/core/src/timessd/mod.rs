@@ -16,7 +16,7 @@
 //!   it exceeds 20% of a page-write cost, never below the three-day
 //!   guarantee ([`retention`]).
 
-pub mod check;
+mod check;
 pub mod deltas;
 pub mod gc;
 pub mod idle;
@@ -32,6 +32,7 @@ use std::collections::HashMap;
 use almanac_bloom::BloomChain;
 use almanac_flash::{BlockId, DeltaRecord, Lpa, Nanos, Ppa};
 
+use crate::check::ConsistencyReport;
 use crate::config::SsdConfig;
 use crate::error::{AlmanacError, Result};
 use crate::ftl::{sealed::Sealed, Ftl, HostOp, Retention};
@@ -270,6 +271,10 @@ impl Retention for TimeTravel {
 
     fn read_view(ftl: &Ftl<Self>) -> Option<&TimeSsd> {
         Some(ftl)
+    }
+
+    fn audit(ftl: &Ftl<Self>, report: &mut ConsistencyReport) {
+        ftl.audit_history(report);
     }
 }
 

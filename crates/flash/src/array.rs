@@ -128,16 +128,6 @@ pub struct FlashArray {
     wear_min: u32,
 }
 
-/// The maintained erase-count bounds disagree with a recount of the blocks
-/// (see [`FlashArray::wear_index_drift`]); each side is `(min, max)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WearIndexDrift {
-    /// What the histogram says.
-    pub index: (u32, u32),
-    /// What the blocks say.
-    pub recount: (u32, u32),
-}
-
 impl FlashArray {
     /// Creates a fully-erased array.
     pub fn new(geometry: Geometry, latency: LatencyConfig) -> Self {
@@ -449,14 +439,11 @@ impl FlashArray {
         self.wear_hist.len() as u32 - 1
     }
 
-    /// Audit for an embedding FTL's consistency check: recounts the erase
-    /// bounds from the blocks and reports a disagreement with the histogram
-    /// behind [`Self::wear_spread`]. `None` on a sound array.
-    pub fn wear_index_drift(&self) -> Option<WearIndexDrift> {
-        let counts = || self.blocks.iter().map(|b| b.erase_count);
-        let recount = (counts().min().unwrap_or(0), counts().max().unwrap_or(0));
-        let index = (self.wear_min, self.wear_min + self.wear_spread());
-        (index != recount).then_some(WearIndexDrift { index, recount })
+    /// The erase-count bounds `(min, max)` the histogram behind
+    /// [`Self::wear_spread`] keeps — what an embedding FTL's consistency
+    /// check holds to a recount of [`Self::erase_count`].
+    pub fn wear_bounds(&self) -> (u32, u32) {
+        (self.wear_min, self.wear_min + self.wear_spread())
     }
 }
 
@@ -698,10 +685,16 @@ mod tests {
         assert_eq!(f.wear_spread(), 2);
     }
 
-    /// The deleted two-pass sweep, kept as the reference.
-    fn swept_spread(f: &FlashArray) -> u32 {
+    /// The erase-count bounds recounted from the blocks: the deleted
+    /// two-pass sweep, kept as the reference.
+    fn swept_bounds(f: &FlashArray) -> (u32, u32) {
         let counts = || f.blocks.iter().map(|b| b.erase_count);
-        counts().max().unwrap() - counts().min().unwrap()
+        (counts().min().unwrap(), counts().max().unwrap())
+    }
+
+    fn swept_spread(f: &FlashArray) -> u32 {
+        let (min, max) = swept_bounds(f);
+        max - min
     }
 
     #[test]
@@ -715,7 +708,7 @@ mod tests {
             for b in 0..blocks - round {
                 f.erase(BlockId(b), 0).unwrap();
                 assert_eq!(f.wear_spread(), swept_spread(&f), "round {round} block {b}");
-                assert_eq!(f.wear_index_drift(), None);
+                assert_eq!(f.wear_bounds(), swept_bounds(&f));
             }
         }
         assert_eq!((f.wear_min, f.wear_spread()), (1, 3));
@@ -743,23 +736,18 @@ mod tests {
         copy.revive();
         copy.erase(BlockId(2), 0).unwrap();
         assert_eq!((copy.wear_spread(), f.wear_spread()), (3, 2));
-        assert_eq!(copy.wear_index_drift(), None);
-        assert_eq!(f.wear_index_drift(), None);
+        assert_eq!(copy.wear_bounds(), swept_bounds(&copy));
+        assert_eq!(f.wear_bounds(), swept_bounds(&f));
     }
 
     #[test]
     fn stale_wear_histogram_is_reported() {
         let mut f = fixture();
         f.erase(BlockId(0), 0).unwrap();
-        assert_eq!(f.wear_index_drift(), None);
-        // An erase that skipped the histogram.
+        assert_eq!(f.wear_bounds(), swept_bounds(&f));
+        // An erase that skipped the histogram: the bounds it keeps are what
+        // the FTL's audit holds to the recount.
         f.blocks[3].erase_count += 2;
-        assert_eq!(
-            f.wear_index_drift(),
-            Some(WearIndexDrift {
-                index: (0, 1),
-                recount: (0, 2)
-            })
-        );
+        assert_eq!((f.wear_bounds(), swept_bounds(&f)), ((0, 1), (0, 2)));
     }
 }

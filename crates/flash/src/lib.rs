@@ -43,7 +43,7 @@ mod stats;
 pub use addr::{
     BlockId, Lpa, LpaSpan, Nanos, Ppa, DAY_NS, HOUR_NS, MINUTE_NS, MS_NS, SEC_NS, US_NS,
 };
-pub use array::{Block, BlockState, FlashArray, Page, PageState, WearIndexDrift};
+pub use array::{Block, BlockState, FlashArray, Page, PageState};
 pub use error::{FlashError, FlashResult};
 pub use fault::{FaultPlan, FlashOp, InjectedKind, OpFault};
 pub use geometry::Geometry;

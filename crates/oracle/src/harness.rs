@@ -3,12 +3,12 @@
 //!
 //! This is the one place an [`OracleOp`] reaches a device. The harness is
 //! generic over the device's retention policy ([`Guarantee`]): each `Ftl`
-//! gets the head and read checks (for the `RegularSsd` / `FlashGuardSsd`
-//! baselines the model runs on the mirror ordinal with nothing obligated),
-//! and a [`TimeSsd`] additionally gets everything that needs its history —
-//! chains, obligations, as-of and rollback probes, the power-cut crash
-//! contract, `check_consistency`, and the whole-space query check a run
-//! ends with.
+//! gets the head and read checks and the device's `check_consistency`
+//! audit (for the `RegularSsd` / `FlashGuardSsd` baselines the model runs
+//! on the mirror ordinal with nothing obligated), and a [`TimeSsd`]
+//! additionally gets everything that needs its history — chains,
+//! obligations, as-of and rollback probes, the power-cut crash contract,
+//! and the whole-space query check a run ends with.
 //!
 //! The harness implements [`SsdDevice`], so anything that drives a device —
 //! `trace::replay` in particular — can drive the pair and get op-by-op
@@ -287,14 +287,27 @@ impl<R: Guarantee> DifferentialHarness<Ftl<R>> {
         }
     }
 
-    /// Structural comparison of device against model — chains, heads,
-    /// obligations, the device's own invariants — issuing no host command.
-    /// A baseline has no such structure: its whole-space check is
+    /// Structural comparison of device against model — chains, heads and
+    /// obligations on a TimeSSD — then the device's own audit, the same
+    /// rules on every FTL, issuing no host command. A baseline has no
+    /// history to compare: its whole-space check against the model is
     /// [`read_sweep`](Self::read_sweep). True when nothing new was found.
     pub fn check_now(&mut self) -> bool {
         let before = self.divergences.len();
         if let Some(h) = self.timed() {
             h.deep_check();
+        }
+        let report = self.ssd().check_consistency();
+        if !report.is_clean() {
+            self.diverge(Divergence::ConsistencyViolations {
+                count: report.violations.len(),
+                sample: report
+                    .violations
+                    .iter()
+                    .take(4)
+                    .map(|v| format!("{v:?}"))
+                    .collect(),
+            });
         }
         self.divergences.len() == before
     }
@@ -655,20 +668,6 @@ impl DifferentialHarness<TimeSsd> {
             for (ts, age) in missing {
                 self.diverge(Divergence::MissingObligated { lpa, ts, age });
             }
-        }
-
-        // 5. The device's own invariants.
-        let report = self.ssd().check_consistency();
-        if !report.is_clean() {
-            self.diverge(Divergence::ConsistencyViolations {
-                count: report.violations.len(),
-                sample: report
-                    .violations
-                    .iter()
-                    .take(4)
-                    .map(|v| format!("{v:?}"))
-                    .collect(),
-            });
         }
     }
 

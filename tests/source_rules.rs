@@ -538,6 +538,80 @@ fn comments_literals_and_inline_test_modules_pass() {
     assert!(found.is_empty(), "lines {found:?}");
 }
 
+/// The variants of `pub enum {name}` in `src`, in declaration order.
+fn variants(src: &str, name: &str) -> Vec<String> {
+    let code = blank(src);
+    let head = format!("pub enum {name} {{");
+    let Some(at) = code.find(&head) else {
+        return Vec::new();
+    };
+    let (mut depth, mut names, mut expect) = (1, Vec::new(), true);
+    let body = &code[at + head.len()..];
+    let mut i = 0;
+    while i < body.len() && depth > 0 {
+        let b = body.as_bytes()[i];
+        if depth == 1 && expect && is_ident(b) {
+            let end = i + body[i..].bytes().take_while(|&ch| is_ident(ch)).count();
+            names.push(body[i..end].to_string());
+            (i, expect) = (end, false);
+            continue;
+        }
+        match b {
+            b'{' | b'(' | b'[' => depth += 1,
+            b'}' | b')' | b']' => depth -= 1,
+            b',' if depth == 1 => expect = true,
+            _ => {}
+        }
+        i += 1;
+    }
+    names
+}
+
+/// The `Violation` variants of `src` that DESIGN.md does not name.
+fn undocumented_violations(src: &str, design: &str) -> Vec<String> {
+    let named = |v: &str| {
+        design.match_indices(v).any(|(i, _)| {
+            let (before, after) = (
+                design[..i].bytes().last(),
+                design[i + v.len()..].bytes().next(),
+            );
+            !before.is_some_and(is_ident) && !after.is_some_and(is_ident)
+        })
+    };
+    variants(src, "Violation")
+        .into_iter()
+        .filter(|v| !named(v))
+        .collect()
+}
+
+const CHECK: &str = "crates/core/src/check.rs";
+
+/// Every audit finding has its line in DESIGN.md's audit table (§5h).
+#[test]
+fn design_names_every_violation() {
+    let src = fs::read_to_string(root().join(CHECK)).expect("readable source file");
+    assert!(
+        variants(&src, "Violation").len() > 1,
+        "no `Violation` in {CHECK}"
+    );
+    let missing = undocumented_violations(&src, &design());
+    assert!(missing.is_empty(), "DESIGN.md does not name {missing:?}");
+}
+
+#[test]
+fn a_planted_undocumented_violation_fails() {
+    let src = "/// One detected inconsistency.\n#[derive(Debug)]\npub enum Violation {\n    \
+               /// Documented.\n    Drift { index: &'static str, kept: u64 },\n    \
+               DoubleMapped(Ppa),\n    // NotAVariant,\n    PlantedMismatch(Lpa, Ppa),\n}\n";
+    assert_eq!(
+        variants(src, "Violation"),
+        ["Drift", "DoubleMapped", "PlantedMismatch"]
+    );
+    // A longer word that contains the name does not name it.
+    let design = "| `Drift` | `DoubleMapped` | `PlantedMismatches` |";
+    assert_eq!(undocumented_violations(src, design), ["PlantedMismatch"]);
+}
+
 #[test]
 fn a_stale_row_fails() {
     let design = design();
