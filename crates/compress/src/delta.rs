@@ -38,20 +38,15 @@ pub fn encode(reference: &[u8], old: &[u8]) -> Vec<u8> {
         old.len(),
         "reference and old version must share the page size"
     );
-    let xored: Vec<u8> = reference.iter().zip(old).map(|(a, b)| a ^ b).collect();
-    match lzf::compress(&xored) {
-        Some(packed) if packed.len() + 1 < xored.len() => {
-            let mut out = Vec::with_capacity(packed.len() + 1);
-            out.push(TAG_LZF);
-            out.extend_from_slice(&packed);
-            out
-        }
-        _ => {
-            let mut out = Vec::with_capacity(xored.len() + 1);
-            out.push(TAG_RAW);
-            out.extend_from_slice(&xored);
-            out
-        }
+    // The raw encoding `[TAG_RAW, reference ^ old]`, whose XOR half is
+    // also the compressor's input.
+    let mut out = vec![TAG_RAW; old.len() + 1];
+    for ((x, a), b) in out[1..].iter_mut().zip(reference).zip(old) {
+        *x = a ^ b;
+    }
+    match lzf::compress_after(&[TAG_LZF], &out[1..]) {
+        Some(packed) if packed.len() < out.len() - 1 => packed,
+        _ => out,
     }
 }
 
@@ -60,7 +55,7 @@ pub fn decode(reference: &[u8], delta: &[u8]) -> Result<Vec<u8>, CodecError> {
     let (tag, payload) = delta
         .split_first()
         .ok_or(CodecError::Corrupt("empty delta"))?;
-    let xored = match *tag {
+    let mut old = match *tag {
         TAG_RAW => {
             if payload.len() != reference.len() {
                 return Err(CodecError::LengthMismatch {
@@ -73,7 +68,10 @@ pub fn decode(reference: &[u8], delta: &[u8]) -> Result<Vec<u8>, CodecError> {
         TAG_LZF => lzf::decompress(payload, reference.len())?,
         _ => return Err(CodecError::Corrupt("unknown delta tag")),
     };
-    Ok(reference.iter().zip(&xored).map(|(a, b)| a ^ b).collect())
+    for (b, r) in old.iter_mut().zip(reference) {
+        *b ^= r;
+    }
+    Ok(old)
 }
 
 /// Compression ratio achieved by [`encode`]: encoded size / page size.

@@ -4,6 +4,8 @@
 //! retained pages meet through `reclaim`, expired delta blocks, window
 //! shrinking and background idle-time compression.
 
+use std::borrow::Cow;
+
 use almanac_bloom::FilterId;
 use almanac_flash::{DeltaBody, DeltaRecord, Lpa, Nanos, Oob, PageData, Ppa};
 
@@ -65,6 +67,14 @@ impl Budget {
     }
 }
 
+/// `data` as exactly `page_size` bytes, borrowed when it already is.
+fn page_bytes(data: &PageData, page_size: usize) -> Cow<'_, [u8]> {
+    match data {
+        PageData::Bytes(bytes) if bytes.len() == page_size => Cow::Borrowed(bytes.as_slice()),
+        _ => Cow::Owned(data.materialize(page_size)),
+    }
+}
+
 impl TimeSsd {
     /// Models the compressed size of one synthetic old version: a Gaussian
     /// compression ratio (mean/std from the config, as in §5.2 of the paper)
@@ -106,12 +116,12 @@ impl TimeSsd {
                 self.model_delta_size(lpa, ts),
             ),
             PageData::Zeros => (DeltaBody::Zeros, 8),
-            PageData::Bytes(bytes) => {
+            PageData::Bytes(_) => {
                 let page_size = self.config.geometry.page_size as usize;
-                let ref_bytes = reference.materialize(page_size);
-                let mut old_bytes = bytes.as_ref().clone();
-                old_bytes.resize(page_size, 0);
-                let mut encoded = almanac_compress::delta::encode(&ref_bytes, &old_bytes);
+                let mut encoded = almanac_compress::delta::encode(
+                    &page_bytes(reference, page_size),
+                    &page_bytes(old, page_size),
+                );
                 // §3.10: retained data may be encrypted under the user key so
                 // stolen history is unreadable without it.
                 if let Some(key) = self.config.retention_key {

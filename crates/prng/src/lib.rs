@@ -11,6 +11,7 @@
 //! seed-reproducibility.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::ops::{Range, RangeInclusive};
 
@@ -110,11 +111,19 @@ macro_rules! impl_sample_uniform {
     ($($t:ty),*) => {$(
         impl SampleUniform for $t {
             fn sample_uniform(rng: &mut StdRng, start: Self, end: Self, inclusive: bool) -> Self {
-                let lo = start as i128;
-                let hi = end as i128;
-                let span = if inclusive { hi - lo + 1 } else { hi - lo };
-                assert!(span > 0, "gen_range on empty range");
-                (lo + (rng.next_u64() as i128).rem_euclid(span)) as $t
+                assert!(
+                    if inclusive { start <= end } else { start < end },
+                    "gen_range on empty range"
+                );
+                // `start + x mod span` in 64-bit two's complement; `as u64`
+                // sign-extends, so signed types need no special case. An
+                // inclusive span of 2^64 wraps to 0 and takes `x` whole.
+                let span = (end as u64)
+                    .wrapping_sub(start as u64)
+                    .wrapping_add(u64::from(inclusive));
+                let x = rng.next_u64();
+                let offset = if span == 0 { x } else { x % span };
+                (start as u64).wrapping_add(offset) as $t
             }
         }
     )*};
@@ -258,5 +267,71 @@ mod tests {
         let mut buf = [0u8; 33];
         r.fill(&mut buf);
         assert!(buf.iter().any(|b| *b != 0));
+    }
+
+    /// `gen_range` as it was computed before: `start + x rem_euclid span`
+    /// in `i128`. Every stream must stay what it was.
+    fn i128_formula(x: u64, start: i128, end: i128, inclusive: bool) -> i128 {
+        let span = if inclusive {
+            end - start + 1
+        } else {
+            end - start
+        };
+        start + (x as i128).rem_euclid(span)
+    }
+
+    /// 10 000 draws from `lo..hi` and from `lo..=hi` each, against the
+    /// formula on the raw stream.
+    macro_rules! pin_stream {
+        ($seed:expr, $lo:expr, $hi:expr) => {{
+            let (lo, hi) = ($lo, $hi);
+            let mut r = StdRng::seed_from_u64($seed);
+            let mut raw = r.clone();
+            for _ in 0..10_000 {
+                for inclusive in [false, true] {
+                    let got = if inclusive {
+                        r.gen_range(lo..=hi)
+                    } else {
+                        r.gen_range(lo..hi)
+                    };
+                    let want = i128_formula(raw.next_u64(), lo as i128, hi as i128, inclusive);
+                    assert_eq!(got as i128, want, "{lo}..{hi} inclusive={inclusive}");
+                }
+            }
+        }};
+    }
+
+    #[test]
+    fn gen_range_stream_is_pinned_to_the_i128_formula() {
+        pin_stream!(1, 0u8, 255);
+        pin_stream!(2, 3u8, 17);
+        pin_stream!(3, 100u16, 65_000);
+        pin_stream!(4, 7u32, u32::MAX);
+        pin_stream!(5, 0u64, u64::MAX);
+        pin_stream!(6, 1u64 << 63, (1u64 << 63) + 12_345);
+        pin_stream!(7, 0usize, 9);
+        pin_stream!(8, i8::MIN, i8::MAX);
+        pin_stream!(9, -5i8, 5);
+        pin_stream!(10, -30_000i16, -7);
+        pin_stream!(11, i32::MIN, i32::MAX);
+        pin_stream!(12, -1i32, 0);
+        pin_stream!(13, i64::MIN, i64::MAX);
+        pin_stream!(14, -1_000_000i64, 999);
+        pin_stream!(15, -3isize, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "empty range")]
+    fn gen_range_rejects_an_empty_range() {
+        let mut r = StdRng::seed_from_u64(1);
+        let _ = r.gen_range(-3i32..-3);
+    }
+
+    #[test]
+    #[should_panic(expected = "empty range")]
+    fn gen_range_rejects_a_reversed_inclusive_range() {
+        let mut r = StdRng::seed_from_u64(1);
+        let (start, end) = (5u64, 4);
+        let _ = r.gen_range(start..=end);
     }
 }
