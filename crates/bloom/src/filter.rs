@@ -18,6 +18,9 @@
 pub struct BloomFilter {
     bits: Vec<u64>,
     n_bits: u64,
+    /// `n_bits - 1` when `n_bits` is a power of two, so a probe reduces
+    /// with a mask; `None` falls back to `%`.
+    mask: Option<u64>,
     k: u32,
     count: u64,
 }
@@ -49,11 +52,25 @@ impl BloomFilter {
         assert!(n_bits > 0, "filter needs at least one bit");
         assert!(k > 0, "filter needs at least one hash");
         let words = n_bits.div_ceil(64);
+        let n_bits = words * 64;
         BloomFilter {
             bits: vec![0; words as usize],
-            n_bits: words * 64,
+            n_bits,
+            mask: n_bits.is_power_of_two().then(|| n_bits - 1),
             k,
             count: 0,
+        }
+    }
+
+    /// Bit index of probe `i` for hashes `h1`, `h2`: `(h1 + i·h2) mod
+    /// n_bits`, by mask when `n_bits` is a power of two (every
+    /// configuration in the workspace) and by division otherwise.
+    #[inline]
+    fn probe(&self, h1: u64, h2: u64, i: u32) -> u64 {
+        let h = h1.wrapping_add((i as u64).wrapping_mul(h2));
+        match self.mask {
+            Some(mask) => h & mask,
+            None => h % self.n_bits,
         }
     }
 
@@ -62,7 +79,7 @@ impl BloomFilter {
         let h1 = fnv1a(key);
         let h2 = splitmix(key) | 1; // odd stride avoids degenerate cycles
         for i in 0..self.k {
-            let bit = (h1.wrapping_add((i as u64).wrapping_mul(h2))) % self.n_bits;
+            let bit = self.probe(h1, h2, i);
             self.bits[(bit / 64) as usize] |= 1 << (bit % 64);
         }
         self.count += 1;
@@ -73,7 +90,7 @@ impl BloomFilter {
         let h1 = fnv1a(key);
         let h2 = splitmix(key) | 1;
         (0..self.k).all(|i| {
-            let bit = (h1.wrapping_add((i as u64).wrapping_mul(h2))) % self.n_bits;
+            let bit = self.probe(h1, h2, i);
             self.bits[(bit / 64) as usize] & (1 << (bit % 64)) != 0
         })
     }
@@ -104,6 +121,26 @@ impl BloomFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{Rng, SeedableRng};
+
+    /// The masked reduction sets and tests exactly the bits `%` does, at
+    /// power-of-two sizes (mask) and at 192 bits (`%` itself).
+    #[test]
+    fn masked_probes_agree_with_modulo() {
+        let mut r = rand::rngs::StdRng::seed_from_u64(17);
+        for n_bits in [64, 1 << 12, 1 << 17, 192] {
+            let f = BloomFilter::new(n_bits, 4);
+            assert_eq!(f.mask.is_some(), n_bits != 192);
+            for _ in 0..10_000 {
+                let key = r.gen::<u64>();
+                let (h1, h2) = (fnv1a(key), splitmix(key) | 1);
+                for i in 0..8 {
+                    let h = h1.wrapping_add((i as u64).wrapping_mul(h2));
+                    assert_eq!(f.probe(h1, h2, i), h % n_bits, "n_bits {n_bits}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn no_false_negatives() {

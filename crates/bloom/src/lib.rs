@@ -24,6 +24,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod chain;
 mod filter;

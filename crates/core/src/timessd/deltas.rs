@@ -15,6 +15,7 @@
 //! delta block's BST `written`, which only the buffer's flush advances.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use almanac_bloom::FilterId;
 use almanac_flash::{BlockId, DeltaPage, DeltaRecord, FlashArray, Geometry, Lpa, Nanos, Oob, Ppa};
@@ -238,16 +239,30 @@ impl DeltaManager {
         flash: &mut FlashArray,
         now: Nanos,
     ) -> Result<(Nanos, u64)> {
-        let Some(buf) = self.buffers.get(&filter) else {
+        let Some(buf) = self.buffers.get_mut(&filter) else {
             return Ok((now, 0));
         };
+        // The records move into the program rather than being cloned. A
+        // programmed page lives as long as its block, so spare capacity goes.
+        let mut page = std::mem::take(&mut buf.page);
+        page.deltas.shrink_to_fit();
+        let page = Arc::new(page);
         let oob = Oob::new(DELTA_PAGE_OOB_LPA, None, now);
-        let finish = flash.program(
+        let programmed = flash.program(
             buf.reserved,
-            almanac_flash::PageData::DeltaPage(std::sync::Arc::new(buf.page.clone())),
+            almanac_flash::PageData::DeltaPage(Arc::clone(&page)),
             oob,
             now,
-        )?;
+        );
+        let finish = match programmed {
+            Ok(finish) => finish,
+            Err(e) => {
+                // A failed program drops its copy, so the records come back
+                // whole: the buffer stays retryable on its reserved page.
+                buf.page = Arc::try_unwrap(page).unwrap_or_else(|page| (*page).clone());
+                return Err(e.into());
+            }
+        };
         let block = self.geometry.block_of(buf.reserved);
         self.discard_buffer(filter);
         bst.update(block, |info| info.written += 1);
@@ -668,18 +683,29 @@ mod tests {
         let mut alloc = Allocator::new(geo, &bst);
         let mut flash = FlashArray::new(geo, LatencyConfig::default())
             .with_fault_plan(almanac_flash::FaultPlan::new(1).with_program_fault(0));
-        let out = mgr
+        let mut out = mgr
             .append(0, record(1, 10, 8), &mut alloc, &mut bst, &mut flash, 0)
             .unwrap();
+        for i in 2..5 {
+            out = mgr
+                .append(0, record(i, 10 * i, 8), &mut alloc, &mut bst, &mut flash, 0)
+                .unwrap();
+        }
+        let before = mgr.buffered_page(out.page).unwrap().clone();
+        assert_eq!(before.deltas.len(), 4);
         assert!(
             mgr.flush_filter(0, &mut bst, &mut flash, 50).is_err(),
             "injected program fault must surface"
         );
-        // The records are still in RAM, aimed at the same reserved page.
-        assert!(mgr.buffered_page(out.page).is_some());
+        // The records are still in RAM, unchanged, aimed at the same page.
+        assert_eq!(mgr.buffered_page(out.page), Some(&before));
         let (_, programs) = mgr.flush_filter(0, &mut bst, &mut flash, 60).unwrap();
         assert_eq!(programs, 1, "retry programs the same reserved page");
-        assert!(flash.peek(out.page).is_ok());
+        assert!(mgr.buffered_page(out.page).is_none());
+        match flash.peek(out.page).unwrap().0 {
+            almanac_flash::PageData::DeltaPage(dp) => assert_eq!(**dp, before),
+            other => panic!("expected delta page, got {other:?}"),
+        }
     }
 
     #[test]

@@ -78,21 +78,69 @@ pub(crate) const INODE_TABLE_FRACTION: u64 = 64;
 /// Journal size in pages (Ext4 data-journal mode).
 const JOURNAL_PAGES: u64 = 256;
 
+/// Where data pages come from: a free stack of home locations, or for
+/// [`FsMode::F2fsLog`] the data area `start..end` swept as a circular log.
+struct DataArea {
+    log: bool,
+    start: u64,
+    end: u64,
+    /// Free data-page stack (home-location allocation).
+    free: Vec<u64>,
+    /// Log head for F2FS-style allocation.
+    log_cursor: u64,
+}
+
+impl DataArea {
+    fn alloc(&mut self) -> FsResult<u64> {
+        if self.log {
+            let span = self.end - self.start;
+            if span == 0 {
+                return Err(FsError::NoSpace);
+            }
+            let lpa = self.start + (self.log_cursor % span);
+            self.log_cursor += 1;
+            Ok(lpa)
+        } else {
+            self.free.pop().ok_or(FsError::NoSpace)
+        }
+    }
+
+    /// Takes back a trimmed data page (the log reuses pages by sweeping).
+    fn release(&mut self, lpa: Lpa) {
+        if !self.log && lpa.0 >= self.start {
+            self.free.push(lpa.0);
+        }
+    }
+}
+
+/// The Ext4 data journal: `len` pages from `start`, written round-robin.
+struct Journal {
+    start: u64,
+    len: u64,
+    head: u64,
+}
+
+impl Journal {
+    fn write<D: SsdDevice>(
+        &mut self,
+        dev: &mut D,
+        payload: PageData,
+        now: Nanos,
+    ) -> FsResult<Nanos> {
+        let lpa = Lpa(self.start + (self.head % self.len));
+        self.head += 1;
+        Ok(dev.write(lpa, payload, now)?.finish)
+    }
+}
+
 /// The file system over any simulated SSD.
 pub struct AlmanacFs<D: SsdDevice> {
     dev: D,
     mode: FsMode,
     page_size: usize,
     inode_pages: u64,
-    journal_start: u64,
-    journal_len: u64,
-    journal_head: u64,
-    data_start: u64,
-    exported: u64,
-    /// Free data-page stack (home-location allocation).
-    free: Vec<u64>,
-    /// Log head for F2FS-style allocation.
-    log_cursor: u64,
+    journal: Journal,
+    area: DataArea,
     inodes: HashMap<FileId, Inode>,
     next_id: u64,
     /// Write calls since the last metadata flush (metadata and journal
@@ -121,13 +169,18 @@ impl<D: SsdDevice> AlmanacFs<D> {
             mode,
             page_size: 4096,
             inode_pages,
-            journal_start,
-            journal_len,
-            journal_head: 0,
-            data_start,
-            exported,
-            free,
-            log_cursor: 0,
+            journal: Journal {
+                start: journal_start,
+                len: journal_len,
+                head: 0,
+            },
+            area: DataArea {
+                log: mode == FsMode::F2fsLog,
+                start: data_start,
+                end: exported,
+                free,
+                log_cursor: 0,
+            },
             inodes: HashMap::new(),
             next_id: 1,
             meta_clock: 0,
@@ -183,22 +236,6 @@ impl<D: SsdDevice> AlmanacFs<D> {
         Lpa(1 + fid.0 % self.inode_pages)
     }
 
-    fn alloc_data_page(&mut self) -> FsResult<u64> {
-        match self.mode {
-            FsMode::F2fsLog => {
-                // Log-structured: sweep the data area as a circular log.
-                let span = self.exported - self.data_start;
-                if span == 0 {
-                    return Err(FsError::NoSpace);
-                }
-                let lpa = self.data_start + (self.log_cursor % span);
-                self.log_cursor += 1;
-                Ok(lpa)
-            }
-            _ => self.free.pop().ok_or(FsError::NoSpace),
-        }
-    }
-
     fn write_inode(&mut self, fid: FileId, now: Nanos) -> FsResult<Nanos> {
         let lpa = self.inode_lpa(fid);
         let bytes = self
@@ -207,13 +244,6 @@ impl<D: SsdDevice> AlmanacFs<D> {
             .map(|i| i.to_page_bytes())
             .unwrap_or_else(|| format!("deleted {}\n", fid.0).into_bytes());
         let c = self.dev.write(lpa, PageData::bytes(bytes), now)?;
-        Ok(c.finish)
-    }
-
-    fn journal_write(&mut self, payload: PageData, now: Nanos) -> FsResult<Nanos> {
-        let lpa = Lpa(self.journal_start + (self.journal_head % self.journal_len));
-        self.journal_head += 1;
-        let c = self.dev.write(lpa, payload, now)?;
         Ok(c.finish)
     }
 
@@ -239,7 +269,9 @@ impl<D: SsdDevice> AlmanacFs<D> {
                 .get(&fid)
                 .expect("just inserted")
                 .to_page_bytes();
-            t = self.journal_write(PageData::bytes(bytes), t)?;
+            t = self
+                .journal
+                .write(&mut self.dev, PageData::bytes(bytes), t)?;
         }
         let t = self.write_inode(fid, t)?;
         Ok((fid, t))
@@ -252,91 +284,96 @@ impl<D: SsdDevice> AlmanacFs<D> {
         if data.is_empty() {
             return Ok(now);
         }
-        let size = self.inode(fid)?.size;
-        let page_size = self.page_size as u64;
+        let AlmanacFs {
+            dev,
+            mode,
+            page_size,
+            journal,
+            area,
+            inodes,
+            ..
+        } = self;
+        let (mode, page_size) = (*mode, *page_size);
+        let inode = inodes.get_mut(&fid).ok_or(FsError::NoSuchFile(fid))?;
         let len = data.len() as u64;
-        let end = offset
-            .checked_add(len)
-            .ok_or(FsError::BadRange { offset, len, size })?;
-        let first_page = (offset / page_size) as usize;
-        let last_page = ((end - 1) / page_size) as usize;
+        let end = offset.checked_add(len).ok_or(FsError::BadRange {
+            offset,
+            len,
+            size: inode.size,
+        })?;
+        let first_page = (offset / page_size as u64) as usize;
+        let last_page = ((end - 1) / page_size as u64) as usize;
         let mut t = now;
 
         for page_idx in first_page..=last_page {
             // Assemble the new content of this page (read-modify-write for
             // partial pages).
-            let page_start = page_idx as u64 * page_size;
-            let old = {
-                let inode = self.inodes.get(&fid).expect("checked above");
-                inode.pages.get(page_idx).copied()
-            };
-            let mut content = match old {
-                Some(lpa) => {
-                    let (d, c) = self.dev.read(lpa, t)?;
-                    t = c.finish;
-                    d.materialize(self.page_size)
-                }
-                None => vec![0u8; self.page_size],
-            };
+            let page_start = page_idx as u64 * page_size as u64;
             let from = offset.max(page_start);
-            let to = end.min(page_start + page_size);
-            let src_from = (from - offset) as usize;
-            let src_to = (to - offset) as usize;
-            content[(from - page_start) as usize..(to - page_start) as usize]
-                .copy_from_slice(&data[src_from..src_to]);
+            let to = end.min(page_start + page_size as u64);
+            let src = &data[(from - offset) as usize..(to - offset) as usize];
+            let old = inode.pages.get(page_idx).copied();
+            let old_data = match old {
+                Some(lpa) => {
+                    let (d, c) = dev.read(lpa, t)?;
+                    t = c.finish;
+                    Some(d)
+                }
+                None => None,
+            };
+            // A full-page overwrite still reads the old page (the modelled
+            // read-modify-write), but none of its bytes survive.
+            let content = if src.len() == page_size {
+                src.to_vec()
+            } else {
+                let mut content =
+                    old_data.map_or_else(|| vec![0u8; page_size], |d| d.materialize(page_size));
+                content[(from - page_start) as usize..(to - page_start) as usize]
+                    .copy_from_slice(src);
+                content
+            };
             let payload = PageData::bytes(content);
 
             // Resolve the destination LPA per mode.
-            let home = match self.mode {
+            let home = match mode {
                 FsMode::F2fsLog => {
-                    let fresh = self.alloc_data_page()?;
+                    let fresh = area.alloc()?;
                     if let Some(old_lpa) = old {
-                        let c = self.dev.trim(old_lpa, t)?;
-                        t = c.finish;
+                        t = dev.trim(old_lpa, t)?.finish;
                     }
                     fresh
                 }
                 _ => match old {
                     Some(lpa) => lpa.0,
-                    None => self.alloc_data_page()?,
+                    None => area.alloc()?,
                 },
             };
 
             // Data journaling doubles the write for page *overwrites* (the
             // history-preserving path this mode exists for); fresh
             // allocations only contribute to the batched commit record.
-            if self.mode == FsMode::Ext4DataJournal && old.is_some() {
-                t = self.journal_write(payload.clone(), t)?;
+            if mode == FsMode::Ext4DataJournal && old.is_some() {
+                t = journal.write(dev, payload.clone(), t)?;
                 let commit =
                     PageData::bytes(format!("commit {} {}\n", fid.0, page_idx).into_bytes());
-                t = self.journal_write(commit, t)?;
+                t = journal.write(dev, commit, t)?;
             }
-            let c = self.dev.write(Lpa(home), payload, t)?;
-            t = c.finish;
+            t = dev.write(Lpa(home), payload, t)?.finish;
 
             // Fill any hole pages between the current end and this page
             // with explicit zero pages so every index maps somewhere real.
-            while self.inodes.get(&fid).expect("checked above").pages.len() < page_idx {
-                let hole = self.alloc_data_page()?;
-                let c = self.dev.write(Lpa(hole), PageData::Zeros, t)?;
-                t = c.finish;
-                self.inodes
-                    .get_mut(&fid)
-                    .expect("checked above")
-                    .pages
-                    .push(Lpa(hole));
+            while inode.pages.len() < page_idx {
+                let hole = area.alloc()?;
+                t = dev.write(Lpa(hole), PageData::Zeros, t)?.finish;
+                inode.pages.push(Lpa(hole));
             }
-            let inode = self.inodes.get_mut(&fid).expect("checked above");
             if page_idx < inode.pages.len() {
                 inode.pages[page_idx] = Lpa(home);
             } else {
                 inode.pages.push(Lpa(home));
             }
         }
-        {
-            let inode = self.inodes.get_mut(&fid).expect("checked above");
-            inode.size = inode.size.max(end);
-        }
+        inode.size = inode.size.max(end);
         // Metadata updates batch: dirty inodes (node pages in F2FS terms)
         // and, for the journaling mode, the transaction commit record are
         // persisted every 16th write call rather than per operation.
@@ -359,7 +396,7 @@ impl<D: SsdDevice> AlmanacFs<D> {
         }
         if self.mode == FsMode::Ext4DataJournal {
             let commit = PageData::bytes(b"commit-batch\n".to_vec());
-            t = self.journal_write(commit, t)?;
+            t = self.journal.write(&mut self.dev, commit, t)?;
         }
         Ok(t)
     }
@@ -404,13 +441,13 @@ impl<D: SsdDevice> AlmanacFs<D> {
         for lpa in &inode.pages {
             let c = self.dev.trim(*lpa, t)?;
             t = c.finish;
-            if self.mode != FsMode::F2fsLog && lpa.0 >= self.data_start {
-                self.free.push(lpa.0);
-            }
+            self.area.release(*lpa);
         }
         if self.mode == FsMode::Ext4DataJournal {
             let bytes = format!("journal-unlink {}\n", fid.0).into_bytes();
-            t = self.journal_write(PageData::bytes(bytes), t)?;
+            t = self
+                .journal
+                .write(&mut self.dev, PageData::bytes(bytes), t)?;
         }
         self.dirty.remove(&fid);
         t = self.write_inode(fid, t)?;
@@ -453,9 +490,7 @@ impl<D: SsdDevice> AlmanacFs<D> {
         for lpa in dropped {
             let c = self.dev.trim(lpa, t)?;
             t = c.finish;
-            if self.mode != FsMode::F2fsLog && lpa.0 >= self.data_start {
-                self.free.push(lpa.0);
-            }
+            self.area.release(lpa);
         }
         t = self.write_inode(fid, t)?;
         Ok(t)
@@ -495,6 +530,55 @@ mod tests {
         assert_eq!(&bytes[..10], &[1u8; 10]);
         assert_eq!(&bytes[10..15], &[9u8; 5]);
         assert_eq!(&bytes[15..], &[1u8; 85]);
+    }
+
+    /// Partial, full-page and unaligned multi-page overwrites read back what
+    /// an in-memory copy of the file holds, in every mode; a full-page
+    /// overwrite still reads the old page, as the read-modify-write does.
+    #[test]
+    fn overwrites_read_back_the_written_bytes() {
+        let writes: &[(u64, usize, u8)] = &[
+            (0, 3 * 4096, 1),
+            (10, 5, 2),
+            (4096, 4096, 3),
+            (4000, 4096 + 200, 4),
+            (2 * 4096, 4096, 5),
+            (6 * 4096 + 7, 300, 6),
+            (5 * 4096, 4096, 7),
+            (0, 7 * 4096, 8),
+            (4096 - 1, 2, 9),
+        ];
+        for mode in [
+            FsMode::Ext4NoJournal,
+            FsMode::Ext4DataJournal,
+            FsMode::F2fsLog,
+        ] {
+            let mut fs = regular_fs(mode);
+            let (fid, mut t) = fs.create("f", 0).unwrap();
+            let mut model = Vec::new();
+            for &(offset, len, seed) in writes {
+                let data: Vec<u8> = (0..len).map(|i| seed ^ (i % 251) as u8).collect();
+                let end = offset as usize + len;
+                if model.len() < end {
+                    model.resize(end, 0);
+                }
+                model[offset as usize..end].copy_from_slice(&data);
+                let existing = fs.inode(fid).unwrap().pages.len() as u64;
+                let overwritten = (offset / 4096..(end as u64).div_ceil(4096))
+                    .filter(|p| *p < existing)
+                    .count();
+                let reads = fs.device().stats().user_reads;
+                t = fs.write(fid, offset, &data, t).unwrap();
+                assert_eq!(
+                    fs.device().stats().user_reads - reads,
+                    overwritten as u64,
+                    "{mode:?}: every overwritten page is read first"
+                );
+                let (bytes, t2) = fs.read(fid, 0, model.len() as u64, t).unwrap();
+                t = t2;
+                assert_eq!(bytes, model, "{mode:?} after write at {offset}+{len}");
+            }
+        }
     }
 
     #[test]
@@ -547,9 +631,9 @@ mod tests {
         let mut fs = regular_fs(FsMode::Ext4NoJournal);
         let (fid, t) = fs.create("gone", 0).unwrap();
         let t = fs.write(fid, 0, &[1u8; 8192], t).unwrap();
-        let before = fs.free.len();
+        let before = fs.area.free.len();
         fs.delete(fid, t).unwrap();
-        assert_eq!(fs.free.len(), before + 2);
+        assert_eq!(fs.area.free.len(), before + 2);
         assert!(fs.inode(fid).is_err());
     }
 

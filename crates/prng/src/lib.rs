@@ -52,6 +52,7 @@ impl SeedableRng for StdRng {
 }
 
 impl StdRng {
+    #[inline]
     fn next_u64(&mut self) -> u64 {
         let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = self.s[1] << 17;
@@ -177,6 +178,7 @@ pub trait Rng {
 }
 
 impl Rng for StdRng {
+    #[inline]
     fn next_raw(&mut self) -> u64 {
         self.next_u64()
     }
@@ -318,6 +320,27 @@ mod tests {
         pin_stream!(13, i64::MIN, i64::MAX);
         pin_stream!(14, -1_000_000i64, 999);
         pin_stream!(15, -3isize, 3);
+    }
+
+    /// `next_raw() % n` with a compile-time `n` is the draw
+    /// `gen_range(0..n)` makes, and `next_raw() % n < 1` the one
+    /// `gen_ratio(1, n)` makes: kernels that open-code them keep the stream.
+    #[test]
+    fn open_coded_draws_are_pinned_to_gen_range_and_gen_ratio() {
+        macro_rules! pin {
+            ($n:literal) => {{
+                let mut r = StdRng::seed_from_u64($n);
+                let mut raw = r.clone();
+                for _ in 0..10_000 {
+                    assert_eq!(raw.next_raw() % $n, r.gen_range(0..$n as usize) as u64);
+                }
+                for _ in 0..10_000 {
+                    assert_eq!(raw.next_raw() % $n < 1, r.gen_ratio(1, $n));
+                }
+            }};
+        }
+        pin!(12);
+        pin!(33);
     }
 
     #[test]

@@ -23,6 +23,7 @@
 //!   mimics replaying kernel commits (Figure 11).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod commits;
 pub mod iozone;

@@ -45,17 +45,49 @@ pub fn rng(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)
 }
 
+/// Bytes in one [`TABLE`] entry: the longest word plus its space fits.
+const ENTRY: usize = 16;
+
+/// Each of `WORDS` followed by its space, zero-padded to [`ENTRY`] bytes,
+/// with the length of word plus space. `text` copies a whole entry and
+/// advances by the length, so a word costs one fixed-size move.
+static TABLE: [([u8; ENTRY], usize); WORDS.len()] = {
+    let mut table = [([0u8; ENTRY], 0); WORDS.len()];
+    let mut i = 0;
+    while i < WORDS.len() {
+        let word = WORDS[i].as_bytes();
+        assert!(word.len() < ENTRY, "word does not fit a table entry");
+        let mut j = 0;
+        while j < word.len() {
+            table[i].0[j] = word[j];
+            j += 1;
+        }
+        table[i].0[word.len()] = b' ';
+        table[i].1 = word.len() + 1;
+        i += 1;
+    }
+    table
+};
+
 /// Compressible English-like text of `len` bytes.
+///
+/// Byte-for-byte the stream of one `gen_range(0..WORDS.len())` word and
+/// one `gen_ratio(1, 12)` newline draw per step; the two draws are
+/// open-coded with constant divisors, which is what those calls compute.
 pub fn text(seed: u64, len: usize) -> Vec<u8> {
     let mut r = rng(seed);
-    let mut out = Vec::with_capacity(len + 16);
-    while out.len() < len {
-        let w = WORDS[r.gen_range(0..WORDS.len())];
-        out.extend_from_slice(w.as_bytes());
-        out.push(b' ');
-        if r.gen_ratio(1, 12) {
-            out.push(b'\n');
-        }
+    // A step starts below `len`, copies `ENTRY` bytes and writes a newline
+    // at most 11 bytes on: the slack past `len` absorbs the overshoot.
+    let mut out = vec![0u8; len + ENTRY];
+    let mut at = 0;
+    while at < len {
+        let (entry, n) = &TABLE[(r.next_raw() % WORDS.len() as u64) as usize];
+        out[at..at + ENTRY].copy_from_slice(entry);
+        at += n;
+        // The newline is always written and kept only when drawn; the
+        // next entry overwrites it otherwise. No branch to mispredict.
+        out[at] = b'\n';
+        at += usize::from(r.next_raw() % 12 < 1);
     }
     out.truncate(len);
     out
@@ -98,10 +130,53 @@ pub fn encrypt(key: u64, plaintext: &[u8]) -> Vec<u8> {
     plaintext.iter().map(|b| b ^ r.gen::<u8>() ^ 0x5a).collect()
 }
 
+/// `text` as it was before the table kernel, kept verbatim: the kernel
+/// must produce the same bytes for every seed and length.
+#[cfg(test)]
+mod reference {
+    use super::{rng, WORDS};
+    use rand::Rng;
+
+    pub fn text(seed: u64, len: usize) -> Vec<u8> {
+        let mut r = rng(seed);
+        let mut out = Vec::with_capacity(len + 16);
+        while out.len() < len {
+            let w = WORDS[r.gen_range(0..WORDS.len())];
+            out.extend_from_slice(w.as_bytes());
+            out.push(b' ');
+            if r.gen_ratio(1, 12) {
+                out.push(b'\n');
+            }
+        }
+        out.truncate(len);
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use almanac_compress::lzf;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn text_matches_reference(
+            seed in any::<u64>(),
+            len in prop_oneof![
+                3 => 0usize..300_001,
+                1 => 0usize..64,
+                1 => Just(4095usize),
+                1 => Just(4096usize),
+                1 => Just(4097usize),
+                1 => Just(262_144usize),
+            ],
+        ) {
+            prop_assert_eq!(text(seed, len), reference::text(seed, len), "seed {} len {}", seed, len);
+        }
+    }
 
     #[test]
     fn text_is_compressible() {
