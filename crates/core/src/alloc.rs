@@ -103,11 +103,13 @@ impl Allocator {
     /// The next page of `stream`, rotating across channels: the `written`
     /// page of the channel's slot, opening a free block into an empty slot.
     ///
-    /// Returns the page plus `Some(block)` when a fresh block was opened for
-    /// it (so the caller can update the BST). Host writes leave one free
-    /// block for GC; when the pool runs dry, a stream falls back to the
-    /// other stream's slots (tiny devices).
-    pub fn next_page(&mut self, stream: Stream, bst: &Bst) -> Option<(Ppa, Option<BlockId>)> {
+    /// Returns the page and whether its block was opened for it (so the
+    /// caller can update the BST). Two words come back in registers; a
+    /// third, the opened block, made every host write wait on a copy
+    /// through memory. Host writes leave one free block for GC; when the
+    /// pool runs dry, a stream falls back to the other stream's slots (tiny
+    /// devices).
+    pub fn next_page(&mut self, stream: Stream, bst: &Bst) -> Option<(Ppa, bool)> {
         let (other, reserve) = match stream {
             Stream::Hot => (Stream::Cold, 1),
             Stream::Cold => (Stream::Hot, 0),
@@ -116,25 +118,19 @@ impl Allocator {
             .or_else(|| self.page_from(other, reserve, bst))
     }
 
-    fn page_from(
-        &mut self,
-        stream: Stream,
-        reserve: u64,
-        bst: &Bst,
-    ) -> Option<(Ppa, Option<BlockId>)> {
+    fn page_from(&mut self, stream: Stream, reserve: u64, bst: &Bst) -> Option<(Ppa, bool)> {
         let s = stream as usize;
         let channels = self.free.len();
         for _ in 0..channels {
             let ch = self.rr[s];
             self.rr[s] = (ch + 1) % channels;
-            let mut opened = None;
-            if self.slots[s][ch].is_none() {
+            let opened = self.slots[s][ch].is_none();
+            if opened {
                 // Opening a new block must leave `reserve` blocks for GC.
                 if self.free_blocks() <= reserve {
                     continue;
                 }
-                opened = self.alloc_block(Some(ch as u32));
-                self.slots[s][ch] = opened;
+                self.slots[s][ch] = self.alloc_block(Some(ch as u32));
             }
             let Some(block) = self.slots[s][ch] else {
                 continue;
@@ -160,20 +156,19 @@ mod tests {
 
     fn fresh() -> (Geometry, Allocator, Bst) {
         let g = Geometry::small_test();
-        let bst = Bst::new(&g);
+        let bst = Bst::new(&g, false);
         (g, Allocator::new(g, &bst), bst)
     }
 
     /// Takes the next host page and books it as `Ftl::program` does after a
     /// successful program.
-    fn program(a: &mut Allocator, bst: &mut Bst) -> (Ppa, Option<BlockId>) {
+    fn program(a: &mut Allocator, bst: &mut Bst) -> (Ppa, bool) {
         let (ppa, opened) = a.next_page(Stream::Hot, bst).unwrap();
-        if let Some(b) = opened {
-            bst.update(b, |info| info.kind = BlockKind::Data);
+        let block = Geometry::small_test().block_of(ppa);
+        if opened {
+            bst.update(block, |info| info.kind = BlockKind::Data);
         }
-        bst.update(Geometry::small_test().block_of(ppa), |info| {
-            info.written += 1
-        });
+        bst.update(block, |info| info.written += 1);
         (ppa, opened)
     }
 
@@ -186,7 +181,7 @@ mod tests {
     #[test]
     fn pools_only_the_blocks_the_bst_calls_free() {
         let g = Geometry::small_test();
-        let mut bst = Bst::new(&g);
+        let mut bst = Bst::new(&g, false);
         for b in [0, 5, 6] {
             bst.update(BlockId(b), |info| info.kind = BlockKind::Data);
         }
@@ -209,11 +204,11 @@ mod tests {
     fn sequential_offsets_within_open_block() {
         let (g, mut a, mut bst) = fresh();
         let (p0, opened) = program(&mut a, &mut bst);
-        assert!(opened.is_some());
+        assert!(opened);
         // Same channel comes around after `channels` allocations.
         program(&mut a, &mut bst);
         let (p2, opened2) = program(&mut a, &mut bst);
-        assert!(opened2.is_none());
+        assert!(!opened2);
         assert_eq!(g.block_of(p0), g.block_of(p2));
         assert_eq!(g.page_offset(p2), g.page_offset(p0) + 1);
     }
@@ -265,13 +260,13 @@ mod tests {
         program(&mut a, &mut bst); // channel 1
                                    // Channel 0, offset 1: its program fails, so `written` stays put.
         let (failed, opened) = a.next_page(Stream::Hot, &bst).unwrap();
-        assert!(opened.is_none());
+        assert!(!opened);
         // Round-robin continues on channel 1; channel 0 then re-hands the
         // exact page whose program failed.
         program(&mut a, &mut bst);
         let (retry, opened) = program(&mut a, &mut bst);
         assert_eq!(retry, failed, "retry must reuse the failed page's offset");
-        assert!(opened.is_none());
+        assert!(!opened);
     }
 
     #[test]

@@ -197,9 +197,10 @@ impl<R: Retention> Ftl<R> {
 
         // 2. Per block: free blocks are empty, and every answer kept about
         //    the block — its valid counter, its write pointer (`written`,
-        //    the FTL's only one) and its filing in both victim indices —
-        //    matches a recount. A disagreement means some host op would
-        //    take a different page or block than a sweep would.
+        //    the FTL's only one) and its filing in each victim index the
+        //    device keeps — matches a recount. A disagreement means some
+        //    host op would take a different page or block than a sweep
+        //    would.
         for (block, info) in self.bst.iter() {
             let valid = (0..geo.pages_per_block)
                 .filter(|&off| self.pvt.get(geo.ppa(block.0, off)))
@@ -400,51 +401,87 @@ mod tests {
         block
     }
 
+    /// Writes on past `built()` until a data block is fully programmed and
+    /// returns it: closed, its retained pages not yet compressed, since no
+    /// command has arrived after the write that closed it.
+    fn closed_block<R: Retention>(ssd: &mut Ftl<R>) -> BlockId {
+        use crate::device::SsdDevice;
+        use almanac_flash::{PageData, SEC_NS};
+        let ppb = ssd.config.geometry.pages_per_block;
+        let mut now = ssd.last_io_end;
+        for i in 60u64.. {
+            let lpa = Lpa(i % 9);
+            let data = PageData::Synthetic {
+                seed: lpa.0,
+                version: i,
+            };
+            now = ssd.write(lpa, data, now + SEC_NS).unwrap().finish;
+            let full = ssd
+                .bst
+                .iter()
+                .find(|(_, info)| info.kind == BlockKind::Data && info.written == ppb);
+            if let Some((block, info)) = full {
+                assert!(info.invalid() > info.reclaimable);
+                return block;
+            }
+        }
+        unreachable!("a block fills")
+    }
+
+    /// The `Drift` findings of an audit of `ssd`.
+    fn drifts<R: Retention>(ssd: &Ftl<R>) -> Vec<Violation> {
+        let report = ssd.check_consistency();
+        let drift = |v: &Violation| matches!(v, Violation::Drift { .. });
+        report.violations.into_iter().filter(drift).collect()
+    }
+
     #[test]
     fn detects_stale_victim_index() {
         fn plant<R: Retention>() {
             let mut ssd = Ftl::<R>::built();
             let block = collectable_block(&ssd);
             let before = u64::from(ssd.bst.get(block).invalid());
-            // An invalidation that skipped the re-filing: the GC index (and,
-            // nothing being compressed yet, the idle-time index) still holds
-            // the block under its old score.
+            // An invalidation that skipped the re-filing: the GC index still
+            // holds the block under its old score. The block is open, so
+            // the idle-time order, where a device keeps one, files it
+            // nowhere before or after.
             ssd.pvt.set(ssd.head_of(Lpa(0)), false);
             ssd.bst.raw_mut(block).valid -= 1;
-            for index in ["gc", "background"] {
-                reports(
-                    &ssd,
-                    Violation::Drift {
-                        index,
-                        key: block.0,
-                        kept: before,
-                        recount: before + 1,
-                    },
-                );
-            }
+            let stale = Violation::Drift {
+                index: "gc",
+                key: block.0,
+                kept: before,
+                recount: before + 1,
+            };
+            assert_eq!(drifts(&ssd), [stale], "{}", ssd.kind());
             // A compression that skipped it leaves only the idle-time index
-            // out.
+            // out, on a device that keeps one.
             let mut ssd = Ftl::<R>::built();
+            let block = closed_block(&mut ssd);
+            let info = *ssd.bst.get(block);
+            let before = u64::from(info.invalid() - info.reclaimable);
             ssd.bst.raw_mut(block).reclaimable += 1;
-            let stale: Vec<_> = ssd
-                .check_consistency()
-                .violations
-                .into_iter()
-                .filter(|v| matches!(v, Violation::Drift { .. }))
-                .collect();
-            assert_eq!(
-                stale,
-                [Violation::Drift {
-                    index: "background",
-                    key: block.0,
-                    kept: before,
-                    recount: before - 1,
-                }],
-                "{}",
-                ssd.kind()
-            );
+            let stale = R::COMPRESSES.then_some(Violation::Drift {
+                index: "background",
+                key: block.0,
+                kept: before,
+                recount: before - 1,
+            });
+            assert_eq!(drifts(&ssd), Vec::from_iter(stale), "{}", ssd.kind());
         }
         on_every_ftl!(plant);
+    }
+
+    #[test]
+    fn only_a_compressing_device_keeps_the_idle_time_order() {
+        fn indices<R: Retention>() -> Vec<&'static str> {
+            let ssd = Ftl::<R>::built();
+            let block = collectable_block(&ssd);
+            ssd.bst.filing(block).map(|(index, ..)| index).collect()
+        }
+        assert_eq!(indices::<Discard>(), ["gc"]);
+        assert_eq!(indices::<ReadGated>(), ["gc"]);
+        assert_eq!(indices::<TimeTravel>(), ["gc", "background"]);
     }
 
     #[test]

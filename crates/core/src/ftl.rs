@@ -63,6 +63,10 @@ pub trait Retention: sealed::Sealed + Sized {
     /// The device's [`SsdReadOps::kind`].
     const KIND: &'static str;
 
+    /// The policy delta-compresses retained pages at idle time, so the BST
+    /// keeps the idle-time victim order beside GC's.
+    const COMPRESSES: bool = false;
+
     /// Policy state of a fully-erased device.
     fn new(config: &SsdConfig) -> Self;
 
@@ -170,7 +174,7 @@ impl<R: Retention> Ftl<R> {
             flash = flash.with_fault_plan(plan);
         }
         let geo = config.geometry;
-        let bst = Bst::new(&geo);
+        let bst = Bst::new(&geo, R::COMPRESSES);
         Ftl {
             flash,
             amt: ShardedAmt::new(config.exported_pages(), 1),
@@ -255,16 +259,20 @@ impl<R: Retention> Ftl<R> {
         let slot = match dest {
             Dest::Hot => self.alloc.next_page(Stream::Hot, &self.bst),
             Dest::Cold => self.alloc.next_page(Stream::Cold, &self.bst),
-            Dest::Into(b) => Some((self.config.geometry.ppa(b.0, self.bst.get(b).written), None)),
+            Dest::Into(b) => Some((
+                self.config.geometry.ppa(b.0, self.bst.get(b).written),
+                false,
+            )),
         };
         let (ppa, opened) = slot.ok_or_else(|| self.stalled(at))?;
-        if let Some(b) = opened {
-            self.bst.update(b, |info| info.kind = BlockKind::Data);
+        let block = self.config.geometry.block_of(ppa);
+        if opened {
+            self.bst.update(block, |info| info.kind = BlockKind::Data);
         }
         // `written` is the block's write pointer: a failed program leaves it,
         // and so the page, where they were.
         let finish = self.flash.program(ppa, data, oob, at)?;
-        self.bst.update(self.config.geometry.block_of(ppa), |info| {
+        self.bst.update(block, |info| {
             info.written += 1;
             info.valid += u32::from(live);
         });
@@ -682,10 +690,7 @@ mod tests {
     }
 
     fn indexed_victims(ssd: &TimeSsd) -> (Option<BlockId>, Option<BlockId>) {
-        let ppb = ssd.config.geometry.pages_per_block;
-        let background = ssd
-            .bst
-            .background_victim(|b, info| info.written == ppb && !ssd.alloc.is_active(b));
+        let background = ssd.bst.background_victim(|b, _| !ssd.alloc.is_active(b));
         (ssd.pick_victim(), background)
     }
 

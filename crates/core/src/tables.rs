@@ -12,8 +12,9 @@
 //! Each table is laid out for the question the host path asks of it. The
 //! AMT and IMT are dense vectors indexed by LPA. The PVT and PRT pack one
 //! bit per page, so idle-time compression finds a block's pages that are
-//! clear in both by word scan. The BST files every data block in two victim
-//! indices, so GC and the idle-time compressor look their victim up.
+//! clear in both by word scan. The BST files data blocks in victim indices,
+//! so GC and, on a device that compresses, the idle-time compressor look
+//! their victim up.
 
 use std::ops::Range;
 
@@ -182,40 +183,50 @@ impl BlockInfo {
 /// Data blocks filed by a score, so that "the best victim" is a lookup and
 /// not a sweep of the BST (the per-block metadata of Dayan & Bonnet's
 /// page-mapped FTL). One bitmap over block ids per score value; a block is
-/// filed under its score while it is a [`BlockKind::Data`] block scoring
-/// above zero, and nowhere otherwise. [`Bst::update`] re-files.
+/// filed under its score while it scores above zero, and nowhere otherwise.
+/// [`Bst::update`] re-files. The order is a type parameter, so the score is
+/// computed inline: `IDLE = false` is GC's greedy order, `IDLE = true` the
+/// idle-time compressor's.
 #[derive(Debug, Clone)]
-struct VictimIndex {
-    score: fn(&BlockInfo) -> u32,
+struct VictimIndex<const IDLE: bool> {
     /// `bits[s * words ..][.. words]` is the bitmap of the blocks scoring `s`.
     bits: Vec<u64>,
     words: usize,
     /// Blocks filed per score, so a lookup skips the empty bitmaps.
     filed: Vec<u32>,
+    pages_per_block: u32,
 }
 
-impl VictimIndex {
-    fn new(score: fn(&BlockInfo) -> u32, geometry: &Geometry) -> Self {
+impl<const IDLE: bool> VictimIndex<IDLE> {
+    fn new(geometry: &Geometry) -> Self {
         let scores = geometry.pages_per_block as usize + 1;
         let words = (geometry.total_blocks() as usize).div_ceil(64);
         VictimIndex {
-            score,
             bits: vec![0; scores * words],
             words,
             filed: vec![0; scores],
+            pages_per_block: geometry.pages_per_block,
         }
     }
 
-    /// The score `info` is filed under; 0 = not filed.
+    /// The score `info` is filed under; 0 = not filed. Only data blocks
+    /// are filed: by their invalid pages in the greedy order, and, only
+    /// once fully programmed, by their retained pages not yet compressed
+    /// in the idle-time order.
+    #[inline]
     fn score_of(&self, info: &BlockInfo) -> u32 {
         match info.kind {
-            BlockKind::Data => (self.score)(info),
+            BlockKind::Data if !IDLE => info.invalid(),
+            BlockKind::Data if info.written == self.pages_per_block => info.uncompressed(),
             _ => 0,
         }
     }
 
-    /// Moves `block` from the bitmap of score `old` to that of `new`.
-    fn refile(&mut self, block: BlockId, old: u32, new: u32) {
+    /// Moves `block` from the bitmap of the score `old` earned to that of
+    /// the score `new` earns.
+    #[inline]
+    fn refile(&mut self, block: BlockId, old: &BlockInfo, new: &BlockInfo) {
+        let (old, new) = (self.score_of(old), self.score_of(new));
         if old == new {
             return;
         }
@@ -258,28 +269,40 @@ impl VictimIndex {
         }
         None
     }
+
+    /// `(filed, earned)` for `block`, whose entry is `info`: the score its
+    /// entry earns (0 = must not be filed) and the score it is filed under
+    /// (0 = nowhere). A filing besides the earned one wins, so a block
+    /// filed twice shows.
+    fn filing(&self, block: BlockId, info: &BlockInfo) -> (u32, u32) {
+        let earned = self.score_of(info);
+        let mut filed = (1..self.filed.len() as u32).filter(|&s| self.has(block, s));
+        let other = filed.clone().find(|&s| s != earned);
+        (other.or_else(|| filed.next()).unwrap_or(0), earned)
+    }
 }
 
-/// Block status table ③ plus the delta-block extension, and the two victim
+/// Block status table ③ plus the delta-block extension, and the victim
 /// indices derived from it. The indices follow the table because
 /// [`Bst::update`] is the only way to change an entry.
 #[derive(Debug, Clone)]
 pub(crate) struct Bst {
     blocks: Vec<BlockInfo>,
     /// GC's greedy order (Algorithm 1): most invalid pages.
-    gc: VictimIndex,
-    /// The idle-time compressor's order (§3.6): most retained pages not yet
-    /// compressed.
-    background: VictimIndex,
+    gc: VictimIndex<false>,
+    /// The idle-time compressor's order (§3.6): the closed blocks with the
+    /// most retained pages not yet compressed. Kept only by a device that
+    /// compresses ([`Retention::COMPRESSES`](crate::ftl::Retention::COMPRESSES)).
+    background: Option<VictimIndex<true>>,
 }
 
 impl Bst {
-    /// All-free table.
-    pub fn new(geometry: &Geometry) -> Self {
+    /// All-free table; `background` keeps the idle-time order too.
+    pub fn new(geometry: &Geometry, background: bool) -> Self {
         Bst {
             blocks: vec![BlockInfo::default(); geometry.total_blocks() as usize],
-            gc: VictimIndex::new(BlockInfo::invalid, geometry),
-            background: VictimIndex::new(BlockInfo::uncompressed, geometry),
+            gc: VictimIndex::new(geometry),
+            background: background.then(|| VictimIndex::new(geometry)),
         }
     }
 
@@ -288,14 +311,15 @@ impl Bst {
         &self.blocks[block.0 as usize]
     }
 
-    /// Changes a block's entry and re-files the block in both indices.
+    /// Changes a block's entry and re-files the block in each index.
     pub fn update(&mut self, block: BlockId, change: impl FnOnce(&mut BlockInfo)) {
         let info = &mut self.blocks[block.0 as usize];
-        let old = (self.gc.score_of(info), self.background.score_of(info));
+        let old = *info;
         change(info);
-        let new = (self.gc.score_of(info), self.background.score_of(info));
-        self.gc.refile(block, old.0, new.0);
-        self.background.refile(block, old.1, new.1);
+        self.gc.refile(block, &old, info);
+        if let Some(background) = &mut self.background {
+            background.refile(block, &old, info);
+        }
     }
 
     /// Iterates `(block, info)` pairs.
@@ -317,28 +341,27 @@ impl Bst {
         self.gc.best(|b| accept(b, self.get(b)))
     }
 
-    /// The idle-time compressor's victim: the acceptable data block with the
-    /// most invalid pages not yet marked reclaimable (at least one); ties go
-    /// to the highest block id.
+    /// The idle-time compressor's victim: the acceptable fully programmed
+    /// data block with the most invalid pages not yet marked reclaimable
+    /// (at least one); ties go to the highest block id. `None` on a device
+    /// that keeps no idle-time order.
     pub fn background_victim(
         &self,
         accept: impl Fn(BlockId, &BlockInfo) -> bool,
     ) -> Option<BlockId> {
-        self.background.best(|b| accept(b, self.get(b)))
+        self.background.as_ref()?.best(|b| accept(b, self.get(b)))
     }
 
-    /// How each victim index files `block`, for the audit: `(index, filed,
-    /// earned)`. `earned` is the score its entry earns (0 = must not be
-    /// filed) and `filed` the score it is filed under (0 = nowhere); a
-    /// filing besides the earned one wins, so a block filed twice shows.
-    pub fn filing(&self, block: BlockId) -> [(&'static str, u32, u32); 2] {
+    /// How each victim index the table keeps files `block`, for the audit:
+    /// `(index, filed, earned)` as [`VictimIndex::filing`] reports it.
+    pub fn filing(&self, block: BlockId) -> impl Iterator<Item = (&'static str, u32, u32)> {
         let info = self.get(block);
-        [("gc", &self.gc), ("background", &self.background)].map(|(name, index)| {
-            let earned = index.score_of(info);
-            let mut filed = (1..index.filed.len() as u32).filter(|&s| index.has(block, s));
-            let other = filed.clone().find(|&s| s != earned);
-            (name, other.or_else(|| filed.next()).unwrap_or(0), earned)
-        })
+        let (filed, earned) = self.gc.filing(block, info);
+        let background = self.background.as_ref().map(|index| {
+            let (filed, earned) = index.filing(block, info);
+            ("background", filed, earned)
+        });
+        std::iter::once(("gc", filed, earned)).chain(background)
     }
 }
 
@@ -586,7 +609,7 @@ mod tests {
 
     #[test]
     fn bst_invalid_derives_from_counts() {
-        let mut bst = Bst::new(&Geometry::small_test());
+        let mut bst = Bst::new(&Geometry::small_test(), true);
         bst.update(BlockId(0), |info| {
             info.kind = BlockKind::Data;
             info.written = 8;
@@ -600,7 +623,7 @@ mod tests {
     #[test]
     fn victim_ties_go_to_the_highest_block_and_skips_fall_through() {
         let geo = Geometry::small_test();
-        let mut bst = Bst::new(&geo);
+        let mut bst = Bst::new(&geo, true);
         for b in [2, 9, 5] {
             bst.update(BlockId(b), |info| {
                 *info = BlockInfo {
@@ -623,6 +646,26 @@ mod tests {
         bst.update(BlockId(2), |info| info.reclaimable = 4);
         assert_eq!(bst.gc_victim(all), Some(BlockId(2)));
         assert_eq!(bst.background_victim(all), Some(BlockId(9)));
+        // A block not fully programmed is out of the idle order however
+        // much it retains, and back in once it fills.
+        let open = |info: &mut BlockInfo| {
+            *info = BlockInfo {
+                kind: BlockKind::Data,
+                written: 7,
+                valid: 0,
+                reclaimable: 0,
+            }
+        };
+        bst.update(BlockId(11), open);
+        assert_eq!(bst.gc_victim(all), Some(BlockId(11)));
+        assert_eq!(bst.background_victim(all), Some(BlockId(9)));
+        assert_eq!(
+            bst.swept_victims(8, |_| false),
+            (Some(BlockId(11)), Some(BlockId(9)))
+        );
+        bst.update(BlockId(11), |info| info.written = 8);
+        assert_eq!(bst.background_victim(all), Some(BlockId(11)));
+        bst.reset(BlockId(11));
         // Delta and free blocks are never filed.
         bst.update(BlockId(2), |info| info.kind = BlockKind::Delta(0));
         assert_eq!(bst.gc_victim(all), Some(BlockId(9)));
@@ -641,7 +684,7 @@ mod tests {
         bst.iter()
             .flat_map(|(b, _)| {
                 bst.filing(b)
-                    .map(|(index, filed, earned)| (index, b, filed, earned))
+                    .map(move |(index, filed, earned)| (index, b, filed, earned))
             })
             .filter(|&(_, _, filed, earned)| filed != earned)
             .collect()
@@ -691,7 +734,7 @@ mod tests {
         ) {
             let geo = Geometry::small_test();
             let ppb = geo.pages_per_block;
-            let mut bst = Bst::new(&geo);
+            let mut bst = Bst::new(&geo, true);
             let mut active: Vec<BlockId> = Vec::new();
             let write = |bst: &mut Bst, b: u64| {
                 let info = *bst.get(BlockId(b));
@@ -740,7 +783,7 @@ mod tests {
                 }
                 let indexed = (
                     bst.gc_victim(|b, _| !active.contains(&b)),
-                    bst.background_victim(|b, info| info.written == ppb && !active.contains(&b)),
+                    bst.background_victim(|b, _| !active.contains(&b)),
                 );
                 prop_assert_eq!(indexed, bst.swept_victims(ppb, |b| active.contains(&b)));
             }

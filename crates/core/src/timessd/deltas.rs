@@ -470,8 +470,8 @@ mod tests {
         let geo = Geometry::small_test();
         (
             DeltaManager::new(geo, 8),
-            Allocator::new(geo, &Bst::new(&geo)),
-            Bst::new(&geo),
+            Allocator::new(geo, &Bst::new(&geo, true)),
+            Bst::new(&geo, true),
             FlashArray::new(geo, LatencyConfig::default()),
         )
     }
@@ -609,7 +609,7 @@ mod tests {
     fn journal_trim_batches_until_watermark() {
         let geo = Geometry::small_test();
         let mut mgr = DeltaManager::new(geo, 3);
-        let mut bst = Bst::new(&geo);
+        let mut bst = Bst::new(&geo, true);
         let mut alloc = Allocator::new(geo, &bst);
         let mut flash = FlashArray::new(geo, LatencyConfig::default());
         let mut programs = 0;
@@ -633,7 +633,7 @@ mod tests {
     fn watermark_one_reproduces_flush_per_trim() {
         let geo = Geometry::small_test();
         let mut mgr = DeltaManager::new(geo, 1);
-        let mut bst = Bst::new(&geo);
+        let mut bst = Bst::new(&geo, true);
         let mut alloc = Allocator::new(geo, &bst);
         let mut flash = FlashArray::new(geo, LatencyConfig::default());
         for i in 0..3 {
@@ -679,7 +679,7 @@ mod tests {
     fn program_fault_mid_flush_keeps_buffer_retryable() {
         let geo = Geometry::small_test();
         let mut mgr = DeltaManager::new(geo, 8);
-        let mut bst = Bst::new(&geo);
+        let mut bst = Bst::new(&geo, true);
         let mut alloc = Allocator::new(geo, &bst);
         let mut flash = FlashArray::new(geo, LatencyConfig::default())
             .with_fault_plan(almanac_flash::FaultPlan::new(1).with_program_fault(0));
@@ -712,7 +712,7 @@ mod tests {
     fn failed_barrier_does_not_advance_barrier_point() {
         let geo = Geometry::small_test();
         let mut mgr = DeltaManager::new(geo, 8);
-        let mut bst = Bst::new(&geo);
+        let mut bst = Bst::new(&geo, true);
         let mut alloc = Allocator::new(geo, &bst);
         let mut flash = FlashArray::new(geo, LatencyConfig::default())
             .with_fault_plan(almanac_flash::FaultPlan::new(1).with_program_fault(0));
@@ -738,7 +738,7 @@ mod tests {
         // really reached flash — alongside the error.
         let geo = Geometry::small_test();
         let mut mgr = DeltaManager::new(geo, 8);
-        let mut bst = Bst::new(&geo);
+        let mut bst = Bst::new(&geo, true);
         let mut alloc = Allocator::new(geo, &bst);
         let mut flash = FlashArray::new(geo, LatencyConfig::default())
             .with_fault_plan(almanac_flash::FaultPlan::new(1).with_program_fault(1));

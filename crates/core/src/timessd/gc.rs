@@ -413,9 +413,7 @@ impl TimeSsd {
         if budget.below(floor) {
             return Ok(());
         }
-        let victim = self
-            .bst
-            .background_victim(|b, info| info.written == ppb && !self.alloc.is_active(b));
+        let victim = self.bst.background_victim(|b, _| !self.alloc.is_active(b));
         let Some(victim) = victim else {
             return Ok(());
         };

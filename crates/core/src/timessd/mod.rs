@@ -121,6 +121,7 @@ impl Sealed for TimeTravel {}
 
 impl Retention for TimeTravel {
     const KIND: &'static str = "timessd";
+    const COMPRESSES: bool = true;
 
     fn new(config: &SsdConfig) -> Self {
         let geo = config.geometry;

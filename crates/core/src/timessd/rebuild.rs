@@ -28,6 +28,7 @@ use almanac_flash::{FlashArray, Lpa, Nanos, PageData, Ppa};
 
 use crate::alloc::Allocator;
 use crate::config::SsdConfig;
+use crate::ftl::Retention;
 use crate::stats::DeviceStats;
 use crate::tables::{AmtEntry, BlockInfo, BlockKind, Bst, Imt, Prt, Pvt, ShardedAmt};
 
@@ -47,7 +48,7 @@ impl TimeSsd {
         let mut amt = ShardedAmt::new(exported, 1);
         let mut pvt = Pvt::new(geo.total_pages());
         let mut prt = Prt::new(geo.total_pages());
-        let mut bst = Bst::new(&geo);
+        let mut bst = Bst::new(&geo, TimeTravel::COMPRESSES);
         let mut imt = Imt::new(exported);
         let mut chain = BloomChain::new(config.bloom);
         let mut last_ts: Nanos = 0;

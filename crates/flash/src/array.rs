@@ -1,6 +1,7 @@
 //! The flash array: blocks, pages, and the per-chip timing model.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 
 use crate::addr::{BlockId, Nanos, Ppa};
 use crate::error::{FlashError, FlashResult};
@@ -49,27 +50,19 @@ impl Page {
     }
 }
 
-/// One flash block: a run of pages that must be programmed sequentially and
-/// erased as a unit.
-#[derive(Debug, Clone)]
-pub struct Block {
+/// A read-only view of one flash block: a run of pages that must be
+/// programmed sequentially and erased as a unit.
+#[derive(Debug, Clone, Copy)]
+pub struct Block<'a> {
     /// Pages of the block.
-    pub pages: Vec<Page>,
+    pub pages: &'a [Page],
     /// Next page offset the chip will accept a program for.
     pub write_ptr: u32,
     /// Number of erases this block has endured.
     pub erase_count: u32,
 }
 
-impl Block {
-    fn new(pages_per_block: u32) -> Self {
-        Block {
-            pages: (0..pages_per_block).map(|_| Page::free()).collect(),
-            write_ptr: 0,
-            erase_count: 0,
-        }
-    }
-
+impl Block<'_> {
     /// Erased or open.
     pub fn state(&self) -> BlockState {
         if self.write_ptr == 0 {
@@ -83,6 +76,20 @@ impl Block {
     pub fn is_full(&self) -> bool {
         self.write_ptr as usize == self.pages.len()
     }
+}
+
+/// Pages a segment of the page store holds at most, unless one block is
+/// larger. Segments this small are served from the allocator's heap and
+/// reused once a device is dropped. A single vector of every page (8 MiB on
+/// `Geometry::bench()`) is mapped fresh from the kernel instead, and
+/// faulting it in made building a benchmark device about 30 % slower.
+const SEGMENT_PAGES: u64 = 1024;
+
+/// What the array keeps per block besides its pages.
+#[derive(Debug, Clone, Copy, Default)]
+struct BlockMeta {
+    write_ptr: u32,
+    erase_count: u32,
 }
 
 /// The simulated flash array.
@@ -106,7 +113,15 @@ impl Block {
 pub struct FlashArray {
     geometry: Geometry,
     latency: LatencyConfig,
-    blocks: Vec<Block>,
+    /// Every page of the array in PPA order, in equal segments of
+    /// `segment_pages` pages (whole blocks): page `p` is page
+    /// `p % segment_pages` of segment `p / segment_pages`.
+    segments: Vec<Box<[Page]>>,
+    segment_pages: u64,
+    /// Page `p` is on chip `p / pages_per_chip`.
+    pages_per_chip: u64,
+    /// Per block, indexed by block id.
+    blocks: Vec<BlockMeta>,
     chip_busy: Vec<Nanos>,
     stats: FlashStats,
     /// Erase endurance per block; `None` disables wear-out failures.
@@ -131,13 +146,26 @@ pub struct FlashArray {
 impl FlashArray {
     /// Creates a fully-erased array.
     pub fn new(geometry: Geometry, latency: LatencyConfig) -> Self {
-        let blocks = (0..geometry.total_blocks())
-            .map(|_| Block::new(geometry.pages_per_block))
+        let ppb = u64::from(geometry.pages_per_block);
+        let blocks_per_chip =
+            u64::from(geometry.planes_per_chip) * u64::from(geometry.blocks_per_plane);
+        // The most blocks, up to `SEGMENT_PAGES` worth, that tile a chip,
+        // so that every segment is the same size.
+        let blocks_per_segment = (1..=(SEGMENT_PAGES / ppb.max(1)).min(blocks_per_chip))
+            .rev()
+            .find(|n| blocks_per_chip % n == 0)
+            .unwrap_or(1);
+        let segment_pages = blocks_per_segment * ppb;
+        let segments = (0..geometry.total_blocks() / blocks_per_segment)
+            .map(|_| vec![Page::free(); segment_pages as usize].into())
             .collect();
         FlashArray {
             geometry,
             latency,
-            blocks,
+            segments,
+            segment_pages,
+            pages_per_chip: blocks_per_chip * ppb,
+            blocks: vec![BlockMeta::default(); geometry.total_blocks() as usize],
             chip_busy: vec![0; geometry.total_chips() as usize],
             stats: FlashStats::default(),
             endurance: None,
@@ -236,15 +264,31 @@ impl FlashArray {
         &self.stats
     }
 
-    fn check_ppa(&self, ppa: Ppa) -> FlashResult<()> {
-        if self.geometry.contains_ppa(ppa) {
-            Ok(())
-        } else {
-            Err(FlashError::BadPpa(ppa))
+    /// Where the page `ppa` is: its segment and its offset there. The
+    /// address check of every page op.
+    fn slot(&self, ppa: Ppa) -> FlashResult<(usize, usize)> {
+        let off = (ppa.0 % self.segment_pages) as usize;
+        match usize::try_from(ppa.0 / self.segment_pages) {
+            Ok(segment) if segment < self.segments.len() => Ok((segment, off)),
+            _ => Err(FlashError::BadPpa(ppa)),
         }
     }
 
-    fn occupy_chip(&mut self, chip: u32, now: Nanos, cost: Nanos) -> Nanos {
+    fn page(&self, ppa: Ppa) -> FlashResult<&Page> {
+        let (segment, off) = self.slot(ppa)?;
+        Ok(&self.segments[segment][off])
+    }
+
+    /// The segment of block `block`, which is in range, and where in it the
+    /// block's pages are.
+    fn block_slot(&self, block: BlockId) -> (usize, Range<usize>) {
+        let ppb = self.geometry.pages_per_block as usize;
+        let first = block.0 * ppb as u64;
+        let off = (first % self.segment_pages) as usize;
+        ((first / self.segment_pages) as usize, off..off + ppb)
+    }
+
+    fn occupy_chip(&mut self, chip: u64, now: Nanos, cost: Nanos) -> Nanos {
         let busy = &mut self.chip_busy[chip as usize];
         let start = (*busy).max(now);
         let finish = start + cost;
@@ -258,20 +302,16 @@ impl FlashArray {
     /// injected uncorrectable-ECC error, and the returned OOB may carry
     /// deterministic bit-rot (the stored page is never modified).
     pub fn read(&mut self, ppa: Ppa, now: Nanos) -> FlashResult<(PageData, Oob, Nanos)> {
-        self.check_ppa(ppa)?;
-        let block = self.geometry.block_of(ppa);
-        let off = self.geometry.page_offset(ppa) as usize;
-        if self.blocks[block.0 as usize].pages[off].state == PageState::Free {
+        let (segment, off) = self.slot(ppa)?;
+        let Some(mut oob) = self.segments[segment][off].oob else {
             return Err(FlashError::ReadFree(ppa));
-        }
+        };
         self.fault_gate(FlashOp::Read)?;
-        let page = &self.blocks[block.0 as usize].pages[off];
-        let data = page.data.clone();
-        let mut oob = page.oob.expect("written page always has OOB");
+        let data = self.segments[segment][off].data.clone();
         if let Some(plan) = &self.fault_plan {
             oob = plan.rot_oob(ppa, oob);
         }
-        let chip = self.geometry.chip_of_ppa(ppa);
+        let chip = ppa.0 / self.pages_per_chip;
         let finish = self.occupy_chip(chip, now, self.latency.read_total());
         self.stats.reads += 1;
         Ok((data, oob, finish))
@@ -284,14 +324,10 @@ impl FlashArray {
     /// transient op faults (it is not a device command) but still sees OOB
     /// bit-rot — corruption lives in the cells, not in the command path.
     pub fn peek(&self, ppa: Ppa) -> FlashResult<(&PageData, Oob)> {
-        self.check_ppa(ppa)?;
-        let block = self.geometry.block_of(ppa);
-        let off = self.geometry.page_offset(ppa) as usize;
-        let page = &self.blocks[block.0 as usize].pages[off];
-        if page.state == PageState::Free {
+        let page = self.page(ppa)?;
+        let Some(mut oob) = page.oob else {
             return Err(FlashError::ReadFree(ppa));
-        }
-        let mut oob = page.oob.expect("written page always has OOB");
+        };
         if let Some(plan) = &self.fault_plan {
             oob = plan.rot_oob(ppa, oob);
         }
@@ -300,10 +336,7 @@ impl FlashArray {
 
     /// Returns the state of a page without touching timing.
     pub fn page_state(&self, ppa: Ppa) -> FlashResult<PageState> {
-        self.check_ppa(ppa)?;
-        let block = self.geometry.block_of(ppa);
-        let off = self.geometry.page_offset(ppa) as usize;
-        Ok(self.blocks[block.0 as usize].pages[off].state)
+        Ok(self.page(ppa)?.state)
     }
 
     /// Programs a free page (sequential within its block).
@@ -314,32 +347,28 @@ impl FlashArray {
         oob: Oob,
         now: Nanos,
     ) -> FlashResult<Nanos> {
-        self.check_ppa(ppa)?;
-        let block_id = self.geometry.block_of(ppa);
-        let off = self.geometry.page_offset(ppa);
-        {
-            let block = &self.blocks[block_id.0 as usize];
-            if block.pages[off as usize].state == PageState::Written {
-                return Err(FlashError::ProgramWritten(ppa));
-            }
-            if off != block.write_ptr {
-                return Err(FlashError::NonSequentialProgram {
-                    ppa,
-                    expected_offset: block.write_ptr,
-                });
-            }
+        let (segment, off) = self.slot(ppa)?;
+        if self.segments[segment][off].state == PageState::Written {
+            return Err(FlashError::ProgramWritten(ppa));
+        }
+        let block = self.geometry.block_of(ppa).0 as usize;
+        let write_ptr = self.blocks[block].write_ptr;
+        if self.geometry.page_offset(ppa) != write_ptr {
+            return Err(FlashError::NonSequentialProgram {
+                ppa,
+                expected_offset: write_ptr,
+            });
         }
         // A cut or injected failure at this index aborts atomically: the
         // page stays free (a torn page would fail ECC and read as free).
         self.fault_gate(FlashOp::Program)?;
-        let block = &mut self.blocks[block_id.0 as usize];
-        block.pages[off as usize] = Page {
+        self.segments[segment][off] = Page {
             state: PageState::Written,
             data,
             oob: Some(oob),
         };
-        block.write_ptr += 1;
-        let chip = self.geometry.chip_of_ppa(ppa);
+        self.blocks[block].write_ptr += 1;
+        let chip = ppa.0 / self.pages_per_chip;
         let finish = self.occupy_chip(chip, now, self.latency.program_total());
         self.stats.programs += 1;
         Ok(finish)
@@ -356,10 +385,9 @@ impl FlashArray {
             }
         }
         self.fault_gate(FlashOp::Erase)?;
+        let (segment, pages) = self.block_slot(block_id);
+        self.segments[segment][pages].fill(Page::free());
         let block = &mut self.blocks[block_id.0 as usize];
-        for page in &mut block.pages {
-            *page = Page::free();
-        }
         block.write_ptr = 0;
         let slot = (block.erase_count - self.wear_min) as usize;
         block.erase_count += 1;
@@ -373,7 +401,7 @@ impl FlashArray {
             self.wear_min += 1;
         }
         let chip = self.geometry.chip_of_block(block_id);
-        let finish = self.occupy_chip(chip, now, self.latency.erase_ns);
+        let finish = self.occupy_chip(u64::from(chip), now, self.latency.erase_ns);
         self.stats.erases += 1;
         Ok(finish)
     }
@@ -387,11 +415,17 @@ impl FlashArray {
     }
 
     /// Immutable view of a block.
-    pub fn block(&self, block_id: BlockId) -> FlashResult<&Block> {
+    pub fn block(&self, block_id: BlockId) -> FlashResult<Block<'_>> {
         if !self.geometry.contains_block(block_id) {
             return Err(FlashError::BadBlock(block_id));
         }
-        Ok(&self.blocks[block_id.0 as usize])
+        let meta = self.blocks[block_id.0 as usize];
+        let (segment, pages) = self.block_slot(block_id);
+        Ok(Block {
+            pages: &self.segments[segment][pages],
+            write_ptr: meta.write_ptr,
+            erase_count: meta.erase_count,
+        })
     }
 
     /// The chip `busy-until` horizon, for latency accounting by upper layers.
@@ -418,10 +452,12 @@ impl FlashArray {
                 h = h.wrapping_mul(FNV_PRIME);
             }
         };
-        for block in &self.blocks {
+        let ppb = self.geometry.pages_per_block as usize;
+        let pages = self.segments.iter().flat_map(|s| s.chunks(ppb));
+        for (block, pages) in self.blocks.iter().zip(pages) {
             eat(&block.write_ptr.to_le_bytes());
             eat(&block.erase_count.to_le_bytes());
-            for page in &block.pages {
+            for page in pages {
                 if page.state == PageState::Written {
                     // Debug output is a pure function of the stored value,
                     // which is all the digest needs.

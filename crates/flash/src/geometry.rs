@@ -82,16 +82,19 @@ impl Geometry {
     }
 
     /// Total number of chips across all channels.
+    #[inline]
     pub fn total_chips(&self) -> u64 {
         self.channels as u64 * self.chips_per_channel as u64
     }
 
     /// Total number of blocks in the array.
+    #[inline]
     pub fn total_blocks(&self) -> u64 {
         self.total_chips() * self.planes_per_chip as u64 * self.blocks_per_plane as u64
     }
 
     /// Total number of pages in the array.
+    #[inline]
     pub fn total_pages(&self) -> u64 {
         self.total_blocks() * self.pages_per_block as u64
     }
@@ -106,6 +109,7 @@ impl Geometry {
     /// # Panics
     ///
     /// Panics if `block` or `page_offset` is out of range.
+    #[inline]
     pub fn ppa(&self, block: u64, page_offset: u32) -> Ppa {
         assert!(block < self.total_blocks(), "block {block} out of range");
         assert!(
@@ -116,11 +120,13 @@ impl Geometry {
     }
 
     /// Returns the block containing `ppa`.
+    #[inline]
     pub fn block_of(&self, ppa: Ppa) -> BlockId {
         BlockId(ppa.0 / self.pages_per_block as u64)
     }
 
     /// Returns the page offset of `ppa` within its block.
+    #[inline]
     pub fn page_offset(&self, ppa: Ppa) -> u32 {
         (ppa.0 % self.pages_per_block as u64) as u32
     }
@@ -130,6 +136,7 @@ impl Geometry {
     /// Blocks enumerate channel-major: block id `b` lives on channel
     /// `b / (blocks_per_channel)` where `blocks_per_channel` covers all the
     /// chips and planes of that channel.
+    #[inline]
     pub fn channel_of_block(&self, block: BlockId) -> u32 {
         let per_channel = self.chips_per_channel as u64
             * self.planes_per_chip as u64
@@ -138,12 +145,14 @@ impl Geometry {
     }
 
     /// Returns the global chip index (`0..total_chips`) a block belongs to.
+    #[inline]
     pub fn chip_of_block(&self, block: BlockId) -> u32 {
         let per_chip = self.planes_per_chip as u64 * self.blocks_per_plane as u64;
         (block.0 / per_chip) as u32
     }
 
     /// Returns the global chip index a page belongs to.
+    #[inline]
     pub fn chip_of_ppa(&self, ppa: Ppa) -> u32 {
         self.chip_of_block(self.block_of(ppa))
     }
@@ -154,11 +163,13 @@ impl Geometry {
     }
 
     /// True if `ppa` addresses a real page.
+    #[inline]
     pub fn contains_ppa(&self, ppa: Ppa) -> bool {
         ppa.0 < self.total_pages()
     }
 
     /// True if `block` addresses a real block.
+    #[inline]
     pub fn contains_block(&self, block: BlockId) -> bool {
         block.0 < self.total_blocks()
     }

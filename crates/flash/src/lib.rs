@@ -29,6 +29,7 @@
 //! assert_eq!(data, PageData::Zeros);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod addr;

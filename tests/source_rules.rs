@@ -140,6 +140,15 @@ const RULES: &[Rule] = &[
         allowed: &[],
         design: "5f",
     },
+    // The flash array answers a bad address or a free page with a
+    // `FlashError`, so no FTL input can make the array itself panic.
+    Rule {
+        name: "no_panic_in_flash",
+        files: &["crates/flash/src"],
+        find: |src| offsets(src, &[".expect(", ".unwrap("]).collect(),
+        allowed: &[],
+        design: "8",
+    },
 ];
 
 fn is_ident(b: u8) -> bool {
@@ -497,6 +506,10 @@ const PLANTED: &[(&str, &str, &str)] = &[
     ("width_is_a_query_schedule", "crates/nvme/src/controller.rs", "fn width(s: &TimeSsd) -> u32 { s.amt_shards() }"),
     // The driver's in-flight record as it was: a map keyed by ticket.
     ("no_hashed_command_path", "crates/nvme/src/driver.rs", "struct HostDriver { inflight: std::collections::HashMap<Ticket, NvmeOpcode> }"),
+    // The OOB of a page the state byte calls written, as `read` took it; a
+    // block looked up by id.
+    ("no_panic_in_flash", "crates/flash/src/array.rs", "fn read(&self) { let oob = page.oob.expect(\"written page always has OOB\"); }"),
+    ("no_panic_in_flash", "crates/flash/src/array.rs", "fn erase_count(&self, b: BlockId) -> u32 { self.blocks.get(b.0 as usize).unwrap().erase_count }"),
 ];
 
 const MOD: &str = "crates/core/src/timessd/mod.rs";
@@ -515,7 +528,7 @@ fn planted_violations_fail() {
 #[test]
 fn comments_literals_and_inline_test_modules_pass() {
     let all = "bst.iter() blocks().iter() for p in 0..ppb {} info.written = 0 next_off unreserve \
-               Lpa(a + 1) version_chain( version_content( amt_shards HashMap";
+               Lpa(a + 1) version_chain( version_content( amt_shards HashMap .expect( .unwrap(";
     let in_comments_and_literals = format!(
         "fn maintain() {{\n    // {all}\n    /* {all} /* nested */ {all} */\n    \
          let _ = (\"{all}\", r#\"{all}\"#, b\"\\\"{all}\");\n}}\n"
