@@ -72,10 +72,6 @@ impl<'a> TimeKits<'a> {
         self.ssd
     }
 
-    fn new_cost(&self) -> QueryCost {
-        QueryCost::new(self.ssd.geometry().total_chips() as u32)
-    }
-
     /// Starts an address query over `cnt` LPAs from `addr` — the single
     /// entry point behind Table 1's `AddrQuery` / `AddrQueryRange` /
     /// `AddrQueryAll`. Inherits this toolkit's thread count; narrow with
@@ -85,64 +81,19 @@ impl<'a> TimeKits<'a> {
         AddrQuery::new(self.ssd, addr, cnt).threads(self.threads)
     }
 
-    /// Shared body of the time-based queries: walks every LPA's chain on the
-    /// shard-aligned scan engine and returns those updated in `[from, to]`
-    /// with their write timestamps. Each walk stops at the window's lower
-    /// edge.
-    fn time_scan(&self, from: Nanos, to: Nanos) -> (Vec<TimeQueryHit>, QueryCost) {
-        let ssd: &TimeSsd = self.ssd;
-        let lat = ssd.flash().latency();
-        let Ok((hits, cost, _)) = engine::scan(
-            ssd,
-            LpaSpan::clamped(Lpa(0), u64::MAX, ssd.exported_pages()),
-            self.threads,
-            |h: &TimeQueryHit| h.lpa,
-            |lpa, hits, cost| -> std::result::Result<(), Infallible> {
-                let mut chain = ssd.versions(lpa);
-                let Some(first) = chain.next() else {
-                    return Ok(());
-                };
-                // Checking an LPA costs the head-page OOB read.
-                if let Some(chip) = first.chip {
-                    cost.charge_read(chip, lat.read_ns);
-                }
-                // Timestamps strictly decrease along the chain.
-                let timestamps: Vec<Nanos> = std::iter::once(first)
-                    .chain(chain)
-                    .skip_while(|v| v.timestamp > to)
-                    .take_while(|v| v.timestamp >= from)
-                    .map(|v| {
-                        // Versions beyond the head cost chain reads.
-                        if !v.is_head {
-                            if let Some(chip) = v.chip {
-                                cost.charge_read(chip, lat.read_ns);
-                            }
-                        }
-                        v.timestamp
-                    })
-                    .collect();
-                if !timestamps.is_empty() {
-                    hits.push(TimeQueryHit { lpa, timestamps });
-                }
-                Ok(())
-            },
-        );
-        (hits, cost)
-    }
-
     /// `TimeQuery(t)`: all LPAs updated since `t`, with their timestamps.
     pub fn time_query(&self, t: Nanos) -> (Vec<TimeQueryHit>, QueryCost) {
-        self.time_scan(t, Nanos::MAX)
+        time_scan(self.ssd, t, Nanos::MAX, self.threads)
     }
 
     /// `TimeQueryRange(t1, t2)`: all LPAs updated inside `[t1, t2]`.
     pub fn time_query_range(&self, t1: Nanos, t2: Nanos) -> (Vec<TimeQueryHit>, QueryCost) {
-        self.time_scan(t1, t2)
+        time_scan(self.ssd, t1, t2, self.threads)
     }
 
     /// `TimeQueryAll()`: all LPAs updated inside the retention window.
     pub fn time_query_all(&self) -> (Vec<TimeQueryHit>, QueryCost) {
-        self.time_scan(0, Nanos::MAX)
+        time_scan(self.ssd, 0, Nanos::MAX, self.threads)
     }
 
     /// `RollBack(addr, cnt, t)`: reverts each LPA to its state as of `t` by
@@ -156,57 +107,18 @@ impl<'a> TimeKits<'a> {
         now: Nanos,
     ) -> Result<RollbackOutcome> {
         let span = LpaSpan::clamped(addr, cnt, self.ssd.exported_pages());
-        let lpas: Vec<Lpa> = span.iter().collect();
-        self.roll_back_set(&lpas, t, now)
+        roll_back(self.ssd, span.iter(), t, now)
     }
 
     /// `RollBackAll(t)`: reverts every LPA with any history.
     pub fn roll_back_all(&mut self, t: Nanos, now: Nanos) -> Result<RollbackOutcome> {
         let exported = self.ssd.exported_pages();
-        let lpas: Vec<Lpa> = (0..exported).map(Lpa).collect();
-        self.roll_back_set(&lpas, t, now)
+        roll_back(self.ssd, (0..exported).map(Lpa), t, now)
     }
 
     /// Rolls back an explicit set of LPAs (used by file-level recovery).
     pub fn roll_back_set(&mut self, lpas: &[Lpa], t: Nanos, now: Nanos) -> Result<RollbackOutcome> {
-        let mut cost = self.new_cost();
-        let mut restored = Vec::new();
-        let mut erased = Vec::new();
-        let mut skipped = Vec::new();
-        let mut finish = now;
-        for &lpa in lpas {
-            match self.ssd.version_as_of(lpa, t) {
-                Some(v) => {
-                    let hit = fetch(self.ssd, &v, &mut cost)?;
-                    // Skip the write when the current state already matches:
-                    // only the chain's first version can be the head.
-                    if v.is_head {
-                        restored.push((lpa, v.timestamp));
-                        continue;
-                    }
-                    let c = self.ssd.write(lpa, hit.data, finish)?;
-                    finish = finish.max(c.finish);
-                    restored.push((lpa, v.timestamp));
-                }
-                None => {
-                    if self.ssd.is_mapped(lpa) {
-                        // The page did not exist at `t`: erase it.
-                        let c = self.ssd.trim(lpa, finish)?;
-                        finish = finish.max(c.finish);
-                        erased.push(lpa);
-                    } else {
-                        skipped.push(lpa);
-                    }
-                }
-            }
-        }
-        Ok(RollbackOutcome {
-            restored,
-            erased,
-            skipped,
-            cost,
-            finish,
-        })
+        roll_back(self.ssd, lpas.iter().copied(), t, now)
     }
 
     /// Estimates the virtual time a `threads`-way parallel restore of `lpas`
@@ -233,7 +145,7 @@ impl<'a> TimeKits<'a> {
     /// Reconstructs (without writing anything) the content of a set of LPAs
     /// as of `t` — the read-only half of recovery.
     pub fn snapshot_at(&self, lpas: &[Lpa], t: Nanos) -> Result<(Vec<QueryHit>, QueryCost)> {
-        let mut cost = self.new_cost();
+        let mut cost = QueryCost::new(self.ssd.geometry().total_chips() as u32);
         let mut hits = Vec::new();
         for &lpa in lpas {
             let v = self
@@ -244,6 +156,106 @@ impl<'a> TimeKits<'a> {
         }
         Ok((hits, cost))
     }
+}
+
+/// The time-based queries' one body, over a `&TimeSsd`: walks every LPA's
+/// chain on the shard-aligned scan engine with `threads` workers and returns
+/// those updated in `[from, to]` with their write timestamps. Each walk
+/// stops at the window's lower edge.
+pub fn time_scan(
+    ssd: &TimeSsd,
+    from: Nanos,
+    to: Nanos,
+    threads: u32,
+) -> (Vec<TimeQueryHit>, QueryCost) {
+    let lat = ssd.flash().latency();
+    let Ok((hits, cost, _)) = engine::scan(
+        ssd,
+        LpaSpan::clamped(Lpa(0), u64::MAX, ssd.exported_pages()),
+        threads.max(1),
+        |h: &TimeQueryHit| h.lpa,
+        |lpa, hits, cost| -> std::result::Result<(), Infallible> {
+            let mut chain = ssd.versions(lpa);
+            let Some(first) = chain.next() else {
+                return Ok(());
+            };
+            // Checking an LPA costs the head-page OOB read.
+            if let Some(chip) = first.chip {
+                cost.charge_read(chip, lat.read_ns);
+            }
+            // Timestamps strictly decrease along the chain.
+            let timestamps: Vec<Nanos> = std::iter::once(first)
+                .chain(chain)
+                .skip_while(|v| v.timestamp > to)
+                .take_while(|v| v.timestamp >= from)
+                .map(|v| {
+                    // Versions beyond the head cost chain reads.
+                    if !v.is_head {
+                        if let Some(chip) = v.chip {
+                            cost.charge_read(chip, lat.read_ns);
+                        }
+                    }
+                    v.timestamp
+                })
+                .collect();
+            if !timestamps.is_empty() {
+                hits.push(TimeQueryHit { lpa, timestamps });
+            }
+            Ok(())
+        },
+    );
+    (hits, cost)
+}
+
+/// `RollBack` over `lpas` on any device with a history (§3.9): each LPA is
+/// reverted to its state as of `t` by writing the old version back as a
+/// fresh update — the rollback itself stays undoable — and pages that did
+/// not exist at `t` are trimmed. History is read through `dev.read_view()`;
+/// the restores are `dev`'s own writes and trims, so a device wrapper (the
+/// NVMe controller's device, the oracle's harness) sees them as host I/O.
+/// A device without a read view is an `Internal` error.
+pub fn roll_back<D: SsdDevice>(
+    dev: &mut D,
+    lpas: impl IntoIterator<Item = Lpa>,
+    t: Nanos,
+    now: Nanos,
+) -> Result<RollbackOutcome> {
+    const NO_HISTORY: AlmanacError = AlmanacError::Internal("rollback needs a device with history");
+    let mut cost =
+        QueryCost::new(dev.read_view().ok_or(NO_HISTORY)?.geometry().total_chips() as u32);
+    let mut restored = Vec::new();
+    let mut erased = Vec::new();
+    let mut skipped = Vec::new();
+    let mut finish = now;
+    for lpa in lpas {
+        let ssd = dev.read_view().ok_or(NO_HISTORY)?;
+        match ssd.version_as_of(lpa, t) {
+            Some(v) => {
+                let hit = fetch(ssd, &v, &mut cost)?;
+                // Skip the write when the current state already matches:
+                // only the chain's first version can be the head.
+                if !v.is_head {
+                    let c = dev.write(lpa, hit.data, finish)?;
+                    finish = finish.max(c.finish);
+                }
+                restored.push((lpa, v.timestamp));
+            }
+            None if ssd.is_mapped(lpa) => {
+                // The page did not exist at `t`: erase it.
+                let c = dev.trim(lpa, finish)?;
+                finish = finish.max(c.finish);
+                erased.push(lpa);
+            }
+            None => skipped.push(lpa),
+        }
+    }
+    Ok(RollbackOutcome {
+        restored,
+        erased,
+        skipped,
+        cost,
+        finish,
+    })
 }
 
 #[cfg(test)]

@@ -16,7 +16,10 @@
 //! | `roll_back_all` | revert every valid LPA |
 //!
 //! The three address queries share one entry point, the [`AddrQuery`]
-//! builder, which runs against a `&TimeSsd` — the `&self` read path.
+//! builder, which runs against a `&TimeSsd` — the `&self` read path; the
+//! time queries are [`time_scan`] over the same `&TimeSsd`. Rollback is one
+//! body, [`roll_back`], over any `SsdDevice` with a read view: the NVMe
+//! controller runs it on its device, [`TimeKits`] on its TimeSSD.
 //! Address and time queries alike are per-LPA closures over one private
 //! scan engine that fans the LPA span across the device's AMT shards on
 //! scoped host threads; workers share `&TimeSsd`, and the borrow checker
@@ -62,5 +65,5 @@ mod recovery;
 pub use addr_query::{AddrQuery, AddrQueryOutcome};
 pub use cost::QueryCost;
 pub use evidence::{EvidenceArchive, EvidenceRecord};
-pub use kits::{QueryHit, RollbackOutcome, TimeKits, TimeQueryHit};
+pub use kits::{roll_back, time_scan, QueryHit, RollbackOutcome, TimeKits, TimeQueryHit};
 pub use recovery::{FileMap, RecoveredFile};

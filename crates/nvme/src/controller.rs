@@ -1,6 +1,13 @@
 //! The simulated NVMe controller: fetches submission entries, interprets
-//! them (including the TimeKits vendor commands), executes them against the
-//! TimeSSD firmware, and posts completion entries.
+//! them (including the TimeKits vendor commands), executes them against its
+//! device, and posts completion entries.
+//!
+//! The controller is generic over the device (`NvmeController<D>`, a
+//! TimeSSD by default): I/O commands are the device's own `SsdDevice` calls,
+//! vendor queries read its history through `read_view()`, and a rollback
+//! writes through the device again. A device without a read view (the
+//! Regular and FlashGuard baselines) completes every vendor opcode with
+//! `InvalidOpcode`.
 //!
 //! The controller owns N submission/completion queue pairs (queue 0 exists
 //! from construction; more are created through the admin-style
@@ -21,9 +28,9 @@
 //! [`PageData`], which the host materialises. There is no host-buffer table
 //! to register with, look up, or leak.
 
-use almanac_core::{AlmanacError, SsdDevice, SsdReadOps, TimeSsd};
+use almanac_core::{AlmanacError, Result, SsdDevice};
 use almanac_flash::{Lpa, LpaSpan, Nanos, PageData};
-use almanac_kits::{AddrQuery, TimeKits};
+use almanac_kits::{roll_back, time_scan, AddrQuery};
 
 use crate::queue::{PostedCompletion, QueuePair};
 use crate::sqe::{CompletionEntry, NvmeOpcode, SubmissionEntry};
@@ -34,6 +41,9 @@ pub const DEFAULT_QUEUE_DEPTH: usize = 32;
 /// Bytes of one TimeQuery result row: the LPA and its version count, each a
 /// little-endian `u64`.
 pub(crate) const TIME_QUERY_ROW: usize = 16;
+
+/// Host workers a time query's completion time is scheduled over.
+const TIME_QUERY_THREADS: u32 = 4;
 
 /// NVMe status codes used by the controller (generic command status set,
 /// plus a vendor code for the §3.4 stall).
@@ -55,13 +65,45 @@ pub enum NvmeStatus {
     NoSuchVersion = 0x01C1,
 }
 
+/// The status a failed device call completes with.
+fn status_of(err: &AlmanacError) -> NvmeStatus {
+    match err {
+        AlmanacError::LpaOutOfRange { .. } => NvmeStatus::LbaOutOfRange,
+        AlmanacError::DeviceStalled { .. } => NvmeStatus::RetentionStall,
+        AlmanacError::NoSuchVersion { .. } => NvmeStatus::NoSuchVersion,
+        _ => NvmeStatus::InvalidField,
+    }
+}
+
+/// The inverse of [`status_of`]: what a raw completion status means for a
+/// command on `lpa` that arrived at `now` on a device exporting `exported`
+/// pages. The wire carries no more than the code, so a stall's retention
+/// window reads 0, and a status that stands for several errors
+/// (`InvalidField`), for none (`InvalidOpcode`) or is unknown is
+/// `AlmanacError::Internal`.
+pub(crate) fn result_of(status: u16, lpa: Lpa, now: Nanos, exported: u64) -> Result<()> {
+    use NvmeStatus::*;
+    Err(match status {
+        s if s == Success as u16 => return Ok(()),
+        s if s == LbaOutOfRange as u16 => AlmanacError::LpaOutOfRange { lpa, exported },
+        s if s == RetentionStall as u16 => AlmanacError::DeviceStalled {
+            now,
+            retention_window: 0,
+        },
+        s if s == NoSuchVersion as u16 => AlmanacError::NoSuchVersion { lpa, at: now },
+        _ => AlmanacError::Internal("NVMe status names no single device error"),
+    })
+}
+
 /// What executing a command yields: status, result dword, device-side
 /// finish instant, and the pages a successful read or query returns.
 type Executed = (NvmeStatus, u32, Nanos, Option<Vec<PageData>>);
 
-/// The controller: N submission/completion queue pairs over one TimeSSD.
-pub struct NvmeController {
-    ssd: TimeSsd,
+/// The controller: N submission/completion queue pairs over one device.
+pub struct NvmeController<D = almanac_core::TimeSsd> {
+    ssd: D,
+    /// Bytes of one flash page: the longest page a Write may carry.
+    page_size: usize,
     queues: Vec<QueuePair>,
     /// Round-robin arbitration cursor.
     rr_next: usize,
@@ -75,9 +117,21 @@ pub struct NvmeController {
 impl NvmeController {
     /// Creates a controller over a TimeSSD with one I/O queue pair (id 0,
     /// depth [`DEFAULT_QUEUE_DEPTH`]).
-    pub fn new(ssd: TimeSsd) -> Self {
+    pub fn new(ssd: almanac_core::TimeSsd) -> Self {
+        let page_size = ssd.geometry().page_size as usize;
+        Self::over(ssd, page_size)
+    }
+}
+
+impl<D: SsdDevice> NvmeController<D> {
+    /// Creates a controller over any device whose flash pages hold
+    /// `page_size` bytes, with one I/O queue pair (id 0, depth
+    /// [`DEFAULT_QUEUE_DEPTH`]). The page size is not on `SsdReadOps`, so
+    /// the caller names it.
+    pub fn over(ssd: D, page_size: usize) -> Self {
         NvmeController {
             ssd,
+            page_size,
             queues: vec![QueuePair::new(DEFAULT_QUEUE_DEPTH)],
             rr_next: 0,
             start_seq: 0,
@@ -85,10 +139,20 @@ impl NvmeController {
         }
     }
 
-    /// Direct firmware access (diagnostics; the host normally goes through
+    /// Direct device access (diagnostics; the host normally goes through
     /// the queues).
-    pub fn ssd(&self) -> &TimeSsd {
+    pub fn ssd(&self) -> &D {
         &self.ssd
+    }
+
+    /// The device, given back when the controller is done with it.
+    pub(crate) fn into_ssd(self) -> D {
+        self.ssd
+    }
+
+    /// Bytes of one flash page.
+    pub(crate) fn page_size(&self) -> usize {
+        self.page_size
     }
 
     /// Admin-style queue creation: a new submission/completion queue pair
@@ -98,26 +162,10 @@ impl NvmeController {
         (self.queues.len() - 1) as u16
     }
 
-    /// Number of queue pairs (including queue 0).
-    pub fn queue_count(&self) -> usize {
-        self.queues.len()
-    }
-
-    /// Depth of queue `qid`, or `None` for an unknown queue.
-    pub fn queue_depth(&self, qid: u16) -> Option<usize> {
-        self.queues.get(qid as usize).map(|q| q.depth)
-    }
-
     /// True when queue `qid` can accept one more submission (outstanding
     /// commands below its depth).
     pub fn has_slot(&self, qid: u16) -> bool {
         self.queues.get(qid as usize).is_some_and(|q| q.has_slot())
-    }
-
-    /// Commands outstanding (submitted, completion not yet posted) on
-    /// queue `qid`.
-    pub fn outstanding(&self, qid: u16) -> usize {
-        self.queues.get(qid as usize).map_or(0, |q| q.outstanding())
     }
 
     /// Rings the doorbell on queue `qid`: queues `entry` with the pages it
@@ -243,24 +291,14 @@ impl NvmeController {
         true
     }
 
-    fn status_of(err: &AlmanacError) -> NvmeStatus {
-        match err {
-            AlmanacError::LpaOutOfRange { .. } => NvmeStatus::LbaOutOfRange,
-            AlmanacError::DeviceStalled { .. } => NvmeStatus::RetentionStall,
-            AlmanacError::NoSuchVersion { .. } => NvmeStatus::NoSuchVersion,
-            _ => NvmeStatus::InvalidField,
-        }
-    }
-
     /// A command that failed at `at` with nothing done.
     fn failed(err: &AlmanacError, at: Nanos) -> Executed {
-        (Self::status_of(err), 0, at, None)
+        (status_of(err), 0, at, None)
     }
 
     /// Executes one command at virtual time `now`. Errors complete
     /// immediately (`now`) unless part of the range was already applied.
     fn execute(&mut self, e: SubmissionEntry, payload: Vec<Vec<u8>>, now: Nanos) -> Executed {
-        use NvmeStatus::Success;
         match e.opcode {
             NvmeOpcode::Flush => match self.ssd.flush(now) {
                 // The result carries the barrier's response time in
@@ -268,15 +306,28 @@ impl NvmeController {
                 // fence actually cost.
                 Ok(c) => {
                     let lat_us = (c.response(now) / 1_000).min(u32::MAX as u64) as u32;
-                    (Success, lat_us, c.finish, None)
+                    (NvmeStatus::Success, lat_us, c.finish, None)
                 }
                 Err(err) => Self::failed(&err, now),
             },
             NvmeOpcode::Write | NvmeOpcode::Read | NvmeOpcode::DatasetMgmt => {
                 self.execute_io(e, payload, now)
             }
+            _ => self.execute_vendor(e, now),
+        }
+    }
+
+    /// The Table-1 vendor commands: queries read the device's history
+    /// through its read view, a rollback writes through the device. A
+    /// device without a read view knows none of these opcodes.
+    fn execute_vendor(&mut self, e: SubmissionEntry, now: Nanos) -> Executed {
+        use NvmeStatus::Success;
+        let Some(view) = self.ssd.read_view() else {
+            return (NvmeStatus::InvalidOpcode, 0, now, None);
+        };
+        match e.opcode {
             NvmeOpcode::AddrQuery | NvmeOpcode::AddrQueryRange | NvmeOpcode::AddrQueryAll => {
-                let query = AddrQuery::new(&self.ssd, Lpa(e.get_u64(0)), e.cdw[2] as u64);
+                let query = AddrQuery::new(view, Lpa(e.get_u64(0)), e.cdw[2] as u64);
                 // The opcodes differ only in which CDWs carry the version
                 // filter and the host worker count (0 = one thread); range
                 // bounds use second granularity on the wire.
@@ -303,13 +354,12 @@ impl NvmeController {
                 }
             }
             NvmeOpcode::TimeQuery | NvmeOpcode::TimeQueryRange | NvmeOpcode::TimeQueryAll => {
-                let kits = TimeKits::new(&mut self.ssd).with_threads(4);
-                let threads = kits.threads();
-                let (hits, cost) = match e.opcode {
-                    NvmeOpcode::TimeQuery => kits.time_query(e.get_u64(0)),
-                    NvmeOpcode::TimeQueryRange => kits.time_query_range(e.get_u64(0), e.get_u64(2)),
-                    _ => kits.time_query_all(),
+                let (from, to) = match e.opcode {
+                    NvmeOpcode::TimeQuery => (e.get_u64(0), Nanos::MAX),
+                    NvmeOpcode::TimeQueryRange => (e.get_u64(0), e.get_u64(2)),
+                    _ => (0, Nanos::MAX),
                 };
+                let (hits, cost) = time_scan(view, from, to, TIME_QUERY_THREADS);
                 // The result carries `(lpa, n_timestamps)` pairs as 16-byte
                 // rows.
                 let rows: Vec<PageData> = hits
@@ -321,15 +371,16 @@ impl NvmeController {
                         PageData::bytes(row)
                     })
                     .collect();
-                let finish = now.saturating_add(cost.makespan(threads));
+                let finish = now.saturating_add(cost.makespan(TIME_QUERY_THREADS));
                 (Success, hits.len() as u32, finish, Some(rows))
             }
-            NvmeOpcode::RollBack | NvmeOpcode::RollBackAll => {
-                let mut kits = TimeKits::new(&mut self.ssd);
+            _ => {
+                let exported = self.ssd.exported_pages();
                 let outcome = if e.opcode == NvmeOpcode::RollBack {
-                    kits.roll_back(Lpa(e.get_u64(0)), e.cdw[2] as u64, e.get_u64(4), now)
+                    let span = LpaSpan::clamped(Lpa(e.get_u64(0)), e.cdw[2] as u64, exported);
+                    roll_back(&mut self.ssd, span.iter(), e.get_u64(4), now)
                 } else {
-                    kits.roll_back_all(e.get_u64(0), now)
+                    roll_back(&mut self.ssd, (0..exported).map(Lpa), e.get_u64(0), now)
                 };
                 match outcome {
                     Ok(out) => (Success, out.restored.len() as u32, out.finish, None),
@@ -352,10 +403,10 @@ impl NvmeController {
         let mut finish = now;
         match e.opcode {
             NvmeOpcode::Write => {
-                let page_size = self.ssd.geometry().page_size as usize;
                 // One page per LPA, none longer than a flash page: anything
                 // else would be stored truncated or not at all.
-                if payload.len() != count as usize || payload.iter().any(|p| p.len() > page_size) {
+                let too_long = payload.iter().any(|p| p.len() > self.page_size);
+                if payload.len() != count as usize || too_long {
                     return (InvalidField, 0, now, None);
                 }
                 let mut done = 0u32;
@@ -365,7 +416,7 @@ impl NvmeController {
                             done += 1;
                             finish = finish.max(c.finish);
                         }
-                        Err(err) => return (Self::status_of(&err), done, finish, None),
+                        Err(err) => return (status_of(&err), done, finish, None),
                     }
                 }
                 (Success, done, finish, None)
@@ -387,7 +438,7 @@ impl NvmeController {
                 for lpa in span.iter() {
                     match self.ssd.trim(lpa, now) {
                         Ok(c) => finish = finish.max(c.finish),
-                        Err(err) => return (Self::status_of(&err), 0, finish, None),
+                        Err(err) => return (status_of(&err), 0, finish, None),
                     }
                 }
                 (Success, count, finish, None)
@@ -399,7 +450,7 @@ impl NvmeController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use almanac_core::SsdConfig;
+    use almanac_core::{SsdConfig, SsdReadOps, TimeSsd};
     use almanac_flash::{Geometry, SEC_NS};
 
     fn controller() -> NvmeController {
@@ -602,8 +653,6 @@ mod tests {
         let mut c = controller();
         let q = c.create_io_queue(2);
         assert_eq!(q, 1);
-        assert_eq!(c.queue_count(), 2);
-        assert_eq!(c.queue_depth(q), Some(2));
         let flush = |cid| SubmissionEntry::new(NvmeOpcode::Flush, cid);
         assert!(c.submit_to(q, flush(1), Vec::new()));
         assert!(c.submit_to(q, flush(2), Vec::new()));
@@ -613,6 +662,32 @@ mod tests {
             !c.submit_to(99, flush(3), Vec::new()),
             "unknown queue must reject"
         );
+    }
+
+    #[test]
+    fn each_status_maps_back_to_the_error_it_stands_for() {
+        use NvmeStatus::*;
+        let back = |status: NvmeStatus| result_of(status as u16, Lpa(9), 5, 100);
+        assert_eq!(back(Success), Ok(()));
+        assert!(matches!(
+            back(InvalidOpcode),
+            Err(AlmanacError::Internal(_))
+        ));
+        assert!(matches!(back(InvalidField), Err(AlmanacError::Internal(_))));
+        let out_of_range = AlmanacError::LpaOutOfRange {
+            lpa: Lpa(9),
+            exported: 100,
+        };
+        assert_eq!(back(LbaOutOfRange), Err(out_of_range));
+        let stalled = AlmanacError::DeviceStalled {
+            now: 5,
+            retention_window: 0,
+        };
+        assert_eq!(back(RetentionStall), Err(stalled));
+        let missing = AlmanacError::NoSuchVersion { lpa: Lpa(9), at: 5 };
+        assert_eq!(back(NoSuchVersion), Err(missing));
+        let unknown = result_of(0x7777, Lpa(9), 5, 100);
+        assert!(matches!(unknown, Err(AlmanacError::Internal(_))));
     }
 
     #[test]

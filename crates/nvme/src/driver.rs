@@ -3,9 +3,12 @@
 //!
 //! Two styles of use:
 //!
-//! - **Synchronous** ([`HostDriver::write`], [`HostDriver::read`], ...):
-//!   one command at a time on queue 0, the device run to completion before
-//!   returning. The convenient path for tools and tests.
+//! - **Synchronous**: `HostDriver<D>` is itself an [`SsdDevice`], so
+//!   anything that drives a device (a file system, a trace replayer, the
+//!   oracle) drives it through the queues. Each call is one command on
+//!   queue 0, the device run to completion before returning. The vendor
+//!   calls ([`HostDriver::addr_query`], [`HostDriver::roll_back`], ...) work
+//!   the same way.
 //! - **Multi-slot** ([`HostDriver::submit_write`] and friends returning a
 //!   [`Ticket`], drained by [`HostDriver::poll`]): many commands in flight
 //!   across many queues, completions surfacing in device finish order —
@@ -16,14 +19,16 @@
 //! Data travels with its command: a write's pages are handed to the
 //! controller at submission, a read's or query's pages come back in its
 //! [`CompletedIo`] as the device's [`PageData`], materialised into bytes
-//! only where the host asks for them (the synchronous calls do). Nothing is
+//! only where the host asks for them (the vendor queries do). Nothing is
 //! registered, so nothing can leak.
 
 use std::fmt;
+use std::sync::Arc;
 
+use almanac_core::{AlmanacError, Completion, DeviceStats, Result, SsdDevice, SsdReadOps};
 use almanac_flash::{Lpa, Nanos, PageData};
 
-use crate::controller::{NvmeController, NvmeStatus, TIME_QUERY_ROW};
+use crate::controller::{result_of, NvmeController, NvmeStatus, TIME_QUERY_ROW};
 use crate::sqe::{NvmeOpcode, SubmissionEntry};
 
 /// Errors surfaced by the driver.
@@ -58,7 +63,7 @@ impl fmt::Display for DriverError {
 impl std::error::Error for DriverError {}
 
 /// Result alias.
-pub type DriverResult<T> = Result<T, DriverError>;
+pub type DriverResult<T> = std::result::Result<T, DriverError>;
 
 /// Handle for an in-flight command: its queue id and command id. Unique
 /// among commands currently in flight.
@@ -150,9 +155,9 @@ impl CidMap {
     }
 }
 
-/// The host driver.
-pub struct HostDriver {
-    controller: NvmeController,
+/// The host driver over a controller of device `D`.
+pub struct HostDriver<D = almanac_core::TimeSsd> {
+    controller: NvmeController<D>,
     /// Per queue id: the cids of commands submitted whose completion has
     /// not been harvested.
     cids: Vec<CidMap>,
@@ -163,9 +168,9 @@ pub struct HostDriver {
     ready: Vec<CompletedIo>,
 }
 
-impl HostDriver {
+impl<D: SsdDevice> HostDriver<D> {
     /// Attaches a driver to a controller.
-    pub fn new(controller: NvmeController) -> Self {
+    pub fn new(controller: NvmeController<D>) -> Self {
         HostDriver {
             controller,
             cids: Vec::new(),
@@ -174,13 +179,14 @@ impl HostDriver {
         }
     }
 
-    fn page_size(&self) -> usize {
-        self.controller.ssd().geometry().page_size as usize
+    /// The attached controller (for inspection).
+    pub fn controller(&self) -> &NvmeController<D> {
+        &self.controller
     }
 
-    /// The attached controller (for inspection).
-    pub fn controller(&self) -> &NvmeController {
-        &self.controller
+    /// Detaches the driver, giving back the controller's device.
+    pub fn into_ssd(self) -> D {
+        self.controller.into_ssd()
     }
 
     /// Creates a new I/O queue pair with its own depth, returning its id.
@@ -306,26 +312,20 @@ impl HostDriver {
         lpa: Lpa,
         pages: Vec<Vec<u8>>,
     ) -> DriverResult<Ticket> {
-        let mut e = SubmissionEntry::new(NvmeOpcode::Write, 0);
-        e.set_u64(0, lpa.0);
-        e.cdw[2] = pages.len() as u32;
+        let e = SubmissionEntry::span(NvmeOpcode::Write, lpa.0, pages.len() as u32);
         self.submit_ticket(qid, e, pages)
     }
 
     /// Submits a multi-page read on `qid`; completes with the pages in
     /// `data`.
     pub fn submit_read(&mut self, qid: u16, lpa: Lpa, count: u32) -> DriverResult<Ticket> {
-        let mut e = SubmissionEntry::new(NvmeOpcode::Read, 0);
-        e.set_u64(0, lpa.0);
-        e.cdw[2] = count;
+        let e = SubmissionEntry::span(NvmeOpcode::Read, lpa.0, count);
         self.submit_ticket(qid, e, Vec::new())
     }
 
     /// Submits a trim (dataset management deallocate) on `qid`.
     pub fn submit_trim(&mut self, qid: u16, lpa: Lpa, count: u32) -> DriverResult<Ticket> {
-        let mut e = SubmissionEntry::new(NvmeOpcode::DatasetMgmt, 0);
-        e.set_u64(0, lpa.0);
-        e.cdw[2] = count;
+        let e = SubmissionEntry::span(NvmeOpcode::DatasetMgmt, lpa.0, count);
         self.submit_ticket(qid, e, Vec::new())
     }
 
@@ -336,72 +336,57 @@ impl HostDriver {
         self.submit_ticket(qid, e, Vec::new())
     }
 
-    /// Synchronous wait for a ticket submitted on queue 0 with `opcode`:
-    /// runs the device to completion and returns this command's completion.
-    /// Completions for other in-flight tickets are retained for a later
+    /// Submits `entry` with `payload` on queue 0 and runs the device to
+    /// completion: the command's completion, whatever its status.
+    /// Completions for other in-flight tickets are kept for a later
     /// [`HostDriver::poll`], never dropped.
-    fn issue(
+    fn run_one(
         &mut self,
-        ticket: Ticket,
-        opcode: NvmeOpcode,
+        entry: SubmissionEntry,
+        payload: Vec<Vec<u8>>,
         now: Nanos,
     ) -> DriverResult<CompletedIo> {
+        let ticket = self.submit_ticket(0, entry, payload)?;
         self.controller.run_to_completion(now);
         self.harvest();
-        let pos = self
-            .ready
-            .iter()
-            .position(|io| io.ticket == ticket)
-            .ok_or(DriverError::Lost(opcode))?;
-        let io = self.ready.remove(pos);
-        if io.is_success() {
-            Ok(io)
-        } else {
-            Err(DriverError::Status {
-                code: io.status,
-                opcode: io.opcode,
-            })
+        let pos = self.ready.iter().position(|io| io.ticket == ticket);
+        let pos = pos.ok_or(DriverError::Lost(entry.opcode))?;
+        Ok(self.ready.remove(pos))
+    }
+
+    /// A vendor command run to completion: its completion, or its status
+    /// as a [`DriverError::Status`].
+    fn issue(&mut self, entry: SubmissionEntry, now: Nanos) -> DriverResult<CompletedIo> {
+        let io = self.run_one(entry, Vec::new(), now)?;
+        if !io.is_success() {
+            let (code, opcode) = (io.status, io.opcode);
+            return Err(DriverError::Status { code, opcode });
         }
+        Ok(io)
     }
 
-    /// Writes one page of bytes.
-    pub fn write(&mut self, lpa: Lpa, page: Vec<u8>, now: Nanos) -> DriverResult<()> {
-        let ticket = self.submit_write(0, lpa, vec![page])?;
-        self.issue(ticket, NvmeOpcode::Write, now)?;
-        Ok(())
-    }
-
-    /// Reads one page of bytes.
-    pub fn read(&mut self, lpa: Lpa, now: Nanos) -> DriverResult<Vec<u8>> {
-        let ticket = self.submit_read(0, lpa, 1)?;
-        let io = self.issue(ticket, NvmeOpcode::Read, now)?;
-        let page = io.data.as_deref().and_then(<[PageData]>::first);
-        let page = page.ok_or(DriverError::Lost(NvmeOpcode::Read))?;
-        Ok(page.materialize(self.page_size()))
-    }
-
-    /// Trims a range of pages.
-    pub fn trim(&mut self, lpa: Lpa, count: u32, now: Nanos) -> DriverResult<()> {
-        let ticket = self.submit_trim(0, lpa, count)?;
-        self.issue(ticket, NvmeOpcode::DatasetMgmt, now)?;
-        Ok(())
-    }
-
-    /// `AddrQuery` through the wire: the page contents as of time `t`.
-    pub fn addr_query(
+    /// One command of the [`SsdDevice`] surface on `lpa`, run to completion:
+    /// its [`Completion`] and returned pages. The status maps back to the
+    /// `AlmanacError` the device raised; a full queue 0 or a lost
+    /// completion is `Internal`.
+    fn sync(
         &mut self,
-        lpa: Lpa,
-        count: u32,
-        t: Nanos,
+        entry: SubmissionEntry,
+        payload: Vec<Vec<u8>>,
         now: Nanos,
-    ) -> DriverResult<Vec<Vec<u8>>> {
-        self.addr_query_parallel(lpa, count, t, 1, now)
+    ) -> Result<(Completion, Option<Vec<PageData>>)> {
+        let io = self.run_one(entry, payload, now);
+        let io = io.map_err(|_| AlmanacError::Internal("queue 0 full or completion lost"))?;
+        result_of(io.status, Lpa(entry.get_u64(0)), now, self.exported_pages())?;
+        let finish = io.finish;
+        Ok((Completion { start: now, finish }, io.data))
     }
 
-    /// `AddrQuery` through the wire with `threads` host workers fanning the
-    /// scan across the device's `amt_shards` partitions (CDW13 on the wire);
-    /// the completion posts at the partitioned schedule's makespan.
-    pub fn addr_query_parallel(
+    /// `AddrQuery` through the wire: the page contents as of time `t`, with
+    /// `threads` host workers fanning the scan across the device's
+    /// partitions (CDW13 on the wire); the completion posts at the
+    /// partitioned schedule's makespan.
+    pub fn addr_query(
         &mut self,
         lpa: Lpa,
         count: u32,
@@ -409,24 +394,20 @@ impl HostDriver {
         threads: u32,
         now: Nanos,
     ) -> DriverResult<Vec<Vec<u8>>> {
-        let mut e = SubmissionEntry::new(NvmeOpcode::AddrQuery, 0);
-        e.set_u64(0, lpa.0);
-        e.cdw[2] = count;
+        let mut e = SubmissionEntry::span(NvmeOpcode::AddrQuery, lpa.0, count);
         e.cdw[3] = threads;
         e.set_u64(4, t);
-        let ticket = self.submit_ticket(0, e, Vec::new())?;
-        let io = self.issue(ticket, NvmeOpcode::AddrQuery, now)?;
-        let pages = io.data.ok_or(DriverError::Lost(NvmeOpcode::AddrQuery))?;
-        let page_size = self.page_size();
+        let pages = self.issue(e, now)?.data;
+        let pages = pages.ok_or(DriverError::Lost(NvmeOpcode::AddrQuery))?;
+        let page_size = self.controller.page_size();
         Ok(pages.iter().map(|p| p.materialize(page_size)).collect())
     }
 
     /// `TimeQueryAll` through the wire: `(lpa, version count)` rows.
     pub fn time_query_all(&mut self, now: Nanos) -> DriverResult<Vec<(u64, u64)>> {
         let opcode = NvmeOpcode::TimeQueryAll;
-        let ticket = self.submit_ticket(0, SubmissionEntry::new(opcode, 0), Vec::new())?;
-        let io = self.issue(ticket, opcode, now)?;
-        let rows = io.data.ok_or(DriverError::Lost(opcode))?;
+        let rows = self.issue(SubmissionEntry::new(opcode, 0), now)?.data;
+        let rows = rows.ok_or(DriverError::Lost(opcode))?;
         // Little-endian words of a row materialised at exactly its width.
         let word = |le: &[u8]| le.iter().rev().fold(0u64, |w, &b| w << 8 | u64::from(b));
         Ok(rows
@@ -441,28 +422,66 @@ impl HostDriver {
 
     /// `RollBack` through the wire; returns the number of pages restored.
     pub fn roll_back(&mut self, lpa: Lpa, count: u32, t: Nanos, now: Nanos) -> DriverResult<u32> {
-        let mut e = SubmissionEntry::new(NvmeOpcode::RollBack, 0);
-        e.set_u64(0, lpa.0);
-        e.cdw[2] = count;
+        let mut e = SubmissionEntry::span(NvmeOpcode::RollBack, lpa.0, count);
         e.set_u64(4, t);
-        let ticket = self.submit_ticket(0, e, Vec::new())?;
-        Ok(self.issue(ticket, NvmeOpcode::RollBack, now)?.result)
+        Ok(self.issue(e, now)?.result)
     }
 
     /// `RollBackAll` through the wire; returns the number of pages restored.
     pub fn roll_back_all(&mut self, t: Nanos, now: Nanos) -> DriverResult<u32> {
         let mut e = SubmissionEntry::new(NvmeOpcode::RollBackAll, 0);
         e.set_u64(0, t);
-        let ticket = self.submit_ticket(0, e, Vec::new())?;
-        Ok(self.issue(ticket, NvmeOpcode::RollBackAll, now)?.result)
+        Ok(self.issue(e, now)?.result)
+    }
+}
+
+/// The synchronous surface: each call submits one command on queue 0 and
+/// runs the device to completion. A CQE carries no start time, so
+/// `Completion::start` is the submit instant `now`; `finish` is the instant
+/// the completion posted. A `Zeros` or `Synthetic` page crosses the wire as
+/// its bytes, so the device stores it as a `Bytes` page.
+impl<D: SsdDevice> SsdDevice for HostDriver<D> {
+    fn write(&mut self, lpa: Lpa, data: PageData, now: Nanos) -> Result<Completion> {
+        let page = match data {
+            PageData::Bytes(bytes) => Arc::unwrap_or_clone(bytes),
+            other => other.materialize(self.controller.page_size()),
+        };
+        let e = SubmissionEntry::span(NvmeOpcode::Write, lpa.0, 1);
+        Ok(self.sync(e, vec![page], now)?.0)
     }
 
-    /// Flush (drains TimeSSD's delta buffers to flash). Returns the
-    /// barrier's response time in microseconds, as reported by the
-    /// controller in the completion result.
-    pub fn flush(&mut self, now: Nanos) -> DriverResult<u32> {
-        let ticket = self.submit_flush(0)?;
-        Ok(self.issue(ticket, NvmeOpcode::Flush, now)?.result)
+    fn read(&mut self, lpa: Lpa, now: Nanos) -> Result<(PageData, Completion)> {
+        let e = SubmissionEntry::span(NvmeOpcode::Read, lpa.0, 1);
+        let (c, pages) = self.sync(e, Vec::new(), now)?;
+        let page = pages.and_then(|pages| pages.into_iter().next());
+        let page = page.ok_or(AlmanacError::Internal("read posted no page"))?;
+        Ok((page, c))
+    }
+
+    fn trim(&mut self, lpa: Lpa, now: Nanos) -> Result<Completion> {
+        let e = SubmissionEntry::span(NvmeOpcode::DatasetMgmt, lpa.0, 1);
+        Ok(self.sync(e, Vec::new(), now)?.0)
+    }
+
+    fn flush(&mut self, now: Nanos) -> Result<Completion> {
+        let e = SubmissionEntry::new(NvmeOpcode::Flush, 0);
+        Ok(self.sync(e, Vec::new(), now)?.0)
+    }
+}
+
+/// The device's counters and size. History is not a read view here: the
+/// host reaches it through the vendor commands.
+impl<D: SsdDevice> SsdReadOps for HostDriver<D> {
+    fn stats(&self) -> &DeviceStats {
+        self.controller.ssd().stats()
+    }
+
+    fn exported_pages(&self) -> u64 {
+        self.controller.ssd().exported_pages()
+    }
+
+    fn kind(&self) -> &'static str {
+        self.controller.ssd().kind()
     }
 }
 
@@ -478,31 +497,42 @@ mod tests {
         ))))
     }
 
+    /// Writes `bytes` as one page at `lpa` through queue 0.
+    fn put(d: &mut HostDriver, lpa: u64, bytes: &[u8], now: Nanos) {
+        let page = PageData::bytes(bytes.to_vec());
+        d.write(Lpa(lpa), page, now).unwrap();
+    }
+
+    /// The bytes of `lpa`, read through queue 0.
+    fn get(d: &mut HostDriver, lpa: u64, now: Nanos) -> Vec<u8> {
+        let (page, _) = d.read(Lpa(lpa), now).unwrap();
+        page.materialize(d.controller().page_size())
+    }
+
     #[test]
     fn typed_roundtrip() {
         let mut d = driver();
-        d.write(Lpa(1), b"abc".to_vec(), SEC_NS).unwrap();
-        let page = d.read(Lpa(1), 2 * SEC_NS).unwrap();
-        assert!(page.starts_with(b"abc"));
+        put(&mut d, 1, b"abc", SEC_NS);
+        assert!(get(&mut d, 1, 2 * SEC_NS).starts_with(b"abc"));
     }
 
     #[test]
     fn time_travel_through_the_driver() {
         let mut d = driver();
-        d.write(Lpa(0), b"v1".to_vec(), SEC_NS).unwrap();
-        d.write(Lpa(0), b"v2".to_vec(), 3 * SEC_NS).unwrap();
-        let old = d.addr_query(Lpa(0), 1, 2 * SEC_NS, 4 * SEC_NS).unwrap();
+        put(&mut d, 0, b"v1", SEC_NS);
+        put(&mut d, 0, b"v2", 3 * SEC_NS);
+        let old = d.addr_query(Lpa(0), 1, 2 * SEC_NS, 1, 4 * SEC_NS).unwrap();
         assert!(old[0].starts_with(b"v1"));
         let restored = d.roll_back(Lpa(0), 1, 2 * SEC_NS, 5 * SEC_NS).unwrap();
         assert_eq!(restored, 1);
-        assert!(d.read(Lpa(0), 6 * SEC_NS).unwrap().starts_with(b"v1"));
+        assert!(get(&mut d, 0, 6 * SEC_NS).starts_with(b"v1"));
     }
 
     #[test]
     fn queries_run_without_exclusive_access() {
         let mut d = driver();
-        d.write(Lpa(0), b"v1".to_vec(), SEC_NS).unwrap();
-        d.write(Lpa(0), b"v2".to_vec(), 3 * SEC_NS).unwrap();
+        put(&mut d, 0, b"v1", SEC_NS);
+        put(&mut d, 0, b"v2", 3 * SEC_NS);
         // The &self path: an AddrQuery builder over the controller's device,
         // no &mut driver needed.
         let view = d.controller().ssd();
@@ -521,11 +551,13 @@ mod tests {
             SsdConfig::new(Geometry::medium_test()).with_amt_shards(4),
         )));
         for lpa in 0..8u64 {
-            d.write(Lpa(lpa), vec![lpa as u8; 16], SEC_NS).unwrap();
+            put(&mut d, lpa, &[lpa as u8; 16], SEC_NS);
         }
-        let serial = d.addr_query(Lpa(0), 8, 10 * SEC_NS, 20 * SEC_NS).unwrap();
+        let serial = d
+            .addr_query(Lpa(0), 8, 10 * SEC_NS, 1, 20 * SEC_NS)
+            .unwrap();
         let parallel = d
-            .addr_query_parallel(Lpa(0), 8, 10 * SEC_NS, 4, 30 * SEC_NS)
+            .addr_query(Lpa(0), 8, 10 * SEC_NS, 4, 30 * SEC_NS)
             .unwrap();
         assert_eq!(serial, parallel);
         // Completion timing: the sharded schedule with 4 workers is strictly
@@ -540,16 +572,34 @@ mod tests {
     #[test]
     fn errors_carry_nvme_status() {
         let mut d = driver();
-        let err = d.write(Lpa(u64::MAX / 4), vec![0], SEC_NS).unwrap_err();
-        assert!(matches!(err, DriverError::Status { code: 0x0080, .. }));
+        let far = Lpa(u64::MAX / 4);
+        let err = d.write(far, PageData::bytes(vec![0]), SEC_NS).unwrap_err();
+        let exported = d.exported_pages();
+        assert_eq!(err, AlmanacError::LpaOutOfRange { lpa: far, exported });
+    }
+
+    #[test]
+    fn a_device_without_history_serves_io_and_refuses_vendor_commands() {
+        let cfg = SsdConfig::new(Geometry::small_test());
+        let page_size = cfg.geometry.page_size as usize;
+        let ssd = almanac_core::RegularSsd::new(cfg);
+        let mut d = HostDriver::new(NvmeController::over(ssd, page_size));
+        let page = PageData::bytes(b"plain".to_vec());
+        d.write(Lpa(2), page.clone(), SEC_NS).unwrap();
+        assert_eq!(d.read(Lpa(2), 2 * SEC_NS).unwrap().0, page);
+        let invalid = NvmeStatus::InvalidOpcode as u16;
+        let err = d.roll_back(Lpa(2), 1, 0, 3 * SEC_NS).unwrap_err();
+        assert!(matches!(err, DriverError::Status { code, .. } if code == invalid));
+        let err = d.time_query_all(4 * SEC_NS).unwrap_err();
+        assert!(matches!(err, DriverError::Status { code, .. } if code == invalid));
     }
 
     #[test]
     fn time_query_all_reports_rows() {
         let mut d = driver();
-        d.write(Lpa(2), b"x".to_vec(), SEC_NS).unwrap();
-        d.write(Lpa(2), b"y".to_vec(), 2 * SEC_NS).unwrap();
-        d.write(Lpa(5), b"z".to_vec(), 3 * SEC_NS).unwrap();
+        put(&mut d, 2, b"x", SEC_NS);
+        put(&mut d, 2, b"y", 2 * SEC_NS);
+        put(&mut d, 5, b"z", 3 * SEC_NS);
         let rows = d.time_query_all(4 * SEC_NS).unwrap();
         assert_eq!(rows.len(), 2);
         assert!(rows.contains(&(2, 2)));
@@ -559,14 +609,13 @@ mod tests {
     #[test]
     fn trim_and_flush_work() {
         let mut d = driver();
-        d.write(Lpa(3), b"gone".to_vec(), SEC_NS).unwrap();
-        d.trim(Lpa(3), 1, 2 * SEC_NS).unwrap();
-        let page = d.read(Lpa(3), 3 * SEC_NS).unwrap();
-        assert!(page.iter().all(|b| *b == 0));
-        let lat_us = d.flush(4 * SEC_NS).unwrap();
+        put(&mut d, 3, b"gone", SEC_NS);
+        d.trim(Lpa(3), 2 * SEC_NS).unwrap();
+        assert!(get(&mut d, 3, 3 * SEC_NS).iter().all(|b| *b == 0));
+        let lat = d.flush(4 * SEC_NS).unwrap().response(4 * SEC_NS);
         // The default barrier overhead alone is 20 µs; a barrier fencing a
-        // journalled trim must report at least that.
-        assert!(lat_us >= 20, "flush reported {lat_us} µs");
+        // journalled trim must take at least that.
+        assert!(lat >= 20_000, "flush took {lat} ns");
     }
 
     #[test]
@@ -575,13 +624,13 @@ mod tests {
         // An idle barrier pays only the fixed overhead; one fencing fresh
         // writes and a journalled trim also pays the fence to their
         // completion, so it must report at least as much.
-        let idle_us = d.flush(SEC_NS).unwrap();
-        d.write(Lpa(1), b"a".to_vec(), 2 * SEC_NS).unwrap();
-        d.trim(Lpa(1), 1, 2 * SEC_NS).unwrap();
-        let busy_us = d.flush(2 * SEC_NS).unwrap();
+        let idle = d.flush(SEC_NS).unwrap().response(SEC_NS);
+        put(&mut d, 1, b"a", 2 * SEC_NS);
+        d.trim(Lpa(1), 2 * SEC_NS).unwrap();
+        let busy = d.flush(2 * SEC_NS).unwrap().response(2 * SEC_NS);
         assert!(
-            busy_us >= idle_us,
-            "busy barrier {busy_us} µs < idle barrier {idle_us} µs"
+            busy >= idle,
+            "busy barrier {busy} ns < idle barrier {idle} ns"
         );
     }
 
@@ -589,7 +638,7 @@ mod tests {
     fn completed_io_carries_data_exactly_for_successful_reads_and_queries() {
         use NvmeOpcode::*;
         let mut d = driver();
-        d.write(Lpa(1), b"v1".to_vec(), SEC_NS).unwrap();
+        put(&mut d, 1, b"v1", SEC_NS);
         let cmd = |opcode, lpa: u64, count: u32, t: Nanos| {
             let mut e = SubmissionEntry::new(opcode, 0);
             e.set_u64(0, lpa);
@@ -652,8 +701,8 @@ mod tests {
         // the sync path must hand back the read's own completion and keep
         // the write's for a later poll instead of discarding it.
         let ticket = d.submit_write(0, Lpa(7), vec![b"w".to_vec()]).unwrap();
-        let page = d.read(Lpa(9), SEC_NS).unwrap();
-        assert!(page.iter().all(|b| *b == 0), "unwritten page reads zero");
+        let (page, _) = d.read(Lpa(9), SEC_NS).unwrap();
+        assert_eq!(page, PageData::Zeros, "unwritten page reads zero");
         let done = d.poll(SEC_NS);
         assert_eq!(done.len(), 1, "foreign completion was dropped");
         assert_eq!(done[0].ticket, ticket);

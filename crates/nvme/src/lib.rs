@@ -11,27 +11,33 @@
 //!   entries with real binary encode/decode (opcode, command id, NSID,
 //!   CDW10–15), including the vendor-specific opcodes that carry the
 //!   Table-1 TimeKits commands.
-//! - [`controller`] — a controller wrapping a [`TimeSsd`](almanac_core::TimeSsd):
-//!   commands are queued, fetched, interpreted, executed against the FTL,
-//!   and completed with NVMe status codes. A command owns its data: a
+//! - [`controller`] — a controller over any device (a
+//!   [`TimeSsd`](almanac_core::TimeSsd) by default): commands are queued,
+//!   fetched, interpreted, executed against the FTL, and completed with NVMe
+//!   status codes. A device without history answers the vendor opcodes
+//!   with Invalid Opcode. A command owns its data: a
 //!   Write's pages ride beside its 64-byte entry into the queue and a read's
 //!   or query's pages ride back in its [`PostedCompletion`] (PRP lists are not
 //!   modelled).
 //! - [`driver`] — the host-side driver exposing a typed API that goes
-//!   through the wire format, exactly like TimeKits does in the paper.
+//!   through the wire format, exactly like TimeKits does in the paper. It
+//!   is an `SsdDevice` itself, so a file system or a replayer runs over the
+//!   queues unchanged.
 //!
 //! # Examples
 //!
 //! ```
-//! use almanac_core::{SsdConfig, TimeSsd};
-//! use almanac_flash::{Geometry, Lpa, SEC_NS};
+//! use almanac_core::{SsdConfig, SsdDevice, TimeSsd};
+//! use almanac_flash::{Geometry, Lpa, PageData, SEC_NS};
 //! use almanac_nvme::{HostDriver, NvmeController};
 //!
 //! let ssd = TimeSsd::new(SsdConfig::new(Geometry::small_test()));
 //! let mut driver = HostDriver::new(NvmeController::new(ssd));
-//! driver.write(Lpa(3), b"hello almanac".to_vec(), SEC_NS).unwrap();
-//! let data = driver.read(Lpa(3), 2 * SEC_NS).unwrap();
-//! assert!(data.starts_with(b"hello almanac"));
+//! let page = PageData::bytes(b"hello almanac".to_vec());
+//! driver.write(Lpa(3), page.clone(), SEC_NS).unwrap();
+//! let (data, done) = driver.read(Lpa(3), 2 * SEC_NS).unwrap();
+//! assert_eq!(data, page);
+//! assert!(done.finish > 2 * SEC_NS);
 //! ```
 
 #![warn(missing_docs)]

@@ -101,6 +101,15 @@ impl SubmissionEntry {
         }
     }
 
+    /// A command on `count` pages from `lpa`: the LPA in CDW10–11, the count
+    /// in CDW12 (the layout every I/O and address command shares).
+    pub fn span(opcode: NvmeOpcode, lpa: u64, count: u32) -> Self {
+        let mut e = SubmissionEntry::new(opcode, 0);
+        e.set_u64(0, lpa);
+        e.cdw[2] = count;
+        e
+    }
+
     /// Packs a 64-bit value into two consecutive dwords.
     pub fn set_u64(&mut self, dword: usize, value: u64) {
         self.cdw[dword] = value as u32;

@@ -1,8 +1,10 @@
 //! Property tests of the NVMe wire format and the driver/controller loop.
 
-use almanac_core::{SsdConfig, TimeSsd};
-use almanac_flash::{Geometry, Lpa, SEC_NS};
-use almanac_nvme::{HostDriver, NvmeController, NvmeOpcode, SubmissionEntry};
+use almanac_core::{
+    Discard, Ftl, ReadGated, Retention, SsdConfig, SsdDevice, SsdReadOps, TimeSsd, TimeTravel,
+};
+use almanac_flash::{Geometry, Lpa, Nanos, PageData, SEC_NS};
+use almanac_nvme::{HostDriver, NvmeController, NvmeOpcode, NvmeStatus, SubmissionEntry};
 use proptest::prelude::*;
 
 /// The opcode bytes the controller knows; a random byte rarely is one.
@@ -37,12 +39,21 @@ fn wire_command() -> impl Strategy<Value = ([u8; 64], Vec<Vec<u8>>)> {
         })
 }
 
-/// Submits every entry that decodes to one small controller, each run to
-/// completion in turn: each must post exactly its own completion and leave
-/// the device consistent.
+/// Submits every entry that decodes to one small controller over each of
+/// the three FTLs, each run to completion in turn: each must post exactly
+/// its own completion and leave the device consistent.
 fn every_command_completes(commands: &[([u8; 64], Vec<Vec<u8>>)]) {
-    let ssd = TimeSsd::new(SsdConfig::new(Geometry::small_test()));
-    let mut c = NvmeController::new(ssd);
+    completes_on::<Discard>(commands);
+    completes_on::<ReadGated>(commands);
+    completes_on::<TimeTravel>(commands);
+}
+
+/// [`every_command_completes`] on `Ftl<R>`. A device without history must
+/// refuse every vendor opcode with Invalid Opcode.
+fn completes_on<R: Retention>(commands: &[([u8; 64], Vec<Vec<u8>>)]) {
+    let cfg = SsdConfig::new(Geometry::small_test());
+    let page_size = cfg.geometry.page_size as usize;
+    let mut c = NvmeController::over(Ftl::<R>::new(cfg), page_size);
     let mut now = SEC_NS;
     for (bytes, payload) in commands {
         let Some(entry) = SubmissionEntry::from_bytes(bytes) else {
@@ -55,6 +66,9 @@ fn every_command_completes(commands: &[([u8; 64], Vec<Vec<u8>>)]) {
             .expect("every command posts a completion");
         assert_eq!(done.cqe.cid, entry.cid);
         assert!(c.pop_completion(0).is_none(), "one completion per command");
+        if entry.opcode.is_vendor() && c.ssd().read_view().is_none() {
+            assert_eq!(done.cqe.status, NvmeStatus::InvalidOpcode as u16);
+        }
         let report = c.ssd().check_consistency();
         assert!(report.is_clean(), "{entry:?}: {report:?}");
     }
@@ -107,11 +121,12 @@ proptest! {
         let mut driver = HostDriver::new(NvmeController::new(ssd));
         let mut t = SEC_NS;
         for (i, p) in payloads.iter().enumerate() {
-            driver.write(Lpa(i as u64), p.clone(), t).unwrap();
+            driver.write(Lpa(i as u64), PageData::bytes(p.clone()), t).unwrap();
             t += SEC_NS;
         }
         for (i, p) in payloads.iter().enumerate() {
-            let page = driver.read(Lpa(i as u64), t).unwrap();
+            let (page, _) = driver.read(Lpa(i as u64), t).unwrap();
+            let page = page.materialize(4096);
             prop_assert_eq!(&page[..p.len()], &p[..]);
             prop_assert!(page[p.len()..].iter().all(|b| *b == 0));
             t += SEC_NS;
@@ -128,7 +143,7 @@ proptest! {
         let mut stamps = Vec::new();
         let mut t = SEC_NS;
         for v in &versions {
-            driver.write(Lpa(0), v.clone(), t).unwrap();
+            driver.write(Lpa(0), PageData::bytes(v.clone()), t).unwrap();
             stamps.push(t);
             t += SEC_NS;
         }
@@ -136,9 +151,58 @@ proptest! {
         // Roll back to just after version `idx` was written.
         let target = stamps[idx] + SEC_NS / 2;
         driver.roll_back(Lpa(0), 1, target, t).unwrap();
-        let page = driver.read(Lpa(0), t + SEC_NS).unwrap();
+        let (page, _) = driver.read(Lpa(0), t + SEC_NS).unwrap();
+        let page = page.materialize(4096);
         prop_assert_eq!(&page[..versions[idx].len()], &versions[idx][..]);
     }
+
+    #[test]
+    fn one_command_at_a_time_the_driver_is_the_device(
+        ops in prop::collection::vec(
+            (0u8..8, 0u64..48, 0u64..3_000_000, prop::collection::vec(any::<u8>(), 1..64)),
+            1..120,
+        ),
+    ) {
+        queue_depth_one_matches_the_bare_device(&ops);
+    }
+}
+
+/// Drives `ops` — `(kind, lpa, gap, bytes)`: kinds 0–3 write `bytes`, 4–5
+/// read, 6 trims, 7 flushes — through `HostDriver<TimeSsd>` and against a
+/// bare `TimeSsd`. Every op must finish at the same instant on both, a read
+/// must return the same page, and the flash must end in the same state.
+fn queue_depth_one_matches_the_bare_device(ops: &[(u8, u64, Nanos, Vec<u8>)]) {
+    let cfg = SsdConfig::new(Geometry::medium_test());
+    let mut bare = TimeSsd::new(cfg.clone());
+    let mut driver = HostDriver::new(NvmeController::new(TimeSsd::new(cfg)));
+    let mut now = SEC_NS;
+    for (i, (kind, lpa, gap, bytes)) in ops.iter().enumerate() {
+        now += gap;
+        let lpa = Lpa(*lpa);
+        let finish = |c: almanac_core::Completion| c.finish;
+        let (by_bare, by_driver) = match kind {
+            0..=3 => {
+                let page = PageData::bytes(bytes.clone());
+                let by_bare = bare.write(lpa, page.clone(), now).map(finish);
+                (by_bare, driver.write(lpa, page, now).map(finish))
+            }
+            4 | 5 => {
+                let (a, c) = bare.read(lpa, now).unwrap();
+                let (b, d) = driver.read(lpa, now).unwrap();
+                assert_eq!(a, b, "op {i}: read of {lpa:?}");
+                (Ok(c.finish), Ok(d.finish))
+            }
+            6 => (
+                bare.trim(lpa, now).map(finish),
+                driver.trim(lpa, now).map(finish),
+            ),
+            _ => (bare.flush(now).map(finish), driver.flush(now).map(finish)),
+        };
+        assert_eq!(by_bare.unwrap(), by_driver.unwrap(), "op {i}: finish");
+    }
+    let ssd = driver.controller().ssd();
+    assert_eq!(bare.flash().state_digest(), ssd.flash().state_digest());
+    assert_eq!(bare.stats(), ssd.stats());
 }
 
 /// Inputs the malformed-command property found, kept as fixed cases.

@@ -152,9 +152,10 @@ fn main() {
                 );
             }
         }
-        // Multi-queue lockstep: the same host stream serially and through
-        // the NVMe controller with out-of-order completions; host-visible
-        // state must match and every flush must fence its queue. Queue
+        // Multi-queue run under the model: the host stream through the NVMe
+        // controller over the harness, completions out of order; the model
+        // checks every command, the final state must be the submission
+        // order's and every flush must fence its queue. Queue
         // count and depth rotate with the case so the sweep covers
         // everything from near-serial to deep reordering.
         let ops = strategy::queued_ops(24, 350).generate(&mut rng);

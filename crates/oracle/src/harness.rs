@@ -48,7 +48,7 @@ use almanac_core::{
     SsdDevice, SsdReadOps, TimeSsd, TimeTravel, VersionLocation,
 };
 use almanac_flash::{FlashError, Lpa, LpaSpan, Nanos, PageData};
-use almanac_kits::{AddrQuery, QueryCost, QueryHit, TimeKits, TimeQueryHit};
+use almanac_kits::{time_scan, AddrQuery, QueryCost, QueryHit, TimeKits, TimeQueryHit};
 
 use crate::model::ModelDevice;
 use crate::report::{Divergence, DivergenceReport};
@@ -703,21 +703,17 @@ impl DifferentialHarness<TimeSsd> {
             }
             pairs
         };
-        let mut answer = |threads| {
-            let kits = TimeKits::new(self.dev()).with_threads(threads);
-            let whole = || kits.query(Lpa(0), span);
+        let answer = |threads| {
+            let whole = || AddrQuery::new(ssd, Lpa(0), span).threads(threads);
             let addr = [
                 whole().as_of(t),
                 whole().range(t / 2, t),
                 whole().all_versions(),
             ];
-            let time = [
-                kits.time_query(t / 2),
-                kits.time_query_range(t / 2, t),
-                kits.time_query_all(),
-            ];
+            let time = [(t / 2, Nanos::MAX), (t / 2, t), (0, Nanos::MAX)];
             let run = |q: AddrQuery<'_>| q.run().map(|out| (out.hits, out.cost));
-            (addr.map(run), time.map(Ok))
+            let scan = |(from, to)| Ok(time_scan(ssd, from, to, threads));
+            (addr.map(run), time.map(scan))
         };
         let (serial, fanned) = (answer(1), answer(width));
         let addr = [

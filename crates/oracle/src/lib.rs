@@ -38,8 +38,10 @@
 //!    [`DifferentialHarness::apply`] on hand-written regressions — and,
 //!    since it implements `SsdDevice` itself, `trace::replay` with every
 //!    replayed read checked byte-for-byte.
-//! 2. [`lockstep_queue_run`] takes a harness run as its serial reference
-//!    and compares it with the NVMe multi-queue schedule of the same ops.
+//! 2. [`lockstep_queue_run`] puts it under the NVMe queues:
+//!    `HostDriver<DifferentialHarness>` runs the ops across several queues,
+//!    so the model checks each command in the order the device executes
+//!    it, on any of the three FTLs ([`lockstep_queue_run_over`]).
 
 #![warn(missing_docs)]
 
@@ -51,6 +53,6 @@ pub mod strategy;
 
 pub use harness::{minimal_failing_prefix, DifferentialHarness, Guarantee};
 pub use model::{ModelDevice, ModelVersion};
-pub use queues::{lockstep_queue_run, QueueRunOutcome};
+pub use queues::{lockstep_queue_run, lockstep_queue_run_over, QueueRunOutcome};
 pub use report::{Divergence, DivergenceReport};
 pub use strategy::OracleOp;

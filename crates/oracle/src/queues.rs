@@ -1,43 +1,45 @@
-//! In-order vs out-of-order lockstep: the same host op stream applied
-//! serially (one command at a time, completion order = submission order)
-//! and through the NVMe multi-queue controller (commands sharded across
-//! queues, completions posting in device finish order).
+//! The oracle under the NVMe queues: one op stream submitted through
+//! `HostDriver<DifferentialHarness>` across several queues, completions
+//! posting in device finish order.
 //!
-//! The serial reference is a [`DifferentialHarness`] run, so it is held to
-//! the model like any other; the multi-queue side draws the same arrival
-//! times, pages and payloads from its own `Decoder`. What only this
-//! runner compares is the two *schedules*. Sharding is by logical page, so
+//! The device behind the controller is a [`DifferentialHarness`], so the
+//! model checks every command in the order the controller executes it —
+//! reads byte-for-byte, every write and trim mirrored — and the run ends
+//! with the harness's own final checks. Sharding is by logical page, so
 //! per-page command order — the order that defines host-visible state — is
 //! preserved on every queue while cross-page completions reorder freely.
-//! Any legal completion schedule must therefore leave the two devices with
-//! identical host-visible state: the same head bytes, the same mapped set,
-//! the same tombstones. The run also audits the per-queue Flush fence from
-//! the completion log: every command submitted before a flush on its queue
-//! must post before the flush's completion, and every later one after.
+//!
+//! What the harness cannot see is checked here. A controller that
+//! reordered commands within one queue would still satisfy a model that
+//! follows execution order, so the runner records each touched page's last
+//! submitted write or trim and holds the model's final state to it. And it
+//! audits the per-queue Flush fence from the completion log: every command
+//! submitted before a flush on its queue must post before the flush's
+//! completion, and every later one after.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
-use almanac_core::{SsdConfig, SsdDevice, TimeSsd};
-use almanac_flash::{Lpa, Nanos, MS_NS};
-use almanac_nvme::{CompletedIo, DriverError, HostDriver, NvmeController, NvmeOpcode, Ticket};
+use almanac_core::{Ftl, SsdConfig, TimeTravel};
+use almanac_flash::{Lpa, Nanos};
+use almanac_nvme::{CompletedIo, HostDriver, NvmeController, NvmeOpcode, Ticket};
 
-use crate::harness::DifferentialHarness;
+use crate::harness::{DifferentialHarness, Guarantee};
 use crate::strategy::{Action, Decoder, OracleOp};
 
-/// Outcome of one in-order vs out-of-order lockstep run.
+/// Outcome of one multi-queue run under the model.
 #[derive(Debug)]
 pub struct QueueRunOutcome {
     /// Human-readable divergences; empty means the run passed.
     pub divergences: Vec<String>,
     /// Completions that overtook an earlier-submitted command on their
-    /// queue during the multi-queue run.
+    /// queue.
     pub ooo_completions: u64,
-    /// Commands completed on the multi-queue side.
+    /// Commands completed.
     pub completed: u64,
     /// Flush commands submitted (each audited as a fence).
     pub flushes: u64,
-    /// Every completion the multi-queue side harvested, in the order its
-    /// polls returned them: `(ticket, opcode, status, finish)`.
+    /// Every completion harvested, in the order the polls returned them:
+    /// `(ticket, opcode, status, finish)`.
     pub stream: Vec<(Ticket, NvmeOpcode, u16, Nanos)>,
 }
 
@@ -48,20 +50,12 @@ impl QueueRunOutcome {
     }
 }
 
-/// Per-queue submission/completion log for the fence audit.
-#[derive(Default)]
-struct QueueLog {
-    /// `(global op index, was this a flush)` in submission order.
-    submitted: Vec<(usize, bool)>,
-    /// Global op indices in completion-posting order.
-    completed: Vec<usize>,
-}
-
-/// What the multi-queue side has submitted and seen posted.
+/// What the run has submitted and seen posted.
 struct MultiQueueLog {
-    /// `(global op index, queue slot)` of every command in flight.
-    tickets: HashMap<Ticket, (usize, usize)>,
-    logs: Vec<QueueLog>,
+    /// `(op index, queue slot, is a flush)` of every command in flight.
+    tickets: HashMap<Ticket, (usize, usize, bool)>,
+    /// Per queue slot, `(op index, is a flush)` in posting order.
+    posted: Vec<Vec<(usize, bool)>>,
     divergences: Vec<String>,
     stream: Vec<(Ticket, NvmeOpcode, u16, Nanos)>,
 }
@@ -71,201 +65,167 @@ impl MultiQueueLog {
         for io in done {
             self.stream
                 .push((io.ticket, io.opcode, io.status, io.finish));
-            let Some((op_idx, slot)) = self.tickets.remove(&io.ticket) else {
+            let Some((op, slot, is_flush)) = self.tickets.remove(&io.ticket) else {
                 let unknown = format!("unknown ticket {:?} completed", io.ticket);
                 self.divergences.push(unknown);
                 continue;
             };
             if !io.is_success() {
                 self.divergences.push(format!(
-                    "mq op {op_idx} ({:?}) failed with status {:#06x}",
+                    "op {op} ({:?}) failed with status {:#06x}",
                     io.opcode, io.status
                 ));
             }
-            self.logs[slot].completed.push(op_idx);
+            self.posted[slot].push((op, is_flush));
+        }
+    }
+
+    /// Every flush must post after each command submitted before it on its
+    /// queue and before each one submitted after it. Op indices grow in
+    /// submission order, so a queue's posting order says it all.
+    fn audit_fences(&mut self) {
+        for (slot, posted) in self.posted.iter().enumerate() {
+            for (at, &(flush, _)) in posted.iter().enumerate().filter(|(_, p)| p.1) {
+                let (ahead, behind) = (&posted[..at], &posted[at + 1..]);
+                let broken = (behind.iter().filter(|p| p.0 < flush))
+                    .map(|p| (p.0, "before", "after"))
+                    .chain(
+                        ahead
+                            .iter()
+                            .filter(|p| p.0 > flush)
+                            .map(|p| (p.0, "after", "before")),
+                    );
+                for (op, sub, post) in broken {
+                    self.divergences.push(format!(
+                        "queue {slot}: op {op} submitted {sub} flush {flush} but posted {post} it"
+                    ));
+                }
+            }
+        }
+        if !self.tickets.is_empty() {
+            let lost = format!("{} commands never completed", self.tickets.len());
+            self.divergences.push(lost);
+        }
+    }
+
+    fn outcome(self, ooo_completions: u64, flushes: u64) -> QueueRunOutcome {
+        QueueRunOutcome {
+            divergences: self.divergences,
+            ooo_completions,
+            completed: self.stream.len() as u64,
+            flushes,
+            stream: self.stream,
         }
     }
 }
 
-/// Runs `ops` against a serial reference device and against the NVMe
-/// multi-queue controller (`nqueues` queues of `depth`), then compares
-/// host-visible state and audits every flush fence.
-///
-/// Only host-I/O ops participate (`Write`, `WriteBytes`, `Read`, `Trim`,
-/// `Flush`); oracle-internal ops (`Check`, `PowerCut`, probes) are skipped.
+/// [`lockstep_queue_run_over`] on a TimeSSD.
 pub fn lockstep_queue_run(
     cfg: SsdConfig,
     ops: &[OracleOp],
     nqueues: usize,
     depth: usize,
 ) -> QueueRunOutcome {
+    lockstep_queue_run_over::<TimeTravel>(cfg, ops, nqueues, depth)
+}
+
+/// Runs `ops` through the NVMe multi-queue controller (`nqueues` queues of
+/// `depth`) over one `DifferentialHarness<Ftl<R>>`, then ends the harness's
+/// run, holds the model to the submission-order expectation and audits
+/// every flush fence.
+///
+/// Only host-I/O ops participate (`Write`, `WriteBytes`, `Read`, `Trim`,
+/// `Flush`); oracle-internal ops (`Check`, `PowerCut`, probes) are skipped.
+pub fn lockstep_queue_run_over<R: Guarantee>(
+    cfg: SsdConfig,
+    ops: &[OracleOp],
+    nqueues: usize,
+    depth: usize,
+) -> QueueRunOutcome {
     let nqueues = nqueues.max(1);
-    let ops: Vec<OracleOp> = ops.iter().filter(|op| op.is_host_io()).cloned().collect();
-
-    // --- Serial reference: submission order IS completion order. ---
-    let mut serial = DifferentialHarness::new(cfg.clone());
-    let report = serial.run(&ops);
-    let mut divergences = Vec::new();
-    if report.stalled {
-        divergences.push(format!("serial reference stalled: {report}"));
-    }
-
-    // --- Multi-queue run: sharded by page, completions out of order. ---
     let page_size = cfg.geometry.page_size as usize;
     let mut decoder = Decoder::new(cfg.exported_pages(), page_size);
-    let mut driver = HostDriver::new(NvmeController::new(TimeSsd::new(cfg)));
+    let harness = DifferentialHarness::<Ftl<R>>::over(cfg);
+    let mut driver = HostDriver::new(NvmeController::over(harness, page_size));
     let qids: Vec<u16> = (0..nqueues).map(|_| driver.create_queue(depth)).collect();
     let mut mq = MultiQueueLog {
         tickets: HashMap::new(),
-        logs: (0..nqueues).map(|_| QueueLog::default()).collect(),
-        divergences,
+        posted: vec![Vec::new(); nqueues],
+        divergences: Vec::new(),
         stream: Vec::new(),
     };
-    let mut touched: Vec<Lpa> = Vec::new();
+    // Each touched page's last submitted write (its bytes) or trim (`None`).
+    let mut expected: BTreeMap<Lpa, Option<Vec<u8>>> = BTreeMap::new();
     let mut flushes = 0u64;
     let mut now = 0;
-    for (i, op) in ops.iter().enumerate() {
+    let host_io = ops.iter().filter(|op| op.is_host_io());
+    for (i, op) in host_io.enumerate() {
         let (at, action) = decoder.decode(op);
         now = at.max(now);
-        let slot = match &action {
-            Action::Write(lpa, _) | Action::Trim(lpa) => {
-                touched.push(*lpa);
-                lpa.0 % nqueues as u64
-            }
-            Action::Read(lpa) => lpa.0 % nqueues as u64,
+        let shard = match &action {
+            Action::Write(lpa, _) | Action::Trim(lpa) | Action::Read(lpa) => lpa.0,
             Action::Flush => {
                 flushes += 1;
-                (flushes - 1) % nqueues as u64
+                flushes - 1
             }
             _ => continue, // filtered out above: no command encoding
-        } as usize;
+        };
+        let slot = (shard % nqueues as u64) as usize;
         let qid = qids[slot];
-        loop {
+        let payload = match &action {
+            Action::Write(_, data) => Some(data.materialize(page_size)),
+            _ => None,
+        };
+        let ticket = loop {
             let attempt = match &action {
-                Action::Write(lpa, data) => {
-                    driver.submit_write(qid, *lpa, vec![data.materialize(page_size)])
+                Action::Write(lpa, _) => {
+                    driver.submit_write(qid, *lpa, payload.clone().into_iter().collect())
                 }
                 Action::Read(lpa) => driver.submit_read(qid, *lpa, 1),
                 Action::Trim(lpa) => driver.submit_trim(qid, *lpa, 1),
                 _ => driver.submit_flush(qid),
             };
-            match attempt {
-                Ok(ticket) => {
-                    mq.tickets.insert(ticket, (i, slot));
-                    let is_flush = matches!(action, Action::Flush);
-                    mq.logs[slot].submitted.push((i, is_flush));
-                    mq.harvest(driver.poll(now));
-                    break;
-                }
-                Err(DriverError::QueueFull(_)) => match driver.wait_for_slot(&mut now) {
-                    Some(done) => mq.harvest(done),
-                    None => {
-                        mq.divergences.push(format!("queue {qid} wedged at op {i}"));
-                        return QueueRunOutcome {
-                            divergences: mq.divergences,
-                            ooo_completions: driver.controller().ooo_completions(),
-                            completed: mq.stream.len() as u64,
-                            flushes,
-                            stream: mq.stream,
-                        };
-                    }
-                },
-                Err(e) => {
-                    mq.divergences.push(format!("mq submit {i} failed: {e:?}"));
-                    break;
-                }
+            if let Ok(ticket) = attempt {
+                break ticket;
             }
+            // The queue is full: advance to the next completion.
+            let Some(done) = driver.wait_for_slot(&mut now) else {
+                mq.divergences.push(format!("queue {qid} wedged at op {i}"));
+                let ooo_completions = driver.controller().ooo_completions();
+                return mq.outcome(ooo_completions, flushes);
+            };
+            mq.harvest(done);
+        };
+        if let Action::Write(lpa, _) | Action::Trim(lpa) = action {
+            expected.insert(lpa, payload);
         }
+        let is_flush = matches!(action, Action::Flush);
+        mq.tickets.insert(ticket, (i, slot, is_flush));
+        mq.harvest(driver.poll(now));
     }
     mq.harvest(driver.drain(&mut now));
-    let mut divergences = std::mem::take(&mut mq.divergences);
+    mq.audit_fences();
+    let ooo_completions = driver.controller().ooo_completions();
 
-    // --- Flush-fence audit from the per-queue logs. ---
-    for (slot, log) in mq.logs.iter().enumerate() {
-        let post_order: HashMap<usize, usize> = log
-            .completed
-            .iter()
-            .enumerate()
-            .map(|(pos, idx)| (*idx, pos))
-            .collect();
-        for (sub_pos, (flush_idx, is_flush)) in log.submitted.iter().enumerate() {
-            if !is_flush {
-                continue;
-            }
-            let Some(flush_post) = post_order.get(flush_idx) else {
-                divergences.push(format!("flush op {flush_idx} never completed"));
-                continue;
-            };
-            for (other_pos, (other_idx, _)) in log.submitted.iter().enumerate() {
-                let Some(other_post) = post_order.get(other_idx) else {
-                    continue;
-                };
-                if other_pos < sub_pos && other_post > flush_post {
-                    divergences.push(format!(
-                        "queue {slot}: op {other_idx} submitted before flush \
-                         {flush_idx} but posted after it"
-                    ));
-                }
-                if other_pos > sub_pos && other_post < flush_post {
-                    divergences.push(format!(
-                        "queue {slot}: op {other_idx} submitted after flush \
-                         {flush_idx} but posted before it"
-                    ));
-                }
-            }
+    // The harness's final checks, then a host read of every page.
+    let mut harness = driver.into_ssd();
+    harness.run(&[]);
+    harness.read_sweep();
+    let model = harness.model();
+    for (lpa, want) in expected {
+        let held = match want {
+            Some(bytes) => model.read_bytes(lpa) == bytes,
+            None => model.current(lpa).is_none(),
+        };
+        if !held {
+            let what = format!("{lpa:?}: the model's final state is not the last submitted op's");
+            mq.divergences.push(what);
         }
     }
-
-    // --- Host-visible state must be identical. ---
-    touched.sort_unstable();
-    touched.dedup();
-    let t_end = now + MS_NS;
-    for lpa in touched {
-        let s_mapped = serial.ssd().is_mapped(lpa);
-        let m_mapped = driver.controller().ssd().is_mapped(lpa);
-        if s_mapped != m_mapped {
-            divergences.push(format!(
-                "{lpa:?}: serial mapped={s_mapped}, mq mapped={m_mapped}"
-            ));
-            continue;
-        }
-        let s_trimmed = serial.ssd().trimmed_at(lpa).is_some();
-        let m_trimmed = driver.controller().ssd().trimmed_at(lpa).is_some();
-        if s_trimmed != m_trimmed {
-            divergences.push(format!(
-                "{lpa:?}: serial trimmed={s_trimmed}, mq trimmed={m_trimmed}"
-            ));
-        }
-        if !s_mapped {
-            continue;
-        }
-        let s_bytes = serial
-            .read(lpa, t_end)
-            .map(|(d, _)| d.materialize(page_size));
-        match (s_bytes, driver.read(lpa, t_end + MS_NS)) {
-            (Ok(s), Ok(m)) => {
-                if s != m {
-                    divergences.push(format!("{lpa:?}: head bytes differ"));
-                }
-            }
-            (s, m) => divergences.push(format!(
-                "{lpa:?}: read outcomes differ (serial ok={}, mq ok={})",
-                s.is_ok(),
-                m.is_ok()
-            )),
-        }
-    }
-    // The reference against the model, the final reads above included.
-    let vs_model = serial.divergences().iter();
-    divergences.extend(vs_model.map(|d| format!("serial reference vs model: {d:?}")));
-
-    QueueRunOutcome {
-        divergences,
-        ooo_completions: driver.controller().ooo_completions(),
-        completed: mq.stream.len() as u64,
-        flushes,
-        stream: mq.stream,
-    }
+    let vs_model = harness.divergences().iter();
+    mq.divergences
+        .extend(vs_model.map(|d| format!("device vs model: {d:?}")));
+    mq.outcome(ooo_completions, flushes)
 }
 
 #[cfg(test)]
@@ -291,6 +251,29 @@ mod tests {
         assert!(out.passed(), "divergences: {:?}", out.divergences);
         assert_eq!(out.completed, 49);
         assert_eq!(out.flushes, 1);
+    }
+
+    #[test]
+    fn the_fence_audit_flags_commands_on_the_wrong_side_of_a_flush() {
+        let mut log = MultiQueueLog {
+            tickets: HashMap::new(),
+            // Queue 0: op 1 posts after flush 2, op 4 before flush 3.
+            // Queue 1: in order around its flush.
+            posted: vec![
+                vec![(0, false), (2, true), (1, false), (4, false), (3, true)],
+                vec![(5, false), (6, true), (7, false)],
+            ],
+            divergences: Vec::new(),
+            stream: Vec::new(),
+        };
+        log.audit_fences();
+        assert_eq!(
+            log.divergences,
+            [
+                "queue 0: op 1 submitted before flush 2 but posted after it",
+                "queue 0: op 4 submitted after flush 3 but posted before it",
+            ]
+        );
     }
 
     #[test]

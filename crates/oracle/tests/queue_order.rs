@@ -1,14 +1,15 @@
-//! In-order vs out-of-order completion suites: the same host op stream
-//! applied serially and through the NVMe multi-queue controller must leave
-//! identical host-visible state, and every Flush must fence its queue —
-//! earlier commands post before its completion, later ones after.
+//! Out-of-order completion suites: a host op stream submitted through the
+//! NVMe multi-queue controller over the differential harness must satisfy
+//! the model command by command and end in the state the submission order
+//! implies, and every Flush must fence its queue — earlier commands post
+//! before its completion, later ones after.
 //!
 //! The in-tree proptest runner is deterministic (seeded from the test
 //! path), so a CI failure here reproduces locally with no extra state.
 
-use almanac_core::SsdConfig;
+use almanac_core::{Discard, ReadGated, SsdConfig};
 use almanac_flash::Geometry;
-use almanac_oracle::{lockstep_queue_run, OracleOp};
+use almanac_oracle::{lockstep_queue_run, lockstep_queue_run_over, OracleOp};
 use proptest::{proptest, ProptestConfig};
 
 fn small_cfg() -> SsdConfig {
@@ -26,12 +27,14 @@ proptest! {
     fn reordered_completions_preserve_host_state(
         ops in almanac_oracle::strategy::queued_ops(32, 140),
     ) {
-        let out = lockstep_queue_run(medium_cfg(), &ops, 3, 8);
-        proptest::prop_assert!(
-            out.passed(),
-            "divergences: {:?}",
-            out.divergences
-        );
+        // On all three FTLs.
+        for out in [
+            lockstep_queue_run_over::<Discard>(medium_cfg(), &ops, 3, 8),
+            lockstep_queue_run_over::<ReadGated>(medium_cfg(), &ops, 3, 8),
+            lockstep_queue_run(medium_cfg(), &ops, 3, 8),
+        ] {
+            proptest::prop_assert!(out.passed(), "divergences: {:?}", out.divergences);
+        }
     }
 
     #[test]

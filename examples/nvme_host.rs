@@ -7,24 +7,25 @@
 //!
 //! Run with: `cargo run --example nvme_host`
 
-use almanac::core::{SsdConfig, TimeSsd};
-use almanac::flash::{Geometry, Lpa, SEC_NS};
+use almanac::core::{SsdConfig, SsdDevice, TimeSsd};
+use almanac::flash::{Geometry, Lpa, PageData, SEC_NS};
 use almanac::nvme::{HostDriver, NvmeController, NvmeOpcode, SubmissionEntry};
 
 fn main() {
     let ssd = TimeSsd::new(SsdConfig::new(Geometry::medium_test()));
     let mut driver = HostDriver::new(NvmeController::new(ssd));
 
-    // Plain I/O commands.
-    driver
-        .write(Lpa(10), b"quarterly report v1".to_vec(), SEC_NS)
-        .expect("write");
-    driver
-        .write(Lpa(10), b"quarterly report v2".to_vec(), 5 * SEC_NS)
-        .expect("write");
+    // Plain I/O commands: the driver is an `SsdDevice` like the drive.
+    for (version, at) in [(1, SEC_NS), (2, 5 * SEC_NS)] {
+        let page = format!("quarterly report v{version}").into_bytes();
+        driver
+            .write(Lpa(10), PageData::bytes(page), at)
+            .expect("write");
+    }
+    let (current, _) = driver.read(Lpa(10), 6 * SEC_NS).expect("read");
     println!(
         "current content: {:?}",
-        String::from_utf8_lossy(&driver.read(Lpa(10), 6 * SEC_NS).expect("read")[..19])
+        String::from_utf8_lossy(&current.materialize(19))
     );
 
     // A vendor command on the wire: this is what AddrQuery looks like as a
@@ -42,7 +43,7 @@ fn main() {
 
     // The typed driver path issues the same command and decodes the result.
     let old = driver
-        .addr_query(Lpa(10), 1, 2 * SEC_NS, 7 * SEC_NS)
+        .addr_query(Lpa(10), 1, 2 * SEC_NS, 1, 7 * SEC_NS)
         .expect("vendor query");
     println!(
         "state at t=2s  : {:?}",

@@ -2,7 +2,7 @@
 //! consistency audit, and the NVMe wire path.
 
 use almanac::core::{SsdConfig, SsdDevice, TimeSsd};
-use almanac::flash::{Geometry, Lpa, SEC_NS};
+use almanac::flash::{Geometry, Lpa, PageData, SEC_NS};
 use almanac::fs::{AlmanacFs, FsMode};
 use almanac::kits::{EvidenceArchive, TimeKits};
 use almanac::nvme::{HostDriver, NvmeController};
@@ -46,7 +46,7 @@ fn nvme_rollback_all_through_the_wire() {
             driver
                 .write(
                     Lpa(lpa),
-                    format!("round {round} page {lpa}").into_bytes(),
+                    PageData::bytes(format!("round {round} page {lpa}").into_bytes()),
                     (1 + round * 10 + lpa) * SEC_NS,
                 )
                 .unwrap();
@@ -56,9 +56,9 @@ fn nvme_rollback_all_through_the_wire() {
     let restored = driver.roll_back_all(9 * SEC_NS, 60 * SEC_NS).unwrap();
     assert_eq!(restored, 8);
     for lpa in 0..8u64 {
-        let page = driver.read(Lpa(lpa), 120 * SEC_NS).unwrap();
+        let (page, _) = driver.read(Lpa(lpa), 120 * SEC_NS).unwrap();
         let expect = format!("round 0 page {lpa}");
-        assert_eq!(&page[..expect.len()], expect.as_bytes());
+        assert_eq!(&page.materialize(4096)[..expect.len()], expect.as_bytes());
     }
 }
 

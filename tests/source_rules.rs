@@ -140,6 +140,16 @@ const RULES: &[Rule] = &[
         allowed: &[],
         design: "5f",
     },
+    // The NVMe controller and driver are generic over the device: a TimeSSD
+    // is only the default type parameter and what `NvmeController::new`
+    // takes.
+    Rule {
+        name: "one_host_path",
+        files: &["crates/nvme/src"],
+        find: names_time_ssd,
+        allowed: &[("crates/nvme/src/controller.rs", "new")],
+        design: "5f",
+    },
     // The flash array answers a bad address or a free page with a
     // `FlashError`, so no FTL input can make the array itself panic.
     Rule {
@@ -204,6 +214,21 @@ fn page_probe(src: &str) -> Vec<usize> {
                 bound.starts_with("0..")
                     && (bound.contains("ppb") || bound.contains("pages_per_block"))
             })
+        })
+        .collect()
+}
+
+/// The identifier `TimeSsd`, unless it is a default type parameter
+/// (`D = TimeSsd`, the path optional).
+fn names_time_ssd(src: &str) -> Vec<usize> {
+    offsets(src, &["TimeSsd"])
+        .filter(|&i| {
+            let end = i + "TimeSsd".len();
+            let whole = !src[..i].bytes().last().is_some_and(is_ident)
+                && !src[end..].bytes().next().is_some_and(is_ident);
+            let before = src[..i].trim_end();
+            let before = before.strip_suffix("almanac_core::").unwrap_or(before);
+            whole && !before.trim_end().ends_with('=')
         })
         .collect()
 }
@@ -506,6 +531,11 @@ const PLANTED: &[(&str, &str, &str)] = &[
     ("width_is_a_query_schedule", "crates/nvme/src/controller.rs", "fn width(s: &TimeSsd) -> u32 { s.amt_shards() }"),
     // The driver's in-flight record as it was: a map keyed by ticket.
     ("no_hashed_command_path", "crates/nvme/src/driver.rs", "struct HostDriver { inflight: std::collections::HashMap<Ticket, NvmeOpcode> }"),
+    // The device the controller and driver owned before they were generic,
+    // a device accessor naming it, and its import.
+    ("one_host_path", "crates/nvme/src/controller.rs", "pub struct NvmeController { ssd: TimeSsd }"),
+    ("one_host_path", "crates/nvme/src/controller.rs", "impl<D> NvmeController<D> { pub fn ssd(&self) -> &almanac_core::TimeSsd { todo!() } }"),
+    ("one_host_path", "crates/nvme/src/driver.rs", "use almanac_core::{SsdDevice, TimeSsd};"),
     // The OOB of a page the state byte calls written, as `read` took it; a
     // block looked up by id.
     ("no_panic_in_flash", "crates/flash/src/array.rs", "fn read(&self) { let oob = page.oob.expect(\"written page always has OOB\"); }"),
@@ -528,7 +558,8 @@ fn planted_violations_fail() {
 #[test]
 fn comments_literals_and_inline_test_modules_pass() {
     let all = "bst.iter() blocks().iter() for p in 0..ppb {} info.written = 0 next_off unreserve \
-               Lpa(a + 1) version_chain( version_content( amt_shards HashMap .expect( .unwrap(";
+               Lpa(a + 1) version_chain( version_content( amt_shards HashMap .expect( .unwrap( \
+               TimeSsd";
     let in_comments_and_literals = format!(
         "fn maintain() {{\n    // {all}\n    /* {all} /* nested */ {all} */\n    \
          let _ = (\"{all}\", r#\"{all}\"#, b\"\\\"{all}\");\n}}\n"
