@@ -106,19 +106,17 @@ impl<'a> TimeKits<'a> {
         t: Nanos,
         now: Nanos,
     ) -> Result<RollbackOutcome> {
-        let span = LpaSpan::clamped(addr, cnt, self.ssd.exported_pages());
-        roll_back(self.ssd, span.iter(), t, now)
+        roll_back(self.ssd, addr, cnt, t, now)
     }
 
     /// `RollBackAll(t)`: reverts every LPA with any history.
     pub fn roll_back_all(&mut self, t: Nanos, now: Nanos) -> Result<RollbackOutcome> {
-        let exported = self.ssd.exported_pages();
-        roll_back(self.ssd, (0..exported).map(Lpa), t, now)
+        roll_back_all(self.ssd, t, now)
     }
 
     /// Rolls back an explicit set of LPAs (used by file-level recovery).
     pub fn roll_back_set(&mut self, lpas: &[Lpa], t: Nanos, now: Nanos) -> Result<RollbackOutcome> {
-        roll_back(self.ssd, lpas.iter().copied(), t, now)
+        roll_back_set(self.ssd, lpas.iter().copied(), t, now)
     }
 
     /// Estimates the virtual time a `threads`-way parallel restore of `lpas`
@@ -207,6 +205,25 @@ pub fn time_scan(
     (hits, cost)
 }
 
+/// `RollBack(addr, cnt, t)` on any device with a history: [`roll_back_set`]
+/// over the span from `addr`, clamped to the exported space.
+pub fn roll_back<D: SsdDevice>(
+    dev: &mut D,
+    addr: Lpa,
+    cnt: u64,
+    t: Nanos,
+    now: Nanos,
+) -> Result<RollbackOutcome> {
+    let span = LpaSpan::clamped(addr, cnt, dev.exported_pages());
+    roll_back_set(dev, span.iter(), t, now)
+}
+
+/// `RollBackAll(t)` on any device with a history: [`roll_back`] over every
+/// exported LPA.
+pub fn roll_back_all<D: SsdDevice>(dev: &mut D, t: Nanos, now: Nanos) -> Result<RollbackOutcome> {
+    roll_back(dev, Lpa(0), u64::MAX, t, now)
+}
+
 /// `RollBack` over `lpas` on any device with a history (§3.9): each LPA is
 /// reverted to its state as of `t` by writing the old version back as a
 /// fresh update — the rollback itself stays undoable — and pages that did
@@ -214,7 +231,7 @@ pub fn time_scan(
 /// the restores are `dev`'s own writes and trims, so a device wrapper (the
 /// NVMe controller's device, the oracle's harness) sees them as host I/O.
 /// A device without a read view is an `Internal` error.
-pub fn roll_back<D: SsdDevice>(
+pub fn roll_back_set<D: SsdDevice>(
     dev: &mut D,
     lpas: impl IntoIterator<Item = Lpa>,
     t: Nanos,

@@ -18,8 +18,9 @@
 //! The three address queries share one entry point, the [`AddrQuery`]
 //! builder, which runs against a `&TimeSsd` — the `&self` read path; the
 //! time queries are [`time_scan`] over the same `&TimeSsd`. Rollback is one
-//! body, [`roll_back`], over any `SsdDevice` with a read view: the NVMe
-//! controller runs it on its device, [`TimeKits`] on its TimeSSD.
+//! body, [`roll_back_set`], over any `SsdDevice` with a read view, with
+//! [`roll_back`] and [`roll_back_all`] choosing its LPAs: the NVMe
+//! controller runs them on its device, [`TimeKits`] on its TimeSSD.
 //! Address and time queries alike are per-LPA closures over one private
 //! scan engine that fans the LPA span across the device's AMT shards on
 //! scoped host threads; workers share `&TimeSsd`, and the borrow checker
@@ -65,5 +66,6 @@ mod recovery;
 pub use addr_query::{AddrQuery, AddrQueryOutcome};
 pub use cost::QueryCost;
 pub use evidence::{EvidenceArchive, EvidenceRecord};
-pub use kits::{roll_back, time_scan, QueryHit, RollbackOutcome, TimeKits, TimeQueryHit};
+pub use kits::{roll_back, roll_back_all, roll_back_set, time_scan};
+pub use kits::{QueryHit, RollbackOutcome, TimeKits, TimeQueryHit};
 pub use recovery::{FileMap, RecoveredFile};

@@ -30,7 +30,7 @@
 
 use almanac_core::{AlmanacError, Result, SsdDevice};
 use almanac_flash::{Lpa, LpaSpan, Nanos, PageData};
-use almanac_kits::{roll_back, time_scan, AddrQuery};
+use almanac_kits::{roll_back, roll_back_all, time_scan, AddrQuery};
 
 use crate::queue::{PostedCompletion, QueuePair};
 use crate::sqe::{CompletionEntry, NvmeOpcode, SubmissionEntry};
@@ -340,7 +340,6 @@ impl<D: SsdDevice> NvmeController<D> {
                     }
                     _ => (query.all_versions(), e.cdw[3]),
                 };
-                let threads = threads.max(1);
                 match query.threads(threads).run() {
                     // The CQE posts at `now` plus the partitioned schedule's
                     // makespan over `threads` host workers, so a device
@@ -375,12 +374,11 @@ impl<D: SsdDevice> NvmeController<D> {
                 (Success, hits.len() as u32, finish, Some(rows))
             }
             _ => {
-                let exported = self.ssd.exported_pages();
                 let outcome = if e.opcode == NvmeOpcode::RollBack {
-                    let span = LpaSpan::clamped(Lpa(e.get_u64(0)), e.cdw[2] as u64, exported);
-                    roll_back(&mut self.ssd, span.iter(), e.get_u64(4), now)
+                    let (addr, cnt) = (Lpa(e.get_u64(0)), u64::from(e.cdw[2]));
+                    roll_back(&mut self.ssd, addr, cnt, e.get_u64(4), now)
                 } else {
-                    roll_back(&mut self.ssd, (0..exported).map(Lpa), e.get_u64(0), now)
+                    roll_back_all(&mut self.ssd, e.get_u64(0), now)
                 };
                 match outcome {
                     Ok(out) => (Success, out.restored.len() as u32, out.finish, None),

@@ -612,10 +612,28 @@ mod tests {
         put(&mut d, 3, b"gone", SEC_NS);
         d.trim(Lpa(3), 2 * SEC_NS).unwrap();
         assert!(get(&mut d, 3, 3 * SEC_NS).iter().all(|b| *b == 0));
-        let lat = d.flush(4 * SEC_NS).unwrap().response(4 * SEC_NS);
         // The default barrier overhead alone is 20 µs; a barrier fencing a
-        // journalled trim must take at least that.
+        // journalled trim must take at least that, on the wire and in the
+        // synchronous surface's completion.
+        let (lat_us, lat) = wire_flush(&mut d, 4 * SEC_NS);
+        assert!(lat_us >= 20, "flush reported {lat_us} µs");
         assert!(lat >= 20_000, "flush took {lat} ns");
+        let lat = d.flush(5 * SEC_NS).unwrap().response(5 * SEC_NS);
+        assert!(lat >= 20_000, "flush took {lat} ns");
+    }
+
+    /// A Flush submitted on queue 0 at `now` and drained: the barrier
+    /// latency its CQE result dword reports (µs) and its response time (ns).
+    fn wire_flush(d: &mut HostDriver, now: Nanos) -> (u32, Nanos) {
+        let ticket = d.submit_flush(0).unwrap();
+        let mut at = now;
+        let done = d.drain(&mut at);
+        let io = done.iter().find(|io| io.ticket == ticket).unwrap();
+        assert!(io.is_success());
+        // The result dword is the barrier's response, in whole µs.
+        let lat = io.finish - now;
+        assert_eq!(u64::from(io.result), lat / 1_000);
+        (io.result, lat)
     }
 
     #[test]
@@ -624,13 +642,25 @@ mod tests {
         // An idle barrier pays only the fixed overhead; one fencing fresh
         // writes and a journalled trim also pays the fence to their
         // completion, so it must report at least as much.
-        let idle = d.flush(SEC_NS).unwrap().response(SEC_NS);
+        let (idle_us, idle) = wire_flush(&mut d, SEC_NS);
         put(&mut d, 1, b"a", 2 * SEC_NS);
         d.trim(Lpa(1), 2 * SEC_NS).unwrap();
-        let busy = d.flush(2 * SEC_NS).unwrap().response(2 * SEC_NS);
+        let (busy_us, busy) = wire_flush(&mut d, 2 * SEC_NS);
+        assert!(
+            busy_us >= idle_us,
+            "busy barrier {busy_us} µs < idle barrier {idle_us} µs"
+        );
         assert!(
             busy >= idle,
             "busy barrier {busy} ns < idle barrier {idle} ns"
+        );
+        // The synchronous surface reports the same barrier as its response.
+        put(&mut d, 2, b"b", 3 * SEC_NS);
+        d.trim(Lpa(2), 3 * SEC_NS).unwrap();
+        let sync = d.flush(3 * SEC_NS).unwrap().response(3 * SEC_NS);
+        assert!(
+            sync >= idle,
+            "busy barrier {sync} ns < idle barrier {idle} ns"
         );
     }
 

@@ -219,7 +219,7 @@ fn page_probe(src: &str) -> Vec<usize> {
 }
 
 /// The identifier `TimeSsd`, unless it is a default type parameter
-/// (`D = TimeSsd`, the path optional).
+/// (`<D = TimeSsd` or `, D = TimeSsd`, the path optional).
 fn names_time_ssd(src: &str) -> Vec<usize> {
     offsets(src, &["TimeSsd"])
         .filter(|&i| {
@@ -228,7 +228,12 @@ fn names_time_ssd(src: &str) -> Vec<usize> {
                 && !src[end..].bytes().next().is_some_and(is_ident);
             let before = src[..i].trim_end();
             let before = before.strip_suffix("almanac_core::").unwrap_or(before);
-            whole && !before.trim_end().ends_with('=')
+            let default = before.trim_end().strip_suffix('=').is_some_and(|b| {
+                let b = b.trim_end();
+                let param = b.trim_end_matches(|c: char| c.is_alphanumeric() || c == '_');
+                param.len() < b.len() && param.trim_end().ends_with(['<', ','])
+            });
+            whole && !default
         })
         .collect()
 }
@@ -532,10 +537,14 @@ const PLANTED: &[(&str, &str, &str)] = &[
     // The driver's in-flight record as it was: a map keyed by ticket.
     ("no_hashed_command_path", "crates/nvme/src/driver.rs", "struct HostDriver { inflight: std::collections::HashMap<Ticket, NvmeOpcode> }"),
     // The device the controller and driver owned before they were generic,
-    // a device accessor naming it, and its import.
+    // a device accessor naming it, and its import; a device built, aliased
+    // or compared where an `=` is not a default type parameter's.
     ("one_host_path", "crates/nvme/src/controller.rs", "pub struct NvmeController { ssd: TimeSsd }"),
     ("one_host_path", "crates/nvme/src/controller.rs", "impl<D> NvmeController<D> { pub fn ssd(&self) -> &almanac_core::TimeSsd { todo!() } }"),
     ("one_host_path", "crates/nvme/src/driver.rs", "use almanac_core::{SsdDevice, TimeSsd};"),
+    ("one_host_path", "crates/nvme/src/driver.rs", "fn f() { let s = TimeSsd::new(cfg); }"),
+    ("one_host_path", "crates/nvme/src/driver.rs", "type Dev = almanac_core::TimeSsd;"),
+    ("one_host_path", "crates/nvme/src/driver.rs", "fn f(x: u8) -> bool { x == TimeSsd }"),
     // The OOB of a page the state byte calls written, as `read` took it; a
     // block looked up by id.
     ("no_panic_in_flash", "crates/flash/src/array.rs", "fn read(&self) { let oob = page.oob.expect(\"written page always has OOB\"); }"),
