@@ -1,5 +1,7 @@
 //! FTL configuration.
 
+use std::convert::Infallible;
+
 use almanac_bloom::ChainConfig;
 use almanac_flash::{FaultPlan, Geometry, Nanos, DAY_NS, MS_NS, US_NS};
 
@@ -57,9 +59,11 @@ pub struct SsdConfig {
     /// the §3.10 defense against secure-deletion leaks: history stays
     /// recoverable for the key holder but unreadable to anyone else.
     pub retention_key: Option<u64>,
-    /// Translation pages the controller can cache (DFTL-style demand
-    /// caching of the AMT); `None` keeps the whole table RAM-resident.
-    pub amt_cache_pages: Option<usize>,
+    /// Inert: the type admits only `None`, so nothing can set it. The AMT
+    /// is RAM-resident and there is no map cache; the field is named by the
+    /// frozen `benchmark/src/device.rs` assert only. Delete it with that
+    /// assert.
+    pub amt_cache_pages: Option<Infallible>,
     /// Deterministic fault schedule installed into the flash array at
     /// device construction (power cuts, injected op failures, OOB bit-rot).
     /// `None` builds a fault-free device.
@@ -86,10 +90,10 @@ pub struct SsdConfig {
     /// Partition width of the scan schedule: a ranged storage-state query
     /// splits its LPA span into `amt_shards` strided partitions and fans
     /// them across at most that many workers through `&self`. Never a
-    /// storage property — the AMT, the IMT and the map cache are flat
-    /// tables nothing indexes with it — so it changes neither host-visible
-    /// state nor completion times, only query parallelism. Defaults to the
-    /// channel count; clamped to at least 1.
+    /// storage property — the AMT and the IMT are flat tables nothing
+    /// indexes with it — so it changes neither host-visible state nor
+    /// completion times, only query parallelism. Defaults to the channel
+    /// count; clamped to at least 1.
     pub amt_shards: u32,
 }
 

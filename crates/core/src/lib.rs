@@ -41,7 +41,6 @@ mod device;
 mod error;
 mod flashguard;
 mod ftl;
-mod mapcache;
 mod regular;
 mod stats;
 mod tables;

@@ -2,8 +2,7 @@
 //!
 //! These mirror Figure 3 of the paper. Structures ①–④ exist in a regular
 //! SSD: the address mapping table (AMT), global mapping directory (GMD —
-//! the demand-cached translation pages, modelled by
-//! [`MapCache`](crate::MapCache)), block status table (BST),
+//! not modelled: the whole AMT is RAM-resident), block status table (BST),
 //! and page validity table (PVT). TimeSSD adds
 //! ⑤–⑧: the index mapping table (IMT), page reclamation table (PRT), the
 //! Bloom filters (in `almanac-bloom`), and the delta buffers (in

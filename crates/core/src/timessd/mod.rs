@@ -36,7 +36,6 @@ use crate::check::ConsistencyReport;
 use crate::config::SsdConfig;
 use crate::error::{AlmanacError, Result};
 use crate::ftl::{sealed::Sealed, Ftl, HostOp, Retention};
-use crate::mapcache::MapCache;
 use crate::tables::{AmtEntry, BlockKind, Imt, Prt};
 
 use deltas::DeltaManager;
@@ -65,9 +64,6 @@ pub struct TimeTravel {
     /// strictly increasing per device so chain verification (decreasing
     /// timestamps, §3.7) stays sound even for back-to-back writes.
     pub(crate) last_ts: Nanos,
-    /// DFTL-style demand cache of the AMT's translation pages: one LRU over
-    /// the whole table.
-    pub(crate) map_cache: MapCache,
     /// Repair index built by the §3.7 rebuild scan: every on-flash delta
     /// record per LPA, newest first. Delta records link through back-pointers
     /// that may name a delta *buffer* page lost in a power cut; this index
@@ -86,7 +82,6 @@ impl TimeTravel {
         chain: BloomChain,
         deltas: DeltaManager,
     ) -> Self {
-        let mappings_per_page = u64::from(config.geometry.page_size / 8);
         TimeTravel {
             prt,
             imt,
@@ -95,7 +90,6 @@ impl TimeTravel {
             period: PeriodCounters::default(),
             idle: IdlePredictor::new(IDLE_ALPHA, config.idle_threshold),
             last_ts: 0,
-            map_cache: MapCache::new(mappings_per_page, config.amt_cache_pages),
             recovered_deltas: HashMap::new(),
         }
     }
@@ -198,16 +192,13 @@ impl Retention for TimeTravel {
     }
 
     fn stamp(ftl: &mut Ftl<Self>, op: HostOp, start: Nanos) -> Nanos {
-        let lat = ftl.flash.latency();
         match op {
-            HostOp::Write(lpa) => {
-                let start =
-                    start.max(ftl.policy.last_ts + 1) + ftl.policy.map_cache.access(lpa, true, lat);
+            HostOp::Write(_) => {
+                let start = start.max(ftl.policy.last_ts + 1);
                 ftl.policy.last_ts = start;
                 start
             }
-            HostOp::Read(lpa) => start + ftl.policy.map_cache.access(lpa, false, lat),
-            HostOp::Trim(_) | HostOp::Flush => start,
+            HostOp::Read(_) | HostOp::Trim(_) | HostOp::Flush => start,
         }
     }
 
@@ -303,14 +294,6 @@ impl TimeSsd {
     /// immediately after an acknowledged [`flush`](crate::SsdDevice::flush).
     pub fn buffered_delta_pages(&self) -> usize {
         self.policy.deltas.buffered_pages().count()
-    }
-
-    /// Translation-page cache traffic: `(fault reads, dirty writebacks)`.
-    pub fn map_cache_traffic(&self) -> (u64, u64) {
-        (
-            self.policy.map_cache.fault_reads,
-            self.policy.map_cache.writeback_writes,
-        )
     }
 
     /// Partition width a ranged query over this device strides by (see

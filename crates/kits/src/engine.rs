@@ -4,7 +4,7 @@
 //! walk each shard's LPAs on a scoped worker, merge deterministically.
 //!
 //! A shard is a unit of the query *schedule*, nothing more: the device's
-//! AMT, IMT and map cache are flat tables, and this file holds the only
+//! AMT and IMT are flat tables, and this file holds the only
 //! `lpa % width` in the workspace.
 //!
 //! Workers hold only a `&TimeSsd`, so any number of them can walk version

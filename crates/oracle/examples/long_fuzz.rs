@@ -1,7 +1,7 @@
 //! Longer-horizon differential fuzz sweep: every strategy at several times
-//! seed scale, mixed configs (AMT cache on and off), the flush-barrier,
-//! tombstone-aging and multi-queue suites, plus single-op fault injection.
-//! Every harness run ends with the whole-space query check; the cache-on
+//! seed scale, the flush-barrier, tombstone-aging and multi-queue suites,
+//! plus single-op fault injection — on its own and inside the rollback
+//! storms. Every harness run ends with the whole-space query check; the
 //! `trim` and `cut` suites rotate the partition width over 2, 3, 4 and 8
 //! with the case, so ragged widths stay under the model. Run locally or by
 //! the scheduled `long-fuzz` CI job.
@@ -20,14 +20,9 @@
 //! report names everything needed to replay the case locally.
 
 use almanac_core::SsdConfig;
-use almanac_flash::{Geometry, MS_NS, SEC_NS};
+use almanac_flash::{FaultPlan, Geometry, MS_NS, SEC_NS};
 use almanac_oracle::{lockstep_queue_run, strategy, DifferentialHarness};
 use proptest::{Strategy, TestRng};
-
-fn cached(mut cfg: SsdConfig) -> SsdConfig {
-    cfg.amt_cache_pages = Some(2);
-    cfg
-}
 
 fn pressure_cfg() -> SsdConfig {
     SsdConfig::new(Geometry::small_test())
@@ -71,6 +66,7 @@ fn main() {
     for case in 0..cases {
         let mut rng = TestRng::for_case(&salt, case);
         let width = [2, 3, 4, 8][case as usize % 4];
+        let program_fault = u64::from(case) * 11 % 200;
         let suites: Vec<(
             &str,
             proptest::BoxedStrategy<Vec<strategy::OracleOp>>,
@@ -84,7 +80,7 @@ fn main() {
             (
                 "trim",
                 strategy::trim_heavy(16, 400),
-                cached(SsdConfig::new(Geometry::medium_test()).with_amt_shards(width)),
+                SsdConfig::new(Geometry::medium_test()).with_amt_shards(width),
             ),
             (
                 "eqts",
@@ -99,12 +95,15 @@ fn main() {
             (
                 "cut",
                 strategy::power_cut_recovery(16, 400),
-                cached(SsdConfig::new(Geometry::medium_test()).with_amt_shards(width)),
+                SsdConfig::new(Geometry::medium_test()).with_amt_shards(width),
             ),
+            // One program fails somewhere in the storm — often a rollback's
+            // restore, which must leave the pair in step like any host op.
             (
                 "roll",
                 strategy::rollback_storm(12, 300),
-                SsdConfig::new(Geometry::medium_test()),
+                SsdConfig::new(Geometry::medium_test())
+                    .with_fault_plan(FaultPlan::new(seed).with_program_fault(program_fault)),
             ),
             // Flush barriers under power cuts: mixed-in barriers hold the
             // fsync contract, and barrier-before-every-cut runs must come
@@ -112,7 +111,7 @@ fn main() {
             (
                 "barrier",
                 strategy::barrier_mix(16, 400),
-                cached(SsdConfig::new(Geometry::medium_test())),
+                SsdConfig::new(Geometry::medium_test()),
             ),
             (
                 "barcut",

@@ -48,7 +48,7 @@ use almanac_core::{
     SsdDevice, SsdReadOps, TimeSsd, TimeTravel, VersionLocation,
 };
 use almanac_flash::{FlashError, Lpa, LpaSpan, Nanos, PageData};
-use almanac_kits::{time_scan, AddrQuery, QueryCost, QueryHit, TimeKits, TimeQueryHit};
+use almanac_kits::{time_scan, AddrQuery, QueryCost, QueryHit, TimeQueryHit};
 
 use crate::model::ModelDevice;
 use crate::report::{Divergence, DivergenceReport};
@@ -84,10 +84,6 @@ pub struct DifferentialHarness<D = TimeSsd> {
     /// Deep-check cadence in ops (0 = only explicit `Check` ops + final).
     check_every: usize,
     since_check: usize,
-    /// True while a TimeKits rollback runs: device writes the harness has
-    /// not yet mirrored are expected, so a power cut mid-rollback adopts
-    /// unknown flash heads instead of flagging phantoms.
-    in_rollback: bool,
 }
 
 /// What the oracle holds each [`Retention`] policy to. The only place the
@@ -148,7 +144,6 @@ impl<R: Guarantee> DifferentialHarness<Ftl<R>> {
             power_cuts: 0,
             check_every: 0,
             since_check: 0,
-            in_rollback: false,
         }
     }
 
@@ -436,99 +431,48 @@ impl DifferentialHarness<TimeSsd> {
         }
     }
 
-    /// TimeKits rollback of `[addr, addr+cnt)` to instant `t`, verified
-    /// page-by-page: each page must end at an acceptable as-of state.
+    /// `RollBack(addr, cnt, t)` through the harness's own [`SsdDevice`]
+    /// surface, as any host runs it: each restore is mirrored as it lands,
+    /// and a cut or fault inside one is [`issue`](Self::issue)'s. Then each
+    /// page of the span is held to the model — unless power was cut
+    /// meanwhile: an unflushed rollback trim may legally come back.
     fn roll_back(&mut self, addr: Lpa, cnt: u64, t: Nanos, now: Nanos) -> Result<()> {
-        self.in_rollback = true;
-        let outcome = TimeKits::new(self.dev()).roll_back(addr, cnt, t, now);
-        let answer = match outcome {
-            Ok(out) => {
-                self.clock = self.clock.max(out.finish);
-                for lpa in LpaSpan::clamped(addr, cnt, self.model.exported_pages()).iter() {
-                    self.sync_rolled_page(lpa, t);
-                }
-                Ok(())
+        let cuts = self.power_cuts;
+        almanac_kits::roll_back(self, addr, cnt, t, now)?;
+        if self.power_cuts == cuts {
+            for lpa in LpaSpan::clamped(addr, cnt, self.model.exported_pages()).iter() {
+                self.check_rolled_page(lpa, t, now);
             }
-            Err(AlmanacError::Flash(FlashError::PowerLoss)) => {
-                // Mid-rollback cut: some pages are already rewritten on
-                // flash. `power_cycle` adopts them from the scan.
-                self.power_cycle();
-                Ok(())
-            }
-            Err(e @ AlmanacError::DeviceStalled { .. }) => {
-                self.stalled = true;
-                Err(e)
-            }
-            // Anything else stopped part-way with pages already rewritten
-            // that nothing mirrors: every later divergence would mislead.
-            Err(e) => panic!("unexpected rollback error in differential run: {e}"),
-        };
-        self.in_rollback = false;
-        answer
+        }
+        Ok(())
     }
 
-    /// After a rollback, reconciles one page: the device must have landed
-    /// on an acceptable as-of version (newly written or already matching),
-    /// a trim (page absent at `t`), or nothing (no history at all).
-    fn sync_rolled_page(&mut self, lpa: Lpa, t: Nanos) {
+    /// One page after a rollback to `t` issued at `now`: its head is an
+    /// acceptable as-of answer left in place, or a fresh write (stamped at
+    /// or after `now`) of an acceptable version's bytes, or absent where no
+    /// version is obligated.
+    fn check_rolled_page(&mut self, lpa: Lpa, t: Nanos, now: Nanos) {
         let (acceptable, none_ok) = self.acceptable_as_of(lpa, t);
-        let chain = self.ssd().version_chain(lpa);
-        let mismatch = |detail: String| Divergence::RollbackMismatch {
+        let ps = self.page_size();
+        let restores = |bytes: &[u8]| {
+            acceptable
+                .iter()
+                .filter_map(|&ts| self.model.version_at(lpa, ts))
+                .any(|v| v.data.materialize(ps) == bytes)
+        };
+        let detail = match self.model.current(lpa) {
+            None if none_ok => return,
+            None => "page erased though an obligated version was live at t".into(),
+            Some(h) if acceptable.contains(&h.timestamp) => return,
+            Some(h) if h.timestamp >= now && restores(&h.data.materialize(ps)) => return,
+            Some(h) if h.timestamp >= now => "restored bytes match no version live at t".into(),
+            Some(h) => format!("head left at @{}, not an as-of answer for t", h.timestamp),
+        };
+        self.diverge(Divergence::RollbackMismatch {
             lpa,
             target: t,
             detail,
-        };
-        let Some(hts) = chain.first().filter(|v| v.is_head).map(|v| v.timestamp) else {
-            if let Some(at) = self.ssd().trimmed_at(lpa) {
-                // Erased because the page did not exist at `t`.
-                if !none_ok {
-                    let detail = "page erased though an obligated version was live at t";
-                    self.diverge(mismatch(detail.into()));
-                }
-                self.model.record_trim(lpa, at);
-            } else if self.model.current(lpa).is_some() && !none_ok {
-                self.diverge(mismatch("page vanished without a tombstone".into()));
-            }
-            return;
-        };
-        let ps = self.page_size();
-        let head_bytes = match self.ssd().version_content(lpa, hts) {
-            Ok(c) => c.materialize(ps),
-            Err(e) => {
-                self.diverge(mismatch(format!("post-rollback head unreadable: {e}")));
-                return;
-            }
-        };
-        if self.model.version_at(lpa, hts).is_some() {
-            // "Already matches" skip — only legal if the surviving head is
-            // itself an acceptable as-of answer.
-            if !acceptable.contains(&hts) {
-                let detail = format!("head left at @{hts}, not an as-of answer for t");
-                self.diverge(mismatch(detail));
-            }
-            return;
-        }
-        // A fresh rollback write. Its content must equal one of the
-        // acceptable as-of versions; mirror it in the model.
-        let source = acceptable
-            .iter()
-            .filter_map(|&ts| self.model.version_at(lpa, ts))
-            .find(|mv| mv.data.materialize(ps) == head_bytes)
-            .map(|mv| mv.data.clone());
-        match source {
-            Some(data) => {
-                if self.model.record_write(lpa, data, hts).is_err() {
-                    self.diverge(Divergence::ChainOrder {
-                        lpa,
-                        chain: chain.iter().map(|v| v.timestamp).collect(),
-                    });
-                }
-            }
-            None => {
-                let detail = "rewritten content matches no version live at t";
-                self.diverge(mismatch(detail.into()));
-            }
-        }
+        });
     }
 
     /// Cuts power (losing all RAM state), revives the flash, rebuilds the
@@ -556,7 +500,7 @@ impl DifferentialHarness<TimeSsd> {
         // journal record per LPA is the tombstone it will replay.
         let geo = self.config.geometry;
         let exported = self.config.exported_pages();
-        let mut heads: BTreeMap<Lpa, (Nanos, PageData)> = BTreeMap::new();
+        let mut heads: BTreeMap<Lpa, Nanos> = BTreeMap::new();
         let mut trims: BTreeMap<Lpa, Nanos> = BTreeMap::new();
         for block in 0..geo.total_blocks() {
             for off in 0..geo.pages_per_block {
@@ -571,32 +515,24 @@ impl DifferentialHarness<TimeSsd> {
                         }
                     }
                 } else if oob.lpa.0 < exported
-                    && heads
-                        .get(&oob.lpa)
-                        .is_none_or(|(ts, _)| *ts < oob.timestamp)
+                    && heads.get(&oob.lpa).is_none_or(|&ts| ts < oob.timestamp)
                 {
-                    heads.insert(oob.lpa, (oob.timestamp, data.clone()));
+                    heads.insert(oob.lpa, oob.timestamp);
                 }
             }
         }
         // A trim record beaten by a strictly newer durable write was
         // superseded; the device will not replay it.
-        trims.retain(|lpa, ts| heads.get(lpa).is_none_or(|(hts, _)| *hts <= *ts));
+        trims.retain(|lpa, ts| heads.get(lpa).is_none_or(|hts| hts <= ts));
 
-        // A head the model has never seen is a phantom — unless a TimeKits
-        // rollback was cut mid-flight, whose writes we mirror from flash.
-        for (&lpa, &(ts, ref data)) in &heads {
+        // A head the model has never seen is a phantom.
+        for (&lpa, &ts) in &heads {
             if self.model.version_at(lpa, ts).is_none() {
-                if self.in_rollback {
-                    let _ = self.model.record_write(lpa, data.clone(), ts);
-                } else {
-                    self.diverge(Divergence::PhantomVersion { lpa, ts });
-                }
+                self.diverge(Divergence::PhantomVersion { lpa, ts });
             }
         }
 
-        let head_ts: BTreeMap<Lpa, Nanos> = heads.iter().map(|(&l, &(ts, _))| (l, ts)).collect();
-        let lost = self.model.on_power_cut(&head_ts, &buffered, &trims);
+        let lost = self.model.on_power_cut(&heads, &buffered, &trims);
         for (lpa, ts) in lost {
             // A flush-barriered tombstone lives on flash until its filter
             // leaves the retention window, at which point the delta block

@@ -34,10 +34,10 @@
 //!    adversarial sequences the [`strategy`] module generates (hot/cold
 //!    skew, equal-timestamp bursts, trims, GC pressure, power cuts,
 //!    rollback storms, single-op injected faults) under configurations
-//!    that vary the partition width and turn the map cache on,
-//!    [`DifferentialHarness::apply`] on hand-written regressions — and,
-//!    since it implements `SsdDevice` itself, `trace::replay` with every
-//!    replayed read checked byte-for-byte.
+//!    that vary the partition width, [`DifferentialHarness::apply`] on
+//!    hand-written regressions — and, since it implements `SsdDevice`
+//!    itself, `trace::replay` with every replayed read checked
+//!    byte-for-byte.
 //! 2. [`lockstep_queue_run`] puts it under the NVMe queues:
 //!    `HostDriver<DifferentialHarness>` runs the ops across several queues,
 //!    so the model checks each command in the order the device executes

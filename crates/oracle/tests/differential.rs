@@ -5,11 +5,11 @@
 //!
 //! Every `run` ends with the whole-space query check, so the partition
 //! width is a configuration value here, not a second device: the GC-pressure
-//! suite runs at a ragged width of 3, the power-cut suite at 8, both with
-//! the map cache on, and the rollback storms at 64, where most partitions
-//! are empty. Wear levelling is a configuration value too: the wearing
-//! suite lowers `wl_spread_threshold` so the cold-to-old swap runs under the
-//! model on all three FTLs.
+//! suite runs at a ragged width of 3, the power-cut suite at 8, and the
+//! rollback storms at 64, where most partitions are empty. Wear levelling
+//! is a configuration value too: the wearing suite lowers
+//! `wl_spread_threshold` so the cold-to-old swap runs under the model on all
+//! three FTLs.
 //!
 //! The in-tree proptest runner is deterministic (seeded from the test
 //! path), so a CI failure here reproduces locally with no extra state.
@@ -50,13 +50,6 @@ fn wearing_cfg() -> SsdConfig {
 /// few milliseconds of virtual time instead of the 500 ms default.
 fn aging_cfg() -> SsdConfig {
     medium_cfg().with_tombstone_flush_deadline(2 * MS_NS)
-}
-
-/// Turns the translation-page cache on: its faults land in every
-/// completion time the stream sees.
-fn cached(mut cfg: SsdConfig) -> SsdConfig {
-    cfg.amt_cache_pages = Some(2);
-    cfg
 }
 
 fn almanac_bloom_cfg() -> almanac_bloom::ChainConfig {
@@ -198,14 +191,14 @@ proptest! {
     fn gc_pressure_matches_model(ops in almanac_oracle::strategy::gc_pressure(40, 260)) {
         // Stalls (retention pinning GC on a tiny device) are a measured
         // outcome; divergence is not.
-        let mut h = DifferentialHarness::new(cached(pressure_cfg().with_amt_shards(3)));
+        let mut h = DifferentialHarness::new(pressure_cfg().with_amt_shards(3));
         let report = h.run(&ops);
         proptest::prop_assert!(report.is_clean(), "{report}");
     }
 
     #[test]
     fn power_cuts_match_model(ops in almanac_oracle::strategy::power_cut_recovery(16, 140)) {
-        let mut h = DifferentialHarness::new(cached(medium_cfg().with_amt_shards(8)));
+        let mut h = DifferentialHarness::new(medium_cfg().with_amt_shards(8));
         let report = h.run(&ops);
         proptest::prop_assert!(report.is_clean(), "{report}");
     }

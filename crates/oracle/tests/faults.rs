@@ -108,3 +108,77 @@ fn injected_read_fault_is_reported_then_recovers() {
         h.divergences()
     );
 }
+
+/// A fixed stream dense in rollbacks, on 12 pages under GC pressure. Page
+/// `11 - k` is first written at op `20k`; in between, the stream rewrites,
+/// trims and probes the pages written so far, and rolls spans that start
+/// at the newest page back to just before it existed — so a rollback
+/// erases its first page and then restores older ones.
+fn rollback_stream() -> Vec<OracleOp> {
+    let gap = 20 * MS_NS;
+    (0u64..240)
+        .map(|i| {
+            let (newest, j) = (11 - i / 20, i % 20);
+            let lpa = newest + i * 5 % (12 - newest);
+            match j {
+                0 => OracleOp::Write { lpa: newest, gap },
+                _ if j % 4 == 3 => OracleOp::RollBack {
+                    lpa: newest,
+                    cnt: 2 + i % 3,
+                    back: (j + 1) * gap,
+                    gap,
+                },
+                _ if j % 4 == 1 => OracleOp::Trim { lpa, gap },
+                6 | 14 => OracleOp::AsOf {
+                    lpa,
+                    back: 7 * gap,
+                    gap,
+                },
+                _ => OracleOp::Write { lpa, gap },
+            }
+        })
+        .collect()
+}
+
+/// The golden run of [`rollback_stream`]: clean, and its flash traffic.
+fn golden_rollback_run() -> (Vec<OracleOp>, u64, u64) {
+    let ops = rollback_stream();
+    let mut h = DifferentialHarness::new(pressure_cfg());
+    let report = h.run(&ops);
+    assert!(report.is_clean(), "golden run diverged: {report}");
+    let s = h.stats();
+    let programs = s.user_programs + s.gc_programs + s.delta_programs + s.wl_programs;
+    (ops, programs, h.ssd().flash().ops_issued())
+}
+
+/// A program that fails inside a rollback's restore is a failed host
+/// write like any other: the rollback stops with the error, the pages it
+/// already restored are mirrored, and the pair stays in step. Every
+/// program index of the stream is tried, so the sweep lands on restores.
+#[test]
+fn program_faults_inside_rollbacks_stay_clean() {
+    let (ops, programs, _) = golden_rollback_run();
+    for nth in 0..programs {
+        let plan = FaultPlan::new(nth).with_program_fault(nth);
+        let mut h = DifferentialHarness::new(pressure_cfg().with_fault_plan(plan));
+        let report = h.run(&ops);
+        assert!(report.is_clean(), "program fault at {nth}: {report}");
+    }
+}
+
+/// A power cut can land inside a rollback's restore: the harness recovers
+/// and reissues that one restore, the rollback carries on over the revived
+/// device, and the page-by-page post-check is skipped — the page the
+/// rollback erased first may legally come back, its trim unflushed. A cut
+/// is tried at every flash op of the stream, and each one must fire.
+#[test]
+fn power_cuts_inside_rollbacks_stay_clean() {
+    let (ops, _, flash_ops) = golden_rollback_run();
+    for cut in 0..flash_ops {
+        let plan = FaultPlan::new(cut).with_power_cut_at(cut);
+        let mut h = DifferentialHarness::new(pressure_cfg().with_fault_plan(plan));
+        let report = h.run(&ops);
+        assert!(report.is_clean(), "power cut at op {cut}: {report}");
+        assert_eq!(h.power_cuts(), 1, "cut at op {cut} never fired");
+    }
+}

@@ -505,6 +505,18 @@ fn the_tree_keeps_every_source_rule() {
     assert!(problems.is_empty(), "\n{}", problems.join("\n"));
 }
 
+/// `SsdConfig::amt_cache_pages` is inert — its type admits only `None` —
+/// and stays only because the frozen benchmark's device builder asserts it.
+#[test]
+fn the_inert_cache_field_still_has_its_reader() {
+    let path = "benchmark/src/device.rs";
+    let src = fs::read_to_string(root().join(path)).expect("readable source file");
+    assert!(
+        blank(&src).contains("amt_cache_pages"),
+        "{path} no longer names `amt_cache_pages`: delete the inert field from `SsdConfig`"
+    );
+}
+
 /// The lines of `src`, the file at `path`, that break rule `name`.
 fn violations(name: &str, path: &str, src: &str) -> Vec<usize> {
     let hits = check(rule(name), path, src);
