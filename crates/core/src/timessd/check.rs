@@ -400,6 +400,89 @@ mod tests {
     }
 
     #[test]
+    fn a_data_link_into_a_dropped_filters_reused_block_reaches_the_delta_chain() {
+        use crate::ftl::Dest;
+        use crate::VersionLocation;
+        fn write(ssd: &mut TimeSsd, lpa: Lpa, now: &mut almanac_flash::Nanos) {
+            let data = PageData::Synthetic {
+                seed: lpa.0,
+                version: *now,
+            };
+            *now = ssd.write(lpa, data, *now).unwrap().finish + 1;
+        }
+        // One filter per invalidation, so each rewrite below opens its own
+        // time segment.
+        let bloom = almanac_bloom::ChainConfig {
+            capacity: 1,
+            ..Default::default()
+        };
+        let mut ssd = TimeSsd::new(SsdConfig::new(Geometry::medium_test()).with_bloom(bloom));
+        let geo = ssd.config.geometry;
+        let (lpa, other) = (Lpa(6), Lpa(100));
+        let mut now = SEC_NS;
+        // The version to be superseded, in a block that a block's worth of
+        // writes on every channel then closes.
+        write(&mut ssd, lpa, &mut now);
+        let old = ssd.head_of(lpa);
+        for i in 0..u64::from(geo.pages_per_block * geo.channels) {
+            write(&mut ssd, Lpa(other.0 + i), &mut now);
+        }
+        let reused = geo.block_of(old);
+        assert!(!ssd.alloc.is_active(reused));
+        // An older filter records `other`'s invalidation, a newer one
+        // `old`'s; GC compresses `old` into the newer filter's delta block.
+        let other_old = ssd.head_of(other);
+        write(&mut ssd, other, &mut now);
+        write(&mut ssd, lpa, &mut now);
+        let head = ssd.head_of(lpa);
+        now = ssd.compress_retained(old, now).unwrap();
+        let (delta, ts) = ssd.policy.imt.head(lpa).unwrap();
+        // GC cleans and erases `old`'s block. With only that block in the
+        // pool, it becomes the older filter's next delta block, and `old`'s
+        // address that filter's delta page.
+        for off in 0..ssd.bst.get(reused).written {
+            let ppa = geo.ppa(reused.0, off);
+            now = if ssd.pvt.get(ppa) {
+                ssd.migrate_valid(ppa, Dest::Cold, now).unwrap()
+            } else {
+                ssd.compress_retained(ppa, now).unwrap()
+            };
+        }
+        now = ssd.erase_block(reused, now).unwrap();
+        let mut pool = Vec::new();
+        while let Some(block) = ssd.alloc.alloc_block(None) {
+            pool.push(block);
+        }
+        pool.retain(|&b| b != reused);
+        ssd.alloc.release(reused);
+        now = ssd.compress_retained(other_old, now).unwrap();
+        pool.into_iter().for_each(|b| ssd.alloc.release(b));
+        ssd.flush(now).unwrap();
+        let older = ssd.policy.chain.infos()[0].id;
+        assert_eq!(ssd.bst.get(reused).kind, BlockKind::Delta(older));
+        assert!(matches!(
+            ssd.flash.peek(old),
+            Ok((PageData::DeltaPage(_), _))
+        ));
+
+        // The head's back-pointer names that page; the delta filed under the
+        // newer filter stays reachable after the older filter drops.
+        assert_eq!(ssd.flash.peek(head).unwrap().1.back_ptr, Some(old));
+        let chain = |ssd: &TimeSsd| -> Vec<_> { ssd.versions(lpa).map(|v| v.location).collect() };
+        let expected = [
+            VersionLocation::DataPage(head),
+            VersionLocation::DeltaPage(delta),
+        ];
+        assert_eq!(chain(&ssd), expected);
+        assert_eq!(ssd.policy.chain.drop_oldest().map(|f| f.id), Some(older));
+        ssd.policy.deltas.drop_filter(older);
+        assert_eq!(chain(&ssd), expected);
+        assert_eq!(ssd.version_as_of(lpa, ts).map(|v| v.timestamp), Some(ts));
+        let report = ssd.check_consistency();
+        assert!(report.is_clean(), "{:?}", report.violations);
+    }
+
+    #[test]
     fn detects_pre_barrier_volatile_buffer() {
         use almanac_flash::{DeltaBody, DeltaRecord};
         let mut ssd = TimeSsd::built();

@@ -7,11 +7,12 @@
 use std::borrow::Cow;
 
 use almanac_bloom::FilterId;
-use almanac_flash::{DeltaBody, DeltaRecord, Lpa, Nanos, Oob, PageData, Ppa};
+use almanac_flash::{DeltaBody, DeltaRecord, Lpa, Nanos, PageData, Ppa};
 
-use crate::error::Result;
+use crate::error::{AlmanacError, Result};
 use crate::tables::AmtEntry;
 
+use super::query::Link;
 use super::{TimeSsd, REF_ZEROS};
 
 /// Who initiated a compression pass — determines which statistics and
@@ -152,8 +153,7 @@ impl TimeSsd {
     ) -> Result<Nanos> {
         let lat = *self.flash.latency();
         // Resolve the reference (latest) version.
-        let entry = self.amt.get(lpa);
-        let (reference, ref_ts, walk_start) = match entry {
+        let (reference, ref_ts) = match self.amt.get(lpa) {
             AmtEntry::Mapped(head) => {
                 if !budget.charge(lat.read_total()) {
                     return Ok(t);
@@ -161,69 +161,67 @@ impl TimeSsd {
                 let (data, oob, rt) = self.flash.read(head, t)?;
                 t = rt;
                 self.note_read(cause);
-                (data, oob.timestamp, oob.back_ptr)
+                (data, oob.timestamp)
             }
-            AmtEntry::Trimmed(head, _) => (PageData::Zeros, REF_ZEROS, Some(head)),
+            AmtEntry::Trimmed(..) => (PageData::Zeros, REF_ZEROS),
             AmtEntry::Unmapped => return Ok(t),
         };
 
-        // Walk the data-page chain collecting retained uncompressed versions
-        // (newest first), verifying LPA and decreasing timestamps as §3.7.
-        let mut versions: Vec<(Ppa, Oob, PageData, FilterId)> = Vec::new();
-        let mut prev_ts = if ref_ts == REF_ZEROS {
-            Nanos::MAX
-        } else {
-            ref_ts
-        };
-        let mut cursor = walk_start;
-        while let Some(ppa) = cursor {
-            if self.policy.prt.get(ppa) {
-                break; // already compressed from here down
-            }
-            if !budget.charge(lat.read_total()) {
+        // Walk the data-page chain by the walk's own link rule, collecting
+        // retained uncompressed versions newest first. The PRT says "already
+        // compressed from here down" without a read; every other page a
+        // data link lands on is read, the one that ends the chain too.
+        let mut versions: Vec<(Ppa, Nanos, PageData, FilterId)> = Vec::new();
+        let (_, mut link) = self.chain_start(lpa);
+        let mut prev_ts = ref_ts;
+        while let Link::FromData(ppa) = link {
+            if self.policy.prt.get(ppa) || !budget.charge(lat.read_total()) {
                 break;
             }
-            let read = self.flash.read(ppa, t);
-            let Ok((data, oob, rt)) = read else {
-                break; // page erased or reused: chain end
+            let Ok((data, _, rt)) = self.flash.read(ppa, t) else {
+                break; // page erased, or a reserved delta buffer
             };
             t = rt;
             self.note_read(cause);
-            if oob.lpa != lpa || oob.timestamp >= prev_ts {
-                break; // chain broken: page was reused for something else
-            }
-            // One probe answers both "still retained?" and "which segment's
-            // delta block?" — nothing inserts into or drops from the chain
-            // before the deltas below are appended.
-            let Some(fid) = self.policy.chain.find(self.group_of(ppa)) else {
-                break; // expired tail: discarded lazily by GC
+            let (Some(version), next) = self.step(lpa, prev_ts, link) else {
+                break;
             };
-            prev_ts = oob.timestamp;
-            cursor = oob.back_ptr;
-            versions.push((ppa, oob, data, fid));
+            // The step found the page's group in a live filter; the newest
+            // such filter's delta block takes the version.
+            let fid = self
+                .policy
+                .chain
+                .find(self.group_of(ppa))
+                .ok_or(AlmanacError::Internal("retained page outside the chain"))?;
+            prev_ts = version.timestamp;
+            link = next;
+            versions.push((ppa, prev_ts, data, fid));
         }
         if versions.is_empty() {
             return Ok(t);
         }
 
         // The oldest new delta links to the existing delta chain if there is
-        // one, otherwise to whatever the oldest data version pointed at.
-        let oldest_back = versions.last().and_then(|(_, oob, ..)| oob.back_ptr);
-        let mut next_older: Option<Ppa> = self.policy.imt.head(lpa).map(|(p, _)| p).or(oldest_back);
+        // one, otherwise to where the data chain stopped.
+        let stopped = match link {
+            Link::FromData(ppa) => Some(ppa),
+            _ => None,
+        };
+        let mut next_older: Option<Ppa> = self.policy.imt.head(lpa).map(|(p, _)| p).or(stopped);
 
-        for (ppa, oob, data, fid) in versions.iter().rev() {
+        for (ppa, ts, data, fid) in versions.iter().rev() {
             if budget.exhausted() {
                 break;
             }
             if !budget.charge(lat.compress_ns) {
                 break;
             }
-            let (body, size) = self.make_delta(&reference, data, lpa, oob.timestamp);
+            let (body, size) = self.make_delta(&reference, data, lpa, *ts);
             t += lat.compress_ns;
             let record = DeltaRecord {
                 lpa,
                 back_ptr: next_older,
-                timestamp: oob.timestamp,
+                timestamp: *ts,
                 ref_timestamp: ref_ts,
                 body,
                 size,
@@ -242,7 +240,7 @@ impl TimeSsd {
             budget.charge(out.programs * self.flash.latency().program_total());
             next_older = Some(out.page);
             self.mark_reclaimable(*ppa);
-            self.policy.imt.set_head(lpa, out.page, oob.timestamp);
+            self.policy.imt.set_head(lpa, out.page, *ts);
         }
         Ok(t)
     }

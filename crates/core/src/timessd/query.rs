@@ -4,14 +4,30 @@
 //! Every LPA's history is a reverse chain: the valid head (from the AMT),
 //! then uncompressed invalid versions linked by OOB back-pointers (the *data
 //! page chain*), then compressed versions inside delta pages linked through
-//! the index mapping table (the *delta page chain*). Traversal is defensive
-//! exactly as the paper prescribes: each hop verifies the owning LPA and a
-//! strictly decreasing timestamp, so chains broken by GC or expiry terminate
-//! cleanly instead of returning wrong data.
+//! the index mapping table (the *delta page chain*). Every hop follows a
+//! [`Link`], and one step function, [`TimeSsd::step`], says what each link
+//! may land on:
+//!
+//! - A *data link* (an OOB back-pointer, or a trimmed head) must land on a
+//!   retained data page of the same LPA with a smaller timestamp. A page
+//!   the PRT marks compressed, or anything else (a delta page, live or
+//!   expired; an erased page; another LPA; a newer timestamp), ends the data
+//!   chain, and the walk continues once at the IMT head. An expired data
+//!   page ends the walk.
+//! - A *delta link* (a delta record's back-pointer, or the IMT head) may land
+//!   on a delta page holding a record of the LPA (a version, or a record that
+//!   only carries the chain on), or on a data page held to the rule above.
+//!   An expired delta page ends the walk only here. Any other miss goes to
+//!   the rebuild scan's repair index, strictly below the last version.
+//!
+//! So every hop checks the owning LPA and a strictly decreasing timestamp,
+//! as the paper prescribes, and a chain broken by GC, expiry or a reused
+//! block ends cleanly instead of returning wrong data or orphaning the delta
+//! chain.
 //!
 //! The walk is lazy. [`TimeSsd::versions`] yields one version per hop and
-//! keeps its cursor in between, so each query is a fold that stops as soon
-//! as its answer is complete: as-of at the first version at or before `t`, a
+//! keeps its link in between, so each query is a fold that stops as soon as
+//! its answer is complete: as-of at the first version at or before `t`, a
 //! window at its lower edge. Stopping early is exact because timestamps
 //! strictly decrease along a chain. [`TimeSsd::decode`] materialises a
 //! version from its location alone, re-checking that one hop instead of
@@ -65,6 +81,23 @@ pub struct VersionInfo {
 /// Hard bound on chain length walked per LPA, against pathological loops.
 const MAX_CHAIN: usize = 65_536;
 
+/// One link of a version chain: where the walk goes next, and by which half
+/// of the link rule ([`TimeSsd::step`]) its target is judged.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Link {
+    /// A data page's OOB back-pointer, or a trimmed head's page.
+    FromData(Ppa),
+    /// A delta record's back-pointer, or the IMT head.
+    FromDelta(Ppa),
+    /// The data chain ended: continue at the IMT head.
+    Imt,
+    /// A delta link missed: continue at the rebuild scan's newest record
+    /// strictly older than this (torn links of a rebuilt device).
+    Repair(Nanos),
+    /// The walk is over.
+    End,
+}
+
 /// What one hop of the walk landed on.
 enum Hop<'a> {
     /// A delta page, and whether it still sits in a RAM buffer.
@@ -76,159 +109,30 @@ enum Hop<'a> {
 }
 
 /// The lazy walk behind [`TimeSsd::versions`]: the §3.7 traversal with its
-/// cursor kept between versions.
+/// link kept between versions.
 struct Walk<'a> {
     ssd: &'a TimeSsd,
     lpa: Lpa,
-    /// The valid head, yielded first.
-    head: Option<VersionInfo>,
-    cursor: Option<Ppa>,
+    link: Link,
     /// Timestamp of the last version yielded (`Nanos::MAX` before the
     /// first): every later one is strictly older.
     min_ts: Nanos,
-    tried_imt: bool,
-    repair_below: Nanos,
     steps: usize,
-    /// The walk ended; `next` keeps returning `None`.
-    done: bool,
 }
 
 impl Iterator for Walk<'_> {
     type Item = VersionInfo;
 
     fn next(&mut self) -> Option<VersionInfo> {
-        if let Some(head) = self.head.take() {
-            return Some(head);
-        }
-        let ssd = self.ssd;
-        let lpa = self.lpa;
-        while !self.done {
+        while self.link != Link::End && self.steps < MAX_CHAIN {
             self.steps += 1;
-            if self.steps > MAX_CHAIN {
-                break;
-            }
-            let Some(ppa) = self.cursor else {
-                // Data chain ended; continue into the delta chain once.
-                if !self.tried_imt {
-                    self.tried_imt = true;
-                    // `<=`, not `<`: the newest compressed version can share
-                    // its timestamp with a still-present data-page head (GC
-                    // compresses the head before the old page is erased; a
-                    // power cut or a rebuild can freeze that state). The
-                    // in-page record filter is strict, so equality never
-                    // duplicates an entry — but skipping the jump would
-                    // orphan the whole delta chain.
-                    self.cursor = match ssd.policy.imt.head(lpa) {
-                        Some((page, newest)) if newest <= self.min_ts => Some(page),
-                        _ => None,
-                    };
-                    if self.cursor.is_some() {
-                        continue;
-                    }
-                }
-                // Torn-link repair (rebuilt devices only): a delta record's
-                // back-pointer may name a buffer page that was lost in the
-                // power cut, orphaning older on-flash records. Reconnect via
-                // the rebuild scan's index, strictly downward in timestamp so
-                // the walk always terminates.
-                let bound = self.min_ts.min(self.repair_below);
-                let next = ssd
-                    .policy
-                    .recovered_deltas
-                    .get(&lpa)
-                    .and_then(|list| list.iter().find(|(ts, _)| *ts < bound))
-                    .copied();
-                match next {
-                    Some((ts, page)) => {
-                        self.repair_below = ts;
-                        self.cursor = Some(page);
-                        continue;
-                    }
-                    None => break,
-                }
-            };
-
-            match ssd.hop(ppa) {
-                Hop::Delta(dp, buffered) => {
-                    if !buffered && !ssd.delta_block_live(ppa) {
-                        break; // expired segment
-                    }
-                    let best = dp
-                        .deltas
-                        .iter()
-                        .filter(|d| d.lpa == lpa && d.timestamp < self.min_ts && !d.is_trim())
-                        .max_by_key(|d| d.timestamp);
-                    let Some(rec) = best else {
-                        // No unseen version here, but the hop may still carry
-                        // the chain onward: the newest record for this LPA at
-                        // or before `min_ts` — a duplicate of a version
-                        // already emitted from a data page (GC compressed a
-                        // stale copy left by an aborted pass), or a trim
-                        // journal record (whose back-pointer names the
-                        // pre-trim head) — links to the older records.
-                        // Bailing instead would orphan every flushed delta
-                        // behind it.
-                        let carrier = dp
-                            .deltas
-                            .iter()
-                            .filter(|d| d.lpa == lpa && d.timestamp <= self.min_ts)
-                            .max_by_key(|d| d.timestamp);
-                        self.cursor = carrier.and_then(|c| c.back_ptr);
-                        if carrier.is_some() && self.cursor.is_none() {
-                            self.tried_imt = true; // the chain genuinely ends here
-                        }
-                        // A page with no record for this LPA at all is a
-                        // stale pointer (delta GC re-homed it, or — after a
-                        // rebuild — it predates a lost delta buffer): cursor
-                        // stays None and the walk falls back to the IMT head.
-                        continue;
-                    };
-                    self.min_ts = rec.timestamp;
-                    self.cursor = rec.back_ptr;
-                    if self.cursor.is_none() {
-                        // The delta chain itself ended.
-                        self.tried_imt = true;
-                    }
-                    return Some(VersionInfo {
-                        lpa,
-                        timestamp: rec.timestamp,
-                        location: if buffered {
-                            VersionLocation::BufferedDelta(ppa)
-                        } else {
-                            VersionLocation::DeltaPage(ppa)
-                        },
-                        is_head: false,
-                        chip: (!buffered).then(|| ssd.config.geometry.chip_of_ppa(ppa)),
-                    });
-                }
-                // Data page: verify ownership and ordering (§3.7).
-                Hop::Data(oob) => {
-                    if oob.lpa != lpa || oob.timestamp >= self.min_ts {
-                        self.cursor = None;
-                        continue; // broken link → try IMT
-                    }
-                    if ssd.policy.prt.get(ppa) {
-                        // Compressed copy exists; the delta chain covers it.
-                        self.cursor = None;
-                        continue;
-                    }
-                    if !ssd.policy.chain.contains(ssd.group_of(ppa)) {
-                        break; // expired tail
-                    }
-                    self.min_ts = oob.timestamp;
-                    self.cursor = oob.back_ptr;
-                    return Some(VersionInfo {
-                        lpa,
-                        timestamp: oob.timestamp,
-                        location: VersionLocation::DataPage(ppa),
-                        is_head: false,
-                        chip: Some(ssd.config.geometry.chip_of_ppa(ppa)),
-                    });
-                }
-                Hop::Gone => self.cursor = None, // erased/free → try IMT
+            let (version, next) = self.ssd.step(self.lpa, self.min_ts, self.link);
+            self.link = next;
+            if let Some(v) = version {
+                self.min_ts = v.timestamp;
+                return Some(v);
             }
         }
-        self.done = true;
         None
     }
 }
@@ -268,6 +172,136 @@ impl TimeSsd {
         }
     }
 
+    /// Where the walk of `lpa` begins: the valid head the AMT maps, if any,
+    /// and the first link. A mapped head links on through its OOB
+    /// back-pointer; a trimmed head is itself a data link. A rebuild may have
+    /// promoted a trimmed head to a delta page (`rebuild.rs`), and set the
+    /// IMT head to that same page, so the data link's miss lands there.
+    #[inline]
+    pub(crate) fn chain_start(&self, lpa: Lpa) -> (Option<VersionInfo>, Link) {
+        match self.amt.get(lpa) {
+            AmtEntry::Mapped(head) => match self.flash.peek(head) {
+                Ok((_, oob)) => {
+                    let head = VersionInfo {
+                        lpa,
+                        timestamp: oob.timestamp,
+                        location: VersionLocation::DataPage(head),
+                        is_head: true,
+                        chip: Some(self.config.geometry.chip_of_ppa(head)),
+                    };
+                    (Some(head), oob.back_ptr.map_or(Link::Imt, Link::FromData))
+                }
+                Err(_) => (None, Link::Imt),
+            },
+            AmtEntry::Trimmed(page, _) => (None, Link::FromData(page)),
+            AmtEntry::Unmapped => (None, Link::Imt),
+        }
+    }
+
+    /// One hop of the walk of `lpa` below `min_ts`: follows `link` to its
+    /// target and returns the version found there, if any, and the link to
+    /// follow next. This is the chain's one link rule (see the module docs);
+    /// the query walk and GC's data-chain walk both take every hop here.
+    #[inline]
+    pub(crate) fn step(&self, lpa: Lpa, min_ts: Nanos, link: Link) -> (Option<VersionInfo>, Link) {
+        // The target, and where the walk goes when the target breaks the link.
+        let (ppa, broken) = match link {
+            Link::FromData(ppa) => (ppa, Link::Imt),
+            Link::FromDelta(ppa) => (ppa, Link::Repair(min_ts)),
+            // `<=`, not `<`: the newest compressed version can share its
+            // timestamp with a still-present data-page head (GC compresses
+            // the head before the old page is erased; a power cut or a
+            // rebuild can freeze that state). The in-page record filter is
+            // strict, so equality never duplicates an entry — but skipping
+            // the jump would orphan the whole delta chain.
+            Link::Imt => {
+                let next = match self.policy.imt.head(lpa) {
+                    Some((page, newest)) if newest <= min_ts => Link::FromDelta(page),
+                    _ => Link::Repair(min_ts),
+                };
+                return (None, next);
+            }
+            // Torn-link repair (rebuilt devices only): a delta record's
+            // back-pointer may name a buffer page lost in the power cut,
+            // orphaning older on-flash records. Reconnect via the rebuild
+            // scan's index, strictly downward in timestamp so the walk
+            // always terminates.
+            Link::Repair(below) => {
+                let next = self
+                    .policy
+                    .recovered_deltas
+                    .get(&lpa)
+                    .and_then(|list| list.iter().find(|(ts, _)| *ts < below));
+                match next {
+                    Some(&(ts, page)) => (page, Link::Repair(ts)),
+                    None => return (None, Link::End),
+                }
+            }
+            Link::End => return (None, Link::End),
+        };
+        let chip = || Some(self.config.geometry.chip_of_ppa(ppa));
+        match self.hop(ppa) {
+            Hop::Data(oob)
+                if oob.lpa == lpa && oob.timestamp < min_ts && !self.policy.prt.get(ppa) =>
+            {
+                if !self.policy.chain.contains(self.group_of(ppa)) {
+                    return (None, Link::End); // expired tail
+                }
+                let version = VersionInfo {
+                    lpa,
+                    timestamp: oob.timestamp,
+                    location: VersionLocation::DataPage(ppa),
+                    is_head: false,
+                    chip: chip(),
+                };
+                let next = oob.back_ptr.map_or(Link::Imt, Link::FromData);
+                (Some(version), next)
+            }
+            // Only a delta link may land on a delta page.
+            Hop::Delta(dp, buffered) if !matches!(link, Link::FromData(_)) => {
+                if !buffered && !self.delta_block_live(ppa) {
+                    return (None, Link::End); // expired segment
+                }
+                let best = dp
+                    .deltas
+                    .iter()
+                    .filter(|d| d.lpa == lpa && d.timestamp < min_ts && !d.is_trim())
+                    .max_by_key(|d| d.timestamp);
+                if let Some(rec) = best {
+                    let version = VersionInfo {
+                        lpa,
+                        timestamp: rec.timestamp,
+                        location: if buffered {
+                            VersionLocation::BufferedDelta(ppa)
+                        } else {
+                            VersionLocation::DeltaPage(ppa)
+                        },
+                        is_head: false,
+                        chip: if buffered { None } else { chip() },
+                    };
+                    let next = rec
+                        .back_ptr
+                        .map_or(Link::Repair(rec.timestamp), Link::FromDelta);
+                    return (Some(version), next);
+                }
+                // No unseen version here, but the page may still carry the
+                // chain onward: the newest record for this LPA at or before
+                // `min_ts` — a duplicate of a version already yielded from a
+                // data page (GC compressed a stale copy left by an aborted
+                // pass), or a trim journal record (whose back-pointer names
+                // the pre-trim head) — links to the older records.
+                let carrier = dp
+                    .deltas
+                    .iter()
+                    .filter(|d| d.lpa == lpa && d.timestamp <= min_ts)
+                    .max_by_key(|d| d.timestamp);
+                let next = carrier.and_then(|c| c.back_ptr);
+                (None, next.map_or(broken, Link::FromDelta))
+            }
+            _ => (None, broken),
+        }
+    }
+
     /// Walks the retrievable version chain of `lpa` lazily, newest first.
     ///
     /// The valid head (if any) comes first with `is_head = true`; retained
@@ -275,35 +309,15 @@ impl TimeSsd {
     /// versions are excluded. Each `next` takes the walk one version further
     /// and no further, so stopping early costs only the hops taken.
     pub fn versions(&self, lpa: Lpa) -> impl Iterator<Item = VersionInfo> + '_ {
-        let mut walk = Walk {
+        let (head, link) = self.chain_start(lpa);
+        let walk = Walk {
             ssd: self,
             lpa,
-            head: None,
-            cursor: None,
-            min_ts: Nanos::MAX,
-            tried_imt: false,
-            repair_below: Nanos::MAX,
+            link,
+            min_ts: head.map_or(Nanos::MAX, |h| h.timestamp),
             steps: 0,
-            done: false,
         };
-        match self.amt.get(lpa) {
-            AmtEntry::Mapped(head) => {
-                if let Ok((_, oob)) = self.flash.peek(head) {
-                    walk.head = Some(VersionInfo {
-                        lpa,
-                        timestamp: oob.timestamp,
-                        location: VersionLocation::DataPage(head),
-                        is_head: true,
-                        chip: Some(self.config.geometry.chip_of_ppa(head)),
-                    });
-                    walk.min_ts = oob.timestamp;
-                    walk.cursor = oob.back_ptr;
-                }
-            }
-            AmtEntry::Trimmed(head, _) => walk.cursor = Some(head),
-            AmtEntry::Unmapped => {}
-        }
-        walk
+        head.into_iter().chain(walk)
     }
 
     /// Returns the full retrievable version chain of `lpa`, newest first:

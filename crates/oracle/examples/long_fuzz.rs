@@ -1,17 +1,19 @@
 //! Longer-horizon differential fuzz sweep: every strategy at several times
 //! seed scale, the flush-barrier, tombstone-aging and multi-queue suites,
-//! plus single-op fault injection — on its own and inside the rollback
-//! storms. Every harness run ends with the whole-space query check; the
-//! `trim` and `cut` suites rotate the partition width over 2, 3, 4 and 8
-//! with the case, so ragged widths stay under the model. Run locally or by
-//! the scheduled `long-fuzz` CI job.
+//! single-op fault injection — on its own and inside the rollback storms —
+//! and the steady-state stream that drops filters. Every harness run ends
+//! with the whole-space query check; the `trim` and `cut` suites rotate the
+//! partition width over 2, 3, 4 and 8 with the case, so ragged widths stay
+//! under the model. Run locally or by the scheduled `long-fuzz` CI job.
 //!
 //! Environment:
 //!
 //! - `LONG_FUZZ_SEED` — decimal seed mixed into every case's RNG, so the
 //!   nightly job explores a different deterministic slice each day (CI
 //!   derives it from the date). Default 0 reproduces the classic sweep.
-//! - `LONG_FUZZ_CASES` — cases per suite (default 32).
+//! - `LONG_FUZZ_CASES` — cases per suite (default 32); the `steady` suite
+//!   runs an eighth as many, its case `c` on stream seed
+//!   `LONG_FUZZ_SEED + c·2³²`.
 //! - `LONG_FUZZ_REPORT` — where to write the failure report consumed by the
 //!   CI artifact upload (default `long_fuzz_failure.txt`).
 //!
@@ -19,7 +21,7 @@
 //! and written to the report file, then the process exits non-zero — the
 //! report names everything needed to replay the case locally.
 
-use almanac_core::SsdConfig;
+use almanac_core::{SsdConfig, SsdReadOps};
 use almanac_flash::{FaultPlan, Geometry, MS_NS, SEC_NS};
 use almanac_oracle::{lockstep_queue_run, strategy, DifferentialHarness};
 use proptest::{Strategy, TestRng};
@@ -190,6 +192,24 @@ fn main() {
         }
         if !report.is_clean() {
             fail(&report_path, seed, "fault", case, &report.to_string());
+        }
+    }
+    // Steady state over most of a `medium_test` device with the default
+    // filters: long enough for GC to reuse data blocks as delta blocks of
+    // older filters and for the chain to drop filters, checked every 1000 ops.
+    for case in 0..cases / 8 {
+        let stream = seed.wrapping_add(u64::from(case) << 32);
+        let cfg = SsdConfig::new(Geometry::medium_test()).with_min_retention(SEC_NS);
+        let mut h = DifferentialHarness::new(cfg).with_check_every(1000);
+        let span = h.ssd().exported_pages() * 8 / 10;
+        let report = h.run(&strategy::steady_state_ops(span, stream, 40_000));
+        total += 1;
+        if h.is_stalled() {
+            stalls += 1;
+        }
+        if !report.is_clean() {
+            let report = format!("stream seed {stream}\n{report}");
+            fail(&report_path, seed, "steady", case, &report);
         }
     }
     println!("clean: {total} runs ({stalls} stalled), seed {seed}");

@@ -416,6 +416,39 @@ pub fn rollback_storm(domain: u64, ops: usize) -> BoxedStrategy<Vec<OracleOp>> {
     collection::vec(op, ops).boxed()
 }
 
+/// Steady-state traffic: `n` ops, three writes to one read, uniform over
+/// `span` pages, 1 ns – 2 ms apart with a 200 ms idle gap one time in 50.
+/// Over most of a `medium_test` device with the default filters, the
+/// stream runs long enough for GC to reuse data blocks as delta blocks and
+/// for the chain to drop filters.
+///
+/// A plain xorshift(13, 7, 17) stream from `seed` (0 is taken as 1), not a
+/// proptest strategy, so a run reproduces from `(span, seed, n)` alone.
+/// Each op draws its kind, its page, its gap and whether an idle gap is
+/// added, in that order.
+pub fn steady_state_ops(span: u64, seed: u64, n: usize) -> Vec<OracleOp> {
+    let mut x = seed.max(1);
+    let mut draw = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x
+    };
+    (0..n)
+        .map(|_| {
+            let read = draw() % 4 == 0;
+            let lpa = draw() % span;
+            let gap = 1 + draw() % (2 * MS_NS);
+            let gap = gap + if draw() % 50 == 0 { 200 * MS_NS } else { 0 };
+            if read {
+                OracleOp::Read { lpa, gap }
+            } else {
+                OracleOp::Write { lpa, gap }
+            }
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -150,6 +150,21 @@ const RULES: &[Rule] = &[
         allowed: &[("crates/nvme/src/controller.rs", "new")],
         design: "5f",
     },
+    // A version-chain hop follows a back-pointer only in the walk's one step
+    // function. The other sites build a link: the walk's first one from the
+    // head, a standalone delta's record, and the rebuild's trim replay.
+    Rule {
+        name: "one_chain_step",
+        files: &["crates/core/src/timessd"],
+        find: back_ptr_read,
+        allowed: &[
+            ("crates/core/src/timessd/query.rs", "chain_start"),
+            ("crates/core/src/timessd/query.rs", "step"),
+            ("crates/core/src/timessd/gc.rs", "compress_single"),
+            ("crates/core/src/timessd/rebuild.rs", "recover_from_flash"),
+        ],
+        design: "5g",
+    },
     // The flash array answers a bad address or a free page with a
     // `FlashError`, so no FTL input can make the array itself panic.
     Rule {
@@ -234,6 +249,18 @@ fn names_time_ssd(src: &str) -> Vec<usize> {
                 param.len() < b.len() && param.trim_end().ends_with(['<', ','])
             });
             whole && !default
+        })
+        .collect()
+}
+
+/// A read of a `.back_ptr` field.
+fn back_ptr_read(src: &str) -> Vec<usize> {
+    offsets(src, &[".back_ptr"])
+        .filter(|&i| {
+            !src[i + ".back_ptr".len()..]
+                .bytes()
+                .next()
+                .is_some_and(is_ident)
         })
         .collect()
 }
@@ -557,6 +584,8 @@ const PLANTED: &[(&str, &str, &str)] = &[
     ("one_host_path", "crates/nvme/src/driver.rs", "fn f() { let s = TimeSsd::new(cfg); }"),
     ("one_host_path", "crates/nvme/src/driver.rs", "type Dev = almanac_core::TimeSsd;"),
     ("one_host_path", "crates/nvme/src/driver.rs", "fn f(x: u8) -> bool { x == TimeSsd }"),
+    // A second chain walker in GC, following a page's back-pointer itself.
+    ("one_chain_step", "crates/core/src/timessd/gc.rs", "fn older(&self, oob: Oob) -> Option<Ppa> { oob.back_ptr }"),
     // The OOB of a page the state byte calls written, as `read` took it; a
     // block looked up by id.
     ("no_panic_in_flash", "crates/flash/src/array.rs", "fn read(&self) { let oob = page.oob.expect(\"written page always has OOB\"); }"),
@@ -580,7 +609,7 @@ fn planted_violations_fail() {
 fn comments_literals_and_inline_test_modules_pass() {
     let all = "bst.iter() blocks().iter() for p in 0..ppb {} info.written = 0 next_off unreserve \
                Lpa(a + 1) version_chain( version_content( amt_shards HashMap .expect( .unwrap( \
-               TimeSsd";
+               TimeSsd oob.back_ptr";
     let in_comments_and_literals = format!(
         "fn maintain() {{\n    // {all}\n    /* {all} /* nested */ {all} */\n    \
          let _ = (\"{all}\", r#\"{all}\"#, b\"\\\"{all}\");\n}}\n"
