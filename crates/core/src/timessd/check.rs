@@ -11,7 +11,7 @@
 
 use std::collections::HashSet;
 
-use almanac_flash::{DeltaPage, Lpa, PageData};
+use almanac_flash::{DeltaRecord, Lpa, PageData};
 
 use crate::check::{ConsistencyReport, Violation};
 use crate::tables::{AmtEntry, BlockKind};
@@ -46,7 +46,7 @@ impl TimeSsd {
                 let mut orphan = false;
                 for off in 0..info.written.min(geo.pages_per_block) {
                     match self.flash.peek(geo.ppa(block.0, off)) {
-                        Ok((PageData::DeltaPage(dp), _)) => note_trims(&mut journalled, dp),
+                        Ok((PageData::DeltaPage(dp), _)) => note_trims(&mut journalled, &dp.deltas),
                         Ok(_) => orphan = true,
                         Err(_) => {}
                     }
@@ -90,8 +90,8 @@ impl TimeSsd {
             // reachable: if the IMT's newest record physically survives in
             // a live delta page, the walk must surface that timestamp.
             if let Some((dpage, imt_ts)) = self.policy.imt.head(lpa) {
-                let present = self.live_delta_page(dpage).is_some_and(|dp| {
-                    dp.deltas
+                let present = self.live_delta_page(dpage).is_some_and(|records| {
+                    records
                         .iter()
                         .any(|d| d.lpa == lpa && d.timestamp == imt_ts && !d.is_trim())
                 });
@@ -111,8 +111,8 @@ impl TimeSsd {
         //    has moved past the trim instant, so an in-window tombstone
         //    without a record means the journal write was skipped — the trim
         //    would not survive a power cut, violating the crash contract.
-        for dp in self.policy.deltas.buffered_pages() {
-            note_trims(&mut journalled, dp);
+        for records in self.policy.deltas.buffered_pages() {
+            note_trims(&mut journalled, records);
         }
         let window_start = self.policy.chain.retention_start();
         for (lpa, entry) in self.amt.iter() {
@@ -155,8 +155,8 @@ impl TimeSsd {
 }
 
 /// Files the TRIM records of a delta page under `(lpa, trim instant)`.
-fn note_trims(journalled: &mut HashSet<(Lpa, u64)>, dp: &DeltaPage) {
-    for d in dp.deltas.iter().filter(|d| d.is_trim()) {
+fn note_trims(journalled: &mut HashSet<(Lpa, u64)>, records: &[DeltaRecord]) {
+    for d in records.iter().filter(|d| d.is_trim()) {
         journalled.insert((d.lpa, d.timestamp));
     }
 }

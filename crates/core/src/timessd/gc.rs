@@ -321,23 +321,16 @@ impl TimeSsd {
             self.mark_reclaimable(ppa);
             return Ok(t);
         };
-        let reference = match self.amt.get(oob.lpa).mapped() {
+        // The delta is encoded against the head's bytes, so it records the
+        // head's timestamp as its reference.
+        let (reference, ref_ts) = match self.amt.get(oob.lpa).mapped() {
             Some(head) => {
-                let (d, _, rt2) = self.flash.read(head, t)?;
+                let (d, head_oob, rt2) = self.flash.read(head, t)?;
                 t = rt2;
                 self.note_read(Cause::Gc);
-                d
+                (d, head_oob.timestamp)
             }
-            None => PageData::Zeros,
-        };
-        let ref_ts = match self.amt.get(oob.lpa).mapped() {
-            Some(_) => self
-                .policy
-                .imt
-                .head(oob.lpa)
-                .map(|(_, ts)| ts)
-                .unwrap_or(REF_ZEROS),
-            None => REF_ZEROS,
+            None => (PageData::Zeros, REF_ZEROS),
         };
         let (body, size) = self.make_delta(&reference, &data, oob.lpa, oob.timestamp);
         t += self.flash.latency().compress_ns;

@@ -33,7 +33,7 @@
 //! version from its location alone, re-checking that one hop instead of
 //! re-walking, so a query walks each chain once.
 
-use almanac_flash::{DeltaBody, DeltaPage, Lpa, Nanos, Oob, PageData, Ppa};
+use almanac_flash::{DeltaBody, DeltaRecord, Lpa, Nanos, Oob, PageData, Ppa};
 
 use crate::error::{AlmanacError, Result};
 use crate::tables::{AmtEntry, BlockKind};
@@ -100,8 +100,8 @@ pub(crate) enum Link {
 
 /// What one hop of the walk landed on.
 enum Hop<'a> {
-    /// A delta page, and whether it still sits in a RAM buffer.
-    Delta(&'a DeltaPage, bool),
+    /// A delta page's records, and whether they still sit in a RAM buffer.
+    Delta(&'a [DeltaRecord], bool),
     /// A data page, by its OOB.
     Data(Oob),
     /// A free or erased page.
@@ -142,13 +142,13 @@ impl TimeSsd {
     /// (firmware RAM) where flash has nothing.
     fn hop(&self, ppa: Ppa) -> Hop<'_> {
         match self.flash.peek(ppa) {
-            Ok((PageData::DeltaPage(dp), _)) => Hop::Delta(dp, false),
+            Ok((PageData::DeltaPage(dp), _)) => Hop::Delta(&dp.deltas, false),
             Ok((_, oob)) => Hop::Data(oob),
             // A buffer's reserved page stays free until the flush that
             // programs it also drops the buffer, so only a free page can be
             // buffered: a hop that lands on flash searches no buffer.
             Err(_) => match self.policy.deltas.buffered_page(ppa) {
-                Some(page) => Hop::Delta(page, true),
+                Some(records) => Hop::Delta(records, true),
                 None => Hop::Gone,
             },
         }
@@ -163,11 +163,13 @@ impl TimeSsd {
         }
     }
 
-    /// The delta page at `ppa` — buffered, or flushed under a live filter —
-    /// or `None` when it is gone or expired.
-    pub(crate) fn live_delta_page(&self, ppa: Ppa) -> Option<&DeltaPage> {
+    /// The records of the delta page at `ppa` — buffered, or flushed under
+    /// a live filter — or `None` when it is gone or expired.
+    pub(crate) fn live_delta_page(&self, ppa: Ppa) -> Option<&[DeltaRecord]> {
         match self.hop(ppa) {
-            Hop::Delta(dp, buffered) if buffered || self.delta_block_live(ppa) => Some(dp),
+            Hop::Delta(records, buffered) if buffered || self.delta_block_live(ppa) => {
+                Some(records)
+            }
             _ => None,
         }
     }
@@ -258,12 +260,11 @@ impl TimeSsd {
                 (Some(version), next)
             }
             // Only a delta link may land on a delta page.
-            Hop::Delta(dp, buffered) if !matches!(link, Link::FromData(_)) => {
+            Hop::Delta(records, buffered) if !matches!(link, Link::FromData(_)) => {
                 if !buffered && !self.delta_block_live(ppa) {
                     return (None, Link::End); // expired segment
                 }
-                let best = dp
-                    .deltas
+                let best = records
                     .iter()
                     .filter(|d| d.lpa == lpa && d.timestamp < min_ts && !d.is_trim())
                     .max_by_key(|d| d.timestamp);
@@ -290,8 +291,7 @@ impl TimeSsd {
                 // data page (GC compressed a stale copy left by an aborted
                 // pass), or a trim journal record (whose back-pointer names
                 // the pre-trim head) — links to the older records.
-                let carrier = dp
-                    .deltas
+                let carrier = records
                     .iter()
                     .filter(|d| d.lpa == lpa && d.timestamp <= min_ts)
                     .max_by_key(|d| d.timestamp);
@@ -399,9 +399,14 @@ impl TimeSsd {
                 Err(gone)
             };
         }
+        // Journal records are not versions and are never decoded.
         let rec = self
             .live_delta_page(v.location.ppa())
-            .and_then(|dp| dp.find(lpa, v.timestamp))
+            .and_then(|records| {
+                records
+                    .iter()
+                    .find(|d| d.lpa == lpa && d.timestamp == v.timestamp && !d.is_trim())
+            })
             .ok_or(gone)?;
         match &rec.body {
             DeltaBody::Synthetic { seed, version } => Ok(PageData::Synthetic {
@@ -409,7 +414,7 @@ impl TimeSsd {
                 version: *version,
             }),
             DeltaBody::Zeros => Ok(PageData::Zeros),
-            // Unreachable: `find` skips journal records.
+            // Unreachable: the search above skips journal records.
             DeltaBody::Trim => Err(AlmanacError::DecodeFailed(
                 "trim journal record is not a version",
             )),

@@ -198,6 +198,39 @@ fn rebuilt_trimmed_compressed_chain_keeps_equal_ts_boundary() {
     }
 }
 
+/// GC's standalone path: a retained page its chain no longer reaches is
+/// compressed on its own, against the head's bytes, and must decode back to
+/// its own bytes — so the delta records the head's timestamp as its
+/// reference.
+#[test]
+fn orphaned_page_compressed_standalone_decodes_to_its_bytes() {
+    let mut ssd = TimeSsd::new(medium_cfg());
+    let lpa = Lpa(5);
+    let page = ssd.geometry().page_size as usize;
+    let contents: Vec<PageData> = (1..=3u8).map(|i| PageData::bytes(vec![i; page])).collect();
+    let mut stamps = Vec::new();
+    let mut now = SEC_NS;
+    for c in &contents {
+        let done = ssd.write(lpa, c.clone(), now).unwrap();
+        stamps.push(done.start);
+        now = done.finish + SEC_NS;
+    }
+    let chain = ssd.version_chain(lpa);
+    let (middle, oldest) = (chain[1].location.ppa(), chain[2].location.ppa());
+    // Orphan the oldest version: the PRT now says the middle page and
+    // everything below it are compressed, so the data chain stops above it.
+    ssd.policy.prt.set(middle, true);
+    let compressions = ssd.stats().gc_compressions;
+    ssd.compress_retained(oldest, now).unwrap();
+    assert_eq!(ssd.stats().gc_compressions, compressions + 1);
+    assert!(ssd.policy.prt.get(oldest));
+    let decoded = ssd.version_content(lpa, stamps[0]).unwrap();
+    assert!(
+        decoded == contents[0],
+        "decoded against the wrong reference"
+    );
+}
+
 /// The strict-mode crash guarantee of the trim journal: with a watermark
 /// of 1, a bare trim (no flush, no GC, nothing else) followed immediately
 /// by a power cut stays trimmed, because `trim` programs its TRIM record

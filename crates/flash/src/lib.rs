@@ -49,5 +49,5 @@ pub use error::{FlashError, FlashResult};
 pub use fault::{FaultPlan, FlashOp, InjectedKind, OpFault};
 pub use geometry::Geometry;
 pub use latency::LatencyConfig;
-pub use page::{DeltaBody, DeltaPage, DeltaRecord, Oob, PageData};
+pub use page::{DeltaBody, DeltaPage, DeltaRecord, DeltaRecords, Oob, PageData};
 pub use stats::FlashStats;

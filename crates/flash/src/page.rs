@@ -1,5 +1,7 @@
 //! Page payloads, out-of-band metadata, and the on-flash delta-page format.
 
+use std::fmt;
+use std::ops::Deref;
 use std::sync::Arc;
 
 use crate::addr::{Lpa, Nanos, Ppa};
@@ -36,7 +38,7 @@ pub enum PageData {
     /// Real page bytes.
     Bytes(Arc<Vec<u8>>),
     /// A delta page: packed compressed old versions (see [`DeltaPage`]).
-    DeltaPage(Arc<DeltaPage>),
+    DeltaPage(DeltaPage),
 }
 
 impl PageData {
@@ -183,11 +185,13 @@ impl DeltaRecord {
 ///
 /// The header fields of the paper (number of deltas, byte offset of each
 /// delta, per-delta metadata) are represented structurally: `deltas.len()`,
-/// the cumulative `size` prefix sums, and the records themselves.
+/// the cumulative `size` prefix sums, and the records themselves. The page
+/// is one shared slice of records, so reading a delta off a page is the
+/// page slot, then the records.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct DeltaPage {
     /// Packed deltas, newest first.
-    pub deltas: Vec<DeltaRecord>,
+    pub deltas: DeltaRecords,
 }
 
 impl DeltaPage {
@@ -201,13 +205,42 @@ impl DeltaPage {
     pub fn header_bytes(n: usize) -> u32 {
         2 + (n as u32) * (2 + 4 + 4 + 8 + 8)
     }
+}
 
-    /// Finds the delta for `lpa` with the given timestamp. Trim tombstones
-    /// are journal entries, not versions, and are never returned.
-    pub fn find(&self, lpa: Lpa, timestamp: Nanos) -> Option<&DeltaRecord> {
-        self.deltas
-            .iter()
-            .find(|d| d.lpa == lpa && d.timestamp == timestamp && !d.is_trim())
+/// The records of one programmed delta page: one immutable, shared
+/// allocation. Cloning a page (a flash read, a device clone) shares it.
+///
+/// It reads as a `&[DeltaRecord]`, and its `Debug` is the plain list, so a
+/// page prints (and digests) as its records.
+#[derive(Clone, PartialEq, Eq, Default)]
+pub struct DeltaRecords(Arc<[DeltaRecord]>);
+
+impl Deref for DeltaRecords {
+    type Target = [DeltaRecord];
+
+    fn deref(&self) -> &[DeltaRecord] {
+        &self.0
+    }
+}
+
+impl<'a> IntoIterator for &'a DeltaRecords {
+    type Item = &'a DeltaRecord;
+    type IntoIter = std::slice::Iter<'a, DeltaRecord>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
+impl From<Vec<DeltaRecord>> for DeltaRecords {
+    fn from(records: Vec<DeltaRecord>) -> Self {
+        DeltaRecords(records.into())
+    }
+}
+
+impl fmt::Debug for DeltaRecords {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.fmt(f)
     }
 }
 
@@ -267,12 +300,24 @@ mod tests {
             size,
         };
         let page = DeltaPage {
-            deltas: vec![rec(10, 100), rec(5, 50)],
+            deltas: vec![rec(10, 100), rec(5, 50)].into(),
         };
         assert_eq!(page.used_bytes(), 150);
-        assert!(page.find(Lpa(1), 10).is_some());
-        assert!(page.find(Lpa(1), 11).is_none());
-        assert!(page.find(Lpa(2), 10).is_none());
+        assert_eq!(page.deltas.len(), 2);
+    }
+
+    #[test]
+    fn delta_page_debugs_as_its_record_list() {
+        // The flash state digest hashes this text: a page must print
+        // exactly as the record list it holds.
+        let rec = DeltaRecord::trim(Lpa(3), Ppa(9), 40);
+        let page = PageData::DeltaPage(DeltaPage {
+            deltas: vec![rec.clone()].into(),
+        });
+        assert_eq!(
+            format!("{page:?}"),
+            format!("DeltaPage(DeltaPage {{ deltas: {:?} }})", vec![rec]),
+        );
     }
 
     #[test]

@@ -5,8 +5,6 @@
 //! page's chip is pinned too) as the per-block store it replaced. The
 //! constants were computed on that store.
 
-use std::sync::Arc;
-
 use almanac_flash::{
     BlockId, DeltaBody, DeltaPage, DeltaRecord, FaultPlan, FlashArray, FlashError, Geometry,
     LatencyConfig, Lpa, Oob, PageData, PageState, Ppa,
@@ -46,7 +44,7 @@ fn payload(script: &mut Script, ppa: Ppa) -> PageData {
             version: script.next(1000),
         },
         2 => PageData::bytes(vec![script.next(256) as u8; script.next(40) as usize]),
-        _ => PageData::DeltaPage(Arc::new(DeltaPage {
+        _ => PageData::DeltaPage(DeltaPage {
             deltas: vec![DeltaRecord {
                 lpa: Lpa(script.next(64)),
                 back_ptr: Some(Ppa(script.next(64))),
@@ -54,8 +52,9 @@ fn payload(script: &mut Script, ppa: Ppa) -> PageData {
                 ref_timestamp: 7,
                 body: DeltaBody::Bytes(vec![1, 2, 3]),
                 size: 3,
-            }],
-        })),
+            }]
+            .into(),
+        }),
     }
 }
 

@@ -3,7 +3,7 @@
 
 use almanac_core::{SsdConfig, SsdDevice, SsdReadOps, TimeSsd};
 use almanac_flash::{Geometry, Lpa, PageData, SEC_NS};
-use almanac_kits::{AddrQuery, TimeKits};
+use almanac_kits::{AddrQuery, AddrQueryOutcome, TimeKits};
 use proptest::prelude::*;
 
 /// Per-LPA reference log: `(lpa, [(timestamp, version tag)])`.
@@ -132,7 +132,8 @@ proptest! {
     ) {
         // Sharding the AMT is pure partitioning: the same history must
         // answer every query mode byte-identically — hits AND merged cost —
-        // for any shard count and any worker count.
+        // for any shard count and any worker count, and at each shard count
+        // every shard's own cost must not depend on the worker count.
         let baseline = build_history_sharded(&writes, 1).0;
         let (lo, hi) = (t1.min(t2), t1.max(t2));
         let reference: Vec<_> = [
@@ -142,6 +143,7 @@ proptest! {
         ].into_iter().collect();
         for shards in [2u32, 4, 8] {
             let ssd = build_history_sharded(&writes, shards).0;
+            let mut serial: Option<[AddrQueryOutcome; 3]> = None;
             for threads in [1u32, 3, 8] {
                 let view = &ssd;
                 let outs = [
@@ -152,6 +154,20 @@ proptest! {
                 for (r, o) in reference.iter().zip(outs.iter()) {
                     prop_assert_eq!(&r.hits, &o.hits, "hits diverged: {} shards, {} threads", shards, threads);
                     prop_assert_eq!(&r.cost, &o.cost, "cost diverged: {} shards, {} threads", shards, threads);
+                    prop_assert_eq!(o.shard_costs.len(), shards as usize);
+                }
+                match &serial {
+                    None => serial = Some(outs),
+                    Some(one) => {
+                        for (r, o) in one.iter().zip(outs.iter()) {
+                            for (shard, (a, b)) in r.shard_costs.iter().zip(&o.shard_costs).enumerate() {
+                                prop_assert_eq!(
+                                    a, b,
+                                    "shard {} cost diverged: {} shards, {} threads", shard, shards, threads
+                                );
+                            }
+                        }
+                    }
                 }
             }
         }

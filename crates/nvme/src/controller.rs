@@ -718,6 +718,53 @@ mod tests {
         );
     }
 
+    /// A Flush starts once its queue drains, and a command behind a Flush
+    /// starts once the Flush posts: the device sees exactly what it would
+    /// had the host waited for those CQEs before submitting — the same
+    /// start instants, so the same completions, the same Flush result
+    /// dword and the same device statistics.
+    #[test]
+    fn fenced_commands_start_as_if_the_host_waited() {
+        let write = |cid: u16| {
+            let e = io(NvmeOpcode::Write, cid, u64::from(cid), 1);
+            (e, vec![vec![cid as u8; 8]])
+        };
+        let flush = || (SubmissionEntry::new(NvmeOpcode::Flush, 10), Vec::new());
+        let posted = |c: &mut NvmeController, q| -> Vec<_> {
+            std::iter::from_fn(|| c.pop_completion(q))
+                .map(|done| (done.cqe.cid, done.cqe.status, done.cqe.result, done.finish))
+                .collect()
+        };
+
+        // Everything submitted at once: only the fences hold commands back.
+        let mut fenced = controller();
+        let fq = fenced.create_io_queue(8);
+        for (e, payload) in [write(1), write(2), write(3), flush(), write(11)] {
+            assert!(fenced.submit_to(fq, e, payload));
+        }
+        fenced.run_to_completion(SEC_NS);
+
+        // The host submits each group once the one before it has completed.
+        let mut waited = controller();
+        let wq = waited.create_io_queue(8);
+        let mut now = SEC_NS;
+        for group in [
+            vec![write(1), write(2), write(3)],
+            vec![flush()],
+            vec![write(11)],
+        ] {
+            for (e, payload) in group {
+                assert!(waited.submit_to(wq, e, payload));
+            }
+            now = waited.run_to_completion(now);
+        }
+
+        let order = posted(&mut fenced, fq);
+        assert_eq!(order.len(), 5);
+        assert_eq!(order, posted(&mut waited, wq));
+        assert_eq!(fenced.ssd().stats(), waited.ssd().stats());
+    }
+
     #[test]
     fn queues_complete_out_of_order() {
         // A slow multi-page write on one queue and a cheap read of an
