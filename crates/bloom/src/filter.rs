@@ -25,6 +25,8 @@ pub struct BloomFilter {
     count: u64,
 }
 
+// `almanac_flash::fnv1a` unrolled for one key: this crate depends on
+// nothing, and the hash runs on every probe.
 fn fnv1a(key: u64) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in key.to_le_bytes() {

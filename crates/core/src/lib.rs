@@ -15,6 +15,14 @@
 //! [`Retention`] policy for invalid pages; it implements the [`SsdDevice`]
 //! trait over the deterministic flash simulator in [`almanac_flash`].
 //!
+//! The device also answers the paper's Table-1 queries itself, as its
+//! firmware does behind the vendor commands of §4: the [`AddrQuery`]
+//! builder and [`time_scan`] run on one shard-parallel scan engine over a
+//! `&TimeSsd` and charge a [`QueryCost`], [`snapshot_at`] reconstructs pages
+//! as of a time, and [`roll_back_set`] (with [`roll_back`] and
+//! [`roll_back_all`]) restores LPAs through any [`SsdDevice`] with a read
+//! view. The host toolkit, TimeKits, is a library over these.
+//!
 //! # Examples
 //!
 //! ```
@@ -55,7 +63,10 @@ pub use ftl::{Ftl, HostOp, Retention};
 pub use regular::{Discard, RegularSsd};
 pub use stats::{DeviceStats, LatencyAcc};
 pub use tables::{AmtEntry, ShardedAmt};
+pub use timessd::engine::QueryCost;
 pub use timessd::query::{SsdReadView, VersionInfo, VersionLocation};
+pub use timessd::table1::{roll_back, roll_back_all, roll_back_set, snapshot_at, time_scan};
+pub use timessd::table1::{AddrQuery, AddrQueryOutcome, QueryHit, RollbackOutcome, TimeQueryHit};
 pub use timessd::{TimeSsd, TimeTravel, REF_ZEROS};
 
 // Query workers share `&TimeSsd` across scoped threads with no lock around

@@ -1,20 +1,109 @@
-//! The one scan engine behind every Table-1 query: split the requested LPA
-//! span (an [`LpaSpan`], clamped to the exported space where the query is
-//! built) into `amt_shards` strided partitions ("shards": `lpa % width`),
-//! walk them on scoped workers, merge deterministically.
+//! The one scan engine behind every Table-1 query, and the virtual cost it
+//! charges.
 //!
-//! A shard is a unit of the query *schedule*, nothing more: the device's
-//! AMT and IMT are flat tables, and this file holds the only
-//! `lpa % width` in the workspace.
+//! [`scan`] splits the requested LPA span (an [`LpaSpan`], clamped to the
+//! exported space where the query is built) into `amt_shards` strided
+//! partitions ("shards": `lpa % width`), walks them on scoped workers, and
+//! merges deterministically. A shard is a unit of the query *schedule*,
+//! nothing more: the device's AMT and IMT are flat tables, and this file
+//! holds the only `lpa % width` in the workspace.
 //!
 //! Workers hold only a `&TimeSsd`, so any number of them can walk version
 //! chains at once while no `&mut` command can run; that exclusion comes
 //! from the borrow checker, not from a lock.
+//!
+//! Query work is a bag of flash reads (each pinned to the chip holding the
+//! page) plus firmware CPU work (delta decompression), kept in a
+//! [`QueryCost`]. The per-chip read queues are scheduled onto `threads`
+//! workers round-robin; the reported latency is the makespan — which is how
+//! the paper's queries get faster with more threads (Figure 11) while a
+//! single chip's queue bounds the speedup.
 
-use almanac_core::TimeSsd;
-use almanac_flash::{Lpa, LpaSpan};
+use almanac_flash::{Lpa, LpaSpan, Nanos};
 
-use crate::cost::QueryCost;
+use super::TimeSsd;
+
+/// Accumulated virtual cost of one query.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct QueryCost {
+    per_chip: Vec<Nanos>,
+    cpu: Nanos,
+    /// Flash reads issued.
+    pub flash_reads: u64,
+    /// Deltas decompressed.
+    pub decompressions: u64,
+}
+
+impl QueryCost {
+    /// Empty cost over `chips` flash chips.
+    pub fn new(chips: u32) -> Self {
+        QueryCost {
+            per_chip: vec![0; chips as usize],
+            cpu: 0,
+            flash_reads: 0,
+            decompressions: 0,
+        }
+    }
+
+    /// Charges one flash read of `cost` to `chip`.
+    pub fn charge_read(&mut self, chip: u32, cost: Nanos) {
+        self.per_chip[chip as usize] += cost;
+        self.flash_reads += 1;
+    }
+
+    /// Charges CPU work (decompression, verification).
+    pub fn charge_cpu(&mut self, cost: Nanos) {
+        self.cpu += cost;
+    }
+
+    /// Notes one decompression (the CPU cost is charged separately).
+    pub fn note_decompression(&mut self) {
+        self.decompressions += 1;
+    }
+
+    /// Merges another cost (e.g. from a parallel worker).
+    pub fn merge(&mut self, other: &QueryCost) {
+        for (a, b) in self.per_chip.iter_mut().zip(&other.per_chip) {
+            *a += b;
+        }
+        self.cpu += other.cpu;
+        self.flash_reads += other.flash_reads;
+        self.decompressions += other.decompressions;
+    }
+
+    /// Query latency with `threads` host workers: chips are dealt to the
+    /// workers round-robin; a worker's time is the sum of its chips' queues;
+    /// the makespan is the worst worker.
+    ///
+    /// CPU work (decompression) only exists where flash reads produced
+    /// deltas, so it is distributed over the *loaded* workers — ceiling
+    /// shares first, the remainder nanoseconds one per worker — never
+    /// spread onto idle workers and never rounded down to zero.
+    pub fn makespan(&self, threads: u32) -> Nanos {
+        let threads = threads.max(1) as usize;
+        let mut workers = vec![0u64; threads];
+        for (chip, &cost) in self.per_chip.iter().enumerate() {
+            workers[chip % threads] += cost;
+        }
+        if self.cpu > 0 {
+            let loaded: Vec<usize> = (0..threads).filter(|&w| workers[w] > 0).collect();
+            // A pure-CPU query (no chip work at all) still runs somewhere:
+            // fall back to all workers.
+            let targets: Vec<usize> = if loaded.is_empty() {
+                (0..threads).collect()
+            } else {
+                loaded
+            };
+            let n = targets.len() as u64;
+            let share = self.cpu / n;
+            let remainder = (self.cpu % n) as usize;
+            for (i, &w) in targets.iter().enumerate() {
+                workers[w] += share + u64::from(i < remainder);
+            }
+        }
+        workers.into_iter().max().unwrap_or(0)
+    }
+}
 
 /// Hits sorted by LPA, their total cost, and the per-shard costs.
 pub(crate) type Scan<H> = (Vec<H>, QueryCost, Vec<QueryCost>);
@@ -110,10 +199,10 @@ mod tests {
     use std::sync::Mutex;
     use std::thread::ThreadId;
 
-    use almanac_core::{SsdConfig, SsdReadOps};
     use almanac_flash::Geometry;
 
     use super::*;
+    use crate::{SsdConfig, SsdReadOps};
 
     const WIDTH: u32 = 8;
 
@@ -204,5 +293,89 @@ mod tests {
             assert!(!seen.contains(&26), "shard 2 went on past its error");
             assert!(seen.contains(&63), "shard 7 stopped with shard 2");
         }
+    }
+
+    #[test]
+    fn makespan_single_thread_sums_everything() {
+        let mut c = QueryCost::new(4);
+        c.charge_read(0, 10);
+        c.charge_read(1, 20);
+        c.charge_cpu(5);
+        assert_eq!(c.makespan(1), 35);
+    }
+
+    #[test]
+    fn makespan_shrinks_with_threads() {
+        let mut c = QueryCost::new(4);
+        for chip in 0..4 {
+            c.charge_read(chip, 100);
+        }
+        assert_eq!(c.makespan(1), 400);
+        assert_eq!(c.makespan(2), 200);
+        assert_eq!(c.makespan(4), 100);
+    }
+
+    #[test]
+    fn single_chip_bounds_speedup() {
+        let mut c = QueryCost::new(4);
+        c.charge_read(2, 100);
+        c.charge_read(2, 100);
+        assert_eq!(c.makespan(8), 200);
+    }
+
+    #[test]
+    fn cpu_cost_survives_when_smaller_than_thread_count() {
+        // Regression: with `cpu < threads`, the old even split computed
+        // `cpu / threads == 0` and the decompression cost vanished.
+        let threads = 4u32;
+        let mut c = QueryCost::new(4);
+        c.charge_read(0, 100);
+        c.charge_cpu(threads as u64 - 1); // cpu = threads - 1 = 3
+        assert_eq!(c.makespan(threads), 103);
+        assert_eq!(c.makespan(1), 103);
+    }
+
+    #[test]
+    fn cpu_cost_lands_on_loaded_workers_only() {
+        // One loaded chip, many idle workers: the idle workers must not
+        // absorb (and thereby hide) CPU time, and the loaded worker pays
+        // all of it.
+        let mut c = QueryCost::new(8);
+        c.charge_read(3, 50);
+        c.charge_cpu(40);
+        assert_eq!(c.makespan(8), 90);
+    }
+
+    #[test]
+    fn cpu_remainder_is_distributed_one_ns_per_worker() {
+        // Two loaded workers, cpu = 5 → shares 3 and 2, not 2 and 2.
+        let mut c = QueryCost::new(2);
+        c.charge_read(0, 100);
+        c.charge_read(1, 100);
+        c.charge_cpu(5);
+        assert_eq!(c.makespan(2), 103);
+        // Total work is conserved under one thread.
+        assert_eq!(c.makespan(1), 205);
+    }
+
+    #[test]
+    fn pure_cpu_query_still_costs() {
+        let mut c = QueryCost::new(4);
+        c.charge_cpu(9);
+        assert_eq!(c.makespan(4), 3); // ceil(9 / 4) on the busiest worker
+        assert_eq!(c.makespan(1), 9);
+    }
+
+    #[test]
+    fn merge_accumulates() {
+        let mut a = QueryCost::new(2);
+        a.charge_read(0, 10);
+        let mut b = QueryCost::new(2);
+        b.charge_read(1, 30);
+        b.note_decompression();
+        a.merge(&b);
+        assert_eq!(a.flash_reads, 2);
+        assert_eq!(a.decompressions, 1);
+        assert_eq!(a.makespan(1), 40);
     }
 }

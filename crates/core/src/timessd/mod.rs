@@ -14,15 +14,20 @@
 //!   compresses retained ones instead of migrating them ([`gc`], §3.8);
 //! - Equation 1 monitors GC overhead and shrinks the retention window when
 //!   it exceeds 20% of a page-write cost, never below the three-day
-//!   guarantee ([`retention`]).
+//!   guarantee ([`retention`]);
+//! - the Table-1 queries and rollback run on the device: one shard-parallel
+//!   scan engine and its cost model ([`engine`]) under the query and
+//!   rollback bodies ([`table1`], §3.9 and §4).
 
 mod check;
 pub mod deltas;
+pub mod engine;
 pub mod gc;
 pub mod idle;
 pub mod query;
 pub mod rebuild;
 pub mod retention;
+pub mod table1;
 
 #[cfg(test)]
 mod tests;

@@ -74,7 +74,7 @@ pub struct VersionInfo {
     /// True for the current valid version.
     pub is_head: bool,
     /// Chip a flash read for this version lands on (`None` for buffered
-    /// deltas) — used by TimeKits for channel-parallel query scheduling.
+    /// deltas) — used by the query engine for channel-parallel scheduling.
     pub chip: Option<u32>,
 }
 

@@ -1,24 +1,68 @@
-//! The unified address-query builder.
+//! The Table-1 query and rollback bodies the device answers its vendor
+//! commands with (§3.9, §4).
 //!
-//! `AddrQuery`, `AddrQueryRange`, and `AddrQueryAll` (Table 1) are the same
-//! traversal with three version filters; this module collapses them into one
-//! builder so there is a single dispatch point for the parallel read path.
-//! The traversal itself is a per-LPA closure over the crate's shard-aligned
-//! scan engine (`engine::scan`), which fans the clamped LPA span across the
-//! device's `amt_shards` partitions ("shards") on scoped threads and merges
-//! per-shard hits and [`QueryCost`]s deterministically.
+//! `AddrQuery`, `AddrQueryRange`, and `AddrQueryAll` are the same traversal
+//! with three version filters, so one builder, [`AddrQuery`], is the single
+//! dispatch point for them; the time queries are [`time_scan`]. Both are
+//! per-LPA closures over the shard-aligned scan engine (`engine::scan`),
+//! which fans the clamped LPA span across the device's `amt_shards`
+//! partitions ("shards") on scoped threads and merges per-shard hits and
+//! [`QueryCost`]s deterministically.
 //!
 //! Each LPA's chain is walked once: the closure folds over the device's lazy
 //! walk (`versions`, `version_as_of`, `versions_in`), which stops where the
-//! mode's answer is complete, and `fetch` materialises each yielded version
-//! with `TimeSsd::decode` from its location, never by walking again.
+//! answer is complete, and `fetch` materialises each yielded version with
+//! `TimeSsd::decode` from its location, never by walking again.
+//!
+//! Rollback is one body, [`roll_back_set`], over any `SsdDevice` with a read
+//! view, with [`roll_back`] and [`roll_back_all`] choosing its LPAs: the
+//! NVMe controller and the oracle run them on their device, the host
+//! toolkit on its TimeSSD.
 
-use almanac_core::{Result, SsdReadOps, TimeSsd, VersionInfo};
-use almanac_flash::{Lpa, LpaSpan, Nanos};
+use std::convert::Infallible;
 
-use crate::cost::QueryCost;
-use crate::engine;
-use crate::kits::QueryHit;
+use almanac_flash::{Lpa, LpaSpan, Nanos, PageData};
+
+use super::engine::{self, QueryCost};
+use super::query::{VersionInfo, VersionLocation};
+use super::TimeSsd;
+use crate::device::{SsdDevice, SsdReadOps};
+use crate::error::{AlmanacError, Result};
+
+/// One version returned by an address-based query.
+#[derive(Debug, Clone, PartialEq)]
+pub struct QueryHit {
+    /// The logical page.
+    pub lpa: Lpa,
+    /// When this version was written.
+    pub timestamp: Nanos,
+    /// The reconstructed content.
+    pub data: PageData,
+}
+
+/// One LPA returned by a time-based query.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TimeQueryHit {
+    /// The logical page.
+    pub lpa: Lpa,
+    /// Write timestamps inside the queried window, newest first.
+    pub timestamps: Vec<Nanos>,
+}
+
+/// Result of a rollback.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RollbackOutcome {
+    /// `(lpa, restored version timestamp)` pairs actually rolled back.
+    pub restored: Vec<(Lpa, Nanos)>,
+    /// LPAs trimmed because they did not exist at the target time.
+    pub erased: Vec<Lpa>,
+    /// LPAs left untouched (no history and nothing to undo).
+    pub skipped: Vec<Lpa>,
+    /// Retrieval cost of the rollback reads.
+    pub cost: QueryCost,
+    /// Completion time of the last rollback write.
+    pub finish: Nanos,
+}
 
 /// Which versions of each LPA the query returns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,12 +78,12 @@ enum Mode {
 /// Charges the retrieval cost of one version: a flash read on its chip,
 /// plus (for deltas) the reference read and the decompression CPU time —
 /// the overhead Figure 10 attributes to TimeSSD.
-pub(crate) fn charge_version(ssd: &TimeSsd, v: &VersionInfo, cost: &mut QueryCost) {
+fn charge_version(ssd: &TimeSsd, v: &VersionInfo, cost: &mut QueryCost) {
     let lat = ssd.flash().latency();
     if let Some(chip) = v.chip {
         cost.charge_read(chip, lat.read_total());
     }
-    if !matches!(v.location, almanac_core::VersionLocation::DataPage(_)) {
+    if !matches!(v.location, VersionLocation::DataPage(_)) {
         if let Some(chip) = v.chip {
             cost.charge_read(chip, lat.read_total());
         }
@@ -50,7 +94,7 @@ pub(crate) fn charge_version(ssd: &TimeSsd, v: &VersionInfo, cost: &mut QueryCos
 
 /// Charges and materialises one version the walk yielded, without walking
 /// again.
-pub(crate) fn fetch(ssd: &TimeSsd, v: &VersionInfo, cost: &mut QueryCost) -> Result<QueryHit> {
+fn fetch(ssd: &TimeSsd, v: &VersionInfo, cost: &mut QueryCost) -> Result<QueryHit> {
     charge_version(ssd, v, cost);
     let data = ssd.decode(v)?;
     Ok(QueryHit {
@@ -105,9 +149,8 @@ impl AddrQueryOutcome {
 /// # Examples
 ///
 /// ```
-/// use almanac_core::{SsdConfig, SsdDevice, TimeSsd};
+/// use almanac_core::{AddrQuery, SsdConfig, SsdDevice, TimeSsd};
 /// use almanac_flash::{Geometry, Lpa, PageData, SEC_NS};
-/// use almanac_kits::AddrQuery;
 ///
 /// let mut ssd = TimeSsd::new(SsdConfig::new(Geometry::small_test()));
 /// ssd.write(Lpa(0), PageData::bytes(b"old".to_vec()), SEC_NS).unwrap();
@@ -209,11 +252,145 @@ impl<'v> AddrQuery<'v> {
     }
 }
 
+/// The time-based queries' one body, over a `&TimeSsd`: walks every LPA's
+/// chain on the shard-aligned scan engine with `threads` workers and returns
+/// those updated in `[from, to]` with their write timestamps. Each walk
+/// stops at the window's lower edge.
+pub fn time_scan(
+    ssd: &TimeSsd,
+    from: Nanos,
+    to: Nanos,
+    threads: u32,
+) -> (Vec<TimeQueryHit>, QueryCost) {
+    let lat = ssd.flash().latency();
+    let Ok((hits, cost, _)) = engine::scan(
+        ssd,
+        LpaSpan::clamped(Lpa(0), u64::MAX, ssd.exported_pages()),
+        threads.max(1),
+        |h: &TimeQueryHit| h.lpa,
+        |lpa, hits, cost| -> std::result::Result<(), Infallible> {
+            let mut chain = ssd.versions(lpa);
+            let Some(first) = chain.next() else {
+                return Ok(());
+            };
+            // Checking an LPA costs the head-page OOB read.
+            if let Some(chip) = first.chip {
+                cost.charge_read(chip, lat.read_ns);
+            }
+            // Timestamps strictly decrease along the chain.
+            let timestamps: Vec<Nanos> = std::iter::once(first)
+                .chain(chain)
+                .skip_while(|v| v.timestamp > to)
+                .take_while(|v| v.timestamp >= from)
+                .map(|v| {
+                    // Versions beyond the head cost chain reads.
+                    if !v.is_head {
+                        if let Some(chip) = v.chip {
+                            cost.charge_read(chip, lat.read_ns);
+                        }
+                    }
+                    v.timestamp
+                })
+                .collect();
+            if !timestamps.is_empty() {
+                hits.push(TimeQueryHit { lpa, timestamps });
+            }
+            Ok(())
+        },
+    );
+    (hits, cost)
+}
+
+/// Reconstructs (without writing anything) the content of `lpas` as of `t`,
+/// in order — the read-only half of recovery. A page with no version at `t`
+/// is a `NoSuchVersion` error.
+pub fn snapshot_at(ssd: &TimeSsd, lpas: &[Lpa], t: Nanos) -> Result<(Vec<QueryHit>, QueryCost)> {
+    let mut cost = QueryCost::new(ssd.geometry().total_chips() as u32);
+    let mut hits = Vec::new();
+    for &lpa in lpas {
+        let v = ssd
+            .version_as_of(lpa, t)
+            .ok_or(AlmanacError::NoSuchVersion { lpa, at: t })?;
+        hits.push(fetch(ssd, &v, &mut cost)?);
+    }
+    Ok((hits, cost))
+}
+
+/// `RollBack(addr, cnt, t)` on any device with a history: [`roll_back_set`]
+/// over the span from `addr`, clamped to the exported space.
+pub fn roll_back<D: SsdDevice>(
+    dev: &mut D,
+    addr: Lpa,
+    cnt: u64,
+    t: Nanos,
+    now: Nanos,
+) -> Result<RollbackOutcome> {
+    let span = LpaSpan::clamped(addr, cnt, dev.exported_pages());
+    roll_back_set(dev, span.iter(), t, now)
+}
+
+/// `RollBackAll(t)` on any device with a history: [`roll_back`] over every
+/// exported LPA.
+pub fn roll_back_all<D: SsdDevice>(dev: &mut D, t: Nanos, now: Nanos) -> Result<RollbackOutcome> {
+    roll_back(dev, Lpa(0), u64::MAX, t, now)
+}
+
+/// `RollBack` over `lpas` on any device with a history (§3.9): each LPA is
+/// reverted to its state as of `t` by writing the old version back as a
+/// fresh update — the rollback itself stays undoable — and pages that did
+/// not exist at `t` are trimmed. History is read through `dev.read_view()`;
+/// the restores are `dev`'s own writes and trims, so a device wrapper (the
+/// NVMe controller's device, the oracle's harness) sees them as host I/O.
+/// A device without a read view is an `Internal` error.
+pub fn roll_back_set<D: SsdDevice>(
+    dev: &mut D,
+    lpas: impl IntoIterator<Item = Lpa>,
+    t: Nanos,
+    now: Nanos,
+) -> Result<RollbackOutcome> {
+    const NO_HISTORY: AlmanacError = AlmanacError::Internal("rollback needs a device with history");
+    let mut cost =
+        QueryCost::new(dev.read_view().ok_or(NO_HISTORY)?.geometry().total_chips() as u32);
+    let mut restored = Vec::new();
+    let mut erased = Vec::new();
+    let mut skipped = Vec::new();
+    let mut finish = now;
+    for lpa in lpas {
+        let ssd = dev.read_view().ok_or(NO_HISTORY)?;
+        match ssd.version_as_of(lpa, t) {
+            Some(v) => {
+                let hit = fetch(ssd, &v, &mut cost)?;
+                // Skip the write when the current state already matches:
+                // only the chain's first version can be the head.
+                if !v.is_head {
+                    let c = dev.write(lpa, hit.data, finish)?;
+                    finish = finish.max(c.finish);
+                }
+                restored.push((lpa, v.timestamp));
+            }
+            None if ssd.is_mapped(lpa) => {
+                // The page did not exist at `t`: erase it.
+                let c = dev.trim(lpa, finish)?;
+                finish = finish.max(c.finish);
+                erased.push(lpa);
+            }
+            None => skipped.push(lpa),
+        }
+    }
+    Ok(RollbackOutcome {
+        restored,
+        erased,
+        skipped,
+        cost,
+        finish,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use almanac_core::{SsdConfig, SsdDevice};
-    use almanac_flash::{Geometry, PageData, SEC_NS};
+    use crate::SsdConfig;
+    use almanac_flash::{Geometry, SEC_NS};
 
     fn device(shards: u32) -> TimeSsd {
         let cfg = SsdConfig::new(Geometry::medium_test()).with_amt_shards(shards);

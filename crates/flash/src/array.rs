@@ -85,6 +85,18 @@ impl Block<'_> {
 /// faulting it in made building a benchmark device about 30 % slower.
 const SEGMENT_PAGES: u64 = 1024;
 
+/// The 64-bit FNV-1a offset basis: the hash of no bytes, where a chain of
+/// [`fnv1a`] calls starts.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continues the 64-bit FNV-1a hash `h` over `bytes`, so a digest can be
+/// fed piece by piece; `fnv1a(FNV_OFFSET, b)` is the hash of `b` alone.
+pub fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
 /// What the array keeps per block besides its pages.
 #[derive(Debug, Clone, Copy, Default)]
 struct BlockMeta {
@@ -443,15 +455,8 @@ impl FlashArray {
     /// state (timing horizons, stats, fault bookkeeping) is excluded so the
     /// digest survives a power cut + revive unchanged.
     pub fn state_digest(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x100_0000_01b3;
         let mut h = FNV_OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for b in bytes {
-                h ^= u64::from(*b);
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
+        let mut eat = |bytes: &[u8]| h = fnv1a(h, bytes);
         let ppb = self.geometry.pages_per_block as usize;
         let pages = self.segments.iter().flat_map(|s| s.chunks(ppb));
         for (block, pages) in self.blocks.iter().zip(pages) {

@@ -9,7 +9,7 @@
 //! file maps out of it — resurrecting files whose metadata a compromised
 //! host has since deleted or overwritten.
 
-use almanac_core::TimeSsd;
+use almanac_core::{snapshot_at, TimeSsd};
 use almanac_flash::{Lpa, Nanos};
 
 use crate::fs::INODE_TABLE_FRACTION;
@@ -54,15 +54,15 @@ pub fn files_at(ssd: &TimeSsd, t: Nanos) -> Vec<ForensicFile> {
 }
 
 /// Reconstructs the full content of a forensically recovered file as of
-/// time `t` (each data page resolved through the time-travel index).
+/// time `t`: its data pages are read through the device's one snapshot
+/// body, [`snapshot_at`]. `None` if a page has no version at `t`.
 pub fn read_file_at(ssd: &TimeSsd, file: &ForensicFile, t: Nanos) -> Option<Vec<u8>> {
     let page_size = ssd.geometry().page_size as usize;
-    let mut out = Vec::with_capacity(file.inode.pages.len() * page_size);
-    for &lpa in &file.inode.pages {
-        let version = ssd.version_as_of(lpa, t)?;
-        let content = ssd.decode(&version).ok()?;
-        out.extend_from_slice(&content.materialize(page_size));
-    }
+    let (hits, _) = snapshot_at(ssd, &file.inode.pages, t).ok()?;
+    let mut out: Vec<u8> = hits
+        .iter()
+        .flat_map(|h| h.data.materialize(page_size))
+        .collect();
     out.truncate(file.inode.size as usize);
     Some(out)
 }

@@ -10,7 +10,7 @@
 use std::fmt::Write as _;
 
 use almanac_core::{Result, SsdReadOps};
-use almanac_flash::{Lpa, LpaSpan, Nanos};
+use almanac_flash::{fnv1a, Lpa, LpaSpan, Nanos, FNV_OFFSET};
 
 use crate::kits::TimeKits;
 
@@ -38,15 +38,6 @@ pub struct EvidenceArchive {
     pub records: Vec<EvidenceRecord>,
 }
 
-fn fnv1a(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in data {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 impl EvidenceArchive {
     /// Serialises the archive to its text form (one record per line plus a
     /// trailer digest covering the whole archive).
@@ -62,7 +53,7 @@ impl EvidenceArchive {
                 r.timestamp, r.lpa.0, r.digest, r.len
             );
         }
-        let trailer = fnv1a(out.as_bytes());
+        let trailer = fnv1a(FNV_OFFSET, out.as_bytes());
         let _ = writeln!(out, "# trailer {trailer:016x}");
         out
     }
@@ -72,7 +63,7 @@ impl EvidenceArchive {
         let trailer_line = text.lines().last()?;
         let expect = trailer_line.strip_prefix("# trailer ")?;
         let body_end = text.rfind("# trailer ")?;
-        let actual = fnv1a(&text.as_bytes()[..body_end]);
+        let actual = fnv1a(FNV_OFFSET, &text.as_bytes()[..body_end]);
         if format!("{actual:016x}") != expect {
             return None;
         }
@@ -99,7 +90,7 @@ impl TimeKits<'_> {
                 records.push(EvidenceRecord {
                     lpa,
                     timestamp: v.timestamp,
-                    digest: fnv1a(&bytes),
+                    digest: fnv1a(FNV_OFFSET, &bytes),
                     len: bytes.len(),
                 });
             }

@@ -1,48 +1,13 @@
-//! The Table-1 query and rollback API.
+//! The TimeKits toolkit: the host-side handle on one TimeSSD.
+//!
+//! Every call is a thin binding of a device-side body in `almanac_core`
+//! (the vendor commands of §4), plus the host's own restore-time model.
 
-use std::convert::Infallible;
-
-use almanac_core::{AlmanacError, Result, SsdDevice, SsdReadOps, TimeSsd};
-use almanac_flash::{Lpa, LpaSpan, Nanos, PageData};
-
-use crate::addr_query::{fetch, AddrQuery};
-use crate::cost::QueryCost;
-use crate::engine;
-
-/// One version returned by an address-based query.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QueryHit {
-    /// The logical page.
-    pub lpa: Lpa,
-    /// When this version was written.
-    pub timestamp: Nanos,
-    /// The reconstructed content.
-    pub data: PageData,
-}
-
-/// One LPA returned by a time-based query.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TimeQueryHit {
-    /// The logical page.
-    pub lpa: Lpa,
-    /// Write timestamps inside the queried window, newest first.
-    pub timestamps: Vec<Nanos>,
-}
-
-/// Result of a rollback.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RollbackOutcome {
-    /// `(lpa, restored version timestamp)` pairs actually rolled back.
-    pub restored: Vec<(Lpa, Nanos)>,
-    /// LPAs trimmed because they did not exist at the target time.
-    pub erased: Vec<Lpa>,
-    /// LPAs left untouched (no history and nothing to undo).
-    pub skipped: Vec<Lpa>,
-    /// Retrieval cost of the rollback reads.
-    pub cost: QueryCost,
-    /// Completion time of the last rollback write.
-    pub finish: Nanos,
-}
+use almanac_core::{roll_back, roll_back_all, roll_back_set, snapshot_at, time_scan};
+use almanac_core::{
+    AddrQuery, QueryCost, QueryHit, Result, RollbackOutcome, TimeQueryHit, TimeSsd,
+};
+use almanac_flash::{Lpa, Nanos};
 
 /// The TimeKits toolkit bound to one TimeSSD.
 pub struct TimeKits<'a> {
@@ -143,143 +108,15 @@ impl<'a> TimeKits<'a> {
     /// Reconstructs (without writing anything) the content of a set of LPAs
     /// as of `t` — the read-only half of recovery.
     pub fn snapshot_at(&self, lpas: &[Lpa], t: Nanos) -> Result<(Vec<QueryHit>, QueryCost)> {
-        let mut cost = QueryCost::new(self.ssd.geometry().total_chips() as u32);
-        let mut hits = Vec::new();
-        for &lpa in lpas {
-            let v = self
-                .ssd
-                .version_as_of(lpa, t)
-                .ok_or(AlmanacError::NoSuchVersion { lpa, at: t })?;
-            hits.push(fetch(self.ssd, &v, &mut cost)?);
-        }
-        Ok((hits, cost))
+        snapshot_at(self.ssd, lpas, t)
     }
-}
-
-/// The time-based queries' one body, over a `&TimeSsd`: walks every LPA's
-/// chain on the shard-aligned scan engine with `threads` workers and returns
-/// those updated in `[from, to]` with their write timestamps. Each walk
-/// stops at the window's lower edge.
-pub fn time_scan(
-    ssd: &TimeSsd,
-    from: Nanos,
-    to: Nanos,
-    threads: u32,
-) -> (Vec<TimeQueryHit>, QueryCost) {
-    let lat = ssd.flash().latency();
-    let Ok((hits, cost, _)) = engine::scan(
-        ssd,
-        LpaSpan::clamped(Lpa(0), u64::MAX, ssd.exported_pages()),
-        threads.max(1),
-        |h: &TimeQueryHit| h.lpa,
-        |lpa, hits, cost| -> std::result::Result<(), Infallible> {
-            let mut chain = ssd.versions(lpa);
-            let Some(first) = chain.next() else {
-                return Ok(());
-            };
-            // Checking an LPA costs the head-page OOB read.
-            if let Some(chip) = first.chip {
-                cost.charge_read(chip, lat.read_ns);
-            }
-            // Timestamps strictly decrease along the chain.
-            let timestamps: Vec<Nanos> = std::iter::once(first)
-                .chain(chain)
-                .skip_while(|v| v.timestamp > to)
-                .take_while(|v| v.timestamp >= from)
-                .map(|v| {
-                    // Versions beyond the head cost chain reads.
-                    if !v.is_head {
-                        if let Some(chip) = v.chip {
-                            cost.charge_read(chip, lat.read_ns);
-                        }
-                    }
-                    v.timestamp
-                })
-                .collect();
-            if !timestamps.is_empty() {
-                hits.push(TimeQueryHit { lpa, timestamps });
-            }
-            Ok(())
-        },
-    );
-    (hits, cost)
-}
-
-/// `RollBack(addr, cnt, t)` on any device with a history: [`roll_back_set`]
-/// over the span from `addr`, clamped to the exported space.
-pub fn roll_back<D: SsdDevice>(
-    dev: &mut D,
-    addr: Lpa,
-    cnt: u64,
-    t: Nanos,
-    now: Nanos,
-) -> Result<RollbackOutcome> {
-    let span = LpaSpan::clamped(addr, cnt, dev.exported_pages());
-    roll_back_set(dev, span.iter(), t, now)
-}
-
-/// `RollBackAll(t)` on any device with a history: [`roll_back`] over every
-/// exported LPA.
-pub fn roll_back_all<D: SsdDevice>(dev: &mut D, t: Nanos, now: Nanos) -> Result<RollbackOutcome> {
-    roll_back(dev, Lpa(0), u64::MAX, t, now)
-}
-
-/// `RollBack` over `lpas` on any device with a history (§3.9): each LPA is
-/// reverted to its state as of `t` by writing the old version back as a
-/// fresh update — the rollback itself stays undoable — and pages that did
-/// not exist at `t` are trimmed. History is read through `dev.read_view()`;
-/// the restores are `dev`'s own writes and trims, so a device wrapper (the
-/// NVMe controller's device, the oracle's harness) sees them as host I/O.
-/// A device without a read view is an `Internal` error.
-pub fn roll_back_set<D: SsdDevice>(
-    dev: &mut D,
-    lpas: impl IntoIterator<Item = Lpa>,
-    t: Nanos,
-    now: Nanos,
-) -> Result<RollbackOutcome> {
-    const NO_HISTORY: AlmanacError = AlmanacError::Internal("rollback needs a device with history");
-    let mut cost =
-        QueryCost::new(dev.read_view().ok_or(NO_HISTORY)?.geometry().total_chips() as u32);
-    let mut restored = Vec::new();
-    let mut erased = Vec::new();
-    let mut skipped = Vec::new();
-    let mut finish = now;
-    for lpa in lpas {
-        let ssd = dev.read_view().ok_or(NO_HISTORY)?;
-        match ssd.version_as_of(lpa, t) {
-            Some(v) => {
-                let hit = fetch(ssd, &v, &mut cost)?;
-                // Skip the write when the current state already matches:
-                // only the chain's first version can be the head.
-                if !v.is_head {
-                    let c = dev.write(lpa, hit.data, finish)?;
-                    finish = finish.max(c.finish);
-                }
-                restored.push((lpa, v.timestamp));
-            }
-            None if ssd.is_mapped(lpa) => {
-                // The page did not exist at `t`: erase it.
-                let c = dev.trim(lpa, finish)?;
-                finish = finish.max(c.finish);
-                erased.push(lpa);
-            }
-            None => skipped.push(lpa),
-        }
-    }
-    Ok(RollbackOutcome {
-        restored,
-        erased,
-        skipped,
-        cost,
-        finish,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use almanac_core::SsdConfig;
-    use almanac_flash::{Geometry, SEC_NS};
+    use almanac_core::{SsdConfig, SsdDevice, SsdReadOps};
+    use almanac_flash::{Geometry, PageData, SEC_NS};
 
     fn device_with_history() -> TimeSsd {
         let mut ssd = TimeSsd::new(SsdConfig::new(Geometry::medium_test()));

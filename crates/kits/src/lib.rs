@@ -15,22 +15,15 @@
 //! | `roll_back` | revert LPA(s) to their state at a past time |
 //! | `roll_back_all` | revert every valid LPA |
 //!
-//! The three address queries share one entry point, the [`AddrQuery`]
-//! builder, which runs against a `&TimeSsd` — the `&self` read path; the
-//! time queries are [`time_scan`] over the same `&TimeSsd`. Rollback is one
-//! body, [`roll_back_set`], over any `SsdDevice` with a read view, with
-//! [`roll_back`] and [`roll_back_all`] choosing its LPAs: the NVMe
-//! controller runs them on its device, [`TimeKits`] on its TimeSSD.
-//! Address and time queries alike are per-LPA closures over one private
-//! scan engine that fans the LPA span across the device's AMT shards on
-//! scoped host threads; workers share `&TimeSsd`, and the borrow checker
-//! (not a lock) keeps writers out while they run.
-//!
-//! Queries exploit the SSD's internal parallelism: retrieval work is
-//! scheduled across flash chips and the reported virtual latency is the
-//! makespan across worker threads (Figure 11's multi-threaded recovery);
-//! address queries additionally report the sharded-schedule makespan via
-//! [`AddrQueryOutcome::makespan`].
+//! TimeKits is the host library of the paper's §4 split: the device answers
+//! the Table-1 vendor commands itself, from `almanac_core` — the
+//! [`AddrQuery`] builder, [`time_scan`], the rollback body
+//! [`roll_back_set`] with [`roll_back`] and [`roll_back_all`], and the
+//! [`QueryCost`] they charge — and this crate re-exports those names. What
+//! it adds is the host's side: [`TimeKits`], a handle on one `TimeSsd` with
+//! a host thread count, its restore-time model and read-only snapshots,
+//! file-level recovery ([`FileMap`]) and forensic evidence export
+//! ([`EvidenceArchive`]).
 //!
 //! # Examples
 //!
@@ -56,16 +49,13 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod addr_query;
-mod cost;
-mod engine;
 mod evidence;
 mod kits;
 mod recovery;
 
-pub use addr_query::{AddrQuery, AddrQueryOutcome};
-pub use cost::QueryCost;
+pub use almanac_core::{roll_back, roll_back_all, roll_back_set, time_scan};
+pub use almanac_core::{AddrQuery, AddrQueryOutcome, QueryCost, QueryHit};
+pub use almanac_core::{RollbackOutcome, TimeQueryHit};
 pub use evidence::{EvidenceArchive, EvidenceRecord};
-pub use kits::{roll_back, roll_back_all, roll_back_set, time_scan};
-pub use kits::{QueryHit, RollbackOutcome, TimeKits, TimeQueryHit};
+pub use kits::TimeKits;
 pub use recovery::{FileMap, RecoveredFile};

@@ -5,10 +5,9 @@
 //! file-system metadata and rolling each page back. A [`FileMap`] carries
 //! exactly that: a file name plus its data-page LPAs in file order.
 
-use almanac_core::Result;
+use almanac_core::{QueryCost, Result, RollbackOutcome};
 use almanac_flash::{Lpa, Nanos, PageData};
 
-use crate::cost::QueryCost;
 use crate::kits::TimeKits;
 
 /// A file's identity and page layout, as exported by the file system.
@@ -58,12 +57,7 @@ impl TimeKits<'_> {
     }
 
     /// Rolls a file back in place to its state as of `t`.
-    pub fn restore_file(
-        &mut self,
-        map: &FileMap,
-        t: Nanos,
-        now: Nanos,
-    ) -> Result<crate::kits::RollbackOutcome> {
+    pub fn restore_file(&mut self, map: &FileMap, t: Nanos, now: Nanos) -> Result<RollbackOutcome> {
         self.roll_back_set(&map.lpas, t, now)
     }
 }

@@ -28,9 +28,9 @@
 //! [`PageData`], which the host materialises. There is no host-buffer table
 //! to register with, look up, or leak.
 
+use almanac_core::{roll_back, roll_back_all, time_scan, AddrQuery};
 use almanac_core::{AlmanacError, Result, SsdDevice};
 use almanac_flash::{Lpa, LpaSpan, Nanos, PageData};
-use almanac_kits::{roll_back, roll_back_all, time_scan, AddrQuery};
 
 use crate::queue::{PostedCompletion, QueuePair};
 use crate::sqe::{CompletionEntry, NvmeOpcode, SubmissionEntry};

@@ -536,7 +536,7 @@ mod tests {
         // The &self path: an AddrQuery builder over the controller's device,
         // no &mut driver needed.
         let view = d.controller().ssd();
-        let out = almanac_kits::AddrQuery::new(view, Lpa(0), 1)
+        let out = almanac_core::AddrQuery::new(view, Lpa(0), 1)
             .as_of(2 * SEC_NS)
             .run()
             .unwrap();
@@ -562,7 +562,7 @@ mod tests {
         assert_eq!(serial, parallel);
         // Completion timing: the sharded schedule with 4 workers is strictly
         // no slower than one worker on the same device state.
-        let one = almanac_kits::AddrQuery::new(d.controller().ssd(), Lpa(0), 8)
+        let one = almanac_core::AddrQuery::new(d.controller().ssd(), Lpa(0), 8)
             .as_of(10 * SEC_NS)
             .run()
             .unwrap();

@@ -14,8 +14,9 @@
 //! - [`controller`] — a controller over any device (a
 //!   [`TimeSsd`](almanac_core::TimeSsd) by default): commands are queued,
 //!   fetched, interpreted, executed against the FTL, and completed with NVMe
-//!   status codes. A device without history answers the vendor opcodes
-//!   with Invalid Opcode. A command owns its data: a
+//!   status codes. The vendor opcodes run the device's own Table-1 bodies
+//!   from `almanac_core` (`AddrQuery`, `time_scan`, `roll_back`); a device
+//!   without history answers them with Invalid Opcode. A command owns its data: a
 //!   Write's pages ride beside its 64-byte entry into the queue and a read's
 //!   or query's pages ride back in its [`PostedCompletion`] (PRP lists are not
 //!   modelled).

@@ -44,11 +44,11 @@ use std::collections::BTreeMap;
 use std::fmt::Debug;
 
 use almanac_core::{
-    AlmanacError, Completion, DeviceStats, Discard, Ftl, ReadGated, Result, Retention, SsdConfig,
-    SsdDevice, SsdReadOps, TimeSsd, TimeTravel, VersionLocation,
+    time_scan, AddrQuery, AlmanacError, Completion, DeviceStats, Discard, Ftl, QueryCost, QueryHit,
+    ReadGated, Result, Retention, SsdConfig, SsdDevice, SsdReadOps, TimeQueryHit, TimeSsd,
+    TimeTravel, VersionLocation,
 };
 use almanac_flash::{FlashError, Lpa, LpaSpan, Nanos, PageData};
-use almanac_kits::{time_scan, AddrQuery, QueryCost, QueryHit, TimeQueryHit};
 
 use crate::model::ModelDevice;
 use crate::report::{Divergence, DivergenceReport};
@@ -438,7 +438,7 @@ impl DifferentialHarness<TimeSsd> {
     /// meanwhile: an unflushed rollback trim may legally come back.
     fn roll_back(&mut self, addr: Lpa, cnt: u64, t: Nanos, now: Nanos) -> Result<()> {
         let cuts = self.power_cuts;
-        almanac_kits::roll_back(self, addr, cnt, t, now)?;
+        almanac_core::roll_back(self, addr, cnt, t, now)?;
         if self.power_cuts == cuts {
             for lpa in LpaSpan::clamped(addr, cnt, self.model.exported_pages()).iter() {
                 self.check_rolled_page(lpa, t, now);

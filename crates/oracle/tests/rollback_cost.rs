@@ -1,17 +1,16 @@
-//! Reference-model pin for TimeKits rollback cost accounting.
+//! Reference-model pin for the device's rollback cost accounting.
 //!
-//! `roll_back_all` reports a [`QueryCost`](almanac_kits::QueryCost) and a
+//! `roll_back_all` reports a [`QueryCost`](almanac_core::QueryCost) and a
 //! completion time. This test re-derives both from first principles on an
 //! identical twin device: one flash read per restored version, plus one
 //! reference read and one decompression for delta-located versions,
 //! accumulated per chip — then scheduled by an independent channel-parallel
 //! makespan calculation (chips dealt to workers round-robin, CPU work spread
-//! over loaded workers in ceiling shares). Any drift between the toolkit's
+//! over loaded workers in ceiling shares). Any drift between the device's
 //! accounting and the reference fails loudly, in either direction.
 
-use almanac_core::{SsdConfig, SsdDevice, SsdReadOps, TimeSsd, VersionLocation};
+use almanac_core::{roll_back_all, SsdConfig, SsdDevice, SsdReadOps, TimeSsd, VersionLocation};
 use almanac_flash::{Geometry, Lpa, PageData, MS_NS, SEC_NS};
-use almanac_kits::TimeKits;
 
 fn pressure_cfg() -> SsdConfig {
     SsdConfig::new(Geometry::small_test())
@@ -96,9 +95,9 @@ fn rollback_all_cost_matches_reference_schedule() {
     let target = 3 * SEC_NS;
     let now = 10 * SEC_NS;
 
-    // Toolkit run.
+    // Device run.
     let mut ssd = build_device();
-    let out = TimeKits::new(&mut ssd).roll_back_all(target, now).unwrap();
+    let out = roll_back_all(&mut ssd, target, now).unwrap();
 
     // Naive lockstep reference on an identical twin: the rollback loop
     // written out by hand, charging cost into plain per-chip counters.
@@ -194,7 +193,7 @@ fn rollback_all_cost_matches_reference_schedule() {
         );
     }
 
-    // And the two devices — toolkit-rolled and hand-rolled — are now the
+    // And the two devices — device-rolled and hand-rolled — are now the
     // same machine.
     for lpa in 0..8u64 {
         assert_eq!(
@@ -206,21 +205,17 @@ fn rollback_all_cost_matches_reference_schedule() {
 }
 
 /// Rolling back to a state the device is already in is free of writes: the
-/// reads are still charged (the toolkit must fetch to know), but no page is
+/// reads are still charged (the device must fetch to know), but no page is
 /// rewritten, no trim is issued, and virtual time does not advance.
 #[test]
 fn rollback_to_current_state_writes_nothing() {
     let mut ssd = build_device();
-    let first = TimeKits::new(&mut ssd)
-        .roll_back_all(3 * SEC_NS, 10 * SEC_NS)
-        .unwrap();
+    let first = roll_back_all(&mut ssd, 3 * SEC_NS, 10 * SEC_NS).unwrap();
     let writes = ssd.stats().user_writes;
     let trims = ssd.stats().user_trims;
 
     let now2 = first.finish + 10 * SEC_NS;
-    let second = TimeKits::new(&mut ssd)
-        .roll_back_all(first.finish, now2)
-        .unwrap();
+    let second = roll_back_all(&mut ssd, first.finish, now2).unwrap();
 
     assert_eq!(second.finish, now2, "an idempotent rollback must not write");
     assert_eq!(ssd.stats().user_writes, writes);

@@ -30,6 +30,8 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 pub struct TestRng(StdRng);
 
 /// FNV-1a over a string, for deriving per-test seeds.
+// A copy of `almanac_flash::fnv1a`: this crate mirrors the external
+// `proptest`, which depends on no crate of this workspace.
 pub fn fnv1a(s: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in s.as_bytes() {

@@ -10,7 +10,7 @@
 //! geometry exactly like the paper's month-long prolonged traces scale with
 //! their 1 TB board.
 
-use almanac_flash::{Nanos, DAY_NS};
+use almanac_flash::{fnv1a, Nanos, DAY_NS, FNV_OFFSET};
 use almanac_trace::{Trace, TraceOp, TraceRecord};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -188,7 +188,7 @@ impl TraceProfile {
     /// Arrivals follow a diurnal intensity curve (quiet nights, busy
     /// afternoons); addresses mix sequential runs with a hot/cold skew.
     pub fn generate(&self, days: u32, lpa_space: u64, seed: u64) -> Trace {
-        let mut rng = StdRng::seed_from_u64(seed ^ fnv(self.name));
+        let mut rng = StdRng::seed_from_u64(seed ^ fnv1a(FNV_OFFSET, self.name.as_bytes()));
         let daily_write_pages = (self.daily_write_fraction * lpa_space as f64).max(1.0);
         let daily_requests =
             (daily_write_pages / (self.write_ratio * self.req_pages_mean)).max(1.0) as u64;
@@ -244,15 +244,6 @@ fn sample_geometric(rng: &mut StdRng, mean: f64) -> u32 {
         n += 1;
     }
     n
-}
-
-fn fnv(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]

@@ -30,6 +30,15 @@ struct Rule {
     design: &'static str,
 }
 
+/// The files that hold the device's Table-1 query engine and rollback body.
+const QUERY_ENGINE: [&str; 2] = [
+    "crates/core/src/timessd/engine.rs",
+    "crates/core/src/timessd/table1.rs",
+];
+
+/// The sources of the crates on the device side of the paper's §4 split.
+const DEVICE_SIDE: [&str; 3] = ["crates/core/src", "crates/nvme/src", "crates/oracle/src"];
+
 /// The files that hold the FTL skeleton or a `Retention` impl.
 const HOST_PATH: &[&str] = &[
     "crates/core/src/ftl.rs",
@@ -45,6 +54,8 @@ const RULES: &[Rule] = &[
         name: "no_raw_lpa_sum",
         files: &[
             "crates/kits/src",
+            QUERY_ENGINE[0],
+            QUERY_ENGINE[1],
             "crates/nvme/src",
             "crates/trace/src",
             "crates/oracle/src",
@@ -79,7 +90,12 @@ const RULES: &[Rule] = &[
     // decodes what its own walk yielded.
     Rule {
         name: "one_walk_per_lpa",
-        files: &["crates/kits/src", "crates/fs/src"],
+        files: &[
+            "crates/kits/src",
+            QUERY_ENGINE[0],
+            QUERY_ENGINE[1],
+            "crates/fs/src",
+        ],
         find: |src| offsets(src, &["version_chain(", "version_content("]).collect(),
         allowed: &[],
         design: "5g",
@@ -122,7 +138,7 @@ const RULES: &[Rule] = &[
             ("crates/core/src/config.rs", "new"),
             ("crates/core/src/config.rs", "with_amt_shards"),
             ("crates/core/src/timessd/mod.rs", "amt_shards"),
-            ("crates/kits/src/engine.rs", "scan"),
+            (QUERY_ENGINE[0], "scan"),
         ],
         design: "5g",
     },
@@ -164,6 +180,15 @@ const RULES: &[Rule] = &[
             ("crates/core/src/timessd/rebuild.rs", "recover_from_flash"),
         ],
         design: "5g",
+    },
+    // The device answers the Table-1 vendor commands itself; TimeKits is
+    // the host library that issues them, so no device-side crate calls it.
+    Rule {
+        name: "device_side_needs_no_host_library",
+        files: &DEVICE_SIDE,
+        find: |src| offsets(src, &["almanac_kits"]).collect(),
+        allowed: &[],
+        design: "6",
     },
     // The flash array answers a bad address or a free page with a
     // `FlashError`, so no FTL input can make the array itself panic.
@@ -573,6 +598,10 @@ const PLANTED: &[(&str, &str, &str)] = &[
     ("no_raw_lpa_sum", "crates/kits/src/kits.rs", "fn at(a: u64, i: u64) -> Lpa { Lpa(a + i) }"),
     ("one_walk_per_lpa", "crates/fs/src/forensic.rs", "fn walk(s: &TimeSsd) { s.version_chain(Lpa(0)); }"),
     ("width_is_a_query_schedule", "crates/nvme/src/controller.rs", "fn width(s: &TimeSsd) -> u32 { s.amt_shards() }"),
+    // The controller's and the oracle's calls into the host library, as
+    // they were before the engine moved into core.
+    ("device_side_needs_no_host_library", "crates/nvme/src/controller.rs", "use almanac_kits::{roll_back, roll_back_all, time_scan, AddrQuery};"),
+    ("device_side_needs_no_host_library", "crates/oracle/src/harness.rs", "fn roll_back(&mut self) -> Result<()> { almanac_kits::roll_back(self, addr, cnt, t, now)?; Ok(()) }"),
     // The driver's in-flight record as it was: a map keyed by ticket.
     ("no_hashed_command_path", "crates/nvme/src/driver.rs", "struct HostDriver { inflight: std::collections::HashMap<Ticket, NvmeOpcode> }"),
     // The device the controller and driver owned before they were generic,
@@ -609,7 +638,7 @@ fn planted_violations_fail() {
 fn comments_literals_and_inline_test_modules_pass() {
     let all = "bst.iter() blocks().iter() for p in 0..ppb {} info.written = 0 next_off unreserve \
                Lpa(a + 1) version_chain( version_content( amt_shards HashMap .expect( .unwrap( \
-               TimeSsd oob.back_ptr";
+               TimeSsd oob.back_ptr almanac_kits";
     let in_comments_and_literals = format!(
         "fn maintain() {{\n    // {all}\n    /* {all} /* nested */ {all} */\n    \
          let _ = (\"{all}\", r#\"{all}\"#, b\"\\\"{all}\");\n}}\n"
@@ -630,6 +659,48 @@ fn comments_literals_and_inline_test_modules_pass() {
                let _ = ('}', \"}\", '\\'');\n    info.written += 1;\n}\n";
     let found = violations("one_write_pointer", FTL, src);
     assert!(found.is_empty(), "lines {found:?}");
+}
+
+/// The crates a manifest's `[dependencies]` table names, in order, also as
+/// `[dependencies.<name>]` tables.
+fn dependencies(toml: &str) -> Vec<&str> {
+    let (mut in_table, mut names) = (false, Vec::new());
+    for line in toml.lines().map(str::trim) {
+        if let Some(header) = line.strip_prefix('[') {
+            in_table = header == "dependencies]";
+            if let Some(name) = header.strip_prefix("dependencies.") {
+                names.push(name.trim_end_matches(']').trim());
+            }
+        } else if in_table && !line.is_empty() && !line.starts_with('#') {
+            names.push(line.split(['.', '=']).next().unwrap_or_default().trim());
+        }
+    }
+    names
+}
+
+/// The device side's manifests do not name the host library either, so
+/// the crate graph has no edge from a device-side crate to it.
+#[test]
+fn device_side_manifests_name_no_host_library() {
+    for dir in DEVICE_SIDE {
+        let path = format!("{}Cargo.toml", dir.trim_end_matches("src"));
+        let toml = fs::read_to_string(root().join(&path)).expect("readable manifest");
+        let deps = dependencies(&toml);
+        assert!(
+            deps.contains(&"almanac-flash"),
+            "{path}: read no [dependencies]"
+        );
+        assert!(
+            !deps.contains(&"almanac-kits"),
+            "{path} depends on almanac-kits (see DESIGN.md §6)"
+        );
+    }
+    let planted = "[package]\nname = \"x\"\n\n[dependencies]\nalmanac-core.workspace = true\n\
+                   # almanac-bloom\nalmanac-kits = { path = \"../kits\" }\n\n\
+                   [dev-dependencies]\nalmanac-fs.workspace = true\n";
+    assert_eq!(dependencies(planted), ["almanac-core", "almanac-kits"]);
+    let table = "[dependencies.almanac-kits]\npath = \"../kits\"\n";
+    assert_eq!(dependencies(table), ["almanac-kits"]);
 }
 
 /// The variants of `pub enum {name}` in `src`, in declaration order.
