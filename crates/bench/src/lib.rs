@@ -18,7 +18,7 @@
 //! - `ALMANAC_BENCH_OUT=path` — override the `BENCH_<selection>.json`
 //!   report path ([`report`]).
 
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 use almanac_bloom::ChainConfig;
 use almanac_core::{RegularSsd, SsdConfig, SsdDevice, TimeSsd};

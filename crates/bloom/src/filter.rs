@@ -36,6 +36,8 @@ fn fnv1a(key: u64) -> u64 {
     h
 }
 
+// `almanac_flash::mix64` of `key` plus the golden-ratio increment, written
+// out for the same two reasons as `fnv1a` above.
 fn splitmix(key: u64) -> u64 {
     let mut z = key.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

@@ -23,7 +23,7 @@
 //! assert_eq!(chain.retention_start(), Some(1_000));
 //! ```
 
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 #![forbid(unsafe_code)]
 
 mod chain;

@@ -23,7 +23,7 @@
 //! assert_eq!(delta::decode(&reference, &d).unwrap(), old);
 //! ```
 
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 #![forbid(unsafe_code)]
 
 pub mod delta;

@@ -21,7 +21,7 @@ fn hash(v: u32) -> usize {
 }
 
 /// The parent `lzf::compress`.
-pub fn compress(input: &[u8]) -> Option<Vec<u8>> {
+pub(super) fn compress(input: &[u8]) -> Option<Vec<u8>> {
     if input.len() < 4 {
         return None;
     }

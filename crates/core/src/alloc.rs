@@ -43,7 +43,7 @@ pub(crate) struct Allocator {
 impl Allocator {
     /// Creates an allocator whose pools hold every block `bst` calls free,
     /// in block order.
-    pub fn new(geometry: Geometry, bst: &Bst) -> Self {
+    pub(crate) fn new(geometry: Geometry, bst: &Bst) -> Self {
         let mut free: Vec<VecDeque<BlockId>> = vec![VecDeque::new(); geometry.channels as usize];
         for (block, info) in bst.iter() {
             if info.kind == BlockKind::Free {
@@ -60,14 +60,14 @@ impl Allocator {
     }
 
     /// Total free blocks across channels (open blocks excluded).
-    pub fn free_blocks(&self) -> u64 {
+    pub(crate) fn free_blocks(&self) -> u64 {
         self.free.iter().map(|f| f.len() as u64).sum()
     }
 
     /// Pops a free block, preferring `channel`, falling back to the channel
     /// with the most free blocks. Pools are FIFO so free blocks rotate and
     /// wear spreads naturally.
-    pub fn alloc_block(&mut self, channel: Option<u32>) -> Option<BlockId> {
+    pub(crate) fn alloc_block(&mut self, channel: Option<u32>) -> Option<BlockId> {
         if let Some(ch) = channel {
             if let Some(b) = self.free[ch as usize].pop_front() {
                 return Some(b);
@@ -78,7 +78,7 @@ impl Allocator {
     }
 
     /// Returns an erased block to the back of its channel's pool.
-    pub fn release(&mut self, block: BlockId) {
+    pub(crate) fn release(&mut self, block: BlockId) {
         let ch = self.geometry.channel_of_block(block) as usize;
         self.free[ch].push_back(block);
     }
@@ -86,7 +86,7 @@ impl Allocator {
     /// Removes and returns the free block maximizing `score` — used by wear
     /// leveling to park cold data on the most-worn block, retiring it from
     /// the hot rotation.
-    pub fn take_block_by_max(&mut self, score: impl Fn(BlockId) -> u32) -> Option<BlockId> {
+    pub(crate) fn take_block_by_max(&mut self, score: impl Fn(BlockId) -> u32) -> Option<BlockId> {
         let mut best: Option<(usize, usize, u32)> = None;
         for (ch, pool) in self.free.iter().enumerate() {
             for (i, b) in pool.iter().enumerate() {
@@ -109,7 +109,7 @@ impl Allocator {
     /// through memory. Host writes leave one free block for GC; when the
     /// pool runs dry, a stream falls back to the other stream's slots (tiny
     /// devices).
-    pub fn next_page(&mut self, stream: Stream, bst: &Bst) -> Option<(Ppa, bool)> {
+    pub(crate) fn next_page(&mut self, stream: Stream, bst: &Bst) -> Option<(Ppa, bool)> {
         let (other, reserve) = match stream {
             Stream::Hot => (Stream::Cold, 1),
             Stream::Cold => (Stream::Hot, 0),
@@ -145,7 +145,7 @@ impl Allocator {
     }
 
     /// True if `block` sits in a slot (open for host writes or migrations).
-    pub fn is_active(&self, block: BlockId) -> bool {
+    pub(crate) fn is_active(&self, block: BlockId) -> bool {
         self.slots.iter().flatten().any(|&slot| slot == Some(block))
     }
 }

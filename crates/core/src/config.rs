@@ -58,6 +58,7 @@ pub struct SsdConfig {
     /// Optional user-supplied key encrypting retained (compressed) versions,
     /// the §3.10 defense against secure-deletion leaks: history stays
     /// recoverable for the key holder but unreadable to anyone else.
+    /// Test-facing: no figure measures §3.10; the encryption tests set it.
     pub retention_key: Option<u64>,
     /// Inert: the type admits only `None`, so nothing can set it. The AMT
     /// is RAM-resident and there is no map cache; the field is named by the
@@ -66,7 +67,8 @@ pub struct SsdConfig {
     pub amt_cache_pages: Option<Infallible>,
     /// Deterministic fault schedule installed into the flash array at
     /// device construction (power cuts, injected op failures, OOB bit-rot).
-    /// `None` builds a fault-free device.
+    /// `None` builds a fault-free device. Test-facing: only the crash and
+    /// fault suites and the nightly `long_fuzz` set it.
     pub fault_plan: Option<FaultPlan>,
     /// Buffered TRIM tombstones that force a flush of the holding delta
     /// buffer. `1` journals every acked trim synchronously (the pre-barrier
@@ -86,6 +88,8 @@ pub struct SsdConfig {
     /// any delta buffer whose *oldest pending tombstone* was enqueued more
     /// than this long ago, so rarely-trimming workloads don't hold acked
     /// trims volatile indefinitely between barriers. `0` disables aging.
+    /// Test-facing: the oracle's tombstone-aging suites shorten it to 2 ms
+    /// so aging fires inside a run, with `0` as their control.
     pub tombstone_flush_deadline: Nanos,
     /// Partition width of the scan schedule: a ranged storage-state query
     /// splits its LPA span into `amt_shards` strided partitions and fans

@@ -11,22 +11,17 @@
 //! shape (deterministic, seekable, key-dependent), not a vetted cipher; a
 //! real device would use its XTS-AES engine.
 
-use almanac_flash::{Lpa, Nanos};
+use almanac_flash::{mix64, xorshift64, Lpa, Nanos};
 
 fn mix(key: u64, lpa: Lpa, ts: Nanos) -> u64 {
-    let mut z = key ^ lpa.0.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ ts.rotate_left(17);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    (z ^ (z >> 31)) | 1
+    mix64(key ^ lpa.0.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ ts.rotate_left(17)) | 1
 }
 
 /// Encrypts or decrypts `data` in place (XOR keystream: an involution).
 pub fn apply_keystream(key: u64, lpa: Lpa, ts: Nanos, data: &mut [u8]) {
     let mut state = mix(key, lpa, ts);
     for chunk in data.chunks_mut(8) {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
+        state = xorshift64(state);
         let ks = state.wrapping_mul(0x2545_f491_4f6c_dd1d).to_le_bytes();
         for (b, k) in chunk.iter_mut().zip(ks.iter()) {
             *b ^= k;

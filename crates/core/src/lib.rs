@@ -38,7 +38,7 @@
 //!            PageData::bytes(b"v1".to_vec()));
 //! ```
 
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 #![forbid(unsafe_code)]
 
 mod alloc;

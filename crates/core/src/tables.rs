@@ -85,7 +85,7 @@ pub(crate) type Prt = PageBits;
 
 impl PageBits {
     /// All-clear table over the whole array.
-    pub fn new(total_pages: u64) -> Self {
+    pub(crate) fn new(total_pages: u64) -> Self {
         PageBits {
             words: vec![0; total_pages.div_ceil(64) as usize],
             pages: total_pages,
@@ -93,12 +93,12 @@ impl PageBits {
     }
 
     /// Is the page's flag set?
-    pub fn get(&self, ppa: Ppa) -> bool {
+    pub(crate) fn get(&self, ppa: Ppa) -> bool {
         ppa.0 < self.pages && self.words[(ppa.0 / 64) as usize] & (1 << (ppa.0 % 64)) != 0
     }
 
     /// Sets or clears the page's flag.
-    pub fn set(&mut self, ppa: Ppa, on: bool) {
+    pub(crate) fn set(&mut self, ppa: Ppa, on: bool) {
         if ppa.0 < self.pages {
             let word = &mut self.words[(ppa.0 / 64) as usize];
             if on {
@@ -110,7 +110,7 @@ impl PageBits {
     }
 
     /// Clears every page of a block (on erase).
-    pub fn clear_block(&mut self, geometry: &Geometry, block: BlockId) {
+    pub(crate) fn clear_block(&mut self, geometry: &Geometry, block: BlockId) {
         let start = block.0 * geometry.pages_per_block as u64;
         for page in start..start + geometry.pages_per_block as u64 {
             self.set(Ppa(page), false);
@@ -119,7 +119,7 @@ impl PageBits {
 
     /// The first page in `pages` whose flag is clear both here and in
     /// `other` (a table over the same array), one word at a time.
-    pub fn next_clear_in_both(&self, other: &PageBits, pages: Range<u64>) -> Option<Ppa> {
+    pub(crate) fn next_clear_in_both(&self, other: &PageBits, pages: Range<u64>) -> Option<Ppa> {
         let end = pages.end.min(self.pages).min(other.pages);
         let mut from = pages.start;
         while from < end {
@@ -168,7 +168,7 @@ pub(crate) struct BlockInfo {
 impl BlockInfo {
     /// Invalid pages = programmed pages that are not the valid latest
     /// version (includes retained and reclaimable pages).
-    pub fn invalid(&self) -> u32 {
+    pub(crate) fn invalid(&self) -> u32 {
         self.written.saturating_sub(self.valid)
     }
 
@@ -297,7 +297,7 @@ pub(crate) struct Bst {
 
 impl Bst {
     /// All-free table; `background` keeps the idle-time order too.
-    pub fn new(geometry: &Geometry, background: bool) -> Self {
+    pub(crate) fn new(geometry: &Geometry, background: bool) -> Self {
         Bst {
             blocks: vec![BlockInfo::default(); geometry.total_blocks() as usize],
             gc: VictimIndex::new(geometry),
@@ -306,12 +306,12 @@ impl Bst {
     }
 
     /// Immutable block info.
-    pub fn get(&self, block: BlockId) -> &BlockInfo {
+    pub(crate) fn get(&self, block: BlockId) -> &BlockInfo {
         &self.blocks[block.0 as usize]
     }
 
     /// Changes a block's entry and re-files the block in each index.
-    pub fn update(&mut self, block: BlockId, change: impl FnOnce(&mut BlockInfo)) {
+    pub(crate) fn update(&mut self, block: BlockId, change: impl FnOnce(&mut BlockInfo)) {
         let info = &mut self.blocks[block.0 as usize];
         let old = *info;
         change(info);
@@ -322,7 +322,7 @@ impl Bst {
     }
 
     /// Iterates `(block, info)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (BlockId, &BlockInfo)> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (BlockId, &BlockInfo)> + '_ {
         self.blocks
             .iter()
             .enumerate()
@@ -330,13 +330,16 @@ impl Bst {
     }
 
     /// Resets a block to free (after erase).
-    pub fn reset(&mut self, block: BlockId) {
+    pub(crate) fn reset(&mut self, block: BlockId) {
         self.update(block, |info| *info = BlockInfo::default());
     }
 
     /// GC's greedy victim: the acceptable data block with the most invalid
     /// pages (at least one); ties go to the highest block id.
-    pub fn gc_victim(&self, accept: impl Fn(BlockId, &BlockInfo) -> bool) -> Option<BlockId> {
+    pub(crate) fn gc_victim(
+        &self,
+        accept: impl Fn(BlockId, &BlockInfo) -> bool,
+    ) -> Option<BlockId> {
         self.gc.best(|b| accept(b, self.get(b)))
     }
 
@@ -344,7 +347,7 @@ impl Bst {
     /// data block with the most invalid pages not yet marked reclaimable
     /// (at least one); ties go to the highest block id. `None` on a device
     /// that keeps no idle-time order.
-    pub fn background_victim(
+    pub(crate) fn background_victim(
         &self,
         accept: impl Fn(BlockId, &BlockInfo) -> bool,
     ) -> Option<BlockId> {
@@ -353,7 +356,7 @@ impl Bst {
 
     /// How each victim index the table keeps files `block`, for the audit:
     /// `(index, filed, earned)` as [`VictimIndex::filing`] reports it.
-    pub fn filing(&self, block: BlockId) -> impl Iterator<Item = (&'static str, u32, u32)> {
+    pub(crate) fn filing(&self, block: BlockId) -> impl Iterator<Item = (&'static str, u32, u32)> {
         let info = self.get(block);
         let (filed, earned) = self.gc.filing(block, info);
         let background = self.background.as_ref().map(|index| {
@@ -378,7 +381,7 @@ pub(crate) struct Imt {
 
 impl Imt {
     /// Empty table over `exported_pages` LPAs.
-    pub fn new(exported_pages: u64) -> Self {
+    pub(crate) fn new(exported_pages: u64) -> Self {
         Imt {
             heads: Vec::new(),
             exported: exported_pages,
@@ -387,7 +390,7 @@ impl Imt {
 
     /// Head of the delta chain for `lpa`: the delta page and the timestamp of
     /// the newest compressed version.
-    pub fn head(&self, lpa: Lpa) -> Option<(Ppa, Nanos)> {
+    pub(crate) fn head(&self, lpa: Lpa) -> Option<(Ppa, Nanos)> {
         match self.heads.get(lpa.0 as usize) {
             Some(&[page, ts]) if page != 0 => Some((Ppa(page - 1), ts)),
             _ => None,
@@ -396,7 +399,7 @@ impl Imt {
 
     /// Updates the chain head. An LPA at or beyond the exported size (a
     /// rotted OOB field) is ignored and reads back `None`, as in the AMT.
-    pub fn set_head(&mut self, lpa: Lpa, page: Ppa, newest_ts: Nanos) {
+    pub(crate) fn set_head(&mut self, lpa: Lpa, page: Ppa, newest_ts: Nanos) {
         if lpa.0 >= self.exported {
             return;
         }
@@ -408,7 +411,7 @@ impl Imt {
 
     /// Iterates every `(lpa, (delta page, newest ts))` head in LPA order —
     /// used by rebuild and the consistency checker's reachability audit.
-    pub fn iter(&self) -> impl Iterator<Item = (Lpa, (Ppa, Nanos))> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (Lpa, (Ppa, Nanos))> + '_ {
         (0..self.heads.len() as u64).filter_map(|l| Some((Lpa(l), self.head(Lpa(l))?)))
     }
 }

@@ -54,7 +54,7 @@ struct Buffer {
 /// the device must advance `busy_until` for work actually performed before
 /// refusing to ack the barrier.
 #[derive(Debug)]
-pub struct BarrierFlush {
+pub(crate) struct BarrierFlush {
     /// Completion time of the last successful program (or `now` if none).
     pub finish: Nanos,
     /// Flash programs performed before any fault.
@@ -66,7 +66,7 @@ pub struct BarrierFlush {
 impl BarrierFlush {
     /// Converts to a `Result`, for callers that have already banked the
     /// partial `finish`/`programs`.
-    pub fn into_result(self) -> Result<(Nanos, u64)> {
+    pub(crate) fn into_result(self) -> Result<(Nanos, u64)> {
         match self.error {
             None => Ok((self.finish, self.programs)),
             Some(e) => Err(e),
@@ -76,7 +76,7 @@ impl BarrierFlush {
 
 /// Outcome of appending one delta record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AppendOutcome {
+pub(crate) struct AppendOutcome {
     /// Delta page (possibly still buffered) that holds the record.
     pub page: Ppa,
     /// Completion time including any flush program that was needed.
@@ -87,7 +87,7 @@ pub struct AppendOutcome {
 
 /// Manager of delta buffers, active delta blocks, and per-filter block sets.
 #[derive(Clone)]
-pub struct DeltaManager {
+pub(crate) struct DeltaManager {
     geometry: Geometry,
     /// Live buffers, oldest filter first: a barrier programs them in this
     /// order, and each delta page's OOB timestamp is its program time, so
@@ -120,7 +120,7 @@ pub struct DeltaManager {
 impl DeltaManager {
     /// Creates an empty manager. `trim_watermark` is the number of buffered
     /// TRIM tombstones that forces a flush of the holding buffer.
-    pub fn new(geometry: Geometry, trim_watermark: u32) -> Self {
+    pub(crate) fn new(geometry: Geometry, trim_watermark: u32) -> Self {
         DeltaManager {
             geometry,
             buffers: BTreeMap::new(),
@@ -142,7 +142,7 @@ impl DeltaManager {
     }
 
     /// Largest single delta that fits an empty page.
-    pub fn max_delta_size(&self) -> u32 {
+    pub(crate) fn max_delta_size(&self) -> u32 {
         self.capacity_for(1)
     }
 
@@ -179,7 +179,7 @@ impl DeltaManager {
     ///
     /// The caller fills in every field of `record` except `size` clamping:
     /// oversized deltas are clamped to the page payload capacity.
-    pub fn append(
+    pub(crate) fn append(
         &mut self,
         filter: FilterId,
         mut record: DeltaRecord,
@@ -235,7 +235,7 @@ impl DeltaManager {
     /// On a failed program (power loss, injected fault) the buffer is kept:
     /// the records are still in RAM and a retry targets the same reserved
     /// page, so nothing is silently lost while the device is still alive.
-    pub fn flush_filter(
+    pub(crate) fn flush_filter(
         &mut self,
         filter: FilterId,
         bst: &mut Bst,
@@ -278,7 +278,7 @@ impl DeltaManager {
     /// flushes an acked trim is volatile, exactly like a buffered write
     /// delta — the host [`flush`](crate::device::SsdDevice::flush) barrier
     /// is the durability point.
-    pub fn journal_trim(
+    pub(crate) fn journal_trim(
         &mut self,
         filter: FilterId,
         record: DeltaRecord,
@@ -318,7 +318,7 @@ impl DeltaManager {
     /// The returned [`BarrierFlush`] carries the time and programs of the
     /// buffers flushed *before* any fault — partial work happened on real
     /// flash and must be charged even when the barrier as a whole fails.
-    pub fn flush_all(
+    pub(crate) fn flush_all(
         &mut self,
         bst: &mut Bst,
         flash: &mut FlashArray,
@@ -354,7 +354,7 @@ impl DeltaManager {
     /// Filters whose oldest pending tombstone was enqueued more than
     /// `deadline` ago — the batches the age-based group-flush scheduler owes
     /// a flush. Empty when `deadline` is 0 (aging disabled).
-    pub fn aged_trim_filters(&self, now: Nanos, deadline: Nanos) -> Vec<FilterId> {
+    pub(crate) fn aged_trim_filters(&self, now: Nanos, deadline: Nanos) -> Vec<FilterId> {
         if deadline == 0 || self.trim_buffers == 0 {
             return Vec::new();
         }
@@ -371,7 +371,7 @@ impl DeltaManager {
     /// Age of the oldest pending (volatile) tombstone across every buffer,
     /// or `None` when no tombstone is buffered. The consistency checker
     /// asserts this never exceeds the configured deadline at op boundaries.
-    pub fn oldest_pending_trim_age(&self, now: Nanos) -> Option<Nanos> {
+    pub(crate) fn oldest_pending_trim_age(&self, now: Nanos) -> Option<Nanos> {
         self.buffers
             .values()
             .filter_map(|b| b.oldest_trim_at)
@@ -395,7 +395,7 @@ impl DeltaManager {
     /// last completed barrier. A correct device always returns an empty
     /// list — the barrier flushed every buffer alive at that point — so the
     /// consistency checker treats entries as violations.
-    pub fn pre_barrier_buffers(&self) -> Vec<Ppa> {
+    pub(crate) fn pre_barrier_buffers(&self) -> Vec<Ppa> {
         self.buffers
             .values()
             .filter(|b| b.first_seq <= self.barrier_seq)
@@ -412,7 +412,7 @@ impl DeltaManager {
 
     /// Reads a reserved-but-unflushed delta page's records from the
     /// buffers.
-    pub fn buffered_page(&self, ppa: Ppa) -> Option<&[DeltaRecord]> {
+    pub(crate) fn buffered_page(&self, ppa: Ppa) -> Option<&[DeltaRecord]> {
         self.buffers
             .values()
             .find(|b| b.reserved == ppa)
@@ -422,7 +422,7 @@ impl DeltaManager {
     /// Iterates over every reserved-but-unflushed delta page (consistency
     /// checking: buffered TRIM records count toward the durable-trim audit
     /// only once flushed, but buffered pages are still part of the stream).
-    pub fn buffered_pages(&self) -> impl Iterator<Item = &[DeltaRecord]> {
+    pub(crate) fn buffered_pages(&self) -> impl Iterator<Item = &[DeltaRecord]> {
         self.buffers.values().map(|b| b.records.as_slice())
     }
 
@@ -435,7 +435,7 @@ impl DeltaManager {
 
     /// Forgets a filter: discards its buffer and active block; its delta
     /// blocks are now fully expired and queue for GC to erase.
-    pub fn drop_filter(&mut self, filter: FilterId) {
+    pub(crate) fn drop_filter(&mut self, filter: FilterId) {
         self.discard_buffer(filter);
         self.active_blocks.remove(&filter);
         self.expired
@@ -443,23 +443,23 @@ impl DeltaManager {
     }
 
     /// The expired delta blocks not yet erased, lowest block first.
-    pub fn expired_blocks(&self) -> impl Iterator<Item = BlockId> + '_ {
+    pub(crate) fn expired_blocks(&self) -> impl Iterator<Item = BlockId> + '_ {
         self.expired.iter().copied()
     }
 
     /// An expired delta block was erased.
-    pub fn forget_expired(&mut self, block: BlockId) {
+    pub(crate) fn forget_expired(&mut self, block: BlockId) {
         self.expired.remove(&block);
     }
 
     /// Adopts an existing on-flash delta block into a filter's set (used by
     /// power-cycle rebuild).
-    pub fn adopt_block(&mut self, filter: FilterId, block: BlockId) {
+    pub(crate) fn adopt_block(&mut self, filter: FilterId, block: BlockId) {
         self.blocks.entry(filter).or_default().push(block);
     }
 
     /// Total delta blocks currently dedicated to live filters.
-    pub fn block_count(&self) -> usize {
+    pub(crate) fn block_count(&self) -> usize {
         self.blocks.values().map(|v| v.len()).sum()
     }
 }

@@ -7,7 +7,7 @@
 use std::borrow::Cow;
 
 use almanac_bloom::FilterId;
-use almanac_flash::{DeltaBody, DeltaRecord, Lpa, Nanos, PageData, Ppa};
+use almanac_flash::{mix64, DeltaBody, DeltaRecord, Lpa, Nanos, PageData, Ppa};
 
 use crate::error::{AlmanacError, Result};
 use crate::tables::AmtEntry;
@@ -81,14 +81,9 @@ impl TimeSsd {
     /// compression ratio (mean/std from the config, as in §5.2 of the paper)
     /// drawn deterministically from the page identity.
     fn model_delta_size(&self, lpa: Lpa, ts: Nanos) -> u32 {
-        let mut z = lpa
-            .0
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .wrapping_add(ts.wrapping_mul(0xbf58_476d_1ce4_e5b9))
-            .wrapping_add(0x1234_5678);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
+        let page = lpa.0.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let time = ts.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        let z = mix64(page.wrapping_add(time).wrapping_add(0x1234_5678));
         // Box-Muller from two uniforms in (0, 1).
         let u1 = ((z >> 11) as f64 + 1.0) / (((1u64 << 53) + 1) as f64);
         let u2 = (((z.wrapping_mul(0x2545_f491_4f6c_dd1d)) >> 11) as f64 + 1.0)

@@ -15,7 +15,7 @@ use almanac_flash::Nanos;
 
 /// Exponential-smoothing idle predictor.
 #[derive(Debug, Clone, Copy)]
-pub struct IdlePredictor {
+pub(crate) struct IdlePredictor {
     alpha: f64,
     threshold: Nanos,
     predicted: f64,
@@ -25,7 +25,7 @@ pub struct IdlePredictor {
 impl IdlePredictor {
     /// Creates a predictor with smoothing factor `alpha` and the idle
     /// threshold above which background work is allowed.
-    pub fn new(alpha: f64, threshold: Nanos) -> Self {
+    pub(crate) fn new(alpha: f64, threshold: Nanos) -> Self {
         IdlePredictor {
             alpha,
             threshold,
@@ -35,25 +35,25 @@ impl IdlePredictor {
     }
 
     /// Current predicted idle length in nanoseconds.
-    pub fn predicted(&self) -> Nanos {
+    pub(crate) fn predicted(&self) -> Nanos {
         self.predicted as Nanos
     }
 
     /// Instant of the most recent request arrival (`None` before any I/O).
     /// This is the device's notion of "now" between requests — the last
     /// time the maintenance path had a chance to run.
-    pub fn last_arrival(&self) -> Option<Nanos> {
+    pub(crate) fn last_arrival(&self) -> Option<Nanos> {
         self.last_arrival
     }
 
     /// True when the prediction clears the background-compression threshold.
-    pub fn worth_compressing(&self) -> bool {
+    pub(crate) fn worth_compressing(&self) -> bool {
         self.predicted() >= self.threshold
     }
 
     /// Records a request arrival, updating the smoothed inter-arrival
     /// estimate.
-    pub fn on_arrival(&mut self, now: Nanos) {
+    pub(crate) fn on_arrival(&mut self, now: Nanos) {
         if let Some(last) = self.last_arrival {
             let interval = now.saturating_sub(last) as f64;
             self.predicted = self.alpha * interval + (1.0 - self.alpha) * self.predicted;

@@ -20,14 +20,14 @@
 //!   rollback bodies ([`table1`], §3.9 and §4).
 
 mod check;
-pub mod deltas;
-pub mod engine;
-pub mod gc;
-pub mod idle;
-pub mod query;
-pub mod rebuild;
-pub mod retention;
-pub mod table1;
+pub(crate) mod deltas;
+pub(crate) mod engine;
+pub(crate) mod gc;
+pub(crate) mod idle;
+pub(crate) mod query;
+pub(crate) mod rebuild;
+pub(crate) mod retention;
+pub(crate) mod table1;
 
 #[cfg(test)]
 mod tests;

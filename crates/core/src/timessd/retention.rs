@@ -34,7 +34,7 @@ pub(crate) struct PeriodCounters {
 impl PeriodCounters {
     /// Left-hand side of Equation 1: average GC overhead (ns) per user write
     /// over `n_fixed` writes.
-    pub fn overhead_per_write(&self, lat: &LatencyConfig, n_fixed: u64) -> f64 {
+    pub(crate) fn overhead_per_write(&self, lat: &LatencyConfig, n_fixed: u64) -> f64 {
         let cost = self.reads as f64 * lat.read_ns as f64
             + self.programs as f64 * lat.program_ns as f64
             + self.erases as f64 * lat.erase_ns as f64
@@ -43,12 +43,12 @@ impl PeriodCounters {
     }
 
     /// True when Equation 1 exceeds its threshold `TH × C_write`.
-    pub fn over_threshold(&self, lat: &LatencyConfig, n_fixed: u64, th: f64) -> bool {
+    pub(crate) fn over_threshold(&self, lat: &LatencyConfig, n_fixed: u64, th: f64) -> bool {
         self.overhead_per_write(lat, n_fixed) > th * lat.program_ns as f64
     }
 
     /// Resets all counters for the next period.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         *self = PeriodCounters::default();
     }
 }
@@ -62,7 +62,7 @@ impl PeriodCounters {
 /// guaranteed lower bound" (§3.4) means a version invalidated exactly
 /// `min_retention` ago must *still* be queryable, so the post-drop window
 /// has to strictly exceed the bound before the drop is allowed.
-pub fn may_drop_oldest(
+pub(crate) fn may_drop_oldest(
     now: Nanos,
     second_oldest_created: Option<Nanos>,
     min_retention: Nanos,

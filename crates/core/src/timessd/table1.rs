@@ -105,7 +105,7 @@ fn fetch(ssd: &TimeSsd, v: &VersionInfo, cost: &mut QueryCost) -> Result<QueryHi
 }
 
 /// Result of one [`AddrQuery`] run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AddrQueryOutcome {
     /// Matching versions in serial scan order: ascending LPA, newest version
     /// first within each LPA — byte-identical at every shard and thread

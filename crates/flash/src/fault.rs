@@ -19,6 +19,7 @@
 //!   stable across reads and across identically-seeded devices.
 
 use crate::addr::Ppa;
+use crate::array::mix64;
 use crate::page::Oob;
 
 /// Operation classes a fault can target.
@@ -141,15 +142,10 @@ impl FaultPlan {
     }
 
     fn rot_hash(&self, ppa: Ppa) -> u64 {
-        // SplitMix64-style finalizer over (seed, ppa): cheap, deterministic,
+        // SplitMix64 finalizer over (seed, ppa): cheap, deterministic,
         // and uncorrelated with the PRNG streams used by workloads.
-        let mut z = self
-            .seed
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .wrapping_add(ppa.0.wrapping_mul(0xd134_2543_de82_ef95));
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        let seed = self.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        mix64(seed.wrapping_add(ppa.0.wrapping_mul(0xd134_2543_de82_ef95)))
     }
 
     /// Applies deterministic OOB bit-rot for `ppa`, if this page is among

@@ -30,7 +30,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 mod addr;
 mod array;
@@ -44,7 +44,9 @@ mod stats;
 pub use addr::{
     BlockId, Lpa, LpaSpan, Nanos, Ppa, DAY_NS, HOUR_NS, MINUTE_NS, MS_NS, SEC_NS, US_NS,
 };
-pub use array::{fnv1a, Block, BlockState, FlashArray, Page, PageState, FNV_OFFSET};
+pub use array::{
+    fnv1a, mix64, xorshift64, Block, BlockState, FlashArray, Page, PageState, FNV_OFFSET,
+};
 pub use error::{FlashError, FlashResult};
 pub use fault::{FaultPlan, FlashOp, InjectedKind, OpFault};
 pub use geometry::Geometry;

@@ -5,6 +5,7 @@ use std::ops::Deref;
 use std::sync::Arc;
 
 use crate::addr::{Lpa, Nanos, Ppa};
+use crate::array::xorshift64;
 
 /// Content stored in one flash page.
 ///
@@ -68,9 +69,7 @@ impl PageData {
                     | 1;
                 for chunk in out.chunks_mut(8) {
                     // Xorshift64* keeps materialisation fast and deterministic.
-                    state ^= state << 13;
-                    state ^= state >> 7;
-                    state ^= state << 17;
+                    state = xorshift64(state);
                     let b = state.wrapping_mul(0x2545_f491_4f6c_dd1d).to_le_bytes();
                     let n = chunk.len();
                     chunk.copy_from_slice(&b[..n]);

@@ -31,7 +31,7 @@
 //! assert_eq!(bytes, b"hello world");
 //! ```
 
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 pub mod forensic;
 mod fs;

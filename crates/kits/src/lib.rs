@@ -46,7 +46,7 @@
 //! assert_eq!(data, PageData::bytes(b"old".to_vec()));
 //! ```
 
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 #![forbid(unsafe_code)]
 
 mod evidence;

@@ -23,24 +23,21 @@
 //! starts until the Flush's completion posts.
 //!
 //! A command owns its data. The pages a Write carries are submitted beside
-//! its 64-byte entry and moved into the device; the pages a read or query
-//! returns ride in its [`PostedCompletion`] as the device's immutable
-//! [`PageData`], which the host materialises. There is no host-buffer table
-//! to register with, look up, or leak.
+//! its 64-byte entry and moved into the device; what a Read or a Table-1
+//! command returns rides in its [`PostedCompletion`] as an [`Answer`]: the
+//! device's immutable [`PageData`], or the query or rollback outcome exactly
+//! as core's body returned it. There is no host-buffer table to register
+//! with, look up, or leak, and no second answer format.
 
 use almanac_core::{roll_back, roll_back_all, time_scan, AddrQuery};
 use almanac_core::{AlmanacError, Result, SsdDevice};
 use almanac_flash::{Lpa, LpaSpan, Nanos, PageData};
 
-use crate::queue::{PostedCompletion, QueuePair};
+use crate::queue::{Answer, PostedCompletion, QueuePair};
 use crate::sqe::{CompletionEntry, NvmeOpcode, SubmissionEntry};
 
 /// Depth of the I/O queue pair the controller creates at construction.
 pub const DEFAULT_QUEUE_DEPTH: usize = 32;
-
-/// Bytes of one TimeQuery result row: the LPA and its version count, each a
-/// little-endian `u64`.
-pub(crate) const TIME_QUERY_ROW: usize = 16;
 
 /// Host workers a time query's completion time is scheduled over.
 const TIME_QUERY_THREADS: u32 = 4;
@@ -96,8 +93,9 @@ pub(crate) fn result_of(status: u16, lpa: Lpa, now: Nanos, exported: u64) -> Res
 }
 
 /// What executing a command yields: status, result dword, device-side
-/// finish instant, and the pages a successful read or query returns.
-type Executed = (NvmeStatus, u32, Nanos, Option<Vec<PageData>>);
+/// finish instant, and the answer a successful Read or Table-1 command
+/// returns.
+type Executed = (NvmeStatus, u32, Nanos, Option<Answer>);
 
 /// The controller: N submission/completion queue pairs over one device.
 pub struct NvmeController<D = almanac_core::TimeSsd> {
@@ -275,7 +273,7 @@ impl<D: SsdDevice> NvmeController<D> {
             return false;
         }
         let (entry, payload) = self.queues[qid].sq.pop_front().expect("head checked");
-        let (status, result, finish, data) = self.execute(entry, payload, now);
+        let (status, result, finish, answer) = self.execute(entry, payload, now);
         self.start_seq += 1;
         self.queues[qid].start(PostedCompletion {
             cqe: CompletionEntry {
@@ -285,7 +283,7 @@ impl<D: SsdDevice> NvmeController<D> {
             },
             opcode: entry.opcode,
             finish,
-            data,
+            answer,
             seq: self.start_seq,
         });
         true
@@ -321,11 +319,12 @@ impl<D: SsdDevice> NvmeController<D> {
     /// through its read view, a rollback writes through the device. A
     /// device without a read view knows none of these opcodes.
     fn execute_vendor(&mut self, e: SubmissionEntry, now: Nanos) -> Executed {
-        use NvmeStatus::Success;
         let Some(view) = self.ssd.read_view() else {
             return (NvmeStatus::InvalidOpcode, 0, now, None);
         };
-        match e.opcode {
+        // Each body's answer with its item count (the result dword) and the
+        // instant its CQE posts.
+        let answered = match e.opcode {
             NvmeOpcode::AddrQuery | NvmeOpcode::AddrQueryRange | NvmeOpcode::AddrQueryAll => {
                 let query = AddrQuery::new(view, Lpa(e.get_u64(0)), e.cdw[2] as u64);
                 // The opcodes differ only in which CDWs carry the version
@@ -340,17 +339,13 @@ impl<D: SsdDevice> NvmeController<D> {
                     }
                     _ => (query.all_versions(), e.cdw[3]),
                 };
-                match query.threads(threads).run() {
-                    // The CQE posts at `now` plus the partitioned schedule's
-                    // makespan over `threads` host workers, so a device
-                    // with more partitions answers parallel queries sooner.
-                    Ok(out) => {
-                        let finish = now.saturating_add(out.makespan(threads));
-                        let pages: Vec<PageData> = out.hits.into_iter().map(|h| h.data).collect();
-                        (Success, pages.len() as u32, finish, Some(pages))
-                    }
-                    Err(err) => Self::failed(&err, now),
-                }
+                // The CQE posts at `now` plus the partitioned schedule's
+                // makespan over `threads` host workers, so a device with more
+                // partitions answers parallel queries sooner.
+                query.threads(threads).run().map(|out| {
+                    let finish = now.saturating_add(out.makespan(threads));
+                    (out.hits.len(), finish, Answer::Versions(Box::new(out)))
+                })
             }
             NvmeOpcode::TimeQuery | NvmeOpcode::TimeQueryRange | NvmeOpcode::TimeQueryAll => {
                 let (from, to) = match e.opcode {
@@ -359,19 +354,8 @@ impl<D: SsdDevice> NvmeController<D> {
                     _ => (0, Nanos::MAX),
                 };
                 let (hits, cost) = time_scan(view, from, to, TIME_QUERY_THREADS);
-                // The result carries `(lpa, n_timestamps)` pairs as 16-byte
-                // rows.
-                let rows: Vec<PageData> = hits
-                    .iter()
-                    .map(|h| {
-                        let mut row = Vec::with_capacity(TIME_QUERY_ROW);
-                        row.extend_from_slice(&h.lpa.0.to_le_bytes());
-                        row.extend_from_slice(&(h.timestamps.len() as u64).to_le_bytes());
-                        PageData::bytes(row)
-                    })
-                    .collect();
                 let finish = now.saturating_add(cost.makespan(TIME_QUERY_THREADS));
-                (Success, hits.len() as u32, finish, Some(rows))
+                Ok((hits.len(), finish, Answer::Times(Box::new((hits, cost)))))
             }
             _ => {
                 let outcome = if e.opcode == NvmeOpcode::RollBack {
@@ -380,11 +364,12 @@ impl<D: SsdDevice> NvmeController<D> {
                 } else {
                     roll_back_all(&mut self.ssd, e.get_u64(0), now)
                 };
-                match outcome {
-                    Ok(out) => (Success, out.restored.len() as u32, out.finish, None),
-                    Err(err) => Self::failed(&err, now),
-                }
+                outcome.map(|o| (o.restored.len(), o.finish, Answer::Rollback(Box::new(o))))
             }
+        };
+        match answered {
+            Ok((n, finish, answer)) => (NvmeStatus::Success, n as u32, finish, Some(answer)),
+            Err(err) => Self::failed(&err, now),
         }
     }
 
@@ -430,7 +415,7 @@ impl<D: SsdDevice> NvmeController<D> {
                         Err(err) => return Self::failed(&err, now),
                     }
                 }
-                (Success, count, finish, Some(pages))
+                (Success, count, finish, Some(Answer::Pages(pages)))
             }
             _ => {
                 for lpa in span.iter() {
@@ -481,6 +466,14 @@ mod tests {
         page.materialize(c.ssd().geometry().page_size as usize)
     }
 
+    /// The pages a successful Read returned.
+    fn read_pages(done: PostedCompletion) -> Vec<PageData> {
+        match done.answer {
+            Some(Answer::Pages(pages)) => pages,
+            other => panic!("a read answered {other:?}"),
+        }
+    }
+
     /// Writes one page of `text` at `lpa` at `t` seconds.
     fn write_text(c: &mut NvmeController, lpa: u64, t: u64, text: &str) {
         let w = io(NvmeOpcode::Write, t as u16, lpa, 1);
@@ -495,12 +488,12 @@ mod tests {
         let done = run(&mut c, io(NvmeOpcode::Write, 1, 10, 2), pages, SEC_NS);
         assert_eq!(done.cqe.status, NvmeStatus::Success as u16);
         assert_eq!(done.cqe.result, 2);
-        assert!(done.data.is_none());
+        assert!(done.answer.is_none());
 
         let r = io(NvmeOpcode::Read, 2, 10, 2);
         let done = run(&mut c, r, Vec::new(), 2 * SEC_NS);
         assert_eq!(done.cqe.status, 0);
-        let pages = done.data.unwrap();
+        let pages = read_pages(done);
         assert!(bytes(&c, &pages[0]).starts_with(b"page zero"));
         assert!(bytes(&c, &pages[1]).starts_with(b"page one"));
     }
@@ -600,7 +593,11 @@ mod tests {
         let done = run(&mut c, q, Vec::new(), 10 * SEC_NS);
         assert_eq!(done.cqe.status, 0);
         assert_eq!(done.cqe.result, 1);
-        assert!(bytes(&c, &done.data.unwrap()[0]).starts_with(b"old"));
+        let Some(Answer::Versions(out)) = done.answer else {
+            panic!("an AddrQuery answered {:?}", done.answer);
+        };
+        assert_eq!((out.hits[0].lpa, out.hits[0].timestamp), (Lpa(0), SEC_NS));
+        assert!(bytes(&c, &out.hits[0].data).starts_with(b"old"));
     }
 
     #[test]
@@ -610,24 +607,36 @@ mod tests {
         write_text(&mut c, 4, 5, "bad!");
         let mut rb = io(NvmeOpcode::RollBack, 60, 4, 1);
         rb.set_u64(4, 2 * SEC_NS);
-        assert_eq!(run(&mut c, rb, Vec::new(), 10 * SEC_NS).cqe.result, 1);
+        let done = run(&mut c, rb, Vec::new(), 10 * SEC_NS);
+        assert_eq!(done.cqe.result, 1);
+        let Some(Answer::Rollback(out)) = done.answer else {
+            panic!("a RollBack answered {:?}", done.answer);
+        };
+        assert_eq!(out.restored, vec![(Lpa(4), SEC_NS)]);
+        assert_eq!(out.finish, done.finish);
 
         let r = io(NvmeOpcode::Read, 61, 4, 1);
         let done = run(&mut c, r, Vec::new(), 20 * SEC_NS);
-        assert!(bytes(&c, &done.data.unwrap()[0]).starts_with(b"good"));
+        assert!(bytes(&c, &read_pages(done)[0]).starts_with(b"good"));
     }
 
     #[test]
-    fn time_query_rows_encode_lpa_and_count() {
+    fn time_query_answers_carry_each_lpas_timestamps() {
         let mut c = controller();
         write_text(&mut c, 7, 1, "x");
+        write_text(&mut c, 7, 3, "y");
         let q = SubmissionEntry::new(NvmeOpcode::TimeQueryAll, 2);
-        let done = run(&mut c, q, Vec::new(), 2 * SEC_NS);
+        let done = run(&mut c, q, Vec::new(), 4 * SEC_NS);
         assert_eq!(done.cqe.result, 1);
-        let row = done.data.unwrap()[0].materialize(TIME_QUERY_ROW);
-        let lpa = u64::from_le_bytes(row[0..8].try_into().unwrap());
-        let n = u64::from_le_bytes(row[8..16].try_into().unwrap());
-        assert_eq!((lpa, n), (7, 1));
+        let Some(Answer::Times(answer)) = done.answer else {
+            panic!("a TimeQueryAll answered {:?}", done.answer);
+        };
+        let (hits, _) = *answer;
+        assert_eq!(hits.len(), 1);
+        assert_eq!(
+            (hits[0].lpa, &hits[0].timestamps[..]),
+            (Lpa(7), &[3 * SEC_NS, SEC_NS][..])
+        );
     }
 
     #[test]

@@ -17,18 +17,20 @@
 //!   so tickets never collide.
 //!
 //! Data travels with its command: a write's pages are handed to the
-//! controller at submission, a read's or query's pages come back in its
-//! [`CompletedIo`] as the device's [`PageData`], materialised into bytes
-//! only where the host asks for them (the vendor queries do). Nothing is
-//! registered, so nothing can leak.
+//! controller at submission, and what a read or a Table-1 command returns
+//! comes back in its [`CompletedIo`] as an [`Answer`]: the device's
+//! [`PageData`], or core's query or rollback outcome as the device computed
+//! it. Nothing is registered, so nothing can leak.
 
 use std::fmt;
 use std::sync::Arc;
 
+use almanac_core::{AddrQueryOutcome, QueryCost, RollbackOutcome, TimeQueryHit};
 use almanac_core::{AlmanacError, Completion, DeviceStats, Result, SsdDevice, SsdReadOps};
 use almanac_flash::{Lpa, Nanos, PageData};
 
-use crate::controller::{result_of, NvmeController, NvmeStatus, TIME_QUERY_ROW};
+use crate::controller::{result_of, NvmeController, NvmeStatus};
+use crate::queue::Answer;
 use crate::sqe::{NvmeOpcode, SubmissionEntry};
 
 /// Errors surfaced by the driver.
@@ -63,7 +65,10 @@ impl fmt::Display for DriverError {
 impl std::error::Error for DriverError {}
 
 /// Result alias.
-pub type DriverResult<T> = std::result::Result<T, DriverError>;
+pub(crate) type DriverResult<T> = std::result::Result<T, DriverError>;
+
+/// What a Table-1 call returns: core's answer with its [`Completion`].
+type Answered<T> = DriverResult<(T, Completion)>;
 
 /// Handle for an in-flight command: its queue id and command id. Unique
 /// among commands currently in flight.
@@ -86,10 +91,9 @@ pub struct CompletedIo {
     pub status: u16,
     /// Command-specific result dword.
     pub result: u32,
-    /// Returned pages for data-bearing commands (reads, queries) that
-    /// succeeded; `None` otherwise. `materialize(page_size)` gives a page's
-    /// bytes; a TimeQuery row is 16 bytes.
-    pub data: Option<Vec<PageData>>,
+    /// What a successful Read or Table-1 command returned; `None` for every
+    /// other command and for a failure.
+    pub answer: Option<Answer>,
     /// Device-side finish time the completion entry posted at — response
     /// time is `finish - submit time`.
     pub finish: Nanos,
@@ -247,7 +251,7 @@ impl<D: SsdDevice> HostDriver<D> {
                 opcode: done.opcode,
                 status: done.cqe.status,
                 result: done.cqe.result,
-                data: done.data,
+                answer: done.answer,
                 finish: done.finish,
             });
         }
@@ -354,15 +358,15 @@ impl<D: SsdDevice> HostDriver<D> {
         Ok(self.ready.remove(pos))
     }
 
-    /// A vendor command run to completion: its completion, or its status
-    /// as a [`DriverError::Status`].
-    fn issue(&mut self, entry: SubmissionEntry, now: Nanos) -> DriverResult<CompletedIo> {
+    /// A vendor command run to completion: its answer and [`Completion`],
+    /// or its status as a [`DriverError::Status`].
+    fn issue(&mut self, entry: SubmissionEntry, now: Nanos) -> Answered<Option<Answer>> {
         let io = self.run_one(entry, Vec::new(), now)?;
+        let (code, opcode, finish) = (io.status, io.opcode, io.finish);
         if !io.is_success() {
-            let (code, opcode) = (io.status, io.opcode);
             return Err(DriverError::Status { code, opcode });
         }
-        Ok(io)
+        Ok((io.answer, Completion { start: now, finish }))
     }
 
     /// One command of the [`SsdDevice`] surface on `lpa`, run to completion:
@@ -374,15 +378,15 @@ impl<D: SsdDevice> HostDriver<D> {
         entry: SubmissionEntry,
         payload: Vec<Vec<u8>>,
         now: Nanos,
-    ) -> Result<(Completion, Option<Vec<PageData>>)> {
+    ) -> Result<(Completion, Option<Answer>)> {
         let io = self.run_one(entry, payload, now);
         let io = io.map_err(|_| AlmanacError::Internal("queue 0 full or completion lost"))?;
         result_of(io.status, Lpa(entry.get_u64(0)), now, self.exported_pages())?;
         let finish = io.finish;
-        Ok((Completion { start: now, finish }, io.data))
+        Ok((Completion { start: now, finish }, io.answer))
     }
 
-    /// `AddrQuery` through the wire: the page contents as of time `t`, with
+    /// `AddrQuery` through the wire: each LPA's version as of time `t`, with
     /// `threads` host workers fanning the scan across the device's
     /// partitions (CDW13 on the wire); the completion posts at the
     /// partitioned schedule's makespan.
@@ -393,45 +397,49 @@ impl<D: SsdDevice> HostDriver<D> {
         t: Nanos,
         threads: u32,
         now: Nanos,
-    ) -> DriverResult<Vec<Vec<u8>>> {
+    ) -> Answered<AddrQueryOutcome> {
         let mut e = SubmissionEntry::span(NvmeOpcode::AddrQuery, lpa.0, count);
         e.cdw[3] = threads;
         e.set_u64(4, t);
-        let pages = self.issue(e, now)?.data;
-        let pages = pages.ok_or(DriverError::Lost(NvmeOpcode::AddrQuery))?;
-        let page_size = self.controller.page_size();
-        Ok(pages.iter().map(|p| p.materialize(page_size)).collect())
+        match self.issue(e, now)? {
+            (Some(Answer::Versions(out)), c) => Ok((*out, c)),
+            _ => Err(DriverError::Lost(NvmeOpcode::AddrQuery)),
+        }
     }
 
-    /// `TimeQueryAll` through the wire: `(lpa, version count)` rows.
-    pub fn time_query_all(&mut self, now: Nanos) -> DriverResult<Vec<(u64, u64)>> {
-        let opcode = NvmeOpcode::TimeQueryAll;
-        let rows = self.issue(SubmissionEntry::new(opcode, 0), now)?.data;
-        let rows = rows.ok_or(DriverError::Lost(opcode))?;
-        // Little-endian words of a row materialised at exactly its width.
-        let word = |le: &[u8]| le.iter().rev().fold(0u64, |w, &b| w << 8 | u64::from(b));
-        Ok(rows
-            .iter()
-            .map(|r| {
-                let row = r.materialize(TIME_QUERY_ROW);
-                let (lpa, versions) = row.split_at(8);
-                (word(lpa), word(versions))
-            })
-            .collect())
+    /// `TimeQueryAll` through the wire: every LPA with retained history, its
+    /// write timestamps, and the scan's retrieval cost.
+    pub fn time_query_all(&mut self, now: Nanos) -> Answered<(Vec<TimeQueryHit>, QueryCost)> {
+        match self.issue(SubmissionEntry::new(NvmeOpcode::TimeQueryAll, 0), now)? {
+            (Some(Answer::Times(answer)), c) => Ok((*answer, c)),
+            _ => Err(DriverError::Lost(NvmeOpcode::TimeQueryAll)),
+        }
     }
 
-    /// `RollBack` through the wire; returns the number of pages restored.
-    pub fn roll_back(&mut self, lpa: Lpa, count: u32, t: Nanos, now: Nanos) -> DriverResult<u32> {
+    /// `RollBack` through the wire: what was restored, erased and skipped.
+    pub fn roll_back(
+        &mut self,
+        lpa: Lpa,
+        count: u32,
+        t: Nanos,
+        now: Nanos,
+    ) -> Answered<RollbackOutcome> {
         let mut e = SubmissionEntry::span(NvmeOpcode::RollBack, lpa.0, count);
         e.set_u64(4, t);
-        Ok(self.issue(e, now)?.result)
+        match self.issue(e, now)? {
+            (Some(Answer::Rollback(out)), c) => Ok((*out, c)),
+            _ => Err(DriverError::Lost(NvmeOpcode::RollBack)),
+        }
     }
 
-    /// `RollBackAll` through the wire; returns the number of pages restored.
-    pub fn roll_back_all(&mut self, t: Nanos, now: Nanos) -> DriverResult<u32> {
+    /// `RollBackAll` through the wire: what was restored, erased and skipped.
+    pub fn roll_back_all(&mut self, t: Nanos, now: Nanos) -> Answered<RollbackOutcome> {
         let mut e = SubmissionEntry::new(NvmeOpcode::RollBackAll, 0);
         e.set_u64(0, t);
-        Ok(self.issue(e, now)?.result)
+        match self.issue(e, now)? {
+            (Some(Answer::Rollback(out)), c) => Ok((*out, c)),
+            _ => Err(DriverError::Lost(NvmeOpcode::RollBackAll)),
+        }
     }
 }
 
@@ -452,10 +460,10 @@ impl<D: SsdDevice> SsdDevice for HostDriver<D> {
 
     fn read(&mut self, lpa: Lpa, now: Nanos) -> Result<(PageData, Completion)> {
         let e = SubmissionEntry::span(NvmeOpcode::Read, lpa.0, 1);
-        let (c, pages) = self.sync(e, Vec::new(), now)?;
-        let page = pages.and_then(|pages| pages.into_iter().next());
-        let page = page.ok_or(AlmanacError::Internal("read posted no page"))?;
-        Ok((page, c))
+        match self.sync(e, Vec::new(), now)? {
+            (c, Some(Answer::Pages(mut pages))) if pages.len() == 1 => Ok((pages.remove(0), c)),
+            _ => Err(AlmanacError::Internal("read posted no page")),
+        }
     }
 
     fn trim(&mut self, lpa: Lpa, now: Nanos) -> Result<Completion> {
@@ -521,10 +529,12 @@ mod tests {
         let mut d = driver();
         put(&mut d, 0, b"v1", SEC_NS);
         put(&mut d, 0, b"v2", 3 * SEC_NS);
-        let old = d.addr_query(Lpa(0), 1, 2 * SEC_NS, 1, 4 * SEC_NS).unwrap();
-        assert!(old[0].starts_with(b"v1"));
-        let restored = d.roll_back(Lpa(0), 1, 2 * SEC_NS, 5 * SEC_NS).unwrap();
-        assert_eq!(restored, 1);
+        let (old, c) = d.addr_query(Lpa(0), 1, 2 * SEC_NS, 1, 4 * SEC_NS).unwrap();
+        assert_eq!((old.hits[0].timestamp, c.start), (SEC_NS, 4 * SEC_NS));
+        assert_eq!(old.hits[0].data, PageData::bytes(b"v1".to_vec()));
+        let (rolled, c) = d.roll_back(Lpa(0), 1, 2 * SEC_NS, 5 * SEC_NS).unwrap();
+        assert_eq!(rolled.restored, vec![(Lpa(0), SEC_NS)]);
+        assert_eq!(rolled.finish, c.finish);
         assert!(get(&mut d, 0, 6 * SEC_NS).starts_with(b"v1"));
     }
 
@@ -553,20 +563,18 @@ mod tests {
         for lpa in 0..8u64 {
             put(&mut d, lpa, &[lpa as u8; 16], SEC_NS);
         }
-        let serial = d
+        let (serial, one) = d
             .addr_query(Lpa(0), 8, 10 * SEC_NS, 1, 20 * SEC_NS)
             .unwrap();
-        let parallel = d
+        let (parallel, four) = d
             .addr_query(Lpa(0), 8, 10 * SEC_NS, 4, 30 * SEC_NS)
             .unwrap();
         assert_eq!(serial, parallel);
-        // Completion timing: the sharded schedule with 4 workers is strictly
-        // no slower than one worker on the same device state.
-        let one = almanac_core::AddrQuery::new(d.controller().ssd(), Lpa(0), 8)
-            .as_of(10 * SEC_NS)
-            .run()
-            .unwrap();
-        assert!(one.makespan(4) <= one.makespan(1));
+        // Completion timing: the sharded schedule with 4 workers is no
+        // slower than one worker on the same device state.
+        assert_eq!(one.response(20 * SEC_NS), serial.makespan(1));
+        assert_eq!(four.response(30 * SEC_NS), serial.makespan(4));
+        assert!(serial.makespan(4) <= serial.makespan(1));
     }
 
     #[test]
@@ -595,15 +603,19 @@ mod tests {
     }
 
     #[test]
-    fn time_query_all_reports_rows() {
+    fn time_query_all_reports_each_lpas_timestamps() {
         let mut d = driver();
         put(&mut d, 2, b"x", SEC_NS);
         put(&mut d, 2, b"y", 2 * SEC_NS);
         put(&mut d, 5, b"z", 3 * SEC_NS);
-        let rows = d.time_query_all(4 * SEC_NS).unwrap();
-        assert_eq!(rows.len(), 2);
-        assert!(rows.contains(&(2, 2)));
-        assert!(rows.contains(&(5, 1)));
+        let ((hits, _), _) = d.time_query_all(4 * SEC_NS).unwrap();
+        let hits: Vec<(Lpa, Vec<Nanos>)> =
+            hits.into_iter().map(|h| (h.lpa, h.timestamps)).collect();
+        let expect = [
+            (Lpa(2), vec![2 * SEC_NS, SEC_NS]),
+            (Lpa(5), vec![3 * SEC_NS]),
+        ];
+        assert_eq!(hits, expect);
     }
 
     #[test]
@@ -664,6 +676,17 @@ mod tests {
         );
     }
 
+    /// An answer's variant and the number of pages, hits, LPAs or restored
+    /// pages it holds.
+    fn shape(answer: &Answer) -> (&'static str, usize) {
+        match answer {
+            Answer::Pages(pages) => ("pages", pages.len()),
+            Answer::Versions(out) => ("versions", out.hits.len()),
+            Answer::Times(answer) => ("times", answer.0.len()),
+            Answer::Rollback(out) => ("rollback", out.restored.len()),
+        }
+    }
+
     #[test]
     fn completed_io_carries_data_exactly_for_successful_reads_and_queries() {
         use NvmeOpcode::*;
@@ -677,23 +700,63 @@ mod tests {
             e
         };
         let far = u64::MAX / 4;
-        // (command, pages it carries, succeeds, pages of data it returns)
+        // (command, pages it carries, succeeds, the answer's shape). The
+        // loop issues the commands one second apart from 3 s.
         let table = [
             (cmd(Write, 2, 2, 0), 2, true, None),
             (cmd(Write, far, 1, 0), 1, false, None),
             (cmd(DatasetMgmt, 2, 1, 0), 0, true, None),
             (cmd(Flush, 0, 0, 0), 0, true, None),
-            (cmd(Read, 1, 2, 0), 0, true, Some(2)),
+            (cmd(Read, 1, 2, 0), 0, true, Some(("pages", 2))),
             (cmd(Read, far, 1, 0), 0, false, None),
-            (cmd(AddrQuery, 1, 1, 2 * SEC_NS), 0, true, Some(1)),
+            (
+                cmd(AddrQuery, 1, 1, 2 * SEC_NS),
+                0,
+                true,
+                Some(("versions", 1)),
+            ),
             // No version that early: success with nothing to return.
-            (cmd(AddrQuery, 1, 1, 0), 0, true, Some(0)),
-            // LPAs 1, 2 and 3 have history (the trim keeps it).
-            (cmd(TimeQueryAll, 0, 0, 0), 0, true, Some(3)),
-            (cmd(RollBack, 1, 1, 2 * SEC_NS), 0, true, None),
+            (cmd(AddrQuery, 1, 1, 0), 0, true, Some(("versions", 0))),
+            // CDW13 = 0 s and CDW14 = 10 s: LPA 2's one version.
+            (
+                cmd(AddrQueryRange, 2, 1, 10),
+                0,
+                true,
+                Some(("versions", 1)),
+            ),
+            (cmd(AddrQueryAll, 1, 3, 0), 0, true, Some(("versions", 3))),
+            // LPAs 1, 2 and 3 have history (the trim keeps it); two of them
+            // were written from 3 s on, and one up to 2 s.
+            (cmd(TimeQueryAll, 0, 0, 0), 0, true, Some(("times", 3))),
+            (
+                cmd(TimeQuery, 3 * SEC_NS, 0, 0),
+                0,
+                true,
+                Some(("times", 2)),
+            ),
+            (
+                cmd(TimeQueryRange, 0, 2 * SEC_NS as u32, 0),
+                0,
+                true,
+                Some(("times", 1)),
+            ),
+            // LPA 2 as of 4 s holds the write at 3 s, which the trim undid.
+            (
+                cmd(RollBack, 2, 1, 4 * SEC_NS),
+                0,
+                true,
+                Some(("rollback", 1)),
+            ),
+            // LPAs 1, 2 and 3 each had a version at 4 s.
+            (
+                cmd(RollBackAll, 4 * SEC_NS, 0, 0),
+                0,
+                true,
+                Some(("rollback", 3)),
+            ),
         ];
         let mut now = 2 * SEC_NS;
-        for (entry, carried, succeeds, data_pages) in table {
+        for (entry, carried, succeeds, shaped) in table {
             let what = entry.opcode;
             now += SEC_NS;
             let ticket = d
@@ -703,8 +766,8 @@ mod tests {
             assert_eq!(done.len(), 1, "{what:?}");
             assert_eq!(done[0].ticket, ticket, "{what:?}");
             assert_eq!(done[0].is_success(), succeeds, "{what:?}");
-            let returned = done[0].data.as_ref().map(Vec::len);
-            assert_eq!(returned, data_pages, "{what:?}: data");
+            let returned = done[0].answer.as_ref().map(shape);
+            assert_eq!(returned, shaped, "{what:?}: answer");
         }
     }
 

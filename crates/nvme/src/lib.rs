@@ -7,20 +7,22 @@
 //!
 //! This crate reproduces that interface boundary:
 //!
-//! - [`sqe`] — 64-byte submission-queue entries and 16-byte completion
-//!   entries with real binary encode/decode (opcode, command id, NSID,
-//!   CDW10–15), including the vendor-specific opcodes that carry the
-//!   Table-1 TimeKits commands.
-//! - [`controller`] — a controller over any device (a
+//! - The wire format: 64-byte [`SubmissionEntry`]s and 16-byte
+//!   [`CompletionEntry`]s with real binary encode/decode (opcode, command id,
+//!   NSID, CDW10–15), including the vendor-specific [`NvmeOpcode`]s that carry
+//!   the Table-1 TimeKits commands.
+//! - [`NvmeController`] — a controller over any device (a
 //!   [`TimeSsd`](almanac_core::TimeSsd) by default): commands are queued,
-//!   fetched, interpreted, executed against the FTL, and completed with NVMe
-//!   status codes. The vendor opcodes run the device's own Table-1 bodies
-//!   from `almanac_core` (`AddrQuery`, `time_scan`, `roll_back`); a device
-//!   without history answers them with Invalid Opcode. A command owns its data: a
-//!   Write's pages ride beside its 64-byte entry into the queue and a read's
-//!   or query's pages ride back in its [`PostedCompletion`] (PRP lists are not
-//!   modelled).
-//! - [`driver`] — the host-side driver exposing a typed API that goes
+//!   fetched, interpreted, executed against the FTL, and completed with
+//!   [`NvmeStatus`] codes. The vendor opcodes run the device's own Table-1
+//!   bodies from `almanac_core` (`AddrQuery`, `time_scan`, `roll_back`); a
+//!   device without history answers them with Invalid Opcode.
+//! - A command owns its data. A Write's pages ride beside its 64-byte entry
+//!   into the queue. What a Read or a Table-1 command returns rides back
+//!   beside the CQE in its [`PostedCompletion`] as a typed [`Answer`]: the
+//!   read's pages, or the outcome core's body returned, unconverted. PRP
+//!   lists are not modelled, so nothing crosses as bytes.
+//! - [`HostDriver`] — the host-side driver exposing a typed API that goes
 //!   through the wire format, exactly like TimeKits does in the paper. It
 //!   is an `SsdDevice` itself, so a file system or a replayer runs over the
 //!   queues unchanged.
@@ -41,7 +43,7 @@
 //! assert!(done.finish > 2 * SEC_NS);
 //! ```
 
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 mod controller;
 mod driver;
@@ -50,5 +52,5 @@ mod sqe;
 
 pub use controller::{NvmeController, NvmeStatus, DEFAULT_QUEUE_DEPTH};
 pub use driver::{CompletedIo, DriverError, HostDriver, Ticket};
-pub use queue::PostedCompletion;
+pub use queue::{Answer, PostedCompletion};
 pub use sqe::{CompletionEntry, NvmeOpcode, SubmissionEntry};

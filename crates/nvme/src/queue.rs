@@ -10,9 +10,29 @@
 
 use std::collections::VecDeque;
 
+use almanac_core::{AddrQueryOutcome, QueryCost, RollbackOutcome, TimeQueryHit};
 use almanac_flash::{Nanos, PageData};
 
 use crate::sqe::{CompletionEntry, NvmeOpcode, SubmissionEntry};
+
+/// What a successful Read or Table-1 command hands back beside its CQE:
+/// the value the device computed, unconverted. The vendor answers are boxed
+/// so a completion stays as small as a read's.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Answer {
+    /// A Read's pages in LPA order. They are immutable (`Bytes` shares its
+    /// buffer), so they are the device's content at the command's start.
+    Pages(Vec<PageData>),
+    /// What [`AddrQuery::run`](almanac_core::AddrQuery::run) returned for an
+    /// AddrQuery, AddrQueryRange or AddrQueryAll.
+    Versions(Box<AddrQueryOutcome>),
+    /// What [`time_scan`](almanac_core::time_scan) returned for a TimeQuery,
+    /// TimeQueryRange or TimeQueryAll.
+    Times(Box<(Vec<TimeQueryHit>, QueryCost)>),
+    /// What [`roll_back`](almanac_core::roll_back) or
+    /// [`roll_back_all`](almanac_core::roll_back_all) returned.
+    Rollback(Box<RollbackOutcome>),
+}
 
 /// One command's completion as the host pops it: the wire CQE plus what its
 /// 16 bytes cannot carry. The controller builds the record when it starts
@@ -25,10 +45,8 @@ pub struct PostedCompletion {
     pub opcode: NvmeOpcode,
     /// Device-side completion instant; the CQE posts when `now >= finish`.
     pub finish: Nanos,
-    /// Returned pages: `Some` exactly when a read or query succeeded. The
-    /// pages are immutable (`Bytes` shares its buffer), so they are the
-    /// device's content at the command's start; the host materialises them.
-    pub data: Option<Vec<PageData>>,
+    /// `Some` exactly when a Read or a Table-1 command succeeded.
+    pub answer: Option<Answer>,
     /// Global start order, for deterministic tie-breaks and out-of-order
     /// accounting.
     pub(crate) seq: u64,
@@ -72,15 +90,11 @@ impl QueuePair {
         }
     }
 
-    /// Commands outstanding from the host's point of view: submitted and
-    /// not yet posted to the CQ.
-    pub(crate) fn outstanding(&self) -> usize {
-        self.sq.len() + self.inflight.len()
-    }
-
-    /// True when the host may ring one more submission into this queue.
+    /// True when the host may ring one more submission into this queue:
+    /// the commands outstanding from its point of view (submitted and not
+    /// yet posted to the CQ) are fewer than the depth.
     pub(crate) fn has_slot(&self) -> bool {
-        self.outstanding() < self.depth
+        self.sq.len() + self.inflight.len() < self.depth
     }
 
     /// True when no started command awaits its CQE.
@@ -139,7 +153,7 @@ mod tests {
             },
             opcode,
             finish,
-            data: None,
+            answer: None,
             seq,
         }
     }

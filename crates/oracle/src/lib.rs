@@ -43,7 +43,7 @@
 //!    so the model checks each command in the order the device executes
 //!    it, on any of the three FTLs ([`lockstep_queue_run_over`]).
 
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 pub mod harness;
 pub mod model;

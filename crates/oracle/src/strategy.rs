@@ -11,7 +11,7 @@
 //! All strategies are deterministic under the in-tree proptest stub — a CI
 //! failure reproduces locally with the same seed.
 
-use almanac_flash::{FaultPlan, Lpa, LpaSpan, Nanos, PageData, MS_NS, SEC_NS, US_NS};
+use almanac_flash::{xorshift64, FaultPlan, Lpa, LpaSpan, Nanos, PageData, MS_NS, SEC_NS, US_NS};
 use proptest::{collection, prop_oneof, BoxedStrategy, Just, Strategy};
 
 /// One step of a differential run (see `DifferentialHarness::apply`).
@@ -429,9 +429,7 @@ pub fn rollback_storm(domain: u64, ops: usize) -> BoxedStrategy<Vec<OracleOp>> {
 pub fn steady_state_ops(span: u64, seed: u64, n: usize) -> Vec<OracleOp> {
     let mut x = seed.max(1);
     let mut draw = move || {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
+        x = xorshift64(x);
         x
     };
     (0..n)

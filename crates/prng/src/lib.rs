@@ -10,7 +10,7 @@
 //! (ChaCha12); nothing in the workspace depends on exact values, only on
 //! seed-reproducibility.
 
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 #![forbid(unsafe_code)]
 
 use std::ops::{Range, RangeInclusive};
@@ -21,6 +21,8 @@ pub trait SeedableRng: Sized {
     fn seed_from_u64(seed: u64) -> Self;
 }
 
+// One SplitMix64 step, `almanac_flash::mix64` written out: this crate
+// stands in for `rand`, which depends on no crate of this workspace.
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = *state;

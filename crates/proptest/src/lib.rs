@@ -17,6 +17,8 @@
 //!   [`collection::vec`], [`collection::hash_set`], [`sample::select`],
 //!   [`sample::Index`], [`prop_oneof!`], and [`any`].
 
+#![warn(unreachable_pub)]
+
 use std::collections::HashSet;
 use std::hash::Hash;
 use std::ops::{Range, RangeInclusive};

@@ -28,7 +28,7 @@
 //! assert_eq!(report.user_reads, 2);
 //! ```
 
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 mod qdreplay;
 mod record;

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use almanac_flash::Nanos;
+use almanac_flash::{xorshift64, Nanos};
 
 use crate::record::{TraceOp, TraceRecord};
 
@@ -102,9 +102,7 @@ impl Trace {
         let mut state = seed | 1;
         for rep in 0..times {
             // Xorshift per repetition for a deterministic address shift.
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
+            state = xorshift64(state);
             let shift = if rep == 0 { 0 } else { state % lpa_space };
             // `shift < lpa_space`, so this is how far below the wrap point
             // a reduced address may sit and still not wrap.

@@ -22,7 +22,7 @@
 //! - [`commits`] — a synthetic kernel source tree plus a patch stream that
 //!   mimics replaying kernel commits (Figure 11).
 
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 #![forbid(unsafe_code)]
 
 pub mod commits;

@@ -1,7 +1,7 @@
 //! Calibrated synthetic MSR Cambridge and FIU trace generators.
 //!
-//! The MSR traces [25] are week-long block traces from enterprise servers;
-//! the FIU traces [9] are ~20-day traces from university department
+//! The MSR traces \[25\] are week-long block traces from enterprise servers;
+//! the FIU traces \[9\] are ~20-day traces from university department
 //! computers. Both are unavailable as redistributable artifacts and carry no
 //! data content, so we regenerate their *I/O signatures*: per-volume write
 //! ratio, relative daily intensity, request-size mix, sequentiality, address

@@ -41,7 +41,7 @@ const WORDS: &[&str] = &[
 ];
 
 /// Deterministic RNG from a seed.
-pub fn rng(seed: u64) -> StdRng {
+pub(crate) fn rng(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)
 }
 
@@ -74,7 +74,7 @@ static TABLE: [([u8; ENTRY], usize); WORDS.len()] = {
 /// Byte-for-byte the stream of one `gen_range(0..WORDS.len())` word and
 /// one `gen_ratio(1, 12)` newline draw per step; the two draws are
 /// open-coded with constant divisors, which is what those calls compute.
-pub fn text(seed: u64, len: usize) -> Vec<u8> {
+pub(crate) fn text(seed: u64, len: usize) -> Vec<u8> {
     let mut r = rng(seed);
     // A step starts below `len`, copies `ENTRY` bytes and writes a newline
     // at most 11 bytes on: the slack past `len` absorbs the overshoot.
@@ -94,7 +94,7 @@ pub fn text(seed: u64, len: usize) -> Vec<u8> {
 }
 
 /// C-source-like text of `len` bytes (for the synthetic kernel tree).
-pub fn source_code(seed: u64, len: usize) -> Vec<u8> {
+pub(crate) fn source_code(seed: u64, len: usize) -> Vec<u8> {
     let mut r = rng(seed);
     let mut out = Vec::with_capacity(len + 64);
     let mut fno = 0u32;
@@ -115,7 +115,7 @@ pub fn source_code(seed: u64, len: usize) -> Vec<u8> {
 }
 
 /// Incompressible pseudo-random bytes (IOZone content / ciphertext).
-pub fn random_bytes(seed: u64, len: usize) -> Vec<u8> {
+pub(crate) fn random_bytes(seed: u64, len: usize) -> Vec<u8> {
     let mut r = rng(seed);
     let mut out = vec![0u8; len];
     r.fill(&mut out[..]);
@@ -125,7 +125,7 @@ pub fn random_bytes(seed: u64, len: usize) -> Vec<u8> {
 /// "Encrypts" plaintext: deterministic keyed stream cipher stand-in whose
 /// output is incompressible and unrelated to the input, like real
 /// ransomware ciphertext.
-pub fn encrypt(key: u64, plaintext: &[u8]) -> Vec<u8> {
+pub(crate) fn encrypt(key: u64, plaintext: &[u8]) -> Vec<u8> {
     let mut r = rng(key ^ 0xdead_beef_cafe_f00d);
     plaintext.iter().map(|b| b ^ r.gen::<u8>() ^ 0x5a).collect()
 }
@@ -137,7 +137,7 @@ mod reference {
     use super::{rng, WORDS};
     use rand::Rng;
 
-    pub fn text(seed: u64, len: usize) -> Vec<u8> {
+    pub(super) fn text(seed: u64, len: usize) -> Vec<u8> {
         let mut r = rng(seed);
         let mut out = Vec::with_capacity(len + 16);
         while out.len() < len {

@@ -3,7 +3,8 @@
 //! Shows the exact layering of the paper's implementation — a host driver
 //! encodes 64-byte submission entries (including the vendor-specific
 //! time-travel opcodes), the controller interprets them against the TimeSSD
-//! firmware, and 16-byte completions come back.
+//! firmware, and 16-byte completions come back, each with the typed answer
+//! the device computed riding beside it.
 //!
 //! Run with: `cargo run --example nvme_host`
 
@@ -41,22 +42,34 @@ fn main() {
         &bytes[40..52]
     );
 
-    // The typed driver path issues the same command and decodes the result.
-    let old = driver
+    // The typed driver path issues the same command; the answer comes back
+    // as the device computed it, each hit with its LPA and timestamp.
+    let (old, _) = driver
         .addr_query(Lpa(10), 1, 2 * SEC_NS, 1, 7 * SEC_NS)
         .expect("vendor query");
+    let hit = &old.hits[0];
     println!(
-        "state at t=2s  : {:?}",
-        String::from_utf8_lossy(&old[0][..19])
+        "state at t=2s  : {:?} (L{}, written at t={}s)",
+        String::from_utf8_lossy(&hit.data.materialize(19)),
+        hit.lpa.0,
+        hit.timestamp / SEC_NS
     );
 
     // Roll back through the wire, then audit the whole device.
-    let restored = driver
+    let (rolled, done) = driver
         .roll_back(Lpa(10), 1, 2 * SEC_NS, 8 * SEC_NS)
         .expect("rollback");
-    println!("RollBack completion result: {restored} page(s) restored");
-    let rows = driver.time_query_all(9 * SEC_NS).expect("audit");
-    for (lpa, versions) in rows {
-        println!("  L{lpa}: {versions} version(s) on the device timeline");
+    for (lpa, at) in &rolled.restored {
+        println!(
+            "RollBack restored L{} to its version of t={}s",
+            lpa.0,
+            at / SEC_NS
+        );
+    }
+    println!("RollBack completed at t={}ns", done.finish);
+    let ((hits, _), _) = driver.time_query_all(9 * SEC_NS).expect("audit");
+    for hit in hits {
+        let stamps: Vec<u64> = hit.timestamps.iter().map(|t| t / SEC_NS).collect();
+        println!("  L{}: versions written at t={stamps:?} s", hit.lpa.0);
     }
 }

@@ -53,8 +53,11 @@ fn nvme_rollback_all_through_the_wire() {
         }
     }
     // Roll everything back to the end of round 0.
-    let restored = driver.roll_back_all(9 * SEC_NS, 60 * SEC_NS).unwrap();
-    assert_eq!(restored, 8);
+    let (out, done) = driver.roll_back_all(9 * SEC_NS, 60 * SEC_NS).unwrap();
+    let round0: Vec<(Lpa, u64)> = (0..8).map(|lpa| (Lpa(lpa), (1 + lpa) * SEC_NS)).collect();
+    assert_eq!(out.restored, round0);
+    assert!(out.erased.is_empty());
+    assert_eq!(out.finish, done.finish);
     for lpa in 0..8u64 {
         let (page, _) = driver.read(Lpa(lpa), 120 * SEC_NS).unwrap();
         let expect = format!("round 0 page {lpa}");
