@@ -23,18 +23,20 @@
 //! starts until the Flush's completion posts.
 //!
 //! A command owns its data. The pages a Write carries are submitted beside
-//! its 64-byte entry and moved into the device; what a Read or a Table-1
-//! command returns rides in its [`PostedCompletion`] as an [`Answer`]: the
-//! device's immutable [`PageData`], or the query or rollback outcome exactly
-//! as core's body returned it. There is no host-buffer table to register
-//! with, look up, or leak, and no second answer format.
+//! its 64-byte entry and moved into the device. When the controller starts a
+//! command it makes the one [`CompletedIo`] the host will pop, and that
+//! record carries what the device returned: an [`Answer`] (the device's
+//! immutable [`PageData`], or the query or rollback outcome exactly as
+//! core's body returned it) or the device's own `AlmanacError`, with the
+//! NVMe status `status_of` gives it. There is no host-buffer table to
+//! register with, look up, or leak, and no second answer or error format.
 
 use almanac_core::{roll_back, roll_back_all, time_scan, AddrQuery};
-use almanac_core::{AlmanacError, Result, SsdDevice};
+use almanac_core::{AlmanacError, SsdDevice};
 use almanac_flash::{Lpa, LpaSpan, Nanos, PageData};
 
-use crate::queue::{Answer, PostedCompletion, QueuePair};
-use crate::sqe::{CompletionEntry, NvmeOpcode, SubmissionEntry};
+use crate::queue::{Answer, CompletedIo, Outcome, QueuePair, Ticket};
+use crate::sqe::{NvmeOpcode, SubmissionEntry};
 
 /// Depth of the I/O queue pair the controller creates at construction.
 pub const DEFAULT_QUEUE_DEPTH: usize = 32;
@@ -71,31 +73,6 @@ fn status_of(err: &AlmanacError) -> NvmeStatus {
         _ => NvmeStatus::InvalidField,
     }
 }
-
-/// The inverse of [`status_of`]: what a raw completion status means for a
-/// command on `lpa` that arrived at `now` on a device exporting `exported`
-/// pages. The wire carries no more than the code, so a stall's retention
-/// window reads 0, and a status that stands for several errors
-/// (`InvalidField`), for none (`InvalidOpcode`) or is unknown is
-/// `AlmanacError::Internal`.
-pub(crate) fn result_of(status: u16, lpa: Lpa, now: Nanos, exported: u64) -> Result<()> {
-    use NvmeStatus::*;
-    Err(match status {
-        s if s == Success as u16 => return Ok(()),
-        s if s == LbaOutOfRange as u16 => AlmanacError::LpaOutOfRange { lpa, exported },
-        s if s == RetentionStall as u16 => AlmanacError::DeviceStalled {
-            now,
-            retention_window: 0,
-        },
-        s if s == NoSuchVersion as u16 => AlmanacError::NoSuchVersion { lpa, at: now },
-        _ => AlmanacError::Internal("NVMe status names no single device error"),
-    })
-}
-
-/// What executing a command yields: status, result dword, device-side
-/// finish instant, and the answer a successful Read or Table-1 command
-/// returns.
-type Executed = (NvmeStatus, u32, Nanos, Option<Answer>);
 
 /// The controller: N submission/completion queue pairs over one device.
 pub struct NvmeController<D = almanac_core::TimeSsd> {
@@ -182,19 +159,18 @@ impl<D: SsdDevice> NvmeController<D> {
     }
 
     /// Pops the next posted completion from queue `qid`, if any.
-    pub fn pop_completion(&mut self, qid: u16) -> Option<PostedCompletion> {
+    pub fn pop_completion(&mut self, qid: u16) -> Option<CompletedIo> {
         self.queues.get_mut(qid as usize)?.cq.pop_front()
     }
 
     /// Pops the posted completion that finished first across every queue
-    /// (ties by start order) with its queue id: merging the queues' CQs so
-    /// the host sees device finish order, each queue's own order kept.
-    pub(crate) fn pop_earliest(&mut self) -> Option<(u16, PostedCompletion)> {
-        let (qid, _) = (self.queues.iter().enumerate())
-            .filter_map(|(qid, q)| Some((qid, q.cq.front()?.order())))
-            .min_by_key(|&(_, order)| order)?;
-        let done = self.queues[qid].cq.pop_front()?;
-        Some((qid as u16, done))
+    /// (ties by start order): merging the queues' CQs so the host sees
+    /// device finish order, each queue's own order kept.
+    pub(crate) fn pop_earliest(&mut self) -> Option<CompletedIo> {
+        let (_, qid) = (self.queues.iter().enumerate())
+            .filter_map(|(qid, q)| q.cq.front().map(|f| ((f.finish, f.seq), qid)))
+            .min()?;
+        self.queues[qid].cq.pop_front()
     }
 
     /// Earliest pending completion instant across every queue — the next
@@ -273,58 +249,66 @@ impl<D: SsdDevice> NvmeController<D> {
             return false;
         }
         let (entry, payload) = self.queues[qid].sq.pop_front().expect("head checked");
-        let (status, result, finish, answer) = self.execute(entry, payload, now);
         self.start_seq += 1;
-        self.queues[qid].start(PostedCompletion {
-            cqe: CompletionEntry {
+        let mut io = CompletedIo {
+            ticket: Ticket {
+                qid: qid as u16,
                 cid: entry.cid,
-                status: status as u16,
-                result,
             },
             opcode: entry.opcode,
-            finish,
-            answer,
+            status: NvmeStatus::Success as u16,
+            result: 0,
+            finish: now,
+            outcome: Ok(None),
             seq: self.start_seq,
-        });
+        };
+        io.outcome = self.execute(&mut io, entry, payload, now);
+        if let Err(Some(err)) = &io.outcome {
+            io.status = status_of(err) as u16;
+        }
+        self.queues[qid].start(io);
         true
     }
 
-    /// A command that failed at `at` with nothing done.
-    fn failed(err: &AlmanacError, at: Nanos) -> Executed {
-        (status_of(err), 0, at, None)
-    }
-
-    /// Executes one command at virtual time `now`. Errors complete
-    /// immediately (`now`) unless part of the range was already applied.
-    fn execute(&mut self, e: SubmissionEntry, payload: Vec<Vec<u8>>, now: Nanos) -> Executed {
+    /// Executes one command at virtual time `now`, recording its result
+    /// dword and finish instant in `io`. A failure finishes at `now` unless
+    /// part of the range was already applied; a command the controller
+    /// refuses itself records its status.
+    fn execute(
+        &mut self,
+        io: &mut CompletedIo,
+        e: SubmissionEntry,
+        payload: Vec<Vec<u8>>,
+        now: Nanos,
+    ) -> Outcome {
         match e.opcode {
-            NvmeOpcode::Flush => match self.ssd.flush(now) {
+            NvmeOpcode::Flush => {
+                let c = self.ssd.flush(now)?;
                 // The result carries the barrier's response time in
                 // microseconds (saturating), so the host sees what the
                 // fence actually cost.
-                Ok(c) => {
-                    let lat_us = (c.response(now) / 1_000).min(u32::MAX as u64) as u32;
-                    (NvmeStatus::Success, lat_us, c.finish, None)
-                }
-                Err(err) => Self::failed(&err, now),
-            },
-            NvmeOpcode::Write | NvmeOpcode::Read | NvmeOpcode::DatasetMgmt => {
-                self.execute_io(e, payload, now)
+                io.result = (c.response(now) / 1_000).min(u32::MAX as u64) as u32;
+                io.finish = c.finish;
+                Ok(None)
             }
-            _ => self.execute_vendor(e, now),
+            NvmeOpcode::Write | NvmeOpcode::Read | NvmeOpcode::DatasetMgmt => {
+                self.execute_io(io, e, payload, now)
+            }
+            _ => self.execute_vendor(io, e, now),
         }
     }
 
     /// The Table-1 vendor commands: queries read the device's history
     /// through its read view, a rollback writes through the device. A
     /// device without a read view knows none of these opcodes.
-    fn execute_vendor(&mut self, e: SubmissionEntry, now: Nanos) -> Executed {
+    fn execute_vendor(&mut self, io: &mut CompletedIo, e: SubmissionEntry, now: Nanos) -> Outcome {
         let Some(view) = self.ssd.read_view() else {
-            return (NvmeStatus::InvalidOpcode, 0, now, None);
+            io.status = NvmeStatus::InvalidOpcode as u16;
+            return Err(None);
         };
         // Each body's answer with its item count (the result dword) and the
-        // instant its CQE posts.
-        let answered = match e.opcode {
+        // instant its completion posts.
+        let (items, finish, answer) = match e.opcode {
             NvmeOpcode::AddrQuery | NvmeOpcode::AddrQueryRange | NvmeOpcode::AddrQueryAll => {
                 let query = AddrQuery::new(view, Lpa(e.get_u64(0)), e.cdw[2] as u64);
                 // The opcodes differ only in which CDWs carry the version
@@ -339,13 +323,12 @@ impl<D: SsdDevice> NvmeController<D> {
                     }
                     _ => (query.all_versions(), e.cdw[3]),
                 };
-                // The CQE posts at `now` plus the partitioned schedule's
-                // makespan over `threads` host workers, so a device with more
-                // partitions answers parallel queries sooner.
-                query.threads(threads).run().map(|out| {
-                    let finish = now.saturating_add(out.makespan(threads));
-                    (out.hits.len(), finish, Answer::Versions(Box::new(out)))
-                })
+                // The completion posts at `now` plus the modelled makespan of
+                // the partitioned schedule over `threads` host workers, so a
+                // device with more partitions answers parallel queries sooner.
+                let out = query.threads(threads).run()?;
+                let finish = now.saturating_add(out.makespan(threads));
+                (out.hits.len(), finish, Answer::Versions(Box::new(out)))
             }
             NvmeOpcode::TimeQuery | NvmeOpcode::TimeQueryRange | NvmeOpcode::TimeQueryAll => {
                 let (from, to) = match e.opcode {
@@ -355,76 +338,69 @@ impl<D: SsdDevice> NvmeController<D> {
                 };
                 let (hits, cost) = time_scan(view, from, to, TIME_QUERY_THREADS);
                 let finish = now.saturating_add(cost.makespan(TIME_QUERY_THREADS));
-                Ok((hits.len(), finish, Answer::Times(Box::new((hits, cost)))))
+                (hits.len(), finish, Answer::Times(Box::new((hits, cost))))
             }
             _ => {
-                let outcome = if e.opcode == NvmeOpcode::RollBack {
+                let out = if e.opcode == NvmeOpcode::RollBack {
                     let (addr, cnt) = (Lpa(e.get_u64(0)), u64::from(e.cdw[2]));
                     roll_back(&mut self.ssd, addr, cnt, e.get_u64(4), now)
                 } else {
                     roll_back_all(&mut self.ssd, e.get_u64(0), now)
-                };
-                outcome.map(|o| (o.restored.len(), o.finish, Answer::Rollback(Box::new(o))))
+                }?;
+                (out.restored.len(), out.finish, Answer::Rollback(out.into()))
             }
         };
-        match answered {
-            Ok((n, finish, answer)) => (NvmeStatus::Success, n as u32, finish, Some(answer)),
-            Err(err) => Self::failed(&err, now),
-        }
+        (io.result, io.finish) = (items as u32, finish);
+        Ok(Some(answer))
     }
 
     /// Write, Read and DatasetMgmt carry `(lpa, count)` straight off the
     /// wire. The whole range must lie inside the exported space before
     /// anything is allocated, written or trimmed, so a malformed SQE ends in
     /// a status and never in a half-applied range.
-    fn execute_io(&mut self, e: SubmissionEntry, payload: Vec<Vec<u8>>, now: Nanos) -> Executed {
-        use NvmeStatus::{InvalidField, LbaOutOfRange, Success};
-        let (start, count) = (Lpa(e.get_u64(0)), e.cdw[2]);
-        let Some(span) = LpaSpan::whole(start, u64::from(count), self.ssd.exported_pages()) else {
-            return (LbaOutOfRange, 0, now, None);
-        };
-        let mut finish = now;
+    fn execute_io(
+        &mut self,
+        io: &mut CompletedIo,
+        e: SubmissionEntry,
+        payload: Vec<Vec<u8>>,
+        now: Nanos,
+    ) -> Outcome {
+        let (lpa, count) = (Lpa(e.get_u64(0)), e.cdw[2]);
+        let exported = self.ssd.exported_pages();
+        let span = LpaSpan::whole(lpa, u64::from(count), exported)
+            .ok_or(AlmanacError::LpaOutOfRange { lpa, exported })?;
         match e.opcode {
             NvmeOpcode::Write => {
                 // One page per LPA, none longer than a flash page: anything
                 // else would be stored truncated or not at all.
                 let too_long = payload.iter().any(|p| p.len() > self.page_size);
                 if payload.len() != count as usize || too_long {
-                    return (InvalidField, 0, now, None);
+                    io.status = NvmeStatus::InvalidField as u16;
+                    return Err(None);
                 }
-                let mut done = 0u32;
                 for (lpa, page) in span.iter().zip(payload) {
-                    match self.ssd.write(lpa, PageData::bytes(page), now) {
-                        Ok(c) => {
-                            done += 1;
-                            finish = finish.max(c.finish);
-                        }
-                        Err(err) => return (status_of(&err), done, finish, None),
-                    }
+                    let c = self.ssd.write(lpa, PageData::bytes(page), now)?;
+                    io.result += 1;
+                    io.finish = io.finish.max(c.finish);
                 }
-                (Success, done, finish, None)
+                Ok(None)
             }
             NvmeOpcode::Read => {
-                let mut pages = Vec::with_capacity(count as usize);
+                let (mut pages, mut finish) = (Vec::with_capacity(count as usize), now);
                 for lpa in span.iter() {
-                    match self.ssd.read(lpa, now) {
-                        Ok((data, c)) => {
-                            pages.push(data);
-                            finish = finish.max(c.finish);
-                        }
-                        Err(err) => return Self::failed(&err, now),
-                    }
+                    let (data, c) = self.ssd.read(lpa, now)?;
+                    pages.push(data);
+                    finish = finish.max(c.finish);
                 }
-                (Success, count, finish, Some(Answer::Pages(pages)))
+                (io.result, io.finish) = (count, finish);
+                Ok(Some(Answer::Pages(pages)))
             }
             _ => {
                 for lpa in span.iter() {
-                    match self.ssd.trim(lpa, now) {
-                        Ok(c) => finish = finish.max(c.finish),
-                        Err(err) => return (status_of(&err), 0, finish, None),
-                    }
+                    io.finish = io.finish.max(self.ssd.trim(lpa, now)?.finish);
                 }
-                (Success, count, finish, None)
+                io.result = count;
+                Ok(None)
             }
         }
     }
@@ -455,7 +431,7 @@ mod tests {
         e: SubmissionEntry,
         payload: Vec<Vec<u8>>,
         now: Nanos,
-    ) -> PostedCompletion {
+    ) -> CompletedIo {
         assert!(c.submit_to(0, e, payload), "queue 0 full");
         c.run_to_completion(now);
         c.pop_completion(0).expect("command completed")
@@ -467,9 +443,9 @@ mod tests {
     }
 
     /// The pages a successful Read returned.
-    fn read_pages(done: PostedCompletion) -> Vec<PageData> {
-        match done.answer {
-            Some(Answer::Pages(pages)) => pages,
+    fn read_pages(done: CompletedIo) -> Vec<PageData> {
+        match done.outcome {
+            Ok(Some(Answer::Pages(pages))) => pages,
             other => panic!("a read answered {other:?}"),
         }
     }
@@ -478,7 +454,7 @@ mod tests {
     fn write_text(c: &mut NvmeController, lpa: u64, t: u64, text: &str) {
         let w = io(NvmeOpcode::Write, t as u16, lpa, 1);
         let done = run(c, w, vec![text.as_bytes().to_vec()], t * SEC_NS);
-        assert_eq!(done.cqe.status, 0);
+        assert_eq!(done.status, 0);
     }
 
     #[test]
@@ -486,13 +462,13 @@ mod tests {
         let mut c = controller();
         let pages = vec![b"page zero".to_vec(), b"page one".to_vec()];
         let done = run(&mut c, io(NvmeOpcode::Write, 1, 10, 2), pages, SEC_NS);
-        assert_eq!(done.cqe.status, NvmeStatus::Success as u16);
-        assert_eq!(done.cqe.result, 2);
-        assert!(done.answer.is_none());
+        assert_eq!(done.status, NvmeStatus::Success as u16);
+        assert_eq!(done.result, 2);
+        assert_eq!(done.outcome, Ok(None));
 
         let r = io(NvmeOpcode::Read, 2, 10, 2);
         let done = run(&mut c, r, Vec::new(), 2 * SEC_NS);
-        assert_eq!(done.cqe.status, 0);
+        assert_eq!(done.status, 0);
         let pages = read_pages(done);
         assert!(bytes(&c, &pages[0]).starts_with(b"page zero"));
         assert!(bytes(&c, &pages[1]).starts_with(b"page one"));
@@ -501,18 +477,23 @@ mod tests {
     #[test]
     fn out_of_range_reports_lba_status() {
         let mut c = controller();
-        let w = io(NvmeOpcode::Write, 9, u64::MAX / 2, 1);
-        assert_eq!(
-            run(&mut c, w, vec![vec![0u8; 8]], 0).cqe.status,
-            NvmeStatus::LbaOutOfRange as u16
+        let (lpa, exported) = (Lpa(u64::MAX / 2), c.ssd().exported_pages());
+        let done = run(
+            &mut c,
+            io(NvmeOpcode::Write, 9, lpa.0, 1),
+            vec![vec![0; 8]],
+            0,
         );
+        assert_eq!(done.status, NvmeStatus::LbaOutOfRange as u16);
+        let out_of_range = AlmanacError::LpaOutOfRange { lpa, exported };
+        assert_eq!(done.outcome, Err(Some(out_of_range)));
     }
 
     /// Submits one `(lpa, count)` I/O command carrying four pages and
     /// returns its status.
     fn io_status(c: &mut NvmeController, opcode: NvmeOpcode, lpa: u64, count: u32) -> u16 {
         let e = io(opcode, 1, lpa, count);
-        run(c, e, vec![vec![7u8; 8]; 4], SEC_NS).cqe.status
+        run(c, e, vec![vec![7u8; 8]; 4], SEC_NS).status
     }
 
     #[test]
@@ -560,8 +541,9 @@ mod tests {
         // CDW12 promises three pages; the payload carries two, or none.
         for payload in [vec![vec![1u8; 8]; 2], Vec::new()] {
             let done = run(&mut c, io(NvmeOpcode::Write, 1, 0, 3), payload, SEC_NS);
-            assert_eq!(done.cqe.status, NvmeStatus::InvalidField as u16);
-            assert_eq!(done.cqe.result, 0);
+            assert_eq!(done.status, NvmeStatus::InvalidField as u16);
+            assert_eq!(done.outcome, Err(None), "no device error to carry");
+            assert_eq!(done.result, 0);
             assert_eq!(done.finish, SEC_NS, "an error completes at once");
         }
         assert_eq!(c.ssd().stats().user_writes, 0);
@@ -576,8 +558,8 @@ mod tests {
         // not count: neither can be stored as sent.
         for payload in [vec![vec![1u8; page_size + 1]], vec![vec![1u8; 8]; 2]] {
             let done = run(&mut c, io(NvmeOpcode::Write, 1, 0, 1), payload, SEC_NS);
-            assert_eq!(done.cqe.status, NvmeStatus::InvalidField as u16);
-            assert_eq!(done.cqe.result, 0);
+            assert_eq!(done.status, NvmeStatus::InvalidField as u16);
+            assert_eq!(done.result, 0);
         }
         assert_eq!(c.ssd().stats().user_writes, 0);
         assert!(!c.ssd().is_mapped(Lpa(0)));
@@ -591,10 +573,10 @@ mod tests {
         let mut q = io(NvmeOpcode::AddrQuery, 50, 0, 1);
         q.set_u64(4, 2 * SEC_NS);
         let done = run(&mut c, q, Vec::new(), 10 * SEC_NS);
-        assert_eq!(done.cqe.status, 0);
-        assert_eq!(done.cqe.result, 1);
-        let Some(Answer::Versions(out)) = done.answer else {
-            panic!("an AddrQuery answered {:?}", done.answer);
+        assert_eq!(done.status, 0);
+        assert_eq!(done.result, 1);
+        let Ok(Some(Answer::Versions(out))) = done.outcome else {
+            panic!("an AddrQuery answered {:?}", done.outcome);
         };
         assert_eq!((out.hits[0].lpa, out.hits[0].timestamp), (Lpa(0), SEC_NS));
         assert!(bytes(&c, &out.hits[0].data).starts_with(b"old"));
@@ -608,9 +590,9 @@ mod tests {
         let mut rb = io(NvmeOpcode::RollBack, 60, 4, 1);
         rb.set_u64(4, 2 * SEC_NS);
         let done = run(&mut c, rb, Vec::new(), 10 * SEC_NS);
-        assert_eq!(done.cqe.result, 1);
-        let Some(Answer::Rollback(out)) = done.answer else {
-            panic!("a RollBack answered {:?}", done.answer);
+        assert_eq!(done.result, 1);
+        let Ok(Some(Answer::Rollback(out))) = done.outcome else {
+            panic!("a RollBack answered {:?}", done.outcome);
         };
         assert_eq!(out.restored, vec![(Lpa(4), SEC_NS)]);
         assert_eq!(out.finish, done.finish);
@@ -627,9 +609,9 @@ mod tests {
         write_text(&mut c, 7, 3, "y");
         let q = SubmissionEntry::new(NvmeOpcode::TimeQueryAll, 2);
         let done = run(&mut c, q, Vec::new(), 4 * SEC_NS);
-        assert_eq!(done.cqe.result, 1);
-        let Some(Answer::Times(answer)) = done.answer else {
-            panic!("a TimeQueryAll answered {:?}", done.answer);
+        assert_eq!(done.result, 1);
+        let Ok(Some(Answer::Times(answer))) = done.outcome else {
+            panic!("a TimeQueryAll answered {:?}", done.outcome);
         };
         let (hits, _) = *answer;
         assert_eq!(hits.len(), 1);
@@ -652,7 +634,7 @@ mod tests {
         assert!(finish > SEC_NS);
         c.process(finish);
         let done = c.pop_completion(0).unwrap();
-        assert_eq!((done.cqe.cid, done.finish), (3, finish));
+        assert_eq!((done.ticket.cid, done.finish), (3, finish));
     }
 
     #[test]
@@ -672,32 +654,6 @@ mod tests {
     }
 
     #[test]
-    fn each_status_maps_back_to_the_error_it_stands_for() {
-        use NvmeStatus::*;
-        let back = |status: NvmeStatus| result_of(status as u16, Lpa(9), 5, 100);
-        assert_eq!(back(Success), Ok(()));
-        assert!(matches!(
-            back(InvalidOpcode),
-            Err(AlmanacError::Internal(_))
-        ));
-        assert!(matches!(back(InvalidField), Err(AlmanacError::Internal(_))));
-        let out_of_range = AlmanacError::LpaOutOfRange {
-            lpa: Lpa(9),
-            exported: 100,
-        };
-        assert_eq!(back(LbaOutOfRange), Err(out_of_range));
-        let stalled = AlmanacError::DeviceStalled {
-            now: 5,
-            retention_window: 0,
-        };
-        assert_eq!(back(RetentionStall), Err(stalled));
-        let missing = AlmanacError::NoSuchVersion { lpa: Lpa(9), at: 5 };
-        assert_eq!(back(NoSuchVersion), Err(missing));
-        let unknown = result_of(0x7777, Lpa(9), 5, 100);
-        assert!(matches!(unknown, Err(AlmanacError::Internal(_))));
-    }
-
-    #[test]
     fn flush_fences_its_own_queue() {
         let mut c = controller();
         let q = c.create_io_queue(8);
@@ -712,7 +668,7 @@ mod tests {
 
         c.run_to_completion(SEC_NS);
         let order: Vec<u16> = std::iter::from_fn(|| c.pop_completion(q))
-            .map(|done| done.cqe.cid)
+            .map(|done| done.ticket.cid)
             .collect();
         assert_eq!(order.len(), 5);
         let flush_pos = order.iter().position(|&cid| cid == 10).unwrap();
@@ -741,7 +697,7 @@ mod tests {
         let flush = || (SubmissionEntry::new(NvmeOpcode::Flush, 10), Vec::new());
         let posted = |c: &mut NvmeController, q| -> Vec<_> {
             std::iter::from_fn(|| c.pop_completion(q))
-                .map(|done| (done.cqe.cid, done.cqe.status, done.cqe.result, done.finish))
+                .map(|done| (done.ticket.cid, done.status, done.result, done.finish))
                 .collect()
         };
 

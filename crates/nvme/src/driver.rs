@@ -17,10 +17,11 @@
 //!   so tickets never collide.
 //!
 //! Data travels with its command: a write's pages are handed to the
-//! controller at submission, and what a read or a Table-1 command returns
-//! comes back in its [`CompletedIo`] as an [`Answer`]: the device's
-//! [`PageData`], or core's query or rollback outcome as the device computed
-//! it. Nothing is registered, so nothing can leak.
+//! controller at submission, and the [`CompletedIo`] the controller made
+//! when it started the command comes back as is, carrying what the device
+//! returned: an [`Answer`] (the device's [`PageData`], or core's query or
+//! rollback outcome) or the device's own [`AlmanacError`]. Harvesting only
+//! frees the cid. Nothing is registered, so nothing can leak.
 
 use std::fmt;
 use std::sync::Arc;
@@ -29,8 +30,8 @@ use almanac_core::{AddrQueryOutcome, QueryCost, RollbackOutcome, TimeQueryHit};
 use almanac_core::{AlmanacError, Completion, DeviceStats, Result, SsdDevice, SsdReadOps};
 use almanac_flash::{Lpa, Nanos, PageData};
 
-use crate::controller::{result_of, NvmeController, NvmeStatus};
-use crate::queue::Answer;
+use crate::controller::NvmeController;
+use crate::queue::{Answer, CompletedIo, Ticket};
 use crate::sqe::{NvmeOpcode, SubmissionEntry};
 
 /// Errors surfaced by the driver.
@@ -69,42 +70,6 @@ pub(crate) type DriverResult<T> = std::result::Result<T, DriverError>;
 
 /// What a Table-1 call returns: core's answer with its [`Completion`].
 type Answered<T> = DriverResult<(T, Completion)>;
-
-/// Handle for an in-flight command: its queue id and command id. Unique
-/// among commands currently in flight.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Ticket {
-    /// Queue the command was submitted to.
-    pub qid: u16,
-    /// NVMe command identifier on that queue.
-    pub cid: u16,
-}
-
-/// A completed command harvested by [`HostDriver::poll`].
-#[derive(Debug, Clone)]
-pub struct CompletedIo {
-    /// The ticket this completion answers.
-    pub ticket: Ticket,
-    /// The completed command's opcode.
-    pub opcode: NvmeOpcode,
-    /// Raw NVMe status (0 = success).
-    pub status: u16,
-    /// Command-specific result dword.
-    pub result: u32,
-    /// What a successful Read or Table-1 command returned; `None` for every
-    /// other command and for a failure.
-    pub answer: Option<Answer>,
-    /// Device-side finish time the completion entry posted at — response
-    /// time is `finish - submit time`.
-    pub finish: Nanos,
-}
-
-impl CompletedIo {
-    /// True when the command completed with NVMe success status.
-    pub fn is_success(&self) -> bool {
-        self.status == NvmeStatus::Success as u16
-    }
-}
 
 /// Words of a [`CidMap`]: one bit per 16-bit command id.
 const CID_WORDS: usize = (u16::MAX as usize + 1) / 64;
@@ -236,24 +201,16 @@ impl<D: SsdDevice> HostDriver<D> {
         Ok(Ticket { qid, cid })
     }
 
-    /// Moves every posted completion into the ready list, in device finish
-    /// order across queues.
+    /// Moves every posted completion of ours into the ready list, in device
+    /// finish order across queues.
     fn harvest(&mut self) {
-        while let Some((qid, done)) = self.controller.pop_earliest() {
-            let cid = done.cqe.cid;
+        while let Some(done) = self.controller.pop_earliest() {
+            let Ticket { qid, cid } = done.ticket;
             let ours = self.cids.get_mut(usize::from(qid));
-            if !ours.is_some_and(|map| map.release(cid)) {
-                continue;
+            if ours.is_some_and(|map| map.release(cid)) {
+                self.in_flight -= 1;
+                self.ready.push(done);
             }
-            self.in_flight -= 1;
-            self.ready.push(CompletedIo {
-                ticket: Ticket { qid, cid },
-                opcode: done.opcode,
-                status: done.cqe.status,
-                result: done.cqe.result,
-                answer: done.answer,
-                finish: done.finish,
-            });
         }
     }
 
@@ -363,16 +320,16 @@ impl<D: SsdDevice> HostDriver<D> {
     fn issue(&mut self, entry: SubmissionEntry, now: Nanos) -> Answered<Option<Answer>> {
         let io = self.run_one(entry, Vec::new(), now)?;
         let (code, opcode, finish) = (io.status, io.opcode, io.finish);
-        if !io.is_success() {
-            return Err(DriverError::Status { code, opcode });
-        }
-        Ok((io.answer, Completion { start: now, finish }))
+        let answer = io
+            .outcome
+            .map_err(|_| DriverError::Status { code, opcode })?;
+        Ok((answer, Completion { start: now, finish }))
     }
 
-    /// One command of the [`SsdDevice`] surface on `lpa`, run to completion:
-    /// its [`Completion`] and returned pages. The status maps back to the
-    /// `AlmanacError` the device raised; a full queue 0 or a lost
-    /// completion is `Internal`.
+    /// One command of the [`SsdDevice`] surface, run to completion: its
+    /// [`Completion`] and returned pages, or the `AlmanacError` the device
+    /// raised. A full queue 0, a lost completion or a command the controller
+    /// refused itself is `Internal`.
     fn sync(
         &mut self,
         entry: SubmissionEntry,
@@ -381,15 +338,16 @@ impl<D: SsdDevice> HostDriver<D> {
     ) -> Result<(Completion, Option<Answer>)> {
         let io = self.run_one(entry, payload, now);
         let io = io.map_err(|_| AlmanacError::Internal("queue 0 full or completion lost"))?;
-        result_of(io.status, Lpa(entry.get_u64(0)), now, self.exported_pages())?;
+        let refused = AlmanacError::Internal("the controller refused the command");
         let finish = io.finish;
-        Ok((Completion { start: now, finish }, io.answer))
+        let answer = io.outcome.map_err(|err| err.unwrap_or(refused))?;
+        Ok((Completion { start: now, finish }, answer))
     }
 
     /// `AddrQuery` through the wire: each LPA's version as of time `t`, with
     /// `threads` host workers fanning the scan across the device's
     /// partitions (CDW13 on the wire); the completion posts at the
-    /// partitioned schedule's makespan.
+    /// partitioned schedule's modelled makespan, not a measured host time.
     pub fn addr_query(
         &mut self,
         lpa: Lpa,
@@ -444,9 +402,9 @@ impl<D: SsdDevice> HostDriver<D> {
 }
 
 /// The synchronous surface: each call submits one command on queue 0 and
-/// runs the device to completion. A CQE carries no start time, so
-/// `Completion::start` is the submit instant `now`; `finish` is the instant
-/// the completion posted. A `Zeros` or `Synthetic` page crosses the wire as
+/// runs the device to completion, returning the device's own `Result`. A
+/// completion carries no start time, so `Completion::start` is the submit
+/// instant `now`; `finish` is the instant the completion posted. A `Zeros` or `Synthetic` page crosses the wire as
 /// its bytes, so the device stores it as a `Bytes` page.
 impl<D: SsdDevice> SsdDevice for HostDriver<D> {
     fn write(&mut self, lpa: Lpa, data: PageData, now: Nanos) -> Result<Completion> {
@@ -496,6 +454,7 @@ impl<D: SsdDevice> SsdReadOps for HostDriver<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::controller::NvmeStatus;
     use almanac_core::{SsdConfig, TimeSsd};
     use almanac_flash::{Geometry, SEC_NS};
 
@@ -578,12 +537,12 @@ mod tests {
     }
 
     #[test]
-    fn errors_carry_nvme_status() {
+    fn errors_are_the_devices_own() {
         let mut d = driver();
-        let far = Lpa(u64::MAX / 4);
-        let err = d.write(far, PageData::bytes(vec![0]), SEC_NS).unwrap_err();
-        let exported = d.exported_pages();
-        assert_eq!(err, AlmanacError::LpaOutOfRange { lpa: far, exported });
+        let mut bare = TimeSsd::new(SsdConfig::new(Geometry::small_test()));
+        let (far, page) = (Lpa(u64::MAX / 4), PageData::bytes(vec![0]));
+        let err = d.write(far, page.clone(), SEC_NS).unwrap_err();
+        assert_eq!(Err(err), bare.write(far, page, SEC_NS));
     }
 
     #[test]
@@ -766,7 +725,8 @@ mod tests {
             assert_eq!(done.len(), 1, "{what:?}");
             assert_eq!(done[0].ticket, ticket, "{what:?}");
             assert_eq!(done[0].is_success(), succeeds, "{what:?}");
-            let returned = done[0].answer.as_ref().map(shape);
+            let returned = done[0].outcome.as_ref().ok().and_then(Option::as_ref);
+            let returned = returned.map(shape);
             assert_eq!(returned, shaped, "{what:?}: answer");
         }
     }

@@ -2,7 +2,7 @@
 //!
 //! A real NVMe controller owns many queue pairs; commands are *fetched*
 //! from a submission queue when arbitration selects it, run against the
-//! device, and their completion entry is *posted* only once the device-side
+//! device, and their completion is *posted* only once the device-side
 //! finish time has passed — so completions surface out of submission order
 //! whenever a later command finishes first (a read of an idle chip
 //! overtaking a write queued behind a busy one, a short command passing a
@@ -10,14 +10,15 @@
 
 use std::collections::VecDeque;
 
-use almanac_core::{AddrQueryOutcome, QueryCost, RollbackOutcome, TimeQueryHit};
+use almanac_core::{AddrQueryOutcome, AlmanacError, QueryCost, RollbackOutcome, TimeQueryHit};
 use almanac_flash::{Nanos, PageData};
 
-use crate::sqe::{CompletionEntry, NvmeOpcode, SubmissionEntry};
+use crate::controller::NvmeStatus;
+use crate::sqe::{NvmeOpcode, SubmissionEntry};
 
-/// What a successful Read or Table-1 command hands back beside its CQE:
-/// the value the device computed, unconverted. The vendor answers are boxed
-/// so a completion stays as small as a read's.
+/// What a successful Read or Table-1 command returns: the value the device
+/// computed, unconverted. The vendor answers are boxed so a completion
+/// stays as small as a read's.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Answer {
     /// A Read's pages in LPA order. They are immutable (`Bytes` shares its
@@ -34,28 +35,49 @@ pub enum Answer {
     Rollback(Box<RollbackOutcome>),
 }
 
-/// One command's completion as the host pops it: the wire CQE plus what its
-/// 16 bytes cannot carry. The controller builds the record when it starts
-/// the command and withholds it until `finish` passes.
+/// How a command ended: `Ok` with what a successful Read or Table-1 command
+/// returned (`None` for every other opcode), or `Err` with the error the
+/// device raised — `None` when the controller refused the command itself
+/// (`InvalidOpcode`, `InvalidField`) and the status alone says why.
+pub type Outcome = Result<Option<Answer>, Option<AlmanacError>>;
+
+/// Handle for an in-flight command: its queue id and command id. Unique
+/// among commands currently in flight.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Ticket {
+    /// Queue the command was submitted to.
+    pub qid: u16,
+    /// NVMe command identifier on that queue.
+    pub cid: u16,
+}
+
+/// One command's completion: the record the controller makes when it starts
+/// the command, withholds until `finish` passes, and hands the host as is.
 #[derive(Debug, Clone)]
-pub struct PostedCompletion {
-    /// The completion entry.
-    pub cqe: CompletionEntry,
-    /// The command's opcode (flush fencing needs it).
+pub struct CompletedIo {
+    /// The ticket this completion answers.
+    pub ticket: Ticket,
+    /// The completed command's opcode.
     pub opcode: NvmeOpcode,
-    /// Device-side completion instant; the CQE posts when `now >= finish`.
+    /// Raw NVMe status (0 = success): the one the device's error maps to,
+    /// or the controller's refusal.
+    pub status: u16,
+    /// Command-specific result dword.
+    pub result: u32,
+    /// Device-side finish time the completion posted at — response time is
+    /// `finish - submit time`.
     pub finish: Nanos,
-    /// `Some` exactly when a Read or a Table-1 command succeeded.
-    pub answer: Option<Answer>,
-    /// Global start order, for deterministic tie-breaks and out-of-order
-    /// accounting.
+    /// What the device returned.
+    pub outcome: Outcome,
+    /// Global start order: posting breaks finish ties by it, and an entry
+    /// overtakes any still in flight with a lower one.
     pub(crate) seq: u64,
 }
 
-impl PostedCompletion {
-    /// The posting order: by finish, ties by start order.
-    pub(crate) fn order(&self) -> (Nanos, u64) {
-        (self.finish, self.seq)
+impl CompletedIo {
+    /// True when the command completed with NVMe success status.
+    pub fn is_success(&self) -> bool {
+        self.status == NvmeStatus::Success as u16
     }
 }
 
@@ -68,13 +90,14 @@ pub(crate) struct QueuePair {
     /// Host-submitted entries not yet fetched by arbitration, each with the
     /// pages it writes (empty for every opcode but Write).
     pub sq: VecDeque<(SubmissionEntry, Vec<Vec<u8>>)>,
-    /// Started commands whose CQE has not been posted yet, kept in posting
-    /// order, so the next to post is at the front.
-    inflight: VecDeque<PostedCompletion>,
+    /// Started commands whose completion has not posted yet, kept in
+    /// posting order — by finish, ties by start order — so the next to post
+    /// is at the front.
+    inflight: VecDeque<CompletedIo>,
     /// Flushes among `inflight`.
     flushes: usize,
     /// Posted completions.
-    pub cq: VecDeque<PostedCompletion>,
+    pub cq: VecDeque<CompletedIo>,
 }
 
 impl QueuePair {
@@ -97,22 +120,22 @@ impl QueuePair {
         self.sq.len() + self.inflight.len() < self.depth
     }
 
-    /// True when no started command awaits its CQE.
+    /// True when no started command awaits its completion.
     pub(crate) fn idle(&self) -> bool {
         self.inflight.is_empty()
     }
 
     /// True while a started flush is fencing this queue: commands behind it
-    /// must not start until its CQE posts.
+    /// must not start until its completion posts.
     pub(crate) fn flush_in_flight(&self) -> bool {
         self.flushes > 0
     }
 
-    /// Records a started command; its CQE posts once `finish` passes.
-    pub(crate) fn start(&mut self, started: PostedCompletion) {
+    /// Records a started command; its completion posts once `finish` passes.
+    pub(crate) fn start(&mut self, started: CompletedIo) {
         let at = self
             .inflight
-            .partition_point(|f| f.order() < started.order());
+            .partition_point(|f| (f.finish, f.seq) < (started.finish, started.seq));
         self.flushes += usize::from(started.opcode == NvmeOpcode::Flush);
         self.inflight.insert(at, started);
     }
@@ -144,16 +167,14 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn started(cid: u16, seq: u64, opcode: NvmeOpcode, finish: Nanos) -> PostedCompletion {
-        PostedCompletion {
-            cqe: CompletionEntry {
-                cid,
-                status: 0,
-                result: 0,
-            },
+    fn started(cid: u16, seq: u64, opcode: NvmeOpcode, finish: Nanos) -> CompletedIo {
+        CompletedIo {
+            ticket: Ticket { qid: 0, cid },
             opcode,
+            status: 0,
+            result: 0,
             finish,
-            answer: None,
+            outcome: Ok(None),
             seq,
         }
     }
@@ -165,11 +186,11 @@ mod tests {
         q.start(started(2, 2, NvmeOpcode::Read, 100));
         // Only the read is due; it overtakes the in-flight write.
         assert_eq!(q.post_due(150), 1);
-        assert_eq!(q.cq.pop_front().unwrap().cqe.cid, 2);
+        assert_eq!(q.cq.pop_front().unwrap().ticket.cid, 2);
         assert_eq!(q.next_finish(), Some(300));
         // The write posts later with nothing left to overtake.
         assert_eq!(q.post_due(400), 0);
-        assert_eq!(q.cq.pop_front().unwrap().cqe.cid, 1);
+        assert_eq!(q.cq.pop_front().unwrap().ticket.cid, 1);
         assert!(q.next_finish().is_none());
     }
 
@@ -185,7 +206,7 @@ mod tests {
     /// The in-flight set as an unordered list, sorted on every post.
     #[derive(Default)]
     struct SortThenPost {
-        inflight: Vec<PostedCompletion>,
+        inflight: Vec<CompletedIo>,
         cq: Vec<u64>,
     }
 

@@ -1,4 +1,4 @@
-//! NVMe wire format: 64-byte submission entries, 16-byte completion entries.
+//! NVMe wire format: 64-byte submission entries.
 //!
 //! Layout follows the NVMe 1.3 SQE shape (simplified): byte 0 opcode, bytes
 //! 2–3 command identifier, bytes 4–7 namespace id, bytes 40–63 the six
@@ -158,37 +158,6 @@ impl SubmissionEntry {
     }
 }
 
-/// A 16-byte NVMe completion queue entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CompletionEntry {
-    /// Command identifier of the completed command.
-    pub cid: u16,
-    /// Status code (0 = success).
-    pub status: u16,
-    /// Command-specific result dword (e.g. hit count for queries).
-    pub result: u32,
-}
-
-impl CompletionEntry {
-    /// Serialises to the 16-byte wire form (DW0 = result, DW3 = cid+status).
-    pub fn to_bytes(&self) -> [u8; 16] {
-        let mut out = [0u8; 16];
-        out[0..4].copy_from_slice(&self.result.to_le_bytes());
-        out[12..14].copy_from_slice(&self.cid.to_le_bytes());
-        out[14..16].copy_from_slice(&self.status.to_le_bytes());
-        out
-    }
-
-    /// Parses the 16-byte wire form.
-    pub fn from_bytes(bytes: &[u8; 16]) -> CompletionEntry {
-        CompletionEntry {
-            result: u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]),
-            cid: u16::from_le_bytes([bytes[12], bytes[13]]),
-            status: u16::from_le_bytes([bytes[14], bytes[15]]),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,16 +174,6 @@ mod tests {
         assert_eq!(parsed, e);
         assert_eq!(parsed.get_u64(0), 0x1234_5678_9abc_def0);
         assert_eq!(parsed.get_u64(4), u64::MAX - 5);
-    }
-
-    #[test]
-    fn cqe_roundtrip() {
-        let c = CompletionEntry {
-            cid: 3,
-            status: 0x4002,
-            result: 123_456,
-        };
-        assert_eq!(CompletionEntry::from_bytes(&c.to_bytes()), c);
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Property tests of the NVMe wire format and the driver/controller loop.
 
-use almanac_core::{
-    Discard, Ftl, ReadGated, Retention, SsdConfig, SsdDevice, SsdReadOps, TimeSsd, TimeTravel,
-};
-use almanac_flash::{Geometry, Lpa, Nanos, PageData, SEC_NS};
+use almanac_core::{AlmanacError, Discard, Ftl, ReadGated, Retention, SsdConfig, SsdDevice};
+use almanac_core::{SsdReadOps, TimeSsd, TimeTravel, MAX_ARRIVAL};
+use almanac_flash::{Geometry, Lpa, Nanos, PageData, DAY_NS, MS_NS, SEC_NS};
 use almanac_nvme::{HostDriver, NvmeController, NvmeOpcode, NvmeStatus, SubmissionEntry};
 use proptest::prelude::*;
 
@@ -64,10 +63,10 @@ fn completes_on<R: Retention>(commands: &[([u8; 64], Vec<Vec<u8>>)]) {
         let done = c
             .pop_completion(0)
             .expect("every command posts a completion");
-        assert_eq!(done.cqe.cid, entry.cid);
+        assert_eq!(done.ticket.cid, entry.cid);
         assert!(c.pop_completion(0).is_none(), "one completion per command");
         if entry.opcode.is_vendor() && c.ssd().read_view().is_none() {
-            assert_eq!(done.cqe.status, NvmeStatus::InvalidOpcode as u16);
+            assert_eq!(done.status, NvmeStatus::InvalidOpcode as u16);
         }
         let report = c.ssd().check_consistency();
         assert!(report.is_clean(), "{entry:?}: {report:?}");
@@ -159,50 +158,86 @@ proptest! {
     #[test]
     fn one_command_at_a_time_the_driver_is_the_device(
         ops in prop::collection::vec(
-            (0u8..8, 0u64..48, 0u64..3_000_000, prop::collection::vec(any::<u8>(), 1..64)),
+            (0u8..10, 0u64..48, 0u64..3_000_000, prop::collection::vec(any::<u8>(), 1..64)),
             1..120,
         ),
     ) {
-        queue_depth_one_matches_the_bare_device(&ops);
+        queue_depth_one_matches_the_bare_device(SsdConfig::new(Geometry::medium_test()), &ops);
+    }
+}
+
+/// What one op returned: the page a read returned and the finish, or the
+/// error.
+type OpResult = Result<(Option<PageData>, Nanos), AlmanacError>;
+
+/// Op `op` on `dev` at `at`: 0 writes `bytes` to `lpa`, 1 reads it, 2 trims
+/// it, 3 flushes.
+fn apply(dev: &mut impl SsdDevice, op: u8, lpa: Lpa, bytes: &[u8], at: Nanos) -> OpResult {
+    let finish = |c: almanac_core::Completion| (None, c.finish);
+    match op {
+        0 => dev
+            .write(lpa, PageData::bytes(bytes.to_vec()), at)
+            .map(finish),
+        1 => dev.read(lpa, at).map(|(page, c)| (Some(page), c.finish)),
+        2 => dev.trim(lpa, at).map(finish),
+        _ => dev.flush(at).map(finish),
     }
 }
 
 /// Drives `ops` — `(kind, lpa, gap, bytes)`: kinds 0–3 write `bytes`, 4–5
-/// read, 6 trims, 7 flushes — through `HostDriver<TimeSsd>` and against a
-/// bare `TimeSsd`. Every op must finish at the same instant on both, a read
-/// must return the same page, and the flash must end in the same state.
-fn queue_depth_one_matches_the_bare_device(ops: &[(u8, u64, Nanos, Vec<u8>)]) {
-    let cfg = SsdConfig::new(Geometry::medium_test());
+/// read, 6 trims, 7 flushes; kind 8 writes, reads or trims (by `bytes[0]`)
+/// an LPA at or past the exported space, and kind 9 runs any of the four
+/// at an arrival past `MAX_ARRIVAL` — through `HostDriver<TimeSsd>` and
+/// against a bare `TimeSsd` built from `cfg`. Every op must return the same
+/// result on both, errors included, and the flash must end in the same
+/// state. Returns the errors the ops met.
+fn queue_depth_one_matches_the_bare_device(
+    cfg: SsdConfig,
+    ops: &[(u8, u64, Nanos, Vec<u8>)],
+) -> Vec<AlmanacError> {
     let mut bare = TimeSsd::new(cfg.clone());
     let mut driver = HostDriver::new(NvmeController::new(TimeSsd::new(cfg)));
-    let mut now = SEC_NS;
+    let exported = bare.exported_pages();
+    let (mut now, mut errors) = (SEC_NS, Vec::new());
     for (i, (kind, lpa, gap, bytes)) in ops.iter().enumerate() {
         now += gap;
-        let lpa = Lpa(*lpa);
-        let finish = |c: almanac_core::Completion| c.finish;
-        let (by_bare, by_driver) = match kind {
-            0..=3 => {
-                let page = PageData::bytes(bytes.clone());
-                let by_bare = bare.write(lpa, page.clone(), now).map(finish);
-                (by_bare, driver.write(lpa, page, now).map(finish))
-            }
-            4 | 5 => {
-                let (a, c) = bare.read(lpa, now).unwrap();
-                let (b, d) = driver.read(lpa, now).unwrap();
-                assert_eq!(a, b, "op {i}: read of {lpa:?}");
-                (Ok(c.finish), Ok(d.finish))
-            }
-            6 => (
-                bare.trim(lpa, now).map(finish),
-                driver.trim(lpa, now).map(finish),
-            ),
-            _ => (bare.flush(now).map(finish), driver.flush(now).map(finish)),
+        let (op, lpa, at) = match kind {
+            0..=3 => (0, *lpa, now),
+            4 | 5 => (1, *lpa, now),
+            6 => (2, *lpa, now),
+            7 => (3, *lpa, now),
+            8 => (bytes[0] % 3, exported + lpa, now),
+            _ => (bytes[0] % 4, *lpa, MAX_ARRIVAL + 1 + gap),
         };
-        assert_eq!(by_bare.unwrap(), by_driver.unwrap(), "op {i}: finish");
+        let by_bare = apply(&mut bare, op, Lpa(lpa), bytes, at);
+        let by_driver = apply(&mut driver, op, Lpa(lpa), bytes, at);
+        assert_eq!(by_bare, by_driver, "op {i}: kind {kind} on LPA {lpa}");
+        errors.extend(by_bare.err());
     }
     let ssd = driver.controller().ssd();
     assert_eq!(bare.flash().state_digest(), ssd.flash().state_digest());
     assert_eq!(bare.stats(), ssd.stats());
+    errors
+}
+
+/// A small TimeSSD that must keep 100 days of history, rewritten round-robin
+/// until it stalls (§3.4): the driver returns the bare device's
+/// `DeviceStalled`, its instant and retention window included.
+#[test]
+fn a_stalled_device_stalls_the_driver_with_its_own_error() {
+    let cfg = SsdConfig::new(Geometry::small_test()).with_min_retention(100 * DAY_NS);
+    let exported = TimeSsd::new(cfg.clone()).exported_pages();
+    let ops: Vec<_> = (0..exported * 8)
+        .map(|i| (0, i % exported, MS_NS, vec![i as u8]))
+        .collect();
+    let errors = queue_depth_one_matches_the_bare_device(cfg, &ops);
+    let stall = errors.iter().find_map(|err| match err {
+        AlmanacError::DeviceStalled {
+            retention_window, ..
+        } => Some(*retention_window),
+        _ => None,
+    });
+    assert!(stall.is_some_and(|window| window > 0), "{errors:?}");
 }
 
 /// Inputs the malformed-command property found, kept as fixed cases.

@@ -56,10 +56,10 @@ fn expect_posted(c: &mut Wire, entry: SubmissionEntry, now: Nanos, expect: (usiz
     c.run_to_completion(now);
     let done = c.pop_completion(0).expect("the command posted");
     let (items, finish, answer) = expect;
-    assert_eq!(done.cqe.status, 0, "{what:?}");
-    assert_eq!(done.cqe.result as usize, items, "{what:?}: result dword");
+    assert_eq!(done.status, 0, "{what:?}");
+    assert_eq!(done.result as usize, items, "{what:?}: result dword");
     assert_eq!(done.finish, finish, "{what:?}: finish");
-    assert_eq!(done.answer, Some(answer), "{what:?}: answer");
+    assert_eq!(done.outcome, Ok(Some(answer)), "{what:?}: answer");
 }
 
 #[test]

@@ -73,10 +73,12 @@ pub fn replay_with_sampler<D: SsdDevice>(
         } else {
             record.pages.max(1) as u64
         };
-        for i in 0..span {
-            // Reduce before offsetting: `record.lpa + i` overflows u64 for
-            // trace addresses near the top of the space.
-            let lpa = Lpa((record.lpa % exported).wrapping_add(i) % exported);
+        // Reduce once, then step with a cursor that wraps to zero:
+        // `record.lpa + i` would overflow u64 near the top of the space.
+        let mut next = record.lpa % exported;
+        for _ in 0..span {
+            let lpa = Lpa(next);
+            next = if next + 1 < exported { next + 1 } else { 0 };
             let result = match record.op {
                 TraceOp::Write => device
                     .write(

@@ -3,8 +3,8 @@
 //! Shows the exact layering of the paper's implementation — a host driver
 //! encodes 64-byte submission entries (including the vendor-specific
 //! time-travel opcodes), the controller interprets them against the TimeSSD
-//! firmware, and 16-byte completions come back, each with the typed answer
-//! the device computed riding beside it.
+//! firmware, and each command's completion comes back carrying the typed
+//! answer (or error) the device computed.
 //!
 //! Run with: `cargo run --example nvme_host`
 
