@@ -31,11 +31,17 @@ pub enum Violation {
     Drift {
         /// The answer: `valid` and `written` (BST counters vs the PVT and
         /// the chip's write pointer), `gc` and `background` (victim-index
-        /// filing vs the score the entry earns, 0 = not filed), `wear_min`
+        /// filing vs the score the entry earns, 0 = not filed),
+        /// `background_levels` (the idle-time order's level mask vs its
+        /// score's bitmap, 1 = non-empty), `wear_min`
         /// and `wear_max` (erase-count histogram vs the blocks), `expired`
-        /// (the expired-delta queue vs the Bloom chain, 1 = listed).
+        /// (the expired-delta queue vs the Bloom chain, 1 = listed),
+        /// `reserved` (an open delta buffer's page vs the `written` page of
+        /// its filter's active block) and `trim_buffers` (buffers holding a
+        /// tombstone vs a recount).
         index: &'static str,
-        /// The block, or 0 for a device-wide answer.
+        /// The block, the score (`background_levels`), the filter
+        /// (`reserved`), or 0 for a device-wide answer.
         key: u64,
         /// What the index keeps.
         kept: u64,
@@ -219,7 +225,14 @@ impl<R: Retention> Ftl<R> {
             }
         }
 
-        // 3. The erase-count bounds the wear-leveling trigger reads.
+        // 3. The idle-time order's level mask: a score is marked iff some
+        //    block is filed under it, or its lookup would skip a level or
+        //    walk an empty one.
+        for (score, marked, filed) in self.bst.idle_levels() {
+            report.drift("background_levels", score.into(), marked, filed);
+        }
+
+        // 4. The erase-count bounds the wear-leveling trigger reads.
         let erases = || {
             self.bst
                 .iter()
@@ -267,6 +280,7 @@ mod tests {
     use super::*;
     use crate::config::SsdConfig;
     use crate::device::SsdReadOps;
+    use crate::tables::BlockInfo;
     use crate::{Discard, ReadGated, TimeTravel};
     use almanac_flash::{BlockId, Geometry};
 
@@ -470,6 +484,39 @@ mod tests {
             assert_eq!(drifts(&ssd), Vec::from_iter(stale), "{}", ssd.kind());
         }
         on_every_ftl!(plant);
+    }
+
+    #[test]
+    fn detects_a_stale_idle_level_mask() {
+        let mut ssd = Ftl::<TimeTravel>::built();
+        let block = closed_block(&mut ssd);
+        let info = *ssd.bst.get(block);
+        let score = info.invalid() - info.reclaimable;
+        let all = |_: BlockId, _: &BlockInfo| true;
+        assert_eq!(ssd.bst.background_victim(all), Some(block));
+        // A level emptied in the mask but not in its bitmap: the lookup
+        // jumps over the only filed block.
+        ssd.bst.flip_idle_level(score);
+        assert_eq!(ssd.bst.background_victim(all), None);
+        let stale = Violation::Drift {
+            index: "background_levels",
+            key: score.into(),
+            kept: 0,
+            recount: 1,
+        };
+        assert_eq!(drifts(&ssd), [stale]);
+        // A level marked with an empty bitmap: the lookup walks it for
+        // nothing.
+        ssd.bst.flip_idle_level(score);
+        ssd.bst.flip_idle_level(score + 1);
+        assert_eq!(ssd.bst.background_victim(all), Some(block));
+        let stale = Violation::Drift {
+            index: "background_levels",
+            key: (score + 1).into(),
+            kept: 1,
+            recount: 0,
+        };
+        assert_eq!(drifts(&ssd), [stale]);
     }
 
     #[test]

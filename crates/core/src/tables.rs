@@ -193,7 +193,27 @@ struct VictimIndex<const IDLE: bool> {
     words: usize,
     /// Blocks filed per score, so a lookup skips the empty bitmaps.
     filed: Vec<u32>,
+    /// The idle-time order's non-empty scores: bit `s` is set while
+    /// `filed[s] > 0`, so its lookup jumps to the filled levels instead of
+    /// walking the empty ones. GC's order keeps it empty and walks `filed`.
+    levels: Vec<u64>,
     pages_per_block: u32,
+}
+
+/// Offers `f` the set bits of `words`, highest first, until it answers.
+#[inline]
+fn find_set_desc<T>(words: &[u64], mut f: impl FnMut(usize) -> Option<T>) -> Option<T> {
+    for (w, &word) in words.iter().enumerate().rev() {
+        let mut word = word;
+        while word != 0 {
+            let bit = 63 - word.leading_zeros() as usize;
+            if let Some(found) = f(w * 64 + bit) {
+                return Some(found);
+            }
+            word &= !(1 << bit);
+        }
+    }
+    None
 }
 
 impl<const IDLE: bool> VictimIndex<IDLE> {
@@ -204,6 +224,7 @@ impl<const IDLE: bool> VictimIndex<IDLE> {
             bits: vec![0; scores * words],
             words,
             filed: vec![0; scores],
+            levels: vec![0; if IDLE { scores.div_ceil(64) } else { 0 }],
             pages_per_block: geometry.pages_per_block,
         }
     }
@@ -237,6 +258,10 @@ impl<const IDLE: bool> VictimIndex<IDLE> {
                 } else {
                     self.filed[score] -= 1;
                 }
+                // The level's count crossed 0 <-> 1.
+                if IDLE && self.filed[score] == u32::from(on) {
+                    self.levels[score / 64] ^= 1 << (score % 64);
+                }
             }
         }
     }
@@ -249,6 +274,18 @@ impl<const IDLE: bool> VictimIndex<IDLE> {
     /// The acceptable block with the highest score and, among equals, the
     /// highest id — what `bst.iter().filter(..).max_by_key(score)` returned.
     fn best(&self, accept: impl Fn(BlockId) -> bool) -> Option<BlockId> {
+        if IDLE {
+            return find_set_desc(&self.levels, |score| {
+                let bucket = &self.bits[score * self.words..][..self.words];
+                find_set_desc(bucket, |b| {
+                    let block = BlockId(b as u64);
+                    accept(block).then_some(block)
+                })
+            });
+        }
+        // GC's walk stays this plain loop: written with the closures above,
+        // it changed how much of the write path the compiler inlined, and
+        // `replay_regular` lost ≈ 8 % of its fastest rep.
         for score in (1..self.filed.len()).rev() {
             if self.filed[score] == 0 {
                 continue;
@@ -278,6 +315,16 @@ impl<const IDLE: bool> VictimIndex<IDLE> {
         let mut filed = (1..self.filed.len() as u32).filter(|&s| self.has(block, s));
         let other = filed.clone().find(|&s| s != earned);
         (other.or_else(|| filed.next()).unwrap_or(0), earned)
+    }
+
+    /// `(score, marked, filed)` for each score above 0: whether the level
+    /// mask marks it non-empty, and whether its bitmap is.
+    fn level_filing(&self) -> impl Iterator<Item = (u32, bool, bool)> + '_ {
+        (1..self.filed.len()).map(|s| {
+            let marked = self.levels[s / 64] & (1 << (s % 64)) != 0;
+            let bucket = &self.bits[s * self.words..][..self.words];
+            (s as u32, marked, bucket.iter().any(|&w| w != 0))
+        })
     }
 }
 
@@ -364,6 +411,13 @@ impl Bst {
             ("background", filed, earned)
         });
         std::iter::once(("gc", filed, earned)).chain(background)
+    }
+
+    /// For the audit: `(score, marked, filed)` of the idle-time order's
+    /// level mask, as [`VictimIndex::level_filing`] reports it; nothing on a
+    /// device that keeps no idle-time order.
+    pub(crate) fn idle_levels(&self) -> impl Iterator<Item = (u32, bool, bool)> + '_ {
+        self.background.iter().flat_map(VictimIndex::level_filing)
     }
 }
 
@@ -487,6 +541,14 @@ impl Bst {
     /// consistency checker exists to catch.
     pub(crate) fn raw_mut(&mut self, block: BlockId) -> &mut BlockInfo {
         &mut self.blocks[block.0 as usize]
+    }
+
+    /// Flips the idle-time order's level-mask bit of `score` behind the
+    /// bitmaps' back.
+    pub(crate) fn flip_idle_level(&mut self, score: u32) {
+        if let Some(index) = &mut self.background {
+            index.levels[score as usize / 64] ^= 1 << (score % 64);
+        }
     }
 
     /// The two sweeps the victim indices replaced, kept as the reference the

@@ -6,8 +6,8 @@
 //! version chains run strictly back in time and reach the IMT's newest
 //! flushed delta, every in-window tombstone is journalled, no buffer holds
 //! records older than the last barrier, no tombstone outstays its flush
-//! deadline, and the expired-delta queue lists exactly the delta blocks of
-//! dropped filters.
+//! deadline, the expired-delta queue lists exactly the delta blocks of
+//! dropped filters, and the per-filter delta table agrees with the BST.
 
 use std::collections::HashSet;
 
@@ -151,6 +151,22 @@ impl TimeSsd {
                 }
             }
         }
+
+        // 6. The per-filter delta table: an open buffer's reserved page is
+        //    the `written` page of its filter's active block (the page its
+        //    flush programs and a hop reads it back from), and the count of
+        //    buffers holding a tombstone, which gates the aging scan, is a
+        //    recount's.
+        for (filter, reserved, next) in self.policy.deltas.reservations(&self.bst) {
+            report.drift(
+                "reserved",
+                filter,
+                reserved.0,
+                next.map_or(u64::MAX, |p| p.0),
+            );
+        }
+        let (kept, recount) = self.policy.deltas.trim_buffer_count();
+        report.drift("trim_buffers", 0, kept as u64, recount as u64);
     }
 }
 
@@ -166,7 +182,7 @@ mod tests {
     use super::*;
     use crate::config::SsdConfig;
     use crate::device::{SsdDevice, SsdReadOps};
-    use almanac_flash::{Geometry, SEC_NS};
+    use almanac_flash::{Geometry, Ppa, SEC_NS};
 
     #[test]
     fn consistency_reports_are_shard_count_invariant() {
@@ -511,6 +527,53 @@ mod tests {
         assert!(report
             .violations
             .contains(&Violation::PreBarrierVolatile(out.page)));
+    }
+
+    /// `ssd` after a trim that leaves its tombstone buffered, and the
+    /// filter holding it.
+    fn with_open_buffer(mut ssd: TimeSsd) -> (TimeSsd, almanac_bloom::FilterId) {
+        ssd.trim(Lpa(4), 10_000 * SEC_NS).unwrap();
+        assert_eq!(ssd.buffered_delta_pages(), 1);
+        assert!(ssd.check_consistency().is_clean());
+        let fid = ssd.policy.chain.active_id().unwrap();
+        (ssd, fid)
+    }
+
+    #[test]
+    fn detects_a_reservation_off_its_blocks_write_pointer() {
+        let (mut ssd, fid) = with_open_buffer(TimeSsd::built());
+        let (_, reserved, next) = ssd.policy.deltas.reservations(&ssd.bst).next().unwrap();
+        assert_eq!(Some(reserved), next);
+        // A buffer aimed past its block's `written`: its flush would program
+        // out of order, and a hop would look for it on the wrong page.
+        let ahead = Ppa(reserved.0 + 1);
+        ssd.policy.deltas.forge_reservation(fid, ahead);
+        let report = ssd.check_consistency();
+        let stale = Violation::Drift {
+            index: "reserved",
+            key: fid,
+            kept: ahead.0,
+            recount: reserved.0,
+        };
+        assert!(
+            report.violations.contains(&stale),
+            "{:?}",
+            report.violations
+        );
+    }
+
+    #[test]
+    fn detects_a_miscounted_tombstone_buffer_set() {
+        let (mut ssd, _) = with_open_buffer(TimeSsd::built());
+        ssd.policy.deltas.skew_trim_buffers();
+        let report = ssd.check_consistency();
+        let stale = Violation::Drift {
+            index: "trim_buffers",
+            key: 0,
+            kept: 2,
+            recount: 1,
+        };
+        assert_eq!(report.violations, [stale]);
     }
 
     #[test]

@@ -13,8 +13,12 @@
 //! [`DeltaManager::buffered_page`], modelling the firmware reading its own
 //! RAM. The reservation is no cursor of its own: it is the page at the
 //! delta block's BST `written`, which only the buffer's flush advances.
+//!
+//! Everything kept per filter — its buffer, the block it fills, its blocks —
+//! is one slot of a [`FilterTable`] indexed by filter id, so an append costs
+//! one index and a flush one allocation, the page's.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeSet, VecDeque};
 
 use almanac_bloom::FilterId;
 use almanac_flash::{
@@ -30,11 +34,10 @@ use crate::tables::{BlockKind, Bst};
 /// single logical page).
 const DELTA_PAGE_OOB_LPA: Lpa = Lpa(u64::MAX);
 
+/// The page a filter's buffer fills, reserved when the buffer opens.
 #[derive(Clone)]
-struct Buffer {
+struct OpenPage {
     reserved: Ppa,
-    /// The page's records, newest first.
-    records: Vec<DeltaRecord>,
     used: u32,
     /// Sequence number of the oldest record in this buffer (monotonic append
     /// counter, not a timestamp — equal-timestamp bursts make wall-clock
@@ -45,6 +48,159 @@ struct Buffer {
     /// Enqueue instant of the oldest pending tombstone in this buffer, for
     /// the age-based group-flush scheduler. `None` while no trim is pending.
     oldest_trim_at: Option<Nanos>,
+}
+
+/// What the manager keeps for one filter.
+#[derive(Clone, Default)]
+struct FilterSlot {
+    /// The buffer's page, while a buffer is open.
+    open: Option<OpenPage>,
+    /// The open page's records, newest first; empty while none is open. The
+    /// vector outlives each page, so the next page reuses its capacity.
+    records: Vec<DeltaRecord>,
+    /// The delta block the filter is filling.
+    active: Option<BlockId>,
+    /// Every delta block dedicated to the filter.
+    blocks: Vec<BlockId>,
+}
+
+impl FilterSlot {
+    fn is_empty(&self) -> bool {
+        self.open.is_none() && self.active.is_none() && self.blocks.is_empty()
+    }
+
+    /// Reserves the next page of the active delta block, opening a new
+    /// block from the free pool when needed. The page is the block's
+    /// `written`: a filter holds at most one unflushed reservation, and its
+    /// flush is what advances `written`.
+    fn reserve_page(
+        &mut self,
+        filter: FilterId,
+        geometry: &Geometry,
+        alloc: &mut Allocator,
+        bst: &mut Bst,
+        now: Nanos,
+    ) -> Result<Ppa> {
+        let open = self.active;
+        let block = match open.filter(|&b| bst.get(b).written < geometry.pages_per_block) {
+            Some(block) => block,
+            None => {
+                let block = alloc.alloc_block(None).ok_or(AlmanacError::DeviceStalled {
+                    now,
+                    retention_window: 0,
+                })?;
+                bst.update(block, |info| info.kind = BlockKind::Delta(filter));
+                self.blocks.push(block);
+                self.active = Some(block);
+                block
+            }
+        };
+        Ok(geometry.ppa(block.0, bst.get(block).written))
+    }
+
+    /// Programs the open page, if any, with the buffered records and closes
+    /// it; `trim_buffers` is the manager's count of buffers holding a
+    /// tombstone.
+    ///
+    /// On a failed program (power loss, injected fault) the buffer is kept:
+    /// the records are still in RAM and a retry targets the same reserved
+    /// page, so nothing is silently lost while the device is still alive.
+    fn flush_page(
+        &mut self,
+        geometry: &Geometry,
+        trim_buffers: &mut usize,
+        bst: &mut Bst,
+        flash: &mut FlashArray,
+        now: Nanos,
+    ) -> Result<(Nanos, u64)> {
+        let Some(open) = &self.open else {
+            return Ok((now, 0));
+        };
+        // The records move into the page's one exact-size allocation; the
+        // buffer keeps its vector for the next page.
+        let deltas: DeltaRecords = self.records.drain(..).collect();
+        let oob = Oob::new(DELTA_PAGE_OOB_LPA, None, now);
+        let page = PageData::DeltaPage(DeltaPage {
+            deltas: deltas.clone(),
+        });
+        let finish = match flash.program(open.reserved, page, oob, now) {
+            Ok(finish) => finish,
+            Err(e) => {
+                // The records come back from the page: the buffer stays
+                // retryable on its reserved page.
+                self.records.extend(deltas.iter().cloned());
+                return Err(e.into());
+            }
+        };
+        let block = geometry.block_of(open.reserved);
+        *trim_buffers -= usize::from(open.oldest_trim_at.is_some());
+        self.open = None;
+        bst.update(block, |info| info.written += 1);
+        Ok((finish, 1))
+    }
+}
+
+/// One [`FilterSlot`] per filter id from `base` on. Filter ids are issued in
+/// order and dropped oldest first, so the ids with state form a short run;
+/// an id inside it with no state (dropped out of order, or not yet used) is
+/// an empty slot, and an older id than `base` grows the run at the front.
+#[derive(Clone, Default)]
+struct FilterTable {
+    slots: VecDeque<FilterSlot>,
+    /// The filter id of `slots[0]`.
+    base: FilterId,
+}
+
+impl FilterTable {
+    fn get(&self, filter: FilterId) -> Option<&FilterSlot> {
+        self.slots
+            .get(usize::try_from(filter.checked_sub(self.base)?).ok()?)
+    }
+
+    fn get_mut(&mut self, filter: FilterId) -> Option<&mut FilterSlot> {
+        self.slots
+            .get_mut(usize::try_from(filter.checked_sub(self.base)?).ok()?)
+    }
+
+    /// `filter`'s slot, the run grown to reach it if needed.
+    fn entry(&mut self, filter: FilterId) -> &mut FilterSlot {
+        if self.slots.is_empty() {
+            self.base = filter;
+        }
+        while filter < self.base {
+            self.slots.push_front(FilterSlot::default());
+            self.base -= 1;
+        }
+        let i = (filter - self.base) as usize;
+        if i >= self.slots.len() {
+            self.slots.resize_with(i + 1, FilterSlot::default);
+        }
+        &mut self.slots[i]
+    }
+
+    /// Empties `filter`'s slot and returns what it held; the empty slots
+    /// at the front of the run go, so the run starts at the oldest filter
+    /// with state.
+    fn take(&mut self, filter: FilterId) -> FilterSlot {
+        let slot = self.get_mut(filter).map(std::mem::take).unwrap_or_default();
+        while self.slots.front().is_some_and(FilterSlot::is_empty) {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        slot
+    }
+
+    /// `(filter, slot)` pairs, oldest filter first.
+    fn iter(&self) -> impl Iterator<Item = (FilterId, &FilterSlot)> {
+        (self.base..).zip(&self.slots)
+    }
+
+    /// `(filter, open page, records)` of every open buffer, oldest filter
+    /// first.
+    fn open(&self) -> impl Iterator<Item = (FilterId, &OpenPage, &[DeltaRecord])> {
+        self.iter()
+            .filter_map(|(f, s)| Some((f, s.open.as_ref()?, s.records.as_slice())))
+    }
 }
 
 /// Outcome of a host barrier ([`DeltaManager::flush_all`]).
@@ -89,13 +245,10 @@ pub(crate) struct AppendOutcome {
 #[derive(Clone)]
 pub(crate) struct DeltaManager {
     geometry: Geometry,
-    /// Live buffers, oldest filter first: a barrier programs them in this
-    /// order, and each delta page's OOB timestamp is its program time, so
-    /// the order must not depend on a hasher's seed.
-    buffers: BTreeMap<FilterId, Buffer>,
-    /// The delta block each filter is filling.
-    active_blocks: BTreeMap<FilterId, BlockId>,
-    blocks: BTreeMap<FilterId, Vec<BlockId>>,
+    /// Each filter's buffer and blocks, oldest filter first: a barrier
+    /// programs the buffers in this order, and each delta page's OOB
+    /// timestamp is its program time, so the order must be the ids'.
+    filters: FilterTable,
     /// Delta blocks of dropped filters, waiting for GC to erase them: every
     /// delta in them is expired, so they are free space with no migration
     /// (Algorithm 1, line 2). Ordered, because GC takes the lowest first.
@@ -123,9 +276,7 @@ impl DeltaManager {
     pub(crate) fn new(geometry: Geometry, trim_watermark: u32) -> Self {
         DeltaManager {
             geometry,
-            buffers: BTreeMap::new(),
-            active_blocks: BTreeMap::new(),
-            blocks: BTreeMap::new(),
+            filters: FilterTable::default(),
             expired: BTreeSet::new(),
             trim_buffers: 0,
             seq: 0,
@@ -135,43 +286,15 @@ impl DeltaManager {
     }
 
     /// Usable payload bytes of a delta page holding `n` deltas.
-    fn capacity_for(&self, n: usize) -> u32 {
-        self.geometry
+    fn capacity_for(geometry: &Geometry, n: usize) -> u32 {
+        geometry
             .page_size
             .saturating_sub(DeltaPage::header_bytes(n))
     }
 
     /// Largest single delta that fits an empty page.
     pub(crate) fn max_delta_size(&self) -> u32 {
-        self.capacity_for(1)
-    }
-
-    /// Reserves the next page of `filter`'s active delta block, opening a new
-    /// block from the free pool when needed. The page is the block's
-    /// `written`: a filter holds at most one unflushed reservation, and its
-    /// flush is what advances `written`.
-    fn reserve_page(
-        &mut self,
-        filter: FilterId,
-        alloc: &mut Allocator,
-        bst: &mut Bst,
-        now: Nanos,
-    ) -> Result<Ppa> {
-        let open = self.active_blocks.get(&filter).copied();
-        let block = match open.filter(|&b| bst.get(b).written < self.geometry.pages_per_block) {
-            Some(block) => block,
-            None => {
-                let block = alloc.alloc_block(None).ok_or(AlmanacError::DeviceStalled {
-                    now,
-                    retention_window: 0,
-                })?;
-                bst.update(block, |info| info.kind = BlockKind::Delta(filter));
-                self.blocks.entry(filter).or_default().push(block);
-                self.active_blocks.insert(filter, block);
-                block
-            }
-        };
-        Ok(self.geometry.ppa(block.0, bst.get(block).written))
+        Self::capacity_for(&self.geometry, 1)
     }
 
     /// Appends a record to `filter`'s buffer, flushing the buffer to flash
@@ -189,52 +312,41 @@ impl DeltaManager {
         now: Nanos,
     ) -> Result<AppendOutcome> {
         record.size = record.size.min(self.max_delta_size());
-        let mut finish = now;
-        let mut programs = 0;
-
-        let fits = |buf: &Buffer, rec: &DeltaRecord, cap: u32| buf.used + rec.size <= cap;
-        let needs_flush = match self.buffers.get(&filter) {
-            None => false,
-            Some(buf) => !fits(buf, &record, self.capacity_for(buf.records.len() + 1)),
-        };
-        if needs_flush {
-            let (t, p) = self.flush_filter(filter, bst, flash, finish)?;
-            finish = t;
-            programs += p;
+        let geometry = &self.geometry;
+        let slot = self.filters.entry(filter);
+        let (mut finish, mut programs) = (now, 0);
+        if let Some(open) = &slot.open {
+            if open.used + record.size > Self::capacity_for(geometry, slot.records.len() + 1) {
+                (finish, programs) =
+                    slot.flush_page(geometry, &mut self.trim_buffers, bst, flash, finish)?;
+            }
         }
         self.seq += 1;
-        if !self.buffers.contains_key(&filter) {
-            let reserved = self.reserve_page(filter, alloc, bst, finish)?;
-            self.buffers.insert(
-                filter,
-                Buffer {
+        let open = match &mut slot.open {
+            Some(open) => open,
+            None => {
+                let reserved = slot.reserve_page(filter, geometry, alloc, bst, finish)?;
+                slot.open.insert(OpenPage {
                     reserved,
-                    records: Vec::new(),
                     used: 0,
                     first_seq: self.seq,
                     pending_trims: 0,
                     oldest_trim_at: None,
-                },
-            );
-        }
-        let buf = self
-            .buffers
-            .get_mut(&filter)
-            .ok_or(AlmanacError::Internal("delta buffer vanished"))?;
-        buf.used += record.size;
-        buf.records.insert(0, record); // newest first within the page
+                })
+            }
+        };
+        open.used += record.size;
+        let page = open.reserved;
+        slot.records.insert(0, record); // newest first within the page
         Ok(AppendOutcome {
-            page: buf.reserved,
+            page,
             finish,
             programs,
         })
     }
 
-    /// Flushes `filter`'s buffer (if any) to its reserved flash page.
-    ///
-    /// On a failed program (power loss, injected fault) the buffer is kept:
-    /// the records are still in RAM and a retry targets the same reserved
-    /// page, so nothing is silently lost while the device is still alive.
+    /// Flushes `filter`'s buffer (if any) to its reserved flash page; a
+    /// failed program keeps the buffer retryable on the same page.
     pub(crate) fn flush_filter(
         &mut self,
         filter: FilterId,
@@ -242,33 +354,10 @@ impl DeltaManager {
         flash: &mut FlashArray,
         now: Nanos,
     ) -> Result<(Nanos, u64)> {
-        let Some(buf) = self.buffers.get_mut(&filter) else {
-            return Ok((now, 0));
-        };
-        // The records move into the page's one exact-size allocation. The
-        // buffer gives its spare capacity back in place first: freeing it
-        // whole after the move left a hole per flush, ≈ 3 % more peak RSS
-        // on a long replay.
-        let mut records = std::mem::take(&mut buf.records);
-        records.shrink_to_fit();
-        let deltas = DeltaRecords::from(records);
-        let oob = Oob::new(DELTA_PAGE_OOB_LPA, None, now);
-        let page = PageData::DeltaPage(DeltaPage {
-            deltas: deltas.clone(),
-        });
-        let finish = match flash.program(buf.reserved, page, oob, now) {
-            Ok(finish) => finish,
-            Err(e) => {
-                // The records come back from the page: the buffer stays
-                // retryable on its reserved page.
-                buf.records = deltas.to_vec();
-                return Err(e.into());
-            }
-        };
-        let block = self.geometry.block_of(buf.reserved);
-        self.discard_buffer(filter);
-        bst.update(block, |info| info.written += 1);
-        Ok((finish, 1))
+        match self.filters.get_mut(filter) {
+            Some(slot) => slot.flush_page(&self.geometry, &mut self.trim_buffers, bst, flash, now),
+            None => Ok((now, 0)),
+        }
     }
 
     /// Journals a trim tombstone: appends the TRIM record to `filter`'s
@@ -288,17 +377,24 @@ impl DeltaManager {
         now: Nanos,
     ) -> Result<AppendOutcome> {
         let out = self.append(filter, record, alloc, bst, flash, now)?;
-        let buf = self
-            .buffers
-            .get_mut(&filter)
+        let slot = self.filters.entry(filter);
+        let open = slot
+            .open
+            .as_mut()
             .ok_or(AlmanacError::Internal("delta buffer vanished"))?;
-        buf.pending_trims += 1;
-        if buf.oldest_trim_at.is_none() {
-            buf.oldest_trim_at = Some(now);
+        open.pending_trims += 1;
+        if open.oldest_trim_at.is_none() {
+            open.oldest_trim_at = Some(now);
             self.trim_buffers += 1;
         }
-        if self.trim_watermark != 0 && buf.pending_trims >= self.trim_watermark {
-            let (finish, programs) = self.flush_filter(filter, bst, flash, out.finish)?;
+        if self.trim_watermark != 0 && open.pending_trims >= self.trim_watermark {
+            let (finish, programs) = slot.flush_page(
+                &self.geometry,
+                &mut self.trim_buffers,
+                bst,
+                flash,
+                out.finish,
+            )?;
             return Ok(AppendOutcome {
                 page: out.page,
                 finish,
@@ -325,11 +421,10 @@ impl DeltaManager {
         now: Nanos,
         page_cost: Nanos,
     ) -> BarrierFlush {
-        let filters: Vec<FilterId> = self.buffers.keys().copied().collect();
         let mut t = now;
         let mut programs = 0;
-        for f in filters {
-            match self.flush_filter(f, bst, flash, t) {
+        for slot in &mut self.filters.slots {
+            match slot.flush_page(&self.geometry, &mut self.trim_buffers, bst, flash, t) {
                 Ok((ft, p)) => {
                     t = ft.saturating_add(page_cost * p);
                     programs += p;
@@ -358,13 +453,13 @@ impl DeltaManager {
         if deadline == 0 || self.trim_buffers == 0 {
             return Vec::new();
         }
-        self.buffers
-            .iter()
-            .filter(|(_, b)| {
-                b.oldest_trim_at
+        self.filters
+            .open()
+            .filter(|(_, open, _)| {
+                open.oldest_trim_at
                     .is_some_and(|at| now.saturating_sub(at) > deadline)
             })
-            .map(|(f, _)| *f)
+            .map(|(f, ..)| f)
             .collect()
     }
 
@@ -372,23 +467,11 @@ impl DeltaManager {
     /// or `None` when no tombstone is buffered. The consistency checker
     /// asserts this never exceeds the configured deadline at op boundaries.
     pub(crate) fn oldest_pending_trim_age(&self, now: Nanos) -> Option<Nanos> {
-        self.buffers
-            .values()
-            .filter_map(|b| b.oldest_trim_at)
+        self.filters
+            .open()
+            .filter_map(|(_, open, _)| open.oldest_trim_at)
             .map(|at| now.saturating_sub(at))
             .max()
-    }
-
-    /// Test hook: backdates the pending-tombstone stamp of `filter`'s
-    /// buffer, forging the over-deadline corruption the aging audit catches.
-    #[cfg(test)]
-    pub(crate) fn backdate_trim_stamp(&mut self, filter: FilterId, at: Nanos) {
-        if let Some(buf) = self.buffers.get_mut(&filter) {
-            buf.pending_trims = buf.pending_trims.max(1);
-            if buf.oldest_trim_at.replace(at).is_none() {
-                self.trim_buffers += 1;
-            }
-        }
     }
 
     /// Reserved pages of live buffers holding records from at or before the
@@ -396,50 +479,65 @@ impl DeltaManager {
     /// list — the barrier flushed every buffer alive at that point — so the
     /// consistency checker treats entries as violations.
     pub(crate) fn pre_barrier_buffers(&self) -> Vec<Ppa> {
-        self.buffers
-            .values()
-            .filter(|b| b.first_seq <= self.barrier_seq)
-            .map(|b| b.reserved)
+        self.filters
+            .open()
+            .filter(|(_, open, _)| open.first_seq <= self.barrier_seq)
+            .map(|(_, open, _)| open.reserved)
             .collect()
     }
 
-    /// Test hook: advances the barrier point *without* flushing, forging the
-    /// exact corruption the pre-barrier audit exists to catch.
-    #[cfg(test)]
-    pub(crate) fn mark_barrier_unchecked(&mut self) {
-        self.barrier_seq = self.seq;
-    }
-
     /// Reads a reserved-but-unflushed delta page's records from the
-    /// buffers.
-    pub(crate) fn buffered_page(&self, ppa: Ppa) -> Option<&[DeltaRecord]> {
-        self.buffers
-            .values()
-            .find(|b| b.reserved == ppa)
-            .map(|b| b.records.as_slice())
+    /// buffers. Only the buffer of the filter the BST dedicates the page's
+    /// block to can hold it.
+    pub(crate) fn buffered_page(&self, ppa: Ppa, bst: &Bst) -> Option<&[DeltaRecord]> {
+        if ppa.0 >= self.geometry.total_pages() {
+            return None;
+        }
+        let BlockKind::Delta(filter) = bst.get(self.geometry.block_of(ppa)).kind else {
+            return None;
+        };
+        let slot = self.filters.get(filter)?;
+        (slot.open.as_ref()?.reserved == ppa).then_some(slot.records.as_slice())
     }
 
     /// Iterates over every reserved-but-unflushed delta page (consistency
     /// checking: buffered TRIM records count toward the durable-trim audit
     /// only once flushed, but buffered pages are still part of the stream).
     pub(crate) fn buffered_pages(&self) -> impl Iterator<Item = &[DeltaRecord]> {
-        self.buffers.values().map(|b| b.records.as_slice())
+        self.filters.open().map(|(.., records)| records)
     }
 
-    /// Removes `filter`'s buffer, keeping the pending-tombstone count in step.
-    fn discard_buffer(&mut self, filter: FilterId) {
-        if let Some(buf) = self.buffers.remove(&filter) {
-            self.trim_buffers -= usize::from(buf.oldest_trim_at.is_some());
-        }
+    /// For the audit: each open buffer's `(filter, reserved page, the page
+    /// at the `written` of its filter's active block)`.
+    pub(crate) fn reservations<'a>(
+        &'a self,
+        bst: &'a Bst,
+    ) -> impl Iterator<Item = (FilterId, Ppa, Option<Ppa>)> + 'a {
+        self.filters.iter().filter_map(move |(filter, slot)| {
+            let reserved = slot.open.as_ref()?.reserved;
+            let next = slot
+                .active
+                .map(|b| self.geometry.ppa(b.0, bst.get(b).written));
+            Some((filter, reserved, next))
+        })
+    }
+
+    /// For the audit: `(kept, recount)` of the buffers holding a tombstone.
+    pub(crate) fn trim_buffer_count(&self) -> (usize, usize) {
+        let recount = self
+            .filters
+            .open()
+            .filter(|(_, open, _)| open.oldest_trim_at.is_some())
+            .count();
+        (self.trim_buffers, recount)
     }
 
     /// Forgets a filter: discards its buffer and active block; its delta
     /// blocks are now fully expired and queue for GC to erase.
     pub(crate) fn drop_filter(&mut self, filter: FilterId) {
-        self.discard_buffer(filter);
-        self.active_blocks.remove(&filter);
-        self.expired
-            .extend(self.blocks.remove(&filter).unwrap_or_default());
+        let slot = self.filters.take(filter);
+        self.trim_buffers -= usize::from(slot.open.is_some_and(|o| o.oldest_trim_at.is_some()));
+        self.expired.extend(slot.blocks);
     }
 
     /// The expired delta blocks not yet erased, lowest block first.
@@ -455,12 +553,55 @@ impl DeltaManager {
     /// Adopts an existing on-flash delta block into a filter's set (used by
     /// power-cycle rebuild).
     pub(crate) fn adopt_block(&mut self, filter: FilterId, block: BlockId) {
-        self.blocks.entry(filter).or_default().push(block);
+        self.filters.entry(filter).blocks.push(block);
     }
 
     /// Total delta blocks currently dedicated to live filters.
     pub(crate) fn block_count(&self) -> usize {
-        self.blocks.values().map(|v| v.len()).sum()
+        self.filters.slots.iter().map(|s| s.blocks.len()).sum()
+    }
+}
+
+/// Test hooks that forge the corruptions the audits exist to catch.
+#[cfg(test)]
+impl DeltaManager {
+    /// Backdates the pending-tombstone stamp of `filter`'s buffer, forging
+    /// the over-deadline corruption the aging audit catches.
+    pub(crate) fn backdate_trim_stamp(&mut self, filter: FilterId, at: Nanos) {
+        if let Some(open) = self.filters.get_mut(filter).and_then(|s| s.open.as_mut()) {
+            open.pending_trims = open.pending_trims.max(1);
+            if open.oldest_trim_at.replace(at).is_none() {
+                self.trim_buffers += 1;
+            }
+        }
+    }
+
+    /// Advances the barrier point *without* flushing, forging the exact
+    /// corruption the pre-barrier audit exists to catch.
+    pub(crate) fn mark_barrier_unchecked(&mut self) {
+        self.barrier_seq = self.seq;
+    }
+
+    /// Moves `filter`'s open buffer to the page `to`, behind its block's
+    /// back.
+    pub(crate) fn forge_reservation(&mut self, filter: FilterId, to: Ppa) {
+        if let Some(open) = self.filters.get_mut(filter).and_then(|s| s.open.as_mut()) {
+            open.reserved = to;
+        }
+    }
+
+    /// Miscounts the buffers holding a tombstone.
+    pub(crate) fn skew_trim_buffers(&mut self) {
+        self.trim_buffers += 1;
+    }
+
+    /// [`Self::buffered_page`] as a scan of every buffer, the reference the
+    /// BST lookup is held to.
+    pub(crate) fn scanned_buffered_page(&self, ppa: Ppa) -> Option<&[DeltaRecord]> {
+        self.filters
+            .open()
+            .find(|(_, open, _)| open.reserved == ppa)
+            .map(|(.., records)| records)
     }
 }
 
@@ -468,6 +609,7 @@ impl DeltaManager {
 mod tests {
     use super::*;
     use almanac_flash::{DeltaBody, Geometry, LatencyConfig};
+    use proptest::prelude::*;
 
     fn fixture() -> (DeltaManager, Allocator, Bst, FlashArray) {
         let geo = Geometry::small_test();
@@ -497,7 +639,7 @@ mod tests {
             .append(0, record(1, 10, 100), &mut alloc, &mut bst, &mut flash, 0)
             .unwrap();
         assert_eq!(out.programs, 0);
-        assert!(mgr.buffered_page(out.page).is_some());
+        assert!(mgr.buffered_page(out.page, &bst).is_some());
         assert_eq!(mgr.block_count(), 1);
     }
 
@@ -521,7 +663,7 @@ mod tests {
         assert_eq!(b.programs, 1, "first buffer should have been flushed");
         assert_ne!(a.page, b.page);
         // The flushed page is now on flash, not buffered.
-        assert!(mgr.buffered_page(a.page).is_none());
+        assert!(mgr.buffered_page(a.page, &bst).is_none());
         assert!(flash.peek(a.page).is_ok());
     }
 
@@ -558,7 +700,7 @@ mod tests {
                 0,
             )
             .unwrap();
-        let page = mgr.buffered_page(out.page).unwrap();
+        let page = mgr.buffered_page(out.page, &bst).unwrap();
         assert_eq!(page[0].size, mgr.max_delta_size());
     }
 
@@ -584,11 +726,20 @@ mod tests {
             block_of(&mut mgr, 5),
             block_of(&mut mgr, 4),
         );
+        // Filter 4 goes first: a hole between two live filters.
         mgr.drop_filter(4);
+        assert_eq!(mgr.block_count(), 2);
+        assert!(mgr.buffered_page(geo.ppa(b4.0, 0), &bst).is_none());
+        assert!(mgr.buffered_page(geo.ppa(b3.0, 0), &bst).is_some());
+        assert!(mgr.buffered_page(geo.ppa(b5.0, 0), &bst).is_some());
         mgr.drop_filter(3);
         assert_eq!(mgr.block_count(), 1, "filter 5 is still live");
-        assert!(mgr.buffered_page(geo.ppa(b3.0, 0)).is_none());
-        assert!(mgr.buffered_page(geo.ppa(b5.0, 0)).is_some());
+        assert!(mgr.buffered_page(geo.ppa(b3.0, 0), &bst).is_none());
+        assert!(mgr.buffered_page(geo.ppa(b5.0, 0), &bst).is_some());
+        // Dropping a filter twice, or one never seen, changes nothing.
+        mgr.drop_filter(3);
+        mgr.drop_filter(40);
+        assert_eq!(mgr.block_count(), 1);
         // GC is offered the expired blocks lowest first, whatever order
         // their filters went in, until it reports each one erased.
         let (low, high) = (b3.min(b4), b3.max(b4));
@@ -624,14 +775,17 @@ mod tests {
                 .journal_trim(0, record(i, 10 + i, 8), &mut alloc, &mut bst, &mut flash, 0)
                 .unwrap();
             programs += out.programs;
-            assert!(mgr.buffered_page(out.page).is_some(), "trim {i} buffered");
+            assert!(
+                mgr.buffered_page(out.page, &bst).is_some(),
+                "trim {i} buffered"
+            );
         }
         assert_eq!(programs, 0, "below the watermark nothing is programmed");
         let out = mgr
             .journal_trim(0, record(2, 30, 8), &mut alloc, &mut bst, &mut flash, 0)
             .unwrap();
         assert_eq!(out.programs, 1, "watermark trim flushes the batch");
-        assert!(mgr.buffered_page(out.page).is_none());
+        assert!(mgr.buffered_page(out.page, &bst).is_none());
         assert!(flash.peek(out.page).is_ok());
     }
 
@@ -647,7 +801,7 @@ mod tests {
                 .journal_trim(0, record(i, 10 + i, 8), &mut alloc, &mut bst, &mut flash, 0)
                 .unwrap();
             assert_eq!(out.programs, 1, "trim {i} should flush immediately");
-            assert!(mgr.buffered_page(out.page).is_none());
+            assert!(mgr.buffered_page(out.page, &bst).is_none());
         }
     }
 
@@ -697,20 +851,174 @@ mod tests {
                 .append(0, record(i, 10 * i, 8), &mut alloc, &mut bst, &mut flash, 0)
                 .unwrap();
         }
-        let before = mgr.buffered_page(out.page).unwrap().to_vec();
+        let before = mgr.buffered_page(out.page, &bst).unwrap().to_vec();
         assert_eq!(before.len(), 4);
         assert!(
             mgr.flush_filter(0, &mut bst, &mut flash, 50).is_err(),
             "injected program fault must surface"
         );
-        // The records are still in RAM, unchanged, aimed at the same page.
-        assert_eq!(mgr.buffered_page(out.page), Some(&before[..]));
+        // The records are still in RAM, unchanged, aimed at the same page,
+        // which is still its block's `written`.
+        assert_eq!(mgr.buffered_page(out.page, &bst), Some(&before[..]));
+        assert_eq!(mgr.scanned_buffered_page(out.page), Some(&before[..]));
+        let reservations: Vec<_> = mgr.reservations(&bst).collect();
+        assert_eq!(reservations, [(0, out.page, Some(out.page))]);
+        // The buffer takes more records on the same page, newest first...
+        let more = mgr
+            .append(0, record(9, 90, 8), &mut alloc, &mut bst, &mut flash, 55)
+            .unwrap();
+        assert_eq!((more.page, more.programs), (out.page, 0));
+        let after = mgr.buffered_page(out.page, &bst).unwrap().to_vec();
+        assert_eq!((after[0].lpa, &after[1..]), (Lpa(9), &before[..]));
+        // ...and the retry programs them all there.
         let (_, programs) = mgr.flush_filter(0, &mut bst, &mut flash, 60).unwrap();
         assert_eq!(programs, 1, "retry programs the same reserved page");
-        assert!(mgr.buffered_page(out.page).is_none());
+        assert!(mgr.buffered_page(out.page, &bst).is_none());
         match flash.peek(out.page).unwrap().0 {
-            PageData::DeltaPage(dp) => assert_eq!(*dp.deltas, before[..]),
+            PageData::DeltaPage(dp) => assert_eq!(*dp.deltas, after[..]),
             other => panic!("expected delta page, got {other:?}"),
+        }
+        // The next page of the same block opens empty.
+        let next = mgr
+            .append(0, record(1, 100, 8), &mut alloc, &mut bst, &mut flash, 70)
+            .unwrap();
+        assert_eq!(next.page, Ppa(out.page.0 + 1));
+        assert_eq!(mgr.buffered_page(next.page, &bst).map(<[_]>::len), Some(1));
+    }
+
+    #[test]
+    fn a_buffer_opens_for_an_older_filter_after_newer_ones() {
+        let (mut mgr, mut alloc, mut bst, mut flash) = fixture();
+        let geo = Geometry::small_test();
+        let mut pages = Vec::new();
+        for filter in [7, 9, 5, 2] {
+            let out = mgr
+                .append(
+                    filter,
+                    record(filter, 1, 10),
+                    &mut alloc,
+                    &mut bst,
+                    &mut flash,
+                    0,
+                )
+                .unwrap();
+            pages.push((filter, out.page));
+        }
+        assert_eq!(mgr.block_count(), 4);
+        for (filter, page) in pages {
+            assert_eq!(bst.get(geo.block_of(page)).kind, BlockKind::Delta(filter));
+            let records = mgr.buffered_page(page, &bst).unwrap();
+            assert_eq!(
+                records.iter().map(|r| r.lpa).collect::<Vec<_>>(),
+                [Lpa(filter)]
+            );
+        }
+        // The oldest filter's buffer gives way when it fills, like any other.
+        let big = mgr.max_delta_size();
+        let out = mgr
+            .append(2, record(3, 2, big), &mut alloc, &mut bst, &mut flash, 0)
+            .unwrap();
+        assert_eq!(out.programs, 1);
+        assert_eq!(
+            geo.block_of(out.page),
+            geo.block_of(pages_of(&mgr, &bst, 2))
+        );
+    }
+
+    /// The reserved page of `filter`'s open buffer.
+    fn pages_of(mgr: &DeltaManager, bst: &Bst, filter: FilterId) -> Ppa {
+        mgr.reservations(bst)
+            .find(|&(f, ..)| f == filter)
+            .map(|(_, page, _)| page)
+            .unwrap()
+    }
+
+    #[test]
+    fn a_barrier_programs_the_oldest_filter_first() {
+        let (mut mgr, mut alloc, mut bst, mut flash) = fixture();
+        // Opened newest first, with a hole (filter 6) and a dropped filter.
+        for filter in [8, 7, 5, 4] {
+            mgr.append(
+                filter,
+                record(filter, 1, 10),
+                &mut alloc,
+                &mut bst,
+                &mut flash,
+                0,
+            )
+            .unwrap();
+        }
+        mgr.drop_filter(7);
+        let pages: Vec<_> = [4, 5, 8].map(|f| pages_of(&mgr, &bst, f)).into();
+        let out = mgr.flush_all(&mut bst, &mut flash, 100, 1_000);
+        assert_eq!((out.programs, out.error.is_none()), (3, true));
+        // Each page's OOB carries its program instant.
+        let stamps: Vec<_> = pages
+            .iter()
+            .map(|&p| flash.peek(p).unwrap().1.timestamp)
+            .collect();
+        assert!(stamps.windows(2).all(|w| w[0] < w[1]), "{stamps:?}");
+    }
+
+    /// One step of the table's life: an append to a filter, a flush of
+    /// one, a drop (oldest first or not), or a barrier.
+    #[derive(Debug, Clone)]
+    enum TableOp {
+        Append(FilterId, u32),
+        Flush(FilterId),
+        Drop(FilterId),
+        Barrier,
+    }
+
+    fn table_op() -> impl Strategy<Value = TableOp> {
+        prop_oneof![
+            6 => (0u64..6, 1u32..2_000).prop_map(|(f, size)| TableOp::Append(f, size)),
+            1 => (0u64..6).prop_map(TableOp::Flush),
+            1 => (0u64..6).prop_map(TableOp::Drop),
+            1 => Just(TableOp::Barrier),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Whatever the order filters open, fill, flush and drop in, the
+        /// BST's lookup answers what a scan of every buffer answers, on
+        /// every page of the array, and each open buffer sits at its
+        /// block's `written`.
+        #[test]
+        fn the_bst_lookup_answers_what_a_scan_of_every_buffer_answers(
+            ops in proptest::collection::vec(table_op(), 1..120),
+        ) {
+            let (mut mgr, mut alloc, mut bst, mut flash) = fixture();
+            let geo = Geometry::small_test();
+            let mut now = 0;
+            for (i, op) in ops.into_iter().enumerate() {
+                now += 10;
+                // A pool run dry is a refused append, not a broken table.
+                let _ = match op {
+                    TableOp::Append(f, size) => mgr
+                        .append(f, record(i as u64, now, size), &mut alloc, &mut bst, &mut flash, now)
+                        .map(|_| ()),
+                    TableOp::Flush(f) => mgr.flush_filter(f, &mut bst, &mut flash, now).map(|_| ()),
+                    TableOp::Drop(f) => {
+                        mgr.drop_filter(f);
+                        Ok(())
+                    }
+                    TableOp::Barrier => mgr.flush_all(&mut bst, &mut flash, now, 0).into_result().map(|_| ()),
+                };
+                for page in 0..geo.total_pages() + 2 {
+                    prop_assert_eq!(
+                        mgr.buffered_page(Ppa(page), &bst),
+                        mgr.scanned_buffered_page(Ppa(page))
+                    );
+                }
+                for (_, reserved, next) in mgr.reservations(&bst) {
+                    prop_assert_eq!(Some(reserved), next);
+                }
+                let (kept, recount) = mgr.trim_buffer_count();
+                prop_assert_eq!(kept, recount);
+            }
         }
     }
 
@@ -850,7 +1158,7 @@ mod tests {
         let out = mgr
             .append(0, record(1, 20, 8), &mut alloc, &mut bst, &mut flash, 0)
             .unwrap();
-        let page = mgr.buffered_page(out.page).unwrap();
+        let page = mgr.buffered_page(out.page, &bst).unwrap();
         assert_eq!(page[0].timestamp, 20);
         assert_eq!(page[1].timestamp, 10);
     }

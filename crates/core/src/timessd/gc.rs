@@ -15,6 +15,10 @@ use crate::tables::AmtEntry;
 use super::query::Link;
 use super::{TimeSsd, REF_ZEROS};
 
+/// A retained version on its way into a delta: its page, timestamp,
+/// content and the filter whose delta block takes it.
+pub(crate) type RetainedVersion = (Ppa, Nanos, PageData, FilterId);
+
 /// Who initiated a compression pass — determines which statistics and
 /// Equation-1 counters it feeds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,14 +141,38 @@ impl TimeSsd {
     /// deltas (the §3.7 procedure triggered when GC breaks a data-page
     /// chain). Marks compressed pages reclaimable and updates the IMT head.
     ///
-    /// Respects `budget` when bounded, compressing an oldest-first prefix so
-    /// a partial pass still leaves the chain consistent.
+    /// `probed` is the triggering page's Bloom group and the newest filter
+    /// holding it, which the caller already looked up: a version on that
+    /// group takes its delta to that filter without a second walk of the
+    /// chain. Respects `budget` when bounded, compressing an oldest-first
+    /// prefix so a partial pass still leaves the chain consistent.
     pub(crate) fn compress_versions_of(
+        &mut self,
+        lpa: Lpa,
+        t: Nanos,
+        budget: &mut Budget,
+        cause: Cause,
+        probed: (u64, FilterId),
+    ) -> Result<Nanos> {
+        // The version list is the policy's scratch vector, emptied after
+        // every call and never freed.
+        let mut versions = std::mem::take(&mut self.policy.versions);
+        let out = self.compress_chain(lpa, t, budget, cause, probed, &mut versions);
+        versions.clear();
+        self.policy.versions = versions;
+        out
+    }
+
+    /// The body of [`Self::compress_versions_of`], collecting into the
+    /// empty `versions`.
+    fn compress_chain(
         &mut self,
         lpa: Lpa,
         mut t: Nanos,
         budget: &mut Budget,
         cause: Cause,
+        probed: (u64, FilterId),
+        versions: &mut Vec<RetainedVersion>,
     ) -> Result<Nanos> {
         let lat = *self.flash.latency();
         // Resolve the reference (latest) version.
@@ -166,7 +194,6 @@ impl TimeSsd {
         // retained uncompressed versions newest first. The PRT says "already
         // compressed from here down" without a read; every other page a
         // data link lands on is read, the one that ends the chain too.
-        let mut versions: Vec<(Ppa, Nanos, PageData, FilterId)> = Vec::new();
         let (_, mut link) = self.chain_start(lpa);
         let mut prev_ts = ref_ts;
         while let Link::FromData(ppa) = link {
@@ -183,11 +210,15 @@ impl TimeSsd {
             };
             // The step found the page's group in a live filter; the newest
             // such filter's delta block takes the version.
-            let fid = self
-                .policy
-                .chain
-                .find(self.group_of(ppa))
-                .ok_or(AlmanacError::Internal("retained page outside the chain"))?;
+            let group = self.group_of(ppa);
+            let fid = match probed {
+                (g, fid) if g == group => fid,
+                _ => self
+                    .policy
+                    .chain
+                    .find(group)
+                    .ok_or(AlmanacError::Internal("retained page outside the chain"))?,
+            };
             prev_ts = version.timestamp;
             link = next;
             versions.push((ppa, prev_ts, data, fid));
@@ -275,16 +306,21 @@ impl TimeSsd {
     /// retained page is compressed into deltas first.
     pub(crate) fn compress_retained(&mut self, ppa: Ppa, mut t: Nanos) -> Result<Nanos> {
         // Lines 10-13: reclaimable pages are discarded by the erase.
-        // Lines 15-17: pages missing every Bloom filter have expired.
-        if self.policy.prt.get(ppa) || !self.policy.chain.contains(self.group_of(ppa)) {
+        if self.policy.prt.get(ppa) {
             return Ok(t);
         }
+        // Lines 15-17: pages missing every Bloom filter have expired.
+        let group = self.group_of(ppa);
+        let Some(fid) = self.policy.chain.find(group) else {
+            return Ok(t);
+        };
         // Lines 19-25: retained page — compress its LPA's whole
         // uncompressed tail (including this page) into deltas.
         let (_, oob, rt) = self.flash.read(ppa, t)?;
         t = rt;
         self.note_read(Cause::Gc);
-        t = self.compress_versions_of(oob.lpa, t, &mut Budget::unbounded(), Cause::Gc)?;
+        let mut budget = Budget::unbounded();
+        t = self.compress_versions_of(oob.lpa, t, &mut budget, Cause::Gc, (group, fid))?;
         if !self.policy.prt.get(ppa) {
             // The page was unreachable from its chain head (e.g. the
             // chain was truncated by expiry); compress it standalone so
@@ -405,8 +441,9 @@ impl TimeSsd {
         };
         let mut t = start;
         // Consecutive pages share a Bloom group and nothing inserts into or
-        // drops from the chain inside a window: one probe per group.
-        let mut probed: Option<(u64, bool)> = None;
+        // drops from the chain inside a window: one probe per group, whose
+        // filter the compression reuses.
+        let mut probed: Option<(u64, Option<FilterId>)> = None;
         // Only invalid, not yet reclaimable pages can need work: the word
         // scan of PVT|PRT finds them. It is asked again after every
         // compression, which can mark later pages of this victim reclaimable.
@@ -418,21 +455,27 @@ impl TimeSsd {
             }
             from = ppa.0 + 1;
             let group = self.group_of(ppa);
-            let retained = match probed {
-                Some((g, hit)) if g == group => hit,
-                _ => self.policy.chain.contains(group),
+            let filter = match probed {
+                Some((g, filter)) if g == group => filter,
+                _ => self.policy.chain.find(group),
             };
-            probed = Some((group, retained));
-            if !retained {
+            probed = Some((group, filter));
+            let Some(fid) = filter else {
                 continue;
-            }
+            };
             if !budget.charge(self.flash.latency().read_total()) {
                 break;
             }
             let (_, oob, rt) = self.flash.read(ppa, t)?;
             t = rt;
             self.note_read(Cause::Background);
-            t = self.compress_versions_of(oob.lpa, t, &mut budget, Cause::Background)?;
+            t = self.compress_versions_of(
+                oob.lpa,
+                t,
+                &mut budget,
+                Cause::Background,
+                (group, fid),
+            )?;
         }
         Ok(())
     }

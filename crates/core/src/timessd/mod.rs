@@ -44,6 +44,7 @@ use crate::ftl::{sealed::Sealed, Ftl, HostOp, Retention};
 use crate::tables::{AmtEntry, BlockKind, Imt, Prt};
 
 use deltas::DeltaManager;
+use gc::RetainedVersion;
 use idle::IdlePredictor;
 use retention::PeriodCounters;
 
@@ -75,6 +76,9 @@ pub struct TimeTravel {
     /// lets the version chain reconnect across such torn links. Empty on a
     /// normally-constructed device.
     pub(crate) recovered_deltas: HashMap<Lpa, Vec<(Nanos, Ppa)>>,
+    /// Scratch list of [`TimeSsd::compress_versions_of`]: empty between
+    /// calls, its capacity kept.
+    pub(crate) versions: Vec<RetainedVersion>,
 }
 
 impl TimeTravel {
@@ -96,6 +100,7 @@ impl TimeTravel {
             idle: IdlePredictor::new(IDLE_ALPHA, config.idle_threshold),
             last_ts: 0,
             recovered_deltas: HashMap::new(),
+            versions: Vec::new(),
         }
     }
 }

@@ -147,7 +147,7 @@ impl TimeSsd {
             // A buffer's reserved page stays free until the flush that
             // programs it also drops the buffer, so only a free page can be
             // buffered: a hop that lands on flash searches no buffer.
-            Err(_) => match self.policy.deltas.buffered_page(ppa) {
+            Err(_) => match self.policy.deltas.buffered_page(ppa, &self.bst) {
                 Some(records) => Hop::Delta(records, true),
                 None => Hop::Gone,
             },

@@ -168,9 +168,13 @@ fn rebuilt_trimmed_compressed_chain_keeps_equal_ts_boundary() {
     }
     let head_ts = *stamps.last().unwrap();
     let trim = ssd.trim(lpa, now).unwrap();
-    // Compress the whole trimmed chain (the §3.7 GC path) and flush.
+    // Compress the whole trimmed chain (the §3.7 GC path) and flush, as
+    // GC does on meeting the former head.
+    let head = ssd.amt.get(lpa).chain_head().unwrap();
+    let group = ssd.group_of(head);
+    let probed = (group, ssd.policy.chain.find(group).unwrap());
     let mut budget = Budget::unbounded();
-    ssd.compress_versions_of(lpa, trim.finish, &mut budget, Cause::Gc)
+    ssd.compress_versions_of(lpa, trim.finish, &mut budget, Cause::Gc, probed)
         .unwrap();
     ssd.flush_buffers(trim.finish).unwrap();
     // The newest compressed version IS the former head: its timestamp now

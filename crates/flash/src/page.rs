@@ -237,6 +237,14 @@ impl From<Vec<DeltaRecord>> for DeltaRecords {
     }
 }
 
+/// Collecting a page's records takes one exact-size allocation when the
+/// iterator knows its length (a `Vec::drain`, say).
+impl FromIterator<DeltaRecord> for DeltaRecords {
+    fn from_iter<I: IntoIterator<Item = DeltaRecord>>(records: I) -> Self {
+        DeltaRecords(records.into_iter().collect())
+    }
+}
+
 impl fmt::Debug for DeltaRecords {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         self.0.fmt(f)

@@ -32,7 +32,7 @@
 //! register with, look up, or leak, and no second answer or error format.
 
 use almanac_core::{roll_back, roll_back_all, time_scan, AddrQuery};
-use almanac_core::{AlmanacError, SsdDevice};
+use almanac_core::{AlmanacError, SsdDevice, MAX_ARRIVAL};
 use almanac_flash::{Lpa, LpaSpan, Nanos, PageData};
 
 use crate::queue::{Answer, CompletedIo, Outcome, QueuePair, Ticket};
@@ -365,6 +365,11 @@ impl<D: SsdDevice> NvmeController<D> {
         payload: Vec<Vec<u8>>,
         now: Nanos,
     ) -> Outcome {
+        // The device checks the arrival before the range (`Ftl::admit`), so
+        // a command with both faults fails as it would on the bare device.
+        if now > MAX_ARRIVAL {
+            return Err(AlmanacError::ArrivalTooLate(now).into());
+        }
         let (lpa, count) = (Lpa(e.get_u64(0)), e.cdw[2]);
         let exported = self.ssd.exported_pages();
         let span = LpaSpan::whole(lpa, u64::from(count), exported)

@@ -158,7 +158,7 @@ proptest! {
     #[test]
     fn one_command_at_a_time_the_driver_is_the_device(
         ops in prop::collection::vec(
-            (0u8..10, 0u64..48, 0u64..3_000_000, prop::collection::vec(any::<u8>(), 1..64)),
+            (0u8..11, 0u64..48, 0u64..3_000_000, prop::collection::vec(any::<u8>(), 1..64)),
             1..120,
         ),
     ) {
@@ -186,11 +186,12 @@ fn apply(dev: &mut impl SsdDevice, op: u8, lpa: Lpa, bytes: &[u8], at: Nanos) ->
 
 /// Drives `ops` — `(kind, lpa, gap, bytes)`: kinds 0–3 write `bytes`, 4–5
 /// read, 6 trims, 7 flushes; kind 8 writes, reads or trims (by `bytes[0]`)
-/// an LPA at or past the exported space, and kind 9 runs any of the four
-/// at an arrival past `MAX_ARRIVAL` — through `HostDriver<TimeSsd>` and
-/// against a bare `TimeSsd` built from `cfg`. Every op must return the same
-/// result on both, errors included, and the flash must end in the same
-/// state. Returns the errors the ops met.
+/// an LPA at or past the exported space, kind 9 runs any of the four at an
+/// arrival past `MAX_ARRIVAL`, and kind 10 is kind 8 at such an arrival
+/// (both faults: the arrival is checked first) — through
+/// `HostDriver<TimeSsd>` and against a bare `TimeSsd` built from `cfg`.
+/// Every op must return the same result on both, errors included, and the
+/// flash must end in the same state. Returns the errors the ops met.
 fn queue_depth_one_matches_the_bare_device(
     cfg: SsdConfig,
     ops: &[(u8, u64, Nanos, Vec<u8>)],
@@ -207,7 +208,8 @@ fn queue_depth_one_matches_the_bare_device(
             6 => (2, *lpa, now),
             7 => (3, *lpa, now),
             8 => (bytes[0] % 3, exported + lpa, now),
-            _ => (bytes[0] % 4, *lpa, MAX_ARRIVAL + 1 + gap),
+            9 => (bytes[0] % 4, *lpa, MAX_ARRIVAL + 1 + gap),
+            _ => (bytes[0] % 3, exported + lpa, MAX_ARRIVAL + 1 + gap),
         };
         let by_bare = apply(&mut bare, op, Lpa(lpa), bytes, at);
         let by_driver = apply(&mut driver, op, Lpa(lpa), bytes, at);

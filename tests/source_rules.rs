@@ -108,7 +108,7 @@ const RULES: &[Rule] = &[
         find: written_move,
         allowed: &[
             ("crates/core/src/ftl.rs", "program"),
-            ("crates/core/src/timessd/deltas.rs", "flush_filter"),
+            ("crates/core/src/timessd/deltas.rs", "flush_page"),
         ],
         design: "5h",
     },
