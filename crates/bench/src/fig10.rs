@@ -72,7 +72,7 @@ pub fn timessd_recovery(family: Family, seed: u64) -> (Nanos, usize) {
         .collect();
     let ssd = fs.device_mut();
     let recover_at = settle(ssd, report.attack_end);
-    let mut kits = TimeKits::new(ssd).with_threads(RECOVERY_THREADS);
+    let mut kits = TimeKits::new(ssd);
     let estimate =
         kits.restore_cost_estimate(&victim_pages, report.pre_attack_time, RECOVERY_THREADS);
     let out = kits

@@ -40,14 +40,12 @@ pub fn run(seed: u64) -> Vec<Row> {
             lpas,
             size,
         };
-        let mut times = Vec::new();
-        for threads in [1u32, 2, 4] {
-            let kits = TimeKits::new(fs.device_mut()).with_threads(threads);
-            let estimate = kits.restore_cost_estimate(&map.lpas, target, threads);
-            times.push((threads, estimate));
-        }
-        // Perform one real revert to validate content (single-threaded).
         let mut kits = TimeKits::new(fs.device_mut());
+        let times = [1u32, 2, 4]
+            .iter()
+            .map(|&t| (t, kits.restore_cost_estimate(&map.lpas, target, t)))
+            .collect();
+        // Perform one real revert to validate content.
         kits.restore_file(&map, target, end + MINUTE_NS).unwrap();
         rows.push(Row {
             file: name.to_string(),

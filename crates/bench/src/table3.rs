@@ -42,7 +42,7 @@ fn query_cell(profile: TraceProfile, days: u32, usage: f64, seed: u64) -> Timed<
         assert!(!report.stalled, "{} stalled during warm-up", profile.name);
         let one_day_ago = last_at.saturating_sub(DAY_NS);
 
-        let kits = almanac_kits::TimeKits::new(&mut ssd).with_threads(QUERY_THREADS);
+        let kits = almanac_kits::TimeKits::new(&mut ssd);
         let (_, tq_cost) = kits.time_query(one_day_ago);
         let time_query_ns = tq_cost.makespan(QUERY_THREADS);
 

@@ -197,7 +197,8 @@ mod tests {
         let (g, mut a, mut bst) = fresh();
         let (p0, _) = program(&mut a, &mut bst);
         let (p1, _) = program(&mut a, &mut bst);
-        assert_ne!(g.channel_of_ppa(p0), g.channel_of_ppa(p1));
+        let channel = |p| g.channel_of_block(g.block_of(p));
+        assert_ne!(channel(p0), channel(p1));
     }
 
     #[test]

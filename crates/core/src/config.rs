@@ -92,12 +92,12 @@ pub struct SsdConfig {
     /// so aging fires inside a run, with `0` as their control.
     pub tombstone_flush_deadline: Nanos,
     /// Partition width of the scan schedule: a ranged storage-state query
-    /// splits its LPA span into `amt_shards` strided partitions and fans
-    /// them across at most that many workers through `&self`. Never a
-    /// storage property — the AMT and the IMT are flat tables nothing
-    /// indexes with it — so it changes neither host-visible state nor
-    /// completion times, only query parallelism. Defaults to the channel
-    /// count; clamped to at least 1.
+    /// files each LPA's cost under one of `amt_shards` strided partitions,
+    /// which the modelled makespan deals to host workers. Never a storage
+    /// property — the AMT and the IMT are flat tables nothing indexes with
+    /// it — so it changes neither host-visible state nor completion times,
+    /// only the modelled query schedule. Defaults to the channel count;
+    /// clamped to at least 1.
     pub amt_shards: u32,
 }
 

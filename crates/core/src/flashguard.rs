@@ -66,12 +66,6 @@ pub struct ReadGated {
 pub type FlashGuardSsd = Ftl<ReadGated>;
 
 impl FlashGuardSsd {
-    /// Overrides the victim retention window (20 days by default).
-    pub fn with_retention(mut self, retention: Nanos) -> Self {
-        self.policy.retention = retention;
-        self
-    }
-
     /// Retained (suspected-victim) old versions of `lpa`, newest first:
     /// `(written_at, ppa)` pairs whose raw content can be read back.
     /// Versions written at one instant come in retain order, newest first.
@@ -233,7 +227,8 @@ mod tests {
 
     #[test]
     fn victims_expire_after_retention() {
-        let mut ssd = small().with_retention(1_000);
+        let mut ssd = small();
+        ssd.policy.retention = 1_000;
         ssd.write(Lpa(0), PageData::bytes(vec![1]), 0).unwrap();
         ssd.read(Lpa(0), 10).unwrap();
         ssd.write(Lpa(0), PageData::bytes(vec![2]), 20).unwrap();

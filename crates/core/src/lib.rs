@@ -68,13 +68,3 @@ pub use timessd::query::{SsdReadView, VersionInfo, VersionLocation};
 pub use timessd::table1::{roll_back, roll_back_all, roll_back_set, snapshot_at, time_scan};
 pub use timessd::table1::{AddrQuery, AddrQueryOutcome, QueryHit, RollbackOutcome, TimeQueryHit};
 pub use timessd::{TimeSsd, TimeTravel, REF_ZEROS};
-
-// Query workers share `&TimeSsd` across scoped threads with no lock around
-// the mapping tables: readers-xor-writer comes from `&`/`&mut`, which is
-// sound only while the device and its tables are `Sync`. Checked here so a
-// stray `Cell`/`Rc` fails this crate's build instead of racing silently.
-const _: () = {
-    const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<TimeSsd>();
-    assert_send_sync::<ShardedAmt>();
-};

@@ -475,8 +475,8 @@ impl Imt {
 /// One dense vector indexed by LPA, as in the paper's firmware (§3.7). A
 /// storage-state query holds `&self` (any number of readers) while the FTL
 /// write path holds `&mut self`, so the borrow checker already guarantees
-/// readers-xor-writer and no lock is needed. How a ranged query partitions
-/// the LPA span across workers ([`SsdConfig::amt_shards`](crate::SsdConfig))
+/// readers-xor-writer and no lock is needed. How a ranged query's schedule
+/// partitions the LPA span ([`SsdConfig::amt_shards`](crate::SsdConfig))
 /// is the query engine's business and never reaches this table.
 #[derive(Debug, Clone)]
 pub struct ShardedAmt {

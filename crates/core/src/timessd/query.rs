@@ -499,8 +499,8 @@ impl TimeSsd {
 }
 
 /// The `&self` query path is a plain `&TimeSsd`: every query method takes
-/// `&self` and no lock, so any number of workers can walk version chains at
-/// once while the borrow checker keeps `&mut` commands out. The alias
+/// `&self` and no lock, and the borrow checker keeps `&mut` commands out
+/// while a query holds it. The alias
 /// survives only because `benchmark/` compiles against this name, and goes
 /// with the next change to that crate.
 pub type SsdReadView<'a> = &'a TimeSsd;

@@ -4,10 +4,11 @@
 //! `AddrQuery`, `AddrQueryRange`, and `AddrQueryAll` are the same traversal
 //! with three version filters, so one builder, [`AddrQuery`], is the single
 //! dispatch point for them; the time queries are [`time_scan`]. Both are
-//! per-LPA closures over the shard-aligned scan engine (`engine::scan`),
-//! which fans the clamped LPA span across the device's `amt_shards`
-//! partitions ("shards") on scoped threads and merges per-shard hits and
-//! [`QueryCost`]s deterministically.
+//! per-LPA closures over the scan engine (`engine::scan`), which walks the
+//! clamped LPA span in ascending order on the caller's thread and files
+//! each LPA's [`QueryCost`] under one of the device's `amt_shards`
+//! partitions ("shards") — the schedule [`AddrQueryOutcome::makespan`]
+//! deals to modelled workers.
 //!
 //! Each LPA's chain is walked once: the closure folds over the device's lazy
 //! walk (`versions`, `version_as_of`, `versions_in`), which stops where the
@@ -107,12 +108,11 @@ fn fetch(ssd: &TimeSsd, v: &VersionInfo, cost: &mut QueryCost) -> Result<QueryHi
 /// Result of one [`AddrQuery`] run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AddrQueryOutcome {
-    /// Matching versions in serial scan order: ascending LPA, newest version
-    /// first within each LPA — byte-identical at every shard and thread
-    /// count.
+    /// Matching versions in scan order: ascending LPA, newest version first
+    /// within each LPA — byte-identical at every shard count.
     pub hits: Vec<QueryHit>,
     /// Total retrieval cost, merged across shards in shard-index order;
-    /// equal to the cost the serial scan would have accumulated.
+    /// identical at every shard count.
     pub cost: QueryCost,
     /// Per-shard retrieval costs (index = `lpa % amt_shards`), for the sharded
     /// scheduling model of [`AddrQueryOutcome::makespan`].
@@ -120,13 +120,13 @@ pub struct AddrQueryOutcome {
 }
 
 impl AddrQueryOutcome {
-    /// Virtual completion time of this query under the *sharded* schedule:
-    /// shard `s` is handled by worker `s % threads` (a shard is walked by
-    /// exactly one worker), each worker runs its shards back to back,
-    /// workers overlap. With one shard every thread
-    /// count degenerates to the serial makespan — which is exactly the
-    /// bottleneck partitioning the scan removes; the `shardscale` bench figure
-    /// plots this.
+    /// Virtual completion time of this query under the *sharded* schedule
+    /// with `threads` modelled host workers: shard `s` is handled by worker
+    /// `s % threads` (a shard is walked by exactly one worker), each worker
+    /// runs its shards back to back, workers overlap. With one shard every
+    /// worker count degenerates to the serial makespan — which is exactly
+    /// the bottleneck partitioning the scan removes; the `shardscale` bench
+    /// figure plots this.
     pub fn makespan(&self, threads: u32) -> Nanos {
         // Workers beyond the shard count would idle; the count can come off
         // the wire, so it must not size the allocation.
@@ -143,8 +143,8 @@ impl AddrQueryOutcome {
 /// and `AddrQueryAll` behind one dispatch point.
 ///
 /// Defaults to all retained versions ([`Self::all_versions`]); narrow with
-/// [`Self::as_of`] or [`Self::range`], set the worker count with
-/// [`Self::threads`], then [`Self::run`].
+/// [`Self::as_of`] or [`Self::range`], then [`Self::run`]. The modelled
+/// worker count is the caller's, given to [`AddrQueryOutcome::makespan`].
 ///
 /// # Examples
 ///
@@ -169,7 +169,6 @@ pub struct AddrQuery<'v> {
     addr: Lpa,
     cnt: u64,
     mode: Mode,
-    threads: u32,
 }
 
 impl<'v> AddrQuery<'v> {
@@ -180,7 +179,6 @@ impl<'v> AddrQuery<'v> {
             addr,
             cnt,
             mode: Mode::All,
-            threads: 1,
         }
     }
 
@@ -203,47 +201,32 @@ impl<'v> AddrQuery<'v> {
         self
     }
 
-    /// Sets the host worker count (clamped to at least 1). Workers beyond
-    /// the device's shard count idle — a shard is walked by exactly one
-    /// worker.
-    pub fn threads(mut self, threads: u32) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Runs the query on the shard-aligned scan engine: hits come back in
-    /// serial scan order and the cost equals the serial scan's, at every
-    /// shard and thread count. Errors are reported from the lowest failing
-    /// shard.
+    /// Runs the query on the scan engine: hits come back in ascending LPA
+    /// order and the cost is the same at every shard count. Errors are
+    /// reported from the lowest failing shard.
     pub fn run(&self) -> Result<AddrQueryOutcome> {
         let ssd = self.ssd;
         let span = LpaSpan::clamped(self.addr, self.cnt, ssd.exported_pages());
-        let (hits, cost, shard_costs) = engine::scan(
-            ssd,
-            span,
-            self.threads,
-            |h: &QueryHit| h.lpa,
-            |lpa, hits, cost| -> Result<()> {
-                match self.mode {
-                    Mode::AsOf(t) => {
-                        if let Some(v) = ssd.version_as_of(lpa, t) {
-                            hits.push(fetch(ssd, &v, cost)?);
-                        }
-                    }
-                    Mode::Range(t1, t2) => {
-                        for v in ssd.versions_in(lpa, t1, t2) {
-                            hits.push(fetch(ssd, &v, cost)?);
-                        }
-                    }
-                    Mode::All => {
-                        for v in ssd.versions(lpa) {
-                            hits.push(fetch(ssd, &v, cost)?);
-                        }
+        let (hits, cost, shard_costs) = engine::scan(ssd, span, |lpa, hits, cost| -> Result<()> {
+            match self.mode {
+                Mode::AsOf(t) => {
+                    if let Some(v) = ssd.version_as_of(lpa, t) {
+                        hits.push(fetch(ssd, &v, cost)?);
                     }
                 }
-                Ok(())
-            },
-        )?;
+                Mode::Range(t1, t2) => {
+                    for v in ssd.versions_in(lpa, t1, t2) {
+                        hits.push(fetch(ssd, &v, cost)?);
+                    }
+                }
+                Mode::All => {
+                    for v in ssd.versions(lpa) {
+                        hits.push(fetch(ssd, &v, cost)?);
+                    }
+                }
+            }
+            Ok(())
+        })?;
         Ok(AddrQueryOutcome {
             hits,
             cost,
@@ -253,21 +236,14 @@ impl<'v> AddrQuery<'v> {
 }
 
 /// The time-based queries' one body, over a `&TimeSsd`: walks every LPA's
-/// chain on the shard-aligned scan engine with `threads` workers and returns
-/// those updated in `[from, to]` with their write timestamps. Each walk
-/// stops at the window's lower edge.
-pub fn time_scan(
-    ssd: &TimeSsd,
-    from: Nanos,
-    to: Nanos,
-    threads: u32,
-) -> (Vec<TimeQueryHit>, QueryCost) {
+/// chain on the scan engine and returns those updated in `[from, to]` with
+/// their write timestamps, in ascending LPA order. Each walk stops at the
+/// window's lower edge.
+pub fn time_scan(ssd: &TimeSsd, from: Nanos, to: Nanos) -> (Vec<TimeQueryHit>, QueryCost) {
     let lat = ssd.flash().latency();
     let Ok((hits, cost, _)) = engine::scan(
         ssd,
         LpaSpan::clamped(Lpa(0), u64::MAX, ssd.exported_pages()),
-        threads.max(1),
-        |h: &TimeQueryHit| h.lpa,
         |lpa, hits, cost| -> std::result::Result<(), Infallible> {
             let mut chain = ssd.versions(lpa);
             let Some(first) = chain.next() else {
@@ -412,35 +388,25 @@ mod tests {
     }
 
     #[test]
-    fn results_are_identical_across_shard_and_thread_counts() {
+    fn results_are_identical_across_shard_counts() {
         let baseline = {
             let ssd = device(1);
             AddrQuery::new(&ssd, Lpa(0), 10).run().unwrap()
         };
         assert_eq!(baseline.hits.len(), 30);
-        for shards in [2u32, 4, 8] {
+        for shards in [3u32, 8, 64] {
             let ssd = device(shards);
-            for threads in [1u32, 2, 4, 8] {
-                let out = AddrQuery::new(&ssd, Lpa(0), 10)
-                    .threads(threads)
-                    .run()
-                    .unwrap();
-                assert_eq!(
-                    baseline.hits, out.hits,
-                    "{shards} shards / {threads} threads"
-                );
-                assert_eq!(
-                    baseline.cost, out.cost,
-                    "{shards} shards / {threads} threads"
-                );
-            }
+            let out = AddrQuery::new(&ssd, Lpa(0), 10).run().unwrap();
+            assert_eq!(baseline.hits, out.hits, "{shards} shards");
+            assert_eq!(baseline.cost, out.cost, "{shards} shards");
+            assert_eq!(out.shard_costs.len(), shards as usize);
         }
     }
 
     #[test]
     fn hits_keep_the_serial_scan_order() {
         let ssd = device(4);
-        let out = AddrQuery::new(&ssd, Lpa(0), 10).threads(4).run().unwrap();
+        let out = AddrQuery::new(&ssd, Lpa(0), 10).run().unwrap();
         // Ascending LPA, newest-first within each LPA.
         for w in out.hits.windows(2) {
             assert!(
@@ -482,7 +448,6 @@ mod tests {
             let out = AddrQuery::new(view, Lpa(u64::MAX - 1), 8).run().unwrap();
             assert!(out.hits.is_empty(), "{shards} shards");
             let out = AddrQuery::new(view, Lpa(u64::MAX - 1), 8)
-                .threads(8)
                 .range(0, u64::MAX)
                 .run()
                 .unwrap();
@@ -495,18 +460,18 @@ mod tests {
     }
 
     #[test]
-    fn sharded_makespan_scales_with_shards_and_threads() {
+    fn sharded_makespan_scales_with_shards_and_workers() {
         let serial = {
             let ssd = device(1);
             AddrQuery::new(&ssd, Lpa(0), 10).run().unwrap()
         };
         let sharded = {
             let ssd = device(4);
-            AddrQuery::new(&ssd, Lpa(0), 10).threads(4).run().unwrap()
+            AddrQuery::new(&ssd, Lpa(0), 10).run().unwrap()
         };
-        // One shard: threads cannot help (the shard serializes).
+        // One shard: workers cannot help (the shard serializes).
         assert_eq!(serial.makespan(1), serial.makespan(4));
-        // Four shards, four threads: at least the 1.5x the paper-style
+        // Four shards, four workers: at least the 1.5x the paper-style
         // scaling figure claims, on this uniform span.
         assert!(sharded.makespan(4) * 3 <= sharded.makespan(1) * 2);
         // Total work is conserved: all-shards-on-one-worker equals serial.

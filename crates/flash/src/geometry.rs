@@ -99,11 +99,6 @@ impl Geometry {
         self.total_blocks() * self.pages_per_block as u64
     }
 
-    /// Raw capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.total_pages() * self.page_size as u64
-    }
-
     /// Builds the physical page address for `(block, page_offset)`.
     ///
     /// # Panics
@@ -157,17 +152,6 @@ impl Geometry {
         self.chip_of_block(self.block_of(ppa))
     }
 
-    /// Returns the channel a page belongs to.
-    pub fn channel_of_ppa(&self, ppa: Ppa) -> u32 {
-        self.channel_of_block(self.block_of(ppa))
-    }
-
-    /// True if `ppa` addresses a real page.
-    #[inline]
-    pub fn contains_ppa(&self, ppa: Ppa) -> bool {
-        ppa.0 < self.total_pages()
-    }
-
     /// True if `block` addresses a real block.
     #[inline]
     pub fn contains_block(&self, block: BlockId) -> bool {
@@ -184,7 +168,6 @@ mod tests {
         let g = Geometry::small_test();
         assert_eq!(g.total_blocks(), 16);
         assert_eq!(g.total_pages(), 128);
-        assert_eq!(g.capacity_bytes(), 128 * 4096);
     }
 
     #[test]

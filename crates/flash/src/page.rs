@@ -22,7 +22,6 @@ use crate::array::xorshift64;
 /// let a = PageData::Synthetic { seed: 1, version: 2 };
 /// let b = PageData::Synthetic { seed: 1, version: 2 };
 /// assert_eq!(a, b);
-/// assert!(a.is_synthetic());
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PageData {
@@ -46,11 +45,6 @@ impl PageData {
     /// Builds a `Bytes` page from a vector.
     pub fn bytes(v: Vec<u8>) -> Self {
         PageData::Bytes(Arc::new(v))
-    }
-
-    /// True if this is synthetic (model-driven) content.
-    pub fn is_synthetic(&self) -> bool {
-        matches!(self, PageData::Synthetic { .. })
     }
 
     /// Materialises page content as bytes of length `page_size`.
@@ -194,11 +188,6 @@ pub struct DeltaPage {
 }
 
 impl DeltaPage {
-    /// Total payload bytes used by the packed deltas.
-    pub fn used_bytes(&self) -> u32 {
-        self.deltas.iter().map(|d| d.size).sum()
-    }
-
     /// Header size in bytes for `n` deltas: count (2) + per-delta offset (2)
     /// + per-delta metadata (LPA 4, back-pointer 4, two timestamps 8).
     pub fn header_bytes(n: usize) -> u32 {
@@ -291,26 +280,6 @@ mod tests {
     #[test]
     fn zeros_materialise_to_zeroes() {
         assert_eq!(PageData::Zeros.materialize(16), vec![0u8; 16]);
-    }
-
-    #[test]
-    fn delta_page_accounting() {
-        let rec = |ts, size| DeltaRecord {
-            lpa: Lpa(1),
-            back_ptr: None,
-            timestamp: ts,
-            ref_timestamp: 100,
-            body: DeltaBody::Synthetic {
-                seed: 1,
-                version: 0,
-            },
-            size,
-        };
-        let page = DeltaPage {
-            deltas: vec![rec(10, 100), rec(5, 50)].into(),
-        };
-        assert_eq!(page.used_bytes(), 150);
-        assert_eq!(page.deltas.len(), 2);
     }
 
     #[test]

@@ -12,24 +12,20 @@ use almanac_flash::{Lpa, Nanos};
 /// The TimeKits toolkit bound to one TimeSSD.
 pub struct TimeKits<'a> {
     ssd: &'a mut TimeSsd,
-    threads: u32,
 }
 
 impl<'a> TimeKits<'a> {
-    /// Binds the toolkit to a device (single host thread).
+    /// Binds the toolkit to a device.
     pub fn new(ssd: &'a mut TimeSsd) -> Self {
-        TimeKits { ssd, threads: 1 }
+        TimeKits { ssd }
     }
 
-    /// Sets the number of host threads used for queries and recovery.
-    pub fn with_threads(mut self, threads: u32) -> Self {
-        self.threads = threads.max(1);
+    /// Does nothing: every query runs on the caller's thread, and the
+    /// modelled host workers are the argument of `makespan` and
+    /// [`Self::restore_cost_estimate`]. Kept only because `benchmark/`
+    /// compiles against it; it goes with the next change to that crate.
+    pub fn with_threads(self, _threads: u32) -> Self {
         self
-    }
-
-    /// Host threads configured.
-    pub fn threads(&self) -> u32 {
-        self.threads
     }
 
     /// Read-only view of the underlying device.
@@ -39,26 +35,25 @@ impl<'a> TimeKits<'a> {
 
     /// Starts an address query over `cnt` LPAs from `addr` — the single
     /// entry point behind Table 1's `AddrQuery` / `AddrQueryRange` /
-    /// `AddrQueryAll`. Inherits this toolkit's thread count; narrow with
-    /// [`AddrQuery::as_of`] or [`AddrQuery::range`], then
-    /// [`AddrQuery::run`].
+    /// `AddrQueryAll`. Narrow with [`AddrQuery::as_of`] or
+    /// [`AddrQuery::range`], then [`AddrQuery::run`].
     pub fn query(&self, addr: Lpa, cnt: u64) -> AddrQuery<'_> {
-        AddrQuery::new(self.ssd, addr, cnt).threads(self.threads)
+        AddrQuery::new(self.ssd, addr, cnt)
     }
 
     /// `TimeQuery(t)`: all LPAs updated since `t`, with their timestamps.
     pub fn time_query(&self, t: Nanos) -> (Vec<TimeQueryHit>, QueryCost) {
-        time_scan(self.ssd, t, Nanos::MAX, self.threads)
+        time_scan(self.ssd, t, Nanos::MAX)
     }
 
     /// `TimeQueryRange(t1, t2)`: all LPAs updated inside `[t1, t2]`.
     pub fn time_query_range(&self, t1: Nanos, t2: Nanos) -> (Vec<TimeQueryHit>, QueryCost) {
-        time_scan(self.ssd, t1, t2, self.threads)
+        time_scan(self.ssd, t1, t2)
     }
 
     /// `TimeQueryAll()`: all LPAs updated inside the retention window.
     pub fn time_query_all(&self) -> (Vec<TimeQueryHit>, QueryCost) {
-        time_scan(self.ssd, 0, Nanos::MAX, self.threads)
+        time_scan(self.ssd, 0, Nanos::MAX)
     }
 
     /// `RollBack(addr, cnt, t)`: reverts each LPA to its state as of `t` by
@@ -191,15 +186,6 @@ mod tests {
         }
         let (all, _) = kits.time_query_all();
         assert_eq!(all.iter().map(|h| h.timestamps.len()).sum::<usize>(), 12);
-    }
-
-    #[test]
-    fn time_query_parallel_matches_serial() {
-        let mut ssd = device_with_history();
-        let serial = TimeKits::new(&mut ssd).time_query_all().0;
-        let mut ssd2 = device_with_history();
-        let parallel = TimeKits::new(&mut ssd2).with_threads(4).time_query_all().0;
-        assert_eq!(serial, parallel);
     }
 
     #[test]

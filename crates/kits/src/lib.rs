@@ -21,7 +21,7 @@
 //! [`roll_back_set`] with [`roll_back`] and [`roll_back_all`], and the
 //! [`QueryCost`] they charge — and this crate re-exports those names. What
 //! it adds is the host's side: [`TimeKits`], a handle on one `TimeSsd` with
-//! a host thread count, its restore-time model and read-only snapshots,
+//! its restore-time model and read-only snapshots,
 //! file-level recovery ([`FileMap`]) and forensic evidence export
 //! ([`EvidenceArchive`]).
 //!

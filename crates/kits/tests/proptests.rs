@@ -3,7 +3,7 @@
 
 use almanac_core::{SsdConfig, SsdDevice, SsdReadOps, TimeSsd};
 use almanac_flash::{Geometry, Lpa, PageData, SEC_NS};
-use almanac_kits::{AddrQuery, AddrQueryOutcome, TimeKits};
+use almanac_kits::{AddrQuery, TimeKits};
 use proptest::prelude::*;
 
 /// Per-LPA reference log: `(lpa, [(timestamp, version tag)])`.
@@ -66,7 +66,7 @@ proptest! {
     #[test]
     fn time_query_counts_every_update(writes in proptest::collection::vec((any::<u8>(), any::<u8>()), 1..64)) {
         let (mut ssd, log) = build_history(&writes);
-        let kits = TimeKits::new(&mut ssd).with_threads(3);
+        let kits = TimeKits::new(&mut ssd);
         let (hits, _) = kits.time_query_all();
         let expected_updates: usize = log.iter().map(|(_, h)| h.len()).sum();
         let reported: usize = hits.iter().map(|h| h.timestamps.len()).sum();
@@ -78,26 +78,20 @@ proptest! {
     }
 
     #[test]
-    fn time_scan_is_invariant_across_thread_counts(writes in proptest::collection::vec((any::<u8>(), any::<u8>()), 1..64)) {
-        // The parallel shard scan must report exactly the same hits and —
-        // after merging — exactly the same QueryCost at every AMT shard and
-        // host thread count: the work is partitioned, never changed. Shard
-        // counts include ones that do not divide the exported span (2, 8)
-        // and an odd one; thread counts include more workers than shards.
+    fn time_scan_is_invariant_across_shard_counts(writes in proptest::collection::vec((any::<u8>(), any::<u8>()), 1..64)) {
+        // The shard schedule must report exactly the same hits and — after
+        // merging — exactly the same QueryCost at every AMT shard count: the
+        // work is partitioned, never changed. Shard counts include ones that
+        // do not divide the exported span (2, 8) and an odd one.
         let baseline = {
             let (mut ssd, _) = build_history_sharded(&writes, 1);
             TimeKits::new(&mut ssd).time_query_all()
         };
-        for shards in [1u32, 2, 3, 8] {
+        for shards in [2u32, 3, 8] {
             let (mut ssd, _) = build_history_sharded(&writes, shards);
-            for threads in [1u32, 2, 4, 8] {
-                let kits = TimeKits::new(&mut ssd).with_threads(threads);
-                let (hits, cost) = kits.time_query_all();
-                prop_assert_eq!(&hits, &baseline.0, "hits diverged: {} shards, {} threads", shards, threads);
-                prop_assert_eq!(&cost, &baseline.1, "merged cost diverged: {} shards, {} threads", shards, threads);
-                // And the merged cost yields the same single-thread makespan.
-                prop_assert_eq!(cost.makespan(1), baseline.1.makespan(1));
-            }
+            let (hits, cost) = TimeKits::new(&mut ssd).time_query_all();
+            prop_assert_eq!(&hits, &baseline.0, "hits diverged: {} shards", shards);
+            prop_assert_eq!(&cost, &baseline.1, "merged cost diverged: {} shards", shards);
         }
     }
 
@@ -123,7 +117,7 @@ proptest! {
     }
 
     #[test]
-    fn addr_queries_are_invariant_across_shard_and_thread_counts(
+    fn addr_queries_are_invariant_across_shard_counts(
         writes in proptest::collection::vec((any::<u8>(), any::<u8>()), 1..64),
         addr in 0u64..16,
         cnt in 0u64..16,
@@ -132,8 +126,7 @@ proptest! {
     ) {
         // Sharding the AMT is pure partitioning: the same history must
         // answer every query mode byte-identically — hits AND merged cost —
-        // for any shard count and any worker count, and at each shard count
-        // every shard's own cost must not depend on the worker count.
+        // for any shard count, with one cost per shard.
         let baseline = build_history_sharded(&writes, 1).0;
         let (lo, hi) = (t1.min(t2), t1.max(t2));
         let reference: Vec<_> = [
@@ -143,32 +136,16 @@ proptest! {
         ].into_iter().collect();
         for shards in [2u32, 4, 8] {
             let ssd = build_history_sharded(&writes, shards).0;
-            let mut serial: Option<[AddrQueryOutcome; 3]> = None;
-            for threads in [1u32, 3, 8] {
-                let view = &ssd;
-                let outs = [
-                    AddrQuery::new(view, Lpa(addr), cnt).threads(threads).as_of(lo).run().unwrap(),
-                    AddrQuery::new(view, Lpa(addr), cnt).threads(threads).range(lo, hi).run().unwrap(),
-                    AddrQuery::new(view, Lpa(addr), cnt).threads(threads).all_versions().run().unwrap(),
-                ];
-                for (r, o) in reference.iter().zip(outs.iter()) {
-                    prop_assert_eq!(&r.hits, &o.hits, "hits diverged: {} shards, {} threads", shards, threads);
-                    prop_assert_eq!(&r.cost, &o.cost, "cost diverged: {} shards, {} threads", shards, threads);
-                    prop_assert_eq!(o.shard_costs.len(), shards as usize);
-                }
-                match &serial {
-                    None => serial = Some(outs),
-                    Some(one) => {
-                        for (r, o) in one.iter().zip(outs.iter()) {
-                            for (shard, (a, b)) in r.shard_costs.iter().zip(&o.shard_costs).enumerate() {
-                                prop_assert_eq!(
-                                    a, b,
-                                    "shard {} cost diverged: {} shards, {} threads", shard, shards, threads
-                                );
-                            }
-                        }
-                    }
-                }
+            let view = &ssd;
+            let outs = [
+                AddrQuery::new(view, Lpa(addr), cnt).as_of(lo).run().unwrap(),
+                AddrQuery::new(view, Lpa(addr), cnt).range(lo, hi).run().unwrap(),
+                AddrQuery::new(view, Lpa(addr), cnt).all_versions().run().unwrap(),
+            ];
+            for (r, o) in reference.iter().zip(outs.iter()) {
+                prop_assert_eq!(&r.hits, &o.hits, "hits diverged: {} shards", shards);
+                prop_assert_eq!(&r.cost, &o.cost, "cost diverged: {} shards", shards);
+                prop_assert_eq!(o.shard_costs.len(), shards as usize);
             }
         }
     }

@@ -41,7 +41,7 @@ use crate::sqe::{NvmeOpcode, SubmissionEntry};
 /// Depth of the I/O queue pair the controller creates at construction.
 pub const DEFAULT_QUEUE_DEPTH: usize = 32;
 
-/// Host workers a time query's completion time is scheduled over.
+/// Modelled host workers a time query's completion time is scheduled over.
 const TIME_QUERY_THREADS: u32 = 4;
 
 /// NVMe status codes used by the controller (generic command status set,
@@ -312,8 +312,8 @@ impl<D: SsdDevice> NvmeController<D> {
             NvmeOpcode::AddrQuery | NvmeOpcode::AddrQueryRange | NvmeOpcode::AddrQueryAll => {
                 let query = AddrQuery::new(view, Lpa(e.get_u64(0)), e.cdw[2] as u64);
                 // The opcodes differ only in which CDWs carry the version
-                // filter and the host worker count (0 = one thread); range
-                // bounds use second granularity on the wire.
+                // filter and the modelled host worker count (0 = one);
+                // range bounds use second granularity on the wire.
                 let (query, threads) = match e.opcode {
                     NvmeOpcode::AddrQuery => (query.as_of(e.get_u64(4)), e.cdw[3]),
                     NvmeOpcode::AddrQueryRange => {
@@ -326,7 +326,7 @@ impl<D: SsdDevice> NvmeController<D> {
                 // The completion posts at `now` plus the modelled makespan of
                 // the partitioned schedule over `threads` host workers, so a
                 // device with more partitions answers parallel queries sooner.
-                let out = query.threads(threads).run()?;
+                let out = query.run()?;
                 let finish = now.saturating_add(out.makespan(threads));
                 (out.hits.len(), finish, Answer::Versions(Box::new(out)))
             }
@@ -336,7 +336,7 @@ impl<D: SsdDevice> NvmeController<D> {
                     NvmeOpcode::TimeQueryRange => (e.get_u64(0), e.get_u64(2)),
                     _ => (0, Nanos::MAX),
                 };
-                let (hits, cost) = time_scan(view, from, to, TIME_QUERY_THREADS);
+                let (hits, cost) = time_scan(view, from, to);
                 let finish = now.saturating_add(cost.makespan(TIME_QUERY_THREADS));
                 (hits.len(), finish, Answer::Times(Box::new((hits, cost))))
             }

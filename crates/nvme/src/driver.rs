@@ -34,18 +34,12 @@ use crate::controller::NvmeController;
 use crate::queue::{Answer, CompletedIo, Ticket};
 use crate::sqe::{NvmeOpcode, SubmissionEntry};
 
-/// Errors surfaced by the driver.
+/// Why the driver refused a submission. A command the device ran reports
+/// the device's own [`AlmanacError`] instead. Non-exhaustive, so a caller's
+/// catch-all arm beside `QueueFull` stays reachable.
 #[derive(Debug, Clone, PartialEq, Eq)]
+#[non_exhaustive]
 pub enum DriverError {
-    /// The controller returned a non-success NVMe status.
-    Status {
-        /// Raw status code.
-        code: u16,
-        /// The command that failed.
-        opcode: NvmeOpcode,
-    },
-    /// The completion for our command never arrived.
-    Lost(NvmeOpcode),
     /// The target queue is unknown or already holds its full depth of
     /// outstanding commands; poll and retry.
     QueueFull(NvmeOpcode),
@@ -53,13 +47,8 @@ pub enum DriverError {
 
 impl fmt::Display for DriverError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DriverError::Status { code, opcode } => {
-                write!(f, "{opcode:?} failed with NVMe status {code:#06x}")
-            }
-            DriverError::Lost(op) => write!(f, "completion lost for {op:?}"),
-            DriverError::QueueFull(op) => write!(f, "queue full rejecting {op:?}"),
-        }
+        let DriverError::QueueFull(op) = self;
+        write!(f, "queue full rejecting {op:?}")
     }
 }
 
@@ -67,9 +56,6 @@ impl std::error::Error for DriverError {}
 
 /// Result alias.
 pub(crate) type DriverResult<T> = std::result::Result<T, DriverError>;
-
-/// What a Table-1 call returns: core's answer with its [`Completion`].
-type Answered<T> = DriverResult<(T, Completion)>;
 
 /// Words of a [`CidMap`]: one bit per 16-bit command id.
 const CID_WORDS: usize = (u16::MAX as usize + 1) / 64;
@@ -298,56 +284,39 @@ impl<D: SsdDevice> HostDriver<D> {
     }
 
     /// Submits `entry` with `payload` on queue 0 and runs the device to
-    /// completion: the command's completion, whatever its status.
-    /// Completions for other in-flight tickets are kept for a later
-    /// [`HostDriver::poll`], never dropped.
-    fn run_one(
-        &mut self,
-        entry: SubmissionEntry,
-        payload: Vec<Vec<u8>>,
-        now: Nanos,
-    ) -> DriverResult<CompletedIo> {
-        let ticket = self.submit_ticket(0, entry, payload)?;
-        self.controller.run_to_completion(now);
-        self.harvest();
-        let pos = self.ready.iter().position(|io| io.ticket == ticket);
-        let pos = pos.ok_or(DriverError::Lost(entry.opcode))?;
-        Ok(self.ready.remove(pos))
-    }
-
-    /// A vendor command run to completion: its answer and [`Completion`],
-    /// or its status as a [`DriverError::Status`].
-    fn issue(&mut self, entry: SubmissionEntry, now: Nanos) -> Answered<Option<Answer>> {
-        let io = self.run_one(entry, Vec::new(), now)?;
-        let (code, opcode, finish) = (io.status, io.opcode, io.finish);
-        let answer = io
-            .outcome
-            .map_err(|_| DriverError::Status { code, opcode })?;
-        Ok((answer, Completion { start: now, finish }))
-    }
-
-    /// One command of the [`SsdDevice`] surface, run to completion: its
-    /// [`Completion`] and returned pages, or the `AlmanacError` the device
-    /// raised. A full queue 0, a lost completion or a command the controller
-    /// refused itself is `Internal`.
+    /// completion: its [`Completion`] and answer, or the `AlmanacError` the
+    /// device raised. A full queue 0, a lost completion or a command the
+    /// controller refused itself is `Internal`. Completions for other
+    /// in-flight tickets are kept for a later [`HostDriver::poll`], never
+    /// dropped.
     fn sync(
         &mut self,
         entry: SubmissionEntry,
         payload: Vec<Vec<u8>>,
         now: Nanos,
     ) -> Result<(Completion, Option<Answer>)> {
-        let io = self.run_one(entry, payload, now);
-        let io = io.map_err(|_| AlmanacError::Internal("queue 0 full or completion lost"))?;
+        let full = AlmanacError::Internal("queue 0 full");
+        let ticket = self.submit_ticket(0, entry, payload).map_err(|_| full)?;
+        self.controller.run_to_completion(now);
+        self.harvest();
+        let pos = self.ready.iter().position(|io| io.ticket == ticket);
+        let io = self
+            .ready
+            .remove(pos.ok_or(AlmanacError::Internal("completion lost"))?);
         let refused = AlmanacError::Internal("the controller refused the command");
-        let finish = io.finish;
         let answer = io.outcome.map_err(|err| err.unwrap_or(refused))?;
-        Ok((Completion { start: now, finish }, answer))
+        Ok((
+            Completion {
+                start: now,
+                finish: io.finish,
+            },
+            answer,
+        ))
     }
 
-    /// `AddrQuery` through the wire: each LPA's version as of time `t`, with
-    /// `threads` host workers fanning the scan across the device's
-    /// partitions (CDW13 on the wire); the completion posts at the
-    /// partitioned schedule's modelled makespan, not a measured host time.
+    /// `AddrQuery` through the wire: each LPA's version as of time `t`. The
+    /// completion posts at the partitioned schedule's modelled makespan over
+    /// `threads` host workers (CDW13 on the wire), not a measured host time.
     pub fn addr_query(
         &mut self,
         lpa: Lpa,
@@ -355,22 +324,26 @@ impl<D: SsdDevice> HostDriver<D> {
         t: Nanos,
         threads: u32,
         now: Nanos,
-    ) -> Answered<AddrQueryOutcome> {
+    ) -> Result<(AddrQueryOutcome, Completion)> {
         let mut e = SubmissionEntry::span(NvmeOpcode::AddrQuery, lpa.0, count);
         e.cdw[3] = threads;
         e.set_u64(4, t);
-        match self.issue(e, now)? {
-            (Some(Answer::Versions(out)), c) => Ok((*out, c)),
-            _ => Err(DriverError::Lost(NvmeOpcode::AddrQuery)),
+        match self.sync(e, Vec::new(), now)? {
+            (c, Some(Answer::Versions(out))) => Ok((*out, c)),
+            _ => Err(AlmanacError::Internal("AddrQuery posted no versions")),
         }
     }
 
     /// `TimeQueryAll` through the wire: every LPA with retained history, its
     /// write timestamps, and the scan's retrieval cost.
-    pub fn time_query_all(&mut self, now: Nanos) -> Answered<(Vec<TimeQueryHit>, QueryCost)> {
-        match self.issue(SubmissionEntry::new(NvmeOpcode::TimeQueryAll, 0), now)? {
-            (Some(Answer::Times(answer)), c) => Ok((*answer, c)),
-            _ => Err(DriverError::Lost(NvmeOpcode::TimeQueryAll)),
+    pub fn time_query_all(
+        &mut self,
+        now: Nanos,
+    ) -> Result<((Vec<TimeQueryHit>, QueryCost), Completion)> {
+        let e = SubmissionEntry::new(NvmeOpcode::TimeQueryAll, 0);
+        match self.sync(e, Vec::new(), now)? {
+            (c, Some(Answer::Times(answer))) => Ok((*answer, c)),
+            _ => Err(AlmanacError::Internal("TimeQueryAll posted no hits")),
         }
     }
 
@@ -381,22 +354,22 @@ impl<D: SsdDevice> HostDriver<D> {
         count: u32,
         t: Nanos,
         now: Nanos,
-    ) -> Answered<RollbackOutcome> {
+    ) -> Result<(RollbackOutcome, Completion)> {
         let mut e = SubmissionEntry::span(NvmeOpcode::RollBack, lpa.0, count);
         e.set_u64(4, t);
-        match self.issue(e, now)? {
-            (Some(Answer::Rollback(out)), c) => Ok((*out, c)),
-            _ => Err(DriverError::Lost(NvmeOpcode::RollBack)),
+        match self.sync(e, Vec::new(), now)? {
+            (c, Some(Answer::Rollback(out))) => Ok((*out, c)),
+            _ => Err(AlmanacError::Internal("RollBack posted no outcome")),
         }
     }
 
     /// `RollBackAll` through the wire: what was restored, erased and skipped.
-    pub fn roll_back_all(&mut self, t: Nanos, now: Nanos) -> Answered<RollbackOutcome> {
+    pub fn roll_back_all(&mut self, t: Nanos, now: Nanos) -> Result<(RollbackOutcome, Completion)> {
         let mut e = SubmissionEntry::new(NvmeOpcode::RollBackAll, 0);
         e.set_u64(0, t);
-        match self.issue(e, now)? {
-            (Some(Answer::Rollback(out)), c) => Ok((*out, c)),
-            _ => Err(DriverError::Lost(NvmeOpcode::RollBackAll)),
+        match self.sync(e, Vec::new(), now)? {
+            (c, Some(Answer::Rollback(out))) => Ok((*out, c)),
+            _ => Err(AlmanacError::Internal("RollBackAll posted no outcome")),
         }
     }
 }
@@ -454,7 +427,6 @@ impl<D: SsdDevice> SsdReadOps for HostDriver<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::controller::NvmeStatus;
     use almanac_core::{SsdConfig, TimeSsd};
     use almanac_flash::{Geometry, SEC_NS};
 
@@ -554,11 +526,9 @@ mod tests {
         let page = PageData::bytes(b"plain".to_vec());
         d.write(Lpa(2), page.clone(), SEC_NS).unwrap();
         assert_eq!(d.read(Lpa(2), 2 * SEC_NS).unwrap().0, page);
-        let invalid = NvmeStatus::InvalidOpcode as u16;
-        let err = d.roll_back(Lpa(2), 1, 0, 3 * SEC_NS).unwrap_err();
-        assert!(matches!(err, DriverError::Status { code, .. } if code == invalid));
-        let err = d.time_query_all(4 * SEC_NS).unwrap_err();
-        assert!(matches!(err, DriverError::Status { code, .. } if code == invalid));
+        let refused = AlmanacError::Internal("the controller refused the command");
+        assert_eq!(d.roll_back(Lpa(2), 1, 0, 3 * SEC_NS), Err(refused.clone()));
+        assert_eq!(d.time_query_all(4 * SEC_NS), Err(refused));
     }
 
     #[test]

@@ -18,10 +18,10 @@
 //!   fetched, interpreted, executed against the FTL, and completed with
 //!   [`NvmeStatus`] codes. The vendor opcodes run the device's own Table-1
 //!   bodies from `almanac_core` (`AddrQuery`, `time_scan`, `roll_back`); a
-//!   device without history answers them with Invalid Opcode. A query's
-//!   completion posts at `now` plus the *modelled* makespan of its
-//!   `QueryCost` schedule over the host workers it names, not at a measured
-//!   host time.
+//!   device without history answers them with Invalid Opcode. A query runs
+//!   on the controller's thread; its completion posts at `now` plus the
+//!   *modelled* makespan of its `QueryCost` schedule over the host workers
+//!   it names, not at a measured host time.
 //! - One record per command. A Write's pages ride beside its 64-byte entry
 //!   into the queue. The controller makes the command's [`CompletedIo`]
 //!   when it starts it and posts that record once its finish passes: its
@@ -30,9 +30,9 @@
 //!   `AlmanacError`. PRP lists are not modelled, so nothing crosses as
 //!   bytes.
 //! - [`HostDriver`] — the host-side driver exposing a typed API over the
-//!   queues. It is an `SsdDevice` itself, returning the device's own
-//!   `Result`, so a file system, a replayer or the oracle runs over the
-//!   queues unchanged. The host toolkit (`almanac_kits::TimeKits`) still
+//!   queues. It is an `SsdDevice` itself and its vendor calls return the
+//!   device's own `Result` too, so a file system, a replayer or the oracle
+//!   runs over the queues unchanged. The host toolkit (`almanac_kits::TimeKits`) still
 //!   calls the device directly rather than through this driver.
 //!
 //! # Examples

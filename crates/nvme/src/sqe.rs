@@ -12,9 +12,9 @@
 //! |--------|---------|----------|----------|----------|
 //! | 0x01/0x02 | Write/Read | start LPA (lo/hi) | page count | — |
 //! | 0x09 | Dataset mgmt (TRIM) | start LPA | page count | — |
-//! | 0xC0 | AddrQuery | LPA | count, threads | timestamp |
-//! | 0xC1 | AddrQueryRange | LPA | count, t1 (s) | t2 (s), threads |
-//! | 0xC2 | AddrQueryAll | LPA | count, threads | — |
+//! | 0xC0 | AddrQuery | LPA | count, workers | timestamp |
+//! | 0xC1 | AddrQueryRange | LPA | count, t1 (s) | t2 (s), workers |
+//! | 0xC2 | AddrQueryAll | LPA | count, workers | — |
 //! | 0xC3 | TimeQuery | timestamp | — | — |
 //! | 0xC4 | TimeQueryRange | t1 | t2 | — |
 //! | 0xC5 | TimeQueryAll | — | — | — |

@@ -191,11 +191,12 @@ fn apply(dev: &mut impl SsdDevice, op: u8, lpa: Lpa, bytes: &[u8], at: Nanos) ->
 /// (both faults: the arrival is checked first) — through
 /// `HostDriver<TimeSsd>` and against a bare `TimeSsd` built from `cfg`.
 /// Every op must return the same result on both, errors included, and the
-/// flash must end in the same state. Returns the errors the ops met.
+/// flash must end in the same state. Returns both devices, the instant of
+/// the last op and the errors the ops met.
 fn queue_depth_one_matches_the_bare_device(
     cfg: SsdConfig,
     ops: &[(u8, u64, Nanos, Vec<u8>)],
-) -> Vec<AlmanacError> {
+) -> (TimeSsd, HostDriver, Nanos, Vec<AlmanacError>) {
     let mut bare = TimeSsd::new(cfg.clone());
     let mut driver = HostDriver::new(NvmeController::new(TimeSsd::new(cfg)));
     let exported = bare.exported_pages();
@@ -219,20 +220,25 @@ fn queue_depth_one_matches_the_bare_device(
     let ssd = driver.controller().ssd();
     assert_eq!(bare.flash().state_digest(), ssd.flash().state_digest());
     assert_eq!(bare.stats(), ssd.stats());
-    errors
+    (bare, driver, now, errors)
 }
 
-/// A small TimeSSD that must keep 100 days of history, rewritten round-robin
-/// until it stalls (§3.4): the driver returns the bare device's
-/// `DeviceStalled`, its instant and retention window included.
-#[test]
-fn a_stalled_device_stalls_the_driver_with_its_own_error() {
+/// A small TimeSSD that must keep 100 days of history, rewritten
+/// round-robin at one op per millisecond until it stalls (§3.4).
+fn stalled_devices() -> (TimeSsd, HostDriver, Nanos, Vec<AlmanacError>) {
     let cfg = SsdConfig::new(Geometry::small_test()).with_min_retention(100 * DAY_NS);
     let exported = TimeSsd::new(cfg.clone()).exported_pages();
     let ops: Vec<_> = (0..exported * 8)
         .map(|i| (0, i % exported, MS_NS, vec![i as u8]))
         .collect();
-    let errors = queue_depth_one_matches_the_bare_device(cfg, &ops);
+    queue_depth_one_matches_the_bare_device(cfg, &ops)
+}
+
+/// A stalled device stalls the driver with the bare device's
+/// `DeviceStalled`, its instant and retention window included.
+#[test]
+fn a_stalled_device_stalls_the_driver_with_its_own_error() {
+    let (_, _, _, errors) = stalled_devices();
     let stall = errors.iter().find_map(|err| match err {
         AlmanacError::DeviceStalled {
             retention_window, ..
@@ -240,6 +246,21 @@ fn a_stalled_device_stalls_the_driver_with_its_own_error() {
         _ => None,
     });
     assert!(stall.is_some_and(|window| window > 0), "{errors:?}");
+}
+
+/// A vendor command on a stalled device returns the device's own error:
+/// rolling LPA 0 back to its first version must write, and the write meets
+/// the stall exactly as core's rollback body does on the bare device.
+#[test]
+fn a_stalled_rollback_returns_the_devices_own_error() {
+    let (bare, mut driver, now, _) = stalled_devices();
+    let (target, at) = (SEC_NS + MS_NS, now + MS_NS);
+    let expected = almanac_core::roll_back(&mut bare.clone(), Lpa(0), 1, target, at).unwrap_err();
+    assert!(
+        matches!(expected, AlmanacError::DeviceStalled { .. }),
+        "{expected:?}"
+    );
+    assert_eq!(driver.roll_back(Lpa(0), 1, target, at), Err(expected));
 }
 
 /// Inputs the malformed-command property found, kept as fixed cases.

@@ -31,10 +31,9 @@
 //!   are no longer obligated (expired or waived), but must stop at the
 //!   first obligated one; see [`ModelDevice`] for the waiver rules after a
 //!   power cut.
-//! - **Queries** over the whole exported span, run serially, must list
-//!   exactly the `(lpa, timestamp)` pairs of the per-page chains held
-//!   above, in LPA order; fanned out to the device's partition width they
-//!   must return the serial hits and [`QueryCost`] unchanged.
+//! - **Queries** over the whole exported span must list exactly the
+//!   `(lpa, timestamp)` pairs of the per-page chains held above, in LPA
+//!   order, at whatever partition width the device was built with.
 //!
 //! A [`Divergence`] is recorded for each disagreement;
 //! [`minimal_failing_prefix`] re-runs an op sequence with a deep check
@@ -44,9 +43,9 @@ use std::collections::BTreeMap;
 use std::fmt::Debug;
 
 use almanac_core::{
-    time_scan, AddrQuery, AlmanacError, Completion, DeviceStats, Discard, Ftl, QueryCost, QueryHit,
-    ReadGated, Result, Retention, SsdConfig, SsdDevice, SsdReadOps, TimeQueryHit, TimeSsd,
-    TimeTravel, VersionLocation,
+    time_scan, AddrQuery, AlmanacError, Completion, DeviceStats, Discard, Ftl, QueryHit, ReadGated,
+    Result, Retention, SsdConfig, SsdDevice, SsdReadOps, TimeQueryHit, TimeSsd, TimeTravel,
+    VersionLocation,
 };
 use almanac_flash::{FlashError, Lpa, LpaSpan, Nanos, PageData};
 
@@ -609,14 +608,12 @@ impl DifferentialHarness<TimeSsd> {
 
     /// Runs every Table-1 query over the whole exported span — the three
     /// [`AddrQuery`] modes and `time_query` / `time_query_range` /
-    /// `time_query_all` — at one worker and at the device's partition width,
-    /// and holds each to the chains of the pages [`deep_check`](Self::deep_check)
-    /// walks. `t` is the run's clock: as-of asks for `t`, the ranges for
-    /// `[t/2, t]`, `time_query` for `[t/2, ∞)`.
+    /// `time_query_all` — and holds each to the chains of the pages
+    /// [`deep_check`](Self::deep_check) walks. `t` is the run's clock: as-of
+    /// asks for `t`, the ranges for `[t/2, t]`, `time_query` for `[t/2, ∞)`.
     fn query_check(&mut self) {
         let (t, span) = (self.clock, self.model.exported_pages());
         let ssd = self.ssd();
-        let width = ssd.amt_shards();
         let pages: Vec<(Lpa, Option<Nanos>, Vec<Nanos>)> = self
             .model
             .lpas()
@@ -639,73 +636,54 @@ impl DifferentialHarness<TimeSsd> {
             }
             pairs
         };
-        let answer = |threads| {
-            let whole = || AddrQuery::new(ssd, Lpa(0), span).threads(threads);
-            let addr = [
-                whole().as_of(t),
-                whole().range(t / 2, t),
-                whole().all_versions(),
-            ];
-            let time = [(t / 2, Nanos::MAX), (t / 2, t), (0, Nanos::MAX)];
-            let run = |q: AddrQuery<'_>| q.run().map(|out| (out.hits, out.cost));
-            let scan = |(from, to)| Ok(time_scan(ssd, from, to, threads));
-            (addr.map(run), time.map(scan))
-        };
-        let (serial, fanned) = (answer(1), answer(width));
+        let whole = || AddrQuery::new(ssd, Lpa(0), span);
         let addr = [
-            ("as_of", listed(0, t, true)),
-            ("range", listed(t / 2, t, false)),
-            ("all_versions", listed(0, Nanos::MAX, false)),
-        ];
-        for (((query, expected), s), f) in addr.into_iter().zip(serial.0).zip(fanned.0) {
-            let pairs = |h: &QueryHit| vec![(h.lpa, h.timestamp)];
-            self.compare_query(query, &expected, pairs, [s, f], width);
-        }
+            ("as_of", whole().as_of(t), listed(0, t, true)),
+            ("range", whole().range(t / 2, t), listed(t / 2, t, false)),
+            (
+                "all_versions",
+                whole().all_versions(),
+                listed(0, Nanos::MAX, false),
+            ),
+        ]
+        .map(|(query, q, expected)| (query, q.run().map(|out| out.hits), expected));
         let time = [
-            ("time_query", listed(t / 2, Nanos::MAX, false)),
-            ("time_query_range", listed(t / 2, t, false)),
-            ("time_query_all", listed(0, Nanos::MAX, false)),
-        ];
-        for (((query, expected), s), f) in time.into_iter().zip(serial.1).zip(fanned.1) {
+            ("time_query", t / 2, Nanos::MAX),
+            ("time_query_range", t / 2, t),
+            ("time_query_all", 0, Nanos::MAX),
+        ]
+        .map(|(query, from, to)| (query, time_scan(ssd, from, to).0, listed(from, to, false)));
+        for (query, hits, expected) in addr {
+            let pairs = |h: &QueryHit| vec![(h.lpa, h.timestamp)];
+            self.compare_query(query, &expected, pairs, hits);
+        }
+        for (query, hits, expected) in time {
             let pairs = |h: &TimeQueryHit| h.timestamps.iter().map(|&ts| (h.lpa, ts)).collect();
-            self.compare_query(query, &expected, pairs, [s, f], width);
+            self.compare_query(query, &expected, pairs, Ok(hits));
         }
     }
 
-    /// Holds one query's `[serial, fan-out at width]` answers to the rule:
-    /// the serial hits list exactly `expected` (`pairs` flattens a hit), and
-    /// the fan-out returns the serial hits and cost unchanged. The first
-    /// broken rule is a [`Divergence::QueryMismatch`].
-    fn compare_query<H: PartialEq + Debug>(
+    /// Holds one query's answer to the rule: its hits list exactly
+    /// `expected` (`pairs` flattens a hit). A broken rule is a
+    /// [`Divergence::QueryMismatch`].
+    fn compare_query<H>(
         &mut self,
         query: &'static str,
         expected: &[(Lpa, Nanos)],
         pairs: impl Fn(&H) -> Vec<(Lpa, Nanos)>,
-        [serial, fanned]: [Result<(Vec<H>, QueryCost)>; 2],
-        width: u32,
+        hits: Result<Vec<H>>,
     ) {
-        let verdict = match (serial, fanned) {
-            (Err(e), _) => Some((1, format!("failed: {e}"))),
-            (_, Err(e)) => Some((width, format!("failed: {e}"))),
-            (Ok(serial), Ok(fanned)) => {
-                let listed: Vec<(Lpa, Nanos)> = serial.0.iter().flat_map(pairs).collect();
-                if let Some(d) = first_difference(&listed, expected) {
-                    Some((1, format!("(lpa, timestamp) vs the chains: {d}")))
-                } else if let Some(d) = first_difference(&fanned.0, &serial.0) {
-                    Some((width, format!("hits vs serial: {d}")))
-                } else {
-                    let (f, s) = (&fanned.1, &serial.1);
-                    (f != s).then(|| (width, format!("cost vs serial: {f:?} vs {s:?}")))
-                }
+        let detail = match hits {
+            Err(e) => format!("failed: {e}"),
+            Ok(hits) => {
+                let listed: Vec<(Lpa, Nanos)> = hits.iter().flat_map(pairs).collect();
+                let Some(d) = first_difference(&listed, expected) else {
+                    return;
+                };
+                format!("(lpa, timestamp) vs the chains: {d}")
             }
         };
-        if let Some((workers, detail)) = verdict {
-            self.diverge(Divergence::QueryMismatch {
-                query,
-                workers,
-                detail,
-            });
-        }
+        self.diverge(Divergence::QueryMismatch { query, detail });
     }
 }
 
@@ -818,42 +796,25 @@ mod tests {
 
     #[test]
     fn seeded_query_divergence_is_caught() {
-        // The query check is not vacuous: each broken answer is reported,
-        // against the run (serial or fan-out) that broke the rule.
+        // The query check is not vacuous: each broken answer is reported.
         let mut h = DifferentialHarness::new(SsdConfig::new(Geometry::small_test()));
         let chains = [(Lpa(1), 30), (Lpa(1), 10), (Lpa(4), 20)];
-        let answer = |hits: &[(Lpa, Nanos)]| Ok((hits.to_vec(), QueryCost::new(2)));
         let pairs = |&hit: &(Lpa, Nanos)| vec![hit];
-        let faithful = || answer(&chains);
-        h.compare_query("all_versions", &chains, pairs, [faithful(), faithful()], 4);
+        h.compare_query("all_versions", &chains, pairs, Ok(chains.to_vec()));
         assert!(h.divergences().is_empty(), "{:?}", h.divergences());
 
-        let dropped = || answer(&chains[..2]);
-        h.compare_query("all_versions", &chains, pairs, [dropped(), dropped()], 4);
-        h.compare_query("all_versions", &chains, pairs, [faithful(), dropped()], 4);
-        let swapped = || answer(&[chains[1], chains[0], chains[2]]);
-        h.compare_query("range", &chains, pairs, [swapped(), faithful()], 4);
-        h.compare_query("range", &chains, pairs, [faithful(), swapped()], 4);
-        let mut costly = (chains.to_vec(), QueryCost::new(2));
-        costly.1.charge_read(1, 50);
-        h.compare_query("time_query", &chains, pairs, [faithful(), Ok(costly)], 4);
+        h.compare_query("all_versions", &chains, pairs, Ok(chains[..2].to_vec()));
+        let swapped = vec![chains[1], chains[0], chains[2]];
+        h.compare_query("range", &chains, pairs, Ok(swapped));
 
-        let caught: Vec<(&str, u32)> = h
+        let caught: Vec<&str> = h
             .divergences()
             .iter()
             .map(|d| match d {
-                Divergence::QueryMismatch { query, workers, .. } => (*query, *workers),
+                Divergence::QueryMismatch { query, .. } => *query,
                 other => panic!("not a query mismatch: {other}"),
             })
             .collect();
-        let expect = [
-            ("all_versions", 1),
-            ("all_versions", 4),
-            ("range", 1),
-            ("range", 4),
-            ("time_query", 4),
-        ];
-        assert_eq!(caught, expect);
-        assert!(h.divergences()[4].to_string().contains("cost"));
+        assert_eq!(caught, ["all_versions", "range"]);
     }
 }

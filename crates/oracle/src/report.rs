@@ -100,13 +100,10 @@ pub enum Divergence {
         /// Buffered delta pages remaining after the ack.
         buffered: usize,
     },
-    /// A whole-space query's serial answer is not the per-page chains, or
-    /// its fan-out differs from the serial answer in hits or cost.
+    /// A whole-space query's answer is not the per-page chains.
     QueryMismatch {
         /// The TimeKits call, e.g. `"range"` or `"time_query_all"`.
         query: &'static str,
-        /// Workers of the run that broke the rule (1: the serial run).
-        workers: u32,
         /// What differed.
         detail: String,
     },
@@ -176,11 +173,7 @@ impl fmt::Display for Divergence {
                 f,
                 "flush acked with {buffered} delta buffer(s) still volatile"
             ),
-            Divergence::QueryMismatch {
-                query,
-                workers,
-                detail,
-            } => write!(f, "{query} at {workers} worker(s): {detail}"),
+            Divergence::QueryMismatch { query, detail } => write!(f, "{query}: {detail}"),
         }
     }
 }

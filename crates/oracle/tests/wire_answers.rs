@@ -97,7 +97,7 @@ fn every_table1_answer_is_cores_body_on_the_same_state() {
     ];
     for (entry, filter) in filters {
         let query = filter(AddrQuery::new(c.ssd().ssd(), Lpa(0), 11));
-        let out = query.threads(3).run().unwrap();
+        let out = query.run().unwrap();
         let (items, finish) = (out.hits.len(), now + out.makespan(3));
         expect_posted(
             &mut c,
@@ -119,7 +119,7 @@ fn every_table1_answer_is_cores_body_on_the_same_state() {
         (window, t1, t2),
         (every, 0, Nanos::MAX),
     ] {
-        let (hits, cost) = time_scan(c.ssd().ssd(), from, to, TIME_QUERY_THREADS);
+        let (hits, cost) = time_scan(c.ssd().ssd(), from, to);
         let (items, finish) = (hits.len(), now + cost.makespan(TIME_QUERY_THREADS));
         expect_posted(
             &mut c,

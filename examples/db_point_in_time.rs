@@ -50,7 +50,7 @@ fn main() {
     for fid in fs.files() {
         let (name, lpas, size) = fs.file_map(fid).expect("map");
         let map = FileMap { name, lpas, size };
-        let mut kits = TimeKits::new(fs.device_mut()).with_threads(8);
+        let mut kits = TimeKits::new(fs.device_mut());
         let out = kits
             .restore_file(&map, checkpoint, after_bad + 1)
             .expect("restore");

@@ -51,7 +51,7 @@ fn main() {
         lpas,
         size: fsize,
     };
-    let mut kits = TimeKits::new(fs.device_mut()).with_threads(4);
+    let mut kits = TimeKits::new(fs.device_mut());
     let cost = kits.restore_cost_estimate(&map.lpas, t1, 4);
     let out = kits.restore_file(&map, t1, end + 1).expect("revert");
     println!(

@@ -51,7 +51,7 @@ fn main() {
     }
 
     // Investigation: what changed inside the incident window?
-    let kits = TimeKits::new(&mut ssd).with_threads(4);
+    let kits = TimeKits::new(&mut ssd);
     let (hits, cost) = kits.time_query_range(200 * SEC_NS, 210 * SEC_NS);
     println!(
         "TimeQueryRange(200s, 210s): {} LPAs updated ({} flash reads, {:.1} ms at 4 threads)",

@@ -52,7 +52,7 @@ fn main() {
             lpas: victim.lpas.clone(),
             size: victim.size,
         };
-        let mut kits = TimeKits::new(fs.device_mut()).with_threads(4);
+        let mut kits = TimeKits::new(fs.device_mut());
         let out = kits.restore_file(&map, when, now).expect("restore");
         now = out.finish + 1_000_000;
         restored_pages += out.restored.len();

@@ -147,7 +147,7 @@ fn cmd_attack(name: &str) -> ExitCode {
         .iter()
         .flat_map(|v| v.lpas.iter().copied())
         .collect();
-    let mut kits = TimeKits::new(fs.device_mut()).with_threads(8);
+    let mut kits = TimeKits::new(fs.device_mut());
     let estimate = kits.restore_cost_estimate(&victim_pages, report.pre_attack_time, 8);
     let out = kits
         .roll_back_set(&victim_pages, report.pre_attack_time, report.attack_end)

@@ -199,6 +199,24 @@ const RULES: &[Rule] = &[
         allowed: &[],
         design: "8",
     },
+    // A query's parallelism is the makespan model's: no device, command,
+    // host-library or model path starts an OS thread. The figure runner's
+    // pool in `crates/bench/src/engine.rs` is the one place that does.
+    Rule {
+        name: "no_threads_in_the_device",
+        files: &[
+            "crates/core/src",
+            "crates/flash/src",
+            "crates/nvme/src",
+            "crates/kits/src",
+            "crates/oracle/src",
+            "crates/trace/src",
+            "crates/fs/src",
+        ],
+        find: |src| offsets(src, &["std::thread", "thread::scope", "thread::spawn"]).collect(),
+        allowed: &[],
+        design: "5g",
+    },
 ];
 
 fn is_ident(b: u8) -> bool {
@@ -619,6 +637,9 @@ const PLANTED: &[(&str, &str, &str)] = &[
     // block looked up by id.
     ("no_panic_in_flash", "crates/flash/src/array.rs", "fn read(&self) { let oob = page.oob.expect(\"written page always has OOB\"); }"),
     ("no_panic_in_flash", "crates/flash/src/array.rs", "fn erase_count(&self, b: BlockId) -> u32 { self.blocks.get(b.0 as usize).unwrap().erase_count }"),
+    // The scan's fan-out as it was, and a worker spawned after a `use`.
+    ("no_threads_in_the_device", "crates/core/src/timessd/engine.rs", "fn scan() { let w: Vec<_> = std::thread::scope(|scope| (1..n).map(|w| scope.spawn(move || walk(w))).collect()); }"),
+    ("no_threads_in_the_device", "crates/oracle/src/harness.rs", "fn query_check() { thread::spawn(move || answer(8)); }"),
 ];
 
 const MOD: &str = "crates/core/src/timessd/mod.rs";
@@ -638,7 +659,7 @@ fn planted_violations_fail() {
 fn comments_literals_and_inline_test_modules_pass() {
     let all = "bst.iter() blocks().iter() for p in 0..ppb {} info.written = 0 next_off unreserve \
                Lpa(a + 1) version_chain( version_content( amt_shards HashMap .expect( .unwrap( \
-               TimeSsd oob.back_ptr almanac_kits";
+               TimeSsd oob.back_ptr almanac_kits std::thread::scope thread::spawn";
     let in_comments_and_literals = format!(
         "fn maintain() {{\n    // {all}\n    /* {all} /* nested */ {all} */\n    \
          let _ = (\"{all}\", r#\"{all}\"#, b\"\\\"{all}\");\n}}\n"
