@@ -36,6 +36,13 @@ pub enum AlmanacError {
     DecodeFailed(&'static str),
     /// A host command arrived after [`crate::MAX_ARRIVAL`]; nothing was done.
     ArrivalTooLate(Nanos),
+    /// The device does not implement the command (a Table-1 command sent to
+    /// a device that keeps no history); nothing was done.
+    Unsupported(&'static str),
+    /// The command contradicts itself or the device (a Write whose pages do
+    /// not match its page count, or a page longer than a flash page);
+    /// nothing was done.
+    InvalidCommand(&'static str),
     /// An internal bookkeeping invariant did not hold. Surfaced as an error
     /// rather than a panic so fault-injection runs (power cuts, injected op
     /// failures) degrade gracefully instead of aborting the process.
@@ -64,6 +71,8 @@ impl fmt::Display for AlmanacError {
             AlmanacError::ArrivalTooLate(at) => {
                 write!(f, "arrival at t={at}ns is past the device clock's range")
             }
+            AlmanacError::Unsupported(what) => write!(f, "unsupported command: {what}"),
+            AlmanacError::InvalidCommand(why) => write!(f, "invalid command: {why}"),
             AlmanacError::Internal(why) => write!(f, "internal invariant violated: {why}"),
         }
     }

@@ -16,7 +16,10 @@
 //! is posted only once its device-side finish time has passed — so
 //! completions surface out of submission order, and [`NvmeController::process`]
 //! is incremental: call it with advancing `now` and it starts what it can
-//! and posts what is due.
+//! and posts what is due. The controller counts the commands queued and
+//! posted, keeps the earliest finish in flight and the ids of the queues
+//! holding anything, so a step with nothing due and nothing queued only
+//! turns the arbitration cursor, and no sweep visits an empty queue.
 //!
 //! A Flush is a per-queue fence: it is not started until every earlier
 //! command on its queue has completed, and no later command on that queue
@@ -24,12 +27,13 @@
 //!
 //! A command owns its data. The pages a Write carries are submitted beside
 //! its 64-byte entry and moved into the device. When the controller starts a
-//! command it makes the one [`CompletedIo`] the host will pop, and that
-//! record carries what the device returned: an [`Answer`] (the device's
-//! immutable [`PageData`], or the query or rollback outcome exactly as
-//! core's body returned it) or the device's own `AlmanacError`, with the
-//! NVMe status `status_of` gives it. There is no host-buffer table to
-//! register with, look up, or leak, and no second answer or error format.
+//! command it makes, in the command's queue, the one [`CompletedIo`] the
+//! host will pop, and fills in what the device returned: an [`Answer`] (the
+//! device's immutable [`PageData`], or the query or rollback outcome
+//! exactly as core's body returned it) or the device's own `AlmanacError`
+//! (the controller's own refusals are `Unsupported` and `InvalidCommand`),
+//! with the NVMe status `status_of` gives it. There is no host-buffer table
+//! to register with, look up, or leak, and no second answer or error format.
 
 use almanac_core::{roll_back, roll_back_all, time_scan, AddrQuery};
 use almanac_core::{AlmanacError, SsdDevice, MAX_ARRIVAL};
@@ -64,12 +68,13 @@ pub enum NvmeStatus {
     NoSuchVersion = 0x01C1,
 }
 
-/// The status a failed device call completes with.
+/// The status a failed command completes with.
 fn status_of(err: &AlmanacError) -> NvmeStatus {
     match err {
         AlmanacError::LpaOutOfRange { .. } => NvmeStatus::LbaOutOfRange,
         AlmanacError::DeviceStalled { .. } => NvmeStatus::RetentionStall,
         AlmanacError::NoSuchVersion { .. } => NvmeStatus::NoSuchVersion,
+        AlmanacError::Unsupported(_) => NvmeStatus::InvalidOpcode,
         _ => NvmeStatus::InvalidField,
     }
 }
@@ -87,6 +92,15 @@ pub struct NvmeController<D = almanac_core::TimeSsd> {
     /// Completions posted while an earlier-submitted command on the same
     /// queue was still in flight.
     ooo_completions: u64,
+    /// The ids of the queues holding anything, ascending: the only ones
+    /// arbitration, posting and harvesting visit.
+    busy: Vec<usize>,
+    /// Submitted commands not yet started, across queues.
+    queued: usize,
+    /// Posted completions not yet popped, across queues.
+    posted: usize,
+    /// The earliest finish in flight across queues.
+    next_due: Option<Nanos>,
 }
 
 impl NvmeController {
@@ -111,6 +125,10 @@ impl<D: SsdDevice> NvmeController<D> {
             rr_next: 0,
             start_seq: 0,
             ooo_completions: 0,
+            busy: Vec::new(),
+            queued: 0,
+            posted: 0,
+            next_due: None,
         }
     }
 
@@ -154,30 +172,46 @@ impl<D: SsdDevice> NvmeController<D> {
         if !q.has_slot() {
             return false;
         }
+        if q.is_empty() {
+            let qid = usize::from(qid);
+            let at = self.busy.partition_point(|&busy| busy < qid);
+            self.busy.insert(at, qid);
+        }
         q.sq.push_back((entry, payload));
+        self.queued += 1;
         true
     }
 
     /// Pops the next posted completion from queue `qid`, if any.
     pub fn pop_completion(&mut self, qid: u16) -> Option<CompletedIo> {
-        self.queues.get_mut(qid as usize)?.cq.pop_front()
+        let q = self.queues.get_mut(qid as usize)?;
+        let done = q.pop()?;
+        if q.is_empty() {
+            self.busy.retain(|&busy| busy != usize::from(qid));
+        }
+        self.posted -= 1;
+        Some(done)
     }
 
     /// Pops the posted completion that finished first across every queue
     /// (ties by start order): merging the queues' CQs so the host sees
     /// device finish order, each queue's own order kept.
     pub(crate) fn pop_earliest(&mut self) -> Option<CompletedIo> {
-        let (_, qid) = (self.queues.iter().enumerate())
-            .filter_map(|(qid, q)| q.cq.front().map(|f| ((f.finish, f.seq), qid)))
+        if self.posted == 0 {
+            return None;
+        }
+        let queues = &self.queues;
+        let (_, qid) = (self.busy.iter())
+            .filter_map(|&qid| queues[qid].head().map(|f| ((f.finish, f.seq), qid)))
             .min()?;
-        self.queues[qid].cq.pop_front()
+        self.pop_completion(qid as u16)
     }
 
     /// Earliest pending completion instant across every queue — the next
     /// virtual time at which [`NvmeController::process`] will post a CQE.
     /// `None` when nothing is in flight.
     pub fn next_completion_at(&self) -> Option<Nanos> {
-        self.queues.iter().filter_map(|q| q.next_finish()).min()
+        self.next_due
     }
 
     /// Completions that overtook an earlier-submitted command on their own
@@ -192,18 +226,27 @@ impl<D: SsdDevice> NvmeController<D> {
     /// permitting, flush fences respected), then posts anything that became
     /// due. Incremental — call again with a later `now` to post the rest;
     /// [`NvmeController::next_completion_at`] names the next useful instant.
+    /// A round starts at most one command per queue and turns the cursor
+    /// once; the last round is the one that starts nothing.
     pub fn process(&mut self, now: Nanos) {
         self.post_due(now);
+        let n = self.queues.len();
         loop {
             let mut started = false;
-            let n = self.queues.len();
-            for k in 0..n {
-                let qid = (self.rr_next + k) % n;
-                if self.try_start(qid, now) {
-                    started = true;
+            // With nothing queued a round only turns the cursor. Otherwise it
+            // visits the busy queues from the cursor on, wrapping: the order
+            // of a sweep over every queue, less the empty ones.
+            if self.queued > 0 {
+                let first = self.busy.partition_point(|&qid| qid < self.rr_next);
+                for k in (first..self.busy.len()).chain(0..first) {
+                    started |= self.try_start(self.busy[k], now);
                 }
             }
-            self.rr_next = (self.rr_next + 1) % n;
+            self.rr_next = if self.rr_next + 1 == n {
+                0
+            } else {
+                self.rr_next + 1
+            };
             if !started {
                 break;
             }
@@ -225,32 +268,43 @@ impl<D: SsdDevice> NvmeController<D> {
         t
     }
 
+    /// Posts what is due on every queue that holds it; nothing when the
+    /// earliest finish in flight lies after `now`.
     fn post_due(&mut self, now: Nanos) {
-        for q in &mut self.queues {
-            self.ooo_completions += q.post_due(now);
+        if self.next_due.is_none_or(|due| due > now) {
+            return;
         }
+        let mut next_due = None;
+        for &qid in &self.busy {
+            let q = &mut self.queues[qid];
+            if q.next_finish().is_some_and(|f| f <= now) {
+                let (posted, overtakes) = q.post_due(now);
+                self.posted += posted;
+                self.ooo_completions += overtakes;
+            }
+            next_due = next_due.into_iter().chain(q.next_finish()).min();
+        }
+        self.next_due = next_due;
     }
 
     /// Starts the head-of-queue command on `qid` if arbitration allows:
     /// the queue must be non-empty, not fenced by an in-flight Flush, and
     /// a Flush at the head waits for the queue's in-flight set to drain.
+    /// The command's record is made in its queue and filled in there.
     fn try_start(&mut self, qid: usize, now: Nanos) -> bool {
-        let q = &self.queues[qid];
+        let q = &mut self.queues[qid];
         let Some((head, _)) = q.sq.front() else {
             return false;
         };
-        // A started Flush fences everything submitted behind it.
-        if q.flush_in_flight() {
+        // A started Flush fences everything submitted behind it; a Flush
+        // waits for everything submitted before it to complete.
+        if q.flush_in_flight() || (head.opcode == NvmeOpcode::Flush && !q.idle()) {
             return false;
         }
-        // A Flush fences everything submitted before it: all earlier
-        // commands on this queue must have completed before it starts.
-        if head.opcode == NvmeOpcode::Flush && !q.idle() {
-            return false;
-        }
-        let (entry, payload) = self.queues[qid].sq.pop_front().expect("head checked");
+        let (entry, payload) = q.sq.pop_front().expect("head checked");
+        self.queued -= 1;
         self.start_seq += 1;
-        let mut io = CompletedIo {
+        let io = q.start(CompletedIo {
             ticket: Ticket {
                 qid: qid as u16,
                 cid: entry.cid,
@@ -261,50 +315,69 @@ impl<D: SsdDevice> NvmeController<D> {
             finish: now,
             outcome: Ok(None),
             seq: self.start_seq,
+            overtakes: false,
+        });
+        let run = Run {
+            ssd: &mut self.ssd,
+            page_size: self.page_size,
+            io,
+            now,
         };
-        io.outcome = self.execute(&mut io, entry, payload, now);
-        if let Err(Some(err)) = &io.outcome {
-            io.status = status_of(err) as u16;
-        }
-        self.queues[qid].start(io);
+        let finish = run.execute(entry, payload);
+        q.place();
+        self.next_due = Some(self.next_due.map_or(finish, |due| due.min(finish)));
         true
     }
+}
 
-    /// Executes one command at virtual time `now`, recording its result
-    /// dword and finish instant in `io`. A failure finishes at `now` unless
-    /// part of the range was already applied; a command the controller
-    /// refuses itself records its status.
-    fn execute(
-        &mut self,
-        io: &mut CompletedIo,
-        e: SubmissionEntry,
-        payload: Vec<Vec<u8>>,
-        now: Nanos,
-    ) -> Outcome {
-        match e.opcode {
-            NvmeOpcode::Flush => {
-                let c = self.ssd.flush(now)?;
-                // The result carries the barrier's response time in
-                // microseconds (saturating), so the host sees what the
-                // fence actually cost.
-                io.result = (c.response(now) / 1_000).min(u32::MAX as u64) as u32;
-                io.finish = c.finish;
-                Ok(None)
-            }
+#[cfg(test)]
+mod reference;
+
+/// One command running at `now`: the device, and the record it fills in.
+struct Run<'a, D> {
+    ssd: &'a mut D,
+    page_size: usize,
+    io: &'a mut CompletedIo,
+    now: Nanos,
+}
+
+impl<D: SsdDevice> Run<'_, D> {
+    /// Executes the command, recording its outcome, status, result dword
+    /// and finish instant; returns the finish. A failure finishes at `now`
+    /// unless part of the range was already applied.
+    fn execute(mut self, e: SubmissionEntry, payload: Vec<Vec<u8>>) -> Nanos {
+        let outcome = match e.opcode {
+            NvmeOpcode::Flush => self.flush(),
             NvmeOpcode::Write | NvmeOpcode::Read | NvmeOpcode::DatasetMgmt => {
-                self.execute_io(io, e, payload, now)
+                self.execute_io(e, payload)
             }
-            _ => self.execute_vendor(io, e, now),
+            _ => self.execute_vendor(e),
+        };
+        if let Err(err) = &outcome {
+            self.io.status = status_of(err) as u16;
         }
+        self.io.outcome = outcome;
+        self.io.finish
+    }
+
+    fn flush(&mut self) -> Outcome {
+        let c = self.ssd.flush(self.now)?;
+        // The result carries the barrier's response time in microseconds
+        // (saturating), so the host sees what the fence actually cost.
+        self.io.result = (c.response(self.now) / 1_000).min(u32::MAX as u64) as u32;
+        self.io.finish = c.finish;
+        Ok(None)
     }
 
     /// The Table-1 vendor commands: queries read the device's history
     /// through its read view, a rollback writes through the device. A
     /// device without a read view knows none of these opcodes.
-    fn execute_vendor(&mut self, io: &mut CompletedIo, e: SubmissionEntry, now: Nanos) -> Outcome {
+    fn execute_vendor(&mut self, e: SubmissionEntry) -> Outcome {
+        let now = self.now;
         let Some(view) = self.ssd.read_view() else {
-            io.status = NvmeStatus::InvalidOpcode as u16;
-            return Err(None);
+            return Err(AlmanacError::Unsupported(
+                "a Table-1 command on a device without history",
+            ));
         };
         // Each body's answer with its item count (the result dword) and the
         // instant its completion posts.
@@ -343,14 +416,14 @@ impl<D: SsdDevice> NvmeController<D> {
             _ => {
                 let out = if e.opcode == NvmeOpcode::RollBack {
                     let (addr, cnt) = (Lpa(e.get_u64(0)), u64::from(e.cdw[2]));
-                    roll_back(&mut self.ssd, addr, cnt, e.get_u64(4), now)
+                    roll_back(self.ssd, addr, cnt, e.get_u64(4), now)
                 } else {
-                    roll_back_all(&mut self.ssd, e.get_u64(0), now)
+                    roll_back_all(self.ssd, e.get_u64(0), now)
                 }?;
                 (out.restored.len(), out.finish, Answer::Rollback(out.into()))
             }
         };
-        (io.result, io.finish) = (items as u32, finish);
+        (self.io.result, self.io.finish) = (items as u32, finish);
         Ok(Some(answer))
     }
 
@@ -358,30 +431,31 @@ impl<D: SsdDevice> NvmeController<D> {
     /// wire. The whole range must lie inside the exported space before
     /// anything is allocated, written or trimmed, so a malformed SQE ends in
     /// a status and never in a half-applied range.
-    fn execute_io(
-        &mut self,
-        io: &mut CompletedIo,
-        e: SubmissionEntry,
-        payload: Vec<Vec<u8>>,
-        now: Nanos,
-    ) -> Outcome {
+    fn execute_io(&mut self, e: SubmissionEntry, payload: Vec<Vec<u8>>) -> Outcome {
+        let now = self.now;
         // The device checks the arrival before the range (`Ftl::admit`), so
         // a command with both faults fails as it would on the bare device.
         if now > MAX_ARRIVAL {
-            return Err(AlmanacError::ArrivalTooLate(now).into());
+            return Err(AlmanacError::ArrivalTooLate(now));
         }
         let (lpa, count) = (Lpa(e.get_u64(0)), e.cdw[2]);
         let exported = self.ssd.exported_pages();
         let span = LpaSpan::whole(lpa, u64::from(count), exported)
             .ok_or(AlmanacError::LpaOutOfRange { lpa, exported })?;
+        let io = &mut *self.io;
         match e.opcode {
             NvmeOpcode::Write => {
                 // One page per LPA, none longer than a flash page: anything
                 // else would be stored truncated or not at all.
-                let too_long = payload.iter().any(|p| p.len() > self.page_size);
-                if payload.len() != count as usize || too_long {
-                    io.status = NvmeStatus::InvalidField as u16;
-                    return Err(None);
+                if payload.len() != count as usize {
+                    return Err(AlmanacError::InvalidCommand(
+                        "a Write's pages do not match its page count",
+                    ));
+                }
+                if payload.iter().any(|p| p.len() > self.page_size) {
+                    return Err(AlmanacError::InvalidCommand(
+                        "a Write's page is longer than a flash page",
+                    ));
                 }
                 for (lpa, page) in span.iter().zip(payload) {
                     let c = self.ssd.write(lpa, PageData::bytes(page), now)?;
@@ -414,8 +488,9 @@ impl<D: SsdDevice> NvmeController<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use almanac_core::{SsdConfig, SsdReadOps, TimeSsd};
+    use almanac_core::{Completion, DeviceStats, SsdConfig, SsdReadOps, TimeSsd};
     use almanac_flash::{Geometry, SEC_NS};
+    use proptest::prelude::*;
 
     fn controller() -> NvmeController {
         NvmeController::new(TimeSsd::new(SsdConfig::new(Geometry::small_test())))
@@ -491,7 +566,7 @@ mod tests {
         );
         assert_eq!(done.status, NvmeStatus::LbaOutOfRange as u16);
         let out_of_range = AlmanacError::LpaOutOfRange { lpa, exported };
-        assert_eq!(done.outcome, Err(Some(out_of_range)));
+        assert_eq!(done.outcome, Err(out_of_range));
     }
 
     /// Submits one `(lpa, count)` I/O command carrying four pages and
@@ -547,7 +622,8 @@ mod tests {
         for payload in [vec![vec![1u8; 8]; 2], Vec::new()] {
             let done = run(&mut c, io(NvmeOpcode::Write, 1, 0, 3), payload, SEC_NS);
             assert_eq!(done.status, NvmeStatus::InvalidField as u16);
-            assert_eq!(done.outcome, Err(None), "no device error to carry");
+            let short = AlmanacError::InvalidCommand("a Write's pages do not match its page count");
+            assert_eq!(done.outcome, Err(short));
             assert_eq!(done.result, 0);
             assert_eq!(done.finish, SEC_NS, "an error completes at once");
         }
@@ -757,5 +833,141 @@ mod tests {
             write_pending,
             "slow write completed no later than the cheap read"
         );
+    }
+
+    /// A device that does no work: a command on `lpa` finishes
+    /// `10 × (lpa % 3)` ns after it starts (a flush 5 ns), so finishes tie
+    /// often, some at the start instant itself.
+    #[derive(Default)]
+    struct Ties {
+        stats: DeviceStats,
+    }
+
+    impl Ties {
+        fn done(lpa: Lpa, now: Nanos) -> almanac_core::Result<Completion> {
+            let finish = now + 10 * (lpa.0 % 3);
+            Ok(Completion { start: now, finish })
+        }
+    }
+
+    impl SsdReadOps for Ties {
+        fn stats(&self) -> &DeviceStats {
+            &self.stats
+        }
+
+        fn exported_pages(&self) -> u64 {
+            64
+        }
+
+        fn kind(&self) -> &'static str {
+            "ties"
+        }
+    }
+
+    impl SsdDevice for Ties {
+        fn write(&mut self, lpa: Lpa, _: PageData, now: Nanos) -> almanac_core::Result<Completion> {
+            Self::done(lpa, now)
+        }
+
+        fn read(&mut self, lpa: Lpa, now: Nanos) -> almanac_core::Result<(PageData, Completion)> {
+            Ok((PageData::Zeros, Self::done(lpa, now)?))
+        }
+
+        fn trim(&mut self, lpa: Lpa, now: Nanos) -> almanac_core::Result<Completion> {
+            Self::done(lpa, now)
+        }
+
+        fn flush(&mut self, now: Nanos) -> almanac_core::Result<Completion> {
+            Ok(Completion {
+                start: now,
+                finish: now + 5,
+            })
+        }
+    }
+
+    /// Everything a popped completion shows the host, and its start order.
+    fn shown(
+        done: Option<CompletedIo>,
+    ) -> Option<(Ticket, NvmeOpcode, u16, u32, Nanos, u64, Outcome)> {
+        done.map(|io| {
+            (
+                io.ticket, io.opcode, io.status, io.result, io.finish, io.seq, io.outcome,
+            )
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random submissions (writes, writes the controller refuses,
+        /// reads, trims, flushes; some bounced by a full queue), steps of
+        /// `process` at a clock that mostly advances, sometimes stands and
+        /// sometimes steps back, and pops from one queue or across all, on
+        /// 1–3 queues of depth 1–8 beside the idle queue 0: the controller
+        /// starts, posts and hands over exactly what the reference does,
+        /// with the same out-of-order count, next completion instant and
+        /// free slots after every step.
+        #[test]
+        fn controller_queues_as_the_reference_does(
+            depths in prop::collection::vec(1usize..=8, 1..=3),
+            steps in prop::collection::vec((0u8..12, any::<u8>(), 0u64..25), 1..150),
+        ) {
+            let mut c = NvmeController::over(Ties::default(), 16);
+            let mut r = reference::Reference::over(Ties::default(), 16);
+            let mut qids = Vec::new();
+            for depth in depths {
+                let qid = c.create_io_queue(depth);
+                prop_assert_eq!(r.create_io_queue(depth), qid);
+                qids.push(qid);
+            }
+            let (mut now, mut cid): (Nanos, u16) = (0, 0);
+            for (kind, pick, d) in steps {
+                let qid = qids[usize::from(pick) % qids.len()];
+                match kind {
+                    0..=5 => {
+                        cid = cid.wrapping_add(1);
+                        let (opcode, payload) = match kind {
+                            0 | 1 => (NvmeOpcode::Write, vec![vec![pick; 8]]),
+                            // Two pages for a count of one: refused.
+                            2 => (NvmeOpcode::Write, vec![vec![pick; 8]; 2]),
+                            3 => (NvmeOpcode::Read, Vec::new()),
+                            4 => (NvmeOpcode::DatasetMgmt, Vec::new()),
+                            _ => (NvmeOpcode::Flush, Vec::new()),
+                        };
+                        let e = io(opcode, cid, u64::from(pick) % 64, 1);
+                        prop_assert_eq!(
+                            c.submit_to(qid, e, payload.clone()),
+                            r.submit_to(qid, e, payload)
+                        );
+                    }
+                    6..=8 => {
+                        now = if kind == 8 { now.saturating_sub(d) } else { now + d };
+                        c.process(now);
+                        r.process(now);
+                    }
+                    9 => prop_assert_eq!(shown(c.pop_completion(qid)), shown(r.pop_completion(qid))),
+                    _ => prop_assert_eq!(shown(c.pop_earliest()), shown(r.pop_earliest())),
+                }
+                prop_assert_eq!(c.next_completion_at(), r.next_completion_at());
+                prop_assert_eq!(c.ooo_completions(), r.ooo_completions());
+                for &qid in &qids {
+                    prop_assert_eq!(c.has_slot(qid), r.has_slot(qid));
+                }
+            }
+            // Run both dry: the rest of the stream matches too.
+            while let Some(at) = c.next_completion_at() {
+                now = now.max(at);
+                c.process(now);
+                r.process(now);
+            }
+            loop {
+                let done = shown(c.pop_earliest());
+                prop_assert_eq!(&done, &shown(r.pop_earliest()));
+                if done.is_none() {
+                    break;
+                }
+            }
+            prop_assert_eq!(c.ooo_completions(), r.ooo_completions());
+        }
     }
 }

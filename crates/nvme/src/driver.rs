@@ -187,15 +187,21 @@ impl<D: SsdDevice> HostDriver<D> {
         Ok(Ticket { qid, cid })
     }
 
-    /// Moves every posted completion of ours into the ready list, in device
-    /// finish order across queues.
-    fn harvest(&mut self) {
+    /// True when queue `qid` can take one more submission now; when it is
+    /// false a submit on it comes back [`DriverError::QueueFull`].
+    pub fn has_slot(&self, qid: u16) -> bool {
+        self.controller.has_slot(qid)
+    }
+
+    /// Moves every posted completion of ours to `out`, in device finish
+    /// order across queues.
+    fn harvest(&mut self, out: &mut Vec<CompletedIo>) {
         while let Some(done) = self.controller.pop_earliest() {
             let Ticket { qid, cid } = done.ticket;
             let ours = self.cids.get_mut(usize::from(qid));
             if ours.is_some_and(|map| map.release(cid)) {
                 self.in_flight -= 1;
-                self.ready.push(done);
+                out.push(done);
             }
         }
     }
@@ -223,9 +229,17 @@ impl<D: SsdDevice> HostDriver<D> {
     /// assert!(done[0].is_success());
     /// ```
     pub fn poll(&mut self, now: Nanos) -> Vec<CompletedIo> {
+        let mut done = Vec::new();
+        self.poll_into(now, &mut done);
+        done
+    }
+
+    /// [`HostDriver::poll`] into the caller's buffer: appends what posted
+    /// to `out`, so a host that reuses one buffer allocates nothing.
+    pub fn poll_into(&mut self, now: Nanos, out: &mut Vec<CompletedIo>) {
         self.controller.process(now);
-        self.harvest();
-        std::mem::take(&mut self.ready)
+        out.append(&mut self.ready);
+        self.harvest(out);
     }
 
     /// The wait of a host whose submit came back [`DriverError::QueueFull`]:
@@ -285,8 +299,8 @@ impl<D: SsdDevice> HostDriver<D> {
 
     /// Submits `entry` with `payload` on queue 0 and runs the device to
     /// completion: its [`Completion`] and answer, or the `AlmanacError` the
-    /// device raised. A full queue 0, a lost completion or a command the
-    /// controller refused itself is `Internal`. Completions for other
+    /// device raised or the controller refused the command with. A full
+    /// queue 0 or a lost completion is `Internal`. Completions for other
     /// in-flight tickets are kept for a later [`HostDriver::poll`], never
     /// dropped.
     fn sync(
@@ -298,19 +312,17 @@ impl<D: SsdDevice> HostDriver<D> {
         let full = AlmanacError::Internal("queue 0 full");
         let ticket = self.submit_ticket(0, entry, payload).map_err(|_| full)?;
         self.controller.run_to_completion(now);
-        self.harvest();
-        let pos = self.ready.iter().position(|io| io.ticket == ticket);
-        let io = self
-            .ready
-            .remove(pos.ok_or(AlmanacError::Internal("completion lost"))?);
-        let refused = AlmanacError::Internal("the controller refused the command");
-        let answer = io.outcome.map_err(|err| err.unwrap_or(refused))?;
+        let mut ready = std::mem::take(&mut self.ready);
+        self.harvest(&mut ready);
+        let io = (ready.iter().position(|io| io.ticket == ticket)).map(|pos| ready.remove(pos));
+        self.ready = ready;
+        let io = io.ok_or(AlmanacError::Internal("completion lost"))?;
         Ok((
             Completion {
                 start: now,
                 finish: io.finish,
             },
-            answer,
+            io.outcome?,
         ))
     }
 
@@ -526,9 +538,24 @@ mod tests {
         let page = PageData::bytes(b"plain".to_vec());
         d.write(Lpa(2), page.clone(), SEC_NS).unwrap();
         assert_eq!(d.read(Lpa(2), 2 * SEC_NS).unwrap().0, page);
-        let refused = AlmanacError::Internal("the controller refused the command");
-        assert_eq!(d.roll_back(Lpa(2), 1, 0, 3 * SEC_NS), Err(refused.clone()));
-        assert_eq!(d.time_query_all(4 * SEC_NS), Err(refused));
+        let unsupported =
+            AlmanacError::Unsupported("a Table-1 command on a device without history");
+        assert_eq!(
+            d.roll_back(Lpa(2), 1, 0, 3 * SEC_NS),
+            Err(unsupported.clone())
+        );
+        assert_eq!(d.time_query_all(4 * SEC_NS), Err(unsupported));
+    }
+
+    #[test]
+    fn a_malformed_write_is_an_invalid_command() {
+        let mut d = driver();
+        let page_size = d.controller().page_size();
+        let long = PageData::bytes(vec![1u8; page_size + 1]);
+        let malformed = AlmanacError::InvalidCommand("a Write's page is longer than a flash page");
+        assert_eq!(d.write(Lpa(2), long, SEC_NS), Err(malformed));
+        assert_eq!(d.stats().user_writes, 0);
+        assert!(!d.controller().ssd().is_mapped(Lpa(2)));
     }
 
     #[test]

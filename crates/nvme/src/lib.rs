@@ -27,8 +27,9 @@
 //!   when it starts it and posts that record once its finish passes: its
 //!   [`Outcome`] is what the device returned, unconverted — a read's pages
 //!   or a Table-1 body's outcome as an [`Answer`], or the device's own
-//!   `AlmanacError`. PRP lists are not modelled, so nothing crosses as
-//!   bytes.
+//!   `AlmanacError` (`Unsupported` or `InvalidCommand` when the controller
+//!   refused the command itself). PRP lists are not modelled, so nothing
+//!   crosses as bytes.
 //! - [`HostDriver`] — the host-side driver exposing a typed API over the
 //!   queues. It is an `SsdDevice` itself and its vendor calls return the
 //!   device's own `Result` too, so a file system, a replayer or the oracle

@@ -37,9 +37,10 @@ pub enum Answer {
 
 /// How a command ended: `Ok` with what a successful Read or Table-1 command
 /// returned (`None` for every other opcode), or `Err` with the error the
-/// device raised — `None` when the controller refused the command itself
-/// (`InvalidOpcode`, `InvalidField`) and the status alone says why.
-pub type Outcome = Result<Option<Answer>, Option<AlmanacError>>;
+/// device raised — or, when the controller refused the command itself,
+/// [`AlmanacError::Unsupported`] (`InvalidOpcode`) or
+/// [`AlmanacError::InvalidCommand`] (`InvalidField`).
+pub type Outcome = Result<Option<Answer>, AlmanacError>;
 
 /// Handle for an in-flight command: its queue id and command id. Unique
 /// among commands currently in flight.
@@ -69,9 +70,12 @@ pub struct CompletedIo {
     pub finish: Nanos,
     /// What the device returned.
     pub outcome: Outcome,
-    /// Global start order: posting breaks finish ties by it, and an entry
-    /// overtakes any still in flight with a lower one.
+    /// Global start order: posting breaks finish ties by it.
     pub(crate) seq: u64,
+    /// Filed ahead of a command in flight on its queue when it started:
+    /// that command started earlier and posts later, so this completion
+    /// overtakes it.
+    pub(crate) overtakes: bool,
 }
 
 impl CompletedIo {
@@ -81,8 +85,10 @@ impl CompletedIo {
     }
 }
 
-/// One submission/completion queue pair with its own depth and in-flight
-/// set.
+/// One submission/completion queue pair with its own depth. A started
+/// command's record is made at the back of the queue's one deque and filed
+/// once, by its finish; posting only moves the boundary between the CQ and
+/// the in-flight set, and the host's pop moves the record out.
 #[derive(Debug)]
 pub(crate) struct QueuePair {
     /// Maximum outstanding commands (queued + in flight).
@@ -90,14 +96,14 @@ pub(crate) struct QueuePair {
     /// Host-submitted entries not yet fetched by arbitration, each with the
     /// pages it writes (empty for every opcode but Write).
     pub sq: VecDeque<(SubmissionEntry, Vec<Vec<u8>>)>,
-    /// Started commands whose completion has not posted yet, kept in
-    /// posting order — by finish, ties by start order — so the next to post
-    /// is at the front.
-    inflight: VecDeque<CompletedIo>,
-    /// Flushes among `inflight`.
+    /// Started commands the host has not popped. The first `posted` are the
+    /// CQ, in posting order; the rest are in flight, in posting order — by
+    /// finish, ties by start order — so the next to post follows the CQ.
+    records: VecDeque<CompletedIo>,
+    /// Length of the CQ at the front of `records`.
+    posted: usize,
+    /// Flushes in flight.
     flushes: usize,
-    /// Posted completions.
-    pub cq: VecDeque<CompletedIo>,
 }
 
 impl QueuePair {
@@ -107,9 +113,9 @@ impl QueuePair {
             // exists for every slot.
             depth: depth.clamp(1, u16::MAX as usize),
             sq: VecDeque::new(),
-            inflight: VecDeque::new(),
+            records: VecDeque::new(),
+            posted: 0,
             flushes: 0,
-            cq: VecDeque::new(),
         }
     }
 
@@ -117,12 +123,18 @@ impl QueuePair {
     /// the commands outstanding from its point of view (submitted and not
     /// yet posted to the CQ) are fewer than the depth.
     pub(crate) fn has_slot(&self) -> bool {
-        self.sq.len() + self.inflight.len() < self.depth
+        self.sq.len() + self.records.len() - self.posted < self.depth
+    }
+
+    /// True when the queue holds nothing: no submission, nothing in flight,
+    /// no completion to pop.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.sq.is_empty() && self.records.is_empty()
     }
 
     /// True when no started command awaits its completion.
     pub(crate) fn idle(&self) -> bool {
-        self.inflight.is_empty()
+        self.records.len() == self.posted
     }
 
     /// True while a started flush is fencing this queue: commands behind it
@@ -131,34 +143,63 @@ impl QueuePair {
         self.flushes > 0
     }
 
-    /// Records a started command; its completion posts once `finish` passes.
-    pub(crate) fn start(&mut self, started: CompletedIo) {
-        let at = self
-            .inflight
-            .partition_point(|f| (f.finish, f.seq) < (started.finish, started.seq));
+    /// Makes room for the record of a command started now, after every
+    /// other, and returns it for the controller to fill in; [`Self::place`]
+    /// then files it by its finish.
+    pub(crate) fn start(&mut self, started: CompletedIo) -> &mut CompletedIo {
         self.flushes += usize::from(started.opcode == NvmeOpcode::Flush);
-        self.inflight.insert(at, started);
+        self.records.push_back(started);
+        self.records.back_mut().expect("just pushed")
+    }
+
+    /// Moves the record [`Self::start`] made ahead of the in-flight records
+    /// that finish after it. They all started earlier, so an equal finish
+    /// stays ahead, and moving ahead of any of them is an overtake: it will
+    /// still be in flight when this one posts.
+    pub(crate) fn place(&mut self) {
+        let last = self.records.len() - 1;
+        let finish = self.records[last].finish;
+        let later = (self.records.range(self.posted..last).rev())
+            .take_while(|f| f.finish > finish)
+            .count();
+        if later > 0 {
+            let mut io = self.records.pop_back().expect("started");
+            io.overtakes = true;
+            self.records.insert(last - later, io);
+        }
     }
 
     /// Posts every in-flight command whose finish time has passed, in
-    /// finish order (ties broken by start order). Returns the number of
-    /// completions that overtook an earlier-submitted command still in
+    /// finish order (ties broken by start order). Returns how many posted
+    /// and how many of them overtook an earlier-started command still in
     /// flight — the out-of-order count.
-    pub(crate) fn post_due(&mut self, now: Nanos) -> u64 {
-        let mut overtakes = 0;
-        while let Some(done) = self.inflight.pop_front_if(|f| f.finish <= now) {
+    pub(crate) fn post_due(&mut self, now: Nanos) -> (usize, u64) {
+        let (from, mut overtakes) = (self.posted, 0);
+        while let Some(done) = self.records.get(self.posted).filter(|f| f.finish <= now) {
             self.flushes -= usize::from(done.opcode == NvmeOpcode::Flush);
-            if self.inflight.iter().any(|f| f.seq < done.seq) {
-                overtakes += 1;
-            }
-            self.cq.push_back(done);
+            overtakes += u64::from(done.overtakes);
+            self.posted += 1;
         }
-        overtakes
+        (self.posted - from, overtakes)
     }
 
     /// Earliest pending completion instant on this queue, if any.
     pub(crate) fn next_finish(&self) -> Option<Nanos> {
-        self.inflight.front().map(|f| f.finish)
+        self.records.get(self.posted).map(|f| f.finish)
+    }
+
+    /// The CQ's head: the next completion [`Self::pop`] hands over.
+    pub(crate) fn head(&self) -> Option<&CompletedIo> {
+        self.records.front().filter(|_| self.posted > 0)
+    }
+
+    /// Pops the CQ's head.
+    pub(crate) fn pop(&mut self) -> Option<CompletedIo> {
+        if self.posted == 0 {
+            return None;
+        }
+        self.posted -= 1;
+        self.records.pop_front()
     }
 }
 
@@ -176,22 +217,34 @@ mod tests {
             finish,
             outcome: Ok(None),
             seq,
+            overtakes: false,
         }
+    }
+
+    /// Starts `io` on `q` and files it, as the controller does.
+    fn start(q: &mut QueuePair, io: CompletedIo) {
+        q.start(io);
+        q.place();
+    }
+
+    /// The start orders of `q`'s CQ, head first.
+    fn cq(q: &QueuePair) -> Vec<u64> {
+        q.records.range(..q.posted).map(|f| f.seq).collect()
     }
 
     #[test]
     fn post_due_orders_by_finish_and_counts_overtakes() {
         let mut q = QueuePair::new(4);
-        q.start(started(1, 1, NvmeOpcode::Write, 300));
-        q.start(started(2, 2, NvmeOpcode::Read, 100));
+        start(&mut q, started(1, 1, NvmeOpcode::Write, 300));
+        start(&mut q, started(2, 2, NvmeOpcode::Read, 100));
         // Only the read is due; it overtakes the in-flight write.
-        assert_eq!(q.post_due(150), 1);
-        assert_eq!(q.cq.pop_front().unwrap().ticket.cid, 2);
+        assert_eq!(q.post_due(150), (1, 1));
+        assert_eq!(q.pop().unwrap().ticket.cid, 2);
         assert_eq!(q.next_finish(), Some(300));
         // The write posts later with nothing left to overtake.
-        assert_eq!(q.post_due(400), 0);
-        assert_eq!(q.cq.pop_front().unwrap().ticket.cid, 1);
-        assert!(q.next_finish().is_none());
+        assert_eq!(q.post_due(400), (1, 0));
+        assert_eq!(q.pop().unwrap().ticket.cid, 1);
+        assert!(q.next_finish().is_none() && q.pop().is_none());
     }
 
     #[test]
@@ -251,14 +304,13 @@ mod tests {
                 if kind < 6 {
                     seq += 1;
                     let opcode = if kind == 0 { NvmeOpcode::Flush } else { NvmeOpcode::Read };
-                    q.start(started(cid, seq, opcode, now + d));
+                    start(&mut q, started(cid, seq, opcode, now + d));
                     reference.inflight.push(started(cid, seq, opcode, now + d));
                 } else {
                     now += d;
-                    prop_assert_eq!(q.post_due(now), reference.post_due(now));
+                    prop_assert_eq!(q.post_due(now).1, reference.post_due(now));
                 }
-                let posted: Vec<u64> = q.cq.iter().map(|f| f.seq).collect();
-                prop_assert_eq!(posted, reference.cq.clone());
+                prop_assert_eq!(cq(&q), reference.cq.clone());
                 prop_assert_eq!(q.next_finish(), reference.next_finish());
                 prop_assert_eq!(q.flush_in_flight(), reference.flush_in_flight());
             }

@@ -35,7 +35,7 @@ mod record;
 mod replay;
 mod trace;
 
-pub use qdreplay::{replay_qd, QdReplayReport};
+pub use qdreplay::{replay_qd, replay_qd_through, QdReplayReport};
 pub use record::{TraceOp, TraceRecord};
 pub use replay::{replay, replay_with_sampler, ReplayReport};
 pub use trace::{Trace, TraceError};

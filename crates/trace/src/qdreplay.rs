@@ -9,7 +9,7 @@
 //! round-robin arbitration, and completions surface out of order as their
 //! device-side finish times pass.
 
-use almanac_core::{SsdReadOps, TimeSsd};
+use almanac_core::{SsdDevice, TimeSsd};
 use almanac_flash::{LpaSpan, Nanos};
 use almanac_nvme::{CompletedIo, DriverError, HostDriver, NvmeController, NvmeStatus};
 
@@ -72,8 +72,18 @@ pub struct QdReplayReport {
 /// assert!(report.peak_outstanding > 1);
 /// ```
 pub fn replay_qd(trace: &Trace, ssd: TimeSsd, qd: usize) -> Result<QdReplayReport, DriverError> {
-    let exported = ssd.exported_pages();
-    let mut driver = HostDriver::new(NvmeController::new(ssd));
+    replay_qd_through(trace, NvmeController::new(ssd), qd)
+}
+
+/// [`replay_qd`] through a controller over any device: the same commands,
+/// pacing and report.
+pub fn replay_qd_through<D: SsdDevice>(
+    trace: &Trace,
+    controller: NvmeController<D>,
+    qd: usize,
+) -> Result<QdReplayReport, DriverError> {
+    let exported = controller.ssd().exported_pages();
+    let mut driver = HostDriver::new(controller);
     let qid = driver.create_queue(qd.max(1));
 
     // Submit instants by cid: one queue, so a cid names one command in
@@ -86,9 +96,11 @@ pub fn replay_qd(trace: &Trace, ssd: TimeSsd, qd: usize) -> Result<QdReplayRepor
     let mut stalled = false;
     let mut submitted = 0usize;
     let mut now: Nanos = 0;
+    // One completion buffer, reused by every poll.
+    let mut done: Vec<CompletedIo> = Vec::with_capacity(qd.max(1));
 
-    let mut harvest = |done: Vec<CompletedIo>, submitted_at: &[Nanos], stalled: &mut bool| {
-        for io in done {
+    let mut harvest = |done: &mut Vec<CompletedIo>, submitted_at: &[Nanos], stalled: &mut bool| {
+        for io in done.drain(..) {
             let at = submitted_at[usize::from(io.ticket.cid)];
             responses.push(io.finish.saturating_sub(at));
             makespan = makespan.max(io.finish);
@@ -109,42 +121,39 @@ pub fn replay_qd(trace: &Trace, ssd: TimeSsd, qd: usize) -> Result<QdReplayRepor
         // unlike the per-page wrap of the synchronous replayer).
         let span = LpaSpan::reduced(record.lpa, u64::from(record.pages), exported);
         let (lpa, count) = (span.start(), span.len() as u32);
-        loop {
-            let attempt = match record.op {
-                TraceOp::Write => {
-                    let pages = span.iter().map(|p| p.0.to_le_bytes().to_vec());
-                    driver.submit_write(qid, lpa, pages.collect())
-                }
-                TraceOp::Read => driver.submit_read(qid, lpa, count),
-                TraceOp::Trim => driver.submit_trim(qid, lpa, count),
-                TraceOp::Flush => driver.submit_flush(qid),
+        // A full queue waits for its next completion, then retries; the
+        // command is built once a slot is free.
+        while !driver.has_slot(qid) {
+            // Queue full with nothing in flight cannot happen at depth ≥ 1;
+            // bail rather than spin.
+            let Some(at) = driver.next_completion_at() else {
+                break 'records;
             };
-            match attempt {
-                Ok(ticket) => {
-                    submitted_at[usize::from(ticket.cid)] = now;
-                    submitted += 1;
-                    peak = peak.max(driver.in_flight());
-                    // Let the controller start what arbitration allows at
-                    // the submission instant and harvest anything due.
-                    harvest(driver.poll(now), &submitted_at, &mut stalled);
-                    break;
-                }
-                Err(DriverError::QueueFull(_)) => {
-                    // Queue full with nothing in flight cannot happen at
-                    // depth ≥ 1; bail rather than spin.
-                    let Some(done) = driver.wait_for_slot(&mut now) else {
-                        break 'records;
-                    };
-                    harvest(done, &submitted_at, &mut stalled);
-                    if stalled {
-                        break 'records;
-                    }
-                }
-                Err(e) => return Err(e),
+            now = now.max(at);
+            driver.poll_into(now, &mut done);
+            harvest(&mut done, &submitted_at, &mut stalled);
+            if stalled {
+                break 'records;
             }
         }
+        let ticket = match record.op {
+            TraceOp::Write => {
+                let pages = span.iter().map(|p| p.0.to_le_bytes().to_vec());
+                driver.submit_write(qid, lpa, pages.collect())
+            }
+            TraceOp::Read => driver.submit_read(qid, lpa, count),
+            TraceOp::Trim => driver.submit_trim(qid, lpa, count),
+            TraceOp::Flush => driver.submit_flush(qid),
+        }?;
+        submitted_at[usize::from(ticket.cid)] = now;
+        submitted += 1;
+        peak = peak.max(driver.in_flight());
+        // Let the controller start what arbitration allows at the
+        // submission instant and harvest anything due.
+        driver.poll_into(now, &mut done);
+        harvest(&mut done, &submitted_at, &mut stalled);
     }
-    harvest(driver.drain(&mut now), &submitted_at, &mut stalled);
+    harvest(&mut driver.drain(&mut now), &submitted_at, &mut stalled);
 
     let completed = responses.len() as u64;
     let avg = if responses.is_empty() {
@@ -152,13 +161,14 @@ pub fn replay_qd(trace: &Trace, ssd: TimeSsd, qd: usize) -> Result<QdReplayRepor
     } else {
         responses.iter().map(|r| *r as f64).sum::<f64>() / responses.len() as f64
     };
-    responses.sort_unstable();
-    let pick = |q: f64| -> Nanos {
-        if responses.is_empty() {
-            0
-        } else {
-            let idx = ((responses.len() - 1) as f64 * q).round() as usize;
-            responses[idx]
+    // The p99 is the response a full sort would put at that rank; selecting
+    // it costs one partition instead.
+    let p99 = match responses.len() {
+        0 => 0,
+        n => {
+            *responses
+                .select_nth_unstable(((n - 1) as f64 * 0.99).round() as usize)
+                .1
         }
     };
 
@@ -171,8 +181,8 @@ pub fn replay_qd(trace: &Trace, ssd: TimeSsd, qd: usize) -> Result<QdReplayRepor
         peak_outstanding: peak,
         makespan_ns: makespan,
         avg_response_ns: avg,
-        p99_response_ns: pick(0.99),
-        max_response_ns: responses.last().copied().unwrap_or(0),
+        p99_response_ns: p99,
+        max_response_ns: responses.iter().copied().max().unwrap_or(0),
         stalled,
         submitted,
     })
