@@ -16,10 +16,10 @@
 //! is posted only once its device-side finish time has passed — so
 //! completions surface out of submission order, and [`NvmeController::process`]
 //! is incremental: call it with advancing `now` and it starts what it can
-//! and posts what is due. The controller counts the commands queued and
-//! posted, keeps the earliest finish in flight and the ids of the queues
-//! holding anything, so a step with nothing due and nothing queued only
-//! turns the arbitration cursor, and no sweep visits an empty queue.
+//! and posts what is due. The controller counts the commands queued, keeps
+//! the earliest finish in flight and the ids of the queues holding
+//! anything, so a step with nothing due and nothing queued only turns the
+//! arbitration cursor, and no sweep visits an empty queue.
 //!
 //! A Flush is a per-queue fence: it is not started until every earlier
 //! command on its queue has completed, and no later command on that queue
@@ -27,13 +27,14 @@
 //!
 //! A command owns its data. The pages a Write carries are submitted beside
 //! its 64-byte entry and moved into the device. When the controller starts a
-//! command it makes, in the command's queue, the one [`CompletedIo`] the
-//! host will pop, and fills in what the device returned: an [`Answer`] (the
-//! device's immutable [`PageData`], or the query or rollback outcome
-//! exactly as core's body returned it) or the device's own `AlmanacError`
-//! (the controller's own refusals are `Unsupported` and `InvalidCommand`),
-//! with the NVMe status `status_of` gives it. There is no host-buffer table
-//! to register with, look up, or leak, and no second answer or error format.
+//! command it makes the one [`CompletedIo`] the host will pop, fills in what
+//! the device returned — an [`Answer`] (the device's immutable [`PageData`],
+//! or the query or rollback outcome exactly as core's body returned it) or
+//! the device's own `AlmanacError` (the controller's own refusals are
+//! `Unsupported` and `InvalidCommand`), with the NVMe status `status_of`
+//! gives it — and files it in the command's queue. There is no host-buffer
+//! table to register with, look up, or leak, and no second answer or error
+//! format.
 
 use almanac_core::{roll_back, roll_back_all, time_scan, AddrQuery};
 use almanac_core::{AlmanacError, SsdDevice, MAX_ARRIVAL};
@@ -97,8 +98,6 @@ pub struct NvmeController<D = almanac_core::TimeSsd> {
     busy: Vec<usize>,
     /// Submitted commands not yet started, across queues.
     queued: usize,
-    /// Posted completions not yet popped, across queues.
-    posted: usize,
     /// The earliest finish in flight across queues.
     next_due: Option<Nanos>,
 }
@@ -127,7 +126,6 @@ impl<D: SsdDevice> NvmeController<D> {
             ooo_completions: 0,
             busy: Vec::new(),
             queued: 0,
-            posted: 0,
             next_due: None,
         }
     }
@@ -189,7 +187,6 @@ impl<D: SsdDevice> NvmeController<D> {
         if q.is_empty() {
             self.busy.retain(|&busy| busy != usize::from(qid));
         }
-        self.posted -= 1;
         Some(done)
     }
 
@@ -197,9 +194,6 @@ impl<D: SsdDevice> NvmeController<D> {
     /// (ties by start order): merging the queues' CQs so the host sees
     /// device finish order, each queue's own order kept.
     pub(crate) fn pop_earliest(&mut self) -> Option<CompletedIo> {
-        if self.posted == 0 {
-            return None;
-        }
         let queues = &self.queues;
         let (_, qid) = (self.busy.iter())
             .filter_map(|&qid| queues[qid].head().map(|f| ((f.finish, f.seq), qid)))
@@ -278,9 +272,7 @@ impl<D: SsdDevice> NvmeController<D> {
         for &qid in &self.busy {
             let q = &mut self.queues[qid];
             if q.next_finish().is_some_and(|f| f <= now) {
-                let (posted, overtakes) = q.post_due(now);
-                self.posted += posted;
-                self.ooo_completions += overtakes;
+                self.ooo_completions += q.post_due(now);
             }
             next_due = next_due.into_iter().chain(q.next_finish()).min();
         }
@@ -290,7 +282,6 @@ impl<D: SsdDevice> NvmeController<D> {
     /// Starts the head-of-queue command on `qid` if arbitration allows:
     /// the queue must be non-empty, not fenced by an in-flight Flush, and
     /// a Flush at the head waits for the queue's in-flight set to drain.
-    /// The command's record is made in its queue and filled in there.
     fn try_start(&mut self, qid: usize, now: Nanos) -> bool {
         let q = &mut self.queues[qid];
         let Some((head, _)) = q.sq.front() else {
@@ -304,7 +295,7 @@ impl<D: SsdDevice> NvmeController<D> {
         let (entry, payload) = q.sq.pop_front().expect("head checked");
         self.queued -= 1;
         self.start_seq += 1;
-        let io = q.start(CompletedIo {
+        let mut io = CompletedIo {
             ticket: Ticket {
                 qid: qid as u16,
                 cid: entry.cid,
@@ -316,16 +307,10 @@ impl<D: SsdDevice> NvmeController<D> {
             outcome: Ok(None),
             seq: self.start_seq,
             overtakes: false,
-        });
-        let run = Run {
-            ssd: &mut self.ssd,
-            page_size: self.page_size,
-            io,
-            now,
         };
-        let finish = run.execute(entry, payload);
-        q.place();
-        self.next_due = Some(self.next_due.map_or(finish, |due| due.min(finish)));
+        execute(&mut self.ssd, self.page_size, &mut io, entry, payload, now);
+        self.next_due = Some(self.next_due.map_or(io.finish, |due| due.min(io.finish)));
+        q.file(io);
         true
     }
 }
@@ -333,154 +318,159 @@ impl<D: SsdDevice> NvmeController<D> {
 #[cfg(test)]
 mod reference;
 
-/// One command running at `now`: the device, and the record it fills in.
-struct Run<'a, D> {
-    ssd: &'a mut D,
+/// Runs command `e` (with the pages a Write carries) on `ssd` at `now`,
+/// recording in `io` its outcome, status, result dword and finish. A
+/// failure finishes at `now` unless part of the range was already applied.
+fn execute<D: SsdDevice>(
+    ssd: &mut D,
     page_size: usize,
-    io: &'a mut CompletedIo,
+    io: &mut CompletedIo,
+    e: SubmissionEntry,
+    payload: Vec<Vec<u8>>,
     now: Nanos,
+) {
+    let outcome = match e.opcode {
+        NvmeOpcode::Flush => flush(ssd, io, now),
+        NvmeOpcode::Write | NvmeOpcode::Read | NvmeOpcode::DatasetMgmt => {
+            execute_io(ssd, page_size, io, e, payload, now)
+        }
+        _ => execute_vendor(ssd, io, e, now),
+    };
+    if let Err(err) = &outcome {
+        io.status = status_of(err) as u16;
+    }
+    io.outcome = outcome;
 }
 
-impl<D: SsdDevice> Run<'_, D> {
-    /// Executes the command, recording its outcome, status, result dword
-    /// and finish instant; returns the finish. A failure finishes at `now`
-    /// unless part of the range was already applied.
-    fn execute(mut self, e: SubmissionEntry, payload: Vec<Vec<u8>>) -> Nanos {
-        let outcome = match e.opcode {
-            NvmeOpcode::Flush => self.flush(),
-            NvmeOpcode::Write | NvmeOpcode::Read | NvmeOpcode::DatasetMgmt => {
-                self.execute_io(e, payload)
-            }
-            _ => self.execute_vendor(e),
-        };
-        if let Err(err) = &outcome {
-            self.io.status = status_of(err) as u16;
+fn flush<D: SsdDevice>(ssd: &mut D, io: &mut CompletedIo, now: Nanos) -> Outcome {
+    let c = ssd.flush(now)?;
+    // The result carries the barrier's response time in microseconds
+    // (saturating), so the host sees what the fence actually cost.
+    io.result = (c.response(now) / 1_000).min(u32::MAX as u64) as u32;
+    io.finish = c.finish;
+    Ok(None)
+}
+
+/// The Table-1 vendor commands: queries read the device's history
+/// through its read view, a rollback writes through the device. A
+/// device without a read view knows none of these opcodes.
+fn execute_vendor<D: SsdDevice>(
+    ssd: &mut D,
+    io: &mut CompletedIo,
+    e: SubmissionEntry,
+    now: Nanos,
+) -> Outcome {
+    let Some(view) = ssd.read_view() else {
+        return Err(AlmanacError::Unsupported(
+            "a Table-1 command on a device without history",
+        ));
+    };
+    // Each body's answer with its item count (the result dword) and the
+    // instant its completion posts.
+    let (items, finish, answer) = match e.opcode {
+        NvmeOpcode::AddrQuery | NvmeOpcode::AddrQueryRange | NvmeOpcode::AddrQueryAll => {
+            let query = AddrQuery::new(view, Lpa(e.get_u64(0)), e.cdw[2] as u64);
+            // The opcodes differ only in which CDWs carry the version
+            // filter and the modelled host worker count (0 = one);
+            // range bounds use second granularity on the wire.
+            let (query, threads) = match e.opcode {
+                NvmeOpcode::AddrQuery => (query.as_of(e.get_u64(4)), e.cdw[3]),
+                NvmeOpcode::AddrQueryRange => {
+                    let t1 = e.cdw[3] as u64 * 1_000_000_000;
+                    let t2 = e.cdw[4] as u64 * 1_000_000_000;
+                    (query.range(t1, t2), e.cdw[5])
+                }
+                _ => (query.all_versions(), e.cdw[3]),
+            };
+            // The completion posts at `now` plus the modelled makespan of
+            // the partitioned schedule over `threads` host workers, so a
+            // device with more partitions answers parallel queries sooner.
+            let out = query.run()?;
+            let finish = now.saturating_add(out.makespan(threads));
+            (out.hits.len(), finish, Answer::Versions(Box::new(out)))
         }
-        self.io.outcome = outcome;
-        self.io.finish
-    }
-
-    fn flush(&mut self) -> Outcome {
-        let c = self.ssd.flush(self.now)?;
-        // The result carries the barrier's response time in microseconds
-        // (saturating), so the host sees what the fence actually cost.
-        self.io.result = (c.response(self.now) / 1_000).min(u32::MAX as u64) as u32;
-        self.io.finish = c.finish;
-        Ok(None)
-    }
-
-    /// The Table-1 vendor commands: queries read the device's history
-    /// through its read view, a rollback writes through the device. A
-    /// device without a read view knows none of these opcodes.
-    fn execute_vendor(&mut self, e: SubmissionEntry) -> Outcome {
-        let now = self.now;
-        let Some(view) = self.ssd.read_view() else {
-            return Err(AlmanacError::Unsupported(
-                "a Table-1 command on a device without history",
-            ));
-        };
-        // Each body's answer with its item count (the result dword) and the
-        // instant its completion posts.
-        let (items, finish, answer) = match e.opcode {
-            NvmeOpcode::AddrQuery | NvmeOpcode::AddrQueryRange | NvmeOpcode::AddrQueryAll => {
-                let query = AddrQuery::new(view, Lpa(e.get_u64(0)), e.cdw[2] as u64);
-                // The opcodes differ only in which CDWs carry the version
-                // filter and the modelled host worker count (0 = one);
-                // range bounds use second granularity on the wire.
-                let (query, threads) = match e.opcode {
-                    NvmeOpcode::AddrQuery => (query.as_of(e.get_u64(4)), e.cdw[3]),
-                    NvmeOpcode::AddrQueryRange => {
-                        let t1 = e.cdw[3] as u64 * 1_000_000_000;
-                        let t2 = e.cdw[4] as u64 * 1_000_000_000;
-                        (query.range(t1, t2), e.cdw[5])
-                    }
-                    _ => (query.all_versions(), e.cdw[3]),
-                };
-                // The completion posts at `now` plus the modelled makespan of
-                // the partitioned schedule over `threads` host workers, so a
-                // device with more partitions answers parallel queries sooner.
-                let out = query.run()?;
-                let finish = now.saturating_add(out.makespan(threads));
-                (out.hits.len(), finish, Answer::Versions(Box::new(out)))
-            }
-            NvmeOpcode::TimeQuery | NvmeOpcode::TimeQueryRange | NvmeOpcode::TimeQueryAll => {
-                let (from, to) = match e.opcode {
-                    NvmeOpcode::TimeQuery => (e.get_u64(0), Nanos::MAX),
-                    NvmeOpcode::TimeQueryRange => (e.get_u64(0), e.get_u64(2)),
-                    _ => (0, Nanos::MAX),
-                };
-                let (hits, cost) = time_scan(view, from, to);
-                let finish = now.saturating_add(cost.makespan(TIME_QUERY_THREADS));
-                (hits.len(), finish, Answer::Times(Box::new((hits, cost))))
-            }
-            _ => {
-                let out = if e.opcode == NvmeOpcode::RollBack {
-                    let (addr, cnt) = (Lpa(e.get_u64(0)), u64::from(e.cdw[2]));
-                    roll_back(self.ssd, addr, cnt, e.get_u64(4), now)
-                } else {
-                    roll_back_all(self.ssd, e.get_u64(0), now)
-                }?;
-                (out.restored.len(), out.finish, Answer::Rollback(out.into()))
-            }
-        };
-        (self.io.result, self.io.finish) = (items as u32, finish);
-        Ok(Some(answer))
-    }
-
-    /// Write, Read and DatasetMgmt carry `(lpa, count)` straight off the
-    /// wire. The whole range must lie inside the exported space before
-    /// anything is allocated, written or trimmed, so a malformed SQE ends in
-    /// a status and never in a half-applied range.
-    fn execute_io(&mut self, e: SubmissionEntry, payload: Vec<Vec<u8>>) -> Outcome {
-        let now = self.now;
-        // The device checks the arrival before the range (`Ftl::admit`), so
-        // a command with both faults fails as it would on the bare device.
-        if now > MAX_ARRIVAL {
-            return Err(AlmanacError::ArrivalTooLate(now));
+        NvmeOpcode::TimeQuery | NvmeOpcode::TimeQueryRange | NvmeOpcode::TimeQueryAll => {
+            let (from, to) = match e.opcode {
+                NvmeOpcode::TimeQuery => (e.get_u64(0), Nanos::MAX),
+                NvmeOpcode::TimeQueryRange => (e.get_u64(0), e.get_u64(2)),
+                _ => (0, Nanos::MAX),
+            };
+            let (hits, cost) = time_scan(view, from, to);
+            let finish = now.saturating_add(cost.makespan(TIME_QUERY_THREADS));
+            (hits.len(), finish, Answer::Times(Box::new((hits, cost))))
         }
-        let (lpa, count) = (Lpa(e.get_u64(0)), e.cdw[2]);
-        let exported = self.ssd.exported_pages();
-        let span = LpaSpan::whole(lpa, u64::from(count), exported)
-            .ok_or(AlmanacError::LpaOutOfRange { lpa, exported })?;
-        let io = &mut *self.io;
-        match e.opcode {
-            NvmeOpcode::Write => {
-                // One page per LPA, none longer than a flash page: anything
-                // else would be stored truncated or not at all.
-                if payload.len() != count as usize {
-                    return Err(AlmanacError::InvalidCommand(
-                        "a Write's pages do not match its page count",
-                    ));
-                }
-                if payload.iter().any(|p| p.len() > self.page_size) {
-                    return Err(AlmanacError::InvalidCommand(
-                        "a Write's page is longer than a flash page",
-                    ));
-                }
-                for (lpa, page) in span.iter().zip(payload) {
-                    let c = self.ssd.write(lpa, PageData::bytes(page), now)?;
-                    io.result += 1;
-                    io.finish = io.finish.max(c.finish);
-                }
-                Ok(None)
+        _ => {
+            let out = if e.opcode == NvmeOpcode::RollBack {
+                let (addr, cnt) = (Lpa(e.get_u64(0)), u64::from(e.cdw[2]));
+                roll_back(ssd, addr, cnt, e.get_u64(4), now)
+            } else {
+                roll_back_all(ssd, e.get_u64(0), now)
+            }?;
+            (out.restored.len(), out.finish, Answer::Rollback(out.into()))
+        }
+    };
+    (io.result, io.finish) = (items as u32, finish);
+    Ok(Some(answer))
+}
+
+/// Write, Read and DatasetMgmt carry `(lpa, count)` straight off the
+/// wire. The whole range must lie inside the exported space before
+/// anything is allocated, written or trimmed, so a malformed SQE ends in
+/// a status and never in a half-applied range.
+fn execute_io<D: SsdDevice>(
+    ssd: &mut D,
+    page_size: usize,
+    io: &mut CompletedIo,
+    e: SubmissionEntry,
+    payload: Vec<Vec<u8>>,
+    now: Nanos,
+) -> Outcome {
+    // The device checks the arrival before the range (`Ftl::admit`), so
+    // a command with both faults fails as it would on the bare device.
+    if now > MAX_ARRIVAL {
+        return Err(AlmanacError::ArrivalTooLate(now));
+    }
+    let (lpa, count) = (Lpa(e.get_u64(0)), e.cdw[2]);
+    let exported = ssd.exported_pages();
+    let span = LpaSpan::whole(lpa, u64::from(count), exported)
+        .ok_or(AlmanacError::LpaOutOfRange { lpa, exported })?;
+    match e.opcode {
+        NvmeOpcode::Write => {
+            // One page per LPA, none longer than a flash page: anything
+            // else would be stored truncated or not at all.
+            if payload.len() != count as usize {
+                return Err(AlmanacError::InvalidCommand(
+                    "a Write's pages do not match its page count",
+                ));
             }
-            NvmeOpcode::Read => {
-                let (mut pages, mut finish) = (Vec::with_capacity(count as usize), now);
-                for lpa in span.iter() {
-                    let (data, c) = self.ssd.read(lpa, now)?;
-                    pages.push(data);
-                    finish = finish.max(c.finish);
-                }
-                (io.result, io.finish) = (count, finish);
-                Ok(Some(Answer::Pages(pages)))
+            if payload.iter().any(|p| p.len() > page_size) {
+                return Err(AlmanacError::InvalidCommand(
+                    "a Write's page is longer than a flash page",
+                ));
             }
-            _ => {
-                for lpa in span.iter() {
-                    io.finish = io.finish.max(self.ssd.trim(lpa, now)?.finish);
-                }
-                io.result = count;
-                Ok(None)
+            for (lpa, page) in span.iter().zip(payload) {
+                let c = ssd.write(lpa, PageData::bytes(page), now)?;
+                io.result += 1;
+                io.finish = io.finish.max(c.finish);
             }
+            Ok(None)
+        }
+        NvmeOpcode::Read => {
+            let (mut pages, mut finish) = (Vec::with_capacity(count as usize), now);
+            for lpa in span.iter() {
+                let (data, c) = ssd.read(lpa, now)?;
+                pages.push(data);
+                finish = finish.max(c.finish);
+            }
+            (io.result, io.finish) = (count, finish);
+            Ok(Some(Answer::Pages(pages)))
+        }
+        _ => {
+            for lpa in span.iter() {
+                io.finish = io.finish.max(ssd.trim(lpa, now)?.finish);
+            }
+            io.result = count;
+            Ok(None)
         }
     }
 }

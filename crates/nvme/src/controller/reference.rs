@@ -1,5 +1,5 @@
-//! The queueing of the controller before its in-flight records stayed in
-//! place, kept verbatim as the reference `tests::controller_queues_as_the_
+//! The queueing of the controller before a queue's records shared one
+//! deque, kept verbatim as the reference `tests::controller_queues_as_the_
 //! reference_does` holds the controller to: each queue's in-flight set is
 //! its own `VecDeque` kept in `(finish, seq)` order by binary insertion,
 //! posting moves records into a separate CQ and tests every record left in
@@ -11,7 +11,7 @@ use std::collections::VecDeque;
 use almanac_core::SsdDevice;
 use almanac_flash::Nanos;
 
-use super::{NvmeStatus, Run, DEFAULT_QUEUE_DEPTH};
+use super::{execute, NvmeStatus, DEFAULT_QUEUE_DEPTH};
 use crate::queue::{CompletedIo, Ticket};
 use crate::sqe::{NvmeOpcode, SubmissionEntry};
 
@@ -220,13 +220,7 @@ impl<D: SsdDevice> Reference<D> {
             seq: self.start_seq,
             overtakes: false,
         };
-        let run = Run {
-            ssd: &mut self.ssd,
-            page_size: self.page_size,
-            io: &mut io,
-            now,
-        };
-        run.execute(entry, payload);
+        execute(&mut self.ssd, self.page_size, &mut io, entry, payload, now);
         self.queues[qid].start(io);
         true
     }

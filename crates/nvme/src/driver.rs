@@ -242,12 +242,16 @@ impl<D: SsdDevice> HostDriver<D> {
         self.harvest(out);
     }
 
-    /// The wait of a host whose submit came back [`DriverError::QueueFull`]:
-    /// advances `now` to the next completion and harvests what has posted.
-    /// `None` when nothing is pending device-side, so no slot will free.
-    pub fn wait_for_slot(&mut self, now: &mut Nanos) -> Option<Vec<CompletedIo>> {
-        *now = (*now).max(self.next_completion_at()?);
-        Some(self.poll(*now))
+    /// The wait of a host whose queue is full: advances `now` to the next
+    /// completion and appends what has posted to `out`. False, with nothing
+    /// done, when nothing is pending device-side, so no slot will free.
+    pub fn wait_for_slot(&mut self, now: &mut Nanos, out: &mut Vec<CompletedIo>) -> bool {
+        let Some(at) = self.next_completion_at() else {
+            return false;
+        };
+        *now = (*now).max(at);
+        self.poll_into(*now, out);
+        true
     }
 
     /// Advances `now` until nothing is in flight, returning every completion
@@ -738,9 +742,10 @@ mod tests {
         let err = d.submit_write(q, Lpa(1), vec![vec![0u8; 4]]).unwrap_err();
         assert!(matches!(err, DriverError::QueueFull(NvmeOpcode::Write)));
         assert_eq!(d.in_flight(), 1);
-        let mut now = SEC_NS;
+        let (mut now, mut done) = (SEC_NS, Vec::new());
         d.poll(now);
-        assert_eq!(d.wait_for_slot(&mut now).map(|done| done.len()), Some(1));
+        assert!(d.wait_for_slot(&mut now, &mut done));
+        assert_eq!(done.len(), 1);
         d.submit_write(q, Lpa(1), vec![vec![0u8; 4]]).unwrap();
     }
 

@@ -86,9 +86,9 @@ impl CompletedIo {
 }
 
 /// One submission/completion queue pair with its own depth. A started
-/// command's record is made at the back of the queue's one deque and filed
-/// once, by its finish; posting only moves the boundary between the CQ and
-/// the in-flight set, and the host's pop moves the record out.
+/// command's record is filed once into the queue's one deque, by its
+/// finish; posting only moves the boundary between the CQ and the
+/// in-flight set, and the host's pop moves the record out.
 #[derive(Debug)]
 pub(crate) struct QueuePair {
     /// Maximum outstanding commands (queued + in flight).
@@ -143,44 +143,31 @@ impl QueuePair {
         self.flushes > 0
     }
 
-    /// Makes room for the record of a command started now, after every
-    /// other, and returns it for the controller to fill in; [`Self::place`]
-    /// then files it by its finish.
-    pub(crate) fn start(&mut self, started: CompletedIo) -> &mut CompletedIo {
-        self.flushes += usize::from(started.opcode == NvmeOpcode::Flush);
-        self.records.push_back(started);
-        self.records.back_mut().expect("just pushed")
-    }
-
-    /// Moves the record [`Self::start`] made ahead of the in-flight records
-    /// that finish after it. They all started earlier, so an equal finish
-    /// stays ahead, and moving ahead of any of them is an overtake: it will
-    /// still be in flight when this one posts.
-    pub(crate) fn place(&mut self) {
-        let last = self.records.len() - 1;
-        let finish = self.records[last].finish;
-        let later = (self.records.range(self.posted..last).rev())
-            .take_while(|f| f.finish > finish)
+    /// Files the record of a command started now, after every other, ahead
+    /// of the in-flight records that finish after it. They all started
+    /// earlier, so an equal finish stays ahead, and filing ahead of any of
+    /// them is an overtake: it will still be in flight when this one posts.
+    pub(crate) fn file(&mut self, mut io: CompletedIo) {
+        self.flushes += usize::from(io.opcode == NvmeOpcode::Flush);
+        let later = (self.records.range(self.posted..).rev())
+            .take_while(|f| f.finish > io.finish)
             .count();
-        if later > 0 {
-            let mut io = self.records.pop_back().expect("started");
-            io.overtakes = true;
-            self.records.insert(last - later, io);
-        }
+        io.overtakes = later > 0;
+        self.records.insert(self.records.len() - later, io);
     }
 
     /// Posts every in-flight command whose finish time has passed, in
-    /// finish order (ties broken by start order). Returns how many posted
-    /// and how many of them overtook an earlier-started command still in
-    /// flight — the out-of-order count.
-    pub(crate) fn post_due(&mut self, now: Nanos) -> (usize, u64) {
-        let (from, mut overtakes) = (self.posted, 0);
+    /// finish order (ties broken by start order). Returns how many of them
+    /// overtook an earlier-started command still in flight — the
+    /// out-of-order count.
+    pub(crate) fn post_due(&mut self, now: Nanos) -> u64 {
+        let mut overtakes = 0;
         while let Some(done) = self.records.get(self.posted).filter(|f| f.finish <= now) {
             self.flushes -= usize::from(done.opcode == NvmeOpcode::Flush);
             overtakes += u64::from(done.overtakes);
             self.posted += 1;
         }
-        (self.posted - from, overtakes)
+        overtakes
     }
 
     /// Earliest pending completion instant on this queue, if any.
@@ -221,12 +208,6 @@ mod tests {
         }
     }
 
-    /// Starts `io` on `q` and files it, as the controller does.
-    fn start(q: &mut QueuePair, io: CompletedIo) {
-        q.start(io);
-        q.place();
-    }
-
     /// The start orders of `q`'s CQ, head first.
     fn cq(q: &QueuePair) -> Vec<u64> {
         q.records.range(..q.posted).map(|f| f.seq).collect()
@@ -235,14 +216,14 @@ mod tests {
     #[test]
     fn post_due_orders_by_finish_and_counts_overtakes() {
         let mut q = QueuePair::new(4);
-        start(&mut q, started(1, 1, NvmeOpcode::Write, 300));
-        start(&mut q, started(2, 2, NvmeOpcode::Read, 100));
+        q.file(started(1, 1, NvmeOpcode::Write, 300));
+        q.file(started(2, 2, NvmeOpcode::Read, 100));
         // Only the read is due; it overtakes the in-flight write.
-        assert_eq!(q.post_due(150), (1, 1));
+        assert_eq!(q.post_due(150), 1);
         assert_eq!(q.pop().unwrap().ticket.cid, 2);
         assert_eq!(q.next_finish(), Some(300));
         // The write posts later with nothing left to overtake.
-        assert_eq!(q.post_due(400), (1, 0));
+        assert_eq!(q.post_due(400), 0);
         assert_eq!(q.pop().unwrap().ticket.cid, 1);
         assert!(q.next_finish().is_none() && q.pop().is_none());
     }
@@ -304,11 +285,11 @@ mod tests {
                 if kind < 6 {
                     seq += 1;
                     let opcode = if kind == 0 { NvmeOpcode::Flush } else { NvmeOpcode::Read };
-                    start(&mut q, started(cid, seq, opcode, now + d));
+                    q.file(started(cid, seq, opcode, now + d));
                     reference.inflight.push(started(cid, seq, opcode, now + d));
                 } else {
                     now += d;
-                    prop_assert_eq!(q.post_due(now).1, reference.post_due(now));
+                    prop_assert_eq!(q.post_due(now), reference.post_due(now));
                 }
                 prop_assert_eq!(cq(&q), reference.cq.clone());
                 prop_assert_eq!(q.next_finish(), reference.next_finish());

@@ -189,11 +189,12 @@ pub fn lockstep_queue_run_over<R: Guarantee>(
                 break ticket;
             }
             // The queue is full: advance to the next completion.
-            let Some(done) = driver.wait_for_slot(&mut now) else {
+            let mut done = Vec::new();
+            if !driver.wait_for_slot(&mut now, &mut done) {
                 mq.divergences.push(format!("queue {qid} wedged at op {i}"));
                 let ooo_completions = driver.controller().ooo_completions();
                 return mq.outcome(ooo_completions, flushes);
-            };
+            }
             mq.harvest(done);
         };
         if let Action::Write(lpa, _) | Action::Trim(lpa) = action {

@@ -126,11 +126,9 @@ pub fn replay_qd_through<D: SsdDevice>(
         while !driver.has_slot(qid) {
             // Queue full with nothing in flight cannot happen at depth ≥ 1;
             // bail rather than spin.
-            let Some(at) = driver.next_completion_at() else {
+            if !driver.wait_for_slot(&mut now, &mut done) {
                 break 'records;
-            };
-            now = now.max(at);
-            driver.poll_into(now, &mut done);
+            }
             harvest(&mut done, &submitted_at, &mut stalled);
             if stalled {
                 break 'records;
