@@ -61,6 +61,7 @@ impl LpaSpan {
     /// Whole range or nothing (a host I/O command): `None` unless every page
     /// of `[addr, addr + cnt)` is exported, so a malformed request is refused
     /// before anything is allocated, written or trimmed.
+    #[inline]
     pub fn whole(addr: Lpa, cnt: u64, exported: u64) -> Option<LpaSpan> {
         let end = addr.0.checked_add(cnt).filter(|&end| end <= exported)?;
         Some(LpaSpan { start: addr.0, end })
@@ -79,6 +80,7 @@ impl LpaSpan {
     /// Reduce, then clamp (a replayed record): the address wraps into the
     /// exported space and the count, at least one page, is cut to end inside
     /// it. Empty only on a device that exports nothing.
+    #[inline]
     pub fn reduced(addr: u64, cnt: u64, exported: u64) -> LpaSpan {
         let start = addr.checked_rem(exported).unwrap_or(0);
         LpaSpan {

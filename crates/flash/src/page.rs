@@ -43,6 +43,7 @@ pub enum PageData {
 
 impl PageData {
     /// Builds a `Bytes` page from a vector.
+    #[inline]
     pub fn bytes(v: Vec<u8>) -> Self {
         PageData::Bytes(Arc::new(v))
     }

@@ -76,6 +76,7 @@ impl CidMap {
 
     /// Takes the first free cid at or after the cursor, wrapping, and moves
     /// the cursor past it. `None` when all 65 535 are in flight.
+    #[inline]
     fn alloc(&mut self) -> Option<u16> {
         let start = usize::from(self.next);
         // One word more than the map: the cursor's word again after the
@@ -100,6 +101,7 @@ impl CidMap {
     }
 
     /// Frees `cid`; false when it was not in flight.
+    #[inline]
     fn release(&mut self, cid: u16) -> bool {
         let (w, bit) = (usize::from(cid) / 64, 1u64 << (cid % 64));
         let held = cid != 0 && self.used[w] & bit != 0;

@@ -122,23 +122,27 @@ impl QueuePair {
     /// True when the host may ring one more submission into this queue:
     /// the commands outstanding from its point of view (submitted and not
     /// yet posted to the CQ) are fewer than the depth.
+    #[inline]
     pub(crate) fn has_slot(&self) -> bool {
         self.sq.len() + self.records.len() - self.posted < self.depth
     }
 
     /// True when the queue holds nothing: no submission, nothing in flight,
     /// no completion to pop.
+    #[inline]
     pub(crate) fn is_empty(&self) -> bool {
         self.sq.is_empty() && self.records.is_empty()
     }
 
     /// True when no started command awaits its completion.
+    #[inline]
     pub(crate) fn idle(&self) -> bool {
         self.records.len() == self.posted
     }
 
     /// True while a started flush is fencing this queue: commands behind it
     /// must not start until its completion posts.
+    #[inline]
     pub(crate) fn flush_in_flight(&self) -> bool {
         self.flushes > 0
     }
@@ -147,6 +151,7 @@ impl QueuePair {
     /// of the in-flight records that finish after it. They all started
     /// earlier, so an equal finish stays ahead, and filing ahead of any of
     /// them is an overtake: it will still be in flight when this one posts.
+    #[inline]
     pub(crate) fn file(&mut self, mut io: CompletedIo) {
         self.flushes += usize::from(io.opcode == NvmeOpcode::Flush);
         let later = (self.records.range(self.posted..).rev())
@@ -160,6 +165,7 @@ impl QueuePair {
     /// finish order (ties broken by start order). Returns how many of them
     /// overtook an earlier-started command still in flight — the
     /// out-of-order count.
+    #[inline]
     pub(crate) fn post_due(&mut self, now: Nanos) -> u64 {
         let mut overtakes = 0;
         while let Some(done) = self.records.get(self.posted).filter(|f| f.finish <= now) {
@@ -171,16 +177,19 @@ impl QueuePair {
     }
 
     /// Earliest pending completion instant on this queue, if any.
+    #[inline]
     pub(crate) fn next_finish(&self) -> Option<Nanos> {
         self.records.get(self.posted).map(|f| f.finish)
     }
 
     /// The CQ's head: the next completion [`Self::pop`] hands over.
+    #[inline]
     pub(crate) fn head(&self) -> Option<&CompletedIo> {
         self.records.front().filter(|_| self.posted > 0)
     }
 
     /// Pops the CQ's head.
+    #[inline]
     pub(crate) fn pop(&mut self) -> Option<CompletedIo> {
         if self.posted == 0 {
             return None;

@@ -100,7 +100,7 @@ pub fn replay_qd_through<D: SsdDevice>(
     let mut done: Vec<CompletedIo> = Vec::with_capacity(qd.max(1));
 
     let mut harvest = |done: &mut Vec<CompletedIo>, submitted_at: &[Nanos], stalled: &mut bool| {
-        for io in done.drain(..) {
+        for io in done.iter() {
             let at = submitted_at[usize::from(io.ticket.cid)];
             responses.push(io.finish.saturating_sub(at));
             makespan = makespan.max(io.finish);
@@ -109,6 +109,7 @@ pub fn replay_qd_through<D: SsdDevice>(
                 *stalled |= io.status == NvmeStatus::RetentionStall as u16;
             }
         }
+        done.clear();
     };
 
     'records: for record in &trace.records {
