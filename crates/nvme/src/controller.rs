@@ -263,11 +263,16 @@ impl<D: SsdDevice> NvmeController<D> {
     }
 
     /// Posts what is due on every queue that holds it; nothing when the
-    /// earliest finish in flight lies after `now`.
+    /// earliest finish in flight lies after `now`, the usual case, which
+    /// inlines.
+    #[inline]
     fn post_due(&mut self, now: Nanos) {
-        if self.next_due.is_none_or(|due| due > now) {
-            return;
+        if self.next_due.is_some_and(|due| due <= now) {
+            self.post_each_due(now);
         }
+    }
+
+    fn post_each_due(&mut self, now: Nanos) {
         let mut next_due = None;
         for &qid in &self.busy {
             let q = &mut self.queues[qid];
